@@ -1,7 +1,8 @@
 """Command-line front end: audit, equilibrium, and oracle reports.
 
 Exit codes: 0 success (regardless of verdicts), 2 game-file or usage
-errors, 3 solver non-convergence, 4 oracle dimensionality refusal.
+errors, 3 solver non-convergence, 4 oracle size refusal (too many agents
+or a grid over the memory budget).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .report import (
     to_json,
 )
 from .solve import (
-    ORACLE_MAX_AGENTS,
     OracleDimensionError,
     SolverError,
+    check_grid_size,
     grid_minimum,
     grid_nash_oracle,
     grid_step,
@@ -186,11 +187,8 @@ def _scenario_costs(spec: GameSpec, scenario: Scenario, cfg):
 
 def _cmd_oracle(spec: GameSpec, args: argparse.Namespace) -> int:
     game = spec.game
-    if game.n > ORACLE_MAX_AGENTS:
-        raise OracleDimensionError(
-            f"grid oracle supports at most {ORACLE_MAX_AGENTS} agents, "
-            f"got {game.n}")
     cfg = _configure(spec, args)
+    check_grid_size(game.n, cfg.grid_points_per_axis)
     scenario = _resolve_scenario(spec, args.scenario)
     costs = _scenario_costs(spec, scenario, cfg)
     grid_eqs = grid_nash_oracle(costs, game.bounds, cfg)

@@ -364,23 +364,6 @@ def is_smooth(e: Expression) -> bool:
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
-def has_guarded_division(e: Expression) -> bool:
-    """True when a guarded-division node appears anywhere in the tree."""
-    if isinstance(e, SafeDiv):
-        return True
-    if isinstance(e, (Const, Var)):
-        return False
-    if isinstance(e, Sum):
-        return any(has_guarded_division(t) for t in e.terms)
-    if isinstance(e, Product):
-        return any(has_guarded_division(f) for f in e.factors)
-    if isinstance(e, Power):
-        return has_guarded_division(e.base)
-    if isinstance(e, (Neg, Abs)):
-        return has_guarded_division(e.operand)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
-
-
 _PREC_SUM, _PREC_PROD, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 0, 1, 2, 3, 4
 
 

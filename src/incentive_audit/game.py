@@ -153,10 +153,6 @@ class Scenario:
         if self.incentive is None and self.participation.opted_out:
             raise ValueError("opting out is meaningless without an incentive")
 
-    @property
-    def anticipatory(self) -> bool:
-        return self.incentive is not None and self.incentive.mode == ANTICIPATORY
-
 
 def effective_cost(scenario: Scenario, i: int,
                    t_exprs: Optional[Sequence[Optional[Expression]]] = None

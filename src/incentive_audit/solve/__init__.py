@@ -1,11 +1,12 @@
 """Optimization, equilibrium computation, and the brute-force grid oracle."""
 
 from .config import SolverConfig
-from .kernels import active_backend, poly_grid_eval, pure_nash_mask
-from .linesearch import LineMin, line_minimum, restrict
+from .kernels import poly_grid_eval, pure_nash_mask
+from .linesearch import LineMin
 from .oracle import (
     ORACLE_MAX_AGENTS,
     OracleDimensionError,
+    check_grid_size,
     eval_on_grid,
     grid_axes,
     grid_minimum,
@@ -34,8 +35,8 @@ __all__ = [
     "OracleDimensionError",
     "SolverConfig",
     "SolverError",
-    "active_backend",
     "best_response",
+    "check_grid_size",
     "diagonal_strict_convexity_check",
     "eval_on_grid",
     "grid_axes",
@@ -43,11 +44,9 @@ __all__ = [
     "grid_nash_oracle",
     "grid_step",
     "hessian_pd_check",
-    "line_minimum",
     "minimize_operator",
     "nash_equilibrium",
     "poly_grid_eval",
     "pure_nash_mask",
-    "restrict",
     "verify_nash",
 ]

@@ -1,127 +1,21 @@
 """Hot grid kernels: polynomial evaluation and pure-equilibrium scans.
 
-Two interchangeable backends implement each kernel: a numba ``@njit``
-version for the dense-grid inner loops and a pure-numpy fallback.  The
-``INCENTIVE_AUDIT_BACKEND`` environment variable selects one:
-
-    auto   use numba when importable (default)
-    numba  require numba, fail if missing
-    numpy  force the vectorized numpy path
-
-Both backends compute identical results; ``benchmarks/bench_kernels.py``
-compares their throughput.
+Both kernels are vectorized numpy over the full cartesian grid, so their
+memory grows with the grid's cell count; ``oracle.check_grid_size``
+bounds it before any table is built.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-try:
-    from numba import njit, prange
-    from numba.core.errors import NumbaWarning
 
-    # stale-TBB probe noise from the parallel threading layer; numba falls
-    # back to another layer by itself
-    warnings.filterwarnings("ignore", message=".*TBB threading layer.*",
-                            category=NumbaWarning)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the numpy backend
-    HAVE_NUMBA = False
-    prange = range
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-ENV_VAR = "INCENTIVE_AUDIT_BACKEND"
-
-
-def resolve_backend(name: Optional[str] = None) -> str:
-    requested = (name or os.environ.get(ENV_VAR, "auto")).lower()
-    if requested not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {requested!r}")
-    if requested == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not installed")
-    if requested == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return requested
-
-
-def active_backend() -> str:
-    return resolve_backend()
-
-
-# ---------------------------------------------------------------------------
-# polynomial evaluation over a cartesian grid
-
-
-@njit(cache=True)
-def _decompose_block(b, lens, last, idx):  # pragma: no cover
-    rem = b
-    for k in range(last - 1, -1, -1):
-        idx[k] = rem % lens[k]
-        rem //= lens[k]
-
-
-@njit(cache=True, parallel=True)
-def _poly_grid_eval_jit(coeffs, exps, flat_axes, offsets, lens):  # pragma: no cover
-    n = lens.size
-    total = 1
-    max_len = 0
-    for k in range(n):
-        total *= lens[k]
-        if lens[k] > max_len:
-            max_len = lens[k]
-    m = coeffs.size
-    max_e = 1
-    for t in range(m):
-        for k in range(n):
-            if exps[t, k] > max_e:
-                max_e = exps[t, k]
-    # pows[k, e, i] = axes[k][i] ** e, so the point loop is pure lookups
-    pows = np.empty((n, max_e + 1, max_len), dtype=np.float64)
-    for k in range(n):
-        for i in range(lens[k]):
-            x = flat_axes[offsets[k] + i]
-            v = 1.0
-            for e in range(max_e + 1):
-                pows[k, e, i] = v
-                v *= x
-    # parallel sweep: one block per setting of the outer axes, with the
-    # contiguous last axis handled by per-term partial products
-    last = n - 1
-    last_len = lens[last]
-    blocks = total // last_len
-    out = np.empty(total, dtype=np.float64)
-    for b in prange(blocks):
-        partial = np.empty(m, dtype=np.float64)
-        idx = np.empty(n, dtype=np.int64)
-        _decompose_block(b, lens, last, idx)
-        for t in range(m):
-            term = coeffs[t]
-            for k in range(last):
-                e = exps[t, k]
-                if e > 0:
-                    term *= pows[k, e, idx[k]]
-            partial[t] = term
-        base = b * last_len
-        for i in range(last_len):
-            acc = 0.0
-            for t in range(m):
-                acc += partial[t] * pows[last, exps[t, last], i]
-            out[base + i] = acc
-    return out
-
-
-def _poly_grid_eval_numpy(coeffs: np.ndarray, exps: np.ndarray,
-                          axes: Sequence[np.ndarray]) -> np.ndarray:
+def poly_grid_eval(coeffs: np.ndarray, exps: np.ndarray,
+                   axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Evaluate sum_t coeffs[t] * prod_k x_k^exps[t,k] on the axes grid."""
+    axes = [np.asarray(ax, dtype=np.float64) for ax in axes]
     n = len(axes)
     shape = tuple(len(ax) for ax in axes)
     out = np.zeros(shape, dtype=np.float64)
@@ -137,84 +31,17 @@ def _poly_grid_eval_numpy(coeffs: np.ndarray, exps: np.ndarray,
     return out
 
 
-def poly_grid_eval(coeffs: np.ndarray, exps: np.ndarray,
-                   axes: Sequence[np.ndarray],
-                   backend: Optional[str] = None) -> np.ndarray:
-    """Evaluate sum_t coeffs[t] * prod_k x_k^exps[t,k] on the axes grid."""
-    which = resolve_backend(backend)
-    axes = [np.asarray(ax, dtype=np.float64) for ax in axes]
-    if which == "numpy":
-        return _poly_grid_eval_numpy(coeffs, exps, axes)
-    lens = np.array([len(ax) for ax in axes], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(lens)))[:-1].astype(np.int64)
-    flat_axes = np.concatenate(axes)
-    out = _poly_grid_eval_jit(
-        np.ascontiguousarray(coeffs, dtype=np.float64),
-        np.ascontiguousarray(exps, dtype=np.int64),
-        flat_axes, offsets, lens)
-    return out.reshape(tuple(int(m) for m in lens))
+def pure_nash_mask(tables: np.ndarray, tol_abs: float = 1e-12,
+                   tol_rel: float = 1e-12) -> np.ndarray:
+    """Mask of grid points where no agent can strictly improve alone.
 
-
-# ---------------------------------------------------------------------------
-# pure-equilibrium scan: no unilateral grid deviation strictly improves
-
-
-@njit(cache=True, parallel=True)
-def _pure_nash_mask_jit(tables, shape, tol_abs, tol_rel):  # pragma: no cover
-    n = shape.size
-    total = tables.shape[1]
-    strides = np.empty(n, dtype=np.int64)
-    s = 1
-    for k in range(n - 1, -1, -1):
-        strides[k] = s
-        s *= shape[k]
-    mask = np.ones(total, dtype=np.bool_)
-    for a in range(n):
-        stride = strides[a]
-        m = shape[a]
-        block = stride * m
-        lines = total // m
-        # walk each axis-a line once: min first, then threshold the line
-        for line in prange(lines):
-            pre = line // stride
-            post = line % stride
-            base = pre * block + post
-            mn = tables[a, base]
-            for t in range(1, m):
-                v = tables[a, base + t * stride]
-                if v < mn:
-                    mn = v
-            bound = mn + tol_abs + tol_rel * abs(mn)
-            for t in range(m):
-                p = base + t * stride
-                if mask[p] and tables[a, p] > bound:
-                    mask[p] = False
-    return mask
-
-
-def _pure_nash_mask_numpy(tables: np.ndarray, tol_abs: float,
-                          tol_rel: float) -> np.ndarray:
+    ``tables[a]`` holds agent ``a``'s cost on the full grid; axis ``a`` of
+    each table corresponds to that agent's own action.
+    """
+    tables = np.asarray(tables, dtype=np.float64)
     mask = np.ones(tables.shape[1:], dtype=bool)
     for a in range(tables.shape[0]):
         t = tables[a]
         line_min = t.min(axis=a, keepdims=True)
         mask &= t <= line_min + tol_abs + tol_rel * np.abs(line_min)
     return mask
-
-
-def pure_nash_mask(tables: np.ndarray, tol_abs: float = 1e-12,
-                   tol_rel: float = 1e-12,
-                   backend: Optional[str] = None) -> np.ndarray:
-    """Mask of grid points where no agent can strictly improve alone.
-
-    ``tables[a]`` holds agent ``a``'s cost on the full grid; axis ``a`` of
-    each table corresponds to that agent's own action.
-    """
-    which = resolve_backend(backend)
-    tables = np.asarray(tables, dtype=np.float64)
-    if which == "numpy":
-        return _pure_nash_mask_numpy(tables, tol_abs, tol_rel)
-    shape = np.array(tables.shape[1:], dtype=np.int64)
-    flat = np.ascontiguousarray(tables.reshape(tables.shape[0], -1))
-    mask = _pure_nash_mask_jit(flat, shape, tol_abs, tol_rel)
-    return mask.reshape(tuple(int(m) for m in shape))

@@ -16,8 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..expr import Expression, Number, const, evaluate, substitute
-from ..expr.polynomial import Polynomial, as_polynomial
+from ..expr import Expression, Number, evaluate
+from ..expr.polynomial import Polynomial
 from .config import SolverConfig
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -32,27 +32,6 @@ class LineMin:
     arg: Number
     value: Number
     exact: bool
-
-
-def restrict(e: Expression, i: int, values: Sequence[Number]) -> Expression:
-    """Fix every variable except ``i`` at the given profile values.
-
-    Float values convert to their exact binary rationals, so restriction
-    itself never introduces rounding error.
-    """
-    assignment = {j: const(v) for j, v in enumerate(values) if j != i}
-    return substitute(e, assignment)
-
-
-def univariate_coefficients(e: Expression, i: int) -> Optional[list[Fraction]]:
-    """Ascending coefficients of ``e`` as a polynomial in variable ``i``.
-
-    None when ``e`` is non-polynomial or involves other variables.
-    """
-    p = as_polynomial(e)
-    if p is None or not p.variables() <= {i}:
-        return None
-    return [Fraction(c) for c in collect_line_coeffs(p, i, ())]
 
 
 def collect_line_coeffs(p: Polynomial, i: int,
@@ -104,13 +83,6 @@ def line_minimum_at(e: Expression, p: Optional[Polynomial], i: int,
     return _scan_line_minimum(f, lo, hi, points)
 
 
-def line_minimum(e: Expression, i: int, lo: Number, hi: Number,
-                 cfg: SolverConfig, full_scan: bool = False) -> LineMin:
-    """Minimize a single-variable expression over [lo, hi]."""
-    return line_minimum_at(e, as_polynomial(e), i, [Fraction(0)] * (i + 1),
-                           lo, hi, cfg, full_scan=full_scan)
-
-
 def _poly_line_minimum(coeffs: list[Number], lo: Number, hi: Number) -> LineMin:
     exact = not any(isinstance(c, float) for c in coeffs) \
         and not (isinstance(lo, float) or isinstance(hi, float))
@@ -148,8 +120,8 @@ def _newton_polish(coeffs: Sequence[Number], x: float, iters: int = 8) -> float:
     d1 = [float(k * coeffs[k]) for k in range(1, len(coeffs))]
     d2 = [float(k * d1[k]) for k in range(1, len(d1))]
     for _ in range(iters):
-        g = _horner(d1, x)
-        h = _horner(d2, x)
+        g = _poly_value(d1, x)
+        h = _poly_value(d2, x)
         if h == 0 or not np.isfinite(h):
             break
         step = g / h
@@ -157,13 +129,6 @@ def _newton_polish(coeffs: Sequence[Number], x: float, iters: int = 8) -> float:
             break
         x -= step
     return x
-
-
-def _horner(coeffs: Sequence[float], x: float) -> float:
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
 
 
 def _pick_smallest(coeffs: Sequence[Number], candidates: Sequence[Number],

@@ -9,7 +9,7 @@ from SolverConfig.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,9 +32,42 @@ from . import kernels
 
 ORACLE_MAX_AGENTS = 4
 
+#: budget for the stacked float64 cost tables of one oracle run
+ORACLE_MAX_TABLE_BYTES = 1 << 30
+
 
 class OracleDimensionError(ValueError):
-    """Raised when the exhaustive oracle is asked for too many agents."""
+    """Raised when the exhaustive oracle is asked for too many agents or a
+    grid whose tables would not fit the memory budget."""
+
+
+def check_grid_size(n: int, points: int) -> None:
+    """Refuse an oracle run of ``n`` agents at ``points`` per axis before
+    anything is allocated.
+
+    The estimate is the stacked cost tables, ``n * points**n`` float64
+    cells; the message names the largest grid that fits the budget.
+    """
+    if n > ORACLE_MAX_AGENTS:
+        raise OracleDimensionError(
+            f"grid oracle supports at most {ORACLE_MAX_AGENTS} agents, got {n}")
+    needed = n * points ** n * 8
+    if needed <= ORACLE_MAX_TABLE_BYTES:
+        return
+    # integer n-th root of the cell budget per table, by bisection
+    cells = ORACLE_MAX_TABLE_BYTES // (n * 8)
+    fits, hi = 1, cells
+    while fits < hi:
+        mid = (fits + hi + 1) // 2
+        if mid ** n <= cells:
+            fits = mid
+        else:
+            hi = mid - 1
+    raise OracleDimensionError(
+        f"grid oracle tables for {n} agents at {points} points per axis need "
+        f"{needed / 2**30:.1f} GiB, over the "
+        f"{ORACLE_MAX_TABLE_BYTES / 2**30:g} GiB budget; use --grid {fits} "
+        f"or less")
 
 
 def grid_axes(bounds: Sequence[tuple[Number, Number]],
@@ -75,15 +108,14 @@ def eval_array(e: Expression, arrays: Sequence[np.ndarray]) -> np.ndarray | floa
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
-def eval_on_grid(e: Expression, axes: Sequence[np.ndarray],
-                 backend: Optional[str] = None) -> np.ndarray:
+def eval_on_grid(e: Expression, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Tabulate ``e`` on the cartesian product of the axes."""
     n = len(axes)
     shape = tuple(len(ax) for ax in axes)
     p = as_polynomial(e)
     if p is not None:
         coeffs, exps = p.to_arrays(n)
-        return kernels.poly_grid_eval(coeffs, exps, axes, backend=backend)
+        return kernels.poly_grid_eval(coeffs, exps, axes)
     grids = []
     for k, ax in enumerate(axes):
         reshape = [1] * n
@@ -95,19 +127,15 @@ def eval_on_grid(e: Expression, axes: Sequence[np.ndarray],
 
 def grid_nash_oracle(costs: Sequence[Expression],
                      bounds: Sequence[tuple[Number, Number]],
-                     cfg: SolverConfig,
-                     backend: Optional[str] = None) -> list[ActionProfile]:
+                     cfg: SolverConfig) -> list[ActionProfile]:
     """All grid profiles where no unilateral grid move strictly improves.
 
     Returned in lexicographic order of the profile values.
     """
-    n = len(costs)
-    if n > ORACLE_MAX_AGENTS:
-        raise OracleDimensionError(
-            f"grid oracle supports at most {ORACLE_MAX_AGENTS} agents, got {n}")
+    check_grid_size(len(costs), cfg.grid_points_per_axis)
     axes = grid_axes(bounds, cfg.grid_points_per_axis)
-    tables = np.stack([eval_on_grid(c, axes, backend=backend) for c in costs])
-    mask = kernels.pure_nash_mask(tables, backend=backend)
+    tables = np.stack([eval_on_grid(c, axes) for c in costs])
+    mask = kernels.pure_nash_mask(tables)
     profiles = []
     for idx in np.argwhere(mask):
         profiles.append(ActionProfile([axes[k][i] for k, i in enumerate(idx)]))
@@ -115,15 +143,11 @@ def grid_nash_oracle(costs: Sequence[Expression],
 
 
 def grid_minimum(e: Expression, bounds: Sequence[tuple[Number, Number]],
-                 cfg: SolverConfig,
-                 backend: Optional[str] = None) -> tuple[ActionProfile, float]:
+                 cfg: SolverConfig) -> tuple[ActionProfile, float]:
     """Best grid point of ``e``; first (lexicographically smallest) on ties."""
-    n = len(bounds)
-    if n > ORACLE_MAX_AGENTS:
-        raise OracleDimensionError(
-            f"grid oracle supports at most {ORACLE_MAX_AGENTS} agents, got {n}")
+    check_grid_size(len(bounds), cfg.grid_points_per_axis)
     axes = grid_axes(bounds, cfg.grid_points_per_axis)
-    table = eval_on_grid(e, axes, backend=backend)
+    table = eval_on_grid(e, axes)
     flat = int(np.argmin(table))
     idx = np.unravel_index(flat, table.shape)
     profile = ActionProfile([axes[k][i] for k, i in enumerate(idx)])

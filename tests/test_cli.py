@@ -5,6 +5,7 @@ import json
 import pytest
 
 from incentive_audit.cli import main
+from incentive_audit.solve import kernels
 
 from conftest import GAMES_DIR
 
@@ -153,11 +154,27 @@ class TestOracle:
         assert doc["agreement"] is True
 
     def test_five_agents_exits_4(self, capsys, tmp_path):
-        big = tmp_path / "big.game"
-        names = ", ".join(f"x{i}" for i in range(1, 6))
-        costs = "\n".join(f'x{i} = "(x{i} - 1)^2"' for i in range(1, 6))
-        objective = " + ".join(f"x{i}^2" for i in range(1, 6))
-        big.write_text(f"""
+        code, _, err = run(capsys, "oracle", _separable_game(tmp_path, 5))
+        assert code == 4
+        assert "at most 4" in err
+
+    def test_four_agents_at_default_grid_exits_4(self, capsys, tmp_path,
+                                                 monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("oracle tabulated a grid past the budget")
+
+        monkeypatch.setattr(kernels, "poly_grid_eval", no_tables)
+        code, _, err = run(capsys, "oracle", _separable_game(tmp_path, 4))
+        assert code == 4
+        assert "--grid 76 " in err
+
+
+def _separable_game(tmp_path, n):
+    path = tmp_path / f"separable{n}.game"
+    names = ", ".join(f"x{i}" for i in range(1, n + 1))
+    costs = "\n".join(f'x{i} = "(x{i} - 1)^2"' for i in range(1, n + 1))
+    objective = " + ".join(f"x{i}^2" for i in range(1, n + 1))
+    path.write_text(f"""
 [agents]
 names = {names}
 
@@ -167,9 +184,7 @@ names = {names}
 [operator]
 J = "{objective}"
 """)
-        code, _, err = run(capsys, "oracle", str(big))
-        assert code == 4
-        assert "at most 4" in err
+    return str(path)
 
 
 class TestMissingFile:

@@ -7,6 +7,7 @@ import pytest
 from incentive_audit.expr import add, const, mul, parse, power, var
 from incentive_audit.solve import (
     OracleDimensionError,
+    check_grid_size,
     grid_minimum,
     grid_nash_oracle,
     grid_step,
@@ -49,6 +50,20 @@ class TestGridNashOracle:
         bounds = ((Fraction(0), Fraction(1)),) * 5
         with pytest.raises(OracleDimensionError):
             grid_nash_oracle(costs, bounds, cfg)
+
+
+class TestCheckGridSize:
+    # arithmetic only: none of these cases builds a grid
+
+    @pytest.mark.parametrize("n, points", [(3, 201), (3, 101), (4, 31),
+                                           (4, 76)])
+    def test_accepts_within_budget(self, n, points):
+        check_grid_size(n, points)
+
+    @pytest.mark.parametrize("n, points", [(4, 77), (4, 201)])
+    def test_refuses_over_budget_and_suggests_grid(self, n, points):
+        with pytest.raises(OracleDimensionError, match="--grid 76 "):
+            check_grid_size(n, points)
 
 
 class TestGridMinimum:
