@@ -74,10 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _configure(spec: GameSpec, args: argparse.Namespace):
     cfg = spec.solver
-    if args.grid is not None:
-        cfg = cfg.replace(grid_points_per_axis=args.grid)
-    if args.tol is not None:
-        cfg = cfg.replace(tol_fixed_point=args.tol, tol_stationarity=args.tol)
+    try:
+        if args.grid is not None:
+            cfg = cfg.replace(grid_points_per_axis=args.grid)
+        if args.tol is not None:
+            cfg = cfg.replace(tol_fixed_point=args.tol,
+                              tol_stationarity=args.tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return cfg
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: largest grid resolution accepted; scan and grid memory grow with it
+MAX_GRID_POINTS = 10_001
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -15,8 +18,10 @@ class SolverConfig:
     rng_seed: int = 202401
 
     def __post_init__(self) -> None:
-        if self.grid_points_per_axis < 3:
-            raise ValueError("grid_points_per_axis must be at least 3")
+        if not 3 <= self.grid_points_per_axis <= MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid_points_per_axis must be between 3 and "
+                f"{MAX_GRID_POINTS}, got {self.grid_points_per_axis}")
         if self.tol_fixed_point <= 0 or self.tol_stationarity <= 0:
             raise ValueError("tolerances must be positive")
         if self.br_max_iters < 1 or self.multistart_count < 1:

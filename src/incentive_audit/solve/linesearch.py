@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..expr import Expression, Number, evaluate
+from ..expr import Expression, Number, scalar_fn, vector_fn
 from ..expr.polynomial import Polynomial
 from .config import SolverConfig
 
@@ -73,14 +73,19 @@ def line_minimum_at(e: Expression, p: Optional[Polynomial], i: int,
     base = [float(v) for v in values]
     if len(base) <= i:
         base.extend(0.0 for _ in range(i + 1 - len(base)))
+    points = cfg.grid_points_per_axis if full_scan \
+        else min(cfg.grid_points_per_axis, SCAN_POINTS_FAST)
+    xs = np.linspace(float(lo), float(hi), points)
+    base[i] = xs
+    vals = np.broadcast_to(
+        np.asarray(vector_fn(e)(base), dtype=np.float64), xs.shape)
+    scalar = scalar_fn(e)
 
     def f(x: float) -> float:
         base[i] = x
-        return float(evaluate(e, base))
+        return scalar(base)
 
-    points = cfg.grid_points_per_axis if full_scan \
-        else min(cfg.grid_points_per_axis, SCAN_POINTS_FAST)
-    return _scan_line_minimum(f, lo, hi, points)
+    return _scan_line_minimum(f, xs, vals)
 
 
 def _poly_line_minimum(coeffs: list[Number], lo: Number, hi: Number) -> LineMin:
@@ -144,17 +149,16 @@ def _pick_smallest(coeffs: Sequence[Number], candidates: Sequence[Number],
     return LineMin(best_arg, best_val, is_exact)
 
 
-def _scan_line_minimum(f: Callable[[float], float], lo: Number, hi: Number,
-                       points: int) -> LineMin:
-    flo, fhi = float(lo), float(hi)
-    xs = np.linspace(flo, fhi, points)
-    vals = [f(x) for x in xs]
+def _scan_line_minimum(f: Callable[[float], float], xs: np.ndarray,
+                       vals: np.ndarray) -> LineMin:
+    """Refine the best of the scanned values ``vals = f(xs)`` by
+    golden-section search between its neighbours."""
     best = int(np.argmin(vals))
     a = xs[max(best - 1, 0)]
     b = xs[min(best + 1, len(xs) - 1)]
     arg, val = _golden_section(f, a, b)
     if vals[best] < val:
-        arg, val = float(xs[best]), vals[best]
+        arg, val = float(xs[best]), float(vals[best])
     return LineMin(arg, val, False)
 
 

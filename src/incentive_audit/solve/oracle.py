@@ -13,18 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..expr import (
-    Abs,
-    Const,
-    Expression,
-    Neg,
-    Number,
-    Power,
-    Product,
-    SafeDiv,
-    Sum,
-    Var,
-)
+from ..expr import Expression, Number, vector_fn
 from ..expr.polynomial import as_polynomial
 from ..game import ActionProfile
 from .config import SolverConfig
@@ -41,6 +30,19 @@ class OracleDimensionError(ValueError):
     grid whose tables would not fit the memory budget."""
 
 
+def max_axis_points(cells: int, n: int) -> int:
+    """Largest per-axis count ``p >= 1`` with ``p**n <= cells``: the integer
+    n-th root, by bisection."""
+    fits, hi = 1, cells
+    while fits < hi:
+        mid = (fits + hi + 1) // 2
+        if mid ** n <= cells:
+            fits = mid
+        else:
+            hi = mid - 1
+    return fits
+
+
 def check_grid_size(n: int, points: int) -> None:
     """Refuse an oracle run of ``n`` agents at ``points`` per axis before
     anything is allocated.
@@ -54,15 +56,7 @@ def check_grid_size(n: int, points: int) -> None:
     needed = n * points ** n * 8
     if needed <= ORACLE_MAX_TABLE_BYTES:
         return
-    # integer n-th root of the cell budget per table, by bisection
-    cells = ORACLE_MAX_TABLE_BYTES // (n * 8)
-    fits, hi = 1, cells
-    while fits < hi:
-        mid = (fits + hi + 1) // 2
-        if mid ** n <= cells:
-            fits = mid
-        else:
-            hi = mid - 1
+    fits = max_axis_points(ORACLE_MAX_TABLE_BYTES // (n * 8), n)
     raise OracleDimensionError(
         f"grid oracle tables for {n} agents at {points} points per axis need "
         f"{needed / 2**30:.1f} GiB, over the "
@@ -76,36 +70,8 @@ def grid_axes(bounds: Sequence[tuple[Number, Number]],
 
 
 def eval_array(e: Expression, arrays: Sequence[np.ndarray]) -> np.ndarray | float:
-    """Vectorized tree walk; arrays must broadcast against each other."""
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Var):
-        return arrays[e.index]
-    if isinstance(e, Sum):
-        total: np.ndarray | float = 0.0
-        for t in e.terms:
-            total = total + eval_array(t, arrays)
-        return total
-    if isinstance(e, Product):
-        prod: np.ndarray | float = 1.0
-        for f in e.factors:
-            prod = prod * eval_array(f, arrays)
-        return prod
-    if isinstance(e, Power):
-        return eval_array(e.base, arrays) ** e.exponent
-    if isinstance(e, Neg):
-        return -eval_array(e.operand, arrays)
-    if isinstance(e, Abs):
-        return np.abs(eval_array(e.operand, arrays))
-    if isinstance(e, SafeDiv):
-        num = eval_array(e.numerator, arrays)
-        den = eval_array(e.denominator, arrays)
-        guard = float(e.guard)
-        den = np.asarray(den, dtype=np.float64)
-        tiny = np.abs(den) <= guard
-        safe = np.where(tiny, 1.0, den)
-        return np.where(tiny, 0.0, np.asarray(num, dtype=np.float64) / safe)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    """``e`` on arrays that broadcast against each other (compiled once)."""
+    return vector_fn(e)(arrays)
 
 
 def eval_on_grid(e: Expression, axes: Sequence[np.ndarray]) -> np.ndarray:

@@ -17,13 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..expr import Expression, Number, diff, evaluate, is_smooth
+from ..expr import Expression, Number, diff, evaluate, is_smooth, scalar_fn
+from ..expr.compiled import ScalarFn
 from ..expr.polynomial import Polynomial, as_polynomial, hessian
 from ..game import ActionProfile, Game
 from .config import SolverConfig
 from .exact import is_positive_definite, solve_linear
 from .linesearch import line_minimum_at
-from .oracle import eval_on_grid, grid_axes
+from .oracle import eval_on_grid, grid_axes, max_axis_points
 
 Bounds = Sequence[tuple[Number, Number]]
 
@@ -33,6 +34,10 @@ SCAN_SLACK = 1e-7
 
 #: candidates closer than this (max-norm) count as the same equilibrium
 MERGE_TOL = 1e-7
+
+#: cells in the operator-minimum seed table (8 MiB of float64); it binds
+#: only past today's largest tables (61**3 cells for three agents)
+SEED_MAX_CELLS = 1 << 20
 
 
 class SolverError(Exception):
@@ -76,10 +81,12 @@ def _within(values: Sequence[Number], bounds: Bounds) -> bool:
 
 def _axis_counts(n: int, cfg: SolverConfig) -> int:
     if n <= 2:
-        return cfg.grid_points_per_axis
-    if n == 3:
-        return min(cfg.grid_points_per_axis, 61)
-    return min(cfg.grid_points_per_axis, 21)
+        points = cfg.grid_points_per_axis
+    elif n == 3:
+        points = min(cfg.grid_points_per_axis, 61)
+    else:
+        points = min(cfg.grid_points_per_axis, 21)
+    return min(points, max_axis_points(SEED_MAX_CELLS, n))
 
 
 def _seeds(bounds: Bounds, cfg: SolverConfig) -> list[tuple[float, ...]]:
@@ -144,22 +151,21 @@ def _minimize_numeric(objective: Expression, bounds: Bounds,
     starts.extend(_seeds(bounds, cfg))
 
     smooth = is_smooth(objective)
-    grad = [diff(objective, i) for i in range(n)] if smooth else None
-    hess = hessian(objective, n) if smooth else None
+    value = scalar_fn(objective)
+    if smooth:
+        grad = [scalar_fn(diff(objective, i)) for i in range(n)]
+        hess = [[scalar_fn(h) for h in row] for row in hessian(objective, n)]
 
     candidates: list[tuple[float, ...]] = []
     for start in starts:
         if smooth:
-            polished = _newton_min(objective, grad, hess, start, bounds, cfg)
+            polished = _newton_min(value, grad, hess, start, bounds, cfg)
         else:
             polished = _coordinate_descent(objective, start, bounds, cfg)
         if polished is not None:
             candidates.append(polished)
     if not candidates:
         candidates = starts[:1]
-
-    def value(pt: tuple[float, ...]) -> float:
-        return float(evaluate(objective, pt))
 
     best_val = min(value(c) for c in candidates)
     near = [c for c in candidates
@@ -180,8 +186,8 @@ def _minimize_numeric(objective: Expression, bounds: Bounds,
     )
 
 
-def _stationarity(grad: Sequence[Expression], point: Sequence[float]) -> float:
-    return max(abs(float(evaluate(g, point))) for g in grad)
+def _stationarity(grad: Sequence[ScalarFn], point: Sequence[float]) -> float:
+    return max(abs(g(point)) for g in grad)
 
 
 def _clip(point: np.ndarray, bounds: Bounds) -> np.ndarray:
@@ -190,15 +196,17 @@ def _clip(point: np.ndarray, bounds: Bounds) -> np.ndarray:
     return np.clip(point, lo, hi)
 
 
-def _newton_min(objective: Expression, grad, hess, start, bounds: Bounds,
+def _newton_min(objective: ScalarFn, grad: Sequence[ScalarFn],
+                hess: Sequence[Sequence[ScalarFn]], start, bounds: Bounds,
                 cfg: SolverConfig, iters: int = 60) -> Optional[tuple[float, ...]]:
     x = np.array(start, dtype=float)
-    fx = float(evaluate(objective, x))
+    fx = objective(x.tolist())
     for _ in range(iters):
-        g = np.array([float(evaluate(gi, x)) for gi in grad])
+        pt = x.tolist()
+        g = np.array([gi(pt) for gi in grad])
         if np.max(np.abs(g)) <= cfg.tol_stationarity:
             break
-        H = np.array([[float(evaluate(hij, x)) for hij in row] for row in hess])
+        H = np.array([[hij(pt) for hij in row] for row in hess])
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -208,7 +216,7 @@ def _newton_min(objective: Expression, grad, hess, start, bounds: Bounds,
         lam, improved = 1.0, False
         while lam >= 1e-8:
             xn = _clip(x + lam * step, bounds)
-            fn = float(evaluate(objective, xn))
+            fn = objective(xn.tolist())
             if fn < fx - 1e-15:
                 x, fx, improved = xn, fn, True
                 break
@@ -303,20 +311,28 @@ def _stationarity_exact(costs: Sequence[Expression], n: int
     return sol, is_positive_definite(sym)
 
 
-def _newton_stationarity(costs: Sequence[Expression], start, bounds: Bounds,
-                         cfg: SolverConfig, iters: int = 80
-                         ) -> Optional[tuple[float, ...]]:
+def _newton_system(costs: Sequence[Expression]
+                   ) -> tuple[list[ScalarFn], list[list[ScalarFn]]]:
+    """Compiled stacked first-order conditions F_i = dC_i/du_i and their
+    Jacobian, built once per equilibrium solve."""
     n = len(costs)
     F = [diff(costs[i], i) for i in range(n)]
-    Jac = [[diff(F[i], j) for j in range(n)] for i in range(n)]
+    Jac = [[scalar_fn(diff(F[i], j)) for j in range(n)] for i in range(n)]
+    return [scalar_fn(f) for f in F], Jac
+
+
+def _newton_stationarity(F: Sequence[ScalarFn],
+                         Jac: Sequence[Sequence[ScalarFn]], start,
+                         bounds: Bounds, cfg: SolverConfig, iters: int = 80
+                         ) -> Optional[tuple[float, ...]]:
     x = np.array(start, dtype=float)
-    fx = np.array([float(evaluate(f, x)) for f in F])
+    fx = np.array([f(x.tolist()) for f in F])
     for _ in range(iters):
         norm = np.max(np.abs(fx))
         if norm <= cfg.tol_stationarity:
             return tuple(float(v) for v in x)
-        J = np.array([[float(evaluate(Jac[i][j], x)) for j in range(n)]
-                      for i in range(n)])
+        pt = x.tolist()
+        J = np.array([[fn(pt) for fn in row] for row in Jac])
         try:
             step = np.linalg.solve(J, -fx)
         except np.linalg.LinAlgError:
@@ -326,7 +342,8 @@ def _newton_stationarity(costs: Sequence[Expression], start, bounds: Bounds,
         lam, advanced = 1.0, False
         while lam >= 1e-10:
             xn = _clip(x + lam * step, bounds)
-            fn = np.array([float(evaluate(f, xn)) for f in F])
+            pt = xn.tolist()
+            fn = np.array([f(pt) for f in F])
             if np.max(np.abs(fn)) < norm * (1.0 - 0.25 * lam) + 1e-15:
                 x, fx, advanced = xn, fn, True
                 break
@@ -401,8 +418,9 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
     # smooth wherever the guard is off, so they go through here too (the
     # best-response endpoints make good seeds near degenerate flats)
     if all(is_smooth(c) for c in costs) and exact_sol is None:
+        F, Jac = _newton_system(costs)
         for seed in seeds + br_points:
-            found = _newton_stationarity(costs, seed, bounds, cfg)
+            found = _newton_stationarity(F, Jac, seed, bounds, cfg)
             if found is not None and _within(found, bounds):
                 candidates.append((found, "newton", False))
 
@@ -455,10 +473,10 @@ def _sample_axes(bounds: Bounds, n: int) -> list[np.ndarray]:
 def _sampled_pd(entries: list[list[Expression]], bounds: Bounds
                 ) -> ConvexityReport:
     n = len(entries)
+    fns = [[scalar_fn(e) for e in row] for row in entries]
     worst = np.inf
     for point in itertools.product(*_sample_axes(bounds, n)):
-        M = np.array([[float(evaluate(entries[i][j], point))
-                       for j in range(n)] for i in range(n)])
+        M = np.array([[fn(point) for fn in row] for row in fns])
         eig = float(np.linalg.eigvalsh(M)[0])
         if eig < worst:
             worst = eig

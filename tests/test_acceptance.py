@@ -7,6 +7,7 @@ on the bundled games are exact in rational arithmetic and asserted at
 budgets.
 """
 
+import hashlib
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -19,6 +20,7 @@ from incentive_audit.audit import (
     check_participation_anticipatory,
     full_audit,
 )
+from incentive_audit.cli import main
 from incentive_audit.expr import add, const, evaluate, mul, var
 from incentive_audit.game import (
     ActionProfile,
@@ -286,3 +288,23 @@ def test_criterion_8_oracle_equivalence():
             u_star = minimize_operator(game, cfg)
             gm_profile, _ = grid_minimum(game.operator_cost, game.bounds, cfg)
             assert u_star.profile.max_distance(gm_profile) <= step + 1e-12
+
+
+#: sha256 of ``audit --format structured`` for example1 under the
+#: anticipatory proportional rule, recorded with the tree-walk evaluator
+EXAMPLE1_PROPORTIONAL_DIGEST = (
+    "f03eb6b70dcc26aab35ac6542c019d4e7655036c5ac5b2108bbeba7a6a204842")
+
+
+def test_anticipatory_proportional_report_is_pinned(tmp_path, capsys):
+    # the effective costs carry guarded divisions, so every line minimum
+    # here goes through the scan plus golden-section search, a path the
+    # bundled digests never take
+    bundled = (GAMES_DIR / "example1.game").read_text()
+    path = tmp_path / "example1_proportional.game"
+    path.write_text(bundled[:bundled.index("[incentive]")]
+                    + "[incentive]\nkind = proportional\nmode = anticipatory\n")
+    assert main(["audit", str(path), "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == EXAMPLE1_PROPORTIONAL_DIGEST

@@ -79,6 +79,16 @@ J = "x^2 + y^2"
         assert first and first == second
 
 
+class TestSolverOverrides:
+    @pytest.mark.parametrize("override", ["--grid=2", "--grid=10002",
+                                          "--tol=0", "--tol=-1e-9"])
+    def test_out_of_range_exits_2(self, capsys, override):
+        code, out, err = run(capsys, "audit", EX1, override)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestEquilibrium:
     def test_baseline_row(self, capsys):
         code, out, _ = run(capsys, "equilibrium", EX1, "--scenario",

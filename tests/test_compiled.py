@@ -1,0 +1,171 @@
+"""Compiled float evaluators against the exact tree walk ``evaluate``.
+
+Both compiled forms must reproduce ``float(evaluate(e, floats))`` bit for
+bit: equal values, equal sign of zero, NaN where it is NaN.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from incentive_audit.expr import (
+    DIV_GUARD,
+    Abs,
+    Const,
+    Neg,
+    Power,
+    Product,
+    SafeDiv,
+    Sum,
+    UnboundVariableError,
+    Var,
+    diff,
+    evaluate,
+    parse,
+    scalar_fn,
+    vector_fn,
+)
+
+N_VARS = 3
+# 1/10 rounds up to a double above it; the others round down or are exact
+GUARDS = (DIV_GUARD, DIV_GUARD * DIV_GUARD, Fraction(1, 2), Fraction(1, 10))
+
+
+def _edges(guard: Fraction) -> list[float]:
+    """Doubles at, just below and just above the guard, both signs."""
+    g = float(guard)
+    out = []
+    for x in (math.nextafter(g, 0.0), g, math.nextafter(g, math.inf)):
+        out += [x, -x]
+    return out
+
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0] + [x for g in GUARDS for x in _edges(g)]
+
+floats = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+)
+points = st.lists(st.tuples(*[floats] * N_VARS), min_size=1, max_size=6)
+
+consts = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7),
+).map(Const)
+leaves = st.one_of(consts, st.integers(0, N_VARS - 1).map(Var))
+
+
+def _nodes(children):
+    return st.one_of(
+        st.lists(children, min_size=1, max_size=4).map(lambda t: Sum(tuple(t))),
+        st.lists(children, min_size=1, max_size=4).map(
+            lambda f: Product(tuple(f))),
+        st.builds(Power, children, st.integers(0, 6)),
+        st.builds(Neg, children),
+        st.builds(Abs, children),
+        st.builds(SafeDiv, children, children, st.sampled_from(GUARDS)),
+        # exact-zero prefix: the later factors are never evaluated
+        st.lists(children, min_size=1, max_size=3).map(
+            lambda f: Product((Const(Fraction(0)), *f))),
+        # a denominator that sits on the guard for some inputs
+        st.builds(lambda num, k, g: SafeDiv(num, Var(k), g), children,
+                  st.integers(0, N_VARS - 1), st.sampled_from(GUARDS)),
+    )
+
+
+trees = st.recursive(leaves, _nodes, max_leaves=14)
+
+
+def _same(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _expected(e, values):
+    try:
+        return float(evaluate(e, list(values)))
+    except OverflowError:
+        return None
+
+
+def _check(e, pts) -> None:
+    expected = [_expected(e, p) for p in pts]
+    for p, want in zip(pts, expected):
+        if want is None:
+            with pytest.raises(OverflowError):
+                scalar_fn(e)(list(p))
+            continue
+        got = scalar_fn(e)(list(p))
+        assert type(got) is float
+        assert _same(got, want), (e, p, got, want)
+    if any(w is None for w in expected):
+        return  # float ** k raises where numpy returns inf
+    arrays = [np.array([p[k] for p in pts]) for k in range(N_VARS)]
+    with np.errstate(all="ignore"):
+        out = vector_fn(e)(arrays)
+    out = np.broadcast_to(np.asarray(out, dtype=np.float64), (len(pts),))
+    for got, want in zip(out.tolist(), expected):
+        assert _same(got, want), (e, got, want)
+
+
+X, Y = Var(0), Var(1)
+
+
+@given(trees, points)
+@settings(max_examples=400, deadline=None)
+# 0 + (-0.0) is 0.0, with and without a written zero constant
+@example(Sum((X,)), [(-0.0, 0.0, 0.0)])
+@example(Sum((Const(Fraction(0)), Neg(X))), [(0.0, 0.0, 0.0)])
+# an exact-zero prefix is exactly 0, never -0.0 or NaN
+@example(Product((Const(Fraction(0)), X)), [(-1.0, 0.0, 0.0)])
+# float(1/10) lies above 1/10, so a denominator equal to it is not guarded
+@example(SafeDiv(Const(Fraction(1)), X, Fraction(1, 10)), [(0.1, 0.0, 0.0)])
+# values where numpy's arr ** k rounds differently from float ** k
+@example(Sum((Power(X, 2), Power(Y, 3))),
+         [(-1.3275170599102342, 0.9027556576068978, 0.0)])
+def test_compiled_matches_evaluate(e, pts):
+    _check(e, pts)
+
+
+@given(st.lists(trees, min_size=1, max_size=12), st.integers(251, 300),
+       points)
+@settings(max_examples=25, deadline=None)
+def test_long_sum_compiles_and_matches(terms, length, pts):
+    # more terms than the parser's 200 nested parentheses; the cycled
+    # terms also reuse subtrees, which the code generator emits once
+    _check(Sum(tuple(terms[k % len(terms)] for k in range(length))), pts)
+
+
+def test_vector_mixes_arrays_and_scalars():
+    e = parse("abs(u1 - u2)^3 + u1*u2^2", ["u1", "u2"])
+    xs = np.linspace(-2.0, 2.0, 41)
+    out = vector_fn(e)([xs, 0.7])
+    assert out.tolist() == [scalar_fn(e)([x, 0.7]) for x in xs.tolist()]
+
+
+def test_quotient_rule_derivative_compiles():
+    # second derivatives of a guarded ratio nest the quotient rule twice;
+    # emitted as one statement per operation they stay far from the
+    # parser's nesting limit
+    x, y = Var(0), Var(1)
+    e = Sum((Power(x, 2), SafeDiv(Product((x, Sum((x, y)))),
+                                  Sum((x, y, Const(Fraction(1)))))))
+    h = diff(diff(e, 0), 0)
+    for p in ([0.3, 0.9], [-0.5, 0.5], [1e-13, -1e-13]):
+        assert _same(scalar_fn(h)(p), float(evaluate(h, p)))
+
+
+def test_functions_are_built_once_per_node():
+    e = parse("u1^2 + u2", ["u1", "u2"])
+    assert scalar_fn(e) is scalar_fn(e)
+    assert vector_fn(e) is vector_fn(e)
+
+
+def test_unbound_variable():
+    e = parse("u1 + u3", ["u1", "u2", "u3"])
+    with pytest.raises(UnboundVariableError):
+        scalar_fn(e)([1.0, 2.0])

@@ -7,7 +7,9 @@ import pytest
 
 from incentive_audit.expr import absval, add, const, mul, parse, power, var
 from incentive_audit.game import ActionProfile, Game
+from incentive_audit.solve import solvers
 from incentive_audit.solve import (
+    SolverConfig,
     best_response,
     diagonal_strict_convexity_check,
     grid_nash_oracle,
@@ -59,6 +61,41 @@ class TestMinimizeOperator:
             _, grid_val = grid_minimum(g.operator_cost, g.bounds,
                                        cfg.replace(grid_points_per_axis=41))
             assert float(sol.value) <= grid_val + 1e-9
+
+
+class TestSeedTable:
+    # arithmetic only: no seed table is built here
+
+    @pytest.mark.parametrize("n, grid, points", [
+        (1, 10_001, 10_001), (2, 201, 201), (3, 101, 61), (3, 201, 61),
+        (4, 31, 21), (4, 201, 21)])
+    def test_budget_leaves_current_sizes_alone(self, n, grid, points):
+        cfg = SolverConfig(grid_points_per_axis=grid)
+        assert solvers._axis_counts(n, cfg) == points
+
+    @pytest.mark.parametrize("n, points", [(2, 1024), (5, 16), (7, 7),
+                                           (12, 3)])
+    def test_budget_shrinks_the_axis(self, n, points):
+        cfg = SolverConfig(grid_points_per_axis=10_001)
+        assert solvers._axis_counts(n, cfg) == points
+        assert points ** n <= solvers.SEED_MAX_CELLS < (points + 1) ** n
+
+    def test_seven_agent_operator_asks_for_a_bounded_table(self, cfg,
+                                                           monkeypatch):
+        asked = []
+
+        def record(e, axes):
+            asked.append([len(ax) for ax in axes])
+            raise LookupError("stop before tabulating")
+
+        monkeypatch.setattr(solvers, "eval_on_grid", record)
+        n = 7
+        g = Game(n=n, agent_costs=tuple(var(i) for i in range(n)),
+                 operator_cost=add(*(power(var(i), 4) for i in range(n))),
+                 bounds=((Fraction(-1), Fraction(1)),) * n)
+        with pytest.raises(LookupError):
+            minimize_operator(g, cfg)
+        assert asked == [[7] * n]
 
 
 class TestBestResponse:
