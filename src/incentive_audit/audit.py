@@ -39,6 +39,7 @@ from .incentive import (
     VCG,
     CostDecomposition,
     IncentiveOutcome,
+    ScenarioSolve,
     cost_decomposition,
     realized_outcome,
 )
@@ -47,8 +48,6 @@ from .solve import (
     EquilibriumResult,
     SolverConfig,
     hessian_pd_check,
-    minimize_operator,
-    nash_equilibrium,
 )
 
 HOLDS = "holds"
@@ -508,10 +507,11 @@ def full_audit(scenario: Scenario, cfg: Optional[SolverConfig] = None,
     game = scenario.game
     scheme = scenario.incentive
 
-    u_star_sol = minimize_operator(game, cfg)
+    ctx = ScenarioSolve(scenario, cfg)
+    u_star_sol = ctx.optimum
     u_star = u_star_sol.profile
-    baseline = tuple(nash_equilibrium(game.agent_costs, game.bounds, cfg))
-    outcomes = realized_outcome(scenario, cfg)
+    baseline = ctx.equilibria(game.agent_costs)
+    outcomes = realized_outcome(ctx)
 
     sections = []
     for outcome in outcomes:

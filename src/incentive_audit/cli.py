@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .audit import full_audit
 from .expr import evaluate
-from .game import Scenario, effective_cost
+from .game import Scenario
 from .gamefile import GameFileError, GameSpec, load_game_file
-from .incentive import materialize, realized_outcome
+from .incentive import ScenarioSolve, realized_outcome
 from .report import (
     SCHEMA_EQUILIBRIUM,
     SCHEMA_ORACLE,
@@ -34,8 +35,6 @@ from .solve import (
     grid_minimum,
     grid_nash_oracle,
     grid_step,
-    minimize_operator,
-    nash_equilibrium,
 )
 
 EXIT_OK = 0
@@ -141,33 +140,25 @@ def _cmd_equilibrium(spec: GameSpec, args: argparse.Namespace) -> int:
     cfg = _configure(spec, args)
     scenario = _resolve_scenario(spec, args.scenario)
     game = spec.game
-    entries = []
+    ctx = ScenarioSolve(scenario, cfg)
     if scenario.incentive is None:
-        for eq in nash_equilibrium(game.agent_costs, game.bounds, cfg):
-            cost = evaluate(game.operator_cost, eq.profile.values)
-            entries.append({
-                "profile": profile_node(eq.profile),
-                "residual": eq.residual,
-                "method": eq.method,
-                "converged": eq.converged,
-                "exact": eq.exact,
-                "operator_cost": number_node(cost),
-                "operator_net_cost": number_node(cost),
-            })
+        # an empty baseline is a reportable row set, not an error
+        rows = [(eq, Fraction(0)) for eq in ctx.equilibria(game.agent_costs)]
     else:
-        for outcome in realized_outcome(scenario, cfg):
-            cost = evaluate(game.operator_cost, outcome.realized.values)
-            eq = outcome.equilibrium
-            entries.append({
-                "profile": profile_node(outcome.realized),
-                "residual": eq.residual,
-                "method": eq.method,
-                "converged": eq.converged,
-                "exact": eq.exact,
-                "operator_cost": number_node(cost),
-                "operator_net_cost": number_node(
-                    cost - outcome.total_incentive),
-            })
+        rows = [(outcome.equilibrium, outcome.total_incentive)
+                for outcome in realized_outcome(ctx)]
+    entries = []
+    for eq, paid in rows:
+        cost = evaluate(game.operator_cost, eq.profile.values)
+        entries.append({
+            "profile": profile_node(eq.profile),
+            "residual": eq.residual,
+            "method": eq.method,
+            "converged": eq.converged,
+            "exact": eq.exact,
+            "operator_cost": number_node(cost),
+            "operator_net_cost": number_node(cost - paid),
+        })
     doc = {
         "schema": SCHEMA_EQUILIBRIUM,
         "scenario": _scenario_label(spec, scenario),
@@ -181,26 +172,19 @@ def _cmd_equilibrium(spec: GameSpec, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _scenario_costs(spec: GameSpec, scenario: Scenario, cfg):
-    if scenario.incentive is None:
-        return list(spec.game.agent_costs)
-    t_exprs = materialize(scenario, cfg)
-    return [effective_cost(scenario, i, t_exprs)
-            for i in range(spec.game.n)]
-
-
 def _cmd_oracle(spec: GameSpec, args: argparse.Namespace) -> int:
     game = spec.game
     cfg = _configure(spec, args)
     check_grid_size(game.n, cfg.grid_points_per_axis)
     scenario = _resolve_scenario(spec, args.scenario)
-    costs = _scenario_costs(spec, scenario, cfg)
+    ctx = ScenarioSolve(scenario, cfg)
+    costs = ctx.effective_costs
     grid_eqs = grid_nash_oracle(costs, game.bounds, cfg)
     gm_profile, gm_value = grid_minimum(game.operator_cost, game.bounds, cfg)
     step = grid_step(game.bounds, cfg.grid_points_per_axis)
 
-    analytic = nash_equilibrium(costs, game.bounds, cfg)
-    u_star = minimize_operator(game, cfg)
+    analytic = ctx.equilibria(costs)
+    u_star = ctx.optimum
 
     diagnostics = []
     agree = True

@@ -199,8 +199,24 @@ def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted((i, e) for i, e in exps.items() if e > 0))
 
 
+#: marks a node not yet expanded (None is a cached non-polynomial result)
+_UNEXPANDED = object()
+
+
 def as_polynomial(e: Expression) -> Optional[Polynomial]:
-    """Expand to canonical polynomial form; None if abs/safediv present."""
+    """Expand to canonical polynomial form; None if abs/safediv present.
+
+    The result is kept on the node, so each tree is expanded once;
+    callers must not mutate it.
+    """
+    p = e.__dict__.get("_polynomial", _UNEXPANDED)
+    if p is _UNEXPANDED:
+        p = _expand(e)
+        object.__setattr__(e, "_polynomial", p)
+    return p
+
+
+def _expand(e: Expression) -> Optional[Polynomial]:
     if isinstance(e, Const):
         return Polynomial.constant(e.value)
     if isinstance(e, Var):
@@ -208,7 +224,7 @@ def as_polynomial(e: Expression) -> Optional[Polynomial]:
     if isinstance(e, Sum):
         total = Polynomial()
         for t in e.terms:
-            p = as_polynomial(t)
+            p = _expand(t)
             if p is None:
                 return None
             total = total + p
@@ -216,16 +232,16 @@ def as_polynomial(e: Expression) -> Optional[Polynomial]:
     if isinstance(e, Product):
         prod = Polynomial.constant(1)
         for f in e.factors:
-            p = as_polynomial(f)
+            p = _expand(f)
             if p is None:
                 return None
             prod = prod * p
         return prod
     if isinstance(e, Power):
-        p = as_polynomial(e.base)
+        p = _expand(e.base)
         return None if p is None else p**e.exponent
     if isinstance(e, Neg):
-        p = as_polynomial(e.operand)
+        p = _expand(e.operand)
         return None if p is None else -p
     if isinstance(e, (Abs, SafeDiv)):
         return None

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 from .expr import Expression, Number, add, const, evaluate, mul, neg, safediv, substitute
 from .game import (
@@ -177,35 +178,103 @@ def proportional_as_expression(game: Game, u_star: ActionProfile,
                    guard=ALLOCATION_GUARD)
 
 
-def materialize(scenario: Scenario, cfg: SolverConfig,
-                u_star: Optional[ActionProfile] = None
+class VcgTerms(NamedTuple):
+    """The VCG-like rule's per-agent pieces, every agent participating."""
+
+    opt_out: tuple[EquilibriumResult, ...]
+    offsets: tuple[Number, ...]
+    t_exprs: tuple[Expression, ...]
+
+
+class ScenarioSolve:
+    """The solutions an audit of one scenario reads, each computed once,
+    on first use: the operator optimum, the equilibria of each distinct
+    tuple of cost expressions (compared structurally, so the baseline or
+    a VCG-like opt-out game that several questions share is solved once),
+    the materialized incentives and the VCG-like opt-out terms.
+    """
+
+    def __init__(self, scenario: Scenario, cfg: SolverConfig):
+        self.scenario = scenario
+        self.game = scenario.game
+        self.cfg = cfg
+        self._equilibria: dict[tuple[Expression, ...],
+                               tuple[EquilibriumResult, ...]] = {}
+
+    @cached_property
+    def optimum(self) -> OperatorSolution:
+        return minimize_operator(self.game, self.cfg)
+
+    def equilibria(self, costs: Sequence[Expression]
+                   ) -> tuple[EquilibriumResult, ...]:
+        """Verified equilibria of the game with these costs; maybe none."""
+        key = tuple(costs)
+        if key not in self._equilibria:
+            self._equilibria[key] = tuple(
+                nash_equilibrium(key, self.game.bounds, self.cfg))
+        return self._equilibria[key]
+
+    def equilibrium(self, costs: Sequence[Expression],
+                    which: str) -> EquilibriumResult:
+        """The first verified equilibrium; ``which`` names the game when
+        there is none."""
+        found = self.equilibria(costs)
+        if not found:
+            raise EquilibriumNotFound(f"no equilibrium verified {which}")
+        return found[0]
+
+    @cached_property
+    def incentives(self) -> Optional[tuple[Optional[Expression], ...]]:
+        return materialize(self)
+
+    @cached_property
+    def effective_costs(self) -> tuple[Expression, ...]:
+        return tuple(effective_cost(self.scenario, i, self.incentives)
+                     for i in range(self.game.n))
+
+    @cached_property
+    def vcg_terms(self) -> VcgTerms:
+        """For each agent: the opt-out equilibrium, the constant offset
+        (the operator-side remainder J - C_i evaluated there), and the
+        symbolic incentive (J - C_i) minus that offset."""
+        game = self.game
+        opt_outs, offsets, t_exprs = [], [], []
+        for i in range(game.n):
+            costs = [game.agent_costs[j] if j == i else game.operator_cost
+                     for j in range(game.n)]
+            eq = self.equilibrium(costs, f"when agent {i + 1} opts out")
+            remainder = add(game.operator_cost, neg(game.agent_costs[i]))
+            offset = evaluate(remainder, eq.profile.values)
+            opt_outs.append(eq)
+            offsets.append(offset)
+            t_exprs.append(add(remainder, neg(const(offset))))
+        return VcgTerms(tuple(opt_outs), tuple(offsets), tuple(t_exprs))
+
+
+def materialize(ctx: ScenarioSolve
                 ) -> Optional[tuple[Optional[Expression], ...]]:
     """Per-agent incentive expressions for the scenario's scheme.
 
     Custom schemes carry their own; the proportional rule needs the
     operator optimum; the VCG-like rule needs opt-out equilibria (see
-    :func:`vcg_incentive`).  Returns None when there is no incentive.
+    :attr:`ScenarioSolve.vcg_terms`).  Returns None when there is no
+    incentive.
     """
-    scheme = scenario.incentive
+    scheme = ctx.scenario.incentive
     if scheme is None:
         return None
-    game = scenario.game
+    game = ctx.game
     if scheme.kind == CUSTOM:
         if len(scheme.expressions) != game.n:
             raise ValueError("custom scheme needs one expression per agent")
         return scheme.expressions
-    if u_star is None:
-        u_star = minimize_operator(game, cfg).profile
     if scheme.kind == PROPORTIONAL:
-        return tuple(proportional_as_expression(game, u_star, i)
+        return tuple(proportional_as_expression(game, ctx.optimum.profile, i)
                      for i in range(game.n))
-    outcome = vcg_incentive(game, cfg)
-    return outcome.t_exprs
+    return ctx.vcg_terms.t_exprs
 
 
-def opt_out_equilibrium(scenario: Scenario, i: int, cfg: SolverConfig,
-                        t_exprs: Optional[Sequence[Optional[Expression]]] = None
-                        ) -> EquilibriumResult:
+def opt_out_equilibrium(ctx: ScenarioSolve, i: int) -> EquilibriumResult:
     """Equilibrium when agent ``i`` unilaterally leaves the scheme.
 
     Agent ``i`` (and anyone already opted out) plays its raw cost; each
@@ -214,88 +283,46 @@ def opt_out_equilibrium(scenario: Scenario, i: int, cfg: SolverConfig,
     objective only by a constant, so they minimize that objective
     directly and no fixed point over the scheme's own constants arises.
     """
+    scenario = ctx.scenario
     scheme = scenario.incentive
     if scheme is None:
         raise ValueError("opt-out analysis requires an incentive scheme")
-    game = scenario.game
-    if t_exprs is None:
-        t_exprs = scheme.expressions
-    costs = _opt_out_costs(scenario, i, t_exprs)
-    results = nash_equilibrium(costs, game.bounds, cfg)
-    if not results:
-        raise EquilibriumNotFound(
-            f"no equilibrium verified when agent {i + 1} opts out")
-    return results[0]
+    game = ctx.game
+    costs = [game.agent_costs[j]
+             if (j == i or j in scenario.participation.opted_out
+                 or scheme.mode == NON_ANTICIPATORY)
+             else game.operator_cost if scheme.kind == VCG
+             else ctx.effective_costs[j]
+             for j in range(game.n)]
+    return ctx.equilibrium(costs, f"when agent {i + 1} opts out")
 
 
-def _opt_out_costs(scenario: Scenario, i: int,
-                   t_exprs: Optional[Sequence[Optional[Expression]]]
-                   ) -> list[Expression]:
-    game = scenario.game
-    scheme = scenario.incentive
-    out = []
-    for j in range(game.n):
-        if (j == i or j in scenario.participation.opted_out
-                or scheme.mode == NON_ANTICIPATORY):
-            out.append(game.agent_costs[j])
-        elif scheme.kind == VCG:
-            out.append(game.operator_cost)
-        else:
-            if t_exprs is None or t_exprs[j] is None:
-                raise ValueError("participants need materialized incentives")
-            out.append(add(game.agent_costs[j], t_exprs[j]))
-    return out
-
-
-def vcg_incentive(game: Game, cfg: SolverConfig) -> IncentiveOutcome:
+def vcg_incentive(ctx: ScenarioSolve) -> IncentiveOutcome:
     """Compute the VCG-like scheme end to end (all agents participating).
 
-    For each agent: the opt-out equilibrium, the constant offset (the
-    operator-side remainder J - C_i evaluated there), and the symbolic
-    incentive (J - C_i) minus that offset.  Participants then effectively
-    minimize the operator objective, which pins the with-incentive
-    equilibrium.
+    Takes the per-agent opt-out terms of :attr:`ScenarioSolve.vcg_terms`.
+    Participants then effectively minimize the operator objective, which
+    pins the with-incentive equilibrium.
     """
-    n = game.n
-    u_star_sol = minimize_operator(game, cfg)
-    opt_outs: list[EquilibriumResult] = []
-    offsets: list[Number] = []
-    t_exprs: list[Expression] = []
-    for i in range(n):
-        costs = [game.agent_costs[j] if j == i else game.operator_cost
-                 for j in range(n)]
-        results = nash_equilibrium(costs, game.bounds, cfg)
-        if not results:
-            raise EquilibriumNotFound(
-                f"no equilibrium verified when agent {i + 1} opts out")
-        eq = results[0]
-        remainder = add(game.operator_cost, neg(game.agent_costs[i]))
-        offset = evaluate(remainder, eq.profile.values)
-        opt_outs.append(eq)
-        offsets.append(offset)
-        t_exprs.append(add(remainder, neg(const(offset))))
-
-    aligned = nash_equilibrium([game.operator_cost] * n, game.bounds, cfg)
-    if not aligned:
-        raise EquilibriumNotFound(
-            "no equilibrium verified for the incentive-aligned game")
-    u_prime = aligned[0]
-    t_values = tuple(evaluate(t, u_prime.profile.values) for t in t_exprs)
+    game = ctx.game
+    terms = ctx.vcg_terms
+    u_prime = ctx.equilibrium([game.operator_cost] * game.n,
+                              "for the incentive-aligned game")
     return IncentiveOutcome(
         scheme=IncentiveScheme(VCG),
-        t_values=t_values,
+        t_values=tuple(evaluate(t, u_prime.profile.values)
+                       for t in terms.t_exprs),
         realized=u_prime.profile,
         equilibrium=u_prime,
         baseline=None,
-        operator_opt=u_star_sol,
-        opt_out=tuple(opt_outs),
-        t_exprs=tuple(t_exprs),
-        vcg_offsets=tuple(offsets),
+        operator_opt=ctx.optimum,
+        opt_out=terms.opt_out,
+        t_exprs=terms.t_exprs,
+        vcg_offsets=terms.offsets,
     )
 
 
-def realized_outcome(scenario: Scenario, cfg: SolverConfig
-                     ) -> list[IncentiveOutcome]:
+def realized_outcome(ctx: ScenarioSolve) -> list[IncentiveOutcome]:
     """Realized play of the scenario, one outcome per relevant equilibrium.
 
     Anticipatory agents settle on equilibria of their incentive-adjusted
@@ -303,74 +330,46 @@ def realized_outcome(scenario: Scenario, cfg: SolverConfig
     and incur the incentive ex post.  Agents outside the scheme pay
     nothing.
     """
-    game = scenario.game
-    scheme = scenario.incentive
-    u_star_sol = minimize_operator(game, cfg)
+    game = ctx.game
+    scheme = ctx.scenario.incentive
+    anticipatory = scheme is not None and scheme.mode == ANTICIPATORY
+    # without anticipation the effective costs are the raw ones
+    equilibria = ctx.equilibria(ctx.effective_costs)
+    if not equilibria:
+        raise EquilibriumNotFound(
+            "no equilibrium verified for the incentive-adjusted game"
+            if anticipatory else "no baseline equilibrium verified")
 
-    if scheme is None:
-        baseline = nash_equilibrium(game.agent_costs, game.bounds, cfg)
-        if not baseline:
-            raise EquilibriumNotFound("no baseline equilibrium verified")
-        zero = tuple(Fraction(0) for _ in range(game.n))
-        return [IncentiveOutcome(
-            scheme=None, t_values=zero, realized=eq.profile,
-            equilibrium=eq, baseline=eq, operator_opt=u_star_sol)
-            for eq in baseline]
-
-    vcg_meta = vcg_incentive(game, cfg) if scheme.kind == VCG else None
-    if vcg_meta is not None:
-        t_exprs: Optional[tuple[Optional[Expression], ...]] = vcg_meta.t_exprs
-    else:
-        t_exprs = materialize(scenario, cfg, u_star_sol.profile)
-    participants = scenario.participation.participants(game.n)
-
-    if scheme.mode == ANTICIPATORY:
-        eff = [effective_cost(scenario, i, t_exprs) for i in range(game.n)]
-        equilibria = nash_equilibrium(eff, game.bounds, cfg)
-        if not equilibria:
-            raise EquilibriumNotFound(
-                "no equilibrium verified for the incentive-adjusted game")
-        anchors = [(eq, None) for eq in equilibria]
-    else:
-        baseline = nash_equilibrium(game.agent_costs, game.bounds, cfg)
-        if not baseline:
-            raise EquilibriumNotFound("no baseline equilibrium verified")
-        anchors = [(eq, eq) for eq in baseline]
+    participants = () if scheme is None \
+        else ctx.scenario.participation.participants(game.n)
+    opt_outs = None
+    if anticipatory:
+        opt_outs = tuple(opt_out_equilibrium(ctx, i) if i in participants
+                         else None for i in range(game.n))
+    vcg_offsets = ctx.vcg_terms.offsets \
+        if scheme is not None and scheme.kind == VCG else None
 
     outcomes = []
-    for eq, base in anchors:
-        profile = eq.profile
-        t_values = []
-        for i in range(game.n):
-            if i not in participants:
-                t_values.append(Fraction(0))
-            elif scheme.kind == PROPORTIONAL and scheme.mode == NON_ANTICIPATORY:
-                # evaluate the rule directly for an exact ex-post split
-                t_values.append(proportional_allocation(
-                    game, u_star_sol.profile, profile)[i])
-            else:
-                t_values.append(evaluate(t_exprs[i], profile.values))
-        opt_outs: Optional[tuple[Optional[EquilibriumResult], ...]] = None
-        if scheme.mode == ANTICIPATORY:
-            per_agent: list[Optional[EquilibriumResult]] = []
-            for i in range(game.n):
-                if i not in participants:
-                    per_agent.append(None)
-                elif vcg_meta is not None and not scenario.participation.opted_out:
-                    per_agent.append(vcg_meta.opt_out[i])
-                else:
-                    per_agent.append(
-                        opt_out_equilibrium(scenario, i, cfg, t_exprs))
-            opt_outs = tuple(per_agent)
+    for eq in equilibria:
+        due = None
+        if participants and scheme.kind == PROPORTIONAL and not anticipatory:
+            # evaluate the rule directly for an exact ex-post split
+            due = proportional_allocation(game, ctx.optimum.profile,
+                                          eq.profile)
+        t_values = tuple(
+            Fraction(0) if i not in participants
+            else due[i] if due is not None
+            else evaluate(ctx.incentives[i], eq.profile.values)
+            for i in range(game.n))
         outcomes.append(IncentiveOutcome(
             scheme=scheme,
-            t_values=tuple(t_values),
-            realized=profile,
+            t_values=t_values,
+            realized=eq.profile,
             equilibrium=eq,
-            baseline=base,
-            operator_opt=u_star_sol,
+            baseline=None if anticipatory else eq,
+            operator_opt=ctx.optimum,
             opt_out=opt_outs,
-            t_exprs=t_exprs,
-            vcg_offsets=None if vcg_meta is None else vcg_meta.vcg_offsets,
+            t_exprs=ctx.incentives,
+            vcg_offsets=vcg_offsets,
         ))
     return outcomes

@@ -58,6 +58,31 @@ def build_example3(case: int) -> Game:
     )
 
 
+#: a custom anticipatory scheme on a game with three equilibria, so an
+#: audit has three sections that share one set of opt-out games
+THREE_EQUILIBRIA_GAME = """\
+[agents]
+names = u1, u2
+
+[costs]
+u1 = "-u1*u2 + u1^2/4"
+u2 = "-u1*u2 + u2^2/4"
+
+[operator]
+J = "(u1 - 1/2)^2 + (u2 - 1/2)^2"
+
+[bounds]
+u1 = [-1, 1]
+u2 = [-1, 1]
+
+[incentive]
+kind = custom
+mode = anticipatory
+t.u1 = "u1/8"
+t.u2 = "u2/8"
+"""
+
+
 def build_decoupled() -> Game:
     return Game(
         n=2,

@@ -33,6 +33,7 @@ from incentive_audit.incentive import (
     CUSTOM,
     PROPORTIONAL,
     IncentiveScheme,
+    ScenarioSolve,
     cost_decomposition,
     realized_outcome,
     vcg_incentive,
@@ -46,7 +47,7 @@ from incentive_audit.solve import (
     nash_equilibrium,
 )
 
-from conftest import GAMES_DIR, random_game
+from conftest import GAMES_DIR, THREE_EQUILIBRIA_GAME, random_game
 
 TOL = 1e-9
 
@@ -164,7 +165,7 @@ def test_criterion_5_vcg_rule_suite():
         cfg = SolverConfig()
         for _ in range(50):
             game = random_game(rng, int(rng.integers(2, 4)), separable=False)
-            out = vcg_incentive(game, cfg)
+            out = vcg_incentive(ScenarioSolve(Scenario(game), cfg))
             u_star = out.operator_opt.profile
             assert out.realized.max_distance(u_star) <= 1e-6
 
@@ -230,7 +231,8 @@ def test_criterion_6_decoupled_impossibility_suite():
             for k in range(20):
                 scheme = _random_scheme(rng, game.n,
                                         k % 4 if k % 4 < 2 else 2)
-                out = realized_outcome(Scenario(game, scheme), cfg)[0]
+                out = realized_outcome(
+                    ScenarioSolve(Scenario(game, scheme), cfg))[0]
                 dec = cost_decomposition(game, out.operator_opt.profile,
                                          out.realized)
                 assert float(dec.total_excess) >= 0
@@ -308,3 +310,34 @@ def test_anticipatory_proportional_report_is_pinned(tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() \
         == EXAMPLE1_PROPORTIONAL_DIGEST
+
+
+#: sha256 of ``audit --format structured``, recorded before the audit
+#: solved each distinct game once: the three-equilibrium game (three
+#: sections over shared opt-out games), and example3_case2 with
+#: non-anticipatory agents and u2 opted out (the VCG-like opt-out terms
+#: are taken with every agent in while the scenario has one agent out)
+THREE_EQUILIBRIA_DIGEST = (
+    "1fc196b7c2f55e8a1a363d7fea2cbdca3bbe3ed621c4336a93a3399d2d2e2f06")
+EXAMPLE3_CASE2_EX_POST_OPT_OUT_DIGEST = (
+    "6e0eb70bd6887537cb891fbc78de059af2d2064f00cd05383891aa4811d3fbe9")
+
+
+def _structured_audit_digest(path, capsys, *extra) -> str:
+    assert main(["audit", str(path), "--format", "structured", *extra]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_three_equilibria_report_is_pinned(tmp_path, capsys):
+    path = tmp_path / "three_equilibria.game"
+    path.write_text(THREE_EQUILIBRIA_GAME)
+    assert _structured_audit_digest(path, capsys) == THREE_EQUILIBRIA_DIGEST
+
+
+def test_vcg_ex_post_opt_out_report_is_pinned(tmp_path, capsys):
+    bundled = (GAMES_DIR / "example3_case2.game").read_text()
+    path = tmp_path / "example3_case2_ex_post.game"
+    path.write_text(bundled.replace("mode = anticipatory",
+                                    "mode = non-anticipatory"))
+    assert _structured_audit_digest(path, capsys, "--scenario", "optout:u2") \
+        == EXAMPLE3_CASE2_EX_POST_OPT_OUT_DIGEST

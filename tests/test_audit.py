@@ -29,6 +29,7 @@ from incentive_audit.incentive import (
     PROPORTIONAL,
     VCG,
     IncentiveScheme,
+    ScenarioSolve,
     cost_decomposition,
     proportional_as_expression,
     realized_outcome,
@@ -54,13 +55,13 @@ def case2_report(example3_case2, cfg) -> AuditReport:
 
 class TestSocialOptimality:
     def test_vcg_holds(self, example3_case1, cfg):
-        out = vcg_incentive(example3_case1, cfg)
+        out = vcg_incentive(ScenarioSolve(Scenario(example3_case1), cfg))
         v = check_social_optimality(out, out.operator_opt.profile, TOL)
         assert v.holds
 
     def test_custom_gap_witnessed(self, example1, cfg):
         sc = Scenario(example1, example1_scheme())
-        out = realized_outcome(sc, cfg)[0]
+        out = realized_outcome(ScenarioSolve(sc, cfg))[0]
         v = check_social_optimality(out, out.operator_opt.profile, TOL)
         assert v.status == "fails"
         assert v.witnesses[0]["gap"] == pytest.approx(0.25)
@@ -68,7 +69,7 @@ class TestSocialOptimality:
     def test_aligned_costs_hold_without_incentive(self, cfg):
         j = parse("(u1 - 1)^2 + (u2 + 1)^2", NAMES2)
         g = Game(n=2, agent_costs=(j, j), operator_cost=j, bounds=BOX2)
-        out = realized_outcome(Scenario(g), cfg)[0]
+        out = realized_outcome(ScenarioSolve(Scenario(g), cfg))[0]
         v = check_social_optimality(out, out.operator_opt.profile, TOL)
         assert v.holds
 
@@ -76,7 +77,7 @@ class TestSocialOptimality:
 class TestBudgetBalance:
     def test_example1_weak(self, example1, cfg):
         sc = Scenario(example1, example1_scheme())
-        out = realized_outcome(sc, cfg)[0]
+        out = realized_outcome(ScenarioSolve(sc, cfg))[0]
         dec = cost_decomposition(example1, out.operator_opt.profile,
                                  out.realized)
         v = check_budget_balance(out, dec, TOL)
@@ -86,14 +87,14 @@ class TestBudgetBalance:
     def test_proportional_exact(self, example2, cfg):
         sc = Scenario(example2,
                       IncentiveScheme(PROPORTIONAL, NON_ANTICIPATORY))
-        out = realized_outcome(sc, cfg)[0]
+        out = realized_outcome(ScenarioSolve(sc, cfg))[0]
         dec = cost_decomposition(example2, out.operator_opt.profile,
                                  out.realized)
         v = check_budget_balance(out, dec, TOL)
         assert v.holds and v.data["level"] == "exact"
 
     def test_vcg_case2_violated(self, example3_case2, cfg):
-        out = vcg_incentive(example3_case2, cfg)
+        out = vcg_incentive(ScenarioSolve(Scenario(example3_case2), cfg))
         dec = cost_decomposition(example3_case2, out.operator_opt.profile,
                                  out.realized)
         v = check_budget_balance(out, dec, TOL)
@@ -103,7 +104,7 @@ class TestBudgetBalance:
 class TestParticipation:
     def test_example1_both_agents_pass(self, example1, cfg):
         sc = Scenario(example1, example1_scheme())
-        out = realized_outcome(sc, cfg)[0]
+        out = realized_outcome(ScenarioSolve(sc, cfg))[0]
         v = check_participation_anticipatory(out, example1, TOL)
         assert v.holds
         byagent = {w["agent"]: w for w in v.witnesses}
@@ -114,14 +115,14 @@ class TestParticipation:
 
     def test_vcg_always_passes(self, example3_case2, cfg):
         sc = Scenario(example3_case2, IncentiveScheme(VCG))
-        out = realized_outcome(sc, cfg)[0]
+        out = realized_outcome(ScenarioSolve(sc, cfg))[0]
         assert check_participation_anticipatory(out, example3_case2,
                                                 TOL).holds
 
     def test_weak_form_equality_for_separable(self, cfg):
         g = build_decoupled()
         sc = Scenario(g, IncentiveScheme(PROPORTIONAL, NON_ANTICIPATORY))
-        out = realized_outcome(sc, cfg)[0]
+        out = realized_outcome(ScenarioSolve(sc, cfg))[0]
         dec = cost_decomposition(g, out.operator_opt.profile, out.realized)
         v = check_participation_weak(dec, out.t_values, TOL)
         assert v.holds
@@ -150,7 +151,7 @@ class TestEquityMonotonicity:
         assert equity.holds and mono.holds
 
     def test_vcg_case2_equity_fails(self, example3_case2, cfg):
-        out = vcg_incentive(example3_case2, cfg)
+        out = vcg_incentive(ScenarioSolve(Scenario(example3_case2), cfg))
         dec = cost_decomposition(example3_case2, out.operator_opt.profile,
                                  out.realized)
         assert dec.theta == (0, 0)
@@ -249,7 +250,7 @@ class TestSeparabilityConditions:
 
 class TestVcgConditions:
     def test_benign_case_surplus_holds(self, example3_case1, cfg):
-        out = vcg_incentive(example3_case1, cfg)
+        out = vcg_incentive(ScenarioSolve(Scenario(example3_case1), cfg))
         verdicts = {v.name: v for v in check_vcg_conditions(
             example3_case1, out, cfg, TOL)}
         assert verdicts["operator-hessian-positive-definite"].holds
@@ -258,7 +259,7 @@ class TestVcgConditions:
             assert w["surplus"] == pytest.approx(0.0, abs=TOL)
 
     def test_adversarial_case_surplus_fails(self, example3_case2, cfg):
-        out = vcg_incentive(example3_case2, cfg)
+        out = vcg_incentive(ScenarioSolve(Scenario(example3_case2), cfg))
         verdicts = {v.name: v for v in check_vcg_conditions(
             example3_case2, out, cfg, TOL)}
         surplus = verdicts["opt-out-surplus"]

@@ -27,6 +27,7 @@ from incentive_audit.expr import (
     to_text,
     var,
 )
+from incentive_audit.expr import polynomial
 
 NAMES = ["u1", "u2"]
 
@@ -229,6 +230,19 @@ class TestExpand:
         e = absval(var(0))
         assert expand(e) is e
         assert as_polynomial(e) is None
+
+    def test_expansion_is_kept_on_the_node(self, monkeypatch):
+        smooth = parse("(u1 + u2)^2", NAMES)
+        rough = add(absval(var(0)), power(var(1), 2))
+        first = as_polynomial(smooth)
+        assert as_polynomial(rough) is None
+
+        def walk(e):
+            raise AssertionError("tree expanded twice")
+
+        monkeypatch.setattr(polynomial, "_expand", walk)
+        assert as_polynomial(smooth) is first
+        assert as_polynomial(rough) is None
 
 
 class TestConstructors:

@@ -16,6 +16,7 @@ from incentive_audit.incentive import (
     PROPORTIONAL,
     VCG,
     IncentiveScheme,
+    ScenarioSolve,
     cost_decomposition,
     excess_cost,
     marginal_cost,
@@ -136,29 +137,29 @@ class TestProportionalExpression:
 class TestOptOutEquilibrium:
     def test_example1_agent1_out(self, example1, cfg):
         sc = Scenario(example1, example1_scheme())
-        eq = opt_out_equilibrium(sc, 0, cfg)
+        eq = opt_out_equilibrium(ScenarioSolve(sc, cfg), 0)
         assert eq.profile.values == (Fraction(1), Fraction(1))
 
     def test_example1_agent2_out(self, example1, cfg):
         sc = Scenario(example1, example1_scheme())
-        eq = opt_out_equilibrium(sc, 1, cfg)
+        eq = opt_out_equilibrium(ScenarioSolve(sc, cfg), 1)
         assert eq.profile.values == (Fraction(1), Fraction(2))
 
     def test_vcg_agent1_out(self, example3_case1, cfg):
         sc = Scenario(example3_case1, IncentiveScheme(VCG))
-        eq = opt_out_equilibrium(sc, 0, cfg)
+        eq = opt_out_equilibrium(ScenarioSolve(sc, cfg), 0)
         assert eq.profile.values == (Fraction(1), Fraction(0))
 
 
 class TestVcgIncentive:
     def test_benign_case(self, example3_case1, cfg):
-        out = vcg_incentive(example3_case1, cfg)
+        out = vcg_incentive(ScenarioSolve(Scenario(example3_case1), cfg))
         assert out.realized.values == (Fraction(1), Fraction(0))
         assert out.t_values == (0, 0)
         assert out.total_incentive == 0
 
     def test_adversarial_case(self, example3_case2, cfg):
-        out = vcg_incentive(example3_case2, cfg)
+        out = vcg_incentive(ScenarioSolve(Scenario(example3_case2), cfg))
         assert out.realized.values == (Fraction(1), Fraction(0))
         assert out.opt_out[0].profile.values == (Fraction(-1), Fraction(-1))
         assert out.t_values == (Fraction(-3), Fraction(0))
@@ -167,7 +168,7 @@ class TestVcgIncentive:
     def test_fully_aligned_agents_pay_nothing(self, cfg):
         j = parse("(u1 - 1)^2 + (u2 + 1)^2", NAMES2)
         g = Game(n=2, agent_costs=(j, j), operator_cost=j, bounds=BOX2)
-        out = vcg_incentive(g, cfg)
+        out = vcg_incentive(ScenarioSolve(Scenario(g), cfg))
         assert out.t_values == (0, 0)
         assert out.realized.values == \
             minimize_operator(g, cfg).profile.values
@@ -175,7 +176,7 @@ class TestVcgIncentive:
     def test_participation_inequality(self, example3_case2, cfg):
         # opting out never beats participating under this rule
         g = example3_case2
-        out = vcg_incentive(g, cfg)
+        out = vcg_incentive(ScenarioSolve(Scenario(g), cfg))
         for i in range(2):
             outside = evaluate(g.agent_costs[i], out.opt_out[i].profile.values)
             inside = evaluate(g.agent_costs[i], out.realized.values) \
@@ -186,7 +187,7 @@ class TestVcgIncentive:
 class TestRealizedOutcome:
     def test_example1_custom_anticipatory(self, example1, cfg):
         sc = Scenario(example1, example1_scheme())
-        outs = realized_outcome(sc, cfg)
+        outs = realized_outcome(ScenarioSolve(sc, cfg))
         assert len(outs) == 1
         out = outs[0]
         assert out.realized.values == (Fraction(1), Fraction(2))
@@ -198,7 +199,7 @@ class TestRealizedOutcome:
     def test_proportional_non_anticipatory_keeps_baseline(self, cfg):
         g = _bowl_game()
         sc = Scenario(g, IncentiveScheme(PROPORTIONAL, NON_ANTICIPATORY))
-        outs = realized_outcome(sc, cfg)
+        outs = realized_outcome(ScenarioSolve(sc, cfg))
         assert len(outs) == 1
         out = outs[0]
         assert out.realized.values == (Fraction(1), Fraction(2))  # baseline
@@ -207,17 +208,17 @@ class TestRealizedOutcome:
         assert out.t_values == (1, 4)
 
     def test_no_incentive_zero_transfers(self, example1, cfg):
-        outs = realized_outcome(Scenario(example1), cfg)
+        outs = realized_outcome(ScenarioSolve(Scenario(example1), cfg))
         assert outs[0].t_values == (0, 0)
         assert outs[0].realized.values == (Fraction(1), Fraction(1))
 
     def test_materialize_custom_passthrough(self, example1, cfg):
         sc = Scenario(example1, example1_scheme())
-        assert materialize(sc, cfg) == example1_scheme().expressions
+        assert materialize(ScenarioSolve(sc, cfg)) == example1_scheme().expressions
 
     def test_vcg_realizes_operator_optimum(self, example3_case2, cfg):
         sc = Scenario(example3_case2, IncentiveScheme(VCG))
-        outs = realized_outcome(sc, cfg)
+        outs = realized_outcome(ScenarioSolve(sc, cfg))
         assert outs[0].realized.values == (Fraction(1), Fraction(0))
         assert outs[0].t_values == (Fraction(-3), Fraction(0))
 

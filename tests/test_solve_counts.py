@@ -1,0 +1,76 @@
+"""Each audit solves the operator optimum once and each distinct game once.
+
+Every binding of ``minimize_operator`` and ``nash_equilibrium`` in the
+package is wrapped with a counter, so a solve reached by any route counts.
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from incentive_audit.cli import main
+from incentive_audit.solve import solvers
+
+from conftest import GAMES_DIR, THREE_EQUILIBRIA_GAME
+
+SOLVES = ("minimize_operator", "nash_equilibrium")
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    counts = Counter()
+    for name in SOLVES:
+        original = getattr(solvers, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("incentive_audit") \
+                    and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def _run(capsys, *argv):
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+
+
+#: equilibrium solves of one structured audit: the baseline, plus for an
+#: anticipatory scheme the incentive-adjusted game and one opt-out game
+#: per agent (the VCG-like rule's opt-out terms are those same games)
+AUDIT_EQUILIBRIUM_SOLVES = {
+    "example1": 4,
+    "example2": 1,
+    "decoupled_demo": 1,
+    "example3_case1": 4,
+    "example3_case2": 4,
+}
+
+
+@pytest.mark.parametrize("game", sorted(AUDIT_EQUILIBRIUM_SOLVES))
+def test_structured_audit_solves_each_game_once(game, solves, capsys):
+    _run(capsys, "audit", str(GAMES_DIR / f"{game}.game"),
+         "--format", "structured")
+    assert solves == {"minimize_operator": 1,
+                      "nash_equilibrium": AUDIT_EQUILIBRIUM_SOLVES[game]}
+
+
+def test_oracle_solves_each_game_once(solves, capsys):
+    # two VCG-like opt-out games and the incentive-adjusted game
+    _run(capsys, "oracle", str(GAMES_DIR / "example3_case2.game"),
+         "--format", "structured", "--grid", "41")
+    assert solves == {"minimize_operator": 1, "nash_equilibrium": 3}
+
+
+def test_opt_out_games_are_shared_across_equilibria(tmp_path, solves,
+                                                    capsys):
+    # three realized equilibria, each judged against the same two opt-out
+    # games: baseline, adjusted game and two opt-outs
+    path = tmp_path / "three_equilibria.game"
+    path.write_text(THREE_EQUILIBRIA_GAME)
+    _run(capsys, "audit", str(path), "--format", "structured")
+    assert solves == {"minimize_operator": 1, "nash_equilibrium": 4}
