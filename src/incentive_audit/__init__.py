@@ -10,7 +10,6 @@ from .game import (
     Participation,
     Scenario,
     effective_cost,
-    operator_net_cost,
 )
 
 __version__ = "0.1.0"
@@ -27,7 +26,6 @@ __all__ = [
     "expr",
     "gamefile",
     "incentive",
-    "operator_net_cost",
     "report",
     "solve",
     "__version__",

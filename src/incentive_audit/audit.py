@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from .incentive import (
 )
 from .solve import (
     ConvexityReport,
-    EquilibriumResult,
     SolverConfig,
     hessian_pd_check,
 )
@@ -136,21 +135,20 @@ def check_budget_balance(outcome: IncentiveOutcome,
     )
 
 
-def check_participation_anticipatory(outcome: IncentiveOutcome, game: Game,
+def check_participation_anticipatory(ctx: ScenarioSolve,
+                                     outcome: IncentiveOutcome,
                                      tol: float) -> PropertyVerdict:
     """No participant would rather take its opt-out equilibrium.
 
     Per agent: cost at the own opt-out equilibrium must be at least the
-    incentive-inclusive cost at the realized equilibrium.
+    incentive-inclusive cost at the realized equilibrium.  Agents must
+    anticipate the scheme, so that ``ctx`` has opt-out equilibria.
     """
-    if outcome.opt_out is None:
-        return PropertyVerdict(
-            "participation", NOT_APPLICABLE,
-            note="no opt-out counterfactuals in this mode")
+    game = ctx.game
     witnesses = []
     ok = True
     for i in range(game.n):
-        eq = outcome.opt_out[i]
+        eq = ctx.opt_outs[i]
         if eq is None:
             continue
         outside = evaluate(game.agent_costs[i], eq.profile.values)
@@ -231,63 +229,88 @@ def check_allocable_excess(decomposition: CostDecomposition,
         (_wit(excess_cost=excess, marginal_sum=total_theta),), tol, note=note)
 
 
+def _sampled_verdicts(name: str, rows: Iterable,
+                      fails: Callable[..., bool], witness: Callable[..., dict],
+                      notes: tuple[str, str], tols: Collection[float]
+                      ) -> dict[float, PropertyVerdict]:
+    """A sampled condition at each tolerance: fails, witnessed by the first
+    row that fails at that tolerance, or holds.  One pass over ``rows``,
+    which ends once every tolerance has failed, so lazily computed rows are
+    computed once and only as far as needed."""
+    first = {}
+    for row in rows:
+        for tol in tols:
+            if tol not in first and fails(row, tol):
+                first[tol] = row
+        if len(first) == len(tols):
+            break
+    fail_note, hold_note = notes
+    return {tol: PropertyVerdict(name, FAILS, (witness(first[tol]),), tol,
+                                 note=fail_note) if tol in first
+            else PropertyVerdict(name, HOLDS, (), tol, note=hold_note)
+            for tol in tols}
+
+
 def check_separability_conditions(
-        game: Game, u_star: ActionProfile,
-        baseline: Optional[ActionProfile],
-        declared_base: Optional[Expression],
-        tol: float, cfg: SolverConfig) -> tuple[PropertyVerdict, ...]:
-    """Sufficient conditions for the excess cost staying allocable.
+        ctx: ScenarioSolve, declared_base: Optional[Expression],
+        tols: Collection[float]
+        ) -> dict[float, tuple[PropertyVerdict, PropertyVerdict]]:
+    """Sufficient conditions on the scenario for the excess cost staying
+    allocable: a separable operator objective, or an objective declared as
+    the absolute deviation of a separable function from its optimum.
 
-    Three routes: a separable operator objective; an objective declared as
-    the absolute deviation of a separable function from its optimum; or
-    single-agent deviations from the optimum costing at least the
-    baseline play.
+    Evaluated once; returns the two verdicts for each tolerance.
     """
-    out = []
-
+    game = ctx.game
     decomposition = separable_decomposition(game.operator_cost)
     if decomposition is not None:
-        out.append(PropertyVerdict(
+        separable = PropertyVerdict(
             "operator-cost-separable", HOLDS,
             data={"components": len(decomposition)},
-            note="guarantees the excess equals the marginal-cost sum"))
+            note="guarantees the excess equals the marginal-cost sum")
     elif as_polynomial(game.operator_cost) is None:
-        out.append(PropertyVerdict(
+        separable = PropertyVerdict(
             "operator-cost-separable", UNKNOWN,
-            note="non-polynomial objective; separability not certified"))
+            note="non-polynomial objective; separability not certified")
     else:
-        out.append(PropertyVerdict(
+        separable = PropertyVerdict(
             "operator-cost-separable", FAILS,
             (_wit(coupling_monomial=_coupling_monomial(
                 game.operator_cost, game.names)),),
-            note="a monomial couples two agents"))
+            note="a monomial couples two agents")
 
     if declared_base is None:
-        out.append(PropertyVerdict("absolute-deviation-form", NOT_APPLICABLE,
-                                   note="no separable base declared"))
+        declared = dict.fromkeys(tols, PropertyVerdict(
+            "absolute-deviation-form", NOT_APPLICABLE,
+            note="no separable base declared"))
     else:
-        out.append(_check_declared_abs_form(game, u_star, declared_base,
-                                            tol, cfg))
+        declared = _check_declared_abs_form(
+            game, ctx.optimum.profile, declared_base, tols, ctx.cfg)
+    return {tol: (separable, declared[tol]) for tol in tols}
 
+
+def check_single_deviation_dominance(ctx: ScenarioSolve,
+                                     baseline: Optional[ActionProfile],
+                                     tol: float) -> PropertyVerdict:
+    """Sufficient condition at one anchor: single-agent deviations from
+    the optimum cost at least the baseline play."""
     if baseline is None:
-        out.append(PropertyVerdict("single-deviation-dominance",
-                                   NOT_APPLICABLE,
-                                   note="no baseline equilibrium available"))
-    else:
-        witnesses = []
-        ok = True
-        j_bar = evaluate(game.operator_cost, baseline.values)
-        for i in range(game.n):
-            j_dev = evaluate(game.operator_cost,
-                             u_star.replace(i, baseline[i]).values)
-            passed = float(j_dev) >= float(j_bar) - tol
-            ok = ok and passed
-            witnesses.append(_wit(agent=i + 1, deviation_cost=j_dev,
-                                  baseline_cost=j_bar, passed=passed))
-        out.append(PropertyVerdict(
-            "single-deviation-dominance", HOLDS if ok else FAILS,
-            tuple(witnesses), tol))
-    return tuple(out)
+        return PropertyVerdict("single-deviation-dominance", NOT_APPLICABLE,
+                               note="no baseline equilibrium available")
+    game = ctx.game
+    u_star = ctx.optimum.profile
+    witnesses = []
+    ok = True
+    j_bar = evaluate(game.operator_cost, baseline.values)
+    for i in range(game.n):
+        j_dev = evaluate(game.operator_cost,
+                         u_star.replace(i, baseline[i]).values)
+        passed = float(j_dev) >= float(j_bar) - tol
+        ok = ok and passed
+        witnesses.append(_wit(agent=i + 1, deviation_cost=j_dev,
+                              baseline_cost=j_bar, passed=passed))
+    return PropertyVerdict("single-deviation-dominance",
+                           HOLDS if ok else FAILS, tuple(witnesses), tol)
 
 
 def _coupling_monomial(e: Expression, names: Sequence[str]) -> str:
@@ -300,64 +323,70 @@ def _coupling_monomial(e: Expression, names: Sequence[str]) -> str:
 
 
 def _check_declared_abs_form(game: Game, u_star: ActionProfile,
-                             declared_base: Expression, tol: float,
-                             cfg: SolverConfig) -> PropertyVerdict:
+                             declared_base: Expression,
+                             tols: Collection[float], cfg: SolverConfig
+                             ) -> dict[float, PropertyVerdict]:
     if separable_decomposition(declared_base) is None:
         witnesses = ()
         if as_polynomial(declared_base) is not None:
             witnesses = (_wit(coupling_monomial=_coupling_monomial(
                 declared_base, game.names)),)
-        return PropertyVerdict(
+        return dict.fromkeys(tols, PropertyVerdict(
             "absolute-deviation-form", FAILS, witnesses,
-            note="declared base function is not separable")
+            note="declared base function is not separable"))
     base_at_star = evaluate(declared_base, u_star.values)
     reconstructed = absval(add(declared_base, neg(const(base_at_star))))
-    for point in _sample_points(game, cfg):
-        lhs = float(evaluate(game.operator_cost, point))
-        rhs = float(evaluate(reconstructed, point))
-        if abs(lhs - rhs) > tol + 1e-9 * max(1.0, abs(rhs)):
-            return PropertyVerdict(
-                "absolute-deviation-form", FAILS,
-                (_wit(profile=list(point), objective=lhs,
-                      reconstruction=rhs),), tol,
-                note="objective does not match the declared form")
-    return PropertyVerdict("absolute-deviation-form", HOLDS, (), tol,
-                           note="verified on sampled profiles")
+    rows = ((point, float(evaluate(game.operator_cost, point)),
+             float(evaluate(reconstructed, point)))
+            for point in _sample_points(game, cfg))
+    return _sampled_verdicts(
+        "absolute-deviation-form", rows,
+        lambda row, tol:
+        abs(row[1] - row[2]) > tol + 1e-9 * max(1.0, abs(row[2])),
+        lambda row: _wit(profile=list(row[0]), objective=row[1],
+                         reconstruction=row[2]),
+        ("objective does not match the declared form",
+         "verified on sampled profiles"), tols)
 
 
-def check_vcg_conditions(game: Game, outcome: IncentiveOutcome,
-                         cfg: SolverConfig, tol: float
-                         ) -> tuple[PropertyVerdict, ...]:
+def check_vcg_conditions(ctx: ScenarioSolve, tols: Collection[float]
+                         ) -> dict[float, tuple[PropertyVerdict,
+                                                PropertyVerdict]]:
     """Curvature and per-agent opt-out surplus for the VCG-like rule.
 
     The surplus condition (operator-side remainder at the optimum at
     least its value at the agent's opt-out equilibrium) implies the weak
-    budget-balance verdict.
+    budget-balance verdict.  Evaluated once; returns the two verdicts for
+    each tolerance.
     """
-    hess = hessian_pd_check(game.operator_cost, game, cfg)
-    out = [_convexity_verdict("operator-hessian-positive-definite", hess)]
+    game = ctx.game
+    hess = _convexity_verdict(
+        "operator-hessian-positive-definite",
+        hessian_pd_check(game.operator_cost, game, ctx.cfg))
 
-    if outcome.vcg_offsets is None or outcome.opt_out is None:
-        out.append(PropertyVerdict("opt-out-surplus", NOT_APPLICABLE,
-                                   note="only defined for the VCG-like rule"))
-        return tuple(out)
+    if ctx.opt_outs is None:
+        surplus = PropertyVerdict("opt-out-surplus", NOT_APPLICABLE,
+                                  note="only defined for the VCG-like rule")
+        return {tol: (hess, surplus) for tol in tols}
 
-    u_star = outcome.operator_opt.profile
-    witnesses = []
-    ok = True
-    for i in range(game.n):
+    u_star = ctx.optimum.profile
+    rows = []
+    for i, offset in enumerate(ctx.vcg_terms.offsets):
         remainder = add(game.operator_cost, neg(game.agent_costs[i]))
         at_star = evaluate(remainder, u_star.values)
-        surplus = float(at_star) - float(outcome.vcg_offsets[i])
-        passed = surplus >= -tol
-        ok = ok and passed
-        witnesses.append(_wit(agent=i + 1, remainder_at_optimum=at_star,
-                              remainder_at_opt_out=outcome.vcg_offsets[i],
-                              surplus=surplus, passed=passed))
-    out.append(PropertyVerdict(
-        "opt-out-surplus", HOLDS if ok else FAILS, tuple(witnesses), tol,
-        note="implies weak budget balance when it holds for every agent"))
-    return tuple(out)
+        rows.append((i, at_star, offset, float(at_star) - float(offset)))
+    out = {}
+    for tol in tols:
+        passed = [surplus >= -tol for *_, surplus in rows]
+        witnesses = tuple(
+            _wit(agent=i + 1, remainder_at_optimum=at_star,
+                 remainder_at_opt_out=offset, surplus=surplus, passed=ok)
+            for (i, at_star, offset, surplus), ok in zip(rows, passed))
+        out[tol] = (hess, PropertyVerdict(
+            "opt-out-surplus", HOLDS if all(passed) else FAILS, witnesses,
+            tol, note="implies weak budget balance when it holds for every "
+            "agent"))
+    return out
 
 
 def _convexity_verdict(name: str, report: ConvexityReport) -> PropertyVerdict:
@@ -392,29 +421,31 @@ def check_decoupled_impossibility(game: Game) -> PropertyVerdict:
               "unachievable"))
 
 
-def check_alignment_sufficiency(game: Game, u_star: ActionProfile,
-                                t_exprs: Sequence[Optional[Expression]],
-                                cfg: SolverConfig, tol: float
-                                ) -> PropertyVerdict:
+def check_alignment_sufficiency(ctx: ScenarioSolve, tols: Collection[float]
+                                ) -> dict[float, PropertyVerdict]:
     """Sampled sufficient condition for social optimality of the
     proportional rule with anticipatory agents: at every profile, paying
-    the incentive never beats the cost at the operator optimum."""
-    for point in _sample_points(game, cfg):
-        for i in range(game.n):
-            if t_exprs[i] is None:
-                continue
-            lhs = float(evaluate(game.agent_costs[i], point)) \
-                + float(evaluate(t_exprs[i], point))
-            rhs = float(evaluate(game.agent_costs[i], u_star.values))
-            if lhs < rhs - tol:
-                return PropertyVerdict(
-                    "pointwise-alignment", FAILS,
-                    (_wit(agent=i + 1, profile=list(point),
-                          incentive_inclusive_cost=lhs,
-                          cost_at_optimum=rhs),), tol,
-                    note="sufficient condition fails at a sampled profile")
-    return PropertyVerdict("pointwise-alignment", HOLDS, (), tol,
-                           note="holds on sampled profiles")
+    the incentive never beats the cost at the operator optimum.
+
+    Evaluated once; returns the verdict for each tolerance.
+    """
+    game = ctx.game
+    u_star = ctx.optimum.profile
+    t_exprs = ctx.incentives
+    agents = [i for i in range(game.n) if t_exprs[i] is not None]
+    at_star = {i: float(evaluate(game.agent_costs[i], u_star.values))
+               for i in agents}
+    rows = ((i, point, float(evaluate(game.agent_costs[i], point))
+             + float(evaluate(t_exprs[i], point)))
+            for point in _sample_points(game, ctx.cfg) for i in agents)
+    return _sampled_verdicts(
+        "pointwise-alignment", rows,
+        lambda row, tol: row[2] < at_star[row[0]] - tol,
+        lambda row: _wit(agent=row[0] + 1, profile=list(row[1]),
+                         incentive_inclusive_cost=row[2],
+                         cost_at_optimum=at_star[row[0]]),
+        ("sufficient condition fails at a sampled profile",
+         "holds on sampled profiles"), tols)
 
 
 def _sample_points(game: Game, cfg: SolverConfig,
@@ -465,12 +496,11 @@ class EquilibriumSection:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """The verdicts of one audit; the scenario's solutions (optimum,
+    baseline and opt-out equilibria) are read from ``ctx``."""
+
+    ctx: ScenarioSolve
     scenario_label: str
-    names: tuple[str, ...]
-    u_star: ActionProfile
-    u_star_value: Number
-    u_star_on_boundary: bool
-    baseline: tuple[EquilibriumResult, ...]
     sections: tuple[EquilibriumSection, ...]
     game_conditions: tuple[PropertyVerdict, ...]
     scheme_pattern: Optional[dict]
@@ -502,50 +532,58 @@ def full_audit(scenario: Scenario, cfg: Optional[SolverConfig] = None,
 
     One section per realized equilibrium; conditions are instantiated with
     their per-instance truth values rather than reported as bare claims.
+    The conditions on the scenario alone are evaluated once per audit and
+    placed in every section, each with the section's tolerance.
     """
     cfg = cfg or SolverConfig()
     game = scenario.game
     scheme = scenario.incentive
 
     ctx = ScenarioSolve(scenario, cfg)
-    u_star_sol = ctx.optimum
-    u_star = u_star_sol.profile
-    baseline = ctx.equilibria(game.agent_costs)
+    u_star = ctx.optimum.profile
+    baseline = ctx.baseline
     outcomes = realized_outcome(ctx)
+    optimum_exact = ctx.optimum.exact and u_star.exact
+    tols = [verdict_tolerance(outcome.exact and optimum_exact)
+            for outcome in outcomes]
+
+    tiers = set(tols)
+    separability = check_separability_conditions(ctx, declared_base, tiers)
+    rule_conditions = dict.fromkeys(tiers, ())
+    if scheme is not None and scheme.kind == VCG:
+        rule_conditions = check_vcg_conditions(ctx, tiers)
+    elif scheme is not None and scheme.kind == PROPORTIONAL \
+            and scheme.mode == ANTICIPATORY:
+        rule_conditions = {tol: (v,) for tol, v in
+                           check_alignment_sufficiency(ctx, tiers).items()}
 
     sections = []
-    for outcome in outcomes:
-        tol = verdict_tolerance(outcome.exact and u_star.exact)
+    for outcome, tol in zip(outcomes, tols):
         decomposition = cost_decomposition(game, u_star, outcome.realized)
         verdicts = [check_social_optimality(outcome, u_star, tol)]
         if scheme is not None:
             verdicts.append(check_budget_balance(outcome, decomposition, tol))
             if scheme.mode == ANTICIPATORY:
                 verdicts.append(check_participation_anticipatory(
-                    outcome, game, tol))
+                    ctx, outcome, tol))
             else:
                 verdicts.append(check_participation_weak(
                     decomposition, outcome.t_values, tol))
             verdicts.extend(check_equity_monotonicity(
                 decomposition, outcome.t_values, tol, tol))
 
-        conditions = [check_allocable_excess(decomposition, tol)]
         anchor = outcome.baseline.profile if outcome.baseline is not None \
             else (baseline[0].profile if baseline else None)
-        conditions.extend(check_separability_conditions(
-            game, u_star, anchor, declared_base, tol, cfg))
-        if scheme is not None and scheme.kind == VCG:
-            conditions.extend(check_vcg_conditions(game, outcome, cfg, tol))
-        if scheme is not None and scheme.kind == PROPORTIONAL \
-                and scheme.mode == ANTICIPATORY and outcome.t_exprs:
-            conditions.append(check_alignment_sufficiency(
-                game, u_star, outcome.t_exprs, cfg, tol))
+        conditions = (check_allocable_excess(decomposition, tol),
+                      *separability[tol],
+                      check_single_deviation_dominance(ctx, anchor, tol),
+                      *rule_conditions[tol])
 
         sections.append(EquilibriumSection(
             outcome=outcome,
             decomposition=decomposition,
             verdicts=tuple(verdicts),
-            conditions=tuple(conditions),
+            conditions=conditions,
             tolerance=tol,
         ))
 
@@ -555,14 +593,10 @@ def full_audit(scenario: Scenario, cfg: Optional[SolverConfig] = None,
                    for prop, (claim, cond) in SCHEME_PATTERNS[scheme.kind].items()}
 
     return AuditReport(
+        ctx=ctx,
         scenario_label=_scenario_label(scenario),
-        names=game.names,
-        u_star=u_star,
-        u_star_value=u_star_sol.value,
-        u_star_on_boundary=u_star_sol.on_boundary,
-        baseline=baseline,
         sections=tuple(sections),
         game_conditions=(check_decoupled_impossibility(game),),
         scheme_pattern=pattern,
-        exact=u_star.exact and all(s.outcome.exact for s in sections),
+        exact=optimum_exact and all(o.exact for o in outcomes),
     )

@@ -143,7 +143,7 @@ def _cmd_equilibrium(spec: GameSpec, args: argparse.Namespace) -> int:
     ctx = ScenarioSolve(scenario, cfg)
     if scenario.incentive is None:
         # an empty baseline is a reportable row set, not an error
-        rows = [(eq, Fraction(0)) for eq in ctx.equilibria(game.agent_costs)]
+        rows = [(eq, Fraction(0)) for eq in ctx.baseline]
     else:
         rows = [(outcome.equilibrium, outcome.total_incentive)
                 for outcome in realized_outcome(ctx)]

@@ -12,7 +12,7 @@ keeps downstream structure checks conservative.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -96,15 +96,6 @@ class Polynomial:
             base = base * base
             k >>= 1
         return result
-
-    def evaluate(self, values: Sequence[Number]) -> Number:
-        total: Number = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term: Number = coeff
-            for idx, exp in mono:
-                term = term * values[idx] ** exp
-            total = total + term
-        return total
 
     def variables(self) -> frozenset[int]:
         out: set[int] = set()

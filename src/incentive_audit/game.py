@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .expr import Expression, Number, add, evaluate, structural_variables
+from .expr import Expression, Number, add, structural_variables
 
 DEFAULT_BOUND = (Fraction(-10), Fraction(10))
 
@@ -155,14 +155,13 @@ class Scenario:
 
 
 def effective_cost(scenario: Scenario, i: int,
-                   t_exprs: Optional[Sequence[Optional[Expression]]] = None
+                   t_exprs: Optional[Sequence[Optional[Expression]]]
                    ) -> Expression:
     """The cost function agent ``i`` actually optimizes.
 
     Raw C_i when the agent opted out, there is no incentive, or agents do
-    not anticipate the scheme; C_i + t_i otherwise.  ``t_exprs`` supplies
-    the materialized incentive expressions (custom schemes default to
-    their own expressions).
+    not anticipate the scheme; C_i + t_i otherwise, where ``t_exprs`` are
+    the materialized incentive expressions.
     """
     game = scenario.game
     c_i = game.agent_costs[i]
@@ -170,27 +169,7 @@ def effective_cost(scenario: Scenario, i: int,
         return c_i
     if scenario.incentive.mode == NON_ANTICIPATORY:
         return c_i
-    if t_exprs is None:
-        t_exprs = getattr(scenario.incentive, "expressions", None)
     if t_exprs is None or t_exprs[i] is None:
         raise ValueError(
             f"no materialized incentive expression for agent {i}")
     return add(c_i, t_exprs[i])
-
-
-def operator_net_cost(scenario: Scenario, profile: ActionProfile,
-                      t_exprs: Optional[Sequence[Optional[Expression]]] = None
-                      ) -> Number:
-    """J(U) minus the incentives paid to participating agents."""
-    game = scenario.game
-    total = evaluate(game.operator_cost, profile.values)
-    if scenario.incentive is None:
-        return total
-    if t_exprs is None:
-        t_exprs = getattr(scenario.incentive, "expressions", None)
-    for i in scenario.participation.participants(game.n):
-        if t_exprs is None or t_exprs[i] is None:
-            raise ValueError(
-                f"no materialized incentive expression for agent {i}")
-        total = total - evaluate(t_exprs[i], profile.values)
-    return total

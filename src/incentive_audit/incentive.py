@@ -79,30 +79,29 @@ class CostDecomposition:
 
 @dataclass(frozen=True)
 class IncentiveOutcome:
-    """Everything the audit needs about one realized play of a scenario."""
+    """One realized equilibrium of a scenario and the incentives paid there.
 
-    scheme: Optional[IncentiveScheme]
-    t_values: tuple[Number, ...]
-    realized: ActionProfile
+    What every outcome of the scenario shares (the operator optimum, the
+    incentive expressions, the opt-out equilibria) stays on its
+    :class:`ScenarioSolve`.
+    """
+
     equilibrium: EquilibriumResult
+    t_values: tuple[Number, ...]
     baseline: Optional[EquilibriumResult]
-    operator_opt: OperatorSolution
-    opt_out: Optional[tuple[Optional[EquilibriumResult], ...]] = None
-    t_exprs: Optional[tuple[Optional[Expression], ...]] = None
-    vcg_offsets: Optional[tuple[Number, ...]] = None
+
+    @property
+    def realized(self) -> ActionProfile:
+        return self.equilibrium.profile
 
     @property
     def exact(self) -> bool:
-        pieces = [self.realized.exact, self.operator_opt.exact]
-        pieces.extend(not isinstance(t, float) for t in self.t_values)
-        return all(pieces)
+        return self.realized.exact \
+            and not any(isinstance(t, float) for t in self.t_values)
 
     @property
     def total_incentive(self) -> Number:
-        total: Number = Fraction(0)
-        for t in self.t_values:
-            total = total + t
-        return total
+        return sum(self.t_values, Fraction(0))
 
 
 def marginal_cost(game: Game, u_star: ActionProfile, i: int,
@@ -191,7 +190,8 @@ class ScenarioSolve:
     on first use: the operator optimum, the equilibria of each distinct
     tuple of cost expressions (compared structurally, so the baseline or
     a VCG-like opt-out game that several questions share is solved once),
-    the materialized incentives and the VCG-like opt-out terms.
+    the materialized incentives, the participants' opt-out equilibria and
+    the VCG-like opt-out terms.
     """
 
     def __init__(self, scenario: Scenario, cfg: SolverConfig):
@@ -223,6 +223,11 @@ class ScenarioSolve:
             raise EquilibriumNotFound(f"no equilibrium verified {which}")
         return found[0]
 
+    @property
+    def baseline(self) -> tuple[EquilibriumResult, ...]:
+        """Equilibria of the raw costs, with no incentive."""
+        return self.equilibria(self.game.agent_costs)
+
     @cached_property
     def incentives(self) -> Optional[tuple[Optional[Expression], ...]]:
         return materialize(self)
@@ -231,6 +236,17 @@ class ScenarioSolve:
     def effective_costs(self) -> tuple[Expression, ...]:
         return tuple(effective_cost(self.scenario, i, self.incentives)
                      for i in range(self.game.n))
+
+    @cached_property
+    def opt_outs(self) -> Optional[tuple[Optional[EquilibriumResult], ...]]:
+        """Each participant's opt-out equilibrium (None for an agent
+        already out) when agents anticipate the scheme; None otherwise."""
+        scheme = self.scenario.incentive
+        if scheme is None or scheme.mode != ANTICIPATORY:
+            return None
+        participants = self.scenario.participation.participants(self.game.n)
+        return tuple(opt_out_equilibrium(self, i) if i in participants
+                     else None for i in range(self.game.n))
 
     @cached_property
     def vcg_terms(self) -> VcgTerms:
@@ -309,16 +325,10 @@ def vcg_incentive(ctx: ScenarioSolve) -> IncentiveOutcome:
     u_prime = ctx.equilibrium([game.operator_cost] * game.n,
                               "for the incentive-aligned game")
     return IncentiveOutcome(
-        scheme=IncentiveScheme(VCG),
+        equilibrium=u_prime,
         t_values=tuple(evaluate(t, u_prime.profile.values)
                        for t in terms.t_exprs),
-        realized=u_prime.profile,
-        equilibrium=u_prime,
         baseline=None,
-        operator_opt=ctx.optimum,
-        opt_out=terms.opt_out,
-        t_exprs=terms.t_exprs,
-        vcg_offsets=terms.offsets,
     )
 
 
@@ -340,14 +350,12 @@ def realized_outcome(ctx: ScenarioSolve) -> list[IncentiveOutcome]:
             "no equilibrium verified for the incentive-adjusted game"
             if anticipatory else "no baseline equilibrium verified")
 
+    if anticipatory:
+        # each outcome is judged against every participant's opt-out game,
+        # so one without an equilibrium leaves the scenario unauditable
+        ctx.opt_outs
     participants = () if scheme is None \
         else ctx.scenario.participation.participants(game.n)
-    opt_outs = None
-    if anticipatory:
-        opt_outs = tuple(opt_out_equilibrium(ctx, i) if i in participants
-                         else None for i in range(game.n))
-    vcg_offsets = ctx.vcg_terms.offsets \
-        if scheme is not None and scheme.kind == VCG else None
 
     outcomes = []
     for eq in equilibria:
@@ -362,14 +370,8 @@ def realized_outcome(ctx: ScenarioSolve) -> list[IncentiveOutcome]:
             else evaluate(ctx.incentives[i], eq.profile.values)
             for i in range(game.n))
         outcomes.append(IncentiveOutcome(
-            scheme=scheme,
-            t_values=t_values,
-            realized=eq.profile,
             equilibrium=eq,
+            t_values=t_values,
             baseline=None if anticipatory else eq,
-            operator_opt=ctx.optimum,
-            opt_out=opt_outs,
-            t_exprs=ctx.incentives,
-            vcg_offsets=vcg_offsets,
         ))
     return outcomes

@@ -23,14 +23,6 @@ SCHEMA_EQUILIBRIUM = "incentive-audit/equilibrium.v1"
 SCHEMA_ORACLE = "incentive-audit/oracle.v1"
 
 
-def fmt_number(x: Number) -> str:
-    """12 significant digits, annotated with the exact rational if any."""
-    s = f"{float(x):.12g}"
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{s} (= {x})"
-    return s
-
-
 def number_node(x: Number) -> Any:
     if isinstance(x, float):
         return x
@@ -67,11 +59,12 @@ def _equilibrium_node(eq: EquilibriumResult,
     return node
 
 
-def _section_node(section: EquilibriumSection, operator_cost_expr) -> dict:
+def _section_node(section: EquilibriumSection, operator_cost_expr,
+                  opt_outs) -> dict:
     outcome = section.outcome
     j_real = evaluate(operator_cost_expr, outcome.realized.values)
     net = j_real - outcome.total_incentive
-    node = {
+    return {
         "realized_profile": profile_node(outcome.realized),
         "anchor_baseline": None if outcome.baseline is None
         else profile_node(outcome.baseline.profile),
@@ -85,32 +78,30 @@ def _section_node(section: EquilibriumSection, operator_cost_expr) -> dict:
         "tolerance": section.tolerance,
         "properties": [_verdict_node(v) for v in section.verdicts],
         "conditions": [_verdict_node(v) for v in section.conditions],
-        "opt_out_profiles": None,
+        "opt_out_profiles": None if opt_outs is None
+        else [None if eq is None else profile_node(eq.profile)
+              for eq in opt_outs],
     }
-    if outcome.opt_out is not None:
-        node["opt_out_profiles"] = [
-            None if eq is None else profile_node(eq.profile)
-            for eq in outcome.opt_out]
-    return node
 
 
 def audit_document(report: AuditReport, operator_cost_expr) -> dict:
+    ctx = report.ctx
     baseline = []
-    for eq in report.baseline:
+    for eq in ctx.baseline:
         cost = evaluate(operator_cost_expr, eq.profile.values)
         baseline.append(_equilibrium_node(eq, cost))
     return {
         "schema": SCHEMA_AUDIT,
         "scenario": report.scenario_label,
-        "agents": list(report.names),
+        "agents": list(ctx.game.names),
         "exact": report.exact,
         "operator_optimum": {
-            "profile": profile_node(report.u_star),
-            "value": number_node(report.u_star_value),
-            "on_boundary": report.u_star_on_boundary,
+            "profile": profile_node(ctx.optimum.profile),
+            "value": number_node(ctx.optimum.value),
+            "on_boundary": ctx.optimum.on_boundary,
         },
         "baseline_equilibria": baseline,
-        "sections": [_section_node(s, operator_cost_expr)
+        "sections": [_section_node(s, operator_cost_expr, ctx.opt_outs)
                      for s in report.sections],
         "game_conditions": [_verdict_node(v) for v in report.game_conditions],
         "scheme_pattern": report.scheme_pattern,

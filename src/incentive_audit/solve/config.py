@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: largest grid resolution accepted; scan and grid memory grow with it
@@ -22,8 +23,10 @@ class SolverConfig:
             raise ValueError(
                 f"grid_points_per_axis must be between 3 and "
                 f"{MAX_GRID_POINTS}, got {self.grid_points_per_axis}")
-        if self.tol_fixed_point <= 0 or self.tol_stationarity <= 0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.tol_fixed_point, self.tol_stationarity):
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(
+                    f"tolerances must be positive and finite, got {tol}")
         if self.br_max_iters < 1 or self.multistart_count < 1:
             raise ValueError("iteration counts must be positive")
 

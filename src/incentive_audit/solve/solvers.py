@@ -130,7 +130,7 @@ def minimize_operator(game: Game, cfg: SolverConfig) -> OperatorSolution:
                 profile = ActionProfile(sol)
                 return OperatorSolution(
                     profile=profile,
-                    value=p.evaluate(sol),
+                    value=evaluate(objective, sol),
                     on_boundary=False,
                     exact=True,
                     stationarity=0.0,

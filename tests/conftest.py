@@ -82,6 +82,16 @@ t.u1 = "u1/8"
 t.u2 = "u2/8"
 """
 
+#: the same game under the non-anticipatory VCG-like rule with a declared
+#: separable base: three sections, each anchored at its own baseline
+#: equilibrium and each carrying the VCG-like conditions
+THREE_EQUILIBRIA_VCG_GAME = THREE_EQUILIBRIA_GAME.split("[incentive]")[0] + """\
+[incentive]
+kind = vcg
+mode = non-anticipatory
+separable_base = "(u1 - 1/2)^2 + (u2 - 1/2)^2"
+"""
+
 
 def build_decoupled() -> Game:
     return Game(

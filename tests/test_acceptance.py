@@ -32,6 +32,7 @@ from incentive_audit.gamefile import load_game_file
 from incentive_audit.incentive import (
     CUSTOM,
     PROPORTIONAL,
+    VCG,
     IncentiveScheme,
     ScenarioSolve,
     cost_decomposition,
@@ -88,9 +89,10 @@ def test_criterion_1_worked_example_golden_run():
         assert out.realized.values == (1, 2)
         assert evaluate(game.agent_costs[0], out.realized.values) == -3
         assert evaluate(game.agent_costs[1], out.realized.values) == 0
-        assert [e.profile.values for e in out.opt_out] == [(1, 1), (1, 2)]
+        opt_outs = report.ctx.opt_outs
+        assert [e.profile.values for e in opt_outs] == [(1, 1), (1, 2)]
         opt_out_cost_1 = evaluate(game.agent_costs[0],
-                                  out.opt_out[0].profile.values)
+                                  opt_outs[0].profile.values)
         assert opt_out_cost_1 == -1
         assert report.verdict("participation").holds
         assert section.decomposition.total_excess == Fraction(1, 16)
@@ -107,7 +109,7 @@ def test_criterion_2_vcg_benign_case():
         spec = load_game_file(GAMES_DIR / "example3_case1.game")
         report = full_audit(spec.scenario(), spec.solver)
         out = report.sections[0].outcome
-        u_star = report.u_star
+        u_star = report.ctx.optimum.profile
         assert u_star.values == (1, 0)
         assert out.realized.max_distance(u_star) <= TOL
         assert all(abs(float(t)) <= TOL for t in out.t_values)
@@ -124,7 +126,7 @@ def test_criterion_3_vcg_adversarial_case():
         assert report.verdict("operator-hessian-positive-definite").holds
         assert out.realized.values == (1, 0)
         assert report.verdict("social-optimality").holds
-        assert out.opt_out[0].profile.values == (-1, -1)
+        assert report.ctx.opt_outs[0].profile.values == (-1, -1)
         assert abs(float(out.t_values[0]) - (-3)) <= TOL
         assert abs(float(out.t_values[1])) <= TOL
         assert report.verdict("budget-balance").status == "fails"
@@ -165,11 +167,12 @@ def test_criterion_5_vcg_rule_suite():
         cfg = SolverConfig()
         for _ in range(50):
             game = random_game(rng, int(rng.integers(2, 4)), separable=False)
-            out = vcg_incentive(ScenarioSolve(Scenario(game), cfg))
-            u_star = out.operator_opt.profile
+            ctx = ScenarioSolve(Scenario(game, IncentiveScheme(VCG)), cfg)
+            out = vcg_incentive(ctx)
+            u_star = ctx.optimum.profile
             assert out.realized.max_distance(u_star) <= 1e-6
 
-            participation = check_participation_anticipatory(out, game, TOL)
+            participation = check_participation_anticipatory(ctx, out, TOL)
             assert participation.holds
 
             surplus_ok = True
@@ -177,7 +180,8 @@ def test_criterion_5_vcg_rule_suite():
                 remainder = add(game.operator_cost,
                                 mul(const(-1), game.agent_costs[i]))
                 at_star = float(evaluate(remainder, u_star.values))
-                surplus_ok &= at_star - float(out.vcg_offsets[i]) >= -TOL
+                surplus_ok &= \
+                    at_star - float(ctx.vcg_terms.offsets[i]) >= -TOL
             dec = cost_decomposition(game, u_star, out.realized)
             weak_bb = check_budget_balance(out, dec, TOL).holds
             assert weak_bb == surplus_ok
@@ -231,14 +235,14 @@ def test_criterion_6_decoupled_impossibility_suite():
             for k in range(20):
                 scheme = _random_scheme(rng, game.n,
                                         k % 4 if k % 4 < 2 else 2)
-                out = realized_outcome(
-                    ScenarioSolve(Scenario(game, scheme), cfg))[0]
-                dec = cost_decomposition(game, out.operator_opt.profile,
+                ctx = ScenarioSolve(Scenario(game, scheme), cfg)
+                out = realized_outcome(ctx)[0]
+                dec = cost_decomposition(game, ctx.optimum.profile,
                                          out.realized)
                 assert float(dec.total_excess) >= 0
                 assert float(dec.total_excess) > 1e-6  # family guarantee
                 participation = check_participation_anticipatory(
-                    out, game, TOL)
+                    ctx, out, TOL)
                 weak_bb = check_budget_balance(out, dec, TOL).holds
                 if participation.holds:
                     passing += 1

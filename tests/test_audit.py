@@ -6,6 +6,7 @@ import pytest
 
 from incentive_audit.audit import (
     AuditReport,
+    _sampled_verdicts,
     check_allocable_excess,
     check_alignment_sufficiency,
     check_budget_balance,
@@ -14,6 +15,7 @@ from incentive_audit.audit import (
     check_participation_anticipatory,
     check_participation_weak,
     check_separability_conditions,
+    check_single_deviation_dominance,
     check_social_optimality,
     check_vcg_conditions,
     full_audit,
@@ -31,7 +33,6 @@ from incentive_audit.incentive import (
     IncentiveScheme,
     ScenarioSolve,
     cost_decomposition,
-    proportional_as_expression,
     realized_outcome,
     vcg_incentive,
 )
@@ -55,30 +56,32 @@ def case2_report(example3_case2, cfg) -> AuditReport:
 
 class TestSocialOptimality:
     def test_vcg_holds(self, example3_case1, cfg):
-        out = vcg_incentive(ScenarioSolve(Scenario(example3_case1), cfg))
-        v = check_social_optimality(out, out.operator_opt.profile, TOL)
+        ctx = ScenarioSolve(Scenario(example3_case1), cfg)
+        out = vcg_incentive(ctx)
+        v = check_social_optimality(out, ctx.optimum.profile, TOL)
         assert v.holds
 
     def test_custom_gap_witnessed(self, example1, cfg):
-        sc = Scenario(example1, example1_scheme())
-        out = realized_outcome(ScenarioSolve(sc, cfg))[0]
-        v = check_social_optimality(out, out.operator_opt.profile, TOL)
+        ctx = ScenarioSolve(Scenario(example1, example1_scheme()), cfg)
+        out = realized_outcome(ctx)[0]
+        v = check_social_optimality(out, ctx.optimum.profile, TOL)
         assert v.status == "fails"
         assert v.witnesses[0]["gap"] == pytest.approx(0.25)
 
     def test_aligned_costs_hold_without_incentive(self, cfg):
         j = parse("(u1 - 1)^2 + (u2 + 1)^2", NAMES2)
         g = Game(n=2, agent_costs=(j, j), operator_cost=j, bounds=BOX2)
-        out = realized_outcome(ScenarioSolve(Scenario(g), cfg))[0]
-        v = check_social_optimality(out, out.operator_opt.profile, TOL)
+        ctx = ScenarioSolve(Scenario(g), cfg)
+        out = realized_outcome(ctx)[0]
+        v = check_social_optimality(out, ctx.optimum.profile, TOL)
         assert v.holds
 
 
 class TestBudgetBalance:
     def test_example1_weak(self, example1, cfg):
-        sc = Scenario(example1, example1_scheme())
-        out = realized_outcome(ScenarioSolve(sc, cfg))[0]
-        dec = cost_decomposition(example1, out.operator_opt.profile,
+        ctx = ScenarioSolve(Scenario(example1, example1_scheme()), cfg)
+        out = realized_outcome(ctx)[0]
+        dec = cost_decomposition(example1, ctx.optimum.profile,
                                  out.realized)
         v = check_budget_balance(out, dec, TOL)
         assert v.holds and v.data["level"] == "weak"
@@ -87,15 +90,17 @@ class TestBudgetBalance:
     def test_proportional_exact(self, example2, cfg):
         sc = Scenario(example2,
                       IncentiveScheme(PROPORTIONAL, NON_ANTICIPATORY))
-        out = realized_outcome(ScenarioSolve(sc, cfg))[0]
-        dec = cost_decomposition(example2, out.operator_opt.profile,
+        ctx = ScenarioSolve(sc, cfg)
+        out = realized_outcome(ctx)[0]
+        dec = cost_decomposition(example2, ctx.optimum.profile,
                                  out.realized)
         v = check_budget_balance(out, dec, TOL)
         assert v.holds and v.data["level"] == "exact"
 
     def test_vcg_case2_violated(self, example3_case2, cfg):
-        out = vcg_incentive(ScenarioSolve(Scenario(example3_case2), cfg))
-        dec = cost_decomposition(example3_case2, out.operator_opt.profile,
+        ctx = ScenarioSolve(Scenario(example3_case2), cfg)
+        out = vcg_incentive(ctx)
+        dec = cost_decomposition(example3_case2, ctx.optimum.profile,
                                  out.realized)
         v = check_budget_balance(out, dec, TOL)
         assert v.status == "fails" and v.data["level"] == "violated"
@@ -103,9 +108,9 @@ class TestBudgetBalance:
 
 class TestParticipation:
     def test_example1_both_agents_pass(self, example1, cfg):
-        sc = Scenario(example1, example1_scheme())
-        out = realized_outcome(ScenarioSolve(sc, cfg))[0]
-        v = check_participation_anticipatory(out, example1, TOL)
+        ctx = ScenarioSolve(Scenario(example1, example1_scheme()), cfg)
+        out = realized_outcome(ctx)[0]
+        v = check_participation_anticipatory(ctx, out, TOL)
         assert v.holds
         byagent = {w["agent"]: w for w in v.witnesses}
         assert byagent[1]["opt_out_cost"] == -1
@@ -114,16 +119,17 @@ class TestParticipation:
         assert byagent[2]["participating_cost"] == -0.5
 
     def test_vcg_always_passes(self, example3_case2, cfg):
-        sc = Scenario(example3_case2, IncentiveScheme(VCG))
-        out = realized_outcome(ScenarioSolve(sc, cfg))[0]
-        assert check_participation_anticipatory(out, example3_case2,
-                                                TOL).holds
+        ctx = ScenarioSolve(Scenario(example3_case2, IncentiveScheme(VCG)),
+                            cfg)
+        out = realized_outcome(ctx)[0]
+        assert check_participation_anticipatory(ctx, out, TOL).holds
 
     def test_weak_form_equality_for_separable(self, cfg):
         g = build_decoupled()
         sc = Scenario(g, IncentiveScheme(PROPORTIONAL, NON_ANTICIPATORY))
-        out = realized_outcome(ScenarioSolve(sc, cfg))[0]
-        dec = cost_decomposition(g, out.operator_opt.profile, out.realized)
+        ctx = ScenarioSolve(sc, cfg)
+        out = realized_outcome(ctx)[0]
+        dec = cost_decomposition(g, ctx.optimum.profile, out.realized)
         v = check_participation_weak(dec, out.t_values, TOL)
         assert v.holds
         assert out.t_values == dec.theta  # equality, not just <=
@@ -151,8 +157,9 @@ class TestEquityMonotonicity:
         assert equity.holds and mono.holds
 
     def test_vcg_case2_equity_fails(self, example3_case2, cfg):
-        out = vcg_incentive(ScenarioSolve(Scenario(example3_case2), cfg))
-        dec = cost_decomposition(example3_case2, out.operator_opt.profile,
+        ctx = ScenarioSolve(Scenario(example3_case2), cfg)
+        out = vcg_incentive(ctx)
+        dec = cost_decomposition(example3_case2, ctx.optimum.profile,
                                  out.realized)
         assert dec.theta == (0, 0)
         equity, mono = check_equity_monotonicity(dec, out.t_values, TOL, TOL)
@@ -212,17 +219,16 @@ class TestAllocableExcess:
 
 class TestSeparabilityConditions:
     def test_separable_objective_holds(self, example1, cfg):
-        u_star = minimize_operator(example1, cfg).profile
-        out = check_separability_conditions(example1, u_star, None, None,
-                                            TOL, cfg)
+        ctx = ScenarioSolve(Scenario(example1), cfg)
+        out = check_separability_conditions(ctx, None, (TOL,))[TOL]
         names = {v.name: v for v in out}
         assert names["operator-cost-separable"].holds
 
     def test_coupled_objective_fails_and_checks_dominance(self, example2, cfg):
-        u_star = minimize_operator(example2, cfg).profile
+        ctx = ScenarioSolve(Scenario(example2), cfg)
         baseline = ActionProfile([Fraction(0), Fraction(0)])
-        out = check_separability_conditions(example2, u_star, baseline, None,
-                                            TOL, cfg)
+        out = (*check_separability_conditions(ctx, None, (TOL,))[TOL],
+               check_single_deviation_dominance(ctx, baseline, TOL))
         names = {v.name: v for v in out}
         assert names["operator-cost-separable"].status == "fails"
         assert names["single-deviation-dominance"].status in ("holds", "fails")
@@ -233,35 +239,36 @@ class TestSeparabilityConditions:
         objective = absval(parse("u1 + u2 - 2", NAMES2))
         costs = (parse("(u1 - 1)^2", NAMES2), parse("(u2 - 1)^2", NAMES2))
         g = Game(n=2, agent_costs=costs, operator_cost=objective, bounds=BOX2)
-        u_star = minimize_operator(g, cfg).profile
-        out = check_separability_conditions(g, u_star, None, base, TOL, cfg)
+        ctx = ScenarioSolve(Scenario(g), cfg)
+        out = check_separability_conditions(ctx, base, (TOL,))[TOL]
         names = {v.name: v for v in out}
         assert names["operator-cost-separable"].status == "unknown"
         assert names["absolute-deviation-form"].holds
 
     def test_wrong_declared_base_fails(self, example1, cfg):
-        u_star = minimize_operator(example1, cfg).profile
+        ctx = ScenarioSolve(Scenario(example1), cfg)
         base = parse("u1 + u2", NAMES2)
-        out = check_separability_conditions(example1, u_star, None, base,
-                                            TOL, cfg)
+        out = check_separability_conditions(ctx, base, (TOL,))[TOL]
         names = {v.name: v for v in out}
         assert names["absolute-deviation-form"].status == "fails"
 
 
 class TestVcgConditions:
     def test_benign_case_surplus_holds(self, example3_case1, cfg):
-        out = vcg_incentive(ScenarioSolve(Scenario(example3_case1), cfg))
+        ctx = ScenarioSolve(Scenario(example3_case1, IncentiveScheme(VCG)),
+                            cfg)
         verdicts = {v.name: v for v in check_vcg_conditions(
-            example3_case1, out, cfg, TOL)}
+            ctx, (TOL,))[TOL]}
         assert verdicts["operator-hessian-positive-definite"].holds
         assert verdicts["opt-out-surplus"].holds
         for w in verdicts["opt-out-surplus"].witnesses:
             assert w["surplus"] == pytest.approx(0.0, abs=TOL)
 
     def test_adversarial_case_surplus_fails(self, example3_case2, cfg):
-        out = vcg_incentive(ScenarioSolve(Scenario(example3_case2), cfg))
+        ctx = ScenarioSolve(Scenario(example3_case2, IncentiveScheme(VCG)),
+                            cfg)
         verdicts = {v.name: v for v in check_vcg_conditions(
-            example3_case2, out, cfg, TOL)}
+            ctx, (TOL,))[TOL]}
         surplus = verdicts["opt-out-surplus"]
         assert surplus.status == "fails"
         agent1 = next(w for w in surplus.witnesses if w["agent"] == 1)
@@ -294,20 +301,45 @@ class TestDecoupledFlag:
         assert check_decoupled_impossibility(g).status == "not-applicable"
 
 
+class TestSampledVerdicts:
+    def test_each_tolerance_gets_its_own_first_failure(self):
+        # one pass judges every tier: a row failing only the tight tier
+        # witnesses that tier, and the pass stops once every tier failed
+        def rows():
+            yield "a", 0.0
+            yield "b", 5e-7
+            yield "c", 2e-6
+            raise AssertionError("rows read past the last failure")
+
+        verdicts = _sampled_verdicts(
+            "x", rows(), lambda row, tol: row[1] > tol,
+            lambda row: {"row": row[0]}, ("fails", "holds"), (1e-9, 1e-6))
+        assert verdicts[1e-9].witnesses == ({"row": "b"},)
+        assert verdicts[1e-6].witnesses == ({"row": "c"},)
+        assert all(v.status == "fails" and v.tolerance == tol
+                   for tol, v in verdicts.items())
+
+    def test_tolerance_with_no_failure_holds(self):
+        verdicts = _sampled_verdicts(
+            "x", iter([("a", 5e-7)]), lambda row, tol: row[1] > tol,
+            lambda row: {"row": row[0]}, ("fails", "holds"), (1e-9, 1e-6))
+        assert verdicts[1e-9].status == "fails"
+        assert verdicts[1e-6].holds and verdicts[1e-6].note == "holds"
+        assert verdicts[1e-6].witnesses == ()
+
+
 class TestAlignmentSufficiency:
     def test_aligned_separable_holds(self, cfg):
         j = parse("(u1 - 1)^2 + (u2 + 1)^2", NAMES2)
         g = Game(n=2, agent_costs=(j, j), operator_cost=j, bounds=BOX2)
-        u_star = minimize_operator(g, cfg).profile
-        t_exprs = [proportional_as_expression(g, u_star, i) for i in range(2)]
-        v = check_alignment_sufficiency(g, u_star, t_exprs, cfg, TOL)
+        ctx = ScenarioSolve(Scenario(g, IncentiveScheme(PROPORTIONAL)), cfg)
+        v = check_alignment_sufficiency(ctx, (TOL,))[TOL]
         assert v.holds
 
     def test_misaligned_costs_fail_at_witness(self, example1, cfg):
-        u_star = minimize_operator(example1, cfg).profile
-        t_exprs = [proportional_as_expression(example1, u_star, i)
-                   for i in range(2)]
-        v = check_alignment_sufficiency(example1, u_star, t_exprs, cfg, TOL)
+        ctx = ScenarioSolve(Scenario(example1, IncentiveScheme(PROPORTIONAL)),
+                            cfg)
+        v = check_alignment_sufficiency(ctx, (TOL,))[TOL]
         assert v.status == "fails"
         assert v.witnesses
 
@@ -316,8 +348,8 @@ class TestFullAudit:
     def test_example1_pattern(self, example1_report):
         rep = example1_report
         assert rep.exact
-        assert rep.u_star.values == (Fraction(3, 4), Fraction(2))
-        assert [e.profile.values for e in rep.baseline] == [(1, 1)]
+        assert rep.ctx.optimum.profile.values == (Fraction(3, 4), Fraction(2))
+        assert [e.profile.values for e in rep.ctx.baseline] == [(1, 1)]
         assert rep.verdict("participation").holds
         assert rep.verdict("budget-balance").data["level"] == "weak"
         assert rep.verdict("social-optimality").status == "fails"
@@ -357,7 +389,7 @@ class TestFullAudit:
         # separable objective: each incentive is the agent's own marginal
         assert float(out.t_values[0]) == pytest.approx(0.55**2, abs=1e-6)
         assert float(out.t_values[1]) == pytest.approx(0.15**2, abs=1e-6)
-        assert out.opt_out[1].profile.as_floats() == pytest.approx(
+        assert rep.ctx.opt_outs[1].profile.as_floats() == pytest.approx(
             (1.0, 1.25), abs=1e-6)
         assert rep.verdict("budget-balance").holds
         assert rep.verdict("pointwise-alignment").status == "fails"

@@ -81,7 +81,8 @@ J = "x^2 + y^2"
 
 class TestSolverOverrides:
     @pytest.mark.parametrize("override", ["--grid=2", "--grid=10002",
-                                          "--tol=0", "--tol=-1e-9"])
+                                          "--tol=0", "--tol=-1e-9",
+                                          "--tol=nan", "--tol=inf"])
     def test_out_of_range_exits_2(self, capsys, override):
         code, out, err = run(capsys, "audit", EX1, override)
         assert code == 2

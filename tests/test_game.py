@@ -12,7 +12,6 @@ from incentive_audit.game import (
     Participation,
     Scenario,
     effective_cost,
-    operator_net_cost,
 )
 from incentive_audit.incentive import CUSTOM, IncentiveScheme
 
@@ -77,33 +76,35 @@ class TestEffectiveCost:
     def test_participant_gets_cost_plus_incentive(self):
         g = build_example1()
         sc = Scenario(g, example1_scheme())
-        e = effective_cost(sc, 0)
+        e = effective_cost(sc, 0, sc.incentive.expressions)
         expected = parse("u1^2 - 2*u1*u2 + u1^2", NAMES2)
         assert structurally_equal(e, expected)
 
     def test_opted_out_agent_keeps_raw_cost(self):
         g = build_example1()
         sc = Scenario(g, example1_scheme(), Participation((0,)))
-        assert effective_cost(sc, 0) is g.agent_costs[0]
+        assert effective_cost(sc, 0, sc.incentive.expressions) \
+            is g.agent_costs[0]
 
     def test_non_anticipatory_ignores_incentive(self):
         g = build_example1()
         scheme = IncentiveScheme(CUSTOM, mode=NON_ANTICIPATORY,
                                  expressions=example1_scheme().expressions)
         sc = Scenario(g, scheme)
-        assert effective_cost(sc, 0) is g.agent_costs[0]
+        assert effective_cost(sc, 0, scheme.expressions) is g.agent_costs[0]
 
     def test_no_incentive(self):
         g = build_example1()
         sc = Scenario(g)
-        assert effective_cost(sc, 1) is g.agent_costs[1]
+        assert effective_cost(sc, 1, None) is g.agent_costs[1]
 
     def test_additivity(self):
         g = build_example1()
         sc = Scenario(g, example1_scheme())
         pt = (Fraction(1, 3), Fraction(-2, 7))
         for i in range(2):
-            lhs = evaluate(effective_cost(sc, i), pt)
+            lhs = evaluate(effective_cost(sc, i, sc.incentive.expressions),
+                           pt)
             rhs = evaluate(g.agent_costs[i], pt) \
                 + evaluate(sc.incentive.expressions[i], pt)
             assert lhs == rhs
@@ -112,23 +113,6 @@ class TestEffectiveCost:
         g = build_example1()
         all_in = Scenario(g, example1_scheme())
         two_out = Scenario(g, example1_scheme(), Participation((1,)))
-        assert effective_cost(all_in, 0) == effective_cost(two_out, 0)
-
-
-class TestOperatorNetCost:
-    def test_incentive_deducted(self):
-        g = build_example1()
-        sc = Scenario(g, example1_scheme())
-        net = operator_net_cost(sc, ActionProfile([Fraction(1), Fraction(2)]))
-        assert net == Fraction(1, 16) - Fraction(1, 2)
-
-    def test_no_incentive_is_plain_cost(self):
-        g = build_example1()
-        net = operator_net_cost(Scenario(g), ActionProfile([1, 2]))
-        assert net == Fraction(1, 16)
-
-    def test_all_opted_out_pays_nothing(self):
-        g = build_example1()
-        sc = Scenario(g, example1_scheme(), Participation((0, 1)))
-        net = operator_net_cost(sc, ActionProfile([Fraction(1), Fraction(2)]))
-        assert net == Fraction(1, 16)
+        exprs = example1_scheme().expressions
+        assert effective_cost(all_in, 0, exprs) \
+            == effective_cost(two_out, 0, exprs)

@@ -122,6 +122,11 @@ class TestLoader:
         with pytest.raises(GameFileError, match="unknown solver option"):
             load_game_file(_write(tmp_path, text))
 
+    def test_non_finite_tolerance(self, tmp_path):
+        text = GOOD + "\n[solver]\ntol_fixed_point = nan\n"
+        with pytest.raises(GameFileError, match="positive and finite"):
+            load_game_file(_write(tmp_path, text))
+
     def test_separable_base_parsed(self, tmp_path):
         text = GOOD + "\n[incentive]\nkind = proportional\nseparable_base = \"a + b\"\n"
         spec = load_game_file(_write(tmp_path, text))

@@ -159,11 +159,13 @@ class TestVcgIncentive:
         assert out.total_incentive == 0
 
     def test_adversarial_case(self, example3_case2, cfg):
-        out = vcg_incentive(ScenarioSolve(Scenario(example3_case2), cfg))
+        ctx = ScenarioSolve(Scenario(example3_case2), cfg)
+        out = vcg_incentive(ctx)
+        terms = ctx.vcg_terms
         assert out.realized.values == (Fraction(1), Fraction(0))
-        assert out.opt_out[0].profile.values == (Fraction(-1), Fraction(-1))
+        assert terms.opt_out[0].profile.values == (Fraction(-1), Fraction(-1))
         assert out.t_values == (Fraction(-3), Fraction(0))
-        assert out.vcg_offsets == (Fraction(1), Fraction(-1, 2))
+        assert terms.offsets == (Fraction(1), Fraction(-1, 2))
 
     def test_fully_aligned_agents_pay_nothing(self, cfg):
         j = parse("(u1 - 1)^2 + (u2 + 1)^2", NAMES2)
@@ -176,9 +178,11 @@ class TestVcgIncentive:
     def test_participation_inequality(self, example3_case2, cfg):
         # opting out never beats participating under this rule
         g = example3_case2
-        out = vcg_incentive(ScenarioSolve(Scenario(g), cfg))
+        ctx = ScenarioSolve(Scenario(g), cfg)
+        out = vcg_incentive(ctx)
         for i in range(2):
-            outside = evaluate(g.agent_costs[i], out.opt_out[i].profile.values)
+            outside = evaluate(g.agent_costs[i],
+                               ctx.vcg_terms.opt_out[i].profile.values)
             inside = evaluate(g.agent_costs[i], out.realized.values) \
                 + out.t_values[i]
             assert outside >= inside
@@ -186,14 +190,14 @@ class TestVcgIncentive:
 
 class TestRealizedOutcome:
     def test_example1_custom_anticipatory(self, example1, cfg):
-        sc = Scenario(example1, example1_scheme())
-        outs = realized_outcome(ScenarioSolve(sc, cfg))
+        ctx = ScenarioSolve(Scenario(example1, example1_scheme()), cfg)
+        outs = realized_outcome(ctx)
         assert len(outs) == 1
         out = outs[0]
         assert out.realized.values == (Fraction(1), Fraction(2))
         assert out.t_values == (Fraction(1), Fraction(-1, 2))
         assert out.exact
-        assert [e.profile.values for e in out.opt_out] == \
+        assert [e.profile.values for e in ctx.opt_outs] == \
             [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(2))]
 
     def test_proportional_non_anticipatory_keeps_baseline(self, cfg):

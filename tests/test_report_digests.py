@@ -1,0 +1,246 @@
+"""Byte identity of the command-line reports over a fixed request corpus.
+
+Each entry of ``DIGESTS`` is the sha256 of one request's exit code and
+stdout.  The corpus covers every bundled game under ``audit`` (structured
+and text) and ``equilibrium`` (structured) with each scenario selector,
+``oracle --grid 41`` on every game, and the same requests on
+``conftest.THREE_EQUILIBRIA_VCG_GAME``, whose audit has three sections
+with the VCG-like conditions and a declared separable base.
+
+A change to the audit pipeline that is meant to keep every report as it
+is must pass this table unchanged.  After an intended report change,
+print a new table with::
+
+    PYTHONPATH=src python tests/test_report_digests.py
+"""
+
+import hashlib
+import io
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from incentive_audit.cli import main
+
+from conftest import GAMES_DIR, THREE_EQUILIBRIA_VCG_GAME
+
+#: request name of the inline game, standing in for its file path
+VCG_THREE = "three_equilibria_vcg"
+
+SELECTORS = ("baseline", "incentive", "optout:1", "optout:2")
+
+
+def corpus(games) -> list[str]:
+    """Requests as space-separated argv, the game name in place of its
+    path."""
+    requests = []
+    for game in games:
+        for sel in SELECTORS:
+            requests += [
+                f"audit {game} --format structured --scenario {sel}",
+                f"audit {game} --format text --scenario {sel}",
+                f"equilibrium {game} --format structured --scenario {sel}",
+            ]
+        requests.append(f"oracle {game} --format structured --grid 41")
+    return requests
+
+
+def digest(request: str, vcg_three_path: Path) -> str:
+    argv = request.split()
+    game = argv[1]
+    argv[1] = str(vcg_three_path if game == VCG_THREE
+                  else GAMES_DIR / f"{game}.game")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
+DIGESTS = {
+    'audit decoupled_demo --format structured --scenario baseline':
+        'd491dd3b1cdee985f29b70b757ba61e292879259393945c6b1401797e2f91da1',
+    'audit decoupled_demo --format structured --scenario incentive':
+        'd399d81580f9384686b5d98f6c0dfa43c1157c7233bcdf8bb788a854bb0e8a06',
+    'audit decoupled_demo --format structured --scenario optout:1':
+        '0d9c3be86f619af596bbc51625e069114aad38013efc416b3abd8976b2fad7c4',
+    'audit decoupled_demo --format structured --scenario optout:2':
+        '4d3da57c3b1bd6ba75b7dd50fc413756a9e6d7028d8d7207955f0d01ec6f12b0',
+    'audit decoupled_demo --format text --scenario baseline':
+        '2dd3e009872b78c48a2353f8f471c1e97ede3372a3e7b7ceec426cbee0f9b9c1',
+    'audit decoupled_demo --format text --scenario incentive':
+        '7100a97a105c82a1bc8616918c98265dfe55da18244020209ab38b90e9000c4c',
+    'audit decoupled_demo --format text --scenario optout:1':
+        '8e95c61b2b41737aa98907f55ba62622f80a34eb4cd8df39e16dde0de3bd2536',
+    'audit decoupled_demo --format text --scenario optout:2':
+        'd90fe497ddef476659dbd6f08adcf497dd16445d27c08dd867bdf93a960f58e8',
+    'audit example1 --format structured --scenario baseline':
+        'f9762293dcf72dc5369e35dbb5667414c7a912995fe5e4b2007b79504948888c',
+    'audit example1 --format structured --scenario incentive':
+        '0da3df277d844f522101971ecd7f2657ed45903dcb636a11d4f7279eb56f64f9',
+    'audit example1 --format structured --scenario optout:1':
+        'd5d680f52c3f5fa6228ecca24b2c5a8a30346c1d2870f536997d2ca30d40051f',
+    'audit example1 --format structured --scenario optout:2':
+        'ff3e5693c65bc8025144038a40793d91cbf5d9ebf3ed33a7eda994e92fef3d1a',
+    'audit example1 --format text --scenario baseline':
+        '5d0d8dbc27572f4e5b8ff8ca8f4a5d54474c7b66b4c04940c500bedf8bc9db8c',
+    'audit example1 --format text --scenario incentive':
+        '86458d36673e9b162bd849316c5ae0b3e7110b5cf2c3dd0c9e409dc677862821',
+    'audit example1 --format text --scenario optout:1':
+        'e3876dacf55043475050089440447db8170daf7ba73a9526f18a09c825b59649',
+    'audit example1 --format text --scenario optout:2':
+        '4daf7afb9ffd4aab27c579b9193728c97854a905a7daa5a4d5c069f6c55a972c',
+    'audit example2 --format structured --scenario baseline':
+        '95db6ef3c279bbdcb1da13527c689a243571076e15c2131d52ef12aa4b7ad308',
+    'audit example2 --format structured --scenario incentive':
+        '64b43dce7cb0b4c7e3d197545ab414ff60dfbe0ce89044e51f7f2cc83a17625d',
+    'audit example2 --format structured --scenario optout:1':
+        'ddfd16af3461b1b38ed880d9e0be7d9c95cfa2754a1cd7d49bffa9d16ababb39',
+    'audit example2 --format structured --scenario optout:2':
+        '9469a252f3164f3d25ad63e945e12d1104d3e1abded3fa2c82d79df9287bb03c',
+    'audit example2 --format text --scenario baseline':
+        'f1a6517651bfccf10df12eef2174d4247a8d3bc44ab6947e88f32918cbad60a1',
+    'audit example2 --format text --scenario incentive':
+        '6c6f9ac480c16004b407125b5496126a88bb25cc451dc6b6a74dc4c4af0eed97',
+    'audit example2 --format text --scenario optout:1':
+        'e679c7934cac81c2dccd26d2a764b01a2b511914bca45402de886bfc5d3e6204',
+    'audit example2 --format text --scenario optout:2':
+        '907f37fde4e5f30b92620729a7bdca25519c5eb49f61cc34a03db59f5b0d110a',
+    'audit example3_case1 --format structured --scenario baseline':
+        '1a247a14c551b2af0410ce114b41f7242dc5a4d4568dca263439bdf65cbd1e46',
+    'audit example3_case1 --format structured --scenario incentive':
+        'a9861f2139617123d12aeb8bce2e7d684f54524fb1fd0ad81783c856723479e6',
+    'audit example3_case1 --format structured --scenario optout:1':
+        '4d360bc143dc168003226aa4e72924c50164caa69c89a45c12904a656d15966e',
+    'audit example3_case1 --format structured --scenario optout:2':
+        '7d81c9c34be2c978be15a6d0674f2b97e562ad03f166358016e24c76d895ffd2',
+    'audit example3_case1 --format text --scenario baseline':
+        '7f070a8e404d35533b36fc33d8f29e7b392f711de7233125707e6d404d620437',
+    'audit example3_case1 --format text --scenario incentive':
+        'fad4ff0e5a726eee6503fec51fb0adff5194d62d89aadad4e6a93101295a258a',
+    'audit example3_case1 --format text --scenario optout:1':
+        '7e0b48ca982eb82fddf31f69805347c98b92d1e0bcbb07db8d9d1ccc477d5f41',
+    'audit example3_case1 --format text --scenario optout:2':
+        '947e7df332884372b5a6518df0d9d1fe876e9ebb347fbb781d8f23ec2f6acad9',
+    'audit example3_case2 --format structured --scenario baseline':
+        'ea2a68185af840db6dd6579d1f4d0361fd7f16e316a372ab3c79d5c99d3c72fa',
+    'audit example3_case2 --format structured --scenario incentive':
+        '5fd36e314c326a71388d1857d9e9beccb7b7ee3773f56c2744c3bc17efb024bb',
+    'audit example3_case2 --format structured --scenario optout:1':
+        'f0b566e88a20ddd790b9b50c87306613170b89492e3cb12a026722093212a9e7',
+    'audit example3_case2 --format structured --scenario optout:2':
+        '48425506e7380ea5ba1c18436923ed95ba36482db05bab57340fc94552d7845f',
+    'audit example3_case2 --format text --scenario baseline':
+        '817f55eacfdece2f5fc6848b7a7a25d76306bf702d8641e7a2127165ddccbcf5',
+    'audit example3_case2 --format text --scenario incentive':
+        '26aa2c6266bbe05b907d8278ec1b0a56a53568c8111c0ff4a766be4f91fb12af',
+    'audit example3_case2 --format text --scenario optout:1':
+        'e91ec2d4d050ee81acd7ac1658cd2cdf7ed92776f6a44a3c74b057048c3183a5',
+    'audit example3_case2 --format text --scenario optout:2':
+        '786a51c28c7ebdbc72a6f7b262b58ef043b168893636d0a7cae256b4e8f92e39',
+    'audit three_equilibria_vcg --format structured --scenario baseline':
+        '682b7753456a2e89172b979dff57ca0ae0afb491341a8429c2e5e076cdecceb4',
+    'audit three_equilibria_vcg --format structured --scenario incentive':
+        'b9a3fcad95beaba8ab2202d4f6d2acc582b84ea38cd1485da9b893c52eee5ef6',
+    'audit three_equilibria_vcg --format structured --scenario optout:1':
+        '64464fba6828299319d0d7455c314cc2039f0c3ecc361be7d7e98c43acb93447',
+    'audit three_equilibria_vcg --format structured --scenario optout:2':
+        '89ebb65e7a86f59a028066ce5c71f7db21e607744e1e4c9ca054425b1dcdcf1a',
+    'audit three_equilibria_vcg --format text --scenario baseline':
+        '226ffc567731225a3ad89f0d76e124641a1965e52ab761e29dd89adc037ed508',
+    'audit three_equilibria_vcg --format text --scenario incentive':
+        '2d8c6add0c11ef97d80a988efaaffc552f53d41194acbdc6800dda752a36dc68',
+    'audit three_equilibria_vcg --format text --scenario optout:1':
+        '36b4ec4a633377198d23bf0e2b664d97adac33346876aed49f238404c4b3d66c',
+    'audit three_equilibria_vcg --format text --scenario optout:2':
+        'a06469869472d01bc5d4558bc2e897a61e02a109e0e94bc2f10fdd8752269d46',
+    'equilibrium decoupled_demo --format structured --scenario baseline':
+        '90db8002a7763603af8df90cb6a926223b523d1ce2f7789ae28f97f04d8441d5',
+    'equilibrium decoupled_demo --format structured --scenario incentive':
+        '177cf906264f9f0442c5e7ef8ce2fc265450a4af25990959d8dafb6ad5859bd3',
+    'equilibrium decoupled_demo --format structured --scenario optout:1':
+        '13b4c5f21c461abfa275e9ee79ff57c87779c2aabb18409c6214244c75f82767',
+    'equilibrium decoupled_demo --format structured --scenario optout:2':
+        '1f81267ed2f3925f944d9f8b375081b8a45635cb874561a56b324d1981d1ef99',
+    'equilibrium example1 --format structured --scenario baseline':
+        'be94caf10b502273c3b1e74fb86fe8f2ef5d3cd8755e5930c9b984249e369676',
+    'equilibrium example1 --format structured --scenario incentive':
+        '8559a6f53fa234470c7a69daad683f5f434ab291bd7a255d5fc8b827ce61a5ce',
+    'equilibrium example1 --format structured --scenario optout:1':
+        'dfa8937660845557efc4494003bbd594003742d0fbbc7d335cfdd948c5fd5a6d',
+    'equilibrium example1 --format structured --scenario optout:2':
+        '79568d2d716865c0bfb0a9135da4b8ebb3e92512397146e78e4c4642fc8ce110',
+    'equilibrium example2 --format structured --scenario baseline':
+        '626b4f39d377e295883a112923a2f60491291f8843c0fe1d55ca1d103498c328',
+    'equilibrium example2 --format structured --scenario incentive':
+        '6d0f88df1c765d3eea227a5a52c32b49ac96625f17dc8d7fdffae293c2efd392',
+    'equilibrium example2 --format structured --scenario optout:1':
+        'bd91f5779fcd5422634b42b350d99f440d7a22999ace2faea8f3747e2b6d377a',
+    'equilibrium example2 --format structured --scenario optout:2':
+        '4aa284cfd3a16fd786b937ce69b37421a2a049bea00ce754b4d3f582aee6977e',
+    'equilibrium example3_case1 --format structured --scenario baseline':
+        'cd813d3283c0028ce306242e859688a08272b341579f63ad6cbca7438031a256',
+    'equilibrium example3_case1 --format structured --scenario incentive':
+        '7270c502539608888c9b041e6b9b0fd4ad2630abd7a171eb9245a44688ff9088',
+    'equilibrium example3_case1 --format structured --scenario optout:1':
+        '90e6e6828349675d6fef93a1125fee4ce8c885ba481fcbf88dc0b6b1a1e60ad6',
+    'equilibrium example3_case1 --format structured --scenario optout:2':
+        '641710124bb3a89bd8102082247b19ac7a6622d81dc61266aff787b2bf3773e3',
+    'equilibrium example3_case2 --format structured --scenario baseline':
+        '05dc2e87ee65a0b90414258d2ab29efe06d243842d6a2f59a88d0d6f8309146d',
+    'equilibrium example3_case2 --format structured --scenario incentive':
+        'c1103cfe9e4e2bc3ec7c3dc43e036421ca4051515de6e72f2beb0f08a9cdc152',
+    'equilibrium example3_case2 --format structured --scenario optout:1':
+        '3abf4d1e69188f3920b78cd8ea1542a796b3190eeb89eb6347dd96df9a0f1fb2',
+    'equilibrium example3_case2 --format structured --scenario optout:2':
+        '19b4ddf76528b5d108a0c96e4732fae8ea7d5c060e9500ed65ee362c69786c72',
+    'equilibrium three_equilibria_vcg --format structured --scenario baseline':
+        '7593fc079d23b5896b26d14e1cc41bf316ec50140784b0dc8072e71ea614115f',
+    'equilibrium three_equilibria_vcg --format structured --scenario incentive':
+        '4ae207a023ba4021d3fa61d79c155c18759ee3c09405e2fbd61ce00787f8adf6',
+    'equilibrium three_equilibria_vcg --format structured --scenario optout:1':
+        '0a0b36867aaf503658be8cd0565f975b0d389b1e498ea2a018dcd32c5b6bfae1',
+    'equilibrium three_equilibria_vcg --format structured --scenario optout:2':
+        '792e2a9d7d3110b0b2134fd47ebcb99a12feaf04ba0df09b97c57b4bb06237e5',
+    'oracle decoupled_demo --format structured --grid 41':
+        '514bdafb663de598121e920ad4718ed3af46bd7f2097c64f91c2d749a9a92162',
+    'oracle example1 --format structured --grid 41':
+        '9d79b8b00ad6585ab6d894eb9fc9b6b61f77f4287a3d8490fd8ef5cb761beecf',
+    'oracle example2 --format structured --grid 41':
+        'beb814f980c05d6664fbac23f0c0964d0c702c4dac3ccfde62674e877d352c0e',
+    'oracle example3_case1 --format structured --grid 41':
+        '5e6e691b20351c9770c0c216fdff9c43f38cef2623de8994d2d6728a3cbcf9d6',
+    'oracle example3_case2 --format structured --grid 41':
+        '5e6e691b20351c9770c0c216fdff9c43f38cef2623de8994d2d6728a3cbcf9d6',
+    'oracle three_equilibria_vcg --format structured --grid 41':
+        'b6c5f7f0f810f7690f210a87d41e822f1c6f104f8322107ff0ac421571ed36eb',
+}
+
+
+@pytest.fixture(scope="module")
+def vcg_three_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("games") / f"{VCG_THREE}.game"
+    path.write_text(THREE_EQUILIBRIA_VCG_GAME)
+    return path
+
+
+def test_corpus_covers_every_game():
+    games = sorted(p.stem for p in GAMES_DIR.glob("*.game"))
+    assert sorted(DIGESTS) == sorted(corpus([*games, VCG_THREE]))
+
+
+@pytest.mark.parametrize("request_line", sorted(DIGESTS))
+def test_report_bytes_are_unchanged(request_line, vcg_three_path):
+    assert digest(request_line, vcg_three_path) == DIGESTS[request_line]
+
+
+if __name__ == "__main__":
+    games = sorted(p.stem for p in GAMES_DIR.glob("*.game"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{VCG_THREE}.game"
+        path.write_text(THREE_EQUILIBRIA_VCG_GAME)
+        lines = [f"    {r!r}:\n        {digest(r, path)!r},"
+                 for r in sorted(corpus([*games, VCG_THREE]))]
+    sys.stdout.write("DIGESTS = {\n" + "\n".join(lines) + "\n}\n")

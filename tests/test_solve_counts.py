@@ -1,4 +1,5 @@
-"""Each audit solves the operator optimum once and each distinct game once.
+"""Each audit solves the operator optimum once and each distinct game once,
+and evaluates the conditions on the scenario alone once.
 
 Every binding of ``minimize_operator`` and ``nash_equilibrium`` in the
 package is wrapped with a counter, so a solve reached by any route counts.
@@ -9,10 +10,11 @@ from collections import Counter
 
 import pytest
 
+from incentive_audit import audit
 from incentive_audit.cli import main
 from incentive_audit.solve import solvers
 
-from conftest import GAMES_DIR, THREE_EQUILIBRIA_GAME
+from conftest import GAMES_DIR, THREE_EQUILIBRIA_GAME, THREE_EQUILIBRIA_VCG_GAME
 
 SOLVES = ("minimize_operator", "nash_equilibrium")
 
@@ -74,3 +76,26 @@ def test_opt_out_games_are_shared_across_equilibria(tmp_path, solves,
     path.write_text(THREE_EQUILIBRIA_GAME)
     _run(capsys, "audit", str(path), "--format", "structured")
     assert solves == {"minimize_operator": 1, "nash_equilibrium": 4}
+
+
+#: the curvature check and the declared-form sampling of ``audit``
+SCENARIO_CHECKS = ("hessian_pd_check", "_check_declared_abs_form")
+
+
+def test_scenario_conditions_run_once_per_audit(tmp_path, monkeypatch,
+                                                capsys):
+    # three sections, each carrying the VCG-like and declared-form
+    # conditions, under two tolerance tiers (one section is exact)
+    counts = Counter()
+    for name in SCENARIO_CHECKS:
+        original = getattr(audit, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(audit, name, counted)
+    path = tmp_path / "three_equilibria_vcg.game"
+    path.write_text(THREE_EQUILIBRIA_VCG_GAME)
+    _run(capsys, "audit", str(path), "--format", "structured")
+    assert counts == dict.fromkeys(SCENARIO_CHECKS, 1)
