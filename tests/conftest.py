@@ -93,6 +93,35 @@ separable_base = "(u1 - 1/2)^2 + (u2 - 1/2)^2"
 """
 
 
+#: three agents with quartic own-action costs and mild bilinear coupling
+#: under a custom anticipatory scheme, the shape of the benchmark's
+#: ``smooth`` family: every line minimum is a cubic derivative's roots
+QUARTIC_GAME = """\
+[agents]
+names = u1, u2, u3
+
+[costs]
+u1 = "(1/2)*u1^4 + u1^2 - (3/4)*u1 + (1/4)*u1*u2 - (1/8)*u1*u3"
+u2 = "(3/8)*u2^4 + (3/2)*u2^2 + (1/2)*u2 - (1/8)*u1*u2 + (1/4)*u2*u3"
+u3 = "(1/4)*u3^4 + (5/4)*u3^2 - u3 + (1/8)*u1*u3 - (1/8)*u2*u3"
+
+[operator]
+J = "(u1 - 1/2)^2 + (u2 + 1/4)^2 + (u3 - 3/4)^2 + (1/4)*(u1 - 1/2)^4 + (1/8)*u1*u2"
+
+[bounds]
+u1 = [-2, 2]
+u2 = [-2, 2]
+u3 = [-2, 2]
+
+[incentive]
+kind = custom
+mode = anticipatory
+t.u1 = "(1/2)*u1^2 - 1/4"
+t.u2 = "(1/8)*u2^2 + 1/2"
+t.u3 = "(3/4)*u3^2 - 1/8"
+"""
+
+
 def build_decoupled() -> Game:
     return Game(
         n=2,

@@ -3,9 +3,11 @@
 Each entry of ``DIGESTS`` is the sha256 of one request's exit code and
 stdout.  The corpus covers every bundled game under ``audit`` (structured
 and text) and ``equilibrium`` (structured) with each scenario selector,
-``oracle --grid 41`` on every game, and the same requests on
-``conftest.THREE_EQUILIBRIA_VCG_GAME``, whose audit has three sections
-with the VCG-like conditions and a declared separable base.
+``oracle --grid 41`` on every game, and the same requests on two inline
+games: ``conftest.THREE_EQUILIBRIA_VCG_GAME``, whose audit has three
+sections with the VCG-like conditions and a declared separable base, and
+``conftest.QUARTIC_GAME``, whose line minima all go through the roots of
+a cubic derivative.
 
 A change to the audit pipeline that is meant to keep every report as it
 is must pass this table unchanged.  After an intended report change,
@@ -25,10 +27,11 @@ import pytest
 
 from incentive_audit.cli import main
 
-from conftest import GAMES_DIR, THREE_EQUILIBRIA_VCG_GAME
+from conftest import GAMES_DIR, QUARTIC_GAME, THREE_EQUILIBRIA_VCG_GAME
 
-#: request name of the inline game, standing in for its file path
-VCG_THREE = "three_equilibria_vcg"
+#: the inline games by request name, which stands in for a file path
+INLINE = {"quartic": QUARTIC_GAME,
+          "three_equilibria_vcg": THREE_EQUILIBRIA_VCG_GAME}
 
 SELECTORS = ("baseline", "incentive", "optout:1", "optout:2")
 
@@ -48,11 +51,16 @@ def corpus(games) -> list[str]:
     return requests
 
 
-def digest(request: str, vcg_three_path: Path) -> str:
+def write_inline(directory: Path) -> None:
+    for name, text in INLINE.items():
+        (directory / f"{name}.game").write_text(text)
+
+
+def digest(request: str, inline_dir: Path) -> str:
     argv = request.split()
     game = argv[1]
-    argv[1] = str(vcg_three_path if game == VCG_THREE
-                  else GAMES_DIR / f"{game}.game")
+    argv[1] = str((inline_dir if game in INLINE else GAMES_DIR)
+                  / f"{game}.game")
     out = io.StringIO()
     with redirect_stdout(out):
         code = main(argv)
@@ -140,6 +148,22 @@ DIGESTS = {
         'e91ec2d4d050ee81acd7ac1658cd2cdf7ed92776f6a44a3c74b057048c3183a5',
     'audit example3_case2 --format text --scenario optout:2':
         '786a51c28c7ebdbc72a6f7b262b58ef043b168893636d0a7cae256b4e8f92e39',
+    'audit quartic --format structured --scenario baseline':
+        'cb9a062c0d7419dc300e22f312545695aa86dafc729c30cc76fac67d687d752b',
+    'audit quartic --format structured --scenario incentive':
+        '9ae1454880b1a10b5787d5a6a86d6d7e88ef7be5392f526a619e23564cafbd85',
+    'audit quartic --format structured --scenario optout:1':
+        '92b2a932109df3a5c39ca11b33e9662465e15c5f4462350f2d2152620d1e191d',
+    'audit quartic --format structured --scenario optout:2':
+        '58110672b234901ea76c072cd8828ee7c3b3e033e0a7e74fb9ca7f560e9eb16c',
+    'audit quartic --format text --scenario baseline':
+        '4802f705dd3c2efe3707a6ba49e53c1dfa9a2a379a4a2846028523a4f54f9e2a',
+    'audit quartic --format text --scenario incentive':
+        'f47617c573719516716ffd50ce10001801f815fd388750ddd97ed4627986b82e',
+    'audit quartic --format text --scenario optout:1':
+        '6868d24dc2d5ed6806dae053e765275bed2389675431c72f6b95b9640c83202d',
+    'audit quartic --format text --scenario optout:2':
+        '271c56fcfb4f8d806a33f7afa16f39216d18c81010496a0f0376dae41dc72313',
     'audit three_equilibria_vcg --format structured --scenario baseline':
         '682b7753456a2e89172b979dff57ca0ae0afb491341a8429c2e5e076cdecceb4',
     'audit three_equilibria_vcg --format structured --scenario incentive':
@@ -196,6 +220,14 @@ DIGESTS = {
         '3abf4d1e69188f3920b78cd8ea1542a796b3190eeb89eb6347dd96df9a0f1fb2',
     'equilibrium example3_case2 --format structured --scenario optout:2':
         '19b4ddf76528b5d108a0c96e4732fae8ea7d5c060e9500ed65ee362c69786c72',
+    'equilibrium quartic --format structured --scenario baseline':
+        '361bc32119930a77cfa686dbe8d2f3a080746b1e543426e8607ef79350ef7ec4',
+    'equilibrium quartic --format structured --scenario incentive':
+        '87315f9ee2843d44354e9756e646332fbeb178df60241012a2f8185487524757',
+    'equilibrium quartic --format structured --scenario optout:1':
+        '451cf4fdecef1508ba2a64e25e5cedb6f9f97668a8e0f116cb430822c074eb3b',
+    'equilibrium quartic --format structured --scenario optout:2':
+        '6a66863923e957537625cddcf6bd0a00c6c39cd99710f3b928c01c77d209528a',
     'equilibrium three_equilibria_vcg --format structured --scenario baseline':
         '7593fc079d23b5896b26d14e1cc41bf316ec50140784b0dc8072e71ea614115f',
     'equilibrium three_equilibria_vcg --format structured --scenario incentive':
@@ -214,33 +246,36 @@ DIGESTS = {
         '5e6e691b20351c9770c0c216fdff9c43f38cef2623de8994d2d6728a3cbcf9d6',
     'oracle example3_case2 --format structured --grid 41':
         '5e6e691b20351c9770c0c216fdff9c43f38cef2623de8994d2d6728a3cbcf9d6',
+    'oracle quartic --format structured --grid 41':
+        'f18aa68087a22e6323d5ea3bc1ee43e8d8fb52fec13adbc134a593f89e067f74',
     'oracle three_equilibria_vcg --format structured --grid 41':
         'b6c5f7f0f810f7690f210a87d41e822f1c6f104f8322107ff0ac421571ed36eb',
 }
 
 
 @pytest.fixture(scope="module")
-def vcg_three_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("games") / f"{VCG_THREE}.game"
-    path.write_text(THREE_EQUILIBRIA_VCG_GAME)
-    return path
+def inline_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("games")
+    write_inline(directory)
+    return directory
+
+
+def all_games() -> list[str]:
+    return sorted(p.stem for p in GAMES_DIR.glob("*.game")) + sorted(INLINE)
 
 
 def test_corpus_covers_every_game():
-    games = sorted(p.stem for p in GAMES_DIR.glob("*.game"))
-    assert sorted(DIGESTS) == sorted(corpus([*games, VCG_THREE]))
+    assert sorted(DIGESTS) == sorted(corpus(all_games()))
 
 
 @pytest.mark.parametrize("request_line", sorted(DIGESTS))
-def test_report_bytes_are_unchanged(request_line, vcg_three_path):
-    assert digest(request_line, vcg_three_path) == DIGESTS[request_line]
+def test_report_bytes_are_unchanged(request_line, inline_dir):
+    assert digest(request_line, inline_dir) == DIGESTS[request_line]
 
 
 if __name__ == "__main__":
-    games = sorted(p.stem for p in GAMES_DIR.glob("*.game"))
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / f"{VCG_THREE}.game"
-        path.write_text(THREE_EQUILIBRIA_VCG_GAME)
-        lines = [f"    {r!r}:\n        {digest(r, path)!r},"
-                 for r in sorted(corpus([*games, VCG_THREE]))]
+        write_inline(Path(tmp))
+        lines = [f"    {r!r}:\n        {digest(r, Path(tmp))!r},"
+                 for r in sorted(corpus(all_games()))]
     sys.stdout.write("DIGESTS = {\n" + "\n".join(lines) + "\n}\n")
