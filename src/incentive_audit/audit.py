@@ -543,6 +543,9 @@ def full_audit(scenario: Scenario, cfg: Optional[SolverConfig] = None,
     u_star = ctx.optimum.profile
     baseline = ctx.baseline
     outcomes = realized_outcome(ctx)
+    # each outcome is judged against every participant's opt-out game, so
+    # one without an equilibrium leaves the scenario unauditable
+    ctx.opt_outs
     optimum_exact = ctx.optimum.exact and u_star.exact
     tols = [verdict_tolerance(outcome.exact and optimum_exact)
             for outcome in outcomes]

@@ -7,12 +7,16 @@ Expansion is the canonical form used for structural equality, dependency
 detection and separability checks.  Trees containing absolute-value or
 guarded-division nodes have no polynomial form and yield ``None``, which
 keeps downstream structure checks conservative.
+
+Each polynomial also keeps, per agent axis, a :class:`LinePlan`: its
+terms grouped by that agent's exponent, with float coefficients, from
+which the line search builds the restriction to the axis in floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -36,11 +40,43 @@ from .nodes import (
 
 Monomial = tuple[tuple[int, int], ...]
 
+#: a term of a line coefficient: the float coefficient and the
+#: (index, exponent) factors of the other agents, in monomial order
+LineTerm = tuple[float, Monomial]
+
+
+class LineGroup(NamedTuple):
+    """The terms of a polynomial that carry one power ``k`` of the axis.
+
+    Summed over a float profile as ``start + t_1 + t_2 + ...``, these
+    are the float operations, in order, by which
+    ``linesearch.collect_line_coeffs`` sums the group, so the results are
+    equal bit for bit.  A group with no factor of another agent is exact;
+    it keeps ``float(c)`` as ``start`` and ``float(k * c)`` as
+    ``derivative``, the derivative coefficient the exact path takes.
+    """
+
+    start: float
+    terms: tuple[LineTerm, ...]
+    derivative: Optional[float]
+
+
+class LinePlan(NamedTuple):
+    """A polynomial along one agent's axis: one group per power of the
+    axis, lowest first; the other agents whose actions the groups read;
+    and the highest power with an exact nonzero coefficient (0 if none),
+    below which the line's degree never drops."""
+
+    groups: tuple[LineGroup, ...]
+    reads: tuple[int, ...]
+    floor: int
+
 
 class Polynomial:
     """Multivariate polynomial with Fraction coefficients."""
 
-    __slots__ = ("terms",)
+    # _line_plans is set on the first line_plan call only
+    __slots__ = ("terms", "_line_plans")
 
     def __init__(self, terms: dict[Monomial, Fraction] | None = None):
         self.terms: dict[Monomial, Fraction] = {}
@@ -171,6 +207,17 @@ class Polynomial:
             parts.append(mul(*factors))
         return add(*parts)
 
+    def line_plan(self, i: int) -> LinePlan:
+        """The plan of this polynomial along axis ``i``, built once."""
+        try:
+            plans = self._line_plans
+        except AttributeError:
+            plans = self._line_plans = {}
+        plan = plans.get(i)
+        if plan is None:
+            plan = plans[i] = _line_plan(self.terms, i)
+        return plan
+
     def to_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Float coefficient vector and (m, n) exponent matrix for kernels."""
         m = max(len(self.terms), 1)
@@ -181,6 +228,42 @@ class Polynomial:
             for idx, exp in mono:
                 exps[row, idx] = exp
         return coeffs, exps
+
+
+def _line_plan(terms: dict[Monomial, Fraction], i: int) -> LinePlan:
+    by_power: dict[int, list[tuple[Fraction, Monomial]]] = {}
+    for mono, coeff in terms.items():
+        power_i = 0
+        others = []
+        for idx, e in mono:
+            if idx == i:
+                power_i = e
+            else:
+                others.append((idx, e))
+        by_power.setdefault(power_i, []).append((coeff, tuple(others)))
+    groups = []
+    reads: set[int] = set()
+    floor = 0
+    for k in range(max(by_power, default=0) + 1):
+        entries = by_power.get(k, [])
+        if all(not others for _, others in entries):
+            # one own-axis monomial at most: an exact coefficient
+            c = entries[0][0] if entries else Fraction(0)
+            groups.append(LineGroup(float(c), (), float(k * c)))
+            floor = k if c else floor
+            continue
+        for _, others in entries:
+            reads.update(idx for idx, _ in others)
+        # the exact path sums 0 + t_1 + t_2 + ...: for a coupled (float)
+        # t_1 that is 0.0 + t_1; for an exact t_1 = c, 0 + c stays the
+        # Fraction c and c + t_2 is float(c) + t_2
+        if entries[0][1]:
+            start, rest = 0.0, entries
+        else:
+            start, rest = float(entries[0][0]), entries[1:]
+        groups.append(LineGroup(
+            start, tuple((float(c), others) for c, others in rest), None))
+    return LinePlan(tuple(groups), tuple(sorted(reads)), floor)
 
 
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:

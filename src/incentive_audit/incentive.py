@@ -350,10 +350,6 @@ def realized_outcome(ctx: ScenarioSolve) -> list[IncentiveOutcome]:
             "no equilibrium verified for the incentive-adjusted game"
             if anticipatory else "no baseline equilibrium verified")
 
-    if anticipatory:
-        # each outcome is judged against every participant's opt-out game,
-        # so one without an equilibrium leaves the scenario unauditable
-        ctx.opt_outs
     participants = () if scheme is None \
         else ctx.scenario.participation.participants(game.n)
 

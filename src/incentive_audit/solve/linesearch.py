@@ -6,10 +6,27 @@ minimized from its stationary points (exactly, via the vertex formula,
 for degree <= 2; via derivative root finding above that).  Non-polynomial
 restrictions (absolute value, guarded division) fall back to a scan plus
 golden-section refinement.  Ties always resolve to the smallest action.
+
+Two paths build the coefficients of a polynomial line:
+
+- ``collect_line_coeffs`` is the exact path: Fraction coefficients stay
+  exact, and mix with float actions as Python mixes them.  It serves
+  exact profiles, lines with no factor of another agent (decoupled), and
+  lines of degree 2 or less, so the ``exact`` flag and the vertex formula
+  see exactly what they always saw.
+- The float kernel serves the rest: a coupled line of degree 3 or more
+  whose other actions are all floats.  It reads the polynomial's cached
+  :class:`~incentive_audit.expr.polynomial.LinePlan` for the axis, sums
+  each coefficient with the same float operations in the same order, and
+  minimizes from the companion-matrix eigenvalues of the derivative, as
+  ``np.roots`` computes them, Newton-polished and scored in floats.
+
+Both give the same minimum bit for bit (``tests/test_linesearch.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -17,7 +34,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..expr import Expression, Number, scalar_fn, vector_fn
-from ..expr.polynomial import Polynomial
+from ..expr.polynomial import LinePlan, Polynomial
 from .config import SolverConfig
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -69,6 +86,13 @@ def line_minimum_at(e: Expression, p: Optional[Polynomial], i: int,
     (pass None for abs/guarded-division trees).
     """
     if p is not None:
+        plan = p.line_plan(i)
+        # a coupled line of degree >= 3 at float actions
+        if len(plan.groups) > 3 and plan.reads \
+                and all(type(values[k]) is float for k in plan.reads):
+            found = _float_line_minimum(plan, values, lo, hi)
+            if found is not None:
+                return found
         return _poly_line_minimum(collect_line_coeffs(p, i, values), lo, hi)
     base = [float(v) for v in values]
     if len(base) <= i:
@@ -86,6 +110,31 @@ def line_minimum_at(e: Expression, p: Optional[Polynomial], i: int,
         return scalar(base)
 
     return _scan_line_minimum(f, xs, vals)
+
+
+def _float_line_minimum(plan: LinePlan, values: Sequence[float],
+                        lo: Number, hi: Number) -> Optional[LineMin]:
+    """The degree >= 3 branch of ``_poly_line_minimum`` on a coupled line
+    whose coefficients come from float actions, built from the plan in
+    floats; None when the line's degree drops to 2 or less at ``values``
+    (the vertex branch then runs on the exact path's coefficients)."""
+    coeffs: list[float] = []
+    d1: list[float] = []
+    for k, (start, terms, derivative) in enumerate(plan.groups):
+        total = start
+        for term, others in terms:
+            for idx, e in others:
+                term = term * values[idx] ** e
+            total = total + term
+        coeffs.append(total)
+        if k:
+            d1.append(k * total if derivative is None else derivative)
+    degree = len(coeffs) - 1
+    while degree > plan.floor and coeffs[degree] == 0:
+        degree -= 1
+    if degree <= 2:
+        return None
+    return _roots_line_minimum(coeffs, d1, degree, lo, hi)
 
 
 def _poly_line_minimum(coeffs: list[Number], lo: Number, hi: Number) -> LineMin:
@@ -108,26 +157,52 @@ def _poly_line_minimum(coeffs: list[Number], lo: Number, hi: Number) -> LineMin:
             if lo <= vertex <= hi:
                 candidates = [vertex]
         return _pick_smallest(coeffs, candidates, exact)
-    # degree >= 3: stationary points of the derivative, floating
-    deriv = [float(k * coeffs[k]) for k in range(1, degree + 1)]
-    candidates = [float(lo), float(hi)]
+    # at a float point, Fraction coefficients act as their float values
+    return _roots_line_minimum(
+        [float(c) for c in coeffs],
+        [float(k * coeffs[k]) for k in range(1, len(coeffs))], degree, lo, hi)
+
+
+def _roots_line_minimum(coeffs: list[float], d1: list[float], degree: int,
+                        lo: Number, hi: Number) -> LineMin:
+    """Minimum of a line of degree >= 3 with float coefficients ``coeffs``
+    (trailing zeros above ``degree`` allowed) and derivative ``d1``: the
+    interval ends and the real stationary points, polished by Newton."""
+    d2 = [k * d1[k] for k in range(1, len(d1))]
     flo, fhi = float(lo), float(hi)
-    if any(deriv):
-        for r in np.roots(deriv[::-1]):
-            if abs(r.imag) < 1e-9:
-                x = _newton_polish(coeffs, float(r.real))
-                if flo <= x <= fhi:
-                    candidates.append(x)
+    candidates = [flo, fhi]
+    for r in _derivative_roots(d1[:degree]):
+        if abs(r.imag) < 1e-9:
+            x = _newton_polish(d1, d2, float(r.real))
+            if flo <= x <= fhi:
+                candidates.append(x)
     return _pick_smallest(coeffs, candidates, exact=False)
 
 
-def _newton_polish(coeffs: Sequence[Number], x: float, iters: int = 8) -> float:
-    d1 = [float(k * coeffs[k]) for k in range(1, len(coeffs))]
-    d2 = [float(k * d1[k]) for k in range(1, len(d1))]
+def _derivative_roots(deriv: Sequence[float]) -> list:
+    """``np.roots(deriv[::-1])`` for ascending coefficients ``deriv``,
+    computed the same way without its array overhead: the eigenvalues of
+    the companion matrix of the polynomial stripped of its zero leading
+    and trailing coefficients, then a zero root per trailing zero."""
+    nonzero = [k for k, c in enumerate(deriv) if c != 0]
+    if not nonzero:
+        return []
+    low, top = nonzero[0], nonzero[-1]
+    roots: list = []
+    if top > low:
+        lead = deriv[top]
+        companion = np.eye(top - low, k=-1)
+        companion[0] = [-deriv[k] / lead for k in range(top - 1, low - 1, -1)]
+        roots = list(np.linalg.eigvals(companion))
+    return roots + [0.0] * low
+
+
+def _newton_polish(d1: Sequence[float], d2: Sequence[float], x: float,
+                   iters: int = 8) -> float:
     for _ in range(iters):
         g = _poly_value(d1, x)
         h = _poly_value(d2, x)
-        if h == 0 or not np.isfinite(h):
+        if h == 0 or not math.isfinite(h):
             break
         step = g / h
         if abs(step) < 1e-15 * max(1.0, abs(x)):

@@ -269,9 +269,12 @@ def verify_nash(costs: Sequence[Expression], profile: ActionProfile | Sequence[N
     polynomial costs and scan-plus-refine otherwise.
     """
     values = tuple(profile)
+    floats = all(type(v) is float for v in values)
     worst = 0.0
     for i, (lo, hi) in enumerate(bounds):
-        here = evaluate(costs[i], values)
+        # the compiled form is float(evaluate(...)), bit for bit
+        here = scalar_fn(costs[i])(values) if floats \
+            else evaluate(costs[i], values)
         lm = line_minimum_at(costs[i], as_polynomial(costs[i]), i, values,
                              lo, hi, cfg, full_scan=True)
         worst = max(worst, float(here - lm.value))

@@ -12,6 +12,7 @@ import pytest
 
 from incentive_audit import audit
 from incentive_audit.cli import main
+from incentive_audit.gamefile import load_game_file
 from incentive_audit.solve import solvers
 
 from conftest import GAMES_DIR, THREE_EQUILIBRIA_GAME, THREE_EQUILIBRIA_VCG_GAME
@@ -19,20 +20,25 @@ from conftest import GAMES_DIR, THREE_EQUILIBRIA_GAME, THREE_EQUILIBRIA_VCG_GAME
 SOLVES = ("minimize_operator", "nash_equilibrium")
 
 
+def _replace_solver(monkeypatch, name, replacement):
+    """Patch every package binding of the solver ``name``."""
+    original = getattr(solvers, name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("incentive_audit") \
+                and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 @pytest.fixture
 def solves(monkeypatch):
     counts = Counter()
     for name in SOLVES:
-        original = getattr(solvers, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
+        def counted(*args, _name=name, _original=getattr(solvers, name),
+                    **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("incentive_audit") \
-                    and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+        _replace_solver(monkeypatch, name, counted)
     return counts
 
 
@@ -66,6 +72,32 @@ def test_oracle_solves_each_game_once(solves, capsys):
     _run(capsys, "oracle", str(GAMES_DIR / "example3_case2.game"),
          "--format", "structured", "--grid", "41")
     assert solves == {"minimize_operator": 1, "nash_equilibrium": 3}
+
+
+def test_equilibrium_solves_only_the_game_it_reports(solves, capsys):
+    # the incentive-adjusted game; the opt-out games are the audit's
+    _run(capsys, "equilibrium", str(GAMES_DIR / "example1.game"),
+         "--scenario", "incentive", "--format", "structured")
+    assert solves == {"nash_equilibrium": 1}
+
+
+def test_opt_out_game_without_equilibrium(monkeypatch, capsys):
+    # example1's custom scheme, with every opt-out game (some agents on
+    # their raw costs, some not) left without a verified equilibrium
+    path = str(GAMES_DIR / "example1.game")
+    raw = load_game_file(path).game.agent_costs
+    original = solvers.nash_equilibrium
+
+    def no_opt_out_equilibrium(costs, bounds, cfg):
+        mixed = any(c in raw for c in costs) \
+            and not all(c in raw for c in costs)
+        return [] if mixed else original(costs, bounds, cfg)
+
+    _replace_solver(monkeypatch, "nash_equilibrium", no_opt_out_equilibrium)
+    assert main(["audit", path, "--format", "structured"]) == 3
+    assert "when agent 1 opts out" in capsys.readouterr().err
+    assert main(["equilibrium", path, "--scenario", "incentive",
+                 "--format", "structured"]) == 0
 
 
 def test_opt_out_games_are_shared_across_equilibria(tmp_path, solves,
