@@ -9,14 +9,17 @@ guarded-division nodes have no polynomial form and yield ``None``, which
 keeps downstream structure checks conservative.
 
 Each polynomial also keeps, per agent axis, a :class:`LinePlan`: its
-terms grouped by that agent's exponent, with float coefficients, from
-which the line search builds the restriction to the axis in floats.
+terms grouped by that agent's exponent, each coefficient as a Fraction
+and as a float.  Only the plan forms the polynomial's restriction to the
+axis: :meth:`LinePlan.coefficients` sums the line's coefficients at any
+profile, float, exact or mixed, with the types and values exact
+arithmetic gives them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,36 +43,60 @@ from .nodes import (
 
 Monomial = tuple[tuple[int, int], ...]
 
-#: a term of a line coefficient: the float coefficient and the
-#: (index, exponent) factors of the other agents, in monomial order
-LineTerm = tuple[float, Monomial]
+#: a term of a coupled line coefficient: its coefficient as a Fraction and
+#: as a float, and the (index, exponent) factors of the other agents
+LineTerm = tuple[Fraction, float, Monomial]
 
 
 class LineGroup(NamedTuple):
     """The terms of a polynomial that carry one power ``k`` of the axis.
 
-    Summed over a float profile as ``start + t_1 + t_2 + ...``, these
-    are the float operations, in order, by which
-    ``linesearch.collect_line_coeffs`` sums the group, so the results are
-    equal bit for bit.  A group with no factor of another agent is exact;
-    it keeps ``float(c)`` as ``start`` and ``float(k * c)`` as
-    ``derivative``, the derivative coefficient the exact path takes.
+    A coupled group keeps its terms in monomial order.  An exact group
+    (no factor of another agent, so one own-axis monomial at most) has no
+    terms; it keeps its coefficient ``c`` (0 when no monomial carries
+    ``k``) with ``float(c)`` and ``float(k * c)``, the float coefficient
+    of the line and of its derivative.
     """
 
-    start: float
     terms: tuple[LineTerm, ...]
-    derivative: Optional[float]
+    coeff: Optional[Fraction] = None
+    value: Optional[float] = None
+    derivative: Optional[float] = None
 
 
 class LinePlan(NamedTuple):
     """A polynomial along one agent's axis: one group per power of the
-    axis, lowest first; the other agents whose actions the groups read;
-    and the highest power with an exact nonzero coefficient (0 if none),
-    below which the line's degree never drops."""
+    axis, lowest first."""
 
     groups: tuple[LineGroup, ...]
-    reads: tuple[int, ...]
-    floor: int
+
+    def coefficients(self, values: Sequence[Number]) -> list[Number]:
+        """Ascending coefficients of the line with the other agents at
+        ``values``, exact when the actions they read are exact.
+
+        Each is the sum ``0 + t_1 + t_2 + ...`` of its group's terms, a
+        term being its coefficient times the other agents' factors, left
+        to right, so Fractions and floats mix as Python mixes them.  A
+        Fraction times or plus a float is its float times or plus that
+        float, so a term whose first factor is a float starts from the
+        float coefficient: the same value, without Fraction arithmetic.
+        """
+        coeffs: list[Number] = []
+        for group in self.groups:
+            if not group.terms:
+                coeffs.append(group.coeff)
+                continue
+            total: Number = 0
+            for c, fc, others in group.terms:
+                if others:
+                    term = fc if type(values[others[0][0]]) is float else c
+                    for idx, e in others:
+                        term = term * values[idx] ** e
+                else:
+                    term = fc if type(total) is float else c
+                total = total + term
+            coeffs.append(total)
+        return coeffs
 
 
 class Polynomial:
@@ -151,20 +178,6 @@ class Polynomial:
     def constant_value(self) -> Fraction:
         return self.terms.get((), Fraction(0))
 
-    def linear_coefficients(self, n: int) -> Optional[tuple[list[Fraction], Fraction]]:
-        """Return (coefficients, constant) when degree <= 1, else None."""
-        if self.degree() > 1:
-            return None
-        coeffs = [Fraction(0)] * n
-        constant = Fraction(0)
-        for mono, coeff in self.terms.items():
-            if mono == ():
-                constant = coeff
-            else:
-                idx, _ = mono[0]
-                coeffs[idx] = coeff
-        return coeffs, constant
-
     def quadratic_form(self, n: int) -> Optional[tuple[list[list[Fraction]], list[Fraction], Fraction]]:
         """Decompose a degree<=2 polynomial as (1/2) u'Qu + b'u + c.
 
@@ -231,7 +244,7 @@ class Polynomial:
 
 
 def _line_plan(terms: dict[Monomial, Fraction], i: int) -> LinePlan:
-    by_power: dict[int, list[tuple[Fraction, Monomial]]] = {}
+    by_power: dict[int, list[LineTerm]] = {}
     for mono, coeff in terms.items():
         power_i = 0
         others = []
@@ -240,30 +253,17 @@ def _line_plan(terms: dict[Monomial, Fraction], i: int) -> LinePlan:
                 power_i = e
             else:
                 others.append((idx, e))
-        by_power.setdefault(power_i, []).append((coeff, tuple(others)))
+        by_power.setdefault(power_i, []).append(
+            (coeff, float(coeff), tuple(others)))
     groups = []
-    reads: set[int] = set()
-    floor = 0
     for k in range(max(by_power, default=0) + 1):
         entries = by_power.get(k, [])
-        if all(not others for _, others in entries):
-            # one own-axis monomial at most: an exact coefficient
+        if all(not others for _, _, others in entries):
             c = entries[0][0] if entries else Fraction(0)
-            groups.append(LineGroup(float(c), (), float(k * c)))
-            floor = k if c else floor
+            groups.append(LineGroup((), c, float(c), float(k * c)))
             continue
-        for _, others in entries:
-            reads.update(idx for idx, _ in others)
-        # the exact path sums 0 + t_1 + t_2 + ...: for a coupled (float)
-        # t_1 that is 0.0 + t_1; for an exact t_1 = c, 0 + c stays the
-        # Fraction c and c + t_2 is float(c) + t_2
-        if entries[0][1]:
-            start, rest = 0.0, entries
-        else:
-            start, rest = float(entries[0][0]), entries[1:]
-        groups.append(LineGroup(
-            start, tuple((float(c), others) for c, others in rest), None))
-    return LinePlan(tuple(groups), tuple(sorted(reads)), floor)
+        groups.append(LineGroup(tuple(entries)))
+    return LinePlan(tuple(groups))
 
 
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:

@@ -1,40 +1,27 @@
 """One-dimensional minimization along a single agent's action.
 
 Polynomial costs never touch symbolic substitution on the hot path: the
-expanded form is collapsed to univariate coefficients numerically, then
-minimized from its stationary points (exactly, via the vertex formula,
-for degree <= 2; via derivative root finding above that).  Non-polynomial
-restrictions (absolute value, guarded division) fall back to a scan plus
+line's coefficients are summed from the polynomial's cached
+:class:`~incentive_audit.expr.polynomial.LinePlan` for the axis, typed as
+exact arithmetic types them (Fractions at exact actions, floats once a
+float enters), then minimized from the stationary points: exactly, by
+the vertex formula, for degree <= 2; above that from the companion-matrix
+eigenvalues of the derivative, as ``np.roots`` computes them,
+Newton-polished and scored in floats.  Non-polynomial restrictions
+(absolute value, guarded division) fall back to a scan plus
 golden-section refinement.  Ties always resolve to the smallest action.
-
-Two paths build the coefficients of a polynomial line:
-
-- ``collect_line_coeffs`` is the exact path: Fraction coefficients stay
-  exact, and mix with float actions as Python mixes them.  It serves
-  exact profiles, lines with no factor of another agent (decoupled), and
-  lines of degree 2 or less, so the ``exact`` flag and the vertex formula
-  see exactly what they always saw.
-- The float kernel serves the rest: a coupled line of degree 3 or more
-  whose other actions are all floats.  It reads the polynomial's cached
-  :class:`~incentive_audit.expr.polynomial.LinePlan` for the axis, sums
-  each coefficient with the same float operations in the same order, and
-  minimizes from the companion-matrix eigenvalues of the derivative, as
-  ``np.roots`` computes them, Newton-polished and scored in floats.
-
-Both give the same minimum bit for bit (``tests/test_linesearch.py``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..expr import Expression, Number, scalar_fn, vector_fn
-from ..expr.polynomial import LinePlan, Polynomial
+from ..expr.polynomial import LinePlan, as_polynomial
 from .config import SolverConfig
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -44,30 +31,15 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 SCAN_POINTS_FAST = 65
 
 
+class SolverError(Exception):
+    """Solver escalation: a result violates a guaranteed property."""
+
+
 @dataclass(frozen=True)
 class LineMin:
     arg: Number
     value: Number
     exact: bool
-
-
-def collect_line_coeffs(p: Polynomial, i: int,
-                        values: Sequence[Number]) -> list[Number]:
-    """Ascending coefficients of ``p`` along variable ``i`` with the other
-    coordinates pinned at ``values``; exact when the inputs are exact."""
-    groups: dict[int, Number] = {}
-    degree = 0
-    for mono, coeff in p.terms.items():
-        e_i = 0
-        term: Number = coeff
-        for idx, e in mono:
-            if idx == i:
-                e_i = e
-            else:
-                term = term * values[idx] ** e
-        groups[e_i] = groups.get(e_i, 0) + term
-        degree = max(degree, e_i)
-    return [groups.get(k, Fraction(0)) for k in range(degree + 1)]
 
 
 def _poly_value(coeffs: Sequence[Number], x: Number) -> Number:
@@ -77,23 +49,13 @@ def _poly_value(coeffs: Sequence[Number], x: Number) -> Number:
     return total
 
 
-def line_minimum_at(e: Expression, p: Optional[Polynomial], i: int,
-                    values: Sequence[Number], lo: Number, hi: Number,
-                    cfg: SolverConfig, full_scan: bool = False) -> LineMin:
-    """Minimize agent ``i``'s coordinate with the rest of ``values`` fixed.
-
-    ``p`` is the pre-expanded polynomial form of ``e`` when one exists
-    (pass None for abs/guarded-division trees).
-    """
+def line_minimum_at(e: Expression, i: int, values: Sequence[Number],
+                    lo: Number, hi: Number, cfg: SolverConfig,
+                    full_scan: bool = False) -> LineMin:
+    """Minimize agent ``i``'s coordinate with the rest of ``values`` fixed."""
+    p = as_polynomial(e)
     if p is not None:
-        plan = p.line_plan(i)
-        # a coupled line of degree >= 3 at float actions
-        if len(plan.groups) > 3 and plan.reads \
-                and all(type(values[k]) is float for k in plan.reads):
-            found = _float_line_minimum(plan, values, lo, hi)
-            if found is not None:
-                return found
-        return _poly_line_minimum(collect_line_coeffs(p, i, values), lo, hi)
+        return _poly_line_minimum(p.line_plan(i), values, lo, hi)
     base = [float(v) for v in values]
     if len(base) <= i:
         base.extend(0.0 for _ in range(i + 1 - len(base)))
@@ -112,55 +74,35 @@ def line_minimum_at(e: Expression, p: Optional[Polynomial], i: int,
     return _scan_line_minimum(f, xs, vals)
 
 
-def _float_line_minimum(plan: LinePlan, values: Sequence[float],
-                        lo: Number, hi: Number) -> Optional[LineMin]:
-    """The degree >= 3 branch of ``_poly_line_minimum`` on a coupled line
-    whose coefficients come from float actions, built from the plan in
-    floats; None when the line's degree drops to 2 or less at ``values``
-    (the vertex branch then runs on the exact path's coefficients)."""
-    coeffs: list[float] = []
-    d1: list[float] = []
-    for k, (start, terms, derivative) in enumerate(plan.groups):
-        total = start
-        for term, others in terms:
-            for idx, e in others:
-                term = term * values[idx] ** e
-            total = total + term
-        coeffs.append(total)
-        if k:
-            d1.append(k * total if derivative is None else derivative)
-    degree = len(coeffs) - 1
-    while degree > plan.floor and coeffs[degree] == 0:
-        degree -= 1
-    if degree <= 2:
-        return None
-    return _roots_line_minimum(coeffs, d1, degree, lo, hi)
-
-
-def _poly_line_minimum(coeffs: list[Number], lo: Number, hi: Number) -> LineMin:
-    exact = not any(isinstance(c, float) for c in coeffs) \
-        and not (isinstance(lo, float) or isinstance(hi, float))
+def _poly_line_minimum(plan: LinePlan, values: Sequence[Number],
+                       lo: Number, hi: Number) -> LineMin:
+    coeffs = plan.coefficients(values)
     degree = len(coeffs) - 1
     while degree > 0 and coeffs[degree] == 0:
         degree -= 1
+    if degree > 2:
+        # at a float point, Fraction coefficients act as their float
+        # values, which an exact group keeps for the line and derivative
+        groups = plan.groups
+        floats = [float(c) if g.terms else g.value
+                  for g, c in zip(groups, coeffs)]
+        d1 = [float(k * coeffs[k]) if groups[k].terms
+              else groups[k].derivative for k in range(1, len(coeffs))]
+        return _roots_line_minimum(floats, d1, degree, lo, hi)
+    exact = not any(isinstance(c, float) for c in coeffs) \
+        and not (isinstance(lo, float) or isinstance(hi, float))
     if degree == 0:
-        value = coeffs[0] if coeffs else Fraction(0)
-        return LineMin(lo, value, exact)
+        return LineMin(lo, coeffs[0], exact)
     if degree == 1:
         arg = lo if coeffs[1] >= 0 else hi
         return LineMin(arg, _poly_value(coeffs, arg), exact)
-    if degree == 2:
-        a, b = coeffs[2], coeffs[1]
-        candidates: list[Number] = [lo, hi]
-        if a > 0:
-            vertex = -b / (2 * a)
-            if lo <= vertex <= hi:
-                candidates = [vertex]
-        return _pick_smallest(coeffs, candidates, exact)
-    # at a float point, Fraction coefficients act as their float values
-    return _roots_line_minimum(
-        [float(c) for c in coeffs],
-        [float(k * coeffs[k]) for k in range(1, len(coeffs))], degree, lo, hi)
+    a, b = coeffs[2], coeffs[1]
+    candidates: list[Number] = [lo, hi]
+    if a > 0:
+        vertex = -b / (2 * a)
+        if lo <= vertex <= hi:
+            candidates = [vertex]
+    return _pick_smallest(coeffs, candidates, exact)
 
 
 def _roots_line_minimum(coeffs: list[float], d1: list[float], degree: int,
@@ -171,7 +113,14 @@ def _roots_line_minimum(coeffs: list[float], d1: list[float], degree: int,
     d2 = [k * d1[k] for k in range(1, len(d1))]
     flo, fhi = float(lo), float(hi)
     candidates = [flo, fhi]
-    for r in _derivative_roots(d1[:degree]):
+    try:
+        roots = _derivative_roots(d1[:degree])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            f"cannot find the stationary points of a line of degree "
+            f"{degree}: its derivative's companion matrix is not finite"
+        ) from exc
+    for r in roots:
         if abs(r.imag) < 1e-9:
             x = _newton_polish(d1, d2, float(r.real))
             if flo <= x <= fhi:

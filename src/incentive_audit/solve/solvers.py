@@ -19,11 +19,11 @@ import numpy as np
 
 from ..expr import Expression, Number, diff, evaluate, is_smooth, scalar_fn
 from ..expr.compiled import ScalarFn
-from ..expr.polynomial import Polynomial, as_polynomial, hessian
+from ..expr.polynomial import as_polynomial, hessian
 from ..game import ActionProfile, Game
 from .config import SolverConfig
 from .exact import is_positive_definite, solve_linear
-from .linesearch import line_minimum_at
+from .linesearch import SolverError, line_minimum_at
 from .oracle import eval_on_grid, grid_axes, max_axis_points
 
 Bounds = Sequence[tuple[Number, Number]]
@@ -38,10 +38,6 @@ MERGE_TOL = 1e-7
 #: cells in the operator-minimum seed table (8 MiB of float64); it binds
 #: only past today's largest tables (61**3 cells for three agents)
 SEED_MAX_CELLS = 1 << 20
-
-
-class SolverError(Exception):
-    """Solver escalation: a result violates a guaranteed property."""
 
 
 class EquilibriumNotFound(SolverError):
@@ -229,12 +225,11 @@ def _newton_min(objective: ScalarFn, grad: Sequence[ScalarFn],
 def _coordinate_descent(objective: Expression, start, bounds: Bounds,
                         cfg: SolverConfig, sweeps: int = 200
                         ) -> Optional[tuple[float, ...]]:
-    p = as_polynomial(objective)
     point = [float(v) for v in start]
     for _ in range(sweeps):
         moved = 0.0
         for i, (lo, hi) in enumerate(bounds):
-            lm = line_minimum_at(objective, p, i, point, lo, hi, cfg)
+            lm = line_minimum_at(objective, i, point, lo, hi, cfg)
             new = float(lm.arg)
             moved = max(moved, abs(new - point[i]))
             point[i] = new
@@ -256,8 +251,7 @@ def best_response(costs: Sequence[Expression], i: int,
     tied objectives resolve to the smallest action in the interval.
     """
     lo, hi = bounds[i]
-    return line_minimum_at(costs[i], as_polynomial(costs[i]), i, others,
-                           lo, hi, cfg).arg
+    return line_minimum_at(costs[i], i, others, lo, hi, cfg).arg
 
 
 def verify_nash(costs: Sequence[Expression], profile: ActionProfile | Sequence[Number],
@@ -275,8 +269,8 @@ def verify_nash(costs: Sequence[Expression], profile: ActionProfile | Sequence[N
         # the compiled form is float(evaluate(...)), bit for bit
         here = scalar_fn(costs[i])(values) if floats \
             else evaluate(costs[i], values)
-        lm = line_minimum_at(costs[i], as_polynomial(costs[i]), i, values,
-                             lo, hi, cfg, full_scan=True)
+        lm = line_minimum_at(costs[i], i, values, lo, hi, cfg,
+                             full_scan=True)
         worst = max(worst, float(here - lm.value))
     return max(worst, 0.0)
 
@@ -300,13 +294,10 @@ def _stationarity_exact(costs: Sequence[Expression], n: int
         p = as_polynomial(costs[i])
         if p is None or p.degree() > 2:
             return None
-        dp = as_polynomial(diff(costs[i], i))
-        lin = dp.linear_coefficients(n)
-        if lin is None:
-            return None
-        coeffs, constant = lin
-        rows.append(coeffs)
-        rhs.append(-constant)
+        # dC_i/du_i = (Q u)_i + b_i
+        Q, b, _ = p.quadratic_form(n)
+        rows.append(Q[i])
+        rhs.append(-b[i])
     sol = solve_linear(rows, rhs)
     if sol is None:
         return None
@@ -356,8 +347,7 @@ def _newton_stationarity(F: Sequence[ScalarFn],
     return None
 
 
-def _best_response_iteration(costs: Sequence[Expression],
-                             polys: Sequence[Optional[Polynomial]], start,
+def _best_response_iteration(costs: Sequence[Expression], start,
                              bounds: Bounds, cfg: SolverConfig
                              ) -> tuple[float, ...]:
     """Gauss-Seidel best-response sweep from one seed.
@@ -371,7 +361,7 @@ def _best_response_iteration(costs: Sequence[Expression],
     for _ in range(cfg.br_max_iters):
         moved = 0.0
         for i, (lo, hi) in enumerate(bounds):
-            lm = line_minimum_at(costs[i], polys[i], i, point, lo, hi, cfg)
+            lm = line_minimum_at(costs[i], i, point, lo, hi, cfg)
             new = float(lm.arg)
             moved = max(moved, abs(new - point[i]))
             point[i] = new
@@ -409,11 +399,10 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
                         profile=ActionProfile(sol), residual=residual,
                         method="newton", converged=True, exact=True)]
 
-    polys = [as_polynomial(c) for c in costs]
     seeds = _seeds(bounds, cfg)
     br_points = []
     for seed in seeds:
-        found = _best_response_iteration(costs, polys, seed, bounds, cfg)
+        found = _best_response_iteration(costs, seed, bounds, cfg)
         br_points.append(found)
         candidates.append((found, "best-response", False))
 

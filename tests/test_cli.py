@@ -147,6 +147,26 @@ J = "x^2 + y^2"
         code, _, err = run(capsys, "equilibrium", EX1, "--scenario", "wat")
         assert code == 2
 
+    def test_overflowing_line_exits_3(self, capsys, tmp_path):
+        # u1's quartic coefficient is subnormal as a float: the companion
+        # matrix of a line's derivative overflows to infinity
+        tiny = tmp_path / "tiny.game"
+        tiny.write_text("""
+[agents]
+names = u1, u2
+
+[costs]
+u1 = "u1^4/10^320 + u1^2 + u1*u2/4"
+u2 = "(u2 + 1)^2"
+
+[operator]
+J = "u1^2 + u2^2"
+""")
+        code, out, err = run(capsys, "equilibrium", str(tiny))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "companion matrix" in err
+
 
 class TestOracle:
     def test_example1_agrees(self, capsys):

@@ -1,12 +1,18 @@
-"""The float line kernel against the exact path.
+"""Polynomial lines against their definition.
 
-For a polynomial cost, ``line_minimum_at`` at a float profile builds the
-line's coefficients from the polynomial's cached ``LinePlan`` in floats
-and, when the line has degree 3 or more, minimizes it without leaving
-floats.  Its result must equal, bit for bit, the exact path's
-``_poly_line_minimum(collect_line_coeffs(...))``: the same ``arg`` and
-``value`` (type, value and sign of zero) and the same ``exact`` flag.
-The derivative roots must equal ``np.roots``' roots bit for bit.
+Along agent ``i``'s axis, with the other agents' actions fixed, a
+polynomial is a univariate polynomial whose coefficient of ``u_i^k`` is
+the sum, in monomial order, of every term carrying ``u_i^k``: its Fraction
+coefficient times the other agents' actions raised to their exponents.
+``naive_coefficients`` computes exactly that in Python's own arithmetic,
+so Fractions stay exact and mix with floats as Python mixes them.
+
+The cached ``LinePlan`` must give the same coefficients bit for bit (type,
+value and sign of zero) at float, exact and mixed profiles, and
+``line_minimum_at`` the same minimum as ``reference_minimum``: the vertex
+formula on the exact coefficients at degree <= 2, the derivative's real
+roots above that.  The derivative roots must equal ``np.roots``' roots bit
+for bit.
 """
 
 import math
@@ -16,20 +22,81 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from incentive_audit.expr.polynomial import Polynomial
-from incentive_audit.solve import SolverConfig, linesearch
+from incentive_audit.expr import Const, Power, Product, Sum, Var
+from incentive_audit.expr.polynomial import Polynomial, as_polynomial
+from incentive_audit.solve import SolverConfig, SolverError
 from incentive_audit.solve.linesearch import (
+    LineMin,
     _derivative_roots,
-    _poly_line_minimum,
-    collect_line_coeffs,
+    _pick_smallest,
+    _poly_value,
+    _roots_line_minimum,
     line_minimum_at,
 )
 
 CFG = SolverConfig()
 
+
+def naive_coefficients(p, i, values):
+    """Ascending coefficients of ``p`` along variable ``i`` with the other
+    coordinates pinned at ``values``; exact when the inputs are exact."""
+    groups = {}
+    degree = 0
+    for mono, coeff in p.terms.items():
+        e_i = 0
+        term = coeff
+        for idx, e in mono:
+            if idx == i:
+                e_i = e
+            else:
+                term = term * values[idx] ** e
+        groups[e_i] = groups.get(e_i, 0) + term
+        degree = max(degree, e_i)
+    return [groups.get(k, Fraction(0)) for k in range(degree + 1)]
+
+
+def reference_minimum(coeffs, lo, hi):
+    """The minimum of the line ``coeffs`` over [lo, hi]: exact vertex or
+    end at degree <= 2, else the best of the ends and the Newton-polished
+    real stationary points, with Fractions as their float values."""
+    exact = not any(isinstance(c, float) for c in coeffs) \
+        and not (isinstance(lo, float) or isinstance(hi, float))
+    degree = len(coeffs) - 1
+    while degree > 0 and coeffs[degree] == 0:
+        degree -= 1
+    if degree == 0:
+        return LineMin(lo, coeffs[0], exact)
+    if degree == 1:
+        arg = lo if coeffs[1] >= 0 else hi
+        return LineMin(arg, _poly_value(coeffs, arg), exact)
+    if degree == 2:
+        a, b = coeffs[2], coeffs[1]
+        candidates = [lo, hi]
+        if a > 0:
+            vertex = -b / (2 * a)
+            if lo <= vertex <= hi:
+                candidates = [vertex]
+        return _pick_smallest(coeffs, candidates, exact)
+    return _roots_line_minimum(
+        [float(c) for c in coeffs],
+        [float(k * coeffs[k]) for k in range(1, len(coeffs))], degree, lo, hi)
+
+
+def expression(p):
+    """An expression that expands to ``p`` with its monomials in the same
+    order (the order in which each coefficient's terms are summed)."""
+    return Sum(tuple(
+        Product((Const(c),) + tuple(Power(Var(idx), e) for idx, e in mono))
+        for mono, c in p.terms.items()))
+
+
 floats = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+)
+exacts = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 3), 0, 2]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10),
 )
 coefficients = st.one_of(
     st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 3),
@@ -45,12 +112,21 @@ bounds = st.tuples(ends, ends).filter(lambda b: b[0] < b[1])
 
 
 @st.composite
+def profiles(draw, n):
+    """Float, exact (Fraction or int) or mixed actions for n agents."""
+    kind = draw(st.sampled_from(["float", "exact", "mixed"]))
+    action = {"float": floats, "exact": exacts,
+              "mixed": st.one_of(floats, exacts)}[kind]
+    return [draw(action) for _ in range(n)]
+
+
+@st.composite
 def lines(draw):
-    """A polynomial of own degree 0-4 in 2 or 3 variables with Fraction
-    coefficients, an axis, a float profile and an interval."""
+    """A polynomial of own degree 0-5 in 2 or 3 variables with Fraction
+    coefficients, an axis, a profile and an interval."""
     n = draw(st.integers(2, 3))
     i = draw(st.integers(0, n - 1))
-    top = draw(st.integers(0, 4))
+    top = draw(st.integers(0, 5))
     terms = {}
     for t in range(draw(st.integers(1, 8))):
         powers = {i: top if t == 0 else draw(st.integers(0, top))}
@@ -59,9 +135,8 @@ def lines(draw):
                 powers[k] = draw(st.integers(0, 2))
         mono = tuple(sorted((k, e) for k, e in powers.items() if e))
         terms[mono] = draw(coefficients)
-    values = [draw(floats) for _ in range(n)]
     lo, hi = draw(bounds)
-    return Polynomial(terms), i, values, lo, hi
+    return Polynomial(terms), i, draw(profiles(n)), lo, hi
 
 
 def _same(a, b) -> bool:
@@ -72,8 +147,25 @@ def _same(a, b) -> bool:
 
 
 def _check(p, i, values, lo, hi) -> None:
-    got = line_minimum_at(p.to_expression(), p, i, values, lo, hi, CFG)
-    want = _poly_line_minimum(collect_line_coeffs(p, i, values), lo, hi)
+    e = expression(p)
+    assert list(as_polynomial(e).terms) == list(p.terms)
+    plan = as_polynomial(e).line_plan(i)
+    want_coeffs = naive_coefficients(p, i, values)
+    got_coeffs = plan.coefficients(values)
+    assert len(got_coeffs) == len(want_coeffs)
+    assert all(map(_same, got_coeffs, want_coeffs)), (got_coeffs, want_coeffs)
+    for k, group in enumerate(plan.groups):
+        if not group.terms:
+            assert _same(group.value, float(group.coeff))
+            assert _same(group.derivative, float(k * group.coeff))
+    try:
+        want = reference_minimum(want_coeffs, lo, hi)
+    except SolverError:
+        # a tiny top coefficient overflows the companion matrix
+        with pytest.raises(SolverError, match="companion matrix"):
+            line_minimum_at(e, i, values, lo, hi, CFG)
+        return
+    got = line_minimum_at(e, i, values, lo, hi, CFG)
     assert _same(got.arg, want.arg), (got, want)
     assert _same(got.value, want.value), (got, want)
     assert got.exact == want.exact
@@ -88,18 +180,22 @@ I = (F(-1, 3), F(2, 3))
 
 
 @given(lines())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 # the derivative's constant term is zero: a root at 0 (u2 = +-0.0)
 @example((Polynomial({X4: F(1), X3: F(-1, 3), X1Y: F(2)}), 0, [0.5, 0.0],
           *I))
 @example((Polynomial({X4: F(1), X3: F(-1, 3), X1Y: F(2)}), 0, [0.5, -0.0],
           *I))
-# the top coefficient cancels to 0.0: degree 4 -> 3 (still the kernel)
-# and degree 4 -> 2 (the vertex branch on exact coefficients)
+# the top coefficient cancels to 0.0: degree 4 -> 3 (roots) and degree
+# 4 -> 2 (the vertex formula on mixed Fraction and float coefficients)
 @example((Polynomial({X4: F(1), X4Y: F(-1), X3: F(1, 5), X1: F(1)}), 0,
           [0.0, 1.0], *I))
 @example((Polynomial({X4: F(1), X4Y: F(-1), X2: F(1, 3), X1: F(1)}), 0,
           [0.0, 1.0], *I))
+# the same cancellation at an exact action: the top coefficient is an
+# exact 0 and the line is exactly a parabola
+@example((Polynomial({X4: F(1), X4Y: F(-1), X2: F(1, 3), X1: F(1)}), 0,
+          [0, F(1)], *I))
 # every coefficient above the constant is zero at the profile
 @example((Polynomial({X4Y: F(1), X2Y: F(-1, 3), Y2: F(2)}), 0, [0.7, 0.0],
           *I))
@@ -114,24 +210,17 @@ I = (F(-1, 3), F(2, 3))
 @example((Polynomial({X4: F(2, 3), X3: F(-12, 11), X2: F(3, 2), X1Y: F(-1)}),
           0, [0.0, -0.11101902569553346], F(-2), F(2)))
 # Fraction ends next to the vertex: kept exact on the degree-2 path
-@example((Polynomial({X2: F(3), X1Y: F(1), Y: F(1)}), 0, [0.0, 1.0],
+@example((Polynomial({X2: F(3), X1Y: F(1), Y: F(1)}), 0, [0.0, F(1)],
           F(-1, 3), F(1, 3)))
-def test_float_kernel_matches_exact_path(line):
+# a Fraction action, then a float one, in one term: the exact product is
+# floated only when the float enters
+@example((Polynomial({((0, 3), (1, 1), (2, 2)): F(1, 3), X2: F(1)}), 0,
+          [0.0, F(1, 3), 0.7], *I))
+# a subnormal top coefficient: the companion matrix overflows
+@example((Polynomial({((0, 1), (1, 3)): F(1, 3), Y: F(4), (): F(1)}), 1,
+          [2.2250738585072014e-308, 0.0], 0.0, 1.0))
+def test_line_matches_definition(line):
     _check(*line)
-
-
-def test_kernel_runs_without_the_exact_coefficients(monkeypatch):
-    p = Polynomial({X4: F(1, 2), X1Y: F(1, 4), X2: F(1), Y2: F(3)})
-
-    def refuse(*args):
-        raise AssertionError("exact coefficients collected")
-
-    monkeypatch.setattr(linesearch, "collect_line_coeffs", refuse)
-    lm = line_minimum_at(None, p, 0, [0.0, 0.75], F(-2), F(2), CFG)
-    assert isinstance(lm.arg, float) and not lm.exact
-    # the other agent's action exact: the exact path, which is refused
-    with pytest.raises(AssertionError, match="exact coefficients"):
-        line_minimum_at(None, p, 0, [0.0, F(3, 4)], F(-2), F(2), CFG)
 
 
 def test_plan_is_built_once_per_axis():
@@ -139,7 +228,19 @@ def test_plan_is_built_once_per_axis():
     assert not hasattr(p, "_line_plans")
     assert p.line_plan(0) is p.line_plan(0)
     assert p.line_plan(1) is not p.line_plan(0)
-    assert p.line_plan(0).reads == (1,) and p.line_plan(1).reads == (0,)
+    # along u1: u1*u2 is a coupled term of power 1, u1^4 an exact group
+    # (c, float(c), float(4 * c)), and absent powers exact zeros
+    along_u1 = p.line_plan(0).groups
+    assert along_u1[1].terms == ((F(2), 2.0, ((1, 1),)),)
+    assert along_u1[4] == ((), F(1), 1.0, 4.0)
+    assert along_u1[0] == along_u1[2] == ((), F(0), 0.0, 0.0)
+
+
+def test_overflowing_companion_matrix_is_a_solver_error():
+    # -(1/4) / 10**-320 is -inf: the companion matrix is not finite
+    e = expression(Polynomial({X4: F(1, 10**320), X2: F(1), X1Y: F(1, 4)}))
+    with pytest.raises(SolverError, match="degree 4"):
+        line_minimum_at(e, 0, [0.0, 1.0], F(-2), F(2), CFG)
 
 
 def _same_root(a, b) -> bool:
