@@ -210,6 +210,9 @@ I = (F(-1, 3), F(2, 3))
 @example((Polynomial({X4: F(2, 3), X3: F(-12, 11), X2: F(3, 2), X1Y: F(-1)}),
           0, [0.0, -0.11101902569553346], F(-2), F(2)))
 # Fraction ends next to the vertex: kept exact on the degree-2 path
+@example((Polynomial({X2: F(3), X1Y: F(1), Y: F(1)}), 0, [0.0, 1.0],
+          F(-1, 3), F(1, 3)))
+# the same line at an exact profile: every coefficient stays a Fraction
 @example((Polynomial({X2: F(3), X1Y: F(1), Y: F(1)}), 0, [0.0, F(1)],
           F(-1, 3), F(1, 3)))
 # a Fraction action, then a float one, in one term: the exact product is
