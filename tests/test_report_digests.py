@@ -1,13 +1,13 @@
 """Byte identity of the command-line reports over a fixed request corpus.
 
 Each entry of ``DIGESTS`` is the sha256 of one request's exit code and
-stdout.  The corpus covers every bundled game under ``audit`` (structured
-and text) and ``equilibrium`` (structured) with each scenario selector,
-``oracle --grid 41`` on every game, and the same requests on two inline
-games: ``conftest.THREE_EQUILIBRIA_VCG_GAME``, whose audit has three
-sections with the VCG-like conditions and a declared separable base, and
-``conftest.QUARTIC_GAME``, whose line minima all go through the roots of
-a cubic derivative.
+stdout.  The corpus covers every bundled game under ``audit`` and
+``equilibrium`` (structured and text) with each scenario selector,
+``oracle --grid 41`` (structured and text) on every game, and the same
+requests on two inline games: ``conftest.THREE_EQUILIBRIA_VCG_GAME``,
+whose audit has three sections with the VCG-like conditions and a
+declared separable base, and ``conftest.QUARTIC_GAME``, whose line
+minima all go through the roots of a cubic derivative.
 
 A change to the audit pipeline that is meant to keep every report as it
 is must pass this table unchanged.  After an intended report change,
@@ -46,8 +46,10 @@ def corpus(games) -> list[str]:
                 f"audit {game} --format structured --scenario {sel}",
                 f"audit {game} --format text --scenario {sel}",
                 f"equilibrium {game} --format structured --scenario {sel}",
+                f"equilibrium {game} --format text --scenario {sel}",
             ]
-        requests.append(f"oracle {game} --format structured --grid 41")
+        requests += [f"oracle {game} --format structured --grid 41",
+                     f"oracle {game} --format text --grid 41"]
     return requests
 
 
@@ -188,6 +190,14 @@ DIGESTS = {
         '13b4c5f21c461abfa275e9ee79ff57c87779c2aabb18409c6214244c75f82767',
     'equilibrium decoupled_demo --format structured --scenario optout:2':
         '1f81267ed2f3925f944d9f8b375081b8a45635cb874561a56b324d1981d1ef99',
+    'equilibrium decoupled_demo --format text --scenario baseline':
+        'ac4e38feea9789701101697d38f188d2735dc280a17a939694694c602f4256db',
+    'equilibrium decoupled_demo --format text --scenario incentive':
+        '1c33c2aaefc58ef081c08dcf9d16d13b862bc5158084a5d0c7f1b62c3a1897ee',
+    'equilibrium decoupled_demo --format text --scenario optout:1':
+        'cc0ca264246cf3e4f1aa53bf390e0a16e749f0d82ec254fd08b89670b9c34f07',
+    'equilibrium decoupled_demo --format text --scenario optout:2':
+        'c2879f34fcf05c9b6997a9482628f9dbe57718a958c58af3f3c646a0e139cbc7',
     'equilibrium example1 --format structured --scenario baseline':
         'be94caf10b502273c3b1e74fb86fe8f2ef5d3cd8755e5930c9b984249e369676',
     'equilibrium example1 --format structured --scenario incentive':
@@ -196,6 +206,14 @@ DIGESTS = {
         'dfa8937660845557efc4494003bbd594003742d0fbbc7d335cfdd948c5fd5a6d',
     'equilibrium example1 --format structured --scenario optout:2':
         '79568d2d716865c0bfb0a9135da4b8ebb3e92512397146e78e4c4642fc8ce110',
+    'equilibrium example1 --format text --scenario baseline':
+        '8d0fa34cc4d70b5fba31e92f09e4e8dcf9180d05bd235b606bc4a7ed8bb1129a',
+    'equilibrium example1 --format text --scenario incentive':
+        'd85a6f27f20bd4ca52550dcd2402842c21444adca4b66a25b79a40b06aa6e162',
+    'equilibrium example1 --format text --scenario optout:1':
+        '4f168705cc7bc7d83bd72b98962239c00eebc4552a539f84733950cc51e63b89',
+    'equilibrium example1 --format text --scenario optout:2':
+        '1884f1c0a7ad4c14b900cb8fb15fba8bc3331c01eb52205aea70b916880e21fb',
     'equilibrium example2 --format structured --scenario baseline':
         '626b4f39d377e295883a112923a2f60491291f8843c0fe1d55ca1d103498c328',
     'equilibrium example2 --format structured --scenario incentive':
@@ -204,6 +222,14 @@ DIGESTS = {
         'bd91f5779fcd5422634b42b350d99f440d7a22999ace2faea8f3747e2b6d377a',
     'equilibrium example2 --format structured --scenario optout:2':
         '4aa284cfd3a16fd786b937ce69b37421a2a049bea00ce754b4d3f582aee6977e',
+    'equilibrium example2 --format text --scenario baseline':
+        'c7ea6cd3c139ea7897a5ab98e67f2ca0315cc1d12a467a12a9c7ce56f62c7e1b',
+    'equilibrium example2 --format text --scenario incentive':
+        '01841110813b21463919478d50cf7f5cdd950af050aa0be0338ccd6a281412fb',
+    'equilibrium example2 --format text --scenario optout:1':
+        'b52432c3e0919c58ca7e30fa8799039c7076222393a015331cb04d117d2f0b80',
+    'equilibrium example2 --format text --scenario optout:2':
+        'c9dd0956db896447c8097d45db3e9725713a0d6cebd8f5a91fa13dbbeaf1cad1',
     'equilibrium example3_case1 --format structured --scenario baseline':
         'cd813d3283c0028ce306242e859688a08272b341579f63ad6cbca7438031a256',
     'equilibrium example3_case1 --format structured --scenario incentive':
@@ -212,6 +238,14 @@ DIGESTS = {
         '90e6e6828349675d6fef93a1125fee4ce8c885ba481fcbf88dc0b6b1a1e60ad6',
     'equilibrium example3_case1 --format structured --scenario optout:2':
         '641710124bb3a89bd8102082247b19ac7a6622d81dc61266aff787b2bf3773e3',
+    'equilibrium example3_case1 --format text --scenario baseline':
+        '1b126de27d1fba87a5e0b11a621f8bac893e5816ba8b7241ae514ac7c5ba6f3c',
+    'equilibrium example3_case1 --format text --scenario incentive':
+        '0c0862dcc22ea017cc6334d1e517c3137df35b5097b7a3da31628152d7d52cf7',
+    'equilibrium example3_case1 --format text --scenario optout:1':
+        'c7b41008eaed6483e0aa3357bd03f2f6420db024e585d3c56174a39af59d6de2',
+    'equilibrium example3_case1 --format text --scenario optout:2':
+        '5e6fccaee4f0457fd2cc45a13ed1b1471fce067a362c8be6e960749b8ea4b0db',
     'equilibrium example3_case2 --format structured --scenario baseline':
         '05dc2e87ee65a0b90414258d2ab29efe06d243842d6a2f59a88d0d6f8309146d',
     'equilibrium example3_case2 --format structured --scenario incentive':
@@ -220,6 +254,14 @@ DIGESTS = {
         '3abf4d1e69188f3920b78cd8ea1542a796b3190eeb89eb6347dd96df9a0f1fb2',
     'equilibrium example3_case2 --format structured --scenario optout:2':
         '19b4ddf76528b5d108a0c96e4732fae8ea7d5c060e9500ed65ee362c69786c72',
+    'equilibrium example3_case2 --format text --scenario baseline':
+        '0c6eb1c193dfba431ccfe7513259415457ebe646b0134e803ffbe6dfee80101f',
+    'equilibrium example3_case2 --format text --scenario incentive':
+        'f16693a45f0c5220d59602b8ce9a32d462ed357ef2c486ecdf5773aaf2aa5afa',
+    'equilibrium example3_case2 --format text --scenario optout:1':
+        '6693def312fe33af345a6722e2414431fac68d0569ab07ca15757ce9d5d0ff38',
+    'equilibrium example3_case2 --format text --scenario optout:2':
+        '47d3bf8ae675b9412bc32c5998daa646d1a848c2456288860f25d9197f8fd2fd',
     'equilibrium quartic --format structured --scenario baseline':
         '361bc32119930a77cfa686dbe8d2f3a080746b1e543426e8607ef79350ef7ec4',
     'equilibrium quartic --format structured --scenario incentive':
@@ -228,6 +270,14 @@ DIGESTS = {
         '451cf4fdecef1508ba2a64e25e5cedb6f9f97668a8e0f116cb430822c074eb3b',
     'equilibrium quartic --format structured --scenario optout:2':
         '6a66863923e957537625cddcf6bd0a00c6c39cd99710f3b928c01c77d209528a',
+    'equilibrium quartic --format text --scenario baseline':
+        'f085a4da84bd2fb28e71ca9828285d7d2778bca2302202e78813cec8e5198533',
+    'equilibrium quartic --format text --scenario incentive':
+        '10a2669deebdf8a632c306ca0eab9cc4b0dae8374634ae3ae28c26fca2a53394',
+    'equilibrium quartic --format text --scenario optout:1':
+        'b3604745c1afff946729e33269a1db80109a85d6bf96c4e6bab82aa17cc15261',
+    'equilibrium quartic --format text --scenario optout:2':
+        '4c78adddebbb0df9fb7ed24d2c5a738c3629ccaafcd5f9793db5d97aa83cf962',
     'equilibrium three_equilibria_vcg --format structured --scenario baseline':
         '7593fc079d23b5896b26d14e1cc41bf316ec50140784b0dc8072e71ea614115f',
     'equilibrium three_equilibria_vcg --format structured --scenario incentive':
@@ -236,20 +286,42 @@ DIGESTS = {
         '0a0b36867aaf503658be8cd0565f975b0d389b1e498ea2a018dcd32c5b6bfae1',
     'equilibrium three_equilibria_vcg --format structured --scenario optout:2':
         '792e2a9d7d3110b0b2134fd47ebcb99a12feaf04ba0df09b97c57b4bb06237e5',
+    'equilibrium three_equilibria_vcg --format text --scenario baseline':
+        '42995a71faaf6c221ee24e13c5c9dac7a488e354873ab24fdfc206fad78a90da',
+    'equilibrium three_equilibria_vcg --format text --scenario incentive':
+        'a9383ee309d224457b781c633b9ebbbdc453e13e6cc3c9861f99c3846566d4a1',
+    'equilibrium three_equilibria_vcg --format text --scenario optout:1':
+        '3e3d752c39cbc66e5072bd456045e9a35fe5e83306bc8de034491078292c4428',
+    'equilibrium three_equilibria_vcg --format text --scenario optout:2':
+        '1295611148e8407933b4e191a56cf9dc19bcb3eb16d92d9e575bf3743dda9df7',
     'oracle decoupled_demo --format structured --grid 41':
         '514bdafb663de598121e920ad4718ed3af46bd7f2097c64f91c2d749a9a92162',
+    'oracle decoupled_demo --format text --grid 41':
+        'b89fb46393bbe918ca86daba5d0fcbf2f1e3b80df8fd27204976b15e7a51eb67',
     'oracle example1 --format structured --grid 41':
         '9d79b8b00ad6585ab6d894eb9fc9b6b61f77f4287a3d8490fd8ef5cb761beecf',
+    'oracle example1 --format text --grid 41':
+        '3a4623733a19cfd905a3530f04acadbafbf6e0e61252463ea524bb8244ce31ea',
     'oracle example2 --format structured --grid 41':
         'beb814f980c05d6664fbac23f0c0964d0c702c4dac3ccfde62674e877d352c0e',
+    'oracle example2 --format text --grid 41':
+        '7820ab0a0eb5622386eae483e03392e79b2c13bfb1f0779713847284d6a3e7de',
     'oracle example3_case1 --format structured --grid 41':
         '5e6e691b20351c9770c0c216fdff9c43f38cef2623de8994d2d6728a3cbcf9d6',
+    'oracle example3_case1 --format text --grid 41':
+        'd8cde9bf50358ac108e67e651c6f8093ce048e0ccfef4cf0699306f9a3de285d',
     'oracle example3_case2 --format structured --grid 41':
         '5e6e691b20351c9770c0c216fdff9c43f38cef2623de8994d2d6728a3cbcf9d6',
+    'oracle example3_case2 --format text --grid 41':
+        'd8cde9bf50358ac108e67e651c6f8093ce048e0ccfef4cf0699306f9a3de285d',
     'oracle quartic --format structured --grid 41':
         'f18aa68087a22e6323d5ea3bc1ee43e8d8fb52fec13adbc134a593f89e067f74',
+    'oracle quartic --format text --grid 41':
+        '5066a0cb66abd24e2e71295101d96eaa2168fb3d554722fd2e9031d9030fb411',
     'oracle three_equilibria_vcg --format structured --grid 41':
         'b6c5f7f0f810f7690f210a87d41e822f1c6f104f8322107ff0ac421571ed36eb',
+    'oracle three_equilibria_vcg --format text --grid 41':
+        '3d54a8fed8467a0fd53d3a270408fe48e65e40609ff8e6a55454ea1218247984',
 }
 
 
