@@ -44,6 +44,7 @@ from .incentive import (
     realized_outcome,
 )
 from .solve import (
+    RNG_SEED,
     ConvexityReport,
     SolverConfig,
     hessian_pd_check,
@@ -285,7 +286,7 @@ def check_separability_conditions(
             note="no separable base declared"))
     else:
         declared = _check_declared_abs_form(
-            game, ctx.optimum.profile, declared_base, tols, ctx.cfg)
+            game, ctx.optimum.profile, declared_base, tols)
     return {tol: (separable, declared[tol]) for tol in tols}
 
 
@@ -324,7 +325,7 @@ def _coupling_monomial(e: Expression, names: Sequence[str]) -> str:
 
 def _check_declared_abs_form(game: Game, u_star: ActionProfile,
                              declared_base: Expression,
-                             tols: Collection[float], cfg: SolverConfig
+                             tols: Collection[float]
                              ) -> dict[float, PropertyVerdict]:
     if separable_decomposition(declared_base) is None:
         witnesses = ()
@@ -338,7 +339,7 @@ def _check_declared_abs_form(game: Game, u_star: ActionProfile,
     reconstructed = absval(add(declared_base, neg(const(base_at_star))))
     rows = ((point, float(evaluate(game.operator_cost, point)),
              float(evaluate(reconstructed, point)))
-            for point in _sample_points(game, cfg))
+            for point in _sample_points(game))
     return _sampled_verdicts(
         "absolute-deviation-form", rows,
         lambda row, tol:
@@ -362,7 +363,7 @@ def check_vcg_conditions(ctx: ScenarioSolve, tols: Collection[float]
     game = ctx.game
     hess = _convexity_verdict(
         "operator-hessian-positive-definite",
-        hessian_pd_check(game.operator_cost, game, ctx.cfg))
+        hessian_pd_check(game.operator_cost, game))
 
     if ctx.opt_outs is None:
         surplus = PropertyVerdict("opt-out-surplus", NOT_APPLICABLE,
@@ -437,7 +438,7 @@ def check_alignment_sufficiency(ctx: ScenarioSolve, tols: Collection[float]
                for i in agents}
     rows = ((i, point, float(evaluate(game.agent_costs[i], point))
              + float(evaluate(t_exprs[i], point)))
-            for point in _sample_points(game, ctx.cfg) for i in agents)
+            for point in _sample_points(game) for i in agents)
     return _sampled_verdicts(
         "pointwise-alignment", rows,
         lambda row, tol: row[2] < at_star[row[0]] - tol,
@@ -448,14 +449,14 @@ def check_alignment_sufficiency(ctx: ScenarioSolve, tols: Collection[float]
          "holds on sampled profiles"), tols)
 
 
-def _sample_points(game: Game, cfg: SolverConfig,
-                   random_count: int = 64) -> list[tuple[float, ...]]:
+def _sample_points(game: Game, random_count: int = 64
+                   ) -> list[tuple[float, ...]]:
     per_axis = 7 if game.n <= 3 else 5
     axes = [np.linspace(float(lo), float(hi), per_axis)
             for lo, hi in game.bounds]
     points = [tuple(float(v) for v in pt)
               for pt in itertools.product(*axes)]
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(RNG_SEED)
     lows = [float(lo) for lo, _ in game.bounds]
     highs = [float(hi) for _, hi in game.bounds]
     for _ in range(random_count):

@@ -14,13 +14,14 @@ from typing import Optional, Sequence
 
 from .audit import full_audit
 from .expr import evaluate
-from .game import Scenario
+from .game import ActionProfile, Scenario
 from .gamefile import GameFileError, GameSpec, load_game_file
 from .incentive import ScenarioSolve, realized_outcome
 from .report import (
     SCHEMA_EQUILIBRIUM,
     SCHEMA_ORACLE,
     audit_document,
+    equilibrium_node,
     number_node,
     profile_node,
     render_audit_text,
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=None, metavar="N",
                        help="override grid points per axis")
         p.add_argument("--tol", type=float, default=None, metavar="X",
-                       help="override solver tolerances")
+                       help="override the solver tolerance")
 
     common(sub.add_parser("audit", help="full property audit"))
     common(sub.add_parser("equilibrium", help="equilibria for one scenario row"))
@@ -77,8 +78,7 @@ def _configure(spec: GameSpec, args: argparse.Namespace):
         if args.grid is not None:
             cfg = cfg.replace(grid_points_per_axis=args.grid)
         if args.tol is not None:
-            cfg = cfg.replace(tol_fixed_point=args.tol,
-                              tol_stationarity=args.tol)
+            cfg = cfg.replace(tol=args.tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return cfg
@@ -150,15 +150,9 @@ def _cmd_equilibrium(spec: GameSpec, args: argparse.Namespace) -> int:
     entries = []
     for eq, paid in rows:
         cost = evaluate(game.operator_cost, eq.profile.values)
-        entries.append({
-            "profile": profile_node(eq.profile),
-            "residual": eq.residual,
-            "method": eq.method,
-            "converged": eq.converged,
-            "exact": eq.exact,
-            "operator_cost": number_node(cost),
-            "operator_net_cost": number_node(cost - paid),
-        })
+        node = equilibrium_node(eq, cost)
+        node["operator_net_cost"] = number_node(cost - paid)
+        entries.append(node)
     doc = {
         "schema": SCHEMA_EQUILIBRIUM,
         "scenario": _scenario_label(spec, scenario),
@@ -170,6 +164,17 @@ def _cmd_equilibrium(spec: GameSpec, args: argparse.Namespace) -> int:
     else:
         print(render_equilibrium_text(doc), end="")
     return EXIT_OK
+
+
+def _distance_check(subject: str, point: ActionProfile,
+                    others: Sequence[ActionProfile], target: str,
+                    step: float) -> tuple[bool, str]:
+    """Whether ``point`` lies within one grid step of the nearest of
+    ``others``, and the diagnostic line that says so."""
+    dist = min((point.max_distance(q) for q in others), default=float("inf"))
+    ok = dist <= step + 1e-12
+    return ok, (f"{subject} is {dist:.6g} from {target} "
+                f"({'ok' if ok else 'DISAGREES'})")
 
 
 def _cmd_oracle(spec: GameSpec, args: argparse.Namespace) -> int:
@@ -186,31 +191,17 @@ def _cmd_oracle(spec: GameSpec, args: argparse.Namespace) -> int:
     analytic = ctx.equilibria(costs)
     u_star = ctx.optimum
 
-    diagnostics = []
-    agree = True
-    for eq in analytic:
-        dist = min((eq.profile.max_distance(g) for g in grid_eqs),
-                   default=float("inf"))
-        ok = dist <= step + 1e-12
-        agree = agree and ok
-        diagnostics.append(
-            f"analytic equilibrium {tuple(eq.profile.as_floats())} is "
-            f"{dist:.6g} from the nearest grid equilibrium "
-            f"({'ok' if ok else 'DISAGREES'})")
-    for g in grid_eqs:
-        dist = min((g.max_distance(eq.profile) for eq in analytic),
-                   default=float("inf"))
-        ok = dist <= step + 1e-12
-        agree = agree and ok
-        diagnostics.append(
-            f"grid equilibrium {tuple(g.as_floats())} is {dist:.6g} from "
-            f"the nearest analytic equilibrium ({'ok' if ok else 'DISAGREES'})")
-    dist = u_star.profile.max_distance(gm_profile)
-    ok = dist <= step + 1e-12
-    agree = agree and ok
-    diagnostics.append(
-        f"operator optimum is {dist:.6g} from the grid minimum "
-        f"({'ok' if ok else 'DISAGREES'})")
+    analytic_profiles = [eq.profile for eq in analytic]
+    checks = [_distance_check(f"analytic equilibrium {tuple(p.as_floats())}",
+                              p, grid_eqs, "the nearest grid equilibrium",
+                              step)
+              for p in analytic_profiles]
+    checks += [_distance_check(f"grid equilibrium {tuple(g.as_floats())}",
+                               g, analytic_profiles,
+                               "the nearest analytic equilibrium", step)
+               for g in grid_eqs]
+    checks.append(_distance_check("operator optimum", u_star.profile,
+                                  [gm_profile], "the grid minimum", step))
 
     doc = {
         "schema": SCHEMA_ORACLE,
@@ -223,8 +214,8 @@ def _cmd_oracle(spec: GameSpec, args: argparse.Namespace) -> int:
                          "value": gm_value},
         "analytic_equilibria": [profile_node(eq.profile) for eq in analytic],
         "operator_optimum": profile_node(u_star.profile),
-        "agreement": agree,
-        "diagnostics": diagnostics,
+        "agreement": all(ok for ok, _ in checks),
+        "diagnostics": [line for _, line in checks],
     }
     if args.format == "structured":
         print(to_json(doc))

@@ -70,17 +70,6 @@ class ActionProfile:
         return max(abs(float(a) - float(b))
                    for a, b in zip(self.values, other.values))
 
-    def bound_violations(self, bounds: Sequence[tuple[Number, Number]],
-                         tol: float = 0.0) -> list[int]:
-        """Indices outside their interval; violations are flagged, never
-        silently clamped."""
-        bad = []
-        for i, v in enumerate(self.values):
-            lo, hi = bounds[i]
-            if float(v) < float(lo) - tol or float(v) > float(hi) + tol:
-                bad.append(i)
-        return bad
-
 
 @dataclass(frozen=True)
 class Game:

@@ -23,34 +23,34 @@ Format (expressions may be double-quoted; `#` starts a comment):
     separable_base = "u1 + u2"   # optional declared base for the
                                  # absolute-deviation condition
 
-    [solver]            # optional SolverConfig overrides
+    [solver]            # optional, the two SolverConfig fields
     grid_points_per_axis = 201
+    tol = 1e-9
 """
 
 from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from .expr import Expression, ParseError, parse
 from .expr.polynomial import as_polynomial
-from .game import ANTICIPATORY, NON_ANTICIPATORY, Game, Participation, Scenario
+from .game import (
+    ANTICIPATORY,
+    DEFAULT_BOUND,
+    NON_ANTICIPATORY,
+    Game,
+    Participation,
+    Scenario,
+)
 from .incentive import CUSTOM, PROPORTIONAL, VCG, IncentiveScheme
 from .solve import SolverConfig
 
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
-_SOLVER_FIELDS = {
-    "grid_points_per_axis": int,
-    "br_max_iters": int,
-    "tol_fixed_point": float,
-    "tol_stationarity": float,
-    "multistart_count": int,
-    "rng_seed": int,
-}
 
 
 class GameFileError(ValueError):
@@ -63,7 +63,6 @@ class GameSpec:
     scheme: Optional[IncentiveScheme]
     declared_base: Optional[Expression]
     solver: SolverConfig
-    path: str
 
     def scenario(self, opted_out: tuple[int, ...] = ()) -> Scenario:
         return Scenario(self.game, self.scheme, Participation(opted_out))
@@ -156,8 +155,7 @@ class _Loader:
                 if key not in names:
                     raise self.fail("bounds", key, "not a declared agent")
                 bounds[names.index(key)] = self._interval("bounds", key)
-        bounds = tuple(b if b is not None else (Fraction(-10), Fraction(10))
-                       for b in bounds)
+        bounds = tuple(b if b is not None else DEFAULT_BOUND for b in bounds)
 
         game = Game(n=len(names), agent_costs=tuple(costs),
                     operator_cost=operator, bounds=bounds, names=tuple(names))
@@ -165,7 +163,7 @@ class _Loader:
         scheme, declared_base = self._incentive(names)
         solver = self._solver()
         return GameSpec(game=game, scheme=scheme, declared_base=declared_base,
-                        solver=solver, path=self.path)
+                        solver=solver)
 
     def _interval(self, section: str, key: str) -> tuple[Fraction, Fraction]:
         raw = _unquote(self.cp.get(section, key)).strip()
@@ -236,13 +234,14 @@ class _Loader:
         cfg = SolverConfig()
         if not self.cp.has_section("solver"):
             return cfg
+        types = {f.name: type(f.default) for f in fields(SolverConfig)}
         overrides = {}
         for key in self.cp.options("solver"):
-            if key not in _SOLVER_FIELDS:
+            if key not in types:
                 raise self.fail("solver", key, "unknown solver option")
             raw = _unquote(self.cp.get("solver", key))
             try:
-                overrides[key] = _SOLVER_FIELDS[key](raw)
+                overrides[key] = types[key](raw)
             except ValueError as exc:
                 raise self.fail("solver", key, f"bad value {raw!r}") from exc
         try:

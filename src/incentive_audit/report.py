@@ -45,7 +45,7 @@ def _verdict_node(v: PropertyVerdict) -> dict:
     }
 
 
-def _equilibrium_node(eq: EquilibriumResult,
+def equilibrium_node(eq: EquilibriumResult,
                       operator_cost: Optional[Number] = None) -> dict:
     node = {
         "profile": profile_node(eq.profile),
@@ -89,7 +89,7 @@ def audit_document(report: AuditReport, operator_cost_expr) -> dict:
     baseline = []
     for eq in ctx.baseline:
         cost = evaluate(operator_cost_expr, eq.profile.values)
-        baseline.append(_equilibrium_node(eq, cost))
+        baseline.append(equilibrium_node(eq, cost))
     return {
         "schema": SCHEMA_AUDIT,
         "scenario": report.scenario_label,
@@ -110,10 +110,6 @@ def audit_document(report: AuditReport, operator_cost_expr) -> dict:
 
 def to_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def from_json(text: str) -> dict:
-    return json.loads(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Optimization, equilibrium computation, and the brute-force grid oracle."""
 
-from .config import SolverConfig
+from .config import RNG_SEED, SolverConfig
 from .kernels import poly_grid_eval, pure_nash_mask
 from .linesearch import LineMin
 from .oracle import (
@@ -33,6 +33,7 @@ __all__ = [
     "ORACLE_MAX_AGENTS",
     "OperatorSolution",
     "OracleDimensionError",
+    "RNG_SEED",
     "SolverConfig",
     "SolverError",
     "best_response",

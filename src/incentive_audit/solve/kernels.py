@@ -11,6 +11,11 @@ from typing import Sequence
 
 import numpy as np
 
+#: a grid cell is a best response when its cost is within this of the
+#: line minimum, absolutely plus relative to the minimum's size
+MASK_TOL_ABS = 1e-12
+MASK_TOL_REL = 1e-12
+
 
 def poly_grid_eval(coeffs: np.ndarray, exps: np.ndarray,
                    axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -31,8 +36,7 @@ def poly_grid_eval(coeffs: np.ndarray, exps: np.ndarray,
     return out
 
 
-def pure_nash_mask(tables: np.ndarray, tol_abs: float = 1e-12,
-                   tol_rel: float = 1e-12) -> np.ndarray:
+def pure_nash_mask(tables: np.ndarray) -> np.ndarray:
     """Mask of grid points where no agent can strictly improve alone.
 
     ``tables[a]`` holds agent ``a``'s cost on the full grid; axis ``a`` of
@@ -43,5 +47,5 @@ def pure_nash_mask(tables: np.ndarray, tol_abs: float = 1e-12,
     for a in range(tables.shape[0]):
         t = tables[a]
         line_min = t.min(axis=a, keepdims=True)
-        mask &= t <= line_min + tol_abs + tol_rel * np.abs(line_min)
+        mask &= t <= line_min + MASK_TOL_ABS + MASK_TOL_REL * np.abs(line_min)
     return mask

@@ -39,7 +39,6 @@ class SolverError(Exception):
 class LineMin:
     arg: Number
     value: Number
-    exact: bool
 
 
 def _poly_value(coeffs: Sequence[Number], x: Number) -> Number:
@@ -57,8 +56,6 @@ def line_minimum_at(e: Expression, i: int, values: Sequence[Number],
     if p is not None:
         return _poly_line_minimum(p.line_plan(i), values, lo, hi)
     base = [float(v) for v in values]
-    if len(base) <= i:
-        base.extend(0.0 for _ in range(i + 1 - len(base)))
     points = cfg.grid_points_per_axis if full_scan \
         else min(cfg.grid_points_per_axis, SCAN_POINTS_FAST)
     xs = np.linspace(float(lo), float(hi), points)
@@ -89,20 +86,18 @@ def _poly_line_minimum(plan: LinePlan, values: Sequence[Number],
         d1 = [float(k * coeffs[k]) if groups[k].terms
               else groups[k].derivative for k in range(1, len(coeffs))]
         return _roots_line_minimum(floats, d1, degree, lo, hi)
-    exact = not any(isinstance(c, float) for c in coeffs) \
-        and not (isinstance(lo, float) or isinstance(hi, float))
     if degree == 0:
-        return LineMin(lo, coeffs[0], exact)
+        return LineMin(lo, coeffs[0])
     if degree == 1:
         arg = lo if coeffs[1] >= 0 else hi
-        return LineMin(arg, _poly_value(coeffs, arg), exact)
+        return LineMin(arg, _poly_value(coeffs, arg))
     a, b = coeffs[2], coeffs[1]
     candidates: list[Number] = [lo, hi]
     if a > 0:
         vertex = -b / (2 * a)
         if lo <= vertex <= hi:
             candidates = [vertex]
-    return _pick_smallest(coeffs, candidates, exact)
+    return _pick_smallest(coeffs, candidates)
 
 
 def _roots_line_minimum(coeffs: list[float], d1: list[float], degree: int,
@@ -125,7 +120,7 @@ def _roots_line_minimum(coeffs: list[float], d1: list[float], degree: int,
             x = _newton_polish(d1, d2, float(r.real))
             if flo <= x <= fhi:
                 candidates.append(x)
-    return _pick_smallest(coeffs, candidates, exact=False)
+    return _pick_smallest(coeffs, candidates)
 
 
 def _derivative_roots(deriv: Sequence[float]) -> list:
@@ -160,17 +155,15 @@ def _newton_polish(d1: Sequence[float], d2: Sequence[float], x: float,
     return x
 
 
-def _pick_smallest(coeffs: Sequence[Number], candidates: Sequence[Number],
-                   exact: bool) -> LineMin:
+def _pick_smallest(coeffs: Sequence[Number], candidates: Sequence[Number]
+                   ) -> LineMin:
     best_arg: Number | None = None
     best_val: Number | None = None
     for x in sorted(candidates, key=float):
         v = _poly_value(coeffs, x)
         if best_val is None or v < best_val:
             best_arg, best_val = x, v
-    is_exact = exact and not isinstance(best_arg, float) \
-        and not isinstance(best_val, float)
-    return LineMin(best_arg, best_val, is_exact)
+    return LineMin(best_arg, best_val)
 
 
 def _scan_line_minimum(f: Callable[[float], float], xs: np.ndarray,
@@ -183,7 +176,7 @@ def _scan_line_minimum(f: Callable[[float], float], xs: np.ndarray,
     arg, val = _golden_section(f, a, b)
     if vals[best] < val:
         arg, val = float(xs[best]), float(vals[best])
-    return LineMin(arg, val, False)
+    return LineMin(arg, val)
 
 
 def _golden_section(f: Callable[[float], float], a: float, b: float,

@@ -21,7 +21,7 @@ from ..expr import Expression, Number, diff, evaluate, is_smooth, scalar_fn
 from ..expr.compiled import ScalarFn
 from ..expr.polynomial import as_polynomial, hessian
 from ..game import ActionProfile, Game
-from .config import SolverConfig
+from .config import RNG_SEED, SolverConfig
 from .exact import is_positive_definite, solve_linear
 from .linesearch import SolverError, line_minimum_at
 from .oracle import eval_on_grid, grid_axes, max_axis_points
@@ -39,6 +39,13 @@ MERGE_TOL = 1e-7
 #: only past today's largest tables (61**3 cells for three agents)
 SEED_MAX_CELLS = 1 << 20
 
+#: random seeds per multistart, and grid-table starts of the operator
+#: polish
+MULTISTART_COUNT = 8
+
+#: best-response sweeps from one seed
+BR_MAX_ITERS = 500
+
 
 class EquilibriumNotFound(SolverError):
     """No candidate equilibrium verified for a required subproblem."""
@@ -48,7 +55,7 @@ class EquilibriumNotFound(SolverError):
 class EquilibriumResult:
     profile: ActionProfile
     residual: float
-    method: str  # "newton" | "best-response" | "grid"
+    method: str  # "newton" | "best-response"
     converged: bool
     exact: bool = False
 
@@ -68,7 +75,6 @@ class ConvexityReport:
     sampled: bool
     witness: Optional[ActionProfile] = None
     min_eigenvalue: Optional[float] = None
-    detail: str = ""
 
 
 def _within(values: Sequence[Number], bounds: Bounds) -> bool:
@@ -85,15 +91,15 @@ def _axis_counts(n: int, cfg: SolverConfig) -> int:
     return min(points, max_axis_points(SEED_MAX_CELLS, n))
 
 
-def _seeds(bounds: Bounds, cfg: SolverConfig) -> list[tuple[float, ...]]:
+def _seeds(bounds: Bounds) -> list[tuple[float, ...]]:
     n = len(bounds)
     lows = [float(lo) for lo, _ in bounds]
     highs = [float(hi) for _, hi in bounds]
     seeds = [tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))]
     if n <= 3:
         seeds.extend(itertools.product(*zip(lows, highs)))
-    rng = np.random.default_rng(cfg.rng_seed)
-    for _ in range(cfg.multistart_count):
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(MULTISTART_COUNT):
         seeds.append(tuple(rng.uniform(lows, highs)))
     unique = []
     for s in seeds:
@@ -141,10 +147,10 @@ def _minimize_numeric(objective: Expression, bounds: Bounds,
     table = eval_on_grid(objective, axes)
     order = np.argsort(table, axis=None, kind="stable")
     starts = []
-    for flat in order[: max(cfg.multistart_count, 4)]:
+    for flat in order[:MULTISTART_COUNT]:
         idx = np.unravel_index(int(flat), table.shape)
         starts.append(tuple(float(axes[k][i]) for k, i in enumerate(idx)))
-    starts.extend(_seeds(bounds, cfg))
+    starts.extend(_seeds(bounds))
 
     smooth = is_smooth(objective)
     value = scalar_fn(objective)
@@ -172,7 +178,7 @@ def _minimize_numeric(objective: Expression, bounds: Bounds,
     on_edge = any(
         abs(v - float(lo)) < 1e-12 or abs(v - float(hi)) < 1e-12
         for v, (lo, hi) in zip(best, bounds))
-    boundary = on_edge and (not smooth or stat > cfg.tol_stationarity)
+    boundary = on_edge and (not smooth or stat > cfg.tol)
     return OperatorSolution(
         profile=profile,
         value=value(best),
@@ -186,21 +192,21 @@ def _stationarity(grad: Sequence[ScalarFn], point: Sequence[float]) -> float:
     return max(abs(g(point)) for g in grad)
 
 
-def _clip(point: np.ndarray, bounds: Bounds) -> np.ndarray:
-    lo = np.array([float(l) for l, _ in bounds])
-    hi = np.array([float(h) for _, h in bounds])
-    return np.clip(point, lo, hi)
+def _float_box(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([float(lo) for lo, _ in bounds]),
+            np.array([float(hi) for _, hi in bounds]))
 
 
 def _newton_min(objective: ScalarFn, grad: Sequence[ScalarFn],
                 hess: Sequence[Sequence[ScalarFn]], start, bounds: Bounds,
                 cfg: SolverConfig, iters: int = 60) -> Optional[tuple[float, ...]]:
+    lo, hi = _float_box(bounds)
     x = np.array(start, dtype=float)
     fx = objective(x.tolist())
     for _ in range(iters):
         pt = x.tolist()
         g = np.array([gi(pt) for gi in grad])
-        if np.max(np.abs(g)) <= cfg.tol_stationarity:
+        if np.max(np.abs(g)) <= cfg.tol:
             break
         H = np.array([[hij(pt) for hij in row] for row in hess])
         try:
@@ -211,7 +217,7 @@ def _newton_min(objective: ScalarFn, grad: Sequence[ScalarFn],
             step = -g
         lam, improved = 1.0, False
         while lam >= 1e-8:
-            xn = _clip(x + lam * step, bounds)
+            xn = np.clip(x + lam * step, lo, hi)
             fn = objective(xn.tolist())
             if fn < fx - 1e-15:
                 x, fx, improved = xn, fn, True
@@ -233,7 +239,7 @@ def _coordinate_descent(objective: Expression, start, bounds: Bounds,
             new = float(lm.arg)
             moved = max(moved, abs(new - point[i]))
             point[i] = new
-        if moved <= cfg.tol_fixed_point:
+        if moved <= cfg.tol:
             break
     return tuple(point)
 
@@ -319,11 +325,12 @@ def _newton_stationarity(F: Sequence[ScalarFn],
                          Jac: Sequence[Sequence[ScalarFn]], start,
                          bounds: Bounds, cfg: SolverConfig, iters: int = 80
                          ) -> Optional[tuple[float, ...]]:
+    lo, hi = _float_box(bounds)
     x = np.array(start, dtype=float)
     fx = np.array([f(x.tolist()) for f in F])
     for _ in range(iters):
         norm = np.max(np.abs(fx))
-        if norm <= cfg.tol_stationarity:
+        if norm <= cfg.tol:
             return tuple(float(v) for v in x)
         pt = x.tolist()
         J = np.array([[fn(pt) for fn in row] for row in Jac])
@@ -335,7 +342,7 @@ def _newton_stationarity(F: Sequence[ScalarFn],
             return None
         lam, advanced = 1.0, False
         while lam >= 1e-10:
-            xn = _clip(x + lam * step, bounds)
+            xn = np.clip(x + lam * step, lo, hi)
             pt = xn.tolist()
             fn = np.array([f(pt) for f in F])
             if np.max(np.abs(fn)) < norm * (1.0 - 0.25 * lam) + 1e-15:
@@ -358,7 +365,7 @@ def _best_response_iteration(costs: Sequence[Expression], start,
     """
     point = [float(v) for v in start]
     seen: list[tuple[float, ...]] = []
-    for _ in range(cfg.br_max_iters):
+    for _ in range(BR_MAX_ITERS):
         moved = 0.0
         for i, (lo, hi) in enumerate(bounds):
             lm = line_minimum_at(costs[i], i, point, lo, hi, cfg)
@@ -366,7 +373,7 @@ def _best_response_iteration(costs: Sequence[Expression], start,
             moved = max(moved, abs(new - point[i]))
             point[i] = new
         snapshot = tuple(point)
-        if moved <= cfg.tol_fixed_point or snapshot in seen:
+        if moved <= cfg.tol or snapshot in seen:
             break
         seen = (seen + [snapshot])[-8:]
     return tuple(point)
@@ -394,12 +401,12 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
                 # diagonally strictly convex: no other equilibrium exists,
                 # so skip the multistart routes and just verify
                 residual = verify_nash(costs, sol, bounds, cfg)
-                if residual <= cfg.tol_fixed_point + POLY_SLACK:
+                if residual <= cfg.tol + POLY_SLACK:
                     return [EquilibriumResult(
                         profile=ActionProfile(sol), residual=residual,
                         method="newton", converged=True, exact=True)]
 
-    seeds = _seeds(bounds, cfg)
+    seeds = _seeds(bounds)
     br_points = []
     for seed in seeds:
         found = _best_response_iteration(costs, seed, bounds, cfg)
@@ -420,7 +427,7 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
     verified: list[EquilibriumResult] = []
     for values, method, exact in candidates:
         residual = verify_nash(costs, values, bounds, cfg)
-        if residual <= cfg.tol_fixed_point + slack:
+        if residual <= cfg.tol + slack:
             verified.append(EquilibriumResult(
                 profile=ActionProfile(values),
                 residual=residual,
@@ -489,28 +496,25 @@ def _pd_report(entries: list[list[Expression]], bounds: Bounds) -> ConvexityRepo
             return ConvexityReport(status="holds", sampled=False,
                                    min_eigenvalue=eig)
         return ConvexityReport(status="fails", sampled=False,
-                               min_eigenvalue=eig,
-                               detail="constant matrix is not positive definite")
+                               min_eigenvalue=eig)
     return _sampled_pd(entries, bounds)
 
 
-def hessian_pd_check(e: Expression, game: Game, cfg: SolverConfig) -> ConvexityReport:
+def hessian_pd_check(e: Expression, game: Game) -> ConvexityReport:
     """Positive definiteness of the Hessian: exact for quadratics, sampled
     over the bound box otherwise; 'unknown' for non-differentiable input."""
     if not is_smooth(e):
-        return ConvexityReport(status="unknown", sampled=False,
-                               detail="objective is not twice differentiable")
+        return ConvexityReport(status="unknown", sampled=False)
     return _pd_report(hessian(e, game.n), game.bounds)
 
 
-def diagonal_strict_convexity_check(costs: Sequence[Expression], game: Game,
-                                    cfg: SolverConfig) -> ConvexityReport:
+def diagonal_strict_convexity_check(costs: Sequence[Expression],
+                                    game: Game) -> ConvexityReport:
     """Rosen's uniqueness condition: the symmetrized matrix of own-action
     cross second derivatives must be positive definite."""
     n = len(costs)
     if not all(is_smooth(c) for c in costs):
-        return ConvexityReport(status="unknown", sampled=False,
-                               detail="some cost is not twice differentiable")
+        return ConvexityReport(status="unknown", sampled=False)
     rows = []
     for i in range(n):
         own = diff(costs[i], i)

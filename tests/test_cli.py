@@ -147,6 +147,16 @@ J = "x^2 + y^2"
         code, _, err = run(capsys, "equilibrium", EX1, "--scenario", "wat")
         assert code == 2
 
+    @pytest.mark.parametrize("selector,message", [
+        ("optout:nobody", "unknown agent 'nobody'"),
+        ("optout:9", "agent index 9 out of range"),
+    ])
+    def test_unknown_opt_out_agent_exits_2(self, capsys, selector, message):
+        code, out, err = run(capsys, "equilibrium", EX1, "--scenario",
+                             selector)
+        assert code == 2
+        assert out == "" and message in err
+
     def test_overflowing_line_exits_3(self, capsys, tmp_path):
         # u1's quartic coefficient is subnormal as a float: the companion
         # matrix of a line's derivative overflows to infinity

@@ -23,12 +23,6 @@ class TestActionProfile:
         assert ActionProfile([Fraction(1, 2), 1]).exact
         assert not ActionProfile([0.5, Fraction(1)]).exact
 
-    def test_bound_violations_flagged_not_clamped(self):
-        p = ActionProfile([Fraction(3), Fraction(0)])
-        bounds = ((Fraction(-2), Fraction(2)),) * 2
-        assert p.bound_violations(bounds) == [0]
-        assert p[0] == 3  # untouched
-
     def test_replace_and_distance(self):
         p = ActionProfile([Fraction(1), Fraction(1)])
         q = p.replace(1, Fraction(2))

@@ -112,18 +112,22 @@ class TestLoader:
             load_game_file(_write(tmp_path, text))
 
     def test_solver_overrides(self, tmp_path):
-        text = GOOD + "\n[solver]\ngrid_points_per_axis = 51\ntol_fixed_point = 1e-7\n"
+        text = GOOD + "\n[solver]\ngrid_points_per_axis = 51\ntol = 1e-7\n"
         spec = load_game_file(_write(tmp_path, text))
         assert spec.solver.grid_points_per_axis == 51
-        assert spec.solver.tol_fixed_point == 1e-7
+        assert spec.solver.tol == 1e-7
 
-    def test_unknown_solver_key(self, tmp_path):
-        text = GOOD + "\n[solver]\nwarp_factor = 9\n"
+    # a made-up key, and the keys of settings now fixed or merged into tol
+    @pytest.mark.parametrize("key", [
+        "warp_factor", "br_max_iters", "multistart_count", "rng_seed",
+        "tol_fixed_point", "tol_stationarity"])
+    def test_unknown_solver_key(self, tmp_path, key):
+        text = GOOD + f"\n[solver]\n{key} = 9\n"
         with pytest.raises(GameFileError, match="unknown solver option"):
             load_game_file(_write(tmp_path, text))
 
     def test_non_finite_tolerance(self, tmp_path):
-        text = GOOD + "\n[solver]\ntol_fixed_point = nan\n"
+        text = GOOD + "\n[solver]\ntol = nan\n"
         with pytest.raises(GameFileError, match="positive and finite"):
             load_game_file(_write(tmp_path, text))
 

@@ -59,16 +59,14 @@ def reference_minimum(coeffs, lo, hi):
     """The minimum of the line ``coeffs`` over [lo, hi]: exact vertex or
     end at degree <= 2, else the best of the ends and the Newton-polished
     real stationary points, with Fractions as their float values."""
-    exact = not any(isinstance(c, float) for c in coeffs) \
-        and not (isinstance(lo, float) or isinstance(hi, float))
     degree = len(coeffs) - 1
     while degree > 0 and coeffs[degree] == 0:
         degree -= 1
     if degree == 0:
-        return LineMin(lo, coeffs[0], exact)
+        return LineMin(lo, coeffs[0])
     if degree == 1:
         arg = lo if coeffs[1] >= 0 else hi
-        return LineMin(arg, _poly_value(coeffs, arg), exact)
+        return LineMin(arg, _poly_value(coeffs, arg))
     if degree == 2:
         a, b = coeffs[2], coeffs[1]
         candidates = [lo, hi]
@@ -76,7 +74,7 @@ def reference_minimum(coeffs, lo, hi):
             vertex = -b / (2 * a)
             if lo <= vertex <= hi:
                 candidates = [vertex]
-        return _pick_smallest(coeffs, candidates, exact)
+        return _pick_smallest(coeffs, candidates)
     return _roots_line_minimum(
         [float(c) for c in coeffs],
         [float(k * coeffs[k]) for k in range(1, len(coeffs))], degree, lo, hi)
@@ -168,7 +166,6 @@ def _check(p, i, values, lo, hi) -> None:
     got = line_minimum_at(e, i, values, lo, hi, CFG)
     assert _same(got.arg, want.arg), (got, want)
     assert _same(got.value, want.value), (got, want)
-    assert got.exact == want.exact
 
 
 # monomials as {(index, exponent), ...}; agent 0 is the axis

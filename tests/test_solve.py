@@ -147,7 +147,7 @@ class TestNashEquilibrium:
             g = random_game(rng, int(rng.integers(2, 4)), separable=True)
             for eq in nash_equilibrium(g.agent_costs, g.bounds, cfg):
                 assert verify_nash(g.agent_costs, eq.profile, g.bounds,
-                                   cfg) <= cfg.tol_fixed_point + 1e-9
+                                   cfg) <= cfg.tol + 1e-9
 
     def test_unique_on_diagonally_convex_quadratics(self, cfg):
         # strict diagonal convexity forces uniqueness; the single
@@ -156,7 +156,7 @@ class TestNashEquilibrium:
         small = cfg.replace(grid_points_per_axis=101)
         for _ in range(5):
             g = random_game(rng, 2, separable=True)
-            dsc = diagonal_strict_convexity_check(g.agent_costs, g, cfg)
+            dsc = diagonal_strict_convexity_check(g.agent_costs, g)
             if dsc.status != "holds":
                 continue
             eqs = nash_equilibrium(g.agent_costs, g.bounds, small)
@@ -188,51 +188,50 @@ class TestVerifyNash:
 
 
 class TestCurvatureChecks:
-    def test_pd_hessian(self, example3_case1, cfg):
-        rep = hessian_pd_check(example3_case1.operator_cost, example3_case1,
-                               cfg)
+    def test_pd_hessian(self, example3_case1):
+        rep = hessian_pd_check(example3_case1.operator_cost, example3_case1)
         assert rep.status == "holds" and not rep.sampled
 
-    def test_indefinite_fails(self, cfg):
+    def test_indefinite_fails(self):
         g = Game(n=2, agent_costs=(var(0), var(1)),
                  operator_cost=mul(var(0), var(1)), bounds=BOX2)
-        rep = hessian_pd_check(g.operator_cost, g, cfg)
+        rep = hessian_pd_check(g.operator_cost, g)
         assert rep.status == "fails"
 
-    def test_separable_convex_holds(self, cfg):
+    def test_separable_convex_holds(self):
         g = Game(n=2, agent_costs=(var(0), var(1)),
                  operator_cost=parse("u1^2 + u2^2", NAMES2), bounds=BOX2)
-        assert hessian_pd_check(g.operator_cost, g, cfg).status == "holds"
+        assert hessian_pd_check(g.operator_cost, g).status == "holds"
 
-    def test_nonsmooth_unknown(self, cfg):
+    def test_nonsmooth_unknown(self):
         g = Game(n=2, agent_costs=(var(0), var(1)),
                  operator_cost=absval(var(0)), bounds=BOX2)
-        assert hessian_pd_check(g.operator_cost, g, cfg).status == "unknown"
+        assert hessian_pd_check(g.operator_cost, g).status == "unknown"
 
-    def test_quartic_sampled(self, cfg):
+    def test_quartic_sampled(self):
         g = Game(n=2, agent_costs=(var(0), var(1)),
                  operator_cost=parse("u1^4 + u2^4 + 1", NAMES2),
                  bounds=BOX2)
-        rep = hessian_pd_check(g.operator_cost, g, cfg)
+        rep = hessian_pd_check(g.operator_cost, g)
         # zero Hessian at the origin: not positive definite everywhere
         assert rep.sampled and rep.status == "fails"
 
-    def test_dsc_for_aligned_agents(self, example3_case1, cfg):
+    def test_dsc_for_aligned_agents(self, example3_case1):
         costs = [example3_case1.operator_cost] * 2
-        rep = diagonal_strict_convexity_check(costs, example3_case1, cfg)
+        rep = diagonal_strict_convexity_check(costs, example3_case1)
         assert rep.status == "holds"
 
-    def test_dsc_concave_agent_fails(self, cfg):
+    def test_dsc_concave_agent_fails(self):
         g = Game(n=2, agent_costs=(mul(const(-1), power(var(0), 2)),
                                    power(var(1), 2)),
                  operator_cost=var(0), bounds=BOX2)
-        rep = diagonal_strict_convexity_check(g.agent_costs, g, cfg)
+        rep = diagonal_strict_convexity_check(g.agent_costs, g)
         assert rep.status == "fails"
 
-    def test_dsc_decoupled_convex_holds(self, cfg):
+    def test_dsc_decoupled_convex_holds(self):
         g = Game(n=2, agent_costs=(power(var(0), 2), power(var(1), 2)),
                  operator_cost=var(0), bounds=BOX2)
-        rep = diagonal_strict_convexity_check(g.agent_costs, g, cfg)
+        rep = diagonal_strict_convexity_check(g.agent_costs, g)
         assert rep.status == "holds"
 
 
