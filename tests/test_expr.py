@@ -17,13 +17,16 @@ from incentive_audit.expr import (
     evaluate,
     expand,
     hessian,
+    is_smooth,
     mul,
     neg,
     parse,
     power,
     safediv,
     separable_decomposition,
+    structural_variables,
     structurally_equal,
+    substitute,
     to_text,
     var,
 )
@@ -268,3 +271,82 @@ class TestConstructors:
         e = parse("u1 + u2", NAMES)
         with pytest.raises(Exception):
             e.terms = ()
+
+
+def _nested_trees():
+    """One tree per container node type, each holding an ``abs`` node
+    and a guarded division below it, paired with the node type on top."""
+    a = absval(add(var(0), const(-1)))                     # abs over a sum
+    d = safediv(var(1), add(var(2), const(1)), Fraction(1, 8))
+    zero = power(add(var(3), neg(var(3))), 2)               # expands to 0
+    return {
+        "sum": add(a, d, zero),
+        "product": mul(a, d, zero),
+        "power": power(add(a, d), 3),
+        "neg": neg(mul(a, d)),
+        "abs": absval(add(d, zero)),
+        "safediv-numerator": safediv(add(a, zero), var(2)),
+        "safediv-denominator": safediv(var(2), mul(d, zero, a)),
+    }
+
+
+class TestStructuralQueries:
+    """Pin the structural queries on trees nesting abs and safediv."""
+
+    def test_node_types(self):
+        trees = _nested_trees()
+        assert {k: type(e).__name__ for k, e in trees.items()} == {
+            "sum": "Sum", "product": "Product", "power": "Power",
+            "neg": "Neg", "abs": "Abs", "safediv-numerator": "SafeDiv",
+            "safediv-denominator": "SafeDiv"}
+
+    def test_structural_variables(self):
+        got = {k: structural_variables(e) for k, e in _nested_trees().items()}
+        assert got == {
+            "sum": {0, 1, 2, 3}, "product": {0, 1, 2, 3},
+            "power": {0, 1, 2}, "neg": {0, 1, 2}, "abs": {1, 2, 3},
+            "safediv-numerator": {0, 2, 3},
+            "safediv-denominator": {0, 1, 2, 3}}
+
+    def test_is_smooth(self):
+        got = {k: is_smooth(e) for k, e in _nested_trees().items()}
+        assert got == {
+            "sum": False, "product": False, "power": False, "neg": False,
+            "abs": False, "safediv-numerator": False,
+            "safediv-denominator": False}
+        d = safediv(var(1), add(var(2), const(1)))
+        assert is_smooth(d)
+        assert is_smooth(neg(power(mul(add(d, var(0)), d), 2)))
+        assert is_smooth(safediv(d, d))
+
+    def test_dependencies(self):
+        # a polynomial subtree that cancels drops its variable, even below
+        # a non-polynomial node; anything below abs/safediv is kept
+        got = {k: dependencies(e) for k, e in _nested_trees().items()}
+        assert got == {
+            "sum": {0, 1, 2}, "product": {0, 1, 2},
+            "power": {0, 1, 2}, "neg": {0, 1, 2}, "abs": {1, 2},
+            "safediv-numerator": {0, 2},
+            "safediv-denominator": {0, 1, 2}}
+
+    def test_substitute(self):
+        trees = _nested_trees()
+        at = {0: const(3), 2: const(1), 3: var(0)}
+        d = safediv(var(1), const(2), Fraction(1, 8))
+        zero = power(add(var(0), neg(var(0))), 2)
+        assert {k: substitute(e, at) for k, e in trees.items()} == {
+            "sum": add(const(2), d, zero),
+            "product": mul(const(2), d, zero),
+            "power": power(add(const(2), d), 3),
+            "neg": neg(mul(const(2), d)),
+            "abs": absval(add(d, zero)),
+            "safediv-numerator": safediv(add(const(2), zero), const(1)),
+            "safediv-denominator": safediv(const(1), mul(d, zero, const(2)))}
+        assert substitute(trees["abs"], at).operand.terms[0].guard \
+            == Fraction(1, 8)
+
+    def test_substitute_agrees_with_evaluate(self):
+        at = {0: const(Fraction(1, 3)), 1: const(-2)}
+        point = [Fraction(1, 3), Fraction(-2), Fraction(5, 4), Fraction(7)]
+        for e in _nested_trees().values():
+            assert evaluate(substitute(e, at), point) == evaluate(e, point)
