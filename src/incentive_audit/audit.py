@@ -25,12 +25,8 @@ from .expr import (
     add,
     const,
     evaluate,
-    mul,
     neg,
-    power,
     separable_decomposition,
-    to_text,
-    var,
 )
 from .expr.polynomial import as_polynomial, dependencies
 from .game import ActionProfile, Game, Scenario, ANTICIPATORY
@@ -318,8 +314,8 @@ def _coupling_monomial(e: Expression, names: Sequence[str]) -> str:
     poly = as_polynomial(e)
     for mono in sorted(poly.terms):
         if len(mono) > 1:
-            piece = mul(*(power(var(i), k) for i, k in mono))
-            return to_text(piece, names)
+            return "*".join(names[i] if k == 1 else f"{names[i]}^{k}"
+                            for i, k in mono)
     return ""
 
 

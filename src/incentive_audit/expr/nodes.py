@@ -11,11 +11,16 @@ agent), sums, products, nonnegative integer powers, negation, absolute
 value, and a guarded division used by engine-built incentive expressions
 (user input never contains a division node; the parser folds division by
 a constant into a product).
+
+Trees are built by the constructor functions below; nodes have no operator
+overloads and no printer.  The structural queries recurse through the one
+accessor :func:`children`.  Only rules that differ per node keep their own
+dispatch: evaluate, diff, substitute, ``polynomial._expand`` and the
+compiled emitter.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
@@ -52,30 +57,6 @@ def _as_fraction(x: Number) -> Fraction:
 @dataclass(frozen=True)
 class Expression:
     """Base node; use the module-level constructors to build trees."""
-
-    def __add__(self, other: Expression | Number) -> Expression:
-        return add(self, as_expression(other))
-
-    def __radd__(self, other: Expression | Number) -> Expression:
-        return add(as_expression(other), self)
-
-    def __sub__(self, other: Expression | Number) -> Expression:
-        return add(self, neg(as_expression(other)))
-
-    def __rsub__(self, other: Expression | Number) -> Expression:
-        return add(as_expression(other), neg(self))
-
-    def __mul__(self, other: Expression | Number) -> Expression:
-        return mul(self, as_expression(other))
-
-    def __rmul__(self, other: Expression | Number) -> Expression:
-        return mul(as_expression(other), self)
-
-    def __pow__(self, exponent: int) -> Expression:
-        return power(self, exponent)
-
-    def __neg__(self) -> Expression:
-        return neg(self)
 
 
 @dataclass(frozen=True)
@@ -138,10 +119,24 @@ ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
 
 
-def as_expression(x: Expression | Number) -> Expression:
-    if isinstance(x, Expression):
-        return x
-    return Const(_as_fraction(x))
+_CHILDREN = {
+    Const: lambda e: (),
+    Var: lambda e: (),
+    Sum: lambda e: e.terms,
+    Product: lambda e: e.factors,
+    Power: lambda e: (e.base,),
+    Neg: lambda e: (e.operand,),
+    Abs: lambda e: (e.operand,),
+    SafeDiv: lambda e: (e.numerator, e.denominator),
+}
+
+
+def children(e: Expression) -> tuple[Expression, ...]:
+    """The direct subexpressions of ``e``, in field order."""
+    get = _CHILDREN.get(type(e))
+    if get is None:
+        raise TypeError(f"unknown expression node {type(e).__name__}")
+    return get(e)
 
 
 def const(x: Number) -> Const:
@@ -328,99 +323,11 @@ def substitute(e: Expression, assignment: Mapping[int, Expression]) -> Expressio
 
 def structural_variables(e: Expression) -> frozenset[int]:
     """Variable indices appearing anywhere in the tree (no cancellation)."""
-    if isinstance(e, Const):
-        return frozenset()
     if isinstance(e, Var):
         return frozenset((e.index,))
-    if isinstance(e, Sum):
-        return frozenset(itertools.chain(*(structural_variables(t) for t in e.terms)))
-    if isinstance(e, Product):
-        return frozenset(itertools.chain(*(structural_variables(f) for f in e.factors)))
-    if isinstance(e, Power):
-        return structural_variables(e.base)
-    if isinstance(e, (Neg, Abs)):
-        return structural_variables(e.operand)
-    if isinstance(e, SafeDiv):
-        return structural_variables(e.numerator) | structural_variables(e.denominator)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    return frozenset().union(*map(structural_variables, children(e)))
 
 
 def is_smooth(e: Expression) -> bool:
     """True when the tree contains no absolute-value node."""
-    if isinstance(e, Abs):
-        return False
-    if isinstance(e, (Const, Var)):
-        return True
-    if isinstance(e, Sum):
-        return all(is_smooth(t) for t in e.terms)
-    if isinstance(e, Product):
-        return all(is_smooth(f) for f in e.factors)
-    if isinstance(e, Power):
-        return is_smooth(e.base)
-    if isinstance(e, Neg):
-        return is_smooth(e.operand)
-    if isinstance(e, SafeDiv):
-        return is_smooth(e.numerator) and is_smooth(e.denominator)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
-
-
-_PREC_SUM, _PREC_PROD, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 0, 1, 2, 3, 4
-
-
-def to_text(e: Expression, names: Sequence[str] | None = None) -> str:
-    """Render an expression back to grammar-compatible text."""
-
-    def name(i: int) -> str:
-        if names is not None and i < len(names):
-            return names[i]
-        return f"u{i + 1}"
-
-    def fmt_const(v: Fraction) -> tuple[str, int]:
-        if v.denominator == 1:
-            s = str(v.numerator)
-        else:
-            s = f"{v.numerator}/{v.denominator}"
-        return (s, _PREC_UNARY if v < 0 else _PREC_ATOM)
-
-    def go(node: Expression) -> tuple[str, int]:
-        if isinstance(node, Const):
-            return fmt_const(node.value)
-        if isinstance(node, Var):
-            return (name(node.index), _PREC_ATOM)
-        if isinstance(node, Sum):
-            parts = []
-            for k, t in enumerate(node.terms):
-                s, p = go(t)
-                if k == 0:
-                    parts.append(s if p >= _PREC_SUM else f"({s})")
-                elif s.startswith("-"):
-                    parts.append(f"- {s[1:]}")
-                else:
-                    parts.append(f"+ {s}")
-            return (" ".join(parts), _PREC_SUM)
-        if isinstance(node, Product):
-            parts = []
-            for f in node.factors:
-                s, p = go(f)
-                parts.append(s if p > _PREC_SUM else f"({s})")
-            return ("*".join(parts), _PREC_PROD)
-        if isinstance(node, Power):
-            s, p = go(node.base)
-            base = s if p >= _PREC_ATOM else f"({s})"
-            return (f"{base}^{node.exponent}", _PREC_POW)
-        if isinstance(node, Neg):
-            s, p = go(node.operand)
-            inner = s if p >= _PREC_UNARY else f"({s})"
-            return (f"-{inner}", _PREC_UNARY)
-        if isinstance(node, Abs):
-            s, _ = go(node.operand)
-            return (f"abs({s})", _PREC_ATOM)
-        if isinstance(node, SafeDiv):
-            ns, np_ = go(node.numerator)
-            ds, dp = go(node.denominator)
-            num = ns if np_ > _PREC_SUM else f"({ns})"
-            den = ds if dp >= _PREC_ATOM else f"({ds})"
-            return (f"{num}/{den}", _PREC_PROD)
-        raise TypeError(f"unknown expression node {type(node).__name__}")
-
-    return go(e)[0]
+    return not isinstance(e, Abs) and all(map(is_smooth, children(e)))

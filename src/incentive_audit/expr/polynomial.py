@@ -6,7 +6,8 @@ with zero exponents dropped; the empty tuple is the constant monomial.
 Expansion is the canonical form used for structural equality, dependency
 detection and separability checks.  Trees containing absolute-value or
 guarded-division nodes have no polynomial form and yield ``None``, which
-keeps downstream structure checks conservative.
+keeps downstream structure checks conservative (:func:`dependencies`
+then recurses through ``children`` to the polynomial subtrees).
 
 Each polynomial also keeps, per agent axis, a :class:`LinePlan`: its
 terms grouped by that agent's exponent, each coefficient as a Fraction
@@ -35,6 +36,7 @@ from .nodes import (
     Sum,
     Var,
     add,
+    children,
     const,
     mul,
     power,
@@ -339,30 +341,14 @@ def structurally_equal(a: Expression, b: Expression) -> bool:
 def dependencies(e: Expression) -> frozenset[int]:
     """Variables that actually matter after expansion.
 
-    Polynomial trees are exact (zero-coefficient variables vanish).
-    Non-polynomial nodes recurse conservatively: a variable surviving in
-    any smooth subtree under an abs/safediv node is kept.
+    Polynomial trees are exact (zero-coefficient variables vanish).  A
+    non-polynomial node recurses into its children, so a variable that
+    survives the expansion of any polynomial subtree is kept.
     """
     p = as_polynomial(e)
     if p is not None:
         return p.variables()
-    if isinstance(e, Sum):
-        out: frozenset[int] = frozenset()
-        for t in e.terms:
-            out |= dependencies(t)
-        return out
-    if isinstance(e, Product):
-        out = frozenset()
-        for f in e.factors:
-            out |= dependencies(f)
-        return out
-    if isinstance(e, Power):
-        return dependencies(e.base)
-    if isinstance(e, (Neg, Abs)):
-        return dependencies(e.operand)
-    if isinstance(e, SafeDiv):
-        return dependencies(e.numerator) | dependencies(e.denominator)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    return frozenset().union(*map(dependencies, children(e)))
 
 
 def separable_decomposition(e: Expression) -> Optional[list[tuple[int, Expression]]]:

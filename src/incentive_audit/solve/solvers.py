@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..expr import Expression, Number, diff, evaluate, is_smooth, scalar_fn
+from ..expr import (Expression, Number, add, diff, evaluate, is_smooth,
+                    scalar_fn)
 from ..expr.compiled import ScalarFn
 from ..expr.polynomial import as_polynomial, hessian
 from ..game import ActionProfile, Game
@@ -519,5 +520,5 @@ def diagonal_strict_convexity_check(costs: Sequence[Expression],
     for i in range(n):
         own = diff(costs[i], i)
         rows.append([diff(own, j) for j in range(n)])
-    sym = [[rows[i][j] + rows[j][i] for j in range(n)] for i in range(n)]
+    sym = [[add(rows[i][j], rows[j][i]) for j in range(n)] for i in range(n)]
     return _pd_report(sym, game.bounds)

@@ -21,7 +21,7 @@ from incentive_audit.audit import (
     full_audit,
 )
 from incentive_audit.cli import main
-from incentive_audit.expr import add, const, evaluate, mul, var
+from incentive_audit.expr import add, const, evaluate, mul, power, var
 from incentive_audit.game import (
     ActionProfile,
     Game,
@@ -194,14 +194,14 @@ def _decoupled_game(rng) -> Game:
         q = Fraction(int(rng.integers(8, 17)), 8)
         m = Fraction(int(rng.integers(-12, 13)), 8)
         mins.append(m)
-        costs.append(mul(const(q), (var(i) - const(m)) ** 2))
+        costs.append(mul(const(q), power(add(var(i), const(-m)), 2)))
     # operator optima pushed away from the agents' minimizers so the
     # realized play always carries a strictly positive excess cost
     parts = []
     for i in range(n):
         shift = Fraction(int(rng.integers(12, 21)), 8) \
             * (1 if rng.integers(2) else -1)
-        parts.append((var(i) - const(mins[i] + shift)) ** 2)
+        parts.append(power(add(var(i), const(-(mins[i] + shift))), 2))
     return Game(n=n, agent_costs=tuple(costs), operator_cost=add(*parts),
                 bounds=((Fraction(-10), Fraction(10)),) * n)
 

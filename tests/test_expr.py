@@ -5,12 +5,20 @@ from fractions import Fraction
 import pytest
 
 from incentive_audit.expr import (
+    Abs,
+    Expression,
+    Neg,
+    Power,
+    Product,
+    SafeDiv,
+    Sum,
     NonDifferentiableError,
     ParseError,
     UnknownVariable,
     absval,
     add,
     as_polynomial,
+    children,
     const,
     dependencies,
     diff,
@@ -27,7 +35,6 @@ from incentive_audit.expr import (
     structural_variables,
     structurally_equal,
     substitute,
-    to_text,
     var,
 )
 from incentive_audit.expr import polynomial
@@ -99,15 +106,6 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("u1 u2", NAMES)
-
-    def test_roundtrip_through_text(self):
-        for text in ["u1^2 - 2*u1*u2", "(u1 - 3/4)^2 + (u2 - 2)^2",
-                     "abs(u1) + u2^3", "-u1*u2 + 1/2"]:
-            e = parse(text, NAMES)
-            again = parse(to_text(e, NAMES), NAMES)
-            for pt in ([0.3, -1.2], [1.0, 2.0], [-2.0, 0.5]):
-                assert evaluate(again, pt) == pytest.approx(
-                    float(evaluate(e, pt)), rel=1e-12, abs=1e-12)
 
 
 class TestEvaluate:
@@ -292,6 +290,16 @@ def _nested_trees():
 
 class TestStructuralQueries:
     """Pin the structural queries on trees nesting abs and safediv."""
+
+    def test_children_covers_every_node_type(self):
+        u1, u2 = var(0), var(1)
+        nodes = {const(2): (), u1: (),
+                 Sum((u1, u2)): (u1, u2), Product((u1, u2)): (u1, u2),
+                 Power(u1, 2): (u1,), Neg(u1): (u1,), Abs(u1): (u1,),
+                 SafeDiv(u1, u2): (u1, u2)}
+        assert {type(e) for e in nodes} == set(Expression.__subclasses__())
+        for e, kids in nodes.items():
+            assert children(e) == kids
 
     def test_node_types(self):
         trees = _nested_trees()
