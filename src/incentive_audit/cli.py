@@ -1,8 +1,8 @@
 """Command-line front end: audit, equilibrium, and oracle reports.
 
 Exit codes: 0 success (regardless of verdicts), 2 game-file or usage
-errors, 3 solver non-convergence, 4 oracle size refusal (too many agents
-or a grid over the memory budget).
+errors, 3 solver failure (non-convergence or float overflow), 4 oracle
+size refusal (too many agents or a grid over the memory budget).
 """
 
 from __future__ import annotations
@@ -242,6 +242,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_DIMENSION
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except OverflowError as exc:
+        print(f"error: float overflow: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .expr import Expression, ParseError, parse
+from .expr import Const, Expression, ParseError, children, parse
 from .expr.polynomial import as_polynomial
 from .game import (
     ANTICIPATORY,
@@ -73,6 +73,17 @@ def _unquote(value: str) -> str:
     if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
         return value[1:-1]
     return value
+
+
+def _has_huge_constant(e: Expression) -> bool:
+    """True when a constant in ``e`` is beyond the float range."""
+    if isinstance(e, Const):
+        try:
+            float(e.value)
+        except OverflowError:
+            return True
+        return False
+    return any(map(_has_huge_constant, children(e)))
 
 
 def _line_of(text: str, section: str, key: str) -> Optional[int]:
@@ -116,10 +127,13 @@ class _Loader:
     def expression(self, section: str, key: str, names: list[str]) -> Expression:
         raw = _unquote(self.cp.get(section, key))
         try:
-            return parse(raw, names)
+            e = parse(raw, names)
         except ParseError as exc:
             message = re.sub(r" \(at column \d+\)$", "", str(exc))
             raise self.fail(section, key, message, exc.position + 1) from exc
+        if _has_huge_constant(e):
+            raise self.fail(section, key, "a constant is beyond the float range")
+        return e
 
     def load(self) -> GameSpec:
         cp = self.cp
@@ -188,6 +202,9 @@ class _Loader:
         p = as_polynomial(e)
         if p is None or not p.is_constant():
             raise self.fail(section, key, f"bad number {text!r}")
+        if _has_huge_constant(e):
+            raise self.fail(section, key,
+                            f"bound {text!r} is beyond the float range")
         return p.constant_value()
 
     def _incentive(self, names: list[str]

@@ -178,6 +178,48 @@ J = "u1^2 + u2^2"
         assert err.startswith("error: ") and "companion matrix" in err
 
 
+OVERFLOW_GAME = """
+[agents]
+names = u1, u2
+
+[costs]
+u1 = "COST"
+u2 = "u1*u2 - u2"
+
+[operator]
+J = "(u1 - 3/4)^2 + (u2 - 2)^2"
+
+[bounds]
+u1 = BOUND
+"""
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("command", ["audit", "equilibrium", "oracle"])
+    @pytest.mark.parametrize("cost,bound,where", [
+        ("u1^2", "[-10^400, 2]", "[bounds] u1 (line 13)"),
+        ("u1^2 + 10^400*u1", "[-2, 2]", "[costs] u1 (line 6)"),
+    ])
+    def test_huge_number_exits_2(self, capsys, tmp_path, command, cost,
+                                 bound, where):
+        path = tmp_path / "huge.game"
+        path.write_text(OVERFLOW_GAME.replace("COST", cost)
+                        .replace("BOUND", bound))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and where in err
+        assert "beyond the float range" in err
+
+    @pytest.mark.parametrize("command", ["audit", "equilibrium", "oracle"])
+    def test_overflowing_power_exits_3(self, capsys, tmp_path, command):
+        path = tmp_path / "power.game"
+        path.write_text(OVERFLOW_GAME.replace("COST", "u1^2 + u1^400")
+                        .replace("BOUND", "[-10, 10]"))
+        code, out, err = run(capsys, command, str(path))
+        assert code == 3 and out == ""
+        assert "error: float overflow" in err
+
+
 class TestOracle:
     def test_example1_agrees(self, capsys):
         code, out, _ = run(capsys, "oracle", EX1, "--scenario", "baseline",

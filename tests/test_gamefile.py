@@ -145,6 +145,28 @@ class TestLoader:
         with pytest.raises(GameFileError, match="duplicate"):
             load_game_file(_write(tmp_path, bad))
 
+    def test_bound_beyond_float_range(self, tmp_path):
+        text = GOOD + "\n[bounds]\na = [-10^400, 2]\n"
+        with pytest.raises(GameFileError) as err:
+            load_game_file(_write(tmp_path, text))
+        message = str(err.value)
+        assert "[bounds] a (line 13)" in message
+        assert "beyond the float range" in message
+
+    def test_constant_beyond_float_range(self, tmp_path):
+        bad = GOOD.replace('"(a - 1)^2"', '"(a - 1)^2 + 10^400*a"')
+        with pytest.raises(GameFileError) as err:
+            load_game_file(_write(tmp_path, bad))
+        message = str(err.value)
+        assert "[costs] a (line 6)" in message
+        assert "beyond the float range" in message
+
+    def test_power_left_to_the_solver(self, tmp_path):
+        # only its value at a profile overflows; the file itself is sound
+        text = GOOD.replace('"(a - 1)^2"', '"(a - 1)^2 + a^400"')
+        spec = load_game_file(_write(tmp_path, text))
+        assert spec.game.bounds[0] == (Fraction(-10), Fraction(10))
+
     def test_comments_stripped(self, tmp_path):
         text = GOOD.replace('J = "a^2 + b^2"', 'J = "a^2 + b^2"  # operator')
         spec = load_game_file(_write(tmp_path, text))
