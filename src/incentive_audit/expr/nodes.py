@@ -47,9 +47,7 @@ class UnboundVariableError(ExpressionError):
 def _as_fraction(x: Number) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (int, float)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact constant")
 
