@@ -55,6 +55,9 @@ UNKNOWN = "unknown"
 TOL_EXACT = 1e-9
 TOL_FLOAT = 1e-6
 
+#: uniform random profiles added to the grid of sampled profiles
+SAMPLE_RANDOM_POINTS = 64
+
 
 @dataclass(frozen=True)
 class PropertyVerdict:
@@ -445,8 +448,7 @@ def check_alignment_sufficiency(ctx: ScenarioSolve, tols: Collection[float]
          "holds on sampled profiles"), tols)
 
 
-def _sample_points(game: Game, random_count: int = 64
-                   ) -> list[tuple[float, ...]]:
+def _sample_points(game: Game) -> list[tuple[float, ...]]:
     per_axis = 7 if game.n <= 3 else 5
     axes = [np.linspace(float(lo), float(hi), per_axis)
             for lo, hi in game.bounds]
@@ -455,7 +457,7 @@ def _sample_points(game: Game, random_count: int = 64
     rng = np.random.default_rng(RNG_SEED)
     lows = [float(lo) for lo, _ in game.bounds]
     highs = [float(hi) for _, hi in game.bounds]
-    for _ in range(random_count):
+    for _ in range(SAMPLE_RANDOM_POINTS):
         points.append(tuple(rng.uniform(lows, highs)))
     return points
 

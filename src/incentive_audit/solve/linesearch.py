@@ -30,6 +30,12 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 #: solvers; verification passes request the full configured grid instead
 SCAN_POINTS_FAST = 65
 
+#: golden-section stopping rule (relative bracket width, iteration cap),
+#: and Newton steps polishing a companion-matrix root
+GOLDEN_TOL = 1e-12
+GOLDEN_MAX_ITERS = 90
+POLISH_ITERS = 8
+
 
 class SolverError(Exception):
     """Solver escalation: a result violates a guaranteed property."""
@@ -141,9 +147,9 @@ def _derivative_roots(deriv: Sequence[float]) -> list:
     return roots + [0.0] * low
 
 
-def _newton_polish(d1: Sequence[float], d2: Sequence[float], x: float,
-                   iters: int = 8) -> float:
-    for _ in range(iters):
+def _newton_polish(d1: Sequence[float], d2: Sequence[float], x: float
+                   ) -> float:
+    for _ in range(POLISH_ITERS):
         g = _poly_value(d1, x)
         h = _poly_value(d2, x)
         if h == 0 or not math.isfinite(h):
@@ -179,13 +185,13 @@ def _scan_line_minimum(f: Callable[[float], float], xs: np.ndarray,
     return LineMin(arg, val)
 
 
-def _golden_section(f: Callable[[float], float], a: float, b: float,
-                    tol: float = 1e-12, max_iter: int = 90) -> tuple[float, float]:
+def _golden_section(f: Callable[[float], float], a: float, b: float
+                    ) -> tuple[float, float]:
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a), abs(b)):
+    for _ in range(GOLDEN_MAX_ITERS):
+        if b - a <= GOLDEN_TOL * max(1.0, abs(a), abs(b)):
             break
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1

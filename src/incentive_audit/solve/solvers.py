@@ -47,6 +47,12 @@ MULTISTART_COUNT = 8
 #: best-response sweeps from one seed
 BR_MAX_ITERS = 500
 
+#: iteration limits: the operator's Newton polish and its coordinate-descent
+#: fallback, and Newton on the stationarity system
+NEWTON_MIN_ITERS = 60
+DESCENT_MAX_SWEEPS = 200
+STATIONARITY_MAX_ITERS = 80
+
 
 class EquilibriumNotFound(SolverError):
     """No candidate equilibrium verified for a required subproblem."""
@@ -200,11 +206,11 @@ def _float_box(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
 
 def _newton_min(objective: ScalarFn, grad: Sequence[ScalarFn],
                 hess: Sequence[Sequence[ScalarFn]], start, bounds: Bounds,
-                cfg: SolverConfig, iters: int = 60) -> Optional[tuple[float, ...]]:
+                cfg: SolverConfig) -> Optional[tuple[float, ...]]:
     lo, hi = _float_box(bounds)
     x = np.array(start, dtype=float)
     fx = objective(x.tolist())
-    for _ in range(iters):
+    for _ in range(NEWTON_MIN_ITERS):
         pt = x.tolist()
         g = np.array([gi(pt) for gi in grad])
         if np.max(np.abs(g)) <= cfg.tol:
@@ -230,10 +236,9 @@ def _newton_min(objective: ScalarFn, grad: Sequence[ScalarFn],
 
 
 def _coordinate_descent(objective: Expression, start, bounds: Bounds,
-                        cfg: SolverConfig, sweeps: int = 200
-                        ) -> Optional[tuple[float, ...]]:
+                        cfg: SolverConfig) -> Optional[tuple[float, ...]]:
     point = [float(v) for v in start]
-    for _ in range(sweeps):
+    for _ in range(DESCENT_MAX_SWEEPS):
         moved = 0.0
         for i, (lo, hi) in enumerate(bounds):
             lm = line_minimum_at(objective, i, point, lo, hi, cfg)
@@ -324,12 +329,12 @@ def _newton_system(costs: Sequence[Expression]
 
 def _newton_stationarity(F: Sequence[ScalarFn],
                          Jac: Sequence[Sequence[ScalarFn]], start,
-                         bounds: Bounds, cfg: SolverConfig, iters: int = 80
+                         bounds: Bounds, cfg: SolverConfig
                          ) -> Optional[tuple[float, ...]]:
     lo, hi = _float_box(bounds)
     x = np.array(start, dtype=float)
     fx = np.array([f(x.tolist()) for f in F])
-    for _ in range(iters):
+    for _ in range(STATIONARITY_MAX_ITERS):
         norm = np.max(np.abs(fx))
         if norm <= cfg.tol:
             return tuple(float(v) for v in x)
