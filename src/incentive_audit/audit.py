@@ -365,8 +365,10 @@ def check_vcg_conditions(ctx: ScenarioSolve, tols: Collection[float]
         hessian_pd_check(game.operator_cost, game))
 
     if ctx.opt_outs is None:
-        surplus = PropertyVerdict("opt-out-surplus", NOT_APPLICABLE,
-                                  note="only defined for the VCG-like rule")
+        surplus = PropertyVerdict(
+            "opt-out-surplus", NOT_APPLICABLE,
+            note="agents do not anticipate the scheme, so they have no "
+                 "opt-out equilibria")
         return {tol: (hess, surplus) for tol in tols}
 
     u_star = ctx.optimum.profile

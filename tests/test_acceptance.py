@@ -324,7 +324,7 @@ def test_anticipatory_proportional_report_is_pinned(tmp_path, capsys):
 THREE_EQUILIBRIA_DIGEST = (
     "1fc196b7c2f55e8a1a363d7fea2cbdca3bbe3ed621c4336a93a3399d2d2e2f06")
 EXAMPLE3_CASE2_EX_POST_OPT_OUT_DIGEST = (
-    "6e0eb70bd6887537cb891fbc78de059af2d2064f00cd05383891aa4811d3fbe9")
+    "9a1bdddf52beb2c8e7dd604993613c2ba1056a413c2c00185b08aef9f4a19bd5")
 
 
 def _structured_audit_digest(path, capsys, *extra) -> str:

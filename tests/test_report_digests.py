@@ -169,19 +169,19 @@ DIGESTS = {
     'audit three_equilibria_vcg --format structured --scenario baseline':
         '682b7753456a2e89172b979dff57ca0ae0afb491341a8429c2e5e076cdecceb4',
     'audit three_equilibria_vcg --format structured --scenario incentive':
-        'b9a3fcad95beaba8ab2202d4f6d2acc582b84ea38cd1485da9b893c52eee5ef6',
+        '084a16ede3535c78b393bfea45efc016c9619795cd1c75813ad1f3c69ed7ff9f',
     'audit three_equilibria_vcg --format structured --scenario optout:1':
-        '64464fba6828299319d0d7455c314cc2039f0c3ecc361be7d7e98c43acb93447',
+        'cc41982f4fe53e1ae211c0a2a4f67735e63e3baa509bfcb69c431e7f9d9f51b2',
     'audit three_equilibria_vcg --format structured --scenario optout:2':
-        '89ebb65e7a86f59a028066ce5c71f7db21e607744e1e4c9ca054425b1dcdcf1a',
+        'fc077aea3562896c1ffffac65b01c465545725ab5813fabd0bf1466246a6c069',
     'audit three_equilibria_vcg --format text --scenario baseline':
         '226ffc567731225a3ad89f0d76e124641a1965e52ab761e29dd89adc037ed508',
     'audit three_equilibria_vcg --format text --scenario incentive':
-        '2d8c6add0c11ef97d80a988efaaffc552f53d41194acbdc6800dda752a36dc68',
+        'd02257b9e62256a6f47443889c53e8ef01258493ecf6f0af4f63a22b43853859',
     'audit three_equilibria_vcg --format text --scenario optout:1':
-        '36b4ec4a633377198d23bf0e2b664d97adac33346876aed49f238404c4b3d66c',
+        'e5e9088f4a0d17f0fe9f4e21a09010d3486010ed82663ea5b0bb56da67cb5d07',
     'audit three_equilibria_vcg --format text --scenario optout:2':
-        'a06469869472d01bc5d4558bc2e897a61e02a109e0e94bc2f10fdd8752269d46',
+        '7a92c57fcaada5fdd5bd9cde431d8e29f3e54ba91ae962482ddd2ea5075edbda',
     'equilibrium decoupled_demo --format structured --scenario baseline':
         '90db8002a7763603af8df90cb6a926223b523d1ce2f7789ae28f97f04d8441d5',
     'equilibrium decoupled_demo --format structured --scenario incentive':
