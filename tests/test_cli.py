@@ -212,9 +212,11 @@ class TestFloatRange:
 
     @pytest.mark.parametrize("command", ["audit", "equilibrium", "oracle"])
     def test_overflowing_power_exits_3(self, capsys, tmp_path, command):
+        # (10^10)^40 overflows a float as 10^400 does; u1^400 on [-10, 10]
+        # fails the same way after seconds of degree-399 root finding
         path = tmp_path / "power.game"
-        path.write_text(OVERFLOW_GAME.replace("COST", "u1^2 + u1^400")
-                        .replace("BOUND", "[-10, 10]"))
+        path.write_text(OVERFLOW_GAME.replace("COST", "u1^2 + u1^40")
+                        .replace("BOUND", "[-10^10, 10^10]"))
         code, out, err = run(capsys, command, str(path))
         assert code == 3 and out == ""
         assert "error: float overflow" in err
