@@ -6,11 +6,18 @@ multistart Newton otherwise) and best-response iteration.  Every candidate
 is verified against the unilateral-deviation inequality before it is
 reported, duplicates are merged, and results are ordered lexicographically
 so that reruns and concurrent evaluation cannot change the output.
+
+One solve computes each distinct line minimum once: the best-response
+sweeps and the verification of every candidate read them through a
+:class:`LineCache` that lives as long as the ``nash_equilibrium`` call, so
+sweeps from different seeds that reach the same fixed point, and the
+verification of those endpoints, reuse the lines already minimized.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,7 +31,7 @@ from ..expr.polynomial import as_polynomial, hessian
 from ..game import ActionProfile, Game
 from .config import RNG_SEED, SolverConfig
 from .exact import is_positive_definite, solve_linear
-from .linesearch import SolverError, line_minimum_at
+from .linesearch import LineMin, SolverError, line_minimum_at
 from .oracle import eval_on_grid, grid_axes, max_axis_points
 
 Bounds = Sequence[tuple[Number, Number]]
@@ -266,23 +273,55 @@ def best_response(costs: Sequence[Expression], i: int,
     return line_minimum_at(costs[i], i, others, lo, hi, cfg).arg
 
 
+class LineCache:
+    """The line minima of one game's costs over one box, each computed once.
+
+    Agent ``i``'s line minimum never reads the agent's own action, so it is
+    keyed by the agent, the scan depth and the other agents' actions with
+    their types and, for zeros, their signs: ``Fraction(1, 2)`` and ``0.5``
+    take the exact and the float path, and ``0.0`` and ``-0.0`` can give
+    minima of different sign.
+    """
+
+    def __init__(self, costs: Sequence[Expression], bounds: Bounds,
+                 cfg: SolverConfig) -> None:
+        self.costs, self.bounds, self.cfg = costs, bounds, cfg
+        self.minima: dict[tuple, LineMin] = {}
+
+    def minimum(self, i: int, values: Sequence[Number],
+                full_scan: bool = False) -> LineMin:
+        key = (i, full_scan) + tuple(
+            (type(v), v, not v and math.copysign(1.0, v))
+            for j, v in enumerate(values) if j != i)
+        lm = self.minima.get(key)
+        if lm is None:
+            lo, hi = self.bounds[i]
+            lm = self.minima[key] = line_minimum_at(
+                self.costs[i], i, values, lo, hi, self.cfg,
+                full_scan=full_scan)
+        return lm
+
+
 def verify_nash(costs: Sequence[Expression], profile: ActionProfile | Sequence[Number],
-                bounds: Bounds, cfg: SolverConfig) -> float:
+                bounds: Bounds, cfg: SolverConfig,
+                lines: Optional[LineCache] = None) -> float:
     """Largest unilateral improvement any agent can find from ``profile``.
 
     Zero (up to numerics) certifies the defining equilibrium inequality;
     the per-agent line is minimized by stationary-point analysis for
-    polynomial costs and scan-plus-refine otherwise.
+    polynomial costs and scan-plus-refine otherwise.  ``lines`` shares the
+    line minima of the caller's solve; without it the check keeps its own.
     """
+    if lines is None:
+        lines = LineCache(costs, bounds, cfg)
     values = tuple(profile)
     floats = all(type(v) is float for v in values)
     worst = 0.0
-    for i, (lo, hi) in enumerate(bounds):
+    for i in range(len(bounds)):
         # the compiled form is float(evaluate(...)), bit for bit
         here = scalar_fn(costs[i])(values) if floats \
             else evaluate(costs[i], values)
-        lm = line_minimum_at(costs[i], i, values, lo, hi, cfg,
-                             full_scan=True)
+        lm = lines.minimum(i, values, full_scan=True)
         worst = max(worst, float(here - lm.value))
     return max(worst, 0.0)
 
@@ -360,8 +399,7 @@ def _newton_stationarity(F: Sequence[ScalarFn],
     return None
 
 
-def _best_response_iteration(costs: Sequence[Expression], start,
-                             bounds: Bounds, cfg: SolverConfig
+def _best_response_iteration(lines: LineCache, start, cfg: SolverConfig
                              ) -> tuple[float, ...]:
     """Gauss-Seidel best-response sweep from one seed.
 
@@ -373,9 +411,8 @@ def _best_response_iteration(costs: Sequence[Expression], start,
     seen: list[tuple[float, ...]] = []
     for _ in range(BR_MAX_ITERS):
         moved = 0.0
-        for i, (lo, hi) in enumerate(bounds):
-            lm = line_minimum_at(costs[i], i, point, lo, hi, cfg)
-            new = float(lm.arg)
+        for i in range(len(point)):
+            new = float(lines.minimum(i, point).arg)
             moved = max(moved, abs(new - point[i]))
             point[i] = new
         snapshot = tuple(point)
@@ -394,6 +431,7 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
     an error.
     """
     n = len(costs)
+    lines = LineCache(costs, bounds, cfg)
     candidates: list[tuple[tuple[Number, ...], str, bool]] = []
 
     exact_path = _stationarity_exact(costs, n)
@@ -406,7 +444,7 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
             if unique:
                 # diagonally strictly convex: no other equilibrium exists,
                 # so skip the multistart routes and just verify
-                residual = verify_nash(costs, sol, bounds, cfg)
+                residual = verify_nash(costs, sol, bounds, cfg, lines)
                 if residual <= cfg.tol + POLY_SLACK:
                     return [EquilibriumResult(
                         profile=ActionProfile(sol), residual=residual,
@@ -415,7 +453,7 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
     seeds = _seeds(bounds)
     br_points = []
     for seed in seeds:
-        found = _best_response_iteration(costs, seed, bounds, cfg)
+        found = _best_response_iteration(lines, seed, cfg)
         br_points.append(found)
         candidates.append((found, "best-response", False))
 
@@ -432,7 +470,7 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
     slack = _verify_slack(costs)
     verified: list[EquilibriumResult] = []
     for values, method, exact in candidates:
-        residual = verify_nash(costs, values, bounds, cfg)
+        residual = verify_nash(costs, values, bounds, cfg, lines)
         if residual <= cfg.tol + slack:
             verified.append(EquilibriumResult(
                 profile=ActionProfile(values),

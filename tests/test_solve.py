@@ -1,13 +1,17 @@
 """Operator optimization, best responses, equilibria, curvature checks."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from incentive_audit import incentive
+from incentive_audit.audit import full_audit
 from incentive_audit.expr import absval, add, const, mul, parse, power, var
 from incentive_audit.game import ActionProfile, Game
-from incentive_audit.solve import solvers
+from incentive_audit.gamefile import load_game_file
+from incentive_audit.solve import LineMin, solvers
 from incentive_audit.solve import (
     SolverConfig,
     best_response,
@@ -19,7 +23,7 @@ from incentive_audit.solve import (
     verify_nash,
 )
 
-from conftest import BOX2, NAMES2, random_game
+from conftest import BOX2, GAMES_DIR, NAMES2, random_game
 
 
 class TestMinimizeOperator:
@@ -185,6 +189,64 @@ class TestVerifyNash:
         r = verify_nash([const(3), const(5)],
                         ActionProfile([Fraction(0), Fraction(0)]), BOX2, cfg)
         assert r == 0.0
+
+
+def _sign(x) -> float:
+    return math.copysign(1.0, x)
+
+
+class TestLineCache:
+    def test_exact_and_float_actions_are_separate_lines(self, cfg):
+        costs = (parse("u1^2 + u1*u2", NAMES2), parse("u2^2", NAMES2))
+        lines = solvers.LineCache(costs, BOX2, cfg)
+        exact = lines.minimum(0, [0.0, Fraction(1, 2)])
+        floated = lines.minimum(0, [0.0, 0.5])
+        assert exact == LineMin(Fraction(-1, 4), Fraction(-1, 16))
+        assert type(exact.arg) is Fraction and type(exact.value) is Fraction
+        assert floated == LineMin(-0.25, -0.0625)
+        assert type(floated.arg) is float and type(floated.value) is float
+        assert len(lines.minima) == 2
+
+    def test_signed_zeros_are_separate_lines(self, cfg):
+        # |u1| * u2 is a signed zero all along u1 when u2 is one
+        costs = (parse("abs(u1)*u2", NAMES2), parse("u2^2", NAMES2))
+        lines = solvers.LineCache(costs, BOX2, cfg)
+        plus = lines.minimum(0, [0.3, 0.0])
+        minus = lines.minimum(0, [0.3, -0.0])
+        assert (_sign(plus.value), _sign(minus.value)) == (1.0, -1.0)
+        assert len(lines.minima) == 2
+
+    def test_own_action_and_scan_depth(self, cfg):
+        costs = (parse("abs(u1 - u2) + u1^2", NAMES2), parse("u2^2", NAMES2))
+        lines = solvers.LineCache(costs, BOX2, cfg)
+        first = lines.minimum(0, [0.3, 0.7])
+        assert lines.minimum(0, [-1.5, 0.7]) is first
+        assert lines.minimum(0, [0.3, 0.7], full_scan=True) is not first
+        assert len(lines.minima) == 2
+
+    @pytest.mark.parametrize("path", sorted(GAMES_DIR.glob("*.game")),
+                             ids=lambda p: p.stem)
+    def test_standalone_verification_repeats_the_solve(self, path,
+                                                       monkeypatch):
+        # every game an audit solves: baseline, adjusted and opt-out games
+        solved = []
+
+        def recorded(costs, bounds, cfg):
+            found = nash_equilibrium(costs, bounds, cfg)
+            solved.append((costs, bounds, cfg, found))
+            return found
+
+        monkeypatch.setattr(incentive, "nash_equilibrium", recorded)
+        spec = load_game_file(str(path))
+        full_audit(spec.scenario(), spec.solver,
+                   declared_base=spec.declared_base)
+        assert any(found for *_, found in solved)
+        for costs, bounds, cfg, found in solved:
+            for r in found:
+                residual = verify_nash(costs, r.profile, bounds, cfg)
+                assert type(residual) is float
+                assert residual == r.residual \
+                    and _sign(residual) == _sign(r.residual)
 
 
 class TestCurvatureChecks:

@@ -1,8 +1,10 @@
 """Each audit solves the operator optimum once and each distinct game once,
-and evaluates the conditions on the scenario alone once.
+computes each line minimum of a solve once, and evaluates the conditions
+on the scenario alone once.
 
-Every binding of ``minimize_operator`` and ``nash_equilibrium`` in the
-package is wrapped with a counter, so a solve reached by any route counts.
+Every binding of ``minimize_operator``, ``nash_equilibrium`` and
+``line_minimum_at`` in the package is wrapped with a counter, so a call
+reached by any route counts.
 """
 
 import sys
@@ -21,7 +23,7 @@ SOLVES = ("minimize_operator", "nash_equilibrium")
 
 
 def _replace_solver(monkeypatch, name, replacement):
-    """Patch every package binding of the solver ``name``."""
+    """Patch every package binding of the solver function ``name``."""
     original = getattr(solvers, name)
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("incentive_audit") \
@@ -108,6 +110,34 @@ def test_opt_out_games_are_shared_across_equilibria(tmp_path, solves,
     path.write_text(THREE_EQUILIBRIA_GAME)
     _run(capsys, "audit", str(path), "--format", "structured")
     assert solves == {"minimize_operator": 1, "nash_equilibrium": 4}
+
+
+#: line minima computed in one structured audit; each equilibrium solve
+#: computes a line once however many sweeps and verifications read it
+#: (example1's anticipatory proportional audit took 496 before that)
+AUDIT_LINE_MINIMA = {
+    "example1": 112,
+    "example2": 2,
+    "decoupled_demo": 2,
+    "example3_case1": 8,
+    "example3_case2": 8,
+}
+
+
+@pytest.mark.parametrize("game", sorted(AUDIT_LINE_MINIMA))
+def test_structured_audit_computes_each_line_once(game, monkeypatch,
+                                                  capsys):
+    counts = Counter()
+    original = solvers.line_minimum_at
+
+    def counted(*args, **kwargs):
+        counts["line_minimum_at"] += 1
+        return original(*args, **kwargs)
+
+    _replace_solver(monkeypatch, "line_minimum_at", counted)
+    _run(capsys, "audit", str(GAMES_DIR / f"{game}.game"),
+         "--format", "structured")
+    assert counts == {"line_minimum_at": AUDIT_LINE_MINIMA[game]}
 
 
 #: the curvature check and the declared-form sampling of ``audit``
