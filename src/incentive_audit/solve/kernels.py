@@ -19,20 +19,25 @@ MASK_TOL_REL = 1e-12
 
 def poly_grid_eval(coeffs: np.ndarray, exps: np.ndarray,
                    axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate sum_t coeffs[t] * prod_k x_k^exps[t,k] on the axes grid."""
+    """Evaluate sum_t coeffs[t] * prod_k x_k^exps[t,k] on the axes grid.
+
+    A value beyond the float range is left as numpy computes it (inf, or
+    nan where infinities cancel), without a warning; callers that need a
+    finite table check for one."""
     axes = [np.asarray(ax, dtype=np.float64) for ax in axes]
     n = len(axes)
     shape = tuple(len(ax) for ax in axes)
     out = np.zeros(shape, dtype=np.float64)
-    for t in range(coeffs.size):
-        term: np.ndarray | float = coeffs[t]
-        for k in range(n):
-            e = int(exps[t, k])
-            if e:
-                reshape = [1] * n
-                reshape[k] = shape[k]
-                term = term * (axes[k] ** e).reshape(reshape)
-        out += term
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(coeffs.size):
+            term: np.ndarray | float = coeffs[t]
+            for k in range(n):
+                e = int(exps[t, k])
+                if e:
+                    reshape = [1] * n
+                    reshape[k] = shape[k]
+                    term = term * (axes[k] ** e).reshape(reshape)
+            out += term
     return out
 
 

@@ -111,17 +111,14 @@ def _roots_line_minimum(coeffs: list[float], d1: list[float], degree: int,
     """Minimum of a line of degree >= 3 with float coefficients ``coeffs``
     (trailing zeros above ``degree`` allowed) and derivative ``d1``: the
     interval ends and the real stationary points, polished by Newton."""
+    if not all(map(math.isfinite, d1[:degree])):
+        raise SolverError(
+            f"cannot find the stationary points of a line of degree "
+            f"{degree}: its derivative has a coefficient that is not finite")
     d2 = [k * d1[k] for k in range(1, len(d1))]
     flo, fhi = float(lo), float(hi)
     candidates = [flo, fhi]
-    try:
-        roots = _derivative_roots(d1[:degree])
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"cannot find the stationary points of a line of degree "
-            f"{degree}: its derivative's companion matrix is not finite"
-        ) from exc
-    for r in roots:
+    for r in _derivative_roots(d1[:degree]):
         if abs(r.imag) < 1e-9:
             x = _newton_polish(d1, d2, float(r.real))
             if flo <= x <= fhi:
@@ -130,21 +127,31 @@ def _roots_line_minimum(coeffs: list[float], d1: list[float], degree: int,
 
 
 def _derivative_roots(deriv: Sequence[float]) -> list:
-    """``np.roots(deriv[::-1])`` for ascending coefficients ``deriv``,
-    computed the same way without its array overhead: the eigenvalues of
-    the companion matrix of the polynomial stripped of its zero leading
-    and trailing coefficients, then a zero root per trailing zero."""
+    """``np.roots(deriv[::-1])`` for finite ascending coefficients
+    ``deriv``, computed the same way without its array overhead: the
+    eigenvalues of the companion matrix of the polynomial stripped of its
+    zero leading and trailing coefficients, then a zero root per trailing
+    zero.
+
+    Where ``np.roots`` fails because a leading coefficient is so small
+    next to the others (a subnormal, say) that the companion matrix
+    overflows, that coefficient is dropped and the next nonzero one leads:
+    the roots it would add are about as large as the float range, outside
+    any bound box."""
     nonzero = [k for k, c in enumerate(deriv) if c != 0]
     if not nonzero:
         return []
-    low, top = nonzero[0], nonzero[-1]
-    roots: list = []
-    if top > low:
+    low = nonzero[0]
+    for top in reversed(nonzero):
+        if top == low:
+            break
         lead = deriv[top]
-        companion = np.eye(top - low, k=-1)
-        companion[0] = [-deriv[k] / lead for k in range(top - 1, low - 1, -1)]
-        roots = list(np.linalg.eigvals(companion))
-    return roots + [0.0] * low
+        row = [-deriv[k] / lead for k in range(top - 1, low - 1, -1)]
+        if all(map(math.isfinite, row)):
+            companion = np.eye(top - low, k=-1)
+            companion[0] = row
+            return list(np.linalg.eigvals(companion)) + [0.0] * low
+    return [0.0] * low
 
 
 def _newton_polish(d1: Sequence[float], d2: Sequence[float], x: float

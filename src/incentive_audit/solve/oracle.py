@@ -91,6 +91,14 @@ def eval_on_grid(e: Expression, axes: Sequence[np.ndarray]) -> np.ndarray:
     return np.broadcast_to(np.asarray(out, dtype=np.float64), shape).copy()
 
 
+def _finite(table: np.ndarray) -> np.ndarray:
+    """``table``, refused with an ``OverflowError`` when a cell is not
+    finite: costs beyond the float range cannot be compared."""
+    if not np.isfinite(table).all():
+        raise OverflowError("a cost on the grid is beyond the float range")
+    return table
+
+
 def grid_nash_oracle(costs: Sequence[Expression],
                      bounds: Sequence[tuple[Number, Number]],
                      cfg: SolverConfig) -> list[ActionProfile]:
@@ -100,7 +108,7 @@ def grid_nash_oracle(costs: Sequence[Expression],
     """
     check_grid_size(len(costs), cfg.grid_points_per_axis)
     axes = grid_axes(bounds, cfg.grid_points_per_axis)
-    tables = np.stack([eval_on_grid(c, axes) for c in costs])
+    tables = np.stack([_finite(eval_on_grid(c, axes)) for c in costs])
     mask = kernels.pure_nash_mask(tables)
     profiles = []
     for idx in np.argwhere(mask):
@@ -113,7 +121,7 @@ def grid_minimum(e: Expression, bounds: Sequence[tuple[Number, Number]],
     """Best grid point of ``e``; first (lexicographically smallest) on ties."""
     check_grid_size(len(bounds), cfg.grid_points_per_axis)
     axes = grid_axes(bounds, cfg.grid_points_per_axis)
-    table = eval_on_grid(e, axes)
+    table = _finite(eval_on_grid(e, axes))
     flat = int(np.argmin(table))
     idx = np.unravel_index(flat, table.shape)
     profile = ActionProfile([axes[k][i] for k, i in enumerate(idx)])

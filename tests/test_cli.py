@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, scenario selectors, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -157,9 +158,10 @@ J = "x^2 + y^2"
         assert code == 2
         assert out == "" and message in err
 
-    def test_overflowing_line_exits_3(self, capsys, tmp_path):
+    def test_subnormal_line_coefficient_solves(self, capsys, tmp_path):
         # u1's quartic coefficient is subnormal as a float: the companion
-        # matrix of a line's derivative overflows to infinity
+        # matrix of a line's derivative would overflow, so its roots come
+        # from the quadratic below it
         tiny = tmp_path / "tiny.game"
         tiny.write_text("""
 [agents]
@@ -173,9 +175,8 @@ u2 = "(u2 + 1)^2"
 J = "u1^2 + u2^2"
 """)
         code, out, err = run(capsys, "equilibrium", str(tiny))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and "companion matrix" in err
+        assert code == 0 and err == ""
+        assert "1. profile (0.125, -1)" in out
 
 
 OVERFLOW_GAME = """
@@ -217,9 +218,14 @@ class TestFloatRange:
         path = tmp_path / "power.game"
         path.write_text(OVERFLOW_GAME.replace("COST", "u1^2 + u1^40")
                         .replace("BOUND", "[-10^10, 10^10]"))
-        code, out, err = run(capsys, command, str(path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, command, str(path))
         assert code == 3 and out == ""
-        assert "error: float overflow" in err
+        # one line, and no numpy overflow warning printed before it
+        assert err.startswith("error: float overflow: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert [str(w.message) for w in caught] == []
 
 
 class TestOracle:
