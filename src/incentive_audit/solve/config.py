@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-#: largest grid resolution accepted; scan and grid memory grow with it
+#: largest grid resolution accepted; grid memory grows with it
 MAX_GRID_POINTS = 10_001
 
 #: seed of the random multistart points and the audit's sampled profiles

@@ -7,34 +7,41 @@ exact arithmetic types them (Fractions at exact actions, floats once a
 float enters), then minimized from the stationary points: exactly, by
 the vertex formula, for degree <= 2; above that from the companion-matrix
 eigenvalues of the derivative, as ``np.roots`` computes them,
-Newton-polished and scored in floats.  Non-polynomial restrictions
-(absolute value, guarded division) fall back to a scan plus
-golden-section refinement.  Ties always resolve to the smallest action.
+Newton-polished and scored in floats.
+
+A cost with absolute values or guarded divisions is piecewise rational
+along the axis.  Pieces are cut where an ``abs`` operand changes sign or
+a guarded denominator crosses its guard, and cut again until no node
+cuts a piece, so nested nodes are cut inner first.  On a piece the cost
+is one float ratio N/D, built from the line plans of its polynomial
+subtrees, and its minimum lies at a piece end or at a real root of
+N'D - ND' (first-order stationarity); the compiled evaluator scores
+those candidates.  Ties always resolve to the smallest action.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import reduce
+from itertools import zip_longest
+from typing import Sequence
 
 import numpy as np
 
-from ..expr import Expression, Number, scalar_fn, vector_fn
+from ..expr import (Abs, Expression, Neg, Number, Power, Product, SafeDiv,
+                    Sum, children, scalar_fn)
 from ..expr.polynomial import LinePlan, as_polynomial
-from .config import SolverConfig
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-#: scan resolution for non-polynomial line searches inside iterative
-#: solvers; verification passes request the full configured grid instead
-SCAN_POINTS_FAST = 65
-
-#: golden-section stopping rule (relative bracket width, iteration cap),
-#: and Newton steps polishing a companion-matrix root
-GOLDEN_TOL = 1e-12
-GOLDEN_MAX_ITERS = 90
+#: Newton steps polishing a companion-matrix root
 POLISH_ITERS = 8
+
+#: ulps from a guard's float root at which the piece is cut as well: the
+#: cost jumps there, and the guard's own float test may flip ulps away
+GUARD_ULPS = (-1024, -256, -64, -16, -4, -1, 0, 1, 4, 16, 64, 256, 1024)
+
+#: a ratio N/D of two polynomials, each as its ascending float coefficients
+Ratio = tuple[list[float], list[float]]
 
 
 class SolverError(Exception):
@@ -55,26 +62,13 @@ def _poly_value(coeffs: Sequence[Number], x: Number) -> Number:
 
 
 def line_minimum_at(e: Expression, i: int, values: Sequence[Number],
-                    lo: Number, hi: Number, cfg: SolverConfig,
-                    full_scan: bool = False) -> LineMin:
+                    lo: Number, hi: Number) -> LineMin:
     """Minimize agent ``i``'s coordinate with the rest of ``values`` fixed."""
     p = as_polynomial(e)
     if p is not None:
         return _poly_line_minimum(p.line_plan(i), values, lo, hi)
-    base = [float(v) for v in values]
-    points = cfg.grid_points_per_axis if full_scan \
-        else min(cfg.grid_points_per_axis, SCAN_POINTS_FAST)
-    xs = np.linspace(float(lo), float(hi), points)
-    base[i] = xs
-    vals = np.broadcast_to(
-        np.asarray(vector_fn(e)(base), dtype=np.float64), xs.shape)
-    scalar = scalar_fn(e)
-
-    def f(x: float) -> float:
-        base[i] = x
-        return scalar(base)
-
-    return _scan_line_minimum(f, xs, vals)
+    return _piecewise_line_minimum(e, i, [float(v) for v in values],
+                                   float(lo), float(hi))
 
 
 def _poly_line_minimum(plan: LinePlan, values: Sequence[Number],
@@ -115,15 +109,28 @@ def _roots_line_minimum(coeffs: list[float], d1: list[float], degree: int,
         raise SolverError(
             f"cannot find the stationary points of a line of degree "
             f"{degree}: its derivative has a coefficient that is not finite")
-    d2 = [k * d1[k] for k in range(1, len(d1))]
     flo, fhi = float(lo), float(hi)
-    candidates = [flo, fhi]
-    for r in _derivative_roots(d1[:degree]):
-        if abs(r.imag) < 1e-9:
-            x = _newton_polish(d1, d2, float(r.real))
-            if flo <= x <= fhi:
-                candidates.append(x)
-    return _pick_smallest(coeffs, candidates)
+    return _pick_smallest(coeffs, [flo, fhi, *_real_roots(d1, flo, fhi)])
+
+
+def _real_roots(p: Sequence[float], lo: float, hi: float) -> list[float]:
+    """The real roots in [lo, hi] of the polynomial with ascending float
+    coefficients ``p`` (trailing zeros allowed): in closed form at degree
+    1, else the real companion-matrix eigenvalues, Newton-polished."""
+    top = len(p) - 1
+    while top > 0 and p[top] == 0:
+        top -= 1
+    if not all(map(math.isfinite, p)):
+        raise SolverError("cannot find the real roots of a polynomial along "
+                          "an agent's axis: a coefficient is not finite")
+    if top == 1:
+        # + 0.0 turns the root -0.0 of a zero constant term into 0.0
+        roots = [-p[0] / p[1] + 0.0]
+    else:
+        dp = [k * p[k] for k in range(1, len(p))]
+        roots = [_newton_polish(p, dp, float(r.real))
+                 for r in _derivative_roots(p) if abs(r.imag) < 1e-9]
+    return [x for x in roots if lo <= x <= hi]
 
 
 def _derivative_roots(deriv: Sequence[float]) -> list:
@@ -179,36 +186,78 @@ def _pick_smallest(coeffs: Sequence[Number], candidates: Sequence[Number]
     return LineMin(best_arg, best_val)
 
 
-def _scan_line_minimum(f: Callable[[float], float], xs: np.ndarray,
-                       vals: np.ndarray) -> LineMin:
-    """Refine the best of the scanned values ``vals = f(xs)`` by
-    golden-section search between its neighbours."""
-    best = int(np.argmin(vals))
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, len(xs) - 1)]
-    arg, val = _golden_section(f, a, b)
-    if vals[best] < val:
-        arg, val = float(xs[best]), float(vals[best])
-    return LineMin(arg, val)
-
-
-def _golden_section(f: Callable[[float], float], a: float, b: float
-                    ) -> tuple[float, float]:
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(GOLDEN_MAX_ITERS):
-        if b - a <= GOLDEN_TOL * max(1.0, abs(a), abs(b)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+def _piecewise_line_minimum(e: Expression, i: int, base: list[float],
+                            lo: float, hi: float) -> LineMin:
+    candidates, pieces = {lo, hi}, [(lo, hi)]
+    while pieces:
+        a, b = pieces.pop()
+        cuts: list[float] = []
+        num, den = _restrict(e, i, base, a, b, cuts)
+        if cuts:
+            ends = [a, *sorted(set(cuts)), b]
+            pieces += zip(ends, ends[1:])
+            candidates.update(cuts)
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    # prefer the left candidate on ties
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
+            stationary = _plus(_times(_derivative(num), den),
+                               _times(num, _derivative(den)), -1.0)
+            candidates.update(_real_roots(stationary, a, b))
+    scalar = scalar_fn(e)
+    scores = {x: scalar(base[:i] + [x] + base[i + 1:]) for x in candidates}
+    # min keeps the first of equal scores: ties go to the smallest action
+    arg = min(sorted(scores), key=scores.get)
+    return LineMin(arg, scores[arg])
+
+
+def _restrict(e: Expression, i: int, base: list[float], a: float, b: float,
+              cuts: list[float]) -> Ratio:
+    """``e`` along axis ``i`` on the piece (a, b) as float coefficients
+    (N, D) of ``N/D``, with each ``abs`` sign and guard state read at the
+    piece's midpoint.  Appends to ``cuts`` the points of (a, b) where an
+    ``abs`` operand changes sign or a guarded denominator crosses its
+    guard."""
+    p = as_polynomial(e)
+    if p is not None:
+        return [float(c) for c in p.line_plan(i).coefficients(base)], [1.0]
+    parts = [_restrict(c, i, base, a, b, cuts) for c in children(e)]
+    if isinstance(e, Sum):
+        return reduce(_add, parts)
+    if isinstance(e, Product):
+        return reduce(_mul, parts)
+    if isinstance(e, Power):
+        return reduce(_mul, parts * e.exponent)
+    num, den = parts[-1]  # the operand, or the guarded denominator
+    if isinstance(e, Neg):
+        return [-c for c in num], den
+    guard = e.guard if isinstance(e, SafeDiv) else 0
+    for level in {float(guard), -float(guard)}:
+        cuts += [y for x in _real_roots(_plus(num, den, -level), a, b)
+                 for y in (x + k * math.ulp(x)
+                           for k in (GUARD_ULPS if guard else (0,)))
+                 if a < y < b]
+    n, d = _poly_value(num, (a + b) / 2), _poly_value(den, (a + b) / 2)
+    if isinstance(e, Abs):
+        return ([-c for c in num] if (n < 0) != (d < 0) else num), den
+    return ([0.0], [1.0]) if abs(n) <= guard * abs(d) \
+        else _mul(parts[0], (den, num))
+
+
+def _add(r: Ratio, s: Ratio) -> Ratio:
+    (n1, d1), (n2, d2) = r, s
+    return _plus(_times(n1, d2), _times(n2, d1)), _times(d1, d2)
+
+
+def _mul(r: Ratio, s: Ratio) -> Ratio:
+    return _times(r[0], s[0]), _times(r[1], s[1])
+
+
+def _times(a: list[float], b: list[float]) -> list[float]:
+    return np.convolve(a, b).tolist()
+
+
+def _plus(a: list[float], b: list[float], scale: float = 1.0) -> list[float]:
+    """``a + scale * b``."""
+    return [x + scale * y for x, y in zip_longest(a, b, fillvalue=0.0)]
+
+
+def _derivative(p: list[float]) -> list[float]:
+    return [k * p[k] for k in range(1, len(p))] or [0.0]

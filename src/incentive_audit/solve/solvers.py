@@ -11,7 +11,9 @@ One solve computes each distinct line minimum once: the best-response
 sweeps and the verification of every candidate read them through a
 :class:`LineCache` that lives as long as the ``nash_equilibrium`` call, so
 sweeps from different seeds that reach the same fixed point, and the
-verification of those endpoints, reuse the lines already minimized.
+verification of those endpoints, reuse the lines already minimized.  Every
+line is minimized from its piece ends and stationary points
+(``linesearch``), so one slack, ``POLY_SLACK``, covers float residuals.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ Bounds = Sequence[tuple[Number, Number]]
 
 #: extra allowance on verification residuals for float candidates
 POLY_SLACK = 1e-9
-SCAN_SLACK = 1e-7
 
 #: candidates closer than this (max-norm) count as the same equilibrium
 MERGE_TOL = 1e-7
@@ -54,10 +55,9 @@ MULTISTART_COUNT = 8
 #: best-response sweeps from one seed
 BR_MAX_ITERS = 500
 
-#: iteration limits: the operator's Newton polish and its coordinate-descent
-#: fallback, and Newton on the stationarity system
+#: iteration limits: the operator's Newton polish and Newton on the
+#: stationarity system
 NEWTON_MIN_ITERS = 60
-DESCENT_MAX_SWEEPS = 200
 STATIONARITY_MAX_ITERS = 80
 
 
@@ -131,9 +131,9 @@ def minimize_operator(game: Game, cfg: SolverConfig) -> OperatorSolution:
 
     Quadratic objectives with positive definite curvature are solved
     exactly over the rationals; everything else goes through a grid seed
-    plus local polish (projected Newton when smooth, cyclic line
-    minimization otherwise).  Ties break to the lexicographically
-    smallest profile.
+    plus local polish (projected Newton when smooth, best-response sweeps
+    with the objective as every agent's cost otherwise).  Ties break to
+    the lexicographically smallest profile.
     """
     n = game.n
     objective = game.operator_cost
@@ -171,17 +171,11 @@ def _minimize_numeric(objective: Expression, bounds: Bounds,
     if smooth:
         grad = [scalar_fn(diff(objective, i)) for i in range(n)]
         hess = [[scalar_fn(h) for h in row] for row in hessian(objective, n)]
-
-    candidates: list[tuple[float, ...]] = []
-    for start in starts:
-        if smooth:
-            polished = _newton_min(value, grad, hess, start, bounds, cfg)
-        else:
-            polished = _coordinate_descent(objective, start, bounds, cfg)
-        if polished is not None:
-            candidates.append(polished)
-    if not candidates:
-        candidates = starts[:1]
+    # coordinate descent: best response with the objective as every cost
+    lines = LineCache([objective] * n, bounds)
+    candidates = [_newton_min(value, grad, hess, start, bounds, cfg)
+                  if smooth else _best_response_iteration(lines, start, cfg)
+                  for start in starts]
 
     best_val = min(value(c) for c in candidates)
     near = [c for c in candidates
@@ -213,7 +207,7 @@ def _float_box(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
 
 def _newton_min(objective: ScalarFn, grad: Sequence[ScalarFn],
                 hess: Sequence[Sequence[ScalarFn]], start, bounds: Bounds,
-                cfg: SolverConfig) -> Optional[tuple[float, ...]]:
+                cfg: SolverConfig) -> tuple[float, ...]:
     lo, hi = _float_box(bounds)
     x = np.array(start, dtype=float)
     fx = objective(x.tolist())
@@ -242,63 +236,44 @@ def _newton_min(objective: ScalarFn, grad: Sequence[ScalarFn],
     return tuple(float(v) for v in x)
 
 
-def _coordinate_descent(objective: Expression, start, bounds: Bounds,
-                        cfg: SolverConfig) -> Optional[tuple[float, ...]]:
-    point = [float(v) for v in start]
-    for _ in range(DESCENT_MAX_SWEEPS):
-        moved = 0.0
-        for i, (lo, hi) in enumerate(bounds):
-            lm = line_minimum_at(objective, i, point, lo, hi, cfg)
-            new = float(lm.arg)
-            moved = max(moved, abs(new - point[i]))
-            point[i] = new
-        if moved <= cfg.tol:
-            break
-    return tuple(point)
-
-
 # ---------------------------------------------------------------------------
 # best responses and equilibria
 
 
 def best_response(costs: Sequence[Expression], i: int,
-                  others: Sequence[Number], bounds: Bounds,
-                  cfg: SolverConfig) -> Number:
+                  others: Sequence[Number], bounds: Bounds) -> Number:
     """Agent ``i``'s cost-minimizing action with everyone else fixed.
 
     ``others`` is a full profile whose i-th entry is ignored.  Flat or
     tied objectives resolve to the smallest action in the interval.
     """
     lo, hi = bounds[i]
-    return line_minimum_at(costs[i], i, others, lo, hi, cfg).arg
+    return line_minimum_at(costs[i], i, others, lo, hi).arg
 
 
 class LineCache:
     """The line minima of one game's costs over one box, each computed once.
 
     Agent ``i``'s line minimum never reads the agent's own action, so it is
-    keyed by the agent, the scan depth and the other agents' actions with
-    their types and, for zeros, their signs: ``Fraction(1, 2)`` and ``0.5``
-    take the exact and the float path, and ``0.0`` and ``-0.0`` can give
-    minima of different sign.
+    keyed by the agent and the other agents' actions with their types and,
+    for zeros, their signs: ``Fraction(1, 2)`` and ``0.5`` take the exact
+    and the float path, and ``0.0`` and ``-0.0`` can give minima of
+    different sign.
     """
 
-    def __init__(self, costs: Sequence[Expression], bounds: Bounds,
-                 cfg: SolverConfig) -> None:
-        self.costs, self.bounds, self.cfg = costs, bounds, cfg
+    def __init__(self, costs: Sequence[Expression], bounds: Bounds) -> None:
+        self.costs, self.bounds = costs, bounds
         self.minima: dict[tuple, LineMin] = {}
 
-    def minimum(self, i: int, values: Sequence[Number],
-                full_scan: bool = False) -> LineMin:
-        key = (i, full_scan) + tuple(
+    def minimum(self, i: int, values: Sequence[Number]) -> LineMin:
+        key = (i,) + tuple(
             (type(v), v, not v and math.copysign(1.0, v))
             for j, v in enumerate(values) if j != i)
         lm = self.minima.get(key)
         if lm is None:
             lo, hi = self.bounds[i]
             lm = self.minima[key] = line_minimum_at(
-                self.costs[i], i, values, lo, hi, self.cfg,
-                full_scan=full_scan)
+                self.costs[i], i, values, lo, hi)
         return lm
 
 
@@ -308,12 +283,12 @@ def verify_nash(costs: Sequence[Expression], profile: ActionProfile | Sequence[N
     """Largest unilateral improvement any agent can find from ``profile``.
 
     Zero (up to numerics) certifies the defining equilibrium inequality;
-    the per-agent line is minimized by stationary-point analysis for
-    polynomial costs and scan-plus-refine otherwise.  ``lines`` shares the
+    each agent's line is minimized from its stationary points, piece by
+    piece for ``abs`` and guarded-division costs.  ``lines`` shares the
     line minima of the caller's solve; without it the check keeps its own.
     """
     if lines is None:
-        lines = LineCache(costs, bounds, cfg)
+        lines = LineCache(costs, bounds)
     values = tuple(profile)
     floats = all(type(v) is float for v in values)
     worst = 0.0
@@ -321,15 +296,9 @@ def verify_nash(costs: Sequence[Expression], profile: ActionProfile | Sequence[N
         # the compiled form is float(evaluate(...)), bit for bit
         here = scalar_fn(costs[i])(values) if floats \
             else evaluate(costs[i], values)
-        lm = lines.minimum(i, values, full_scan=True)
+        lm = lines.minimum(i, values)
         worst = max(worst, float(here - lm.value))
     return max(worst, 0.0)
-
-
-def _verify_slack(costs: Sequence[Expression]) -> float:
-    if all(as_polynomial(c) is not None for c in costs):
-        return POLY_SLACK
-    return SCAN_SLACK
 
 
 def _stationarity_exact(costs: Sequence[Expression], n: int
@@ -431,7 +400,7 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
     an error.
     """
     n = len(costs)
-    lines = LineCache(costs, bounds, cfg)
+    lines = LineCache(costs, bounds)
     candidates: list[tuple[tuple[Number, ...], str, bool]] = []
 
     exact_path = _stationarity_exact(costs, n)
@@ -467,11 +436,10 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
             if found is not None and _within(found, bounds):
                 candidates.append((found, "newton", False))
 
-    slack = _verify_slack(costs)
     verified: list[EquilibriumResult] = []
     for values, method, exact in candidates:
         residual = verify_nash(costs, values, bounds, cfg, lines)
-        if residual <= cfg.tol + slack:
+        if residual <= cfg.tol + POLY_SLACK:
             verified.append(EquilibriumResult(
                 profile=ActionProfile(values),
                 residual=residual,

@@ -304,8 +304,8 @@ EXAMPLE1_PROPORTIONAL_DIGEST = (
 
 def test_anticipatory_proportional_report_is_pinned(tmp_path, capsys):
     # the effective costs carry guarded divisions, so every line minimum
-    # here goes through the scan plus golden-section search, a path the
-    # bundled digests never take
+    # here goes through the piecewise rational search, a path the bundled
+    # digests never take
     bundled = (GAMES_DIR / "example1.game").read_text()
     path = tmp_path / "example1_proportional.game"
     path.write_text(bundled[:bundled.index("[incentive]")]

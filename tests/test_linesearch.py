@@ -22,9 +22,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from incentive_audit.expr import Const, Power, Product, Sum, Var
+from incentive_audit.expr import (Const, Power, Product, Sum, Var, absval,
+                                  add, parse, safediv, scalar_fn, vector_fn)
 from incentive_audit.expr.polynomial import Polynomial, as_polynomial
-from incentive_audit.solve import SolverConfig, SolverError
+from incentive_audit.solve import SolverError
 from incentive_audit.solve.linesearch import (
     LineMin,
     _derivative_roots,
@@ -33,9 +34,6 @@ from incentive_audit.solve.linesearch import (
     _roots_line_minimum,
     line_minimum_at,
 )
-
-CFG = SolverConfig()
-
 
 def naive_coefficients(p, i, values):
     """Ascending coefficients of ``p`` along variable ``i`` with the other
@@ -157,7 +155,7 @@ def _check(p, i, values, lo, hi) -> None:
             assert _same(group.value, float(group.coeff))
             assert _same(group.derivative, float(k * group.coeff))
     want = reference_minimum(want_coeffs, lo, hi)
-    got = line_minimum_at(e, i, values, lo, hi, CFG)
+    got = line_minimum_at(e, i, values, lo, hi)
     assert _same(got.arg, want.arg), (got, want)
     assert _same(got.value, want.value), (got, want)
 
@@ -235,7 +233,7 @@ def test_overflowing_companion_matrix_drops_the_top_coefficient():
     # -2 / (4 * 10**-320) is -inf: the quartic term is dropped from the
     # root finding, which leaves the quadratic's vertex at -1/8
     e = expression(Polynomial({X4: F(1, 10**320), X2: F(1), X1Y: F(1, 4)}))
-    assert line_minimum_at(e, 0, [0.0, 1.0], F(-2), F(2), CFG) \
+    assert line_minimum_at(e, 0, [0.0, 1.0], F(-2), F(2)) \
         == LineMin(-0.125, -0.015625)
 
 
@@ -243,7 +241,7 @@ def test_non_finite_derivative_is_a_solver_error():
     # 10**300 * u1^4 * u2 at u2 = 1e10: the quartic coefficient is inf
     e = expression(Polynomial({X4Y: F(10**300), X2: F(1)}))
     with pytest.raises(SolverError, match="degree 4.*not finite"):
-        line_minimum_at(e, 0, [0.0, 1e10], F(-2), F(2), CFG)
+        line_minimum_at(e, 0, [0.0, 1e10], F(-2), F(2))
 
 
 def _same_root(a, b) -> bool:
@@ -282,3 +280,102 @@ def test_derivative_roots_match_np_roots(deriv):
             deriv = deriv[:top]
     assert len(got) == len(want)
     assert all(_same_root(a, b) for a, b in zip(got, want)), (got, want)
+
+
+# ---------------------------------------------------------------------------
+# piecewise lines: abs and guarded division
+
+N2 = ["u1", "u2"]
+
+
+def _scalar_at(e, values, i, x):
+    point = [float(v) for v in values]
+    point[i] = x
+    return scalar_fn(e)(point)
+
+
+def test_narrow_well_between_scan_points():
+    # a well 2/100 wide and 10 deep at u1 = 54/100 under a gentle parabola
+    e = parse("(u1 + 1)^2/10 - 1000*(abs(u1 - 53/100) + abs(u1 - 55/100)"
+              " - 2*abs(u1 - 54/100)) + u2", N2)
+    got = line_minimum_at(e, 0, [0.0, 0.7], F(-2), F(2))
+    assert got.arg == 0.54
+    assert got.value == pytest.approx(-19.06284, abs=1e-12)
+
+
+def test_nested_abs_is_cut_on_the_pieces_of_its_operand():
+    # |u1 - 1/2| = 1/3 at u1 = 1/6 and 5/6; the parabola prefers 1/6
+    e = parse("abs(abs(u1 - u2) - 1/3) + u1^2/100", N2)
+    got = line_minimum_at(e, 0, [0.0, 0.5], F(-2), F(2))
+    assert got.arg == pytest.approx(1 / 6, abs=1e-16)
+    assert got.value == pytest.approx(1 / 3600, abs=1e-18)
+
+
+def test_abs_of_a_coupled_operand():
+    # below u1 = 5/7 the cost is u1/2 + 3*u1^2/10, least at u1 = -5/6
+    e = parse("abs(u1*u2 - 1/2)*u1 + u1^2", N2)
+    got = line_minimum_at(e, 0, [0.0, 0.7], F(-2), F(2))
+    assert got.arg == pytest.approx(-5 / 6, abs=1e-15)
+    assert got.value == pytest.approx(-5 / 24, abs=1e-15)
+
+
+def test_guard_interval_inside_the_box():
+    # 1/(u1 - 1/2) is zero where |u1 - 1/2| <= 1/10, and tends to -10 as
+    # u1 rises to 2/5: the least value is at the last float below the guard
+    e = add(safediv(parse("1", N2), parse("u1 - u2", N2), F(1, 10)),
+            parse("u1^2/100", N2))
+    got = line_minimum_at(e, 0, [0.0, 0.5], F(-2), F(2))
+    assert got.arg == math.nextafter(0.4, 0.0)
+    assert got.value == _scalar_at(e, [0.0, 0.5], 0, got.arg)
+    assert got.value == pytest.approx(-10 + 0.0016, abs=1e-12)
+
+
+def test_zero_root_is_positive_zero():
+    # the operand u1 has the root -0.0 / 1.0: the minimum is at +0.0
+    e = parse("abs(u1) + u1^2", N2)
+    got = line_minimum_at(e, 0, [0.3, 0.7], F(-2), F(2))
+    assert _same(got.arg, 0.0) and _same(got.value, 0.0)
+
+
+def test_non_finite_piece_is_a_solver_error():
+    # 10**300 * u1^2 * u2 at u2 = 1e10: the quadratic coefficient is inf
+    e = add(absval(parse("u1 - 1/2", N2)),
+            expression(Polynomial({X2Y: F(10**300)})))
+    with pytest.raises(SolverError, match="not finite"):
+        line_minimum_at(e, 0, [0.0, 1e10], F(-2), F(2))
+
+
+small_polynomials = st.builds(
+    lambda terms: Polynomial(dict(terms)),
+    st.lists(st.tuples(st.sampled_from([(), X1, X2, ((0, 3),), Y, X1Y]),
+                       coefficients), min_size=1, max_size=4))
+
+
+@st.composite
+def nonsmooth_lines(draw):
+    """``abs(p) + r`` or ``p / q + r`` behind a guard, along u1, with
+    polynomials p, q, r of degree at most 3 in u1 (one term may carry
+    u2), a float u2 and an interval."""
+    p, q, r = (expression(draw(small_polynomials)) for _ in range(3))
+    if draw(st.booleans()):
+        e = add(absval(p), r)
+    else:
+        guard = draw(st.sampled_from([F(1, 10**12), F(1, 1000), F(1, 10)]))
+        e = add(safediv(p, q, guard), r)
+    u2 = draw(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+    lo, hi = draw(bounds)
+    return e, [0.0, u2], lo, hi
+
+
+@given(nonsmooth_lines())
+@settings(max_examples=200, deadline=None)
+def test_nonsmooth_line_is_no_worse_than_a_dense_scan(line):
+    e, values, lo, hi = line
+    got = line_minimum_at(e, 0, values, lo, hi)
+    # the box in floats: a float search starts from float(lo), float(hi)
+    assert type(got.arg) is float and float(lo) <= got.arg <= float(hi)
+    assert got.value == _scalar_at(e, values, 0, got.arg)
+    xs = np.linspace(float(lo), float(hi), 20_001)
+    scan = np.broadcast_to(vector_fn(e)([xs, values[1]]), xs.shape)
+    best = float(np.min(scan))
+    assert got.value <= best + 1e-12 * max(1.0, abs(best)), (got, best)

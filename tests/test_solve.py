@@ -105,18 +105,18 @@ class TestSeedTable:
 class TestBestResponse:
     def test_example1_agent1(self, example1, cfg):
         r = best_response(example1.agent_costs, 0, [0, Fraction(1)],
-                          example1.bounds, cfg)
+                          example1.bounds)
         assert r == Fraction(1)
 
     def test_degenerate_flat_returns_lowest(self, example1, cfg):
         # agent 2's cost is flat once u1 = 1; ties go to the lower bound
         r = best_response(example1.agent_costs, 1, [Fraction(1), 0],
-                          example1.bounds, cfg)
+                          example1.bounds)
         assert r == Fraction(-2)
 
     def test_pure_quadratic(self, cfg):
         costs = [power(add(var(0), const(Fraction(-1, 3))), 2), var(1)]
-        r = best_response(costs, 0, [0, 0], BOX2, cfg)
+        r = best_response(costs, 0, [0, 0], BOX2)
         assert r == Fraction(1, 3)
 
 
@@ -198,7 +198,7 @@ def _sign(x) -> float:
 class TestLineCache:
     def test_exact_and_float_actions_are_separate_lines(self, cfg):
         costs = (parse("u1^2 + u1*u2", NAMES2), parse("u2^2", NAMES2))
-        lines = solvers.LineCache(costs, BOX2, cfg)
+        lines = solvers.LineCache(costs, BOX2)
         exact = lines.minimum(0, [0.0, Fraction(1, 2)])
         floated = lines.minimum(0, [0.0, 0.5])
         assert exact == LineMin(Fraction(-1, 4), Fraction(-1, 16))
@@ -210,19 +210,18 @@ class TestLineCache:
     def test_signed_zeros_are_separate_lines(self, cfg):
         # |u1| * u2 is a signed zero all along u1 when u2 is one
         costs = (parse("abs(u1)*u2", NAMES2), parse("u2^2", NAMES2))
-        lines = solvers.LineCache(costs, BOX2, cfg)
+        lines = solvers.LineCache(costs, BOX2)
         plus = lines.minimum(0, [0.3, 0.0])
         minus = lines.minimum(0, [0.3, -0.0])
         assert (_sign(plus.value), _sign(minus.value)) == (1.0, -1.0)
         assert len(lines.minima) == 2
 
-    def test_own_action_and_scan_depth(self, cfg):
+    def test_own_action_is_not_in_the_key(self):
         costs = (parse("abs(u1 - u2) + u1^2", NAMES2), parse("u2^2", NAMES2))
-        lines = solvers.LineCache(costs, BOX2, cfg)
+        lines = solvers.LineCache(costs, BOX2)
         first = lines.minimum(0, [0.3, 0.7])
         assert lines.minimum(0, [-1.5, 0.7]) is first
-        assert lines.minimum(0, [0.3, 0.7], full_scan=True) is not first
-        assert len(lines.minima) == 2
+        assert len(lines.minima) == 1
 
     @pytest.mark.parametrize("path", sorted(GAMES_DIR.glob("*.game")),
                              ids=lambda p: p.stem)
