@@ -8,6 +8,7 @@ budgets.
 """
 
 import hashlib
+import json
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -297,9 +298,10 @@ def test_criterion_8_oracle_equivalence():
 
 
 #: sha256 of ``audit --format structured`` for example1 under the
-#: anticipatory proportional rule, recorded with the tree-walk evaluator
+#: anticipatory proportional rule, recorded with the piecewise rational
+#: line search
 EXAMPLE1_PROPORTIONAL_DIGEST = (
-    "f03eb6b70dcc26aab35ac6542c019d4e7655036c5ac5b2108bbeba7a6a204842")
+    "0c1481685ccf805fa7c0e517dd8426a22ee1269c4e508796ad8ef3bb37f72a1b")
 
 
 def test_anticipatory_proportional_report_is_pinned(tmp_path, capsys):
@@ -314,6 +316,9 @@ def test_anticipatory_proportional_report_is_pinned(tmp_path, capsys):
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() \
         == EXAMPLE1_PROPORTIONAL_DIGEST
+    # the realized equilibrium is (13/10, 37/20), to float accuracy
+    realized = json.loads(out)["sections"][0]["realized_profile"]
+    assert max(abs(u - v) for u, v in zip(realized, (1.3, 1.85))) <= 1e-9
 
 
 #: sha256 of ``audit --format structured``, recorded before the audit
