@@ -177,13 +177,10 @@ def _newton_polish(d1: Sequence[float], d2: Sequence[float], x: float
 
 def _pick_smallest(coeffs: Sequence[Number], candidates: Sequence[Number]
                    ) -> LineMin:
-    best_arg: Number | None = None
-    best_val: Number | None = None
-    for x in sorted(candidates, key=float):
-        v = _poly_value(coeffs, x)
-        if best_val is None or v < best_val:
-            best_arg, best_val = x, v
-    return LineMin(best_arg, best_val)
+    # min keeps the first of equal values: ties go to the smallest action
+    arg = min(sorted(candidates, key=float),
+              key=lambda x: _poly_value(coeffs, x))
+    return LineMin(arg, _poly_value(coeffs, arg))
 
 
 def _piecewise_line_minimum(e: Expression, i: int, base: list[float],
@@ -203,38 +200,40 @@ def _piecewise_line_minimum(e: Expression, i: int, base: list[float],
             candidates.update(_real_roots(stationary, a, b))
     scalar = scalar_fn(e)
     scores = {x: scalar(base[:i] + [x] + base[i + 1:]) for x in candidates}
-    # min keeps the first of equal scores: ties go to the smallest action
     arg = min(sorted(scores), key=scores.get)
     return LineMin(arg, scores[arg])
 
 
 def _restrict(e: Expression, i: int, base: list[float], a: float, b: float,
               cuts: list[float]) -> Ratio:
-    """``e`` along axis ``i`` on the piece (a, b) as float coefficients
-    (N, D) of ``N/D``, with each ``abs`` sign and guard state read at the
-    piece's midpoint.  Appends to ``cuts`` the points of (a, b) where an
-    ``abs`` operand changes sign or a guarded denominator crosses its
-    guard."""
+    """``e`` on the piece (a, b) of axis ``i`` as float coefficients (N, D)
+    of N/D, each ``abs`` sign and guard state read at the midpoint; adds to
+    ``cuts`` the points of (a, b) where one of its nodes changes piece."""
     p = as_polynomial(e)
     if p is not None:
-        return [float(c) for c in p.line_plan(i).coefficients(base)], [1.0]
+        plan = p.line_plan(i)
+        return [float(c) if g.terms else g.value for g, c in
+                zip(plan.groups, plan.coefficients(base))], [1.0]
     parts = [_restrict(c, i, base, a, b, cuts) for c in children(e)]
     if isinstance(e, Sum):
         return reduce(_add, parts)
-    if isinstance(e, Product):
-        return reduce(_mul, parts)
-    if isinstance(e, Power):
-        return reduce(_mul, parts * e.exponent)
+    if isinstance(e, (Product, Power)):
+        return reduce(_mul, parts * (e.exponent if type(e) is Power else 1))
     num, den = parts[-1]  # the operand, or the guarded denominator
     if isinstance(e, Neg):
         return [-c for c in num], den
     guard = e.guard if isinstance(e, SafeDiv) else 0
-    for level in {float(guard), -float(guard)}:
-        cuts += [y for x in _real_roots(_plus(num, den, -level), a, b)
-                 for y in (x + k * math.ulp(x)
-                           for k in (GUARD_ULPS if guard else (0,)))
-                 if a < y < b]
     n, d = _poly_value(num, (a + b) / 2), _poly_value(den, (a + b) / 2)
+    # N/D beyond the level on its midpoint's side and never at it: never
+    # at the other level either
+    side = float(guard) if (n < 0) == (d < 0) else -float(guard)
+    for level in (side, -side) if guard else (0.0,):
+        roots = _real_roots(_plus(num, den, -level), a, b)
+        cuts += [y for x in roots for y in (
+            x + k * math.ulp(x) for k in (GUARD_ULPS if guard else (0,)))
+            if a < y < b]
+        if not roots and abs(n) > guard * abs(d):
+            break
     if isinstance(e, Abs):
         return ([-c for c in num] if (n < 0) != (d < 0) else num), den
     return ([0.0], [1.0]) if abs(n) <= guard * abs(d) \
@@ -243,6 +242,8 @@ def _restrict(e: Expression, i: int, base: list[float], a: float, b: float,
 
 def _add(r: Ratio, s: Ratio) -> Ratio:
     (n1, d1), (n2, d2) = r, s
+    if d1 == d2:
+        return _plus(n1, n2), d1
     return _plus(_times(n1, d2), _times(n2, d1)), _times(d1, d2)
 
 
