@@ -45,6 +45,7 @@ from .solve import (
     SolverConfig,
     hessian_pd_check,
 )
+from .solve.solvers import sample_axes
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -451,9 +452,7 @@ def check_alignment_sufficiency(ctx: ScenarioSolve, tols: Collection[float]
 
 
 def _sample_points(game: Game) -> list[tuple[float, ...]]:
-    per_axis = 7 if game.n <= 3 else 5
-    axes = [np.linspace(float(lo), float(hi), per_axis)
-            for lo, hi in game.bounds]
+    axes = sample_axes(game.bounds, 7 if game.n <= 3 else 5)
     points = [tuple(float(v) for v in pt)
               for pt in itertools.product(*axes)]
     rng = np.random.default_rng(RNG_SEED)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .audit import full_audit
 from .expr import evaluate
@@ -31,6 +31,7 @@ from .report import (
 )
 from .solve import (
     OracleDimensionError,
+    SolverConfig,
     SolverError,
     check_grid_size,
     grid_minimum,
@@ -42,6 +43,10 @@ EXIT_OK = 0
 EXIT_SPEC = 2
 EXIT_SOLVER = 3
 EXIT_DIMENSION = 4
+
+
+#: what a command returns: its document and the document's text renderer
+Report = tuple[dict, Callable[[dict], str]]
 
 
 class UsageError(ValueError):
@@ -72,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure(spec: GameSpec, args: argparse.Namespace):
+def _configure(spec: GameSpec, args: argparse.Namespace) -> SolverConfig:
     cfg = spec.solver
     try:
         if args.grid is not None:
@@ -124,21 +129,14 @@ def _scenario_label(spec: GameSpec, scenario: Scenario) -> str:
     return f"{scenario.incentive.kind} incentive, all participating"
 
 
-def _cmd_audit(spec: GameSpec, args: argparse.Namespace) -> int:
-    cfg = _configure(spec, args)
-    scenario = _resolve_scenario(spec, args.scenario)
+def _cmd_audit(spec: GameSpec, scenario: Scenario,
+               cfg: SolverConfig) -> Report:
     report = full_audit(scenario, cfg, declared_base=spec.declared_base)
-    doc = audit_document(report, spec.game.operator_cost)
-    if args.format == "structured":
-        print(to_json(doc))
-    else:
-        print(render_audit_text(doc), end="")
-    return EXIT_OK
+    return audit_document(report, spec.game.operator_cost), render_audit_text
 
 
-def _cmd_equilibrium(spec: GameSpec, args: argparse.Namespace) -> int:
-    cfg = _configure(spec, args)
-    scenario = _resolve_scenario(spec, args.scenario)
+def _cmd_equilibrium(spec: GameSpec, scenario: Scenario,
+                     cfg: SolverConfig) -> Report:
     game = spec.game
     ctx = ScenarioSolve(scenario, cfg)
     if scenario.incentive is None:
@@ -159,11 +157,7 @@ def _cmd_equilibrium(spec: GameSpec, args: argparse.Namespace) -> int:
         "agents": list(game.names),
         "equilibria": entries,
     }
-    if args.format == "structured":
-        print(to_json(doc))
-    else:
-        print(render_equilibrium_text(doc), end="")
-    return EXIT_OK
+    return doc, render_equilibrium_text
 
 
 def _distance_check(subject: str, point: ActionProfile,
@@ -177,11 +171,9 @@ def _distance_check(subject: str, point: ActionProfile,
                 f"({'ok' if ok else 'DISAGREES'})")
 
 
-def _cmd_oracle(spec: GameSpec, args: argparse.Namespace) -> int:
+def _cmd_oracle(spec: GameSpec, scenario: Scenario,
+                cfg: SolverConfig) -> Report:
     game = spec.game
-    cfg = _configure(spec, args)
-    check_grid_size(game.n, cfg.grid_points_per_axis)
-    scenario = _resolve_scenario(spec, args.scenario)
     ctx = ScenarioSolve(scenario, cfg)
     costs = ctx.effective_costs
     grid_eqs = grid_nash_oracle(costs, game.bounds, cfg)
@@ -217,11 +209,7 @@ def _cmd_oracle(spec: GameSpec, args: argparse.Namespace) -> int:
         "agreement": all(ok for ok, _ in checks),
         "diagnostics": [line for _, line in checks],
     }
-    if args.format == "structured":
-        print(to_json(doc))
-    else:
-        print(render_oracle_text(doc), end="")
-    return EXIT_OK
+    return doc, render_oracle_text
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -229,11 +217,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = load_game_file(args.file)
-        if args.command == "audit":
-            return _cmd_audit(spec, args)
-        if args.command == "equilibrium":
-            return _cmd_equilibrium(spec, args)
-        return _cmd_oracle(spec, args)
+        cfg = _configure(spec, args)
+        if args.command == "oracle":
+            check_grid_size(spec.game.n, cfg.grid_points_per_axis)
+        scenario = _resolve_scenario(spec, args.scenario)
+        command = {"audit": _cmd_audit, "equilibrium": _cmd_equilibrium,
+                   "oracle": _cmd_oracle}[args.command]
+        doc, render = command(spec, scenario, cfg)
+        if args.format == "structured":
+            print(to_json(doc))
+        else:
+            print(render(doc), end="")
+        return EXIT_OK
     except (GameFileError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -180,8 +180,8 @@ class Polynomial:
     def constant_value(self) -> Fraction:
         return self.terms.get((), Fraction(0))
 
-    def quadratic_form(self, n: int) -> Optional[tuple[list[list[Fraction]], list[Fraction], Fraction]]:
-        """Decompose a degree<=2 polynomial as (1/2) u'Qu + b'u + c.
+    def quadratic_form(self, n: int) -> Optional[tuple[list[list[Fraction]], list[Fraction]]]:
+        """Decompose a degree<=2 polynomial as (1/2) u'Qu + b'u + constant.
 
         Q is symmetric with exact entries; returns None for degree > 2.
         """
@@ -189,21 +189,18 @@ class Polynomial:
             return None
         Q = [[Fraction(0)] * n for _ in range(n)]
         b = [Fraction(0)] * n
-        c = Fraction(0)
         for mono, coeff in self.terms.items():
-            if mono == ():
-                c = coeff
-            elif len(mono) == 1:
+            if len(mono) == 1:
                 idx, exp = mono[0]
                 if exp == 1:
                     b[idx] = coeff
                 else:
                     Q[idx][idx] = 2 * coeff
-            else:
+            elif mono:
                 (i, _), (j, _) = mono
                 Q[i][j] += coeff
                 Q[j][i] += coeff
-        return Q, b, c
+        return Q, b
 
     def to_expression(self) -> Expression:
         """Canonical expression: monomials in graded-lexicographic order."""

@@ -1,7 +1,7 @@
 """Exact rational linear algebra for the quadratic fast paths.
 
-Systems here are tiny (n agents, n <= 4 in practice), so plain fraction
-Gaussian elimination and Laplace determinants are both exact and fast.
+Both routines are fraction Gaussian elimination, O(n^3) in the number of
+agents and exact at every size.
 """
 
 from __future__ import annotations
@@ -31,26 +31,17 @@ def solve_linear(a: Matrix, b: Sequence[Fraction]) -> Optional[list[Fraction]]:
     return [m[i][n] for i in range(n)]
 
 
-def determinant(a: Matrix) -> Fraction:
-    n = len(a)
-    if n == 1:
-        return Fraction(a[0][0])
-    if n == 2:
-        return Fraction(a[0][0]) * a[1][1] - Fraction(a[0][1]) * a[1][0]
-    det = Fraction(0)
-    for j in range(n):
-        if a[0][j] == 0:
-            continue
-        minor = [[a[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        det += (-1) ** j * Fraction(a[0][j]) * determinant(minor)
-    return det
-
-
 def is_positive_definite(a: Matrix) -> bool:
-    """Sylvester criterion on a symmetric matrix, exact."""
+    """Sylvester's criterion, exact: elimination without row exchanges,
+    whose pivot k is the ratio of leading minors k and k-1."""
     n = len(a)
-    for k in range(1, n + 1):
-        lead = [[a[i][j] for j in range(k)] for i in range(k)]
-        if determinant(lead) <= 0:
+    m = [[Fraction(v) for v in row] for row in a]
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
             return False
+        for r in range(k + 1, n):
+            factor = m[r][k] / pivot
+            if factor:
+                m[r] = [v - factor * w for v, w in zip(m[r], m[k])]
     return True

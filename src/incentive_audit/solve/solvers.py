@@ -48,6 +48,10 @@ MERGE_TOL = 1e-7
 #: only past today's largest tables (61**3 cells for three agents)
 SEED_MAX_CELLS = 1 << 20
 
+#: grid points of a sampled check; it binds only past five agents, and
+#: from eight agents on leaves two points per axis, the box corners
+SAMPLE_MAX_CELLS = 5 ** 5
+
 #: random seeds per multistart, and grid-table starts of the operator
 #: polish
 MULTISTART_COUNT = 8
@@ -129,28 +133,23 @@ def _seeds(bounds: Bounds) -> list[tuple[float, ...]]:
 def minimize_operator(game: Game, cfg: SolverConfig) -> OperatorSolution:
     """Minimize the operator objective over the bound box.
 
-    Quadratic objectives with positive definite curvature are solved
-    exactly over the rationals; everything else goes through a grid seed
+    A quadratic objective with positive definite curvature is solved
+    exactly, as the stationary point of the identical-interest game in
+    which every agent bears it; everything else goes through a grid seed
     plus local polish (projected Newton when smooth, best-response sweeps
     with the objective as every agent's cost otherwise).  Ties break to
     the lexicographically smallest profile.
     """
-    n = game.n
     objective = game.operator_cost
-    p = as_polynomial(objective)
-    if p is not None and p.degree() <= 2:
-        Q, b, _ = p.quadratic_form(n)
-        if is_positive_definite(Q):
-            sol = solve_linear(Q, [-bi for bi in b])
-            if sol is not None and _within(sol, game.bounds):
-                profile = ActionProfile(sol)
-                return OperatorSolution(
-                    profile=profile,
-                    value=evaluate(objective, sol),
-                    on_boundary=False,
-                    exact=True,
-                    stationarity=0.0,
-                )
+    sol, definite = _stationarity_exact([objective] * game.n) or (None, False)
+    if definite and _within(sol, game.bounds):
+        return OperatorSolution(
+            profile=ActionProfile(sol),
+            value=evaluate(objective, sol),
+            on_boundary=False,
+            exact=True,
+            stationarity=0.0,
+        )
     return _minimize_numeric(objective, game.bounds, cfg)
 
 
@@ -278,8 +277,7 @@ class LineCache:
 
 
 def verify_nash(costs: Sequence[Expression], profile: ActionProfile | Sequence[Number],
-                bounds: Bounds, cfg: SolverConfig,
-                lines: Optional[LineCache] = None) -> float:
+                bounds: Bounds, lines: Optional[LineCache] = None) -> float:
     """Largest unilateral improvement any agent can find from ``profile``.
 
     Zero (up to numerics) certifies the defining equilibrium inequality;
@@ -301,7 +299,7 @@ def verify_nash(costs: Sequence[Expression], profile: ActionProfile | Sequence[N
     return max(worst, 0.0)
 
 
-def _stationarity_exact(costs: Sequence[Expression], n: int
+def _stationarity_exact(costs: Sequence[Expression]
                         ) -> Optional[tuple[list[Fraction], bool]]:
     """Solve the stacked first-order system when every cost is quadratic.
 
@@ -309,13 +307,14 @@ def _stationarity_exact(costs: Sequence[Expression], n: int
     derivatives is positive definite: under that (diagonal strict
     convexity) condition the equilibrium over the box is unique.
     """
+    n = len(costs)
     rows, rhs = [], []
     for i in range(n):
         p = as_polynomial(costs[i])
         if p is None or p.degree() > 2:
             return None
         # dC_i/du_i = (Q u)_i + b_i
-        Q, b, _ = p.quadratic_form(n)
+        Q, b = p.quadratic_form(n)
         rows.append(Q[i])
         rhs.append(-b[i])
     sol = solve_linear(rows, rhs)
@@ -399,11 +398,10 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
     found empirically); callers treat that as a reportable condition, not
     an error.
     """
-    n = len(costs)
     lines = LineCache(costs, bounds)
     candidates: list[tuple[tuple[Number, ...], str, bool]] = []
 
-    exact_path = _stationarity_exact(costs, n)
+    exact_path = _stationarity_exact(costs)
     exact_sol = None
     if exact_path is not None:
         sol, unique = exact_path
@@ -413,7 +411,7 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
             if unique:
                 # diagonally strictly convex: no other equilibrium exists,
                 # so skip the multistart routes and just verify
-                residual = verify_nash(costs, sol, bounds, cfg, lines)
+                residual = verify_nash(costs, sol, bounds, lines)
                 if residual <= cfg.tol + POLY_SLACK:
                     return [EquilibriumResult(
                         profile=ActionProfile(sol), residual=residual,
@@ -438,7 +436,7 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
 
     verified: list[EquilibriumResult] = []
     for values, method, exact in candidates:
-        residual = verify_nash(costs, values, bounds, cfg, lines)
+        residual = verify_nash(costs, values, bounds, lines)
         if residual <= cfg.tol + POLY_SLACK:
             verified.append(EquilibriumResult(
                 profile=ActionProfile(values),
@@ -476,8 +474,10 @@ def _constant_matrix(entries: list[list[Expression]]
     return out
 
 
-def _sample_axes(bounds: Bounds, n: int) -> list[np.ndarray]:
-    per_axis = 9 if n <= 3 else 5
+def sample_axes(bounds: Bounds, per_axis: int) -> list[np.ndarray]:
+    """Evenly spaced sample values on each axis: ``per_axis`` of them, or
+    fewer when the grid of all combinations would pass SAMPLE_MAX_CELLS."""
+    per_axis = min(per_axis, max_axis_points(SAMPLE_MAX_CELLS, len(bounds)))
     return [np.linspace(float(lo), float(hi), per_axis) for lo, hi in bounds]
 
 
@@ -486,7 +486,7 @@ def _sampled_pd(entries: list[list[Expression]], bounds: Bounds
     n = len(entries)
     fns = [[scalar_fn(e) for e in row] for row in entries]
     worst = np.inf
-    for point in itertools.product(*_sample_axes(bounds, n)):
+    for point in itertools.product(*sample_axes(bounds, 9 if n <= 3 else 5)):
         M = np.array([[fn(point) for fn in row] for row in fns])
         eig = float(np.linalg.eigvalsh(M)[0])
         if eig < worst:

@@ -150,8 +150,8 @@ class TestNashEquilibrium:
         for _ in range(10):
             g = random_game(rng, int(rng.integers(2, 4)), separable=True)
             for eq in nash_equilibrium(g.agent_costs, g.bounds, cfg):
-                assert verify_nash(g.agent_costs, eq.profile, g.bounds,
-                                   cfg) <= cfg.tol + 1e-9
+                assert verify_nash(g.agent_costs, eq.profile,
+                                   g.bounds) <= cfg.tol + 1e-9
 
     def test_unique_on_diagonally_convex_quadratics(self, cfg):
         # strict diagonal convexity forces uniqueness; the single
@@ -175,19 +175,19 @@ class TestVerifyNash:
     def test_zero_at_equilibrium(self, example1, cfg):
         r = verify_nash(example1.agent_costs,
                         ActionProfile([Fraction(1), Fraction(1)]),
-                        example1.bounds, cfg)
+                        example1.bounds)
         assert r <= 1e-9
 
     def test_positive_off_equilibrium(self, example1, cfg):
         r = verify_nash(example1.agent_costs,
                         ActionProfile([Fraction(0), Fraction(0)]),
-                        example1.bounds, cfg)
+                        example1.bounds)
         # agent 2 gains by running to the top of the box
         assert r >= 2.0 - 1e-9
 
     def test_constant_costs_zero_residual(self, cfg):
         r = verify_nash([const(3), const(5)],
-                        ActionProfile([Fraction(0), Fraction(0)]), BOX2, cfg)
+                        ActionProfile([Fraction(0), Fraction(0)]), BOX2)
         assert r == 0.0
 
 
@@ -242,7 +242,7 @@ class TestLineCache:
         assert any(found for *_, found in solved)
         for costs, bounds, cfg, found in solved:
             for r in found:
-                residual = verify_nash(costs, r.profile, bounds, cfg)
+                residual = verify_nash(costs, r.profile, bounds)
                 assert type(residual) is float
                 assert residual == r.residual \
                     and _sign(residual) == _sign(r.residual)
