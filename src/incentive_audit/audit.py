@@ -45,7 +45,7 @@ from .solve import (
     SolverConfig,
     hessian_pd_check,
 )
-from .solve.solvers import sample_axes
+from .solve.solvers import sample_grid
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -452,15 +452,13 @@ def check_alignment_sufficiency(ctx: ScenarioSolve, tols: Collection[float]
 
 
 def _sample_points(game: Game) -> list[tuple[float, ...]]:
-    axes = sample_axes(game.bounds, 7 if game.n <= 3 else 5)
-    points = [tuple(float(v) for v in pt)
-              for pt in itertools.product(*axes)]
     rng = np.random.default_rng(RNG_SEED)
     lows = [float(lo) for lo, _ in game.bounds]
     highs = [float(hi) for _, hi in game.bounds]
-    for _ in range(SAMPLE_RANDOM_POINTS):
-        points.append(tuple(rng.uniform(lows, highs)))
-    return points
+    return ([tuple(float(v) for v in pt)
+             for pt in sample_grid(game.bounds, 7 if game.n <= 3 else 5)]
+            + [tuple(rng.uniform(lows, highs))
+               for _ in range(SAMPLE_RANDOM_POINTS)])
 
 
 # ---------------------------------------------------------------------------

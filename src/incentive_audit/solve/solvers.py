@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,8 +48,7 @@ MERGE_TOL = 1e-7
 #: only past today's largest tables (61**3 cells for three agents)
 SEED_MAX_CELLS = 1 << 20
 
-#: grid points of a sampled check; it binds only past five agents, and
-#: from eight agents on leaves two points per axis, the box corners
+#: points of a sampled check: from six agents on, drawn from its lattice
 SAMPLE_MAX_CELLS = 5 ** 5
 
 #: random seeds per multistart, and grid-table starts of the operator
@@ -474,19 +473,25 @@ def _constant_matrix(entries: list[list[Expression]]
     return out
 
 
-def sample_axes(bounds: Bounds, per_axis: int) -> list[np.ndarray]:
-    """Evenly spaced sample values on each axis: ``per_axis`` of them, or
-    fewer when the grid of all combinations would pass SAMPLE_MAX_CELLS."""
-    per_axis = min(per_axis, max_axis_points(SAMPLE_MAX_CELLS, len(bounds)))
-    return [np.linspace(float(lo), float(hi), per_axis) for lo, hi in bounds]
+def sample_grid(bounds: Bounds, per_axis: int) -> Iterator[tuple[float, ...]]:
+    """The lattice with ``per_axis`` evenly spaced values per axis: all of
+    it, or past SAMPLE_MAX_CELLS points its middle point (the box centre for
+    an odd count) and SAMPLE_MAX_CELLS - 1 points drawn with RNG_SEED."""
+    axes = [np.linspace(float(lo), float(hi), per_axis) for lo, hi in bounds]
+    n = len(axes)
+    if per_axis ** n <= SAMPLE_MAX_CELLS:
+        return itertools.product(*axes)
+    rng = np.random.default_rng(RNG_SEED)
+    picks = rng.integers(per_axis, size=(SAMPLE_MAX_CELLS - 1, n))
+    rows = itertools.chain([(per_axis // 2,) * n], picks)
+    return (tuple(ax[k] for ax, k in zip(axes, row)) for row in rows)
 
 
 def _sampled_pd(entries: list[list[Expression]], bounds: Bounds
                 ) -> ConvexityReport:
-    n = len(entries)
     fns = [[scalar_fn(e) for e in row] for row in entries]
     worst = np.inf
-    for point in itertools.product(*sample_axes(bounds, 9 if n <= 3 else 5)):
+    for point in sample_grid(bounds, 9 if len(entries) <= 3 else 5):
         M = np.array([[fn(point) for fn in row] for row in fns])
         eig = float(np.linalg.eigvalsh(M)[0])
         if eig < worst:

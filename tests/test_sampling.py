@@ -10,16 +10,18 @@ from incentive_audit import audit
 from incentive_audit.expr import parse
 from incentive_audit.game import Game
 from incentive_audit.solve import hessian_pd_check
+from incentive_audit.solve.solvers import sample_grid
 
 #: SAMPLE_MAX_CELLS, written out so a change to it is seen here
 BUDGET = 5 ** 5
 
 
-def quartic_game(n: int) -> Game:
-    """An operator whose Hessian, diag(12 u_i^2 + 2), is positive definite
-    but not constant, so the curvature check samples every grid point."""
+def quartic_game(n: int, term: str = "{u}^4 + {u}^2") -> Game:
+    """An operator summing ``term`` over the agents.  The default's Hessian,
+    diag(12 u_i^2 + 2), is positive definite but not constant, so the
+    curvature check samples every grid point."""
     names = [f"u{i}" for i in range(1, n + 1)]
-    objective = parse(" + ".join(f"{u}^4 + {u}^2" for u in names), names)
+    objective = parse(" + ".join(term.format(u=u) for u in names), names)
     box = (Fraction(-1), Fraction(1))
     return Game(n=n, agent_costs=tuple(parse(f"{u}^2", names)
                                        for u in names),
@@ -52,3 +54,21 @@ def test_eight_agents_stay_within_the_budget(monkeypatch):
     profiles, curvature = sample_counts(quartic_game(8), monkeypatch)
     assert profiles <= BUDGET + audit.SAMPLE_RANDOM_POINTS
     assert curvature <= BUDGET
+
+
+def test_eight_agents_sample_the_interior(monkeypatch):
+    """Hessian diag(12 u_i^2 - 1) is indefinite only where some |u_i| is
+    below 1/sqrt(12): the corners alone would certify it."""
+    game = quartic_game(8, "{u}^4 - {u}^2/2")
+    report = hessian_pd_check(game.operator_cost, game)
+    assert report.status == "fails" and report.sampled
+    assert report.min_eigenvalue == -1.0
+
+
+def test_capped_sample_is_drawn_from_the_lattice():
+    box = ((Fraction(-1), Fraction(3)),) * 6
+    points = list(sample_grid(box, 5))
+    assert len(points) == BUDGET
+    assert points[0] == (1.0,) * 6
+    assert {v for p in points for v in p} == {-1.0, 0.0, 1.0, 2.0, 3.0}
+    assert points == list(sample_grid(box, 5))
