@@ -262,15 +262,21 @@ def diff(e: Expression, index: int) -> Expression:
 
     Absolute value is refused (NonDifferentiableError); guarded division
     differentiates by the quotient rule and is valid wherever the guard
-    does not trigger.
+    does not trigger.  Each derivative of a compound node is built once and
+    kept on the node, so a tree shared by several games has one derivative
+    tree (and one compiled form of it) per variable.
     """
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.index == index else ZERO
+    memo = e.__dict__.setdefault("_diff", {})
+    d = memo.get(index)
+    if d is not None:
+        return d
     if isinstance(e, Sum):
-        return add(*(diff(t, index) for t in e.terms))
-    if isinstance(e, Product):
+        d = add(*(diff(t, index) for t in e.terms))
+    elif isinstance(e, Product):
         terms = []
         for k, f in enumerate(e.factors):
             df = diff(f, index)
@@ -278,23 +284,25 @@ def diff(e: Expression, index: int) -> Expression:
                 continue
             rest = e.factors[:k] + e.factors[k + 1:]
             terms.append(mul(df, *rest))
-        return add(*terms) if terms else ZERO
-    if isinstance(e, Power):
+        d = add(*terms) if terms else ZERO
+    elif isinstance(e, Power):
         db = diff(e.base, index)
-        if db == ZERO:
-            return ZERO
-        return mul(const(e.exponent), power(e.base, e.exponent - 1), db)
-    if isinstance(e, Neg):
-        return neg(diff(e.operand, index))
-    if isinstance(e, Abs):
+        d = ZERO if db == ZERO else \
+            mul(const(e.exponent), power(e.base, e.exponent - 1), db)
+    elif isinstance(e, Neg):
+        d = neg(diff(e.operand, index))
+    elif isinstance(e, Abs):
         raise NonDifferentiableError(
             "cannot differentiate through an absolute value node")
-    if isinstance(e, SafeDiv):
+    elif isinstance(e, SafeDiv):
         num, den = e.numerator, e.denominator
         dnum, dden = diff(num, index), diff(den, index)
-        return safediv(add(mul(dnum, den), neg(mul(num, dden))),
-                       mul(den, den), e.guard * e.guard)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+        d = safediv(add(mul(dnum, den), neg(mul(num, dden))),
+                    mul(den, den), e.guard * e.guard)
+    else:
+        raise TypeError(f"unknown expression node {type(e).__name__}")
+    memo[index] = d
+    return d
 
 
 def substitute(e: Expression, assignment: Mapping[int, Expression]) -> Expression:

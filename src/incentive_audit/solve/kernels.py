@@ -18,8 +18,10 @@ MASK_TOL_REL = 1e-12
 
 
 def poly_grid_eval(coeffs: np.ndarray, exps: np.ndarray,
-                   axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate sum_t coeffs[t] * prod_k x_k^exps[t,k] on the axes grid.
+                   axes: Sequence[np.ndarray],
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate sum_t coeffs[t] * prod_k x_k^exps[t,k] on the axes grid,
+    into ``out`` (a float64 array of the grid's shape) when one is given.
 
     A value beyond the float range is left as numpy computes it (inf, or
     nan where infinities cancel), without a warning; callers that need a
@@ -27,7 +29,10 @@ def poly_grid_eval(coeffs: np.ndarray, exps: np.ndarray,
     axes = [np.asarray(ax, dtype=np.float64) for ax in axes]
     n = len(axes)
     shape = tuple(len(ax) for ax in axes)
-    out = np.zeros(shape, dtype=np.float64)
+    if out is None:
+        out = np.zeros(shape, dtype=np.float64)
+    else:
+        out.fill(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(coeffs.size):
             term: np.ndarray | float = coeffs[t]

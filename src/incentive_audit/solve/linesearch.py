@@ -7,7 +7,11 @@ exact arithmetic types them (Fractions at exact actions, floats once a
 float enters), then minimized from the stationary points: exactly, by
 the vertex formula, for degree <= 2; above that from the companion-matrix
 eigenvalues of the derivative, as ``np.roots`` computes them,
-Newton-polished and scored in floats.
+Newton-polished and scored in floats.  ``line_minima`` takes one cost's
+lines along one axis at many profiles together: their companion matrices
+of one size share one stacked eigenvalue call, which gives each matrix
+the eigenvalues a call of its own gives, and ``line_minimum_at`` is its
+one-profile case.
 
 A cost with absolute values or guarded divisions is piecewise rational
 along the axis.  Pieces are cut where an ``abs`` operand changes sign or
@@ -31,10 +35,14 @@ import numpy as np
 
 from ..expr import (Abs, Expression, Neg, Number, Power, Product, SafeDiv,
                     Sum, children, scalar_fn)
-from ..expr.polynomial import LinePlan, as_polynomial
+from ..expr.polynomial import as_polynomial
 
 #: Newton steps polishing a companion-matrix root
 POLISH_ITERS = 8
+
+#: a top coefficient whose term is below this share of the lower terms'
+#: magnitudes all over the box is left out of a polynomial's root finding
+NEGLIGIBLE = 2.0 ** -80
 
 #: ulps from a guard's float root at which the piece is cut as well: the
 #: cost jumps there, and the guard's own float test may flip ulps away
@@ -64,28 +72,54 @@ def _poly_value(coeffs: Sequence[Number], x: Number) -> Number:
 def line_minimum_at(e: Expression, i: int, values: Sequence[Number],
                     lo: Number, hi: Number) -> LineMin:
     """Minimize agent ``i``'s coordinate with the rest of ``values`` fixed."""
+    return line_minima(e, i, [values], lo, hi)[0]
+
+
+def line_minima(e: Expression, i: int, profiles: Sequence[Sequence[Number]],
+                lo: Number, hi: Number) -> list[LineMin]:
+    """``line_minimum_at`` at each of ``profiles``, in one pass: the float
+    polynomial lines of degree >= 3 find their stationary points through
+    one stacked eigenvalue call per companion-matrix size."""
+    flo, fhi = float(lo), float(hi)
     p = as_polynomial(e)
-    if p is not None:
-        return _poly_line_minimum(p.line_plan(i), values, lo, hi)
-    return _piecewise_line_minimum(e, i, [float(v) for v in values],
-                                   float(lo), float(hi))
-
-
-def _poly_line_minimum(plan: LinePlan, values: Sequence[Number],
-                       lo: Number, hi: Number) -> LineMin:
-    coeffs = plan.coefficients(values)
-    degree = len(coeffs) - 1
-    while degree > 0 and coeffs[degree] == 0:
-        degree -= 1
-    if degree > 2:
+    if p is None:
+        return [_piecewise_line_minimum(e, i, [float(v) for v in values],
+                                        flo, fhi) for values in profiles]
+    plan = p.line_plan(i)
+    groups = plan.groups
+    minima: list[LineMin | None] = []
+    lines: list[tuple[int, list[float], list[float]]] = []
+    for values in profiles:
+        coeffs = plan.coefficients(values)
+        degree = len(coeffs) - 1
+        while degree > 0 and coeffs[degree] == 0:
+            degree -= 1
+        if degree <= 2:
+            minima.append(_low_degree_minimum(coeffs, degree, lo, hi))
+            continue
         # at a float point, Fraction coefficients act as their float
         # values, which an exact group keeps for the line and derivative
-        groups = plan.groups
         floats = [float(c) if g.terms else g.value
                   for g, c in zip(groups, coeffs)]
         d1 = [float(k * coeffs[k]) if groups[k].terms
               else groups[k].derivative for k in range(1, len(coeffs))]
-        return _roots_line_minimum(floats, d1, degree, lo, hi)
+        if not all(map(math.isfinite, d1[:degree])):
+            raise SolverError(
+                f"cannot find the stationary points of a line of degree "
+                f"{degree}: its derivative has a coefficient that is not "
+                f"finite")
+        lines.append((len(minima), floats, d1))
+        minima.append(None)
+    roots = _real_roots([d1 for _, _, d1 in lines], flo, fhi)
+    for (k, floats, _), stationary in zip(lines, roots):
+        minima[k] = _pick_smallest(floats, [flo, fhi, *stationary])
+    return minima
+
+
+def _low_degree_minimum(coeffs: Sequence[Number], degree: int,
+                        lo: Number, hi: Number) -> LineMin:
+    """Minimum of a line of degree <= 2, in the coefficients' own
+    arithmetic: exact at an exact profile."""
     if degree == 0:
         return LineMin(lo, coeffs[0])
     if degree == 1:
@@ -100,65 +134,95 @@ def _poly_line_minimum(plan: LinePlan, values: Sequence[Number],
     return _pick_smallest(coeffs, candidates)
 
 
-def _roots_line_minimum(coeffs: list[float], d1: list[float], degree: int,
-                        lo: Number, hi: Number) -> LineMin:
-    """Minimum of a line of degree >= 3 with float coefficients ``coeffs``
-    (trailing zeros above ``degree`` allowed) and derivative ``d1``: the
-    interval ends and the real stationary points, polished by Newton."""
-    if not all(map(math.isfinite, d1[:degree])):
-        raise SolverError(
-            f"cannot find the stationary points of a line of degree "
-            f"{degree}: its derivative has a coefficient that is not finite")
-    flo, fhi = float(lo), float(hi)
-    return _pick_smallest(coeffs, [flo, fhi, *_real_roots(d1, flo, fhi)])
+def _real_roots(polys: Sequence[Sequence[float]], lo: float, hi: float
+                ) -> list[list[float]]:
+    """The real roots in [lo, hi] of each polynomial with ascending float
+    coefficients in ``polys`` (trailing zeros allowed): in closed form at
+    degree 1, else the real companion-matrix eigenvalues, Newton-polished."""
+    scale = max(1.0, -lo, hi)
+    roots: list[list[float]] = []
+    others = []
+    for p in polys:
+        if not all(map(math.isfinite, p)):
+            raise SolverError("cannot find the real roots of a polynomial "
+                              "along an agent's axis: a coefficient is not "
+                              "finite")
+        top = _root_degree(p, scale)
+        if top == 1:
+            # + 0.0 turns the root -0.0 of a zero constant term into 0.0
+            roots.append([-p[0] / p[1] + 0.0])
+        else:
+            others.append((len(roots), p, top))
+            roots.append([])
+    eigenvalues = _derivative_roots([p[:top + 1] for _, p, top in others])
+    for (k, p, _), found in zip(others, eigenvalues):
+        dp = [j * p[j] for j in range(1, len(p))]
+        roots[k] = [_newton_polish(p, dp, float(r.real))
+                    for r in found if abs(r.imag) < 1e-9]
+    return [[x for x in found if lo <= x <= hi] for found in roots]
 
 
-def _real_roots(p: Sequence[float], lo: float, hi: float) -> list[float]:
-    """The real roots in [lo, hi] of the polynomial with ascending float
-    coefficients ``p`` (trailing zeros allowed): in closed form at degree
-    1, else the real companion-matrix eigenvalues, Newton-polished."""
+def _root_degree(p: Sequence[float], scale: float) -> int:
+    """The degree at which the roots of ``p`` in a box within [-scale,
+    scale] are found: its top nonzero coefficient, passing over any whose
+    term stays below NEGLIGIBLE times the lower terms' magnitudes there.
+    Such a term moves no value in the box, and the roots it adds lie far
+    outside; beside them the eigenvalue solver loses the roots inside (a
+    top coefficient of 1e-206 turned the roots +-1 into 0.0)."""
     top = len(p) - 1
-    while top > 0 and p[top] == 0:
+    while top > 0 and (p[top] == 0 or top > 1 and _negligible(p, top, scale)):
         top -= 1
-    if not all(map(math.isfinite, p)):
-        raise SolverError("cannot find the real roots of a polynomial along "
-                          "an agent's axis: a coefficient is not finite")
-    if top == 1:
-        # + 0.0 turns the root -0.0 of a zero constant term into 0.0
-        roots = [-p[0] / p[1] + 0.0]
-    else:
-        dp = [k * p[k] for k in range(1, len(p))]
-        roots = [_newton_polish(p, dp, float(r.real))
-                 for r in _derivative_roots(p) if abs(r.imag) < 1e-9]
-    return [x for x in roots if lo <= x <= hi]
+    return top
 
 
-def _derivative_roots(deriv: Sequence[float]) -> list:
-    """``np.roots(deriv[::-1])`` for finite ascending coefficients
-    ``deriv``, computed the same way without its array overhead: the
-    eigenvalues of the companion matrix of the polynomial stripped of its
-    zero leading and trailing coefficients, then a zero root per trailing
-    zero.
+def _negligible(p: Sequence[float], top: int, scale: float) -> bool:
+    lead = abs(p[top])
+    # each scale ** (k - top) is at most 1, so the plain sum of magnitudes
+    # is a cheap first test that almost every line fails
+    return lead < NEGLIGIBLE * sum(map(abs, p[:top])) and lead < NEGLIGIBLE \
+        * sum(abs(p[k]) * scale ** (k - top) for k in range(top))
+
+
+def _derivative_roots(derivs: Sequence[Sequence[float]]) -> list[list]:
+    """``np.roots(deriv[::-1])`` for each of the finite ascending
+    coefficient lists ``derivs``, computed the same way without its array
+    overhead: the eigenvalues of the companion matrix of the polynomial
+    stripped of its zero leading and trailing coefficients, then a zero
+    root per trailing zero.  The companion matrices of one size share one
+    stacked ``np.linalg.eigvals`` call, which gives each matrix the
+    eigenvalues a call of its own gives.
 
     Where ``np.roots`` fails because a leading coefficient is so small
     next to the others (a subnormal, say) that the companion matrix
     overflows, that coefficient is dropped and the next nonzero one leads:
     the roots it would add are about as large as the float range, outside
     any bound box."""
-    nonzero = [k for k, c in enumerate(deriv) if c != 0]
-    if not nonzero:
-        return []
-    low = nonzero[0]
-    for top in reversed(nonzero):
-        if top == low:
-            break
-        lead = deriv[top]
-        row = [-deriv[k] / lead for k in range(top - 1, low - 1, -1)]
-        if all(map(math.isfinite, row)):
-            companion = np.eye(top - low, k=-1)
-            companion[0] = row
-            return list(np.linalg.eigvals(companion)) + [0.0] * low
-    return [0.0] * low
+    rows: list[list[float] | None] = []
+    lows: list[int] = []
+    for deriv in derivs:
+        nonzero = [k for k, c in enumerate(deriv) if c != 0]
+        low = nonzero[0] if nonzero else 0
+        row = None
+        for top in reversed(nonzero):
+            if top == low:
+                break
+            lead = deriv[top]
+            first = [-deriv[k] / lead for k in range(top - 1, low - 1, -1)]
+            if all(map(math.isfinite, first)):
+                row = first
+                break
+        rows.append(row)
+        lows.append(low)
+    found: list[list] = [[] for _ in rows]
+    for size in sorted({len(row) for row in rows if row is not None}):
+        ks = [k for k, row in enumerate(rows)
+              if row is not None and len(row) == size]
+        companions = np.zeros((len(ks), size, size))
+        companions[:, 0] = [rows[k] for k in ks]
+        companions[:, range(1, size), range(size - 1)] = 1.0
+        for k, eigenvalues in zip(ks, np.linalg.eigvals(companions)):
+            found[k] = list(eigenvalues)
+    return [f + [0.0] * low for f, low in zip(found, lows)]
 
 
 def _newton_polish(d1: Sequence[float], d2: Sequence[float], x: float
@@ -197,7 +261,7 @@ def _piecewise_line_minimum(e: Expression, i: int, base: list[float],
         else:
             stationary = _plus(_times(_derivative(num), den),
                                _times(num, _derivative(den)), -1.0)
-            candidates.update(_real_roots(stationary, a, b))
+            candidates.update(_real_roots([stationary], a, b)[0])
     scalar = scalar_fn(e)
     scores = {x: scalar(base[:i] + [x] + base[i + 1:]) for x in candidates}
     arg = min(sorted(scores), key=scores.get)
@@ -228,7 +292,7 @@ def _restrict(e: Expression, i: int, base: list[float], a: float, b: float,
     # at the other level either
     side = float(guard) if (n < 0) == (d < 0) else -float(guard)
     for level in (side, -side) if guard else (0.0,):
-        roots = _real_roots(_plus(num, den, -level), a, b)
+        roots = _real_roots([_plus(num, den, -level)], a, b)[0]
         cuts += [y for x in roots for y in (
             x + k * math.ulp(x) for k in (GUARD_ULPS if guard else (0,)))
             if a < y < b]

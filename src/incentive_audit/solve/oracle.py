@@ -74,21 +74,25 @@ def eval_array(e: Expression, arrays: Sequence[np.ndarray]) -> np.ndarray | floa
     return vector_fn(e)(arrays)
 
 
-def eval_on_grid(e: Expression, axes: Sequence[np.ndarray]) -> np.ndarray:
-    """Tabulate ``e`` on the cartesian product of the axes."""
+def eval_on_grid(e: Expression, axes: Sequence[np.ndarray],
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Tabulate ``e`` on the cartesian product of the axes, into ``out``
+    (a float64 array of the grid's shape) when one is given."""
     n = len(axes)
     shape = tuple(len(ax) for ax in axes)
+    if out is None:
+        out = np.empty(shape)
     p = as_polynomial(e)
     if p is not None:
         coeffs, exps = p.to_arrays(n)
-        return kernels.poly_grid_eval(coeffs, exps, axes)
+        return kernels.poly_grid_eval(coeffs, exps, axes, out=out)
     grids = []
     for k, ax in enumerate(axes):
         reshape = [1] * n
         reshape[k] = shape[k]
         grids.append(np.asarray(ax, dtype=np.float64).reshape(reshape))
-    out = eval_array(e, grids)
-    return np.broadcast_to(np.asarray(out, dtype=np.float64), shape).copy()
+    out[...] = eval_array(e, grids)
+    return out
 
 
 def _finite(table: np.ndarray) -> np.ndarray:
@@ -108,7 +112,10 @@ def grid_nash_oracle(costs: Sequence[Expression],
     """
     check_grid_size(len(costs), cfg.grid_points_per_axis)
     axes = grid_axes(bounds, cfg.grid_points_per_axis)
-    tables = np.stack([_finite(eval_on_grid(c, axes)) for c in costs])
+    # each table is written in place: no second copy of the stack
+    tables = np.empty((len(costs),) + tuple(len(ax) for ax in axes))
+    for c, table in zip(costs, tables):
+        _finite(eval_on_grid(c, axes, out=table))
     mask = kernels.pure_nash_mask(tables)
     profiles = []
     for idx in np.argwhere(mask):

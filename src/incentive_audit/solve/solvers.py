@@ -2,10 +2,18 @@
 
 Two independent routes produce equilibrium candidates: simultaneous
 stationarity (exact rational linear solve for quadratic games, damped
-multistart Newton otherwise) and best-response iteration.  Every candidate
-is verified against the unilateral-deviation inequality before it is
-reported, duplicates are merged, and results are ordered lexicographically
-so that reruns and concurrent evaluation cannot change the output.
+multistart Newton otherwise) and best-response iteration.  Candidates are
+verified against the unilateral-deviation inequality in report order
+(exact first, then lexicographic); one within ``MERGE_TOL`` of an
+equilibrium already kept would be merged into it, so it is dropped
+without verification.  Results are ordered lexicographically so that
+reruns and concurrent evaluation cannot change the output.
+
+The multistart runs in lockstep.  The best-response seeds sweep together,
+and at each agent's step the lines of all running seeds are minimized in
+one batch; the Newton starts iterate together on the compiled vector form
+of the first-order system, with one stacked linear solve per iteration.
+Each seed and start follows the path it follows alone, to the bit.
 
 One solve computes each distinct line minimum once: the best-response
 sweeps and the verification of every candidate read them through a
@@ -27,13 +35,13 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from ..expr import (Expression, Number, add, diff, evaluate, is_smooth,
-                    scalar_fn)
+                    scalar_fn, vector_fn)
 from ..expr.compiled import ScalarFn
 from ..expr.polynomial import as_polynomial, hessian
 from ..game import ActionProfile, Game
 from .config import RNG_SEED, SolverConfig
 from .exact import is_positive_definite, solve_linear
-from .linesearch import LineMin, SolverError, line_minimum_at
+from .linesearch import LineMin, SolverError, line_minima, line_minimum_at
 from .oracle import eval_on_grid, grid_axes, max_axis_points
 
 Bounds = Sequence[tuple[Number, Number]]
@@ -96,6 +104,14 @@ class ConvexityReport:
 
 def _within(values: Sequence[Number], bounds: Bounds) -> bool:
     return all(lo <= v <= hi for v, (lo, hi) in zip(values, bounds))
+
+
+def _exact_floats(bounds: Bounds) -> list[tuple[Number, Number]]:
+    """``bounds`` with every end that a float holds exactly replaced by that
+    float: comparisons with it give the same answers without Fraction
+    arithmetic."""
+    return [tuple(float(b) if Fraction(float(b)) == b else b for b in ends)
+            for ends in bounds]
 
 
 def _axis_counts(n: int, cfg: SolverConfig) -> int:
@@ -169,11 +185,13 @@ def _minimize_numeric(objective: Expression, bounds: Bounds,
     if smooth:
         grad = [scalar_fn(diff(objective, i)) for i in range(n)]
         hess = [[scalar_fn(h) for h in row] for row in hessian(objective, n)]
-    # coordinate descent: best response with the objective as every cost
-    lines = LineCache([objective] * n, bounds)
-    candidates = [_newton_min(value, grad, hess, start, bounds, cfg)
-                  if smooth else _best_response_iteration(lines, start, cfg)
-                  for start in starts]
+    if smooth:
+        candidates = [_newton_min(value, grad, hess, start, bounds, cfg)
+                      for start in starts]
+    else:
+        # coordinate descent: best response with the objective as every cost
+        candidates = _best_response_iteration(
+            LineCache([objective] * n, bounds), starts, cfg)
 
     best_val = min(value(c) for c in candidates)
     near = [c for c in candidates
@@ -264,15 +282,24 @@ class LineCache:
         self.minima: dict[tuple, LineMin] = {}
 
     def minimum(self, i: int, values: Sequence[Number]) -> LineMin:
-        key = (i,) + tuple(
-            (type(v), v, not v and math.copysign(1.0, v))
-            for j, v in enumerate(values) if j != i)
-        lm = self.minima.get(key)
-        if lm is None:
+        return self.minima_at(i, [values])[0]
+
+    def minima_at(self, i: int, profiles: Sequence[Sequence[Number]]
+                  ) -> list[LineMin]:
+        """Agent ``i``'s line minima at ``profiles``; the lines not seen
+        yet are computed together, each once."""
+        keys = [(i,) + tuple((type(v), v, not v and math.copysign(1.0, v))
+                             for j, v in enumerate(values) if j != i)
+                for values in profiles]
+        todo = {}
+        for key, values in zip(keys, profiles):
+            if key not in self.minima:
+                todo.setdefault(key, values)
+        if todo:
             lo, hi = self.bounds[i]
-            lm = self.minima[key] = line_minimum_at(
-                self.costs[i], i, values, lo, hi)
-        return lm
+            found = line_minima(self.costs[i], i, list(todo.values()), lo, hi)
+            self.minima.update(zip(todo, found))
+        return [self.minima[key] for key in keys]
 
 
 def verify_nash(costs: Sequence[Expression], profile: ActionProfile | Sequence[Number],
@@ -324,69 +351,125 @@ def _stationarity_exact(costs: Sequence[Expression]
 
 
 def _newton_system(costs: Sequence[Expression]
-                   ) -> tuple[list[ScalarFn], list[list[ScalarFn]]]:
-    """Compiled stacked first-order conditions F_i = dC_i/du_i and their
-    Jacobian, built once per equilibrium solve."""
+                   ) -> tuple[list[Expression], list[Expression]]:
+    """The stacked first-order conditions F_i = dC_i/du_i and their
+    Jacobian, row by row."""
     n = len(costs)
     F = [diff(costs[i], i) for i in range(n)]
-    Jac = [[scalar_fn(diff(F[i], j)) for j in range(n)] for i in range(n)]
-    return [scalar_fn(f) for f in F], Jac
+    return F, [diff(F[i], j) for i in range(n) for j in range(n)]
 
 
-def _newton_stationarity(F: Sequence[ScalarFn],
-                         Jac: Sequence[Sequence[ScalarFn]], start,
-                         bounds: Bounds, cfg: SolverConfig
-                         ) -> Optional[tuple[float, ...]]:
-    lo, hi = _float_box(bounds)
-    x = np.array(start, dtype=float)
-    fx = np.array([f(x.tolist()) for f in F])
-    for _ in range(STATIONARITY_MAX_ITERS):
-        norm = np.max(np.abs(fx))
-        if norm <= cfg.tol:
-            return tuple(float(v) for v in x)
-        pt = x.tolist()
-        J = np.array([[fn(pt) for fn in row] for row in Jac])
-        try:
-            step = np.linalg.solve(J, -fx)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        lam, advanced = 1.0, False
-        while lam >= 1e-10:
-            xn = np.clip(x + lam * step, lo, hi)
-            pt = xn.tolist()
-            fn = np.array([f(pt) for f in F])
-            if np.max(np.abs(fn)) < norm * (1.0 - 0.25 * lam) + 1e-15:
-                x, fx, advanced = xn, fn, True
-                break
-            lam /= 2
-        if not advanced:
-            return None
-    return None
+def _rows(exprs: Sequence[Expression], x: np.ndarray) -> np.ndarray:
+    """``exprs`` at each row of ``x``, one row of values per row of ``x``.
 
-
-def _best_response_iteration(lines: LineCache, start, cfg: SolverConfig
-                             ) -> tuple[float, ...]:
-    """Gauss-Seidel best-response sweep from one seed.
-
-    Always returns the final iterate as a candidate: a revisited point may
-    be a genuine oscillation (dropped later by verification) or just the
-    line-search noise floor around a fixed point (which verifies fine).
+    The compiled vector form gives the values the scalar form gives; a row
+    with a value that is not finite is evaluated again by the scalar form,
+    which raises where Python's float arithmetic raises (an overflowing
+    power, say).
     """
-    point = [float(v) for v in start]
-    seen: list[tuple[float, ...]] = []
-    for _ in range(BR_MAX_ITERS):
-        moved = 0.0
-        for i in range(len(point)):
-            new = float(lines.minimum(i, point).arg)
-            moved = max(moved, abs(new - point[i]))
-            point[i] = new
-        snapshot = tuple(point)
-        if moved <= cfg.tol or snapshot in seen:
+    columns = list(x.T)
+    out = np.empty((len(x), len(exprs)))
+    with np.errstate(all="ignore"):
+        for j, e in enumerate(exprs):
+            out[:, j] = vector_fn(e)(columns)
+    for r in np.flatnonzero(~np.isfinite(out).all(axis=1)):
+        point = x[r].tolist()
+        out[r] = [scalar_fn(e)(point) for e in exprs]
+    return out
+
+
+def _newton_steps(J: np.ndarray, fx: np.ndarray) -> list[Optional[np.ndarray]]:
+    """``np.linalg.solve(J[k], -fx[k])`` for every k, ``None`` where the
+    matrix is singular: one stacked call, or one call per matrix when the
+    stack holds a singular one."""
+    try:
+        return list(np.linalg.solve(J, -fx[..., None])[..., 0])
+    except np.linalg.LinAlgError:
+        steps: list[Optional[np.ndarray]] = []
+        for Jk, fk in zip(J, fx):
+            try:
+                steps.append(np.linalg.solve(Jk, -fk))
+            except np.linalg.LinAlgError:
+                steps.append(None)
+        return steps
+
+
+def _newton_stationarity(F: Sequence[Expression], Jac: Sequence[Expression],
+                         starts, bounds: Bounds, cfg: SolverConfig
+                         ) -> list[Optional[tuple[float, ...]]]:
+    """Damped Newton on the stacked first-order system from every start,
+    in lockstep: each start takes the steps it takes alone, and every
+    evaluation of F and of the Jacobian covers all the starts still running.
+    A start that stalls, meets a singular Jacobian or runs out of
+    iterations gives ``None``."""
+    lo, hi = _float_box(bounds)
+    n = len(bounds)
+    found: list[Optional[tuple[float, ...]]] = [None] * len(starts)
+    live = np.arange(len(starts))
+    x = np.array(starts, dtype=float).reshape(len(starts), n)
+    fx = _rows(F, x)
+    for _ in range(STATIONARITY_MAX_ITERS):
+        norm = np.max(np.abs(fx), axis=1)
+        done = norm <= cfg.tol
+        for k, row in zip(live[done], x[done]):
+            found[k] = tuple(row.tolist())
+        live, x, fx, norm = live[~done], x[~done], fx[~done], norm[~done]
+        if not live.size:
             break
-        seen = (seen + [snapshot])[-8:]
-    return tuple(point)
+        steps = _newton_steps(_rows(Jac, x).reshape(len(x), n, n), fx)
+        going = [r for r, step in enumerate(steps)
+                 if step is not None and np.all(np.isfinite(step))]
+        live, x, fx, norm = live[going], x[going], fx[going], norm[going]
+        step = np.array([steps[r] for r in going]).reshape(len(going), n)
+        # backtrack from a full step, the starts not yet advanced together
+        waiting = np.ones(len(live), dtype=bool)
+        lam = 1.0
+        while lam >= 1e-10 and waiting.any():
+            trying = np.flatnonzero(waiting)
+            xn = np.clip(x[trying] + lam * step[trying], lo, hi)
+            fn = _rows(F, xn)
+            ok = np.max(np.abs(fn), axis=1) \
+                < norm[trying] * (1.0 - 0.25 * lam) + 1e-15
+            x[trying[ok]], fx[trying[ok]] = xn[ok], fn[ok]
+            waiting[trying[ok]] = False
+            lam /= 2
+        live, x, fx = live[~waiting], x[~waiting], fx[~waiting]
+    return found
+
+
+def _best_response_iteration(lines: LineCache, starts, cfg: SolverConfig
+                             ) -> list[tuple[float, ...]]:
+    """Gauss-Seidel best-response sweeps from every seed, in lockstep.
+
+    Each seed follows the path it follows alone and stops under its own
+    rules; at each agent's step the live seeds' lines not cached yet are
+    minimized in one batch.  Always returns each seed's final iterate as a
+    candidate: a revisited point may be a genuine oscillation (dropped
+    later by verification) or just the line-search noise floor around a
+    fixed point (which verifies fine).
+    """
+    points = [[float(v) for v in start] for start in starts]
+    seen: list[list[tuple[float, ...]]] = [[] for _ in points]
+    live = list(range(len(points)))
+    for _ in range(BR_MAX_ITERS):
+        if not live:
+            break
+        moved = [0.0] * len(points)
+        for i in range(len(points[0])):
+            found = lines.minima_at(i, [points[k] for k in live])
+            for k, lm in zip(live, found):
+                new = float(lm.arg)
+                moved[k] = max(moved[k], abs(new - points[k][i]))
+                points[k][i] = new
+        running = []
+        for k in live:
+            snapshot = tuple(points[k])
+            if moved[k] <= cfg.tol or snapshot in seen[k]:
+                continue
+            seen[k] = (seen[k] + [snapshot])[-8:]
+            running.append(k)
+        live = running
+    return [tuple(point) for point in points]
 
 
 def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
@@ -417,40 +500,39 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
                         method="newton", converged=True, exact=True)]
 
     seeds = _seeds(bounds)
-    br_points = []
-    for seed in seeds:
-        found = _best_response_iteration(lines, seed, cfg)
-        br_points.append(found)
-        candidates.append((found, "best-response", False))
+    br_points = _best_response_iteration(lines, seeds, cfg)
+    candidates += [(found, "best-response", False) for found in br_points]
 
     # Newton on the stacked first-order system; guarded divisions are
     # smooth wherever the guard is off, so they go through here too (the
     # best-response endpoints make good seeds near degenerate flats)
     if all(is_smooth(c) for c in costs) and exact_sol is None:
         F, Jac = _newton_system(costs)
-        for seed in seeds + br_points:
-            found = _newton_stationarity(F, Jac, seed, bounds, cfg)
-            if found is not None and _within(found, bounds):
+        box = _exact_floats(bounds)
+        for found in _newton_stationarity(F, Jac, seeds + br_points, bounds,
+                                          cfg):
+            if found is not None and _within(found, box):
                 candidates.append((found, "newton", False))
 
-    verified: list[EquilibriumResult] = []
+    # verify in report order (exact representatives first, then
+    # lexicographic): a candidate within MERGE_TOL of one already reported
+    # would be merged into it, so it is dropped without verification
+    candidates.sort(key=lambda c: (not c[2], tuple(float(v) for v in c[0])))
+    merged: list[EquilibriumResult] = []
     for values, method, exact in candidates:
+        profile = ActionProfile(values)
+        if not all(profile.max_distance(m.profile) > MERGE_TOL
+                   for m in merged):
+            continue
         residual = verify_nash(costs, values, bounds, lines)
         if residual <= cfg.tol + POLY_SLACK:
-            verified.append(EquilibriumResult(
-                profile=ActionProfile(values),
+            merged.append(EquilibriumResult(
+                profile=profile,
                 residual=residual,
                 method=method,
                 converged=True,
                 exact=exact,
             ))
-
-    # merge duplicates; exact representatives win, then lexicographic order
-    verified.sort(key=lambda r: (not r.exact, r.profile.as_floats()))
-    merged: list[EquilibriumResult] = []
-    for r in verified:
-        if all(r.profile.max_distance(m.profile) > MERGE_TOL for m in merged):
-            merged.append(r)
     merged.sort(key=lambda r: r.profile.as_floats())
     return merged
 

@@ -12,7 +12,8 @@ value and sign of zero) at float, exact and mixed profiles, and
 ``line_minimum_at`` the same minimum as ``reference_minimum``: the vertex
 formula on the exact coefficients at degree <= 2, the derivative's real
 roots above that.  The derivative roots must equal ``np.roots``' roots bit
-for bit.
+for bit, and a batch of lines (``line_minima``, one stacked eigenvalue
+call per companion size) must give each line the minimum it gets alone.
 
 Lines with ``abs`` or guarded division are minimized piece by piece; they
 are checked on hand-made lines (narrow wells, nested ``abs``, a guard
@@ -35,7 +36,8 @@ from incentive_audit.solve.linesearch import (
     _derivative_roots,
     _pick_smallest,
     _poly_value,
-    _roots_line_minimum,
+    _real_roots,
+    line_minima,
     line_minimum_at,
 )
 
@@ -77,9 +79,10 @@ def reference_minimum(coeffs, lo, hi):
             if lo <= vertex <= hi:
                 candidates = [vertex]
         return _pick_smallest(coeffs, candidates)
-    return _roots_line_minimum(
-        [float(c) for c in coeffs],
-        [float(k * coeffs[k]) for k in range(1, len(coeffs))], degree, lo, hi)
+    flo, fhi = float(lo), float(hi)
+    d1 = [float(k * coeffs[k]) for k in range(1, len(coeffs))]
+    return _pick_smallest([float(c) for c in coeffs],
+                          [flo, fhi, *_real_roots([d1], flo, fhi)[0]])
 
 
 def expression(p):
@@ -233,6 +236,64 @@ def test_plan_is_built_once_per_axis():
     assert along_u1[0] == along_u1[2] == ((), F(0), 0.0, 0.0)
 
 
+# ---------------------------------------------------------------------------
+# one batch of lines: the same minima as one line at a time
+
+X6Z = ((0, 6), (2, 1))
+X3Y = ((0, 3), (1, 1))
+batch_actions = st.one_of(floats, exacts)
+
+
+@st.composite
+def batches(draw):
+    """Lines along u1 of a sextic whose degree falls to 4 where u3 is 0
+    and to 2 where u2 is 0 too (companion sizes 5 and 3, and the vertex
+    formula), at 1-6 profiles of float, exact or mixed actions, some of
+    them drawn again."""
+    terms = {X6Z: draw(coefficients), X4Y: draw(coefficients),
+             X3Y: draw(coefficients), X2: F(1), X1Y: draw(coefficients),
+             Y: draw(coefficients)}
+    profiles = draw(st.lists(
+        st.tuples(st.just(0.0), batch_actions, batch_actions).map(list),
+        min_size=1, max_size=6))
+    profiles += draw(st.lists(st.sampled_from(profiles), max_size=2))
+    lo, hi = draw(bounds)
+    return expression(Polynomial(terms)), profiles, lo, hi
+
+
+@given(batches())
+@settings(max_examples=200, deadline=None)
+# quartic and sextic float lines in one batch, with an exact profile
+@example((expression(Polynomial({X6Z: F(1), X4Y: F(1, 3), X2: F(1)})),
+          [[0.0, 0.5, 0.0], [0.0, 0.5, 1.0], [0.0, F(1, 2), F(1)],
+           [0.0, -0.0, -0.0]], *I))
+def test_batch_gives_each_line_its_own_minimum(batch):
+    e, profiles, lo, hi = batch
+    got = line_minima(e, 0, profiles, lo, hi)
+    assert len(got) == len(profiles)
+    for values, lm in zip(profiles, got):
+        alone = line_minimum_at(e, 0, values, lo, hi)
+        assert _same(lm.arg, alone.arg), (values, lm, alone)
+        assert _same(lm.value, alone.value), (values, lm, alone)
+
+
+def test_batch_takes_one_eigenvalue_call_per_companion_size(monkeypatch):
+    calls = []
+    original = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    e = expression(Polynomial({X6Z: F(1), X4Y: F(1, 3), X2: F(1),
+                               X1: F(1, 5)}))
+    profiles = [[0.0, 0.5, 1.0], [0.0, 0.25, 0.0], [0.0, 0.75, 2.0],
+                [0.0, 0.0, 0.0], [0.0, F(1, 2), F(1)]]
+    line_minima(e, 0, profiles, F(-1), F(1))
+    assert sorted(calls) == [(1, 3, 3), (3, 5, 5)]
+
+
 def test_overflowing_companion_matrix_drops_the_top_coefficient():
     # -2 / (4 * 10**-320) is -inf: the quartic term is dropped from the
     # root finding, which leaves the quadratic's vertex at -1/8
@@ -271,7 +332,7 @@ derivative_coefficients = st.one_of(
 @example([1.0, 5e-324])           # the companion matrix overflows
 @example([1.0, -2.0, 5e-324])
 def test_derivative_roots_match_np_roots(deriv):
-    got = _derivative_roots(deriv)
+    got = _derivative_roots([deriv])[0]
     # where the companion matrix overflows, np.roots fails, and the
     # roots are those of the coefficients below the top nonzero one
     while True:
@@ -380,6 +441,10 @@ def nonsmooth_lines(draw):
 # u1^3 - 1/3 + 10^-12 misses the guard's own flip by about 2 ulps
 @example((add(safediv(parse("1", N2), parse("u1^3 + u2/3", N2)),
               parse("1", N2)), [0.0, -1.0], 0.0, F(1)))
+# a tiny u2 leaves N'D - ND' = u1^2 - 1 + 8.4e-207*u1^4: beside the quartic
+# term's roots near 1e103 the eigenvalues lost the stationary point u1 = 1
+@example((add(safediv(parse("u1", N2), parse("-1 - u1^2", N2)),
+              parse("u1*u2", N2)), [0.0, 8.388820545926033e-207], 0.0, F(2)))
 def test_nonsmooth_line_is_no_worse_than_a_dense_scan(line):
     e, values, lo, hi = line
     got = line_minimum_at(e, 0, values, lo, hi)

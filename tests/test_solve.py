@@ -8,7 +8,8 @@ import pytest
 
 from incentive_audit import incentive
 from incentive_audit.audit import full_audit
-from incentive_audit.expr import absval, add, const, mul, parse, power, var
+from incentive_audit.expr import (absval, add, const, is_smooth, mul, parse,
+                                  power, scalar_fn, var)
 from incentive_audit.game import ActionProfile, Game
 from incentive_audit.gamefile import load_game_file
 from incentive_audit.solve import LineMin, solvers
@@ -246,6 +247,180 @@ class TestLineCache:
                 assert type(residual) is float
                 assert residual == r.residual \
                     and _sign(residual) == _sign(r.residual)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep multistart against each start run alone
+
+
+def _best_response_alone(lines, start, cfg):
+    """Gauss-Seidel sweeps from one seed, one line at a time."""
+    point = [float(v) for v in start]
+    seen = []
+    for _ in range(solvers.BR_MAX_ITERS):
+        moved = 0.0
+        for i in range(len(point)):
+            new = float(lines.minimum(i, point).arg)
+            moved = max(moved, abs(new - point[i]))
+            point[i] = new
+        snapshot = tuple(point)
+        if moved <= cfg.tol or snapshot in seen:
+            break
+        seen = (seen + [snapshot])[-8:]
+    return tuple(point)
+
+
+def _newton_alone(F, Jac, start, bounds, cfg):
+    """Damped Newton from one start on the compiled scalar forms."""
+    F = [scalar_fn(f) for f in F]
+    n = len(F)
+    Jac = [[scalar_fn(Jac[i * n + j]) for j in range(n)] for i in range(n)]
+    lo, hi = solvers._float_box(bounds)
+    x = np.array(start, dtype=float)
+    fx = np.array([f(x.tolist()) for f in F])
+    for _ in range(solvers.STATIONARITY_MAX_ITERS):
+        norm = np.max(np.abs(fx))
+        if norm <= cfg.tol:
+            return tuple(float(v) for v in x)
+        pt = x.tolist()
+        J = np.array([[fn(pt) for fn in row] for row in Jac])
+        try:
+            step = np.linalg.solve(J, -fx)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        lam, advanced = 1.0, False
+        while lam >= 1e-10:
+            xn = np.clip(x + lam * step, lo, hi)
+            fn = np.array([f(xn.tolist()) for f in F])
+            if np.max(np.abs(fn)) < norm * (1.0 - 0.25 * lam) + 1e-15:
+                x, fx, advanced = xn, fn, True
+                break
+            lam /= 2
+        if not advanced:
+            return None
+    return None
+
+
+def _verify_all_then_merge(costs, bounds, cfg):
+    """The solve with every start run alone, every candidate verified, and
+    the verified ones merged greedily in report order afterwards."""
+    lines = solvers.LineCache(costs, bounds)
+    candidates = []
+    exact_path = solvers._stationarity_exact(costs)
+    exact_sol = None
+    if exact_path is not None:
+        sol, unique = exact_path
+        if solvers._within(sol, bounds):
+            exact_sol = sol
+            candidates.append((tuple(sol), "newton", True))
+            if unique:
+                residual = verify_nash(costs, sol, bounds, lines)
+                if residual <= cfg.tol + solvers.POLY_SLACK:
+                    return [solvers.EquilibriumResult(
+                        ActionProfile(sol), residual, "newton", True, True)]
+    seeds = solvers._seeds(bounds)
+    br_points = [_best_response_alone(lines, s, cfg) for s in seeds]
+    candidates += [(p, "best-response", False) for p in br_points]
+    if all(is_smooth(c) for c in costs) and exact_sol is None:
+        F, Jac = solvers._newton_system(costs)
+        for start in seeds + br_points:
+            found = _newton_alone(F, Jac, start, bounds, cfg)
+            if found is not None and solvers._within(found, bounds):
+                candidates.append((found, "newton", False))
+    verified = []
+    for values, method, exact in candidates:
+        residual = verify_nash(costs, values, bounds, lines)
+        if residual <= cfg.tol + solvers.POLY_SLACK:
+            verified.append(solvers.EquilibriumResult(
+                ActionProfile(values), residual, method, True, exact))
+    verified.sort(key=lambda r: (not r.exact, r.profile.as_floats()))
+    merged = []
+    for r in verified:
+        if all(r.profile.max_distance(m.profile) > solvers.MERGE_TOL
+               for m in merged):
+            merged.append(r)
+    merged.sort(key=lambda r: r.profile.as_floats())
+    return merged
+
+
+def _quartic_costs(rng, n):
+    """Own-quartic costs with two wells (a negative quadratic term), a
+    small tilt and bilinear coupling strong enough to choose the well: none,
+    one or several equilibria."""
+    names = [f"u{k + 1}" for k in range(n)]
+    costs = []
+    for i, u in enumerate(names):
+        text = (f"({_q(rng, 1, 2)})*{u}^4 + ({_q(rng, -6, -2)})*{u}^2"
+                f" + ({_q(rng, -1, 1) / 4})*{u}")
+        for j, v in enumerate(names):
+            if j != i:
+                text += f" + ({_q(rng, -1, 1)})*{u}*{v}"
+        costs.append(parse(text, names))
+    return costs
+
+
+def _q(rng, lo, hi):
+    return Fraction(int(rng.integers(lo * 4, hi * 4 + 1)), 4)
+
+
+THREE_EQUILIBRIA_COSTS = ("-u1*u2 + u1^2/4", "-u1*u2 + u2^2/4")
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_solve_matches_verify_all_then_merge(self, seed, cfg):
+        rng = np.random.default_rng([seed, 13])
+        n = 2 + seed % 2
+        costs = _quartic_costs(rng, n)
+        bounds = ((Fraction(-2), Fraction(2)),) * n
+        got = nash_equilibrium(costs, bounds, cfg)
+        assert repr(got) == repr(_verify_all_then_merge(costs, bounds, cfg))
+
+    @pytest.mark.parametrize("incentive", [None, ("u1/8", "u2/8")])
+    def test_three_equilibria_match_verify_all_then_merge(self, incentive,
+                                                          cfg):
+        texts = THREE_EQUILIBRIA_COSTS if incentive is None else [
+            f"{c} + {t}" for c, t in zip(THREE_EQUILIBRIA_COSTS, incentive)]
+        costs = [parse(t, NAMES2) for t in texts]
+        box = ((Fraction(-1), Fraction(1)),) * 2
+        got = nash_equilibrium(costs, box, cfg)
+        assert len(got) == 3
+        assert repr(got) == repr(_verify_all_then_merge(costs, box, cfg))
+
+    def test_sweeps_match_each_seed_alone(self, cfg):
+        costs = _quartic_costs(np.random.default_rng(5), 3)
+        bounds = ((Fraction(-2), Fraction(2)),) * 3
+        seeds = solvers._seeds(bounds)
+        together = solvers._best_response_iteration(
+            solvers.LineCache(costs, bounds), seeds, cfg)
+        alone = solvers.LineCache(costs, bounds)
+        assert repr(together) == repr(
+            [_best_response_alone(alone, s, cfg) for s in seeds])
+
+    def test_newton_matches_each_start_alone(self, cfg):
+        # the Jacobian [[2*u1, 1/4], [-1/2, 3*u2^2 + 2]] is singular at
+        # (-1/32, 0): the start there fails alone and must fail in the
+        # stack, which then solves that step one start at a time
+        costs = [parse("u1^3/3 - u1 + u1*u2/4", NAMES2),
+                 parse("u2^4/4 + u2^2 - u1*u2/2", NAMES2)]
+        F, Jac = solvers._newton_system(costs)
+        starts = [(0.5, 0.5), (-0.03125, 0.0), (-1.5, -0.25), (1.9, -1.9),
+                  (-0.0, 0.3)] + solvers._seeds(BOX2)
+        together = solvers._newton_stationarity(F, Jac, starts, BOX2, cfg)
+        alone = [_newton_alone(F, Jac, s, BOX2, cfg) for s in starts]
+        assert alone[1] is None and alone[0] is not None
+        assert repr(together) == repr(alone)
+
+    def test_overflow_is_raised_by_the_scalar_form(self):
+        # the vector form gives inf; the start's scalar values raise, as a
+        # solve one start at a time does
+        rows = solvers._rows([parse("u1^400", ["u1"])],
+                             np.array([[1.0], [2.0]]))
+        assert rows.tolist() == [[1.0], [2.0 ** 400]]
+        with pytest.raises(OverflowError):
+            solvers._rows([parse("u1^400", ["u1"])], np.array([[1.0], [10.0]]))
 
 
 class TestCurvatureChecks:

@@ -2,9 +2,9 @@
 computes each line minimum of a solve once, and evaluates the conditions
 on the scenario alone once.
 
-Every binding of ``minimize_operator``, ``nash_equilibrium`` and
-``line_minimum_at`` in the package is wrapped with a counter, so a call
-reached by any route counts.
+Every binding of ``minimize_operator``, ``nash_equilibrium``,
+``verify_nash`` and the batched line kernel ``line_minima`` in the package
+is wrapped with a counter, so a call reached by any route counts.
 """
 
 import sys
@@ -17,7 +17,8 @@ from incentive_audit.cli import main
 from incentive_audit.gamefile import load_game_file
 from incentive_audit.solve import solvers
 
-from conftest import GAMES_DIR, THREE_EQUILIBRIA_GAME, THREE_EQUILIBRIA_VCG_GAME
+from conftest import (GAMES_DIR, QUARTIC_GAME, THREE_EQUILIBRIA_GAME,
+                      THREE_EQUILIBRIA_VCG_GAME)
 
 SOLVES = ("minimize_operator", "nash_equilibrium")
 
@@ -128,17 +129,51 @@ AUDIT_LINE_MINIMA = {
 @pytest.mark.parametrize("game", sorted(AUDIT_LINE_MINIMA))
 def test_structured_audit_computes_each_line_once(game, monkeypatch,
                                                   capsys):
+    # the cache hands the kernel only lines it has not computed yet
     counts = Counter()
-    original = solvers.line_minimum_at
+    original = solvers.line_minima
 
-    def counted(*args, **kwargs):
-        counts["line_minimum_at"] += 1
-        return original(*args, **kwargs)
+    def counted(e, i, profiles, lo, hi):
+        counts["lines"] += len(profiles)
+        return original(e, i, profiles, lo, hi)
 
-    _replace_solver(monkeypatch, "line_minimum_at", counted)
+    _replace_solver(monkeypatch, "line_minima", counted)
     _run(capsys, "audit", str(GAMES_DIR / f"{game}.game"),
          "--format", "structured")
-    assert counts == {"line_minimum_at": AUDIT_LINE_MINIMA[game]}
+    assert counts == {"lines": AUDIT_LINE_MINIMA[game]}
+
+
+#: candidates verified in one structured audit.  Candidates are verified
+#: in report order and one within MERGE_TOL of a reported equilibrium is
+#: dropped unverified (verifying every candidate took 255 for the quartic
+#: game, which has one equilibrium per solve and 51 candidates).
+AUDIT_VERIFICATIONS = {
+    "example1": 56,
+    "example2": 1,
+    "decoupled_demo": 1,
+    "example3_case1": 4,
+    "example3_case2": 4,
+    "quartic": 5,
+}
+
+
+@pytest.mark.parametrize("game", sorted(AUDIT_VERIFICATIONS))
+def test_structured_audit_verifies_only_unmerged_candidates(
+        game, tmp_path, monkeypatch, capsys):
+    counts = Counter()
+    original = solvers.verify_nash
+
+    def counted(*args, **kwargs):
+        counts["verify_nash"] += 1
+        return original(*args, **kwargs)
+
+    _replace_solver(monkeypatch, "verify_nash", counted)
+    path = GAMES_DIR / f"{game}.game"
+    if game == "quartic":
+        path = tmp_path / "quartic.game"
+        path.write_text(QUARTIC_GAME)
+    _run(capsys, "audit", str(path), "--format", "structured")
+    assert counts == {"verify_nash": AUDIT_VERIFICATIONS[game]}
 
 
 #: the curvature check and the declared-form sampling of ``audit``
