@@ -122,6 +122,43 @@ t.u3 = "(3/4)*u3^2 - 1/8"
 """
 
 
+#: the bundled ``example1`` game under the anticipatory proportional rule:
+#: its effective costs hold guarded divisions, so every line minimum goes
+#: through the piecewise line search
+EXAMPLE1_PROPORTIONAL_GAME = (GAMES_DIR / "example1.game").read_text().split(
+    "[incentive]")[0] + """\
+[incentive]
+kind = proportional
+mode = anticipatory
+"""
+
+
+#: two agents with ``abs`` terms in their costs under a custom anticipatory
+#: scheme: costs and operator objective are piecewise quadratic along
+#: every axis
+ABS_GAME = """\
+[agents]
+names = u1, u2
+
+[costs]
+u1 = "u1^2 - u1 + (1/4)*u1*u2 + (3/4)*abs(u1 - 1/2)"
+u2 = "u2^2 + (1/2)*u2 - (1/8)*u1*u2 + abs(u2 + 1/4)"
+
+[operator]
+J = "(u1 - 1/2)^2 + (u2 + 1/4)^2 + (1/8)*u1*u2 + (1/4)*abs(u1 + u2)"
+
+[bounds]
+u1 = [-2, 2]
+u2 = [-2, 2]
+
+[incentive]
+kind = custom
+mode = anticipatory
+t.u1 = "(1/4)*u1^2 - 1/8"
+t.u2 = "(1/2)*u2^2 + 1/4"
+"""
+
+
 def build_decoupled() -> Game:
     return Game(
         n=2,

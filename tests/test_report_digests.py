@@ -4,10 +4,13 @@ Each entry of ``DIGESTS`` is the sha256 of one request's exit code and
 stdout.  The corpus covers every bundled game under ``audit`` and
 ``equilibrium`` (structured and text) with each scenario selector,
 ``oracle --grid 41`` (structured and text) on every game, and the same
-requests on two inline games: ``conftest.THREE_EQUILIBRIA_VCG_GAME``,
+requests on four inline games: ``conftest.THREE_EQUILIBRIA_VCG_GAME``,
 whose audit has three sections with the VCG-like conditions and a
-declared separable base, and ``conftest.QUARTIC_GAME``, whose line
-minima all go through the roots of a cubic derivative.
+declared separable base; ``conftest.QUARTIC_GAME``, whose line minima
+all go through the roots of a cubic derivative; and
+``conftest.EXAMPLE1_PROPORTIONAL_GAME`` and ``conftest.ABS_GAME``,
+whose guarded divisions and ``abs`` terms take the piecewise line
+search.
 
 A change to the audit pipeline that is meant to keep every report as it
 is must pass this table unchanged.  After an intended report change,
@@ -27,10 +30,13 @@ import pytest
 
 from incentive_audit.cli import main
 
-from conftest import GAMES_DIR, QUARTIC_GAME, THREE_EQUILIBRIA_VCG_GAME
+from conftest import (ABS_GAME, EXAMPLE1_PROPORTIONAL_GAME, GAMES_DIR,
+                      QUARTIC_GAME, THREE_EQUILIBRIA_VCG_GAME)
 
 #: the inline games by request name, which stands in for a file path
-INLINE = {"quartic": QUARTIC_GAME,
+INLINE = {"abs_custom": ABS_GAME,
+          "example1_proportional": EXAMPLE1_PROPORTIONAL_GAME,
+          "quartic": QUARTIC_GAME,
           "three_equilibria_vcg": THREE_EQUILIBRIA_VCG_GAME}
 
 SELECTORS = ("baseline", "incentive", "optout:1", "optout:2")
@@ -70,6 +76,22 @@ def digest(request: str, inline_dir: Path) -> str:
 
 
 DIGESTS = {
+    'audit abs_custom --format structured --scenario baseline':
+        '6c6f0eeda5445c14738329df711c70c00ec792b7d28c158edd8277fa20ad445f',
+    'audit abs_custom --format structured --scenario incentive':
+        'd6f95e2fdb7e8d637ed04d1947ec7ed977c62ecbddc786d497503ceac11d7c7e',
+    'audit abs_custom --format structured --scenario optout:1':
+        '44407e88bb80d6a90f219faf9cd460e9f7d657880299499cc05f0a692c9df841',
+    'audit abs_custom --format structured --scenario optout:2':
+        '37b00118a70b4a5b86d04a1ce04664d85bb83bef773379810ffa045df1132149',
+    'audit abs_custom --format text --scenario baseline':
+        '05ffe987e65aa4eb592dca64d354a063497bcd232b7aae46dbced3ddc60ab502',
+    'audit abs_custom --format text --scenario incentive':
+        'e12045a3b470975ebb64d1e4d754d1b603f43bdb33d7093523d972229568da40',
+    'audit abs_custom --format text --scenario optout:1':
+        '771f8f7e81ce31ab622e10a37f7088d3b89fba818272eb53cb0d398928ca12c5',
+    'audit abs_custom --format text --scenario optout:2':
+        '292167f140894b959c109b20020a95f582e0b7c951172ddb9f66f396d8b50cef',
     'audit decoupled_demo --format structured --scenario baseline':
         'd491dd3b1cdee985f29b70b757ba61e292879259393945c6b1401797e2f91da1',
     'audit decoupled_demo --format structured --scenario incentive':
@@ -102,6 +124,22 @@ DIGESTS = {
         'e3876dacf55043475050089440447db8170daf7ba73a9526f18a09c825b59649',
     'audit example1 --format text --scenario optout:2':
         '4daf7afb9ffd4aab27c579b9193728c97854a905a7daa5a4d5c069f6c55a972c',
+    'audit example1_proportional --format structured --scenario baseline':
+        'f9762293dcf72dc5369e35dbb5667414c7a912995fe5e4b2007b79504948888c',
+    'audit example1_proportional --format structured --scenario incentive':
+        '24b0520eba77546d4c8d4e318f08510d0ad231145666b96e2868f5e9a5e4be4d',
+    'audit example1_proportional --format structured --scenario optout:1':
+        '51920dd99f148f72391bd5fd98b14302a57ddfd755ea86eb6be0fa663ce819bc',
+    'audit example1_proportional --format structured --scenario optout:2':
+        '2056a89431523494501287c336cce08ca6df3d5fe7e3791f333ed97e58e73570',
+    'audit example1_proportional --format text --scenario baseline':
+        '5d0d8dbc27572f4e5b8ff8ca8f4a5d54474c7b66b4c04940c500bedf8bc9db8c',
+    'audit example1_proportional --format text --scenario incentive':
+        'a942077589d270f5d7ece23e81f9fae5501842ed2e2c273e8a8598a926dcafa3',
+    'audit example1_proportional --format text --scenario optout:1':
+        '3f2d19e4826f54ceb2ad0d0b04d0c24d89d5909a69fc0b8493806c25c9e353b0',
+    'audit example1_proportional --format text --scenario optout:2':
+        '5213d58e9b221d72e8d6812d3343745d4b40d4aa0fe8dbddc6e047501a4888b6',
     'audit example2 --format structured --scenario baseline':
         '95db6ef3c279bbdcb1da13527c689a243571076e15c2131d52ef12aa4b7ad308',
     'audit example2 --format structured --scenario incentive':
@@ -182,6 +220,22 @@ DIGESTS = {
         'e5e9088f4a0d17f0fe9f4e21a09010d3486010ed82663ea5b0bb56da67cb5d07',
     'audit three_equilibria_vcg --format text --scenario optout:2':
         '7a92c57fcaada5fdd5bd9cde431d8e29f3e54ba91ae962482ddd2ea5075edbda',
+    'equilibrium abs_custom --format structured --scenario baseline':
+        '0b195d103888ec2ef0bfda59251b21d92758a8fbd962d6aa25e2c94acb6a8cd7',
+    'equilibrium abs_custom --format structured --scenario incentive':
+        'a9b8c409afecbeee134f32b86ccd0117ab5dc0e2e00bdeaf8c3be8396b44b3e6',
+    'equilibrium abs_custom --format structured --scenario optout:1':
+        'c598b484f9e4e65ab4bf2e0f017e2a36a0e4bda530fa8c5b10f7423f68b08e13',
+    'equilibrium abs_custom --format structured --scenario optout:2':
+        '2fb2f6d36dd01816cfc57055634780eadbc7cf08b331ef15485287c27b94f84e',
+    'equilibrium abs_custom --format text --scenario baseline':
+        '175f5ab75a509b23085bfe1e9c69cea93cd279b3c8794d289bb60e5665e5cd8a',
+    'equilibrium abs_custom --format text --scenario incentive':
+        'be88822517163f0d50d994282c70f89778004521efb2b62a58b9cede4af6eb41',
+    'equilibrium abs_custom --format text --scenario optout:1':
+        '731225d9bf8efc383fc991469424b686ec837b781c0d4cf911a3a46d9a68e7da',
+    'equilibrium abs_custom --format text --scenario optout:2':
+        'd950ab5429cd2af2567dd4a15d77fb306525942c98352a47c2d50a35a5c0d8ec',
     'equilibrium decoupled_demo --format structured --scenario baseline':
         '90db8002a7763603af8df90cb6a926223b523d1ce2f7789ae28f97f04d8441d5',
     'equilibrium decoupled_demo --format structured --scenario incentive':
@@ -214,6 +268,22 @@ DIGESTS = {
         '4f168705cc7bc7d83bd72b98962239c00eebc4552a539f84733950cc51e63b89',
     'equilibrium example1 --format text --scenario optout:2':
         '1884f1c0a7ad4c14b900cb8fb15fba8bc3331c01eb52205aea70b916880e21fb',
+    'equilibrium example1_proportional --format structured --scenario baseline':
+        'be94caf10b502273c3b1e74fb86fe8f2ef5d3cd8755e5930c9b984249e369676',
+    'equilibrium example1_proportional --format structured --scenario incentive':
+        'e456b81a803d7ec67724d2b1c4000e7a08575952456219d1f8196ab36c438f1e',
+    'equilibrium example1_proportional --format structured --scenario optout:1':
+        'c2ace190292ea79b468c86156f02ff40b03e98648a368b57e5c13bd275423b94',
+    'equilibrium example1_proportional --format structured --scenario optout:2':
+        '7b278b6f8f6090fb75fa41c7f256800b5469814e4a890d560bce37b8695c6fe3',
+    'equilibrium example1_proportional --format text --scenario baseline':
+        '8d0fa34cc4d70b5fba31e92f09e4e8dcf9180d05bd235b606bc4a7ed8bb1129a',
+    'equilibrium example1_proportional --format text --scenario incentive':
+        'a9253a0a79f6c9ec5dc66fb028fc45b77b685e0d095d741973088953d417d007',
+    'equilibrium example1_proportional --format text --scenario optout:1':
+        'b3e8eb089f7b6bb1833b27ff82108ad1a9c1fd74e0eeb95feb3a79c5eb401f84',
+    'equilibrium example1_proportional --format text --scenario optout:2':
+        '9122f2c513de8569c655efd56a97010f86a6db41d77099ef25817c9d6c1f4579',
     'equilibrium example2 --format structured --scenario baseline':
         '626b4f39d377e295883a112923a2f60491291f8843c0fe1d55ca1d103498c328',
     'equilibrium example2 --format structured --scenario incentive':
@@ -294,6 +364,10 @@ DIGESTS = {
         '3e3d752c39cbc66e5072bd456045e9a35fe5e83306bc8de034491078292c4428',
     'equilibrium three_equilibria_vcg --format text --scenario optout:2':
         '1295611148e8407933b4e191a56cf9dc19bcb3eb16d92d9e575bf3743dda9df7',
+    'oracle abs_custom --format structured --grid 41':
+        'a0fecbf80c37582a111f797d98eca39096bb2400ae7184a1bf0c4683191eb903',
+    'oracle abs_custom --format text --grid 41':
+        '04276d7682462925c73cb33d1e62cfe4c0ffded4bb45c0b2aa95bc30bd1b3191',
     'oracle decoupled_demo --format structured --grid 41':
         '514bdafb663de598121e920ad4718ed3af46bd7f2097c64f91c2d749a9a92162',
     'oracle decoupled_demo --format text --grid 41':
@@ -302,6 +376,10 @@ DIGESTS = {
         '9d79b8b00ad6585ab6d894eb9fc9b6b61f77f4287a3d8490fd8ef5cb761beecf',
     'oracle example1 --format text --grid 41':
         '3a4623733a19cfd905a3530f04acadbafbf6e0e61252463ea524bb8244ce31ea',
+    'oracle example1_proportional --format structured --grid 41':
+        'fedf38171c4776e1df4bd6ec3583f19e0ba655ad2675ecef70539e07c7aa493a',
+    'oracle example1_proportional --format text --grid 41':
+        'efcdbc9d8dc66965c0ad4d2ba072996a9f28f3343282d2ea929dd059b7dac1e5',
     'oracle example2 --format structured --grid 41':
         'beb814f980c05d6664fbac23f0c0964d0c702c4dac3ccfde62674e877d352c0e',
     'oracle example2 --format text --grid 41':
