@@ -47,6 +47,7 @@ from .nodes import (
     Sum,
     UnboundVariableError,
     Var,
+    cached,
 )
 
 ScalarFn = Callable[[Sequence[float]], float]
@@ -59,20 +60,16 @@ _Result = Union[Fraction, str]
 
 def scalar_fn(e: Expression) -> ScalarFn:
     """The compiled scalar evaluator of ``e`` (built once per node)."""
-    fn = e.__dict__.get("_scalar_fn")
-    if fn is None:
-        fn = _Emitter(vector=False).function(e)
-        object.__setattr__(e, "_scalar_fn", fn)
-    return fn
+    return cached(e, "scalar_fn", _compile, e, False)
 
 
 def vector_fn(e: Expression) -> VectorFn:
     """The compiled numpy evaluator of ``e`` (built once per node)."""
-    fn = e.__dict__.get("_vector_fn")
-    if fn is None:
-        fn = _Emitter(vector=True).function(e)
-        object.__setattr__(e, "_vector_fn", fn)
-    return fn
+    return cached(e, "vector_fn", _compile, e, True)
+
+
+def _compile(e: Expression, vector: bool) -> Callable:
+    return _Emitter(vector).function(e)
 
 
 def _literal(value: Fraction) -> str:

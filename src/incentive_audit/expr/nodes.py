@@ -13,17 +13,22 @@ value, and a guarded division used by engine-built incentive expressions
 a constant into a product).
 
 Trees are built by the constructor functions below; nodes have no operator
-overloads and no printer.  The structural queries recurse through the one
-accessor :func:`children`.  Only rules that differ per node keep their own
-dispatch: evaluate, diff, substitute, ``polynomial._expand`` and the
-compiled emitter.
+overloads and no printer.  One table gives, per node type, a node's
+children and its rebuild from new children: the structural queries recurse
+through :func:`children`, and :func:`substitute` rebuilds through the
+table.  Only rules that differ per node keep their own dispatch: evaluate,
+diff, ``polynomial._expand`` and the compiled emitter.
+
+Values derived from a node (its derivatives, polynomial form, Hessian and
+compiled forms) are kept on the node by :func:`cached`, so a subtree
+shared by several trees derives each of them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Any, Callable, Hashable, Mapping, Sequence, Union
 
 Number = Union[int, Fraction, float]
 
@@ -117,24 +122,42 @@ ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
 
 
-_CHILDREN = {
-    Const: lambda e: (),
-    Var: lambda e: (),
-    Sum: lambda e: e.terms,
-    Product: lambda e: e.factors,
-    Power: lambda e: (e.base,),
-    Neg: lambda e: (e.operand,),
-    Abs: lambda e: (e.operand,),
-    SafeDiv: lambda e: (e.numerator, e.denominator),
+#: per node type: the node's children, and the node rebuilt from new
+#: children by the constructors below (which fold constants as they build)
+_NODES = {
+    Const: (lambda e: (), lambda e, c: e),
+    Var: (lambda e: (), lambda e, c: e),
+    Sum: (lambda e: e.terms, lambda e, c: add(*c)),
+    Product: (lambda e: e.factors, lambda e, c: mul(*c)),
+    Power: (lambda e: (e.base,), lambda e, c: power(c[0], e.exponent)),
+    Neg: (lambda e: (e.operand,), lambda e, c: neg(c[0])),
+    Abs: (lambda e: (e.operand,), lambda e, c: absval(c[0])),
+    SafeDiv: (lambda e: (e.numerator, e.denominator),
+              lambda e, c: safediv(c[0], c[1], e.guard)),
 }
 
 
 def children(e: Expression) -> tuple[Expression, ...]:
     """The direct subexpressions of ``e``, in field order."""
-    get = _CHILDREN.get(type(e))
-    if get is None:
+    rule = _NODES.get(type(e))
+    if rule is None:
         raise TypeError(f"unknown expression node {type(e).__name__}")
-    return get(e)
+    return rule[0](e)
+
+
+def cached(e: Expression, key: Hashable, compute: Callable[..., Any],
+           *args: Any) -> Any:
+    """``compute(*args)``, a value derived from ``e``, kept on the node
+    under ``key``: computed on first use only (nodes never change), so
+    callers must not mutate it."""
+    memo = e.__dict__.get("_derived")
+    if memo is None:
+        memo = e.__dict__["_derived"] = {}
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = compute(*args)
+        return value
 
 
 def const(x: Number) -> Const:
@@ -270,13 +293,13 @@ def diff(e: Expression, index: int) -> Expression:
         return ZERO
     if isinstance(e, Var):
         return ONE if e.index == index else ZERO
-    memo = e.__dict__.setdefault("_diff", {})
-    d = memo.get(index)
-    if d is not None:
-        return d
+    return cached(e, ("diff", index), _derivative, e, index)
+
+
+def _derivative(e: Expression, index: int) -> Expression:
     if isinstance(e, Sum):
-        d = add(*(diff(t, index) for t in e.terms))
-    elif isinstance(e, Product):
+        return add(*(diff(t, index) for t in e.terms))
+    if isinstance(e, Product):
         terms = []
         for k, f in enumerate(e.factors):
             df = diff(f, index)
@@ -284,47 +307,30 @@ def diff(e: Expression, index: int) -> Expression:
                 continue
             rest = e.factors[:k] + e.factors[k + 1:]
             terms.append(mul(df, *rest))
-        d = add(*terms) if terms else ZERO
-    elif isinstance(e, Power):
+        return add(*terms) if terms else ZERO
+    if isinstance(e, Power):
         db = diff(e.base, index)
-        d = ZERO if db == ZERO else \
+        return ZERO if db == ZERO else \
             mul(const(e.exponent), power(e.base, e.exponent - 1), db)
-    elif isinstance(e, Neg):
-        d = neg(diff(e.operand, index))
-    elif isinstance(e, Abs):
+    if isinstance(e, Neg):
+        return neg(diff(e.operand, index))
+    if isinstance(e, Abs):
         raise NonDifferentiableError(
             "cannot differentiate through an absolute value node")
-    elif isinstance(e, SafeDiv):
+    if isinstance(e, SafeDiv):
         num, den = e.numerator, e.denominator
         dnum, dden = diff(num, index), diff(den, index)
-        d = safediv(add(mul(dnum, den), neg(mul(num, dden))),
-                    mul(den, den), e.guard * e.guard)
-    else:
-        raise TypeError(f"unknown expression node {type(e).__name__}")
-    memo[index] = d
-    return d
+        return safediv(add(mul(dnum, den), neg(mul(num, dden))),
+                       mul(den, den), e.guard * e.guard)
+    raise TypeError(f"unknown expression node {type(e).__name__}")
 
 
 def substitute(e: Expression, assignment: Mapping[int, Expression]) -> Expression:
     """Replace variables by expressions (typically constants)."""
-    if isinstance(e, Const):
-        return e
     if isinstance(e, Var):
         return assignment.get(e.index, e)
-    if isinstance(e, Sum):
-        return add(*(substitute(t, assignment) for t in e.terms))
-    if isinstance(e, Product):
-        return mul(*(substitute(f, assignment) for f in e.factors))
-    if isinstance(e, Power):
-        return power(substitute(e.base, assignment), e.exponent)
-    if isinstance(e, Neg):
-        return neg(substitute(e.operand, assignment))
-    if isinstance(e, Abs):
-        return absval(substitute(e.operand, assignment))
-    if isinstance(e, SafeDiv):
-        return safediv(substitute(e.numerator, assignment),
-                       substitute(e.denominator, assignment), e.guard)
-    raise TypeError(f"unknown expression node {type(e).__name__}")
+    parts = [substitute(c, assignment) for c in children(e)]
+    return _NODES[type(e)][1](e, parts)
 
 
 def structural_variables(e: Expression) -> frozenset[int]:

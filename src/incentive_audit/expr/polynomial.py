@@ -36,8 +36,10 @@ from .nodes import (
     Sum,
     Var,
     add,
+    cached,
     children,
     const,
+    diff,
     mul,
     power,
     var,
@@ -99,6 +101,17 @@ class LinePlan(NamedTuple):
                 total = total + term
             coeffs.append(total)
         return coeffs
+
+    def float_line(self, coeffs: Sequence[Number]
+                   ) -> tuple[list[float], list[float]]:
+        """The line of :meth:`coefficients` ``coeffs`` and its derivative
+        in floats; an exact group gives the floats it keeps."""
+        groups = self.groups
+        line = [float(c) if g.terms else g.value
+                for g, c in zip(groups, coeffs)]
+        slope = [float(k * coeffs[k]) if groups[k].terms
+                 else groups[k].derivative for k in range(1, len(coeffs))]
+        return line, slope
 
 
 class Polynomial:
@@ -272,49 +285,35 @@ def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted((i, e) for i, e in exps.items() if e > 0))
 
 
-#: marks a node not yet expanded (None is a cached non-polynomial result)
-_UNEXPANDED = object()
-
-
 def as_polynomial(e: Expression) -> Optional[Polynomial]:
     """Expand to canonical polynomial form; None if abs/safediv present.
 
-    The result is kept on the node, so each tree is expanded once;
+    The result is kept on the node, and each child is read through this
+    function, so a subtree shared by several trees is expanded once;
     callers must not mutate it.
     """
-    p = e.__dict__.get("_polynomial", _UNEXPANDED)
-    if p is _UNEXPANDED:
-        p = _expand(e)
-        object.__setattr__(e, "_polynomial", p)
-    return p
+    return cached(e, "polynomial", _expand, e)
 
 
 def _expand(e: Expression) -> Optional[Polynomial]:
+    # every operator builds a new Polynomial: no cached child form changes
     if isinstance(e, Const):
         return Polynomial.constant(e.value)
     if isinstance(e, Var):
         return Polynomial.variable(e.index)
-    if isinstance(e, Sum):
-        total = Polynomial()
-        for t in e.terms:
-            p = _expand(t)
+    if isinstance(e, (Sum, Product)):
+        total = Polynomial() if isinstance(e, Sum) else Polynomial.constant(1)
+        for c in children(e):
+            p = as_polynomial(c)
             if p is None:
                 return None
-            total = total + p
+            total = total + p if isinstance(e, Sum) else total * p
         return total
-    if isinstance(e, Product):
-        prod = Polynomial.constant(1)
-        for f in e.factors:
-            p = _expand(f)
-            if p is None:
-                return None
-            prod = prod * p
-        return prod
     if isinstance(e, Power):
-        p = _expand(e.base)
+        p = as_polynomial(e.base)
         return None if p is None else p**e.exponent
     if isinstance(e, Neg):
-        p = _expand(e.operand)
+        p = as_polynomial(e.operand)
         return None if p is None else -p
     if isinstance(e, (Abs, SafeDiv)):
         return None
@@ -380,14 +379,11 @@ def separable_decomposition(e: Expression) -> Optional[list[tuple[int, Expressio
 
 
 def hessian(e: Expression, n: int) -> list[list[Expression]]:
-    """Symmetric n-by-n matrix of second partials (canonicalized)."""
-    from .nodes import diff
+    """Symmetric n-by-n matrix of second partials (canonicalized), kept
+    on the node per ``n``; callers must not mutate it."""
+    return cached(e, ("hessian", n), _hessian, e, n)
 
+
+def _hessian(e: Expression, n: int) -> list[list[Expression]]:
     grad = [diff(e, i) for i in range(n)]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(expand(diff(grad[i], j)))
-        out.append(row)
-    return out
+    return [[expand(diff(grad[i], j)) for j in range(n)] for i in range(n)]

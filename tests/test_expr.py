@@ -170,6 +170,11 @@ class TestHessian:
         H = hessian(parse("3*u1 - u2", NAMES), 2)
         assert all(h == const(0) for row in H for h in row)
 
+    def test_kept_on_the_node_per_agent_count(self):
+        e = parse("u1^3*u2 + u2^2", NAMES)
+        assert hessian(e, 2) is hessian(e, 2)
+        assert len(hessian(e, 3)) == 3 and hessian(e, 3) is hessian(e, 3)
+
 
 class TestDependencies:
     def test_both(self):
@@ -244,6 +249,27 @@ class TestExpand:
         monkeypatch.setattr(polynomial, "_expand", walk)
         assert as_polynomial(smooth) is first
         assert as_polynomial(rough) is None
+
+    def test_shared_subtree_is_expanded_once(self, monkeypatch):
+        shared = parse("(u1 - u2)^3", NAMES)
+        first, second = add(shared, var(0)), mul(shared, var(1))
+        expanded = []
+        expand_node = polynomial._expand
+
+        def counted(e):
+            expanded.append(e)
+            return expand_node(e)
+
+        monkeypatch.setattr(polynomial, "_expand", counted)
+        as_polynomial(first)
+        assert any(e is shared for e in expanded)
+        expanded.clear()
+        assert as_polynomial(second) == as_polynomial(shared) \
+            * as_polynomial(var(1))
+        assert not any(e is shared for e in expanded)
+        # the shared subtree's cached form was not changed by its users
+        assert as_polynomial(shared) == as_polynomial(
+            parse("(u1 - u2)^3", NAMES))
 
 
 class TestConstructors:
