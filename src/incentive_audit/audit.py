@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .expr import (
     Expression,
     Number,
@@ -40,12 +38,11 @@ from .incentive import (
     realized_outcome,
 )
 from .solve import (
-    RNG_SEED,
     ConvexityReport,
     SolverConfig,
     hessian_pd_check,
 )
-from .solve.solvers import sample_grid
+from .solve.solvers import random_points, sample_grid
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -180,8 +177,7 @@ def check_participation_weak(decomposition: CostDecomposition,
 
 
 def check_equity_monotonicity(decomposition: CostDecomposition,
-                              t_values: Sequence[Number],
-                              tol_theta: float, tol_t: float
+                              t_values: Sequence[Number], tol: float
                               ) -> tuple[PropertyVerdict, PropertyVerdict]:
     """Equal marginal costs get equal incentives; larger ones no smaller."""
     theta = decomposition.theta
@@ -191,20 +187,20 @@ def check_equity_monotonicity(decomposition: CostDecomposition,
     for i, j in itertools.permutations(range(n), 2):
         ti, tj = float(t_values[i]), float(t_values[j])
         thi, thj = float(theta[i]), float(theta[j])
-        if i < j and abs(thi - thj) <= tol_theta and abs(ti - tj) > tol_t:
+        if i < j and abs(thi - thj) <= tol and abs(ti - tj) > tol:
             equity_ok = False
             equity_witnesses.append(_wit(
                 agents=[i + 1, j + 1], theta_i=thi, theta_j=thj,
                 t_i=ti, t_j=tj))
-        if thi >= thj - tol_theta and ti < tj - tol_t:
+        if thi >= thj - tol and ti < tj - tol:
             mono_ok = False
             mono_witnesses.append(_wit(
                 agents=[i + 1, j + 1], theta_i=thi, theta_j=thj,
                 t_i=ti, t_j=tj))
     equity = PropertyVerdict("equity", HOLDS if equity_ok else FAILS,
-                             tuple(equity_witnesses), tol_t)
+                             tuple(equity_witnesses), tol)
     mono = PropertyVerdict("monotonicity", HOLDS if mono_ok else FAILS,
-                           tuple(mono_witnesses), tol_t)
+                           tuple(mono_witnesses), tol)
     return equity, mono
 
 
@@ -452,13 +448,8 @@ def check_alignment_sufficiency(ctx: ScenarioSolve, tols: Collection[float]
 
 
 def _sample_points(game: Game) -> list[tuple[float, ...]]:
-    rng = np.random.default_rng(RNG_SEED)
-    lows = [float(lo) for lo, _ in game.bounds]
-    highs = [float(hi) for _, hi in game.bounds]
-    return ([tuple(float(v) for v in pt)
-             for pt in sample_grid(game.bounds, 7 if game.n <= 3 else 5)]
-            + [tuple(rng.uniform(lows, highs))
-               for _ in range(SAMPLE_RANDOM_POINTS)])
+    return (list(sample_grid(game.bounds, 7 if game.n <= 3 else 5))
+            + random_points(game.bounds, SAMPLE_RANDOM_POINTS))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +562,7 @@ def full_audit(scenario: Scenario, cfg: Optional[SolverConfig] = None,
                 verdicts.append(check_participation_weak(
                     decomposition, outcome.t_values, tol))
             verdicts.extend(check_equity_monotonicity(
-                decomposition, outcome.t_values, tol, tol))
+                decomposition, outcome.t_values, tol))
 
         anchor = outcome.baseline.profile if outcome.baseline is not None \
             else (baseline[0].profile if baseline else None)

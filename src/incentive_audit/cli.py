@@ -8,6 +8,7 @@ size refusal (too many agents or a grid over the memory budget).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -53,7 +54,9 @@ class UsageError(ValueError):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call only."""
     parser = argparse.ArgumentParser(
         prog="incentive-audit",
         description="Audit incentive schemes on coupled-cost games.")

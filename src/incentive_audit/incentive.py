@@ -71,10 +71,8 @@ class IncentiveScheme:
 class CostDecomposition:
     """Marginal costs and total excess at a realized profile."""
 
-    u_star: ActionProfile
     theta: tuple[Number, ...]
     total_excess: Number
-    u_realized: ActionProfile
 
 
 @dataclass(frozen=True)
@@ -136,10 +134,8 @@ def cost_decomposition(game: Game, u_star: ActionProfile,
     theta = tuple(marginal_cost(game, u_star, i, u_r[i])
                   for i in range(game.n))
     return CostDecomposition(
-        u_star=u_star,
         theta=theta,
         total_excess=excess_cost(game, u_star, u_r),
-        u_realized=u_r,
     )
 
 

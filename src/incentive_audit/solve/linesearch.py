@@ -86,7 +86,6 @@ def line_minima(e: Expression, i: int, profiles: Sequence[Sequence[Number]],
         return [_piecewise_line_minimum(e, i, [float(v) for v in values],
                                         flo, fhi) for values in profiles]
     plan = p.line_plan(i)
-    groups = plan.groups
     minima: list[LineMin | None] = []
     lines: list[tuple[int, list[float], list[float]]] = []
     for values in profiles:
@@ -97,12 +96,7 @@ def line_minima(e: Expression, i: int, profiles: Sequence[Sequence[Number]],
         if degree <= 2:
             minima.append(_low_degree_minimum(coeffs, degree, lo, hi))
             continue
-        # at a float point, Fraction coefficients act as their float
-        # values, which an exact group keeps for the line and derivative
-        floats = [float(c) if g.terms else g.value
-                  for g, c in zip(groups, coeffs)]
-        d1 = [float(k * coeffs[k]) if groups[k].terms
-              else groups[k].derivative for k in range(1, len(coeffs))]
+        floats, d1 = plan.float_line(coeffs)
         if not all(map(math.isfinite, d1[:degree])):
             raise SolverError(
                 f"cannot find the stationary points of a line of degree "
@@ -276,8 +270,7 @@ def _restrict(e: Expression, i: int, base: list[float], a: float, b: float,
     p = as_polynomial(e)
     if p is not None:
         plan = p.line_plan(i)
-        return [float(c) if g.terms else g.value for g, c in
-                zip(plan.groups, plan.coefficients(base))], [1.0]
+        return plan.float_line(plan.coefficients(base))[0], [1.0]
     parts = [_restrict(c, i, base, a, b, cuts) for c in children(e)]
     if isinstance(e, Sum):
         return reduce(_add, parts)

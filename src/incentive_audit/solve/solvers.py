@@ -12,8 +12,9 @@ reruns and concurrent evaluation cannot change the output.
 The multistart runs in lockstep.  The best-response seeds sweep together,
 and at each agent's step the lines of all running seeds are minimized in
 one batch; the Newton starts iterate together on the compiled vector form
-of the first-order system, with one stacked linear solve per iteration.
-Each seed and start follows the path it follows alone, to the bit.
+of the first-order system, with one stacked linear solve per iteration,
+and so do the Newton starts that polish the operator optimum.  Each seed
+and start follows the path it follows alone, to the bit.
 
 One solve computes each distinct line minimum once: the best-response
 sweeps and the verification of every candidate read them through a
@@ -36,7 +37,6 @@ import numpy as np
 
 from ..expr import (Expression, Number, add, diff, evaluate, is_smooth,
                     scalar_fn, vector_fn)
-from ..expr.compiled import ScalarFn
 from ..expr.polynomial import as_polynomial, hessian
 from ..game import ActionProfile, Game
 from .config import RNG_SEED, SolverConfig
@@ -81,7 +81,6 @@ class EquilibriumResult:
     profile: ActionProfile
     residual: float
     method: str  # "newton" | "best-response"
-    converged: bool
     exact: bool = False
 
 
@@ -91,7 +90,6 @@ class OperatorSolution:
     value: Number
     on_boundary: bool
     exact: bool
-    stationarity: float
 
 
 @dataclass(frozen=True)
@@ -131,14 +129,20 @@ def _seeds(bounds: Bounds) -> list[tuple[float, ...]]:
     seeds = [tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))]
     if n <= 3:
         seeds.extend(itertools.product(*zip(lows, highs)))
-    rng = np.random.default_rng(RNG_SEED)
-    for _ in range(MULTISTART_COUNT):
-        seeds.append(tuple(rng.uniform(lows, highs)))
+    seeds += random_points(bounds, MULTISTART_COUNT)
     unique = []
     for s in seeds:
         if all(max(abs(a - b) for a, b in zip(s, t)) > 1e-12 for t in unique):
             unique.append(s)
     return unique
+
+
+def random_points(bounds: Bounds, count: int) -> list[tuple[float, ...]]:
+    """``count`` points drawn uniformly from the box with RNG_SEED, as
+    Python floats (numpy scalars would overflow to inf, with a warning)."""
+    rng = np.random.default_rng(RNG_SEED)
+    lows, highs = _float_box(bounds)
+    return [tuple(rng.uniform(lows, highs).tolist()) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +167,6 @@ def minimize_operator(game: Game, cfg: SolverConfig) -> OperatorSolution:
             value=evaluate(objective, sol),
             on_boundary=False,
             exact=True,
-            stationarity=0.0,
         )
     return _minimize_numeric(objective, game.bounds, cfg)
 
@@ -181,39 +184,32 @@ def _minimize_numeric(objective: Expression, bounds: Bounds,
     starts.extend(_seeds(bounds))
 
     smooth = is_smooth(objective)
-    value = scalar_fn(objective)
     if smooth:
-        grad = [scalar_fn(diff(objective, i)) for i in range(n)]
-        hess = [[scalar_fn(h) for h in row] for row in hessian(objective, n)]
-    if smooth:
-        candidates = [_newton_min(value, grad, hess, start, bounds, cfg)
-                      for start in starts]
+        grad = [diff(objective, i) for i in range(n)]
+        candidates = _newton_min(objective, grad, hessian(objective, n),
+                                 starts, bounds, cfg)
     else:
         # coordinate descent: best response with the objective as every cost
         candidates = _best_response_iteration(
             LineCache([objective] * n, bounds), starts, cfg)
 
-    best_val = min(value(c) for c in candidates)
-    near = [c for c in candidates
-            if value(c) <= best_val + 1e-12 * max(1.0, abs(best_val))]
-    best = min(near)
-    profile = ActionProfile(best)
-    stat = _stationarity(grad, best) if smooth else float("nan")
+    values = _rows([objective], np.array(candidates))[:, 0].tolist()
+    best_val = min(values)
+    best, value = min(
+        (c, v) for c, v in zip(candidates, values)
+        if v <= best_val + 1e-12 * max(1.0, abs(best_val)))
+    # on the box edge, a smooth optimum is a boundary one unless stationary
+    steep = not smooth or max(
+        map(abs, _rows(grad, np.array([best]))[0].tolist())) > cfg.tol
     on_edge = any(
         abs(v - float(lo)) < 1e-12 or abs(v - float(hi)) < 1e-12
         for v, (lo, hi) in zip(best, bounds))
-    boundary = on_edge and (not smooth or stat > cfg.tol)
     return OperatorSolution(
-        profile=profile,
-        value=value(best),
-        on_boundary=boundary,
+        profile=ActionProfile(best),
+        value=value,
+        on_boundary=on_edge and steep,
         exact=False,
-        stationarity=stat,
     )
-
-
-def _stationarity(grad: Sequence[ScalarFn], point: Sequence[float]) -> float:
-    return max(abs(g(point)) for g in grad)
 
 
 def _float_box(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -221,35 +217,43 @@ def _float_box(bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
             np.array([float(hi) for _, hi in bounds]))
 
 
-def _newton_min(objective: ScalarFn, grad: Sequence[ScalarFn],
-                hess: Sequence[Sequence[ScalarFn]], start, bounds: Bounds,
-                cfg: SolverConfig) -> tuple[float, ...]:
+def _newton_min(objective: Expression, grad: Sequence[Expression],
+                hess: Sequence[Sequence[Expression]], starts,
+                bounds: Bounds, cfg: SolverConfig
+                ) -> list[tuple[float, ...]]:
+    """Damped Newton descent from every start, in lockstep: each start
+    takes the steps it takes alone, steepest descent where the Newton step
+    is singular or not finite, until its gradient is within ``cfg.tol`` or
+    no step down to 1e-8 of it lowers the objective."""
     lo, hi = _float_box(bounds)
-    x = np.array(start, dtype=float)
-    fx = objective(x.tolist())
+    n = len(bounds)
+    x = np.array(starts, dtype=float).reshape(len(starts), n)
+    fx = _rows([objective], x)[:, 0]
+    entries = [h for row in hess for h in row]
+    live = np.arange(len(x))
     for _ in range(NEWTON_MIN_ITERS):
-        pt = x.tolist()
-        g = np.array([gi(pt) for gi in grad])
-        if np.max(np.abs(g)) <= cfg.tol:
+        g = _rows(grad, x[live])
+        done = np.max(np.abs(g), axis=1) <= cfg.tol
+        live, g = live[~done], g[~done]
+        if not live.size:
             break
-        H = np.array([[hij(pt) for hij in row] for row in hess])
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            step = -g
-        if not np.all(np.isfinite(step)):
-            step = -g
-        lam, improved = 1.0, False
-        while lam >= 1e-8:
-            xn = np.clip(x + lam * step, lo, hi)
-            fn = objective(xn.tolist())
-            if fn < fx - 1e-15:
-                x, fx, improved = xn, fn, True
-                break
+        steps = _newton_steps(_rows(entries, x[live]).reshape(len(live), n, n),
+                              g)
+        step = np.array([s if s is not None and np.all(np.isfinite(s))
+                         else -gk for s, gk in zip(steps, g)])
+        # backtrack from a full step, the starts not yet advanced together
+        waiting = np.ones(len(live), dtype=bool)
+        lam = 1.0
+        while lam >= 1e-8 and waiting.any():
+            trying = np.flatnonzero(waiting)
+            xn = np.clip(x[live[trying]] + lam * step[trying], lo, hi)
+            fn = _rows([objective], xn)[:, 0]
+            ok = fn < fx[live[trying]] - 1e-15
+            x[live[trying[ok]]], fx[live[trying[ok]]] = xn[ok], fn[ok]
+            waiting[trying[ok]] = False
             lam /= 2
-        if not improved:
-            break
-    return tuple(float(v) for v in x)
+        live = live[~waiting]
+    return [tuple(row) for row in x.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +501,7 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
                 if residual <= cfg.tol + POLY_SLACK:
                     return [EquilibriumResult(
                         profile=ActionProfile(sol), residual=residual,
-                        method="newton", converged=True, exact=True)]
+                        method="newton", exact=True)]
 
     seeds = _seeds(bounds)
     br_points = _best_response_iteration(lines, seeds, cfg)
@@ -530,7 +534,6 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
                 profile=profile,
                 residual=residual,
                 method=method,
-                converged=True,
                 exact=exact,
             ))
     merged.sort(key=lambda r: r.profile.as_floats())
@@ -558,8 +561,10 @@ def _constant_matrix(entries: list[list[Expression]]
 def sample_grid(bounds: Bounds, per_axis: int) -> Iterator[tuple[float, ...]]:
     """The lattice with ``per_axis`` evenly spaced values per axis: all of
     it, or past SAMPLE_MAX_CELLS points its middle point (the box centre for
-    an odd count) and SAMPLE_MAX_CELLS - 1 points drawn with RNG_SEED."""
-    axes = [np.linspace(float(lo), float(hi), per_axis) for lo, hi in bounds]
+    an odd count) and SAMPLE_MAX_CELLS - 1 points drawn with RNG_SEED.
+    Coordinates are Python floats."""
+    axes = [np.linspace(float(lo), float(hi), per_axis).tolist()
+            for lo, hi in bounds]
     n = len(axes)
     if per_axis ** n <= SAMPLE_MAX_CELLS:
         return itertools.product(*axes)
@@ -571,10 +576,15 @@ def sample_grid(bounds: Bounds, per_axis: int) -> Iterator[tuple[float, ...]]:
 
 def _sampled_pd(entries: list[list[Expression]], bounds: Bounds
                 ) -> ConvexityReport:
+    """The matrix at sample points, in sample order, up to the first that
+    is not finite (verdict unknown) or not positive definite (fails)."""
     fns = [[scalar_fn(e) for e in row] for row in entries]
     worst = np.inf
     for point in sample_grid(bounds, 9 if len(entries) <= 3 else 5):
         M = np.array([[fn(point) for fn in row] for row in fns])
+        if not np.isfinite(M).all():
+            return ConvexityReport(status="unknown", sampled=True,
+                                   witness=ActionProfile(point))
         eig = float(np.linalg.eigvalsh(M)[0])
         if eig < worst:
             worst = eig

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from incentive_audit import cli
 from incentive_audit.cli import main
 from incentive_audit.solve import kernels
 
@@ -195,6 +196,29 @@ u1 = BOUND
 """
 
 
+#: an operator objective whose second derivatives overflow a float off
+#: the axes of its box, under the VCG-like rule
+STEEP_GAME = """
+[agents]
+names = u1, u2
+
+[costs]
+u1 = "u1^2 - u1*u2"
+u2 = "u2^2 - u1*u2"
+
+[operator]
+J = "u1^2 + u2^2 + u1^100*u2^100"
+
+[bounds]
+u1 = [-1000, 1000]
+u2 = [-1000, 1000]
+
+[incentive]
+kind = vcg
+mode = anticipatory
+"""
+
+
 class TestFloatRange:
     @pytest.mark.parametrize("command", ["audit", "equilibrium", "oracle"])
     @pytest.mark.parametrize("cost,bound,where", [
@@ -226,6 +250,25 @@ class TestFloatRange:
         assert err.startswith("error: float overflow: ")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert [str(w.message) for w in caught] == []
+
+
+    def test_sampled_overflow_writes_no_warning(self, capsys, tmp_path):
+        # the curvature samples overflow to inf off the axes: the check is
+        # unknown at the first such point, and no numpy warning is printed
+        path = tmp_path / "steep.game"
+        path.write_text(STEEP_GAME)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "audit", str(path), "--format",
+                                 "structured")
+        assert code == 0 and err == ""
+        assert [str(w.message) for w in caught] == []
+        conditions = json.loads(out)["sections"][0]["conditions"]
+        hess = {v["name"]: v for v in conditions}[
+            "operator-hessian-positive-definite"]
+        assert hess["status"] == "unknown"
+        assert hess["witnesses"] == [
+            {"min_eigenvalue": None, "profile": [-1000.0, -1000.0]}]
 
 
 class TestOracle:
@@ -276,6 +319,10 @@ names = {names}
 J = "{objective}"
 """)
     return str(path)
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 class TestMissingFile:

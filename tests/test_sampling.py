@@ -10,7 +10,8 @@ from incentive_audit import audit
 from incentive_audit.expr import parse
 from incentive_audit.game import Game
 from incentive_audit.solve import hessian_pd_check
-from incentive_audit.solve.solvers import sample_grid
+from incentive_audit.solve import RNG_SEED
+from incentive_audit.solve.solvers import random_points, sample_grid
 
 #: SAMPLE_MAX_CELLS, written out so a change to it is seen here
 BUDGET = 5 ** 5
@@ -72,3 +73,19 @@ def test_capped_sample_is_drawn_from_the_lattice():
     assert points[0] == (1.0,) * 6
     assert {v for p in points for v in p} == {-1.0, 0.0, 1.0, 2.0, 3.0}
     assert points == list(sample_grid(box, 5))
+
+
+def test_sampled_points_are_python_floats():
+    box2 = ((Fraction(-1), Fraction(3)),) * 2
+    box6 = ((Fraction(-1), Fraction(3)),) * 6
+    for points in (list(sample_grid(box2, 9)), list(sample_grid(box6, 5)),
+                   random_points(box2, 4)):
+        assert {type(v) for p in points for v in p} == {float}
+
+
+def test_random_points_are_the_seeded_uniform_draws():
+    box = ((Fraction(-1), Fraction(3)), (Fraction(0), Fraction(1, 3)))
+    rng = np.random.default_rng(RNG_SEED)
+    expected = [tuple(rng.uniform([-1.0, 0.0], [3.0, 1 / 3]))
+                for _ in range(5)]
+    assert random_points(box, 5) == expected

@@ -8,12 +8,14 @@ import pytest
 
 from incentive_audit import incentive
 from incentive_audit.audit import full_audit
-from incentive_audit.expr import (absval, add, const, is_smooth, mul, parse,
-                                  power, scalar_fn, var)
+from incentive_audit.expr import (absval, add, const, diff, hessian,
+                                  is_smooth, mul, parse, power, scalar_fn,
+                                  var)
 from incentive_audit.game import ActionProfile, Game
 from incentive_audit.gamefile import load_game_file
 from incentive_audit.solve import LineMin, solvers
 from incentive_audit.solve import (
+    ConvexityReport,
     SolverConfig,
     best_response,
     diagonal_strict_convexity_check,
@@ -126,7 +128,7 @@ class TestNashEquilibrium:
         eqs = nash_equilibrium(example1.agent_costs, example1.bounds, cfg)
         assert len(eqs) == 1
         assert eqs[0].profile.values == (Fraction(1), Fraction(1))
-        assert eqs[0].exact and eqs[0].converged
+        assert eqs[0].exact
 
     def test_example1_with_incentive(self, example1, cfg):
         costs = [parse("u1^2 - 2*u1*u2 + u1^2", NAMES2),
@@ -303,6 +305,41 @@ def _newton_alone(F, Jac, start, bounds, cfg):
     return None
 
 
+def _newton_min_alone(objective, start, bounds, cfg):
+    """The operator's damped Newton descent from one start on the compiled
+    scalar forms, with one linear solve per step."""
+    n = len(bounds)
+    value = scalar_fn(objective)
+    grad = [scalar_fn(diff(objective, i)) for i in range(n)]
+    hess = [[scalar_fn(h) for h in row] for row in hessian(objective, n)]
+    lo, hi = solvers._float_box(bounds)
+    x = np.array(start, dtype=float)
+    fx = value(x.tolist())
+    for _ in range(solvers.NEWTON_MIN_ITERS):
+        pt = x.tolist()
+        g = np.array([gi(pt) for gi in grad])
+        if np.max(np.abs(g)) <= cfg.tol:
+            break
+        H = np.array([[hij(pt) for hij in row] for row in hess])
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            step = -g
+        if not np.all(np.isfinite(step)):
+            step = -g
+        lam, improved = 1.0, False
+        while lam >= 1e-8:
+            xn = np.clip(x + lam * step, lo, hi)
+            fn = value(xn.tolist())
+            if fn < fx - 1e-15:
+                x, fx, improved = xn, fn, True
+                break
+            lam /= 2
+        if not improved:
+            break
+    return tuple(float(v) for v in x)
+
+
 def _verify_all_then_merge(costs, bounds, cfg):
     """The solve with every start run alone, every candidate verified, and
     the verified ones merged greedily in report order afterwards."""
@@ -319,7 +356,7 @@ def _verify_all_then_merge(costs, bounds, cfg):
                 residual = verify_nash(costs, sol, bounds, lines)
                 if residual <= cfg.tol + solvers.POLY_SLACK:
                     return [solvers.EquilibriumResult(
-                        ActionProfile(sol), residual, "newton", True, True)]
+                        ActionProfile(sol), residual, "newton", True)]
     seeds = solvers._seeds(bounds)
     br_points = [_best_response_alone(lines, s, cfg) for s in seeds]
     candidates += [(p, "best-response", False) for p in br_points]
@@ -334,7 +371,7 @@ def _verify_all_then_merge(costs, bounds, cfg):
         residual = verify_nash(costs, values, bounds, lines)
         if residual <= cfg.tol + solvers.POLY_SLACK:
             verified.append(solvers.EquilibriumResult(
-                ActionProfile(values), residual, method, True, exact))
+                ActionProfile(values), residual, method, exact))
     verified.sort(key=lambda r: (not r.exact, r.profile.as_floats()))
     merged = []
     for r in verified:
@@ -413,6 +450,38 @@ class TestLockstep:
         assert alone[1] is None and alone[0] is not None
         assert repr(together) == repr(alone)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_operator_polish_matches_each_start_alone(self, seed, cfg):
+        rng = np.random.default_rng([seed, 14])
+        n = 2 + seed % 2
+        objective = add(*_quartic_costs(rng, n))
+        bounds = ((Fraction(-2), Fraction(2)),) * n
+        starts = solvers._seeds(bounds) + [
+            tuple(rng.uniform(-2.0, 2.0, n).tolist()) for _ in range(4)]
+        self._check_polish(objective, starts, bounds, cfg)
+
+    def test_operator_polish_singular_hessian(self, cfg):
+        # the Hessian diag(12*u1^2, 2) is singular at u1 = 0: alone, that
+        # start's solve fails and it steps along -g; in the stack it must
+        # do the same
+        objective = parse("u1^4 + (u2 - 1/2)^2", NAMES2)
+        starts = [(0.0, 1.5), (1.0, -1.0), (0.0, -2.0), (-1.5, 0.25)]
+        H = np.array([[scalar_fn(h)([0.0, 1.5]) for h in row]
+                      for row in hessian(objective, 2)])
+        assert np.linalg.matrix_rank(H) == 1
+        self._check_polish(objective, starts, BOX2, cfg)
+
+    @staticmethod
+    def _check_polish(objective, starts, bounds, cfg):
+        n = len(bounds)
+        grad = [diff(objective, i) for i in range(n)]
+        together = solvers._newton_min(objective, grad,
+                                       hessian(objective, n), starts,
+                                       bounds, cfg)
+        alone = [_newton_min_alone(objective, s, bounds, cfg)
+                 for s in starts]
+        assert repr(together) == repr(alone)
+
     def test_overflow_is_raised_by_the_scalar_form(self):
         # the vector form gives inf; the start's scalar values raise, as a
         # solve one start at a time does
@@ -463,6 +532,20 @@ class TestCurvatureChecks:
                  operator_cost=var(0), bounds=BOX2)
         rep = diagonal_strict_convexity_check(g.agent_costs, g)
         assert rep.status == "fails"
+
+    @pytest.mark.parametrize("check", ["hessian", "dsc"])
+    def test_non_finite_sample_is_unknown(self, check):
+        # every off-axis lattice point of [-1000, 1000]^2 overflows the
+        # second derivatives of u1^100*u2^100; the corner comes first
+        cost = parse("u1^2 + u2^2 + u1^100*u2^100", NAMES2)
+        box = ((Fraction(-1000), Fraction(1000)),) * 2
+        g = Game(n=2, agent_costs=(cost, cost), operator_cost=cost,
+                 bounds=box)
+        rep = hessian_pd_check(cost, g) if check == "hessian" \
+            else diagonal_strict_convexity_check(g.agent_costs, g)
+        assert rep == ConvexityReport(
+            status="unknown", sampled=True,
+            witness=ActionProfile((-1000.0, -1000.0)), min_eigenvalue=None)
 
     def test_dsc_decoupled_convex_holds(self):
         g = Game(n=2, agent_costs=(power(var(0), 2), power(var(1), 2)),
