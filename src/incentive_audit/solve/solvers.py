@@ -246,10 +246,11 @@ def _newton_min(objective: Expression, grad: Sequence[Expression],
         lam = 1.0
         while lam >= 1e-8 and waiting.any():
             trying = np.flatnonzero(waiting)
-            xn = np.clip(x[live[trying]] + lam * step[trying], lo, hi)
+            rows = live[trying]
+            xn = np.clip(x[rows] + lam * step[trying], lo, hi)
             fn = _rows([objective], xn)[:, 0]
-            ok = fn < fx[live[trying]] - 1e-15
-            x[live[trying[ok]]], fx[live[trying[ok]]] = xn[ok], fn[ok]
+            ok = fn < fx[rows] - 1e-15
+            x[rows[ok]], fx[rows[ok]] = xn[ok], fn[ok]
             waiting[trying[ok]] = False
             lam /= 2
         live = live[~waiting]
