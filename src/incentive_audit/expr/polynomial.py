@@ -243,6 +243,28 @@ class Polynomial:
             plan = plans[i] = _line_plan(self.terms, i)
         return plan
 
+    def magnitude_bound(self, bounds: Sequence[tuple[Number, Number]]
+                        ) -> float:
+        """Sum over the terms of max(|c|, 1) * prod_k max(|lo_k|, |hi_k|,
+        1)^e_k on the box ``bounds``, in floats; inf when the sum, a
+        coefficient or a bound is beyond the float range.
+
+        Up to rounding, it bounds every power, partial product and partial
+        sum of the polynomial's float evaluation at any point of the box.
+        """
+        try:
+            radius = [max(abs(float(lo)), abs(float(hi)), 1.0)
+                      for lo, hi in bounds]
+            total = 0.0
+            for mono, coeff in self.terms.items():
+                term = max(abs(float(coeff)), 1.0)
+                for idx, e in mono:
+                    term *= radius[idx] ** e
+                total += term
+        except OverflowError:
+            return float("inf")
+        return total
+
     def to_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Float coefficient vector and (m, n) exponent matrix for kernels."""
         m = max(len(self.terms), 1)

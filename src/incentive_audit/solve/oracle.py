@@ -1,9 +1,13 @@
 """Brute-force grid reference: exhaustive equilibrium and minimum search.
 
-This is the independent cross-check for the analytic solvers: costs are
-tabulated on a dense cartesian grid and a profile counts as a grid
-equilibrium when no unilateral move along the grid strictly improves any
-agent.  Intended for small games (n <= 4); the per-axis resolution comes
+This is the independent cross-check for the analytic solvers: a profile
+of a dense cartesian grid counts as a grid equilibrium when no unilateral
+move along the grid strictly improves any agent.  The first agent's cost
+is tabulated on the whole grid; each later agent's polynomial cost is
+evaluated only on its lines through the profiles still standing, and a
+cost that is not a polynomial, or whose float evaluation might overflow
+on the box, is tabulated on the whole grid and checked for non-finite
+cells.  Intended for small games (n <= 4); the per-axis resolution comes
 from SolverConfig.
 """
 
@@ -21,8 +25,14 @@ from . import kernels
 
 ORACLE_MAX_AGENTS = 4
 
-#: budget for the stacked float64 cost tables of one oracle run
+#: budget for the float64 cost tables of one oracle run, counted as one
+#: full table per agent
 ORACLE_MAX_TABLE_BYTES = 1 << 30
+
+#: a polynomial whose ``magnitude_bound`` on the box is below this cannot
+#: overflow in floats there: the 2^24 left under the largest float absorb
+#: the rounding of the bound and of the evaluation
+FLOAT_SAFE_BOUND = 2.0 ** 1000
 
 
 class OracleDimensionError(ValueError):
@@ -47,8 +57,10 @@ def check_grid_size(n: int, points: int) -> None:
     """Refuse an oracle run of ``n`` agents at ``points`` per axis before
     anything is allocated.
 
-    The estimate is the stacked cost tables, ``n * points**n`` float64
-    cells; the message names the largest grid that fits the budget.
+    The estimate is ``n * points**n`` float64 cells, one full table per
+    agent: an upper bound, since a run tabulates the first agent's cost
+    and only the costs it cannot evaluate line by line.  The message names
+    the largest grid that fits the budget.
     """
     if n > ORACLE_MAX_AGENTS:
         raise OracleDimensionError(
@@ -74,25 +86,21 @@ def eval_array(e: Expression, arrays: Sequence[np.ndarray]) -> np.ndarray | floa
     return vector_fn(e)(arrays)
 
 
-def eval_on_grid(e: Expression, axes: Sequence[np.ndarray],
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """Tabulate ``e`` on the cartesian product of the axes, into ``out``
-    (a float64 array of the grid's shape) when one is given."""
+def eval_on_grid(e: Expression, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Tabulate ``e`` on the cartesian product of the axes."""
     n = len(axes)
     shape = tuple(len(ax) for ax in axes)
-    if out is None:
-        out = np.empty(shape)
     p = as_polynomial(e)
     if p is not None:
         coeffs, exps = p.to_arrays(n)
-        return kernels.poly_grid_eval(coeffs, exps, axes, out=out)
+        return kernels.poly_grid_eval(coeffs, exps, axes)
     grids = []
     for k, ax in enumerate(axes):
         reshape = [1] * n
         reshape[k] = shape[k]
         grids.append(np.asarray(ax, dtype=np.float64).reshape(reshape))
-    out[...] = eval_array(e, grids)
-    return out
+    out = eval_array(e, grids)
+    return np.broadcast_to(np.asarray(out, dtype=np.float64), shape).copy()
 
 
 def _finite(table: np.ndarray) -> np.ndarray:
@@ -101,6 +109,22 @@ def _finite(table: np.ndarray) -> np.ndarray:
     if not np.isfinite(table).all():
         raise OverflowError("a cost on the grid is beyond the float range")
     return table
+
+
+def _cost_source(e: Expression, axes: Sequence[np.ndarray],
+                 bounds: Sequence[tuple[Number, Number]],
+                 full: bool) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """``e`` as ``kernels.pure_nash_mask`` reads it.
+
+    A polynomial whose ``magnitude_bound`` rules out an overflow on the
+    box gives its coefficient and exponent arrays, or with ``full`` its
+    table on the whole grid; any other cost gives its table, refused by
+    ``_finite`` when a cell is not finite."""
+    p = as_polynomial(e)
+    if p is None or p.magnitude_bound(bounds) >= FLOAT_SAFE_BOUND:
+        return _finite(eval_on_grid(e, axes))
+    arrays = p.to_arrays(len(axes))
+    return kernels.poly_grid_eval(*arrays, axes) if full else arrays
 
 
 def grid_nash_oracle(costs: Sequence[Expression],
@@ -112,15 +136,10 @@ def grid_nash_oracle(costs: Sequence[Expression],
     """
     check_grid_size(len(costs), cfg.grid_points_per_axis)
     axes = grid_axes(bounds, cfg.grid_points_per_axis)
-    # each table is written in place: no second copy of the stack
-    tables = np.empty((len(costs),) + tuple(len(ax) for ax in axes))
-    for c, table in zip(costs, tables):
-        _finite(eval_on_grid(c, axes, out=table))
-    mask = kernels.pure_nash_mask(tables)
-    profiles = []
-    for idx in np.argwhere(mask):
-        profiles.append(ActionProfile([axes[k][i] for k, i in enumerate(idx)]))
-    return profiles
+    sources = [_cost_source(c, axes, bounds, full=a == 0)
+               for a, c in enumerate(costs)]
+    return [ActionProfile([axes[k][i] for k, i in enumerate(idx)])
+            for idx in kernels.pure_nash_mask(sources, axes)]
 
 
 def grid_minimum(e: Expression, bounds: Sequence[tuple[Number, Number]],
@@ -128,7 +147,7 @@ def grid_minimum(e: Expression, bounds: Sequence[tuple[Number, Number]],
     """Best grid point of ``e``; first (lexicographically smallest) on ties."""
     check_grid_size(len(bounds), cfg.grid_points_per_axis)
     axes = grid_axes(bounds, cfg.grid_points_per_axis)
-    table = _finite(eval_on_grid(e, axes))
+    table = _cost_source(e, axes, bounds, full=True)
     flat = int(np.argmin(table))
     idx = np.unravel_index(flat, table.shape)
     profile = ActionProfile([axes[k][i] for k, i in enumerate(idx)])

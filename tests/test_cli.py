@@ -251,6 +251,19 @@ class TestFloatRange:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert [str(w.message) for w in caught] == []
 
+    def test_second_cost_overflowing_exits_3(self, capsys, tmp_path):
+        # u2's cost overflows off the first agent's best responses (u1 = 0)
+        path = tmp_path / "second.game"
+        path.write_text(OVERFLOW_GAME.replace("COST", "u1^2")
+                        .replace('"u1*u2 - u2"', '"u2^2 + u1^40"')
+                        .replace("BOUND", "[-10^10, 10^10]"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "oracle", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("error: float overflow: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert [str(w.message) for w in caught] == []
 
     def test_sampled_overflow_writes_no_warning(self, capsys, tmp_path):
         # the curvature samples overflow to inf off the axes: the check is
@@ -298,6 +311,7 @@ class TestOracle:
             raise AssertionError("oracle tabulated a grid past the budget")
 
         monkeypatch.setattr(kernels, "poly_grid_eval", no_tables)
+        monkeypatch.setattr(kernels, "poly_eval_at", no_tables)
         code, _, err = run(capsys, "oracle", _separable_game(tmp_path, 4))
         assert code == 4
         assert "--grid 76 " in err

@@ -38,6 +38,7 @@ from incentive_audit.expr import (
     var,
 )
 from incentive_audit.expr import polynomial
+from incentive_audit.solve.oracle import FLOAT_SAFE_BOUND
 
 NAMES = ["u1", "u2"]
 
@@ -270,6 +271,44 @@ class TestExpand:
         # the shared subtree's cached form was not changed by its users
         assert as_polynomial(shared) == as_polynomial(
             parse("(u1 - u2)^3", NAMES))
+
+
+class TestMagnitudeBound:
+    BOX = ((Fraction(-3), Fraction(2)), (Fraction(-1, 2), Fraction(1, 4)))
+
+    @pytest.mark.parametrize("text, bound", [
+        # max(|c|, 1) times max(|lo|, |hi|, 1)^e per axis, summed
+        ("u1^2 - 5*u1*u2 + 1/4", 9 + 5 * 3 * 1 + 1),
+        ("-u2^3 + 1/2*u1", 1 + 3),
+        ("7", 7),
+        ("0", 0),
+    ])
+    def test_exact_small_cases(self, text, bound):
+        assert as_polynomial(parse(text, NAMES)).magnitude_bound(self.BOX) \
+            == bound
+
+    def test_float_bounds(self):
+        p = as_polynomial(parse("u1^3", NAMES))
+        assert p.magnitude_bound([(-2.5, 0.5)]) == 2.5 ** 3
+
+    def test_past_two_to_the_thousand(self):
+        box = ((Fraction(-2**25), Fraction(2)),)
+        below = as_polynomial(parse("u1^2 + u1^39", NAMES))
+        assert below.magnitude_bound(box) == 2.0 ** 975 + 2.0 ** 50
+        assert below.magnitude_bound(box) < FLOAT_SAFE_BOUND
+        past = as_polynomial(parse("u1^2 + u1^40", NAMES))
+        assert past.magnitude_bound(box) == 2.0 ** 1000 + 2.0 ** 50
+        assert past.magnitude_bound(box) >= FLOAT_SAFE_BOUND
+        # 10^400 is beyond the float range
+        box = ((Fraction(-10**10), Fraction(10**10)),)
+        assert past.magnitude_bound(box) == float("inf")
+
+    def test_coefficient_beyond_float_range_does_not_raise(self):
+        p = as_polynomial(parse("u1^2", NAMES)) \
+            * polynomial.Polynomial.constant(Fraction(10) ** 400)
+        with pytest.raises(OverflowError):
+            float(p.terms[((0, 2),)])
+        assert p.magnitude_bound(self.BOX) == float("inf")
 
 
 class TestConstructors:

@@ -7,6 +7,7 @@ import pytest
 from incentive_audit.expr import add, const, mul, parse, power, var
 from incentive_audit.solve import (
     OracleDimensionError,
+    SolverConfig,
     check_grid_size,
     grid_minimum,
     grid_nash_oracle,
@@ -14,6 +15,8 @@ from incentive_audit.solve import (
     minimize_operator,
     nash_equilibrium,
 )
+
+from incentive_audit.solve import oracle
 
 from conftest import BOX2, NAMES2
 
@@ -44,6 +47,24 @@ class TestGridNashOracle:
         found = grid[0].as_floats()
         assert abs(found[0] - float(a)) <= step / 2 + 1e-12
         assert abs(found[1] - float(b)) <= step / 2 + 1e-12
+
+    def test_second_cost_overflowing_off_the_candidates_is_refused(self):
+        # the first agent's best responses all sit at u1 = 0, where the
+        # second cost is finite; its table overflows at |u1| >= 10^8
+        costs = [parse("u1^2", NAMES2), parse("(u2 - 1)^2 + u1^40", NAMES2)]
+        bounds = ((Fraction(-10**10), Fraction(10**10)), BOX2[1])
+        with pytest.raises(OverflowError, match="beyond the float range"):
+            grid_nash_oracle(costs, bounds, SolverConfig(
+                grid_points_per_axis=11))
+
+    def test_bounded_polynomials_skip_the_finite_scan(self, example1, cfg,
+                                                      monkeypatch):
+        def scan(table):
+            raise AssertionError("scanned a table that cannot overflow")
+
+        monkeypatch.setattr(oracle, "_finite", scan)
+        assert grid_nash_oracle(example1.agent_costs, example1.bounds, cfg)
+        grid_minimum(example1.operator_cost, example1.bounds, cfg)
 
     def test_dimension_refusal(self, cfg):
         costs = [var(i) for i in range(5)]
