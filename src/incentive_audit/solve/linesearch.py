@@ -18,9 +18,12 @@ along the axis.  Pieces are cut where an ``abs`` operand changes sign or
 a guarded denominator crosses its guard, and cut again until no node
 cuts a piece, so nested nodes are cut inner first.  On a piece the cost
 is one float ratio N/D, built from the line plans of its polynomial
-subtrees, and its minimum lies at a piece end or at a real root of
-N'D - ND' (first-order stationarity); the compiled evaluator scores
-those candidates.  Ties always resolve to the smallest action.
+subtrees (once per profile), and its minimum lies at a piece end or at
+a real root of N'D - ND' (first-order stationarity); the compiled
+evaluator scores those candidates.  The profiles of a batch advance in
+lockstep rounds: each round finds the roots that cut all their open
+pieces in one ``_real_roots`` call, and the stationary points of the
+uncut pieces in a second.  Ties always resolve to the smallest action.
 """
 
 from __future__ import annotations
@@ -51,6 +54,10 @@ GUARD_ULPS = (-1024, -256, -64, -16, -4, -1, 0, 1, 4, 16, 64, 256, 1024)
 #: a ratio N/D of two polynomials, each as its ascending float coefficients
 Ratio = tuple[list[float], list[float]]
 
+#: an ``abs`` or guarded node on a piece: its level polynomials N - level*D,
+#: the ulps from their roots that cut, and whether N/D is beyond the guard
+Switch = tuple[list[list[float]], Sequence[int], bool]
+
 
 class SolverError(Exception):
     """Solver escalation: a result violates a guaranteed property."""
@@ -79,12 +86,12 @@ def line_minima(e: Expression, i: int, profiles: Sequence[Sequence[Number]],
                 lo: Number, hi: Number) -> list[LineMin]:
     """``line_minimum_at`` at each of ``profiles``, in one pass: the float
     polynomial lines of degree >= 3 find their stationary points through
-    one stacked eigenvalue call per companion-matrix size."""
+    one stacked eigenvalue call per companion-matrix size, and piecewise
+    lines through one per size and stage of each lockstep round."""
     flo, fhi = float(lo), float(hi)
     p = as_polynomial(e)
     if p is None:
-        return [_piecewise_line_minimum(e, i, [float(v) for v in values],
-                                        flo, fhi) for values in profiles]
+        return _piecewise_minima(e, i, profiles, flo, fhi)
     plan = p.line_plan(i)
     minima: list[LineMin | None] = []
     lines: list[tuple[int, list[float], list[float]]] = []
@@ -104,7 +111,7 @@ def line_minima(e: Expression, i: int, profiles: Sequence[Sequence[Number]],
                 f"finite")
         lines.append((len(minima), floats, d1))
         minima.append(None)
-    roots = _real_roots([d1 for _, _, d1 in lines], flo, fhi)
+    roots = _real_roots([(d1, flo, fhi) for _, _, d1 in lines])
     for (k, floats, _), stationary in zip(lines, roots):
         minima[k] = _pick_smallest(floats, [flo, fhi, *stationary])
     return minima
@@ -128,20 +135,19 @@ def _low_degree_minimum(coeffs: Sequence[Number], degree: int,
     return _pick_smallest(coeffs, candidates)
 
 
-def _real_roots(polys: Sequence[Sequence[float]], lo: float, hi: float
+def _real_roots(polys: Sequence[tuple[Sequence[float], float, float]]
                 ) -> list[list[float]]:
-    """The real roots in [lo, hi] of each polynomial with ascending float
-    coefficients in ``polys`` (trailing zeros allowed): in closed form at
+    """The real roots in [lo, hi] of each ``(p, lo, hi)`` of ``polys``, p in
+    ascending float coefficients (trailing zeros allowed): in closed form at
     degree 1, else the real companion-matrix eigenvalues, Newton-polished."""
-    scale = max(1.0, -lo, hi)
     roots: list[list[float]] = []
     others = []
-    for p in polys:
+    for p, lo, hi in polys:
         if not all(map(math.isfinite, p)):
             raise SolverError("cannot find the real roots of a polynomial "
                               "along an agent's axis: a coefficient is not "
                               "finite")
-        top = _root_degree(p, scale)
+        top = _root_degree(p, max(1.0, -lo, hi))
         if top == 1:
             # + 0.0 turns the root -0.0 of a zero constant term into 0.0
             roots.append([-p[0] / p[1] + 0.0])
@@ -153,7 +159,8 @@ def _real_roots(polys: Sequence[Sequence[float]], lo: float, hi: float
         dp = [j * p[j] for j in range(1, len(p))]
         roots[k] = [_newton_polish(p, dp, float(r.real))
                     for r in found if abs(r.imag) < 1e-9]
-    return [[x for x in found if lo <= x <= hi] for found in roots]
+    return [[x for x in found if lo <= x <= hi]
+            for found, (_, lo, hi) in zip(roots, polys)]
 
 
 def _root_degree(p: Sequence[float], scale: float) -> int:
@@ -241,37 +248,74 @@ def _pick_smallest(coeffs: Sequence[Number], candidates: Sequence[Number]
     return LineMin(arg, _poly_value(coeffs, arg))
 
 
-def _piecewise_line_minimum(e: Expression, i: int, base: list[float],
-                            lo: float, hi: float) -> LineMin:
-    candidates, pieces = {lo, hi}, [(lo, hi)]
+def _piecewise_minima(e: Expression, i: int,
+                      profiles: Sequence[Sequence[Number]], lo: float,
+                      hi: float) -> list[LineMin]:
+    """The line minima of the non-polynomial ``e`` at ``profiles``, in
+    floats.  Each round restricts every open piece of every profile, splits
+    the pieces that the roots of their ``abs`` operands and guard levels
+    cut (one batch), and finds the stationary points of the others (a
+    second batch): each profile gets the pieces it gets alone."""
+    bases = [[float(v) for v in values] for values in profiles]
+    memos: list[dict[int, Ratio]] = [{} for _ in bases]
+    candidates = [{lo, hi} for _ in bases]
+    pieces = [(k, lo, hi) for k in range(len(bases))]
     while pieces:
-        a, b = pieces.pop()
-        cuts: list[float] = []
-        num, den = _restrict(e, i, base, a, b, cuts)
-        if cuts:
-            ends = [a, *sorted(set(cuts)), b]
-            pieces += zip(ends, ends[1:])
-            candidates.update(cuts)
-        else:
-            stationary = _plus(_times(_derivative(num), den),
-                               _times(num, _derivative(den)), -1.0)
-            candidates.update(_real_roots([stationary], a, b)[0])
+        switches: list[list[Switch]] = [[] for _ in pieces]
+        ratios = [_restrict(e, i, bases[k], memos[k], a, b, found)
+                  for (k, a, b), found in zip(pieces, switches)]
+        # a guard's second level too, though the rule below may skip it
+        roots = iter(_real_roots([
+            (level, a, b) for (_, a, b), found in zip(pieces, switches)
+            for levels, _, _ in found for level in levels]))
+        split, uncut = [], []
+        for (k, a, b), found, (num, den) in zip(pieces, switches, ratios):
+            cuts: list[float] = []
+            for levels, ulps, beyond in found:
+                for xs in [next(roots) for _ in levels]:
+                    cuts += [y for x in xs for y in (
+                        x + u * math.ulp(x) for u in ulps) if a < y < b]
+                    # N/D beyond the level on its midpoint's side and never
+                    # at it: never at the other level either
+                    if not xs and beyond:
+                        break
+            if cuts:
+                ends = [a, *sorted(set(cuts)), b]
+                split += ((k, x, y) for x, y in zip(ends, ends[1:]))
+                candidates[k].update(cuts)
+            else:
+                stationary = _plus(_times(_derivative(num), den),
+                                   _times(num, _derivative(den)), -1.0)
+                uncut.append((k, (stationary, a, b)))
+        for (k, _), xs in zip(uncut, _real_roots([p for _, p in uncut])):
+            candidates[k].update(xs)
+        pieces = split
     scalar = scalar_fn(e)
-    scores = {x: scalar(base[:i] + [x] + base[i + 1:]) for x in candidates}
-    arg = min(sorted(scores), key=scores.get)
-    return LineMin(arg, scores[arg])
+    minima = []
+    for base, found in zip(bases, candidates):
+        scores = {x: scalar(base[:i] + [x] + base[i + 1:]) for x in found}
+        arg = min(sorted(scores), key=scores.get)
+        minima.append(LineMin(arg, scores[arg]))
+    return minima
 
 
-def _restrict(e: Expression, i: int, base: list[float], a: float, b: float,
-              cuts: list[float]) -> Ratio:
+def _restrict(e: Expression, i: int, base: list[float],
+              memo: dict[int, Ratio], a: float, b: float,
+              switches: list[Switch]) -> Ratio:
     """``e`` on the piece (a, b) of axis ``i`` as float coefficients (N, D)
     of N/D, each ``abs`` sign and guard state read at the midpoint; adds to
-    ``cuts`` the points of (a, b) where one of its nodes changes piece."""
+    ``switches`` each ``abs`` and guarded node, whose level roots cut the
+    piece.  ``memo`` keeps the lines of the polynomial subtrees at
+    ``base``, which no piece changes."""
+    if id(e) in memo:
+        return memo[id(e)]
     p = as_polynomial(e)
     if p is not None:
         plan = p.line_plan(i)
-        return plan.float_line(plan.coefficients(base))[0], [1.0]
-    parts = [_restrict(c, i, base, a, b, cuts) for c in children(e)]
+        memo[id(e)] = plan.float_line(plan.coefficients(base))[0], [1.0]
+        return memo[id(e)]
+    parts = [_restrict(c, i, base, memo, a, b, switches)
+             for c in children(e)]
     if isinstance(e, Sum):
         return reduce(_add, parts)
     if isinstance(e, (Product, Power)):
@@ -281,20 +325,14 @@ def _restrict(e: Expression, i: int, base: list[float], a: float, b: float,
         return [-c for c in num], den
     guard = e.guard if isinstance(e, SafeDiv) else 0
     n, d = _poly_value(num, (a + b) / 2), _poly_value(den, (a + b) / 2)
-    # N/D beyond the level on its midpoint's side and never at it: never
-    # at the other level either
     side = float(guard) if (n < 0) == (d < 0) else -float(guard)
-    for level in (side, -side) if guard else (0.0,):
-        roots = _real_roots([_plus(num, den, -level)], a, b)[0]
-        cuts += [y for x in roots for y in (
-            x + k * math.ulp(x) for k in (GUARD_ULPS if guard else (0,)))
-            if a < y < b]
-        if not roots and abs(n) > guard * abs(d):
-            break
+    beyond = abs(n) > guard * abs(d)
+    levels = (side, -side) if guard else (0.0,)
+    switches.append(([_plus(num, den, -level) for level in levels],
+                     GUARD_ULPS if guard else (0,), beyond))
     if isinstance(e, Abs):
         return ([-c for c in num] if (n < 0) != (d < 0) else num), den
-    return ([0.0], [1.0]) if abs(n) <= guard * abs(d) \
-        else _mul(parts[0], (den, num))
+    return _mul(parts[0], (den, num)) if beyond else ([0.0], [1.0])
 
 
 def _add(r: Ratio, s: Ratio) -> Ratio:

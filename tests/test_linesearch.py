@@ -17,29 +17,45 @@ call per companion size) must give each line the minimum it gets alone.
 
 Lines with ``abs`` or guarded division are minimized piece by piece; they
 are checked on hand-made lines (narrow wells, nested ``abs``, a guard
-interval inside the box) and against a dense scan of random lines.
+interval inside the box) and against a dense scan of random lines.  A
+batch of them advances in lockstep rounds, and must give each profile,
+bit for bit, the minimum of ``reference_piecewise_minimum``, which
+searches one profile and one piece at a time.
 """
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from incentive_audit.expr import (Const, Power, Product, Sum, Var, absval,
-                                  add, parse, safediv, scalar_fn, vector_fn)
+from incentive_audit.expr import (Abs, Const, Neg, Power, Product, SafeDiv,
+                                  Sum, Var, absval, add, children, mul, neg,
+                                  parse, power, safediv, scalar_fn,
+                                  vector_fn)
 from incentive_audit.expr.polynomial import Polynomial, as_polynomial
-from incentive_audit.solve import SolverError
+from incentive_audit.gamefile import load_game_file
+from incentive_audit.incentive import ScenarioSolve
+from incentive_audit.solve import SolverConfig, SolverError, linesearch
 from incentive_audit.solve.linesearch import (
+    GUARD_ULPS,
     LineMin,
+    _add,
+    _derivative,
     _derivative_roots,
+    _mul,
     _pick_smallest,
+    _plus,
     _poly_value,
     _real_roots,
+    _times,
     line_minima,
     line_minimum_at,
 )
+
+from conftest import EXAMPLE1_PROPORTIONAL_GAME
 
 def naive_coefficients(p, i, values):
     """Ascending coefficients of ``p`` along variable ``i`` with the other
@@ -82,7 +98,7 @@ def reference_minimum(coeffs, lo, hi):
     flo, fhi = float(lo), float(hi)
     d1 = [float(k * coeffs[k]) for k in range(1, len(coeffs))]
     return _pick_smallest([float(c) for c in coeffs],
-                          [flo, fhi, *_real_roots([d1], flo, fhi)[0]])
+                          [flo, fhi, *_real_roots([(d1, flo, fhi)])[0]])
 
 
 def expression(p):
@@ -455,3 +471,160 @@ def test_nonsmooth_line_is_no_worse_than_a_dense_scan(line):
     scan = np.broadcast_to(vector_fn(e)([xs, values[1]]), xs.shape)
     best = float(np.min(scan))
     assert got.value <= best + 1e-12 * max(1.0, abs(best)), (got, best)
+
+
+# ---------------------------------------------------------------------------
+# piecewise lines in one batch: the same minima as one profile at a time
+
+
+def reference_piecewise_minimum(e, i, base, lo, hi):
+    """The piecewise line search one profile and one piece at a time,
+    each piece's nodes cut and its stationary points found on their own:
+    what the lockstep rounds of ``line_minima`` must reproduce."""
+    candidates, pieces = {lo, hi}, [(lo, hi)]
+    while pieces:
+        a, b = pieces.pop()
+        cuts = []
+        num, den = reference_restrict(e, i, base, a, b, cuts)
+        if cuts:
+            ends = [a, *sorted(set(cuts)), b]
+            pieces += zip(ends, ends[1:])
+            candidates.update(cuts)
+        else:
+            stationary = _plus(_times(_derivative(num), den),
+                               _times(num, _derivative(den)), -1.0)
+            candidates.update(_real_roots([(stationary, a, b)])[0])
+    scalar = scalar_fn(e)
+    scores = {x: scalar(base[:i] + [x] + base[i + 1:]) for x in candidates}
+    arg = min(sorted(scores), key=scores.get)
+    return LineMin(arg, scores[arg])
+
+
+def reference_restrict(e, i, base, a, b, cuts):
+    """``e`` on the piece (a, b) as float coefficients (N, D) of N/D; adds
+    to ``cuts`` the points where one of its nodes changes piece, searching
+    a guard's second level only when the first leaves it possible."""
+    p = as_polynomial(e)
+    if p is not None:
+        plan = p.line_plan(i)
+        return plan.float_line(plan.coefficients(base))[0], [1.0]
+    parts = [reference_restrict(c, i, base, a, b, cuts) for c in children(e)]
+    if isinstance(e, Sum):
+        return reduce(_add, parts)
+    if isinstance(e, (Product, Power)):
+        return reduce(_mul, parts * (e.exponent if type(e) is Power else 1))
+    num, den = parts[-1]
+    if isinstance(e, Neg):
+        return [-c for c in num], den
+    guard = e.guard if isinstance(e, SafeDiv) else 0
+    n, d = _poly_value(num, (a + b) / 2), _poly_value(den, (a + b) / 2)
+    side = float(guard) if (n < 0) == (d < 0) else -float(guard)
+    for level in (side, -side) if guard else (0.0,):
+        roots = _real_roots([(_plus(num, den, -level), a, b)])[0]
+        cuts += [y for x in roots for y in (
+            x + k * math.ulp(x) for k in (GUARD_ULPS if guard else (0,)))
+            if a < y < b]
+        if not roots and abs(n) > guard * abs(d):
+            break
+    if isinstance(e, Abs):
+        return ([-c for c in num] if (n < 0) != (d < 0) else num), den
+    return ([0.0], [1.0]) if abs(n) <= guard * abs(d) \
+        else _mul(parts[0], (den, num))
+
+
+N3 = ["u1", "u2", "u3"]
+
+coupled_polynomials = st.builds(
+    lambda terms: expression(Polynomial(dict(terms))),
+    st.lists(st.tuples(st.sampled_from(
+        [(), X1, X2, X3, Y, X1Y, X2Y, ((2, 1),), ((0, 1), (2, 1)),
+         ((1, 1), (2, 1))]), coefficients), min_size=1, max_size=4))
+guards = st.sampled_from([F(1, 10**12), F(1, 1000), F(1, 10), F(1, 2)])
+piece_actions = st.one_of(
+    st.sampled_from([0.0, -0.0, F(0), F(1, 2), 1.0, -1.0]),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10))
+
+
+@st.composite
+def piecewise_batches(draw):
+    """A piecewise cost along u1 in three agents (the anticipatory
+    proportional form ``r + p*q / (p + s)`` behind a guard, nested ``abs``,
+    ``abs`` of a guarded ratio, or ``abs`` under a product, a power and a
+    negation), with polynomials p, q, r, s of degree at most 3 in u1 whose
+    terms may carry u2 and u3, at 1-5 profiles of float and exact actions,
+    some of them drawn again, on an interval."""
+    p, q, r, s = (draw(coupled_polynomials) for _ in range(4))
+    guard = draw(guards)
+    e = draw(st.sampled_from([
+        add(r, safediv(mul(p, q), add(p, s), guard)),
+        add(absval(add(p, absval(q))), r),
+        add(absval(safediv(p, q, guard)), r),
+        add(mul(absval(p), q), neg(power(absval(add(r, s)), 2))),
+        add(safediv(p, add(absval(q), s), guard), r),
+    ]))
+    profiles = draw(st.lists(st.lists(piece_actions, min_size=3, max_size=3),
+                             min_size=1, max_size=5))
+    profiles += draw(st.lists(st.sampled_from(profiles), max_size=2))
+    lo, hi = draw(bounds)
+    return e, profiles, lo, hi
+
+
+@given(piecewise_batches())
+@settings(max_examples=300, deadline=None)
+# a guarded ratio at three profiles: its polynomial subtrees differ per
+# profile, and at u2 = 1/20 the guarded u1^2 - u2 is inside the guard at
+# the midpoint 0, below it, and crosses only the level above
+@example((add(parse("u1^2", N3), safediv(parse("u1*u3", N3),
+                                         parse("u1^2 - u2", N3), F(1, 10))),
+          [[0.0, 0.05, 1.0], [0.0, -0.25, F(1, 2)], [0.0, 0.05, 1.0]],
+          F(-2), F(2)))
+# nested abs at the signed zeros and an exact zero
+@example((add(absval(add(parse("u1 - u2", N3), absval(parse("u1*u3", N3)))),
+              parse("u1^2/10", N3)),
+          [[0.0, -0.0, 0.0], [0.0, 0.0, -0.0], [0.0, F(0), 1.0]],
+          F(-1), F(1)))
+def test_piecewise_batch_matches_the_reference(batch):
+    e, profiles, lo, hi = batch
+    got = line_minima(e, 0, profiles, lo, hi)
+    assert len(got) == len(profiles)
+    for values, lm in zip(profiles, got):
+        want = reference_piecewise_minimum(
+            e, 0, [float(v) for v in values], float(lo), float(hi))
+        assert (repr(lm.arg), repr(lm.value)) \
+            == (repr(want.arg), repr(want.value)), (values, lm, want)
+
+
+def test_piecewise_batch_advances_in_lockstep(monkeypatch, tmp_path):
+    # agent 1's anticipatory proportional cost in example1: the batch takes
+    # as many root-finding stages as its slowest profile alone, each with
+    # one eigenvalue call per companion size at most
+    path = tmp_path / "example1_proportional.game"
+    path.write_text(EXAMPLE1_PROPORTIONAL_GAME)
+    ctx = ScenarioSolve(load_game_file(str(path)).scenario(), SolverConfig())
+    e = ctx.effective_costs[0]
+    assert as_polynomial(e) is None
+    stages = []
+    real_roots, eigvals = linesearch._real_roots, np.linalg.eigvals
+
+    def staged(polys):
+        stages.append([])
+        return real_roots(polys)
+
+    def counted(a):
+        stages[-1].append(np.shape(a)[-1])
+        return eigvals(a)
+
+    monkeypatch.setattr(linesearch, "_real_roots", staged)
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    profiles = [[0.0, x] for x in (-2.0, -1.1, -0.3, 0.0, 0.6, 1.25, 2.0)]
+    alone = []
+    for values in profiles:
+        stages.clear()
+        line_minimum_at(e, 0, values, F(-2), F(2))
+        alone.append((len(stages), sum(map(len, stages))))
+    stages.clear()
+    line_minima(e, 0, profiles, F(-2), F(2))
+    assert len(stages) == max(n for n, _ in alone)
+    assert all(len(sizes) == len(set(sizes)) for sizes in stages)
+    assert sum(map(len, stages)) < sum(calls for _, calls in alone)

@@ -1,6 +1,7 @@
 """Each audit solves the operator optimum once and each distinct game once,
-computes each line minimum of a solve once, and evaluates the conditions
-on the scenario alone once.
+computes each line minimum of a solve once (the piecewise lines of a
+batch sharing their eigenvalue calls), and evaluates the conditions on
+the scenario alone once.
 
 Every binding of ``minimize_operator``, ``nash_equilibrium``,
 ``verify_nash`` and the batched line kernel ``line_minima`` in the package
@@ -10,6 +11,7 @@ is wrapped with a counter, so a call reached by any route counts.
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from incentive_audit import audit
@@ -17,8 +19,8 @@ from incentive_audit.cli import main
 from incentive_audit.gamefile import load_game_file
 from incentive_audit.solve import solvers
 
-from conftest import (GAMES_DIR, QUARTIC_GAME, THREE_EQUILIBRIA_GAME,
-                      THREE_EQUILIBRIA_VCG_GAME)
+from conftest import (EXAMPLE1_PROPORTIONAL_GAME, GAMES_DIR, QUARTIC_GAME,
+                      THREE_EQUILIBRIA_GAME, THREE_EQUILIBRIA_VCG_GAME)
 
 SOLVES = ("minimize_operator", "nash_equilibrium")
 
@@ -141,6 +143,25 @@ def test_structured_audit_computes_each_line_once(game, monkeypatch,
     _run(capsys, "audit", str(GAMES_DIR / f"{game}.game"),
          "--format", "structured")
     assert counts == {"lines": AUDIT_LINE_MINIMA[game]}
+
+
+def test_piecewise_lines_share_eigenvalue_calls(tmp_path, monkeypatch,
+                                                capsys):
+    # example1's anticipatory proportional audit: every line is piecewise,
+    # and a line batch finds its roots in lockstep rounds (968 calls when
+    # each profile, and each piece of it, had its own)
+    calls = Counter()
+    original = np.linalg.eigvals
+
+    def counted(a):
+        calls["eigvals"] += 1
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    path = tmp_path / "example1_proportional.game"
+    path.write_text(EXAMPLE1_PROPORTIONAL_GAME)
+    _run(capsys, "audit", str(path), "--format", "structured")
+    assert calls == {"eigvals": 142}
 
 
 #: candidates verified in one structured audit.  Candidates are verified
