@@ -113,6 +113,11 @@ class LinePlan(NamedTuple):
                  else groups[k].derivative for k in range(1, len(coeffs))]
         return line, slope
 
+    def convex(self) -> bool:
+        """Whether its lines are convex: degree <= 1, or 2 exact and > 0."""
+        g = self.groups
+        return len(g) < 3 or len(g) == 3 and not g[2].terms and g[2].coeff > 0
+
 
 class Polynomial:
     """Multivariate polynomial with Fraction coefficients."""
@@ -264,6 +269,18 @@ class Polynomial:
         except OverflowError:
             return float("inf")
         return total
+
+    def float_error(self, bounds: Sequence[tuple[Number, Number]]) -> float:
+        """(T + 3n + 3) * 2^-52 * B for T terms, n agents and B the
+        ``magnitude_bound``: twice a bound on |float - exact| of
+        ``kernels.poly_eval_at`` on the box.  With u = 2^-53, a term rounds
+        its coefficient (u), n powers ``x ** e`` (numpy's, within one ulp:
+        2u) and n products: (3n + 1)u relative.  The fold's T - 1 additions
+        each add at most u times the terms' total, which B bounds: (T + 3n)uB
+        to first order.  The 6uB left cover higher orders, underflow (B >= 1)
+        and B's rounding."""
+        return ((len(self.terms) + 3 * len(bounds) + 3) * 2.0 ** -52
+                * self.magnitude_bound(bounds))
 
     def to_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Float coefficient vector and (m, n) exponent matrix for kernels."""

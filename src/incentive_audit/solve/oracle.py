@@ -2,11 +2,11 @@
 
 This is the independent cross-check for the analytic solvers: a profile
 of a dense cartesian grid counts as a grid equilibrium when no unilateral
-move along the grid strictly improves any agent.  The first agent's cost
-is tabulated on the whole grid; each later agent's polynomial cost is
-evaluated only on its lines through the profiles still standing, and a
-cost that is not a polynomial, or whose float evaluation might overflow
-on the box, is tabulated on the whole grid and checked for non-finite
+move along the grid strictly improves any agent.  A polynomial cost
+convex in the action read is read on a window of each line, certified to
+hold the line's minimum and best responses (else the line is read whole);
+other costs are tabulated, and a cost that is not a polynomial, or whose
+float evaluation might overflow on the box, is checked for non-finite
 cells.  Intended for small games (n <= 4); the per-axis resolution comes
 from SolverConfig.
 """
@@ -58,9 +58,9 @@ def check_grid_size(n: int, points: int) -> None:
     anything is allocated.
 
     The estimate is ``n * points**n`` float64 cells, one full table per
-    agent: an upper bound, since a run tabulates the first agent's cost
-    and only the costs it cannot evaluate line by line.  The message names
-    the largest grid that fits the budget.
+    agent: an upper bound.  Own-convex games read windows of lines from
+    ``kernels.WINDOW_MIN_POINTS`` points per axis on, and build no table
+    there.  The message names the largest grid that fits the budget.
     """
     if n > ORACLE_MAX_AGENTS:
         raise OracleDimensionError(
@@ -82,8 +82,10 @@ def grid_axes(bounds: Sequence[tuple[Number, Number]],
 
 
 def eval_array(e: Expression, arrays: Sequence[np.ndarray]) -> np.ndarray | float:
-    """``e`` on arrays that broadcast against each other (compiled once)."""
-    return vector_fn(e)(arrays)
+    """``e`` on arrays that broadcast against each other (compiled once);
+    inf or nan beyond the float range, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return vector_fn(e)(arrays)
 
 
 def eval_on_grid(e: Expression, axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -112,19 +114,20 @@ def _finite(table: np.ndarray) -> np.ndarray:
 
 
 def _cost_source(e: Expression, axes: Sequence[np.ndarray],
-                 bounds: Sequence[tuple[Number, Number]],
-                 full: bool) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """``e`` as ``kernels.pure_nash_mask`` reads it.
+                 bounds: Sequence[tuple[Number, Number]]
+                 ) -> np.ndarray | kernels.Poly:
+    """``e`` as the kernels read it.
 
     A polynomial whose ``magnitude_bound`` rules out an overflow on the
-    box gives its coefficient and exponent arrays, or with ``full`` its
-    table on the whole grid; any other cost gives its table, refused by
-    ``_finite`` when a cell is not finite."""
+    box gives a ``kernels.Poly``: its arrays, its ``float_error`` and the
+    axes along which its ``LinePlan`` is convex.  Any other cost gives its
+    table, refused by ``_finite`` when a cell is not finite."""
     p = as_polynomial(e)
     if p is None or p.magnitude_bound(bounds) >= FLOAT_SAFE_BOUND:
         return _finite(eval_on_grid(e, axes))
-    arrays = p.to_arrays(len(axes))
-    return kernels.poly_grid_eval(*arrays, axes) if full else arrays
+    n = len(axes)
+    return kernels.Poly(*p.to_arrays(n), p.float_error(bounds),
+                        tuple(a for a in range(n) if p.line_plan(a).convex()))
 
 
 def grid_nash_oracle(costs: Sequence[Expression],
@@ -136,8 +139,7 @@ def grid_nash_oracle(costs: Sequence[Expression],
     """
     check_grid_size(len(costs), cfg.grid_points_per_axis)
     axes = grid_axes(bounds, cfg.grid_points_per_axis)
-    sources = [_cost_source(c, axes, bounds, full=a == 0)
-               for a, c in enumerate(costs)]
+    sources = [_cost_source(c, axes, bounds) for c in costs]
     return [ActionProfile([axes[k][i] for k, i in enumerate(idx)])
             for idx in kernels.pure_nash_mask(sources, axes)]
 
@@ -147,11 +149,8 @@ def grid_minimum(e: Expression, bounds: Sequence[tuple[Number, Number]],
     """Best grid point of ``e``; first (lexicographically smallest) on ties."""
     check_grid_size(len(bounds), cfg.grid_points_per_axis)
     axes = grid_axes(bounds, cfg.grid_points_per_axis)
-    table = _cost_source(e, axes, bounds, full=True)
-    flat = int(np.argmin(table))
-    idx = np.unravel_index(flat, table.shape)
-    profile = ActionProfile([axes[k][i] for k, i in enumerate(idx)])
-    return profile, float(table[idx])
+    idx, value = kernels.grid_argmin(_cost_source(e, axes, bounds), axes)
+    return ActionProfile([axes[k][i] for k, i in enumerate(idx)]), value
 
 
 def grid_step(bounds: Sequence[tuple[Number, Number]], points: int) -> float:

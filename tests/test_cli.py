@@ -265,6 +265,21 @@ class TestFloatRange:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert [str(w.message) for w in caught] == []
 
+    def test_overflowing_abs_cost_exits_3_with_one_line(self, capsys,
+                                                         tmp_path):
+        # a cost with no polynomial form is tabulated by its compiled
+        # vector function, which overflows in float_power
+        path = tmp_path / "abs.game"
+        path.write_text(OVERFLOW_GAME.replace(
+            "COST", "u1^2 + abs(u1)^400 - u1*u2").replace("BOUND", "[-10, 10]"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "oracle", str(path), "--grid", "11")
+        assert code == 3 and out == ""
+        assert err.startswith("error: float overflow: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert [str(w.message) for w in caught] == []
+
     def test_sampled_overflow_writes_no_warning(self, capsys, tmp_path):
         # the curvature samples overflow to inf off the axes: the check is
         # unknown at the first such point, and no numpy warning is printed

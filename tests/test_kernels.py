@@ -1,14 +1,17 @@
 """Grid kernels against scalar evaluation and plain Python loops."""
 
 from fractions import Fraction
+from math import isqrt, prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incentive_audit.expr import evaluate, parse
 from incentive_audit.expr.polynomial import Polynomial, as_polynomial
 from incentive_audit.solve import kernels
-from incentive_audit.solve.oracle import eval_on_grid
+from incentive_audit.solve.kernels import WINDOW_MIN_POINTS
+from incentive_audit.solve.oracle import _cost_source, eval_on_grid
 
 NAMES = ["u1", "u2"]
 
@@ -146,8 +149,9 @@ def _game_sources(costs, axes, full=()):
     n = len(axes)
     tables = np.stack([kernels.poly_grid_eval(*p.to_arrays(n), axes)
                        for p in costs])
-    sources = [tables[0]] + [tables[a] if a in full else costs[a].to_arrays(n)
-                             for a in range(1, n)]
+    sources = [tables[0]] + [
+        tables[a] if a in full else kernels.Poly(*costs[a].to_arrays(n))
+        for a in range(1, n)]
     return sources, tables
 
 
@@ -183,9 +187,193 @@ def test_pure_nash_mask_special_costs(texts):
     tables = np.stack([eval_on_grid(e, axes) for e in exprs])
     sources = [tables[0]] + [
         tables[a] if as_polynomial(e) is None
-        else as_polynomial(e).to_arrays(3)
+        else kernels.Poly(*as_polynomial(e).to_arrays(3))
         for a, e in enumerate(exprs) if a]
     expected = np.argwhere(_pure_nash_mask_loop(tables))
     assert len(expected)
     np.testing.assert_array_equal(kernels.pure_nash_mask(sources, axes),
                                   expected)
+
+
+# ---------------------------------------------------------------------------
+# windowed lines against the full table
+
+#: cells of one drawn game at most, so that tables stay small
+GAME_CELLS = 40_000
+
+_BOX_LO = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0),
+           Fraction(1, 4), Fraction(1, 2), Fraction(1)]
+_BOX_WIDTH = [Fraction(1, 2), Fraction(1), Fraction(3), Fraction(4)]
+#: own quadratic and linear coefficients: the last ones make nearly flat
+#: lines, and a 0 square a linear or constant one
+_OWN_SQUARE = [Fraction(1), Fraction(1, 2), Fraction(3), Fraction(0),
+               Fraction(1, 2 ** 40)]
+_OWN_LINEAR = [Fraction(1), Fraction(-1), Fraction(1, 3), Fraction(-5, 2),
+               Fraction(0), Fraction(1, 2 ** 45), Fraction(-1, 2 ** 45)]
+#: constant terms come first in the fold, so they round at the scale of
+#: the large terms that follow them
+_CONSTANT = [Fraction(0), Fraction(1, 3), Fraction(-7, 5)]
+_COUPLING = [Fraction(-1), Fraction(1, 2), Fraction(1, 4), Fraction(-3),
+             Fraction(2)]
+
+
+@st.composite
+def own_convex_games(draw):
+    """(bounds, axes, costs): 2-4 agents with 3-121 points per axis, each
+    cost a Polynomial of degree <= 2 in its own action with a nonnegative
+    exact square coefficient.
+
+    Some lines are flat or nearly flat, so their windows cannot be
+    certified; some costs minimize midway between two grid points, so
+    cells tie.  With ``twin`` the last two axes are equal and the first
+    agent's cost has K*u1*u_b - K*u1*u_c with large K: on the lines where
+    u_b = u_c the exact slope terms cancel, but the float fold rounds at
+    K's scale, so the line's floats are noise around a near-flat line."""
+    n = draw(st.integers(2, 4))
+    twin = n >= 3 and draw(st.booleans())
+    bounds, axes, left = [], [], GAME_CELLS
+    for k in range(n):
+        if twin and k == n - 1:
+            bounds.append(bounds[-1])
+            axes.append(axes[-1])
+            break
+        # leave at least 3 points for each axis still to come
+        top = min(121, isqrt(left) if twin and k == n - 2
+                  else left // 3 ** (n - 1 - k))
+        p = draw(st.integers(3, top) if top < 40 else st.one_of(
+            st.integers(WINDOW_MIN_POINTS, top), st.integers(3, top)))
+        left //= p
+        lo = draw(st.sampled_from(_BOX_LO))
+        bounds.append((lo, lo + draw(st.sampled_from(_BOX_WIDTH))))
+        axes.append(np.linspace(float(bounds[k][0]), float(bounds[k][1]), p))
+    points = [len(ax) for ax in axes]
+    costs = []
+    for a in range(n):
+        terms: dict = {}
+        lo, hi = bounds[a]
+        own = draw(st.sampled_from(["tie", "flat", "any"]))
+        if own == "tie":
+            # minimum midway between two grid points: (u_a - t)^2
+            i = draw(st.integers(0, points[a] - 2))
+            t = lo + (hi - lo) * Fraction(2 * i + 1, 2 * (points[a] - 1))
+            terms[((a, 2),)] = Fraction(1)
+            terms[((a, 1),)] = -2 * t
+            terms[()] = t * t
+        else:
+            flat = own == "flat"
+            terms[((a, 2),)] = draw(st.sampled_from(
+                _OWN_SQUARE[-2:] if flat else _OWN_SQUARE))
+            terms[((a, 1),)] = draw(st.sampled_from(
+                _OWN_LINEAR[-3:] if flat else _OWN_LINEAR))
+            terms[()] = draw(st.sampled_from(_CONSTANT))
+        for _ in range(draw(st.integers(0, 3))):
+            k = draw(st.sampled_from([k for k in range(n) if k != a]))
+            mono = {k: draw(st.integers(1, 2))}
+            if draw(st.booleans()):
+                mono[a] = 1
+            key = tuple(sorted(mono.items()))
+            terms[key] = terms.get(key, 0) + draw(st.sampled_from(_COUPLING))
+        if twin and a == 0:
+            big = draw(st.sampled_from([Fraction(2 ** 20),
+                                        Fraction(10 ** 6) + Fraction(1, 3)]))
+            terms[((0, 1), (n - 2, 1))] = big
+            terms[((0, 1), (n - 1, 1))] = -big
+        costs.append(Polynomial(terms))
+    return bounds, axes, costs
+
+
+def _table_best(table, a):
+    """Reference: each line's minimum along axis ``a`` and its
+    best-response cells as sorted (line, index along a) rows, from the
+    full table; lines in C order of the other axes."""
+    values = np.moveaxis(table, a, 0).reshape(table.shape[a], -1)
+    line_min = values.min(axis=0)
+    bar = line_min + kernels.MASK_TOL_ABS + kernels.MASK_TOL_REL * np.abs(
+        line_min)
+    pos, line = np.nonzero(values <= bar)
+    order = np.lexsort((pos, line))
+    return line_min, np.stack([line[order], pos[order]], axis=1), \
+        values[pos[order], line[order]]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@given(own_convex_games())
+@settings(max_examples=150, deadline=None)
+def test_windowed_lines_match_the_full_table(game):
+    bounds, axes, costs = game
+    n, shape = len(axes), tuple(len(ax) for ax in axes)
+    sources = [_cost_source(p.to_expression(), axes, bounds) for p in costs]
+    tables = [kernels.poly_grid_eval(s.coeffs, s.exps, axes) for s in sources]
+    for a, (source, table) in enumerate(zip(sources, tables)):
+        assert a in source.convex
+        dims = shape[:a] + shape[a + 1:]
+        lines = list(np.unravel_index(np.arange(prod(dims)), dims))
+        line_min, line, pos, value = kernels.line_best(source, axes, a, lines)
+        want_min, want_cells, want_values = _table_best(table, a)
+        order = np.lexsort((pos, line))
+        assert _bits(line_min) == _bits(want_min)
+        np.testing.assert_array_equal(
+            np.stack([line[order], pos[order]], axis=1), want_cells)
+        assert _bits(value[order]) == _bits(want_values)
+        # the grid minimum: np.argmin's cell and that cell's value bits
+        idx, best = kernels.grid_argmin(source, axes)
+        want = np.unravel_index(int(np.argmin(table)), shape)
+        assert tuple(map(int, idx)) == tuple(map(int, want))
+        assert _bits(best) == _bits(table[want])
+    np.testing.assert_array_equal(kernels.pure_nash_mask(sources, axes),
+                                  kernels.pure_nash_mask(tables, axes))
+
+
+# ---------------------------------------------------------------------------
+# the error bound of the float fold
+
+#: coefficients with large magnitudes, non-dyadic parts and near-opposite
+#: pairs, so that sums cancel
+_HEAVY = [Fraction(1), Fraction(-1, 3), Fraction(10 ** 6) + Fraction(1, 7),
+          -Fraction(10 ** 6), Fraction(2 ** 40) - Fraction(1, 3),
+          -Fraction(2 ** 40), Fraction(5, 11), Fraction(-7, 3 * 10 ** 5)]
+
+
+@st.composite
+def polynomials_at_cells(draw):
+    """(polynomial, bounds, points): degree <= 4 in 1-4 agents on boxes
+    within [-10, 10], and up to 8 points of the box."""
+    n = draw(st.integers(1, 4))
+    bounds = []
+    for _ in range(n):
+        lo = draw(st.integers(-10, 9))
+        bounds.append((Fraction(lo), Fraction(draw(st.integers(lo + 1, 10)))))
+    terms: dict = {}
+    for _ in range(draw(st.integers(1, 8))):
+        exps: dict = {}
+        for _ in range(draw(st.integers(0, 4))):
+            k = draw(st.integers(0, n - 1))
+            exps[k] = exps.get(k, 0) + 1
+        key = tuple(sorted(exps.items()))
+        terms[key] = terms.get(key, 0) + draw(st.sampled_from(_HEAVY))
+    poly = Polynomial(terms)
+    coordinate = [st.one_of(st.sampled_from([float(lo), float(hi), 0.0]),
+                            st.floats(float(lo), float(hi)))
+                  for lo, hi in bounds]
+    points = draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=8))
+    return poly, bounds, points
+
+
+@given(polynomials_at_cells())
+@settings(max_examples=300, deadline=None)
+def test_float_error_bounds_the_fold(case):
+    # float_error is twice the fold's error bound; the certificate of the
+    # windowed lines relies on the error staying under half of it
+    poly, bounds, points = case
+    n = len(bounds)
+    half = Fraction(poly.float_error(bounds)) / 2
+    axes = [np.array([p[k] for p in points]) for k in range(n)]
+    index = [np.arange(len(points))] * n
+    values = kernels.poly_eval_at(*poly.to_arrays(n), axes, index)
+    for value, point in zip(values, points):
+        exact = sum((c * prod(Fraction(point[k]) ** e for k, e in mono)
+                     for mono, c in poly.terms.items()), Fraction(0))
+        assert abs(Fraction(float(value)) - exact) <= half

@@ -1,5 +1,6 @@
 """Exhaustive grid oracle and its agreement with the analytic pipeline."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -118,3 +119,90 @@ class TestOracleAgainstAnalytic:
         for p in grid:
             assert min(p.max_distance(eq.profile) for eq in analytic) \
                 <= step + 1e-12
+
+
+#: a 3-agent game whose costs and operator are quadratics convex in each
+#: agent's own action (``OWN_CONVEX``), and variants of it
+OWN_CONVEX = """
+[agents]
+names = u1, u2, u3
+
+[costs]
+u1 = "U1"
+u2 = "(u2 - 1/3)^2 + u2*u3/2"
+u3 = "u3^2/2 - u1*u3 + u2^2"
+
+[operator]
+J = "OPERATOR"
+
+[bounds]
+u1 = [-2, 2]
+u2 = [-1, 2]
+u3 = [-2, 1]
+"""
+
+FOUR_AGENTS = """
+[agents]
+names = u1, u2, u3, u4
+
+[costs]
+u1 = "u1^2 - u1*u2"
+u2 = "u2^2 - u2*u3"
+u3 = "u3^2 - u3*u4/2"
+u4 = "(u4 - 1/2)^2 + u1*u4/4"
+
+[operator]
+J = "u1^2 + u2^2 + u3^2 + u4^2 - u1"
+
+[bounds]
+u1 = [-2, 2]
+u2 = [-2, 2]
+u3 = [-2, 2]
+u4 = [-2, 2]
+"""
+
+CONVEX_U1 = "u1^2 - u1*u2 + u3"
+CONVEX_J = "(u1 - 1/4)^2 + u2^2 + (u3 + 1/2)^2 + u1*u2/4"
+
+
+class TestTablePaths:
+    """Full tables built per ``oracle`` request: ``poly_grid_eval`` calls
+    (polynomial tables) and ``eval_array`` calls (other costs)."""
+
+    @pytest.mark.parametrize("text, grid, tables", [
+        # every line is read by windows
+        (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J),
+         101, {}),
+        # a cubic first cost and a concave operator keep the parent's three
+        # tables: the first agent's, the grid minimum's and the operator
+        # solve's seed table
+        (OWN_CONVEX.replace("U1", "u1^3/8 + u1^2 - u1*u2 + u3")
+         .replace("OPERATOR", "-u1^2 - u2^2 - u3^2 + u1*u2/4"),
+         101, {"poly_grid_eval": 3}),
+        # 31-point lines are shorter than WINDOW_MIN_POINTS: the first
+        # agent's table and the grid minimum's, as before windows
+        (FOUR_AGENTS, 31, {"poly_grid_eval": 2}),
+        # the anticipatory proportional rule's guarded divisions: each cost
+        # is tabulated by its vector function, as before windows
+        (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J)
+         + "\n[incentive]\nkind = proportional\nmode = anticipatory\n",
+         101, {"eval_array": 3}),
+    ], ids=["own-convex", "concave-operator", "four-agents-31", "guarded"])
+    def test_tables_per_request(self, tmp_path, monkeypatch, capsys, text,
+                                grid, tables):
+        from incentive_audit.cli import main
+        from incentive_audit.solve import kernels
+
+        calls: dict[str, int] = {}
+        for module, name in [(kernels, "poly_grid_eval"),
+                             (oracle, "eval_array")]:
+            def counting(*args, _real=getattr(module, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counting)
+        path = tmp_path / "game.game"
+        path.write_text(text)
+        assert main(["oracle", str(path), "--grid", str(grid), "--format",
+                     "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["agreement"] is True
+        assert calls == tables
