@@ -19,9 +19,9 @@ through :func:`children`, and :func:`substitute` rebuilds through the
 table.  Only rules that differ per node keep their own dispatch: evaluate,
 diff, ``polynomial._expand`` and the compiled emitter.
 
-Values derived from a node (its derivatives, polynomial form, Hessian and
-compiled forms) are kept on the node by :func:`cached`, so a subtree
-shared by several trees derives each of them once.
+Values derived from a node (its variables, derivatives, polynomial form,
+Hessian and compiled forms) are kept on the node by :func:`cached`, so a
+subtree shared by several trees derives each of them once.
 """
 
 from __future__ import annotations
@@ -334,9 +334,16 @@ def substitute(e: Expression, assignment: Mapping[int, Expression]) -> Expressio
 
 
 def structural_variables(e: Expression) -> frozenset[int]:
-    """Variable indices appearing anywhere in the tree (no cancellation)."""
+    """Variable indices appearing anywhere in the tree (no cancellation),
+    kept on each compound node."""
     if isinstance(e, Var):
         return frozenset((e.index,))
+    if isinstance(e, Const):
+        return frozenset()
+    return cached(e, "variables", _variables, e)
+
+
+def _variables(e: Expression) -> frozenset[int]:
     return frozenset().union(*map(structural_variables, children(e)))
 
 

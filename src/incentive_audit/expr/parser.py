@@ -20,7 +20,8 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .nodes import Expression, absval, add, const, mul, neg, power, var
+from .nodes import (Const, Expression, absval, add, const, mul, neg, power,
+                    var)
 from .polynomial import as_polynomial
 
 
@@ -117,6 +118,8 @@ class _Parser:
                 return e
 
     def _reciprocal(self, divisor: Expression, at: int) -> Expression:
+        if isinstance(divisor, Const) and divisor.value:
+            return const(1 / divisor.value)
         p = as_polynomial(divisor)
         if p is None or not p.is_constant():
             raise ParseError("division is only allowed by a nonzero constant", at)
@@ -152,7 +155,9 @@ class _Parser:
     def atom(self) -> Expression:
         kind, value, at = self.advance()
         if kind == "number":
-            return const(Fraction(value))
+            # an integer literal skips Fraction's string parsing
+            return const(Fraction(value) if "." in value
+                         else Fraction(int(value)))
         if kind == "ident":
             if value == "abs":
                 self.expect_op("(")

@@ -18,9 +18,11 @@ and start follows the path it follows alone, to the bit.
 
 One solve computes each distinct line minimum once: the best-response
 sweeps and the verification of every candidate read them through a
-:class:`LineCache` that lives as long as the ``nash_equilibrium`` call, so
-sweeps from different seeds that reach the same fixed point, and the
-verification of those endpoints, reuse the lines already minimized.  Every
+:class:`LineCache` that lives as long as the ``nash_equilibrium`` call,
+keyed by the agent and the actions its cost reads.  So sweeps from
+different seeds that reach the same fixed point, and the verification of
+those endpoints, reuse the lines already minimized, and seeds that differ
+only in actions a cost leaves out share that cost's lines.  Every
 line is minimized from its piece ends and stationary points
 (``linesearch``), so one slack, ``POLY_SLACK``, covers float residuals.
 """
@@ -36,7 +38,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from ..expr import (Expression, Number, add, diff, evaluate, is_smooth,
-                    scalar_fn, vector_fn)
+                    scalar_fn, structural_variables, vector_fn)
 from ..expr.polynomial import as_polynomial, hessian
 from ..game import ActionProfile, Game
 from .config import RNG_SEED, SolverConfig
@@ -70,6 +72,10 @@ BR_MAX_ITERS = 500
 #: stationarity system
 NEWTON_MIN_ITERS = 60
 STATIONARITY_MAX_ITERS = 80
+
+#: the fractions of a Newton step the operator polish backtracks to after
+#: the full step: its halvings down to 1e-8
+BACKTRACK_STEPS = tuple(2.0 ** -k for k in range(1, 27))
 
 
 class EquilibriumNotFound(SolverError):
@@ -130,19 +136,29 @@ def _seeds(bounds: Bounds) -> list[tuple[float, ...]]:
     if n <= 3:
         seeds.extend(itertools.product(*zip(lows, highs)))
     seeds += random_points(bounds, MULTISTART_COUNT)
-    unique = []
-    for s in seeds:
-        if all(max(abs(a - b) for a, b in zip(s, t)) > 1e-12 for t in unique):
-            unique.append(s)
-    return unique
+    # a seed is kept when it is more than 1e-12 (max-norm) from every seed
+    # kept before it; only the midpoint can be infinite, so the one nan gap
+    # (inf - inf) is its gap to itself, which is never read
+    points = np.array(seeds)
+    with np.errstate(invalid="ignore"):
+        gaps = np.abs(points[:, None] - points).max(axis=2)
+    near = (gaps <= 1e-12).tolist()
+    kept: list[int] = []
+    for k, row in enumerate(near):
+        if not any(row[j] for j in kept):
+            kept.append(k)
+    return [seeds[k] for k in kept]
 
 
 def random_points(bounds: Bounds, count: int) -> list[tuple[float, ...]]:
     """``count`` points drawn uniformly from the box with RNG_SEED, as
-    Python floats (numpy scalars would overflow to inf, with a warning)."""
+    Python floats (numpy scalars would overflow to inf, with a warning):
+    one draw of ``count`` rows, which are the draws of one point at a
+    time."""
     rng = np.random.default_rng(RNG_SEED)
     lows, highs = _float_box(bounds)
-    return [tuple(rng.uniform(lows, highs).tolist()) for _ in range(count)]
+    draws = rng.uniform(lows, highs, size=(count, len(lows)))
+    return list(map(tuple, draws.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -241,20 +257,56 @@ def _newton_min(objective: Expression, grad: Sequence[Expression],
                               g)
         step = np.array([s if s is not None and np.all(np.isfinite(s))
                          else -gk for s, gk in zip(steps, g)])
-        # backtrack from a full step, the starts not yet advanced together
-        waiting = np.ones(len(live), dtype=bool)
-        lam = 1.0
-        while lam >= 1e-8 and waiting.any():
-            trying = np.flatnonzero(waiting)
-            rows = live[trying]
-            xn = np.clip(x[rows] + lam * step[trying], lo, hi)
-            fn = _rows([objective], xn)[:, 0]
-            ok = fn < fx[rows] - 1e-15
-            x[rows[ok]], fx[rows[ok]] = xn[ok], fn[ok]
-            waiting[trying[ok]] = False
-            lam /= 2
-        live = live[~waiting]
+        # a full step first, then every halving for the starts it did not
+        # advance, in one evaluation
+        xn = np.clip(x[live] + step, lo, hi)
+        fn = _rows([objective], xn)[:, 0]
+        moved = fn < fx[live] - 1e-15
+        x[live[moved]], fx[live[moved]] = xn[moved], fn[moved]
+        back = np.flatnonzero(~moved)
+        if back.size:
+            rows = live[back]
+            found = _backtrack(objective, x[rows], fx[rows], step[back],
+                               lo, hi)
+            for k, hit in zip(back, found):
+                if hit is not None:
+                    x[live[k]], fx[live[k]] = hit
+                    moved[k] = True
+        live = live[moved]
     return [tuple(row) for row in x.tolist()]
+
+
+def _backtrack(objective: Expression, x: np.ndarray, fx: np.ndarray,
+               step: np.ndarray, lo: np.ndarray, hi: np.ndarray
+               ) -> list[Optional[tuple[np.ndarray, float]]]:
+    """Each start's first point ``x + lam * step`` (clipped to the box),
+    over ``BACKTRACK_STEPS``, whose objective is below the start's ``fx``,
+    with that objective; None when none is.
+
+    All the trials are evaluated in one vector call, a row per halving
+    and start.  A trial whose value is not finite is evaluated again by
+    the scalar form (which may raise), as ``_rows`` does, only where
+    halving one step at a time would evaluate it: at or before the
+    start's accepted halving."""
+    lams = np.array(BACKTRACK_STEPS)[:, None, None]
+    trials = np.clip(x + lams * step, lo, hi)
+    levels, starts, n = trials.shape
+    values = np.empty(levels * starts)
+    with np.errstate(all="ignore"):
+        values[:] = vector_fn(objective)(list(trials.reshape(-1, n).T))
+    values = values.reshape(levels, starts)
+    bar = fx - 1e-15
+    ok = values < bar
+    reach = np.where(ok.any(axis=0), ok.argmax(axis=0), levels - 1)
+    # in the order the halvings run: level by level, start by start
+    for level, k in zip(*np.nonzero(~np.isfinite(values))):
+        if level <= reach[k]:
+            values[level, k] = scalar_fn(objective)(trials[level, k].tolist())
+            if values[level, k] < bar[k]:
+                reach[k] = level
+    ok = values < bar
+    return [(trials[r, k], values[r, k]) if ok[r, k] else None
+            for k, r in enumerate(reach.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +327,20 @@ def best_response(costs: Sequence[Expression], i: int,
 class LineCache:
     """The line minima of one game's costs over one box, each computed once.
 
-    Agent ``i``'s line minimum never reads the agent's own action, so it is
-    keyed by the agent and the other agents' actions with their types and,
-    for zeros, their signs: ``Fraction(1, 2)`` and ``0.5`` take the exact
-    and the float path, and ``0.0`` and ``-0.0`` can give minima of
+    Agent ``i``'s line minimum reads only the actions its cost reads: every
+    variable of the cost's tree but the agent's own.  A variable that
+    cancels is read too, since the candidate scorer binds every variable of
+    the tree, and ``(a + u2) - u2`` is not ``a`` in floats.  So a line is
+    keyed by the agent and the actions its cost reads, with their types
+    and, for zeros, their signs: ``Fraction(1, 2)`` and ``0.5`` take the
+    exact and the float path, and ``0.0`` and ``-0.0`` can give minima of
     different sign.
     """
 
     def __init__(self, costs: Sequence[Expression], bounds: Bounds) -> None:
         self.costs, self.bounds = costs, bounds
+        self.reads = [sorted(structural_variables(c) - {i})
+                      for i, c in enumerate(costs)]
         self.minima: dict[tuple, LineMin] = {}
 
     def minimum(self, i: int, values: Sequence[Number]) -> LineMin:
@@ -293,8 +350,9 @@ class LineCache:
                   ) -> list[LineMin]:
         """Agent ``i``'s line minima at ``profiles``; the lines not seen
         yet are computed together, each once."""
+        reads = self.reads[i]
         keys = [(i,) + tuple((type(v), v, not v and math.copysign(1.0, v))
-                             for j, v in enumerate(values) if j != i)
+                             for v in [values[j] for j in reads])
                 for values in profiles]
         todo = {}
         for key, values in zip(keys, profiles):

@@ -6,6 +6,7 @@ import pytest
 
 from incentive_audit.expr import (
     Abs,
+    Const,
     Expression,
     Neg,
     Power,
@@ -62,6 +63,23 @@ class TestParse:
         assert parse("3/4", []) == const(Fraction(3, 4))
         assert parse("0.25", []) == const(Fraction(1, 4))
         assert parse("-1/2", NAMES) == const(Fraction(-1, 2))
+
+    @pytest.mark.parametrize("text", ["0", "7", "007", "2" * 30, "0.25",
+                                      ".5", "3.000", "3/4", "10/4", "7/1"])
+    def test_literals_are_their_fractions(self, text):
+        got = parse(text, [])
+        assert type(got) is Const and type(got.value) is Fraction
+        assert got.value == Fraction(text)
+
+    @pytest.mark.parametrize("divisor", ["3", "0.5", "(1/3)", "(2 - 5)",
+                                         "-4", "(u2 - u2 + 2)"])
+    def test_division_by_a_constant_is_the_general_reciprocal(self, divisor):
+        # the general path: the divisor's constant polynomial value
+        value = as_polynomial(parse(divisor, NAMES)).constant_value()
+        assert parse(f"u1/{divisor}", NAMES) == mul(
+            var(0), const(Fraction(1) / value))
+        with pytest.raises(ParseError, match="division by zero"):
+            parse(f"u1/({divisor} - {divisor})", NAMES)
 
     def test_division_by_constant_folds(self):
         e = parse("u1^2/2", NAMES)

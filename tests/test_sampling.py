@@ -89,3 +89,18 @@ def test_random_points_are_the_seeded_uniform_draws():
     expected = [tuple(rng.uniform([-1.0, 0.0], [3.0, 1 / 3]))
                 for _ in range(5)]
     assert random_points(box, 5) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("ends", [(-1, 3), (0, Fraction(1, 3)),
+                                  (Fraction(-7, 5), Fraction(-7, 5)),
+                                  (-10 ** 300, 10 ** 300)])
+def test_random_points_are_the_draws_one_point_at_a_time(n, ends):
+    box = tuple((Fraction(ends[0]) - k, Fraction(ends[1]) + k)
+                for k in range(n))
+    lows, highs = [float(lo) for lo, _ in box], [float(hi) for _, hi in box]
+    for count in (8, 64):
+        rng = np.random.default_rng(RNG_SEED)
+        expected = [tuple(rng.uniform(lows, highs).tolist())
+                    for _ in range(count)]
+        assert repr(random_points(box, count)) == repr(expected)

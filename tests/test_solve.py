@@ -1,19 +1,22 @@
 """Operator optimization, best responses, equilibria, curvature checks."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incentive_audit import incentive
 from incentive_audit.audit import full_audit
 from incentive_audit.expr import (absval, add, const, diff, hessian,
-                                  is_smooth, mul, parse, power, scalar_fn,
-                                  var)
+                                  is_smooth, mul, neg, parse, power,
+                                  safediv, scalar_fn, var)
 from incentive_audit.game import ActionProfile, Game
 from incentive_audit.gamefile import load_game_file
 from incentive_audit.solve import LineMin, solvers
+from incentive_audit.solve.linesearch import line_minimum_at
 from incentive_audit.solve import (
     ConvexityReport,
     SolverConfig,
@@ -103,6 +106,56 @@ class TestSeedTable:
         with pytest.raises(LookupError):
             minimize_operator(g, cfg)
         assert asked == [[7] * n]
+
+
+def _seeds_reference(bounds):
+    """The multistart seeds, de-duplicated by the pairwise loop: a seed is
+    kept when it is more than 1e-12 (max-norm) from every seed kept."""
+    lows = [float(lo) for lo, _ in bounds]
+    highs = [float(hi) for _, hi in bounds]
+    seeds = [tuple((lo + hi) / 2 for lo, hi in zip(lows, highs))]
+    if len(bounds) <= 3:
+        seeds.extend(itertools.product(*zip(lows, highs)))
+    seeds += solvers.random_points(bounds, solvers.MULTISTART_COUNT)
+    unique = []
+    for s in seeds:
+        if all(max(abs(a - b) for a, b in zip(s, t)) > 1e-12 for t in unique):
+            unique.append(s)
+    return unique
+
+
+def _box(*ends):
+    return tuple((Fraction(lo), Fraction(hi)) for lo, hi in ends)
+
+
+NARROW = (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 13))
+SEED_BOXES = {
+    "one agent": _box((-2, 2)),
+    "two agents": _box((-2, 2), (0, Fraction(1, 3))),
+    # corners 1e-13 apart merge
+    "narrow axis": _box((-1, 1), NARROW),
+    "narrow box": _box(NARROW, NARROW),
+    "flat axes": _box((0, 0), (2, 2), (-1, 1)),
+    "four agents": _box((-2, 2), (-2, 2), (-2, 2), (Fraction(-1, 2), 0)),
+    "six agents": _box(*[(-1, 3)] * 6),
+    # the midpoint is inf
+    "huge ends": _box((1e308, 1.7e308), (-1, 1)),
+}
+
+
+@pytest.mark.parametrize("box", SEED_BOXES.values(), ids=SEED_BOXES)
+def test_seeds_are_the_pairwise_loop_seeds(box):
+    got = solvers._seeds(box)
+    assert repr(got) == repr(_seeds_reference(box))
+    assert {type(v) for seed in got for v in seed} == {float}
+
+
+def test_narrow_boxes_merge_their_seeds():
+    # the midpoint, two of the four corners and the random points
+    assert len(solvers._seeds(SEED_BOXES["narrow axis"])) \
+        == 3 + solvers.MULTISTART_COUNT
+    # everything merges into the midpoint
+    assert len(solvers._seeds(SEED_BOXES["narrow box"])) == 1
 
 
 class TestBestResponse:
@@ -226,6 +279,35 @@ class TestLineCache:
         assert lines.minimum(0, [-1.5, 0.7]) is first
         assert len(lines.minima) == 1
 
+    @pytest.mark.parametrize("text", ["abs(u1 - 1) + u1^2",
+                                      "u1^4 - u1 + u1^2/2"])
+    def test_unread_action_is_not_in_the_key(self, text):
+        # agent 1's cost reads only u1 (piecewise, then polynomial)
+        costs = (parse(text, NAMES2), parse("u2^2 + u1*u2", NAMES2))
+        lines = solvers.LineCache(costs, BOX2)
+        first = lines.minimum(0, [0.3, 0.7])
+        assert lines.minimum(0, [0.3, -1.2]) is first
+        assert lines.minimum(0, [-1.5, Fraction(1, 2)]) is first
+        assert len(lines.minima) == 1
+        # agent 2's cost reads u1
+        lines.minimum(1, [0.3, 0.7])
+        lines.minimum(1, [-1.5, 0.7])
+        assert len(lines.minima) == 3
+
+    def test_cancelling_action_stays_in_the_key(self):
+        # the candidate scorer binds u2 where it cancels too, and in floats
+        # (u1 + u2) - u2 is not u1: the expansion's variables would leave
+        # u2 out of the second key
+        assert solvers.LineCache(
+            (parse("abs(u1) + u2 - u2", NAMES2),) * 2, BOX2).reads[0] == [1]
+        e = parse("abs(u1 - 1) + 7*(u1 + u2 - u2)^2/10", NAMES2)
+        lines = solvers.LineCache((e, parse("u2^2", NAMES2)), BOX2)
+        got = [lines.minimum(0, [0.3, u2]) for u2 in (0.2, 0.3)]
+        assert got == [line_minimum_at(e, 0, [0.3, u2], *BOX2[0])
+                       for u2 in (0.2, 0.3)]
+        assert got[0].value != got[1].value
+        assert len(lines.minima) == 2
+
     @pytest.mark.parametrize("path", sorted(GAMES_DIR.glob("*.game")),
                              ids=lambda p: p.stem)
     def test_standalone_verification_repeats_the_solve(self, path,
@@ -249,6 +331,70 @@ class TestLineCache:
                 assert type(residual) is float
                 assert residual == r.residual \
                     and _sign(residual) == _sign(r.residual)
+
+
+#: actions of the cache property: few, so that profiles repeat what a cost
+#: reads; a float and a Fraction of one number, and both zeros
+CACHE_ACTIONS = [0.0, -0.0, 0.5, Fraction(1, 2), Fraction(0), -1.25,
+                 Fraction(-5, 4), 1.75]
+
+
+@st.composite
+def partial_reads(draw):
+    """Costs of 2-3 agents, each reading a drawn subset of the others'
+    actions through polynomial (some cancelling), ``abs`` and guarded-ratio
+    terms, and profiles of those actions."""
+    n = draw(st.integers(2, 3))
+    coeff = st.sampled_from([Fraction(1, 4), Fraction(-1, 2), Fraction(3, 8),
+                             Fraction(1)])
+    costs = []
+    for i in range(n):
+        u = var(i)
+        terms = [mul(const(1 + draw(coeff)), power(u, 2)),
+                 mul(const(draw(coeff)), u)]
+        for j in range(n):
+            if j == i or not draw(st.booleans()):
+                continue
+            kind = draw(st.sampled_from(["poly", "cancel", "abs", "ratio"]))
+            if kind == "poly":
+                terms.append(mul(const(draw(coeff)), u, var(j)))
+            elif kind == "cancel":
+                # reads u_j, though its expansion does not
+                terms.append(power(add(u, var(j), neg(var(j))), 2))
+            elif kind == "abs":
+                terms.append(absval(add(u, mul(const(draw(coeff)), var(j)),
+                                        const(draw(coeff)))))
+            else:
+                terms.append(safediv(mul(u, var(j)),
+                                     add(u, var(j), const(3)),
+                                     Fraction(1, 8)))
+        if draw(st.booleans()):
+            terms.append(mul(const(draw(coeff)), power(u, 4)))
+        costs.append(add(*terms))
+    profiles = draw(st.lists(
+        st.lists(st.sampled_from(CACHE_ACTIONS), min_size=n, max_size=n),
+        min_size=2, max_size=6))
+    return costs, profiles
+
+
+def _bits(x):
+    return type(x), x, _sign(x)
+
+
+@given(partial_reads())
+@settings(max_examples=60, deadline=None)
+def test_line_cache_gives_each_profile_its_own_minimum(game):
+    costs, profiles = game
+    bounds = ((Fraction(-2), Fraction(2)),) * len(costs)
+    one_at_a_time = solvers.LineCache(costs, bounds)
+    batched = solvers.LineCache(costs, bounds)
+    for i, cost in enumerate(costs):
+        together = batched.minima_at(i, profiles)
+        for values, got in zip(profiles, together):
+            want = line_minimum_at(cost, i, values, *bounds[i])
+            for found in (got, one_at_a_time.minimum(i, values)):
+                assert _bits(found.arg) == _bits(want.arg)
+                assert _bits(found.value) == _bits(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +636,36 @@ class TestLockstep:
         assert rows.tolist() == [[1.0], [2.0 ** 400]]
         with pytest.raises(OverflowError):
             solvers._rows([parse("u1^400", ["u1"])], np.array([[1.0], [10.0]]))
+
+    def test_backtracking_tries_no_step_past_the_accepted_one(self):
+        # (u1*u2)^200 overflows (the scalar form raises) where |u1*u2| is
+        # above about 34.6.  From (6.7, -4.5) along (-9.2, -25.3) the step
+        # halved once lowers it; the step halved twice overflows, and is
+        # never tried one step at a time.
+        objective = parse("(u1*u2)^200", NAMES2)
+        box = ((Fraction(-13), Fraction(13)),) * 2
+        lo, hi = solvers._float_box(box)
+        x = np.array([[6.7, -4.5]])
+        fx = solvers._rows([objective], x)[:, 0]
+        step = np.array([[-9.2, -25.3]])
+        # the full step does not lower it
+        assert solvers._rows([objective], np.clip(x + step, lo, hi))[0, 0] \
+            >= fx[0]
+        half = np.clip(x + 0.5 * step, lo, hi)
+        value = solvers._rows([objective], half)[0, 0]
+        assert value < fx[0]
+        with pytest.raises(OverflowError):
+            solvers._rows([objective], np.clip(x + 0.25 * step, lo, hi))
+        # halvings start at 1/2: twice the step puts the half step second
+        [(got, got_value)] = solvers._backtrack(objective, x, fx, 2 * step,
+                                                lo, hi)
+        assert got.tolist() == half[0].tolist() and got_value == value
+        # an overflow before any step is accepted raises, as it does when
+        # the steps are tried one at a time
+        with pytest.raises(OverflowError):
+            solvers._backtrack(objective, x, fx, 4 * step, lo, hi)
+        starts = [(6.7, -4.5), (1.0, 1.0)]
+        self._check_polish(objective, starts, box, SolverConfig())
 
 
 class TestCurvatureChecks:

@@ -145,6 +145,44 @@ def test_structured_audit_computes_each_line_once(game, monkeypatch,
     assert counts == {"lines": AUDIT_LINE_MINIMA[game]}
 
 
+#: a one-way game shaped like the benchmark's ``nonsmooth`` abs games:
+#: agent 1's cost reads only u1, so its line is the same at every profile
+ONE_WAY_ABS_GAME = """\
+[agents]
+names = u1, u2
+
+[costs]
+u1 = "(9/8)*u1^2 + u1 + (5/4)*abs(u1 + 5/8)"
+u2 = "(1/8)*u1*u2 + (1/2)*u2^2 + (1/2)*abs(u2 + 1)"
+
+[operator]
+J = "2*u1^2 + (1/8)*u1*u2 + u1 + (7/8)*u2^2 + (77/32)*u2 + 911/512"
+
+[bounds]
+u1 = [-2, 2]
+u2 = [-2, 2]
+"""
+
+
+def test_one_way_audit_minimizes_each_line_once(tmp_path, monkeypatch,
+                                                capsys):
+    # agent 1's line once, and agent 2's once at the one u1 every seed's
+    # sweep reaches (13 lines when agent 1's line was keyed by u2 as well,
+    # 12 of them agent 1's: one per u2 a seed or a verification held)
+    counts = Counter()
+    original = solvers.line_minima
+
+    def counted(e, i, profiles, lo, hi):
+        counts[i] += len(profiles)
+        return original(e, i, profiles, lo, hi)
+
+    _replace_solver(monkeypatch, "line_minima", counted)
+    path = tmp_path / "one_way_abs.game"
+    path.write_text(ONE_WAY_ABS_GAME)
+    _run(capsys, "audit", str(path), "--format", "structured")
+    assert counts == {0: 1, 1: 1}
+
+
 def test_piecewise_lines_share_eigenvalue_calls(tmp_path, monkeypatch,
                                                 capsys):
     # example1's anticipatory proportional audit: every line is piecewise,
