@@ -365,14 +365,6 @@ def expand(e: Expression) -> Expression:
     return e if p is None else p.to_expression()
 
 
-def structurally_equal(a: Expression, b: Expression) -> bool:
-    """Equality of expanded polynomial forms (falls back to node equality)."""
-    pa, pb = as_polynomial(a), as_polynomial(b)
-    if pa is not None and pb is not None:
-        return pa == pb
-    return a == b
-
-
 def dependencies(e: Expression) -> frozenset[int]:
     """Variables that actually matter after expansion.
 

@@ -145,6 +145,9 @@ class _Loader:
         for n in names:
             if not _IDENT_RE.match(n):
                 raise self.fail("agents", "names", f"invalid agent name {n!r}")
+            if n == "abs":
+                raise self.fail("agents", "names", "'abs' is reserved for the "
+                                "absolute value, abs(...)")
         if len(set(names)) != len(names):
             raise self.fail("agents", "names", "duplicate agent names")
 

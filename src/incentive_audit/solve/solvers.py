@@ -13,8 +13,10 @@ The multistart runs in lockstep.  The best-response seeds sweep together,
 and at each agent's step the lines of all running seeds are minimized in
 one batch; the Newton starts iterate together on the compiled vector form
 of the first-order system, with one stacked linear solve per iteration,
-and so do the Newton starts that polish the operator optimum.  Each seed
-and start follows the path it follows alone, to the bit.
+and so do the Newton starts that polish the operator optimum.  Both try
+every full step in one evaluation, and the shorter steps of the starts it
+does not advance in a second (``_damped``).  Each seed and start follows
+the path it follows alone, to the bit.
 
 One solve computes each distinct line minimum once: the best-response
 sweeps and the verification of every candidate read them through a
@@ -73,9 +75,11 @@ BR_MAX_ITERS = 500
 NEWTON_MIN_ITERS = 60
 STATIONARITY_MAX_ITERS = 80
 
-#: the fractions of a Newton step the operator polish backtracks to after
-#: the full step: its halvings down to 1e-8
-BACKTRACK_STEPS = tuple(2.0 ** -k for k in range(1, 27))
+#: the fractions of a Newton step each loop tries, the full step first:
+#: the operator polish halves it down to 1e-8, the stationarity Newton down
+#: to 1e-10
+POLISH_STEPS = tuple(2.0 ** -k for k in range(27))
+STATIONARITY_STEPS = tuple(2.0 ** -k for k in range(34))
 
 
 class EquilibriumNotFound(SolverError):
@@ -257,56 +261,51 @@ def _newton_min(objective: Expression, grad: Sequence[Expression],
                               g)
         step = np.array([s if s is not None and np.all(np.isfinite(s))
                          else -gk for s, gk in zip(steps, g)])
-        # a full step first, then every halving for the starts it did not
-        # advance, in one evaluation
-        xn = np.clip(x[live] + step, lo, hi)
-        fn = _rows([objective], xn)[:, 0]
-        moved = fn < fx[live] - 1e-15
-        x[live[moved]], fx[live[moved]] = xn[moved], fn[moved]
-        back = np.flatnonzero(~moved)
-        if back.size:
-            rows = live[back]
-            found = _backtrack(objective, x[rows], fx[rows], step[back],
-                               lo, hi)
-            for k, hit in zip(back, found):
-                if hit is not None:
-                    x[live[k]], fx[live[k]] = hit
-                    moved[k] = True
+        bar = fx[live] - 1e-15
+        moved, xn, fn = _damped([objective], x[live], step, POLISH_STEPS,
+                                lo, hi, lambda v, lam, k: v[..., 0] < bar[k])
+        x[live[moved]], fx[live[moved]] = xn[moved], fn[moved, 0]
         live = live[moved]
     return [tuple(row) for row in x.tolist()]
 
 
-def _backtrack(objective: Expression, x: np.ndarray, fx: np.ndarray,
-               step: np.ndarray, lo: np.ndarray, hi: np.ndarray
-               ) -> list[Optional[tuple[np.ndarray, float]]]:
+def _damped(exprs: Sequence[Expression], x: np.ndarray, step: np.ndarray,
+            fractions: Sequence[float], lo: np.ndarray, hi: np.ndarray,
+            accept) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each start's first point ``x + lam * step`` (clipped to the box),
-    over ``BACKTRACK_STEPS``, whose objective is below the start's ``fx``,
-    with that objective; None when none is.
+    over ``fractions``, whose values of ``exprs`` ``accept(values, lam, k)``
+    takes for start ``k``: whether each start moved, its point and values.
 
-    All the trials are evaluated in one vector call, a row per halving
-    and start.  A trial whose value is not finite is evaluated again by
-    the scalar form (which may raise), as ``_rows`` does, only where
-    halving one step at a time would evaluate it: at or before the
-    start's accepted halving."""
-    lams = np.array(BACKTRACK_STEPS)[:, None, None]
-    trials = np.clip(x + lams * step, lo, hi)
+    The first fraction is tried on every start in one evaluation, the rest
+    on the starts it does not advance in a second.  A value that is not
+    finite is evaluated again by the scalar form (which may raise) only
+    where trying one fraction at a time would evaluate it: in the second
+    evaluation, at or before the start's accepted fraction, fraction by
+    fraction, start by start."""
+    points = np.clip(x + fractions[0] * step, lo, hi)
+    values = _rows(exprs, points)
+    moved = accept(values, fractions[0], np.arange(len(x)))
+    back = np.flatnonzero(~moved)
+    if not back.size:
+        return moved, points, values
+    lams = np.array(fractions[1:])[:, None]
+    trials = np.clip(x[back] + lams[..., None] * step[back], lo, hi)
     levels, starts, n = trials.shape
-    values = np.empty(levels * starts)
-    with np.errstate(all="ignore"):
-        values[:] = vector_fn(objective)(list(trials.reshape(-1, n).T))
-    values = values.reshape(levels, starts)
-    bar = fx - 1e-15
-    ok = values < bar
+    tried = _vector_rows(exprs, trials.reshape(-1, n)).reshape(
+        levels, starts, len(exprs))
+    finite = np.isfinite(tried).all(axis=2)
+    ok = accept(tried, lams, back) & finite
     reach = np.where(ok.any(axis=0), ok.argmax(axis=0), levels - 1)
-    # in the order the halvings run: level by level, start by start
-    for level, k in zip(*np.nonzero(~np.isfinite(values))):
-        if level <= reach[k]:
-            values[level, k] = scalar_fn(objective)(trials[level, k].tolist())
-            if values[level, k] < bar[k]:
-                reach[k] = level
-    ok = values < bar
-    return [(trials[r, k], values[r, k]) if ok[r, k] else None
-            for k, r in enumerate(reach.tolist())]
+    for level, j in zip(*np.nonzero(~finite)):
+        if level <= reach[j]:
+            tried[level, j] = _rows(exprs, trials[level, [j]])[0]
+            if accept(tried[level, j], lams[level, 0], back[j]):
+                ok[level, j], reach[j] = True, level
+    cols = np.flatnonzero(ok[reach, np.arange(starts)])
+    rows, at = back[cols], reach[cols]
+    moved[rows] = True
+    points[rows], values[rows] = trials[at, cols], tried[at, cols]
+    return moved, points, values
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +429,20 @@ def _rows(exprs: Sequence[Expression], x: np.ndarray) -> np.ndarray:
     which raises where Python's float arithmetic raises (an overflowing
     power, say).
     """
+    out = _vector_rows(exprs, x)
+    for r in np.flatnonzero(~np.isfinite(out).all(axis=1)):
+        point = x[r].tolist()
+        out[r] = [scalar_fn(e)(point) for e in exprs]
+    return out
+
+
+def _vector_rows(exprs: Sequence[Expression], x: np.ndarray) -> np.ndarray:
+    """``exprs`` at each row of ``x`` by the compiled vector form alone."""
     columns = list(x.T)
     out = np.empty((len(x), len(exprs)))
     with np.errstate(all="ignore"):
         for j, e in enumerate(exprs):
             out[:, j] = vector_fn(e)(columns)
-    for r in np.flatnonzero(~np.isfinite(out).all(axis=1)):
-        point = x[r].tolist()
-        out[r] = [scalar_fn(e)(point) for e in exprs]
     return out
 
 
@@ -484,19 +489,11 @@ def _newton_stationarity(F: Sequence[Expression], Jac: Sequence[Expression],
                  if step is not None and np.all(np.isfinite(step))]
         live, x, fx, norm = live[going], x[going], fx[going], norm[going]
         step = np.array([steps[r] for r in going]).reshape(len(going), n)
-        # backtrack from a full step, the starts not yet advanced together
-        waiting = np.ones(len(live), dtype=bool)
-        lam = 1.0
-        while lam >= 1e-10 and waiting.any():
-            trying = np.flatnonzero(waiting)
-            xn = np.clip(x[trying] + lam * step[trying], lo, hi)
-            fn = _rows(F, xn)
-            ok = np.max(np.abs(fn), axis=1) \
-                < norm[trying] * (1.0 - 0.25 * lam) + 1e-15
-            x[trying[ok]], fx[trying[ok]] = xn[ok], fn[ok]
-            waiting[trying[ok]] = False
-            lam /= 2
-        live, x, fx = live[~waiting], x[~waiting], fx[~waiting]
+        moved, x, fx = _damped(
+            F, x, step, STATIONARITY_STEPS, lo, hi,
+            lambda v, lam, k: np.max(np.abs(v), axis=-1)
+            < norm[k] * (1.0 - 0.25 * lam) + 1e-15)
+        live, x, fx = live[moved], x[moved], fx[moved]
     return found
 
 

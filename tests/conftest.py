@@ -93,6 +93,10 @@ separable_base = "(u1 - 1/2)^2 + (u2 - 1/2)^2"
 """
 
 
+#: a quadratic game whose stationary point, about (3.42, -3.35), lies
+#: outside BOX2: Newton starts reach the corner (2, -2) and stall there
+OUTSIDE_BOX_COSTS = ("u1^2 - 6*u1 + u1*u2/4", "u2^2 + u1*u2/2 + 5*u2")
+
 #: three agents with quartic own-action costs and mild bilinear coupling
 #: under a custom anticipatory scheme, the shape of the benchmark's
 #: ``smooth`` family: every line minimum is a cubic derivative's roots

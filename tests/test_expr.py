@@ -34,7 +34,6 @@ from incentive_audit.expr import (
     safediv,
     separable_decomposition,
     structural_variables,
-    structurally_equal,
     substitute,
     var,
 )
@@ -83,8 +82,8 @@ class TestParse:
 
     def test_division_by_constant_folds(self):
         e = parse("u1^2/2", NAMES)
-        assert structurally_equal(e, mul(const(Fraction(1, 2)),
-                                         power(var(0), 2)))
+        assert as_polynomial(e) == as_polynomial(
+            mul(const(Fraction(1, 2)), power(var(0), 2)))
 
     def test_division_by_variable_rejected(self):
         with pytest.raises(ParseError):
@@ -152,11 +151,12 @@ class TestDiff:
     def test_polynomial_rule(self):
         e = parse("u1^2 - 2*u1*u2", NAMES)
         d = diff(e, 0)
-        assert structurally_equal(d, parse("2*u1 - 2*u2", NAMES))
+        assert as_polynomial(d) == as_polynomial(parse("2*u1 - 2*u2", NAMES))
 
     def test_best_response_slope(self):
         e = parse("u1*u2 - u2", NAMES)
-        assert structurally_equal(diff(e, 1), parse("u1 - 1", NAMES))
+        assert as_polynomial(diff(e, 1)) == as_polynomial(
+            parse("u1 - 1", NAMES))
 
     def test_constant(self):
         assert diff(const(5), 0) == const(0)
@@ -217,8 +217,9 @@ class TestSeparable:
         parts = separable_decomposition(parse("u1^2 + u2^2 + u1", NAMES))
         assert [i for i, _ in parts] == [0, 1]
         f = dict(parts)
-        assert structurally_equal(f[0], parse("u1^2 + u1", NAMES))
-        assert structurally_equal(f[1], parse("u2^2", NAMES))
+        assert as_polynomial(f[0]) == as_polynomial(
+            parse("u1^2 + u1", NAMES))
+        assert as_polynomial(f[1]) == as_polynomial(parse("u2^2", NAMES))
 
     def test_cross_term_fails(self):
         assert separable_decomposition(parse("u1*u2", NAMES)) is None
@@ -228,7 +229,7 @@ class TestSeparable:
         parts = separable_decomposition(e)
         assert parts is not None
         total = add(*(f for _, f in parts))
-        assert structurally_equal(total, e)
+        assert as_polynomial(total) == as_polynomial(e)
         for i, f in parts:
             assert dependencies(f) <= {i}
 
@@ -244,12 +245,12 @@ class TestExpand:
     def test_canonical_equality(self):
         a = parse("(u1 + u2)^2", NAMES)
         b = parse("u1^2 + 2*u1*u2 + u2^2", NAMES)
-        assert structurally_equal(a, b)
+        assert as_polynomial(a) == as_polynomial(b)
         assert expand(a) == expand(b)
 
     def test_inequality(self):
-        assert not structurally_equal(parse("u1^2", NAMES),
-                                      parse("u1^2 + u2", NAMES))
+        assert as_polynomial(parse("u1^2", NAMES)) \
+            != as_polynomial(parse("u1^2 + u2", NAMES))
 
     def test_non_polynomial_passthrough(self):
         e = absval(var(0))

@@ -145,6 +145,14 @@ class TestLoader:
         with pytest.raises(GameFileError, match="duplicate"):
             load_game_file(_write(tmp_path, bad))
 
+    def test_abs_is_not_an_agent_name(self, tmp_path):
+        # a cost reading it would fail to parse: abs must open abs(...)
+        bad = GOOD.replace("names = a, b", "names = abs, b").replace(
+            'a = "(a - 1)^2"', 'abs = "abs^2 + abs*b"')
+        with pytest.raises(GameFileError, match=r"\[agents\] names.*'abs' "
+                           "is reserved for the absolute value"):
+            load_game_file(_write(tmp_path, bad))
+
     def test_bound_beyond_float_range(self, tmp_path):
         text = GOOD + "\n[bounds]\na = [-10^400, 2]\n"
         with pytest.raises(GameFileError) as err:

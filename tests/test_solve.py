@@ -29,7 +29,8 @@ from incentive_audit.solve import (
     verify_nash,
 )
 
-from conftest import BOX2, GAMES_DIR, NAMES2, random_game
+from conftest import (BOX2, GAMES_DIR, NAMES2, OUTSIDE_BOX_COSTS,
+                      random_game)
 
 
 class TestMinimizeOperator:
@@ -548,6 +549,9 @@ def _q(rng, lo, hi):
     return Fraction(int(rng.integers(lo * 4, hi * 4 + 1)), 4)
 
 
+OVERFLOW = parse("(u1*u2)^200", NAMES2)
+OVERFLOW_BOX = ((Fraction(-13), Fraction(13)),) * 2
+
 THREE_EQUILIBRIA_COSTS = ("-u1*u2 + u1^2/4", "-u1*u2 + u2^2/4")
 
 
@@ -595,6 +599,15 @@ class TestLockstep:
         alone = [_newton_alone(F, Jac, s, BOX2, cfg) for s in starts]
         assert alone[1] is None and alone[0] is not None
         assert repr(together) == repr(alone)
+        # a quadratic game whose stationary point lies outside the box:
+        # every start stalls at a corner, trying all the fractions there
+        F, Jac = solvers._newton_system(
+            [parse(c, NAMES2) for c in OUTSIDE_BOX_COSTS])
+        starts = solvers._seeds(BOX2)
+        together = solvers._newton_stationarity(F, Jac, starts, BOX2, cfg)
+        alone = [_newton_alone(F, Jac, s, BOX2, cfg) for s in starts]
+        assert alone == [None] * len(starts)
+        assert repr(together) == repr(alone)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_operator_polish_matches_each_start_alone(self, seed, cfg):
@@ -638,34 +651,63 @@ class TestLockstep:
             solvers._rows([parse("u1^400", ["u1"])], np.array([[1.0], [10.0]]))
 
     def test_backtracking_tries_no_step_past_the_accepted_one(self):
-        # (u1*u2)^200 overflows (the scalar form raises) where |u1*u2| is
-        # above about 34.6.  From (6.7, -4.5) along (-9.2, -25.3) the step
-        # halved once lowers it; the step halved twice overflows, and is
-        # never tried one step at a time.
-        objective = parse("(u1*u2)^200", NAMES2)
-        box = ((Fraction(-13), Fraction(13)),) * 2
-        lo, hi = solvers._float_box(box)
-        x = np.array([[6.7, -4.5]])
-        fx = solvers._rows([objective], x)[:, 0]
-        step = np.array([[-9.2, -25.3]])
-        # the full step does not lower it
-        assert solvers._rows([objective], np.clip(x + step, lo, hi))[0, 0] \
-            >= fx[0]
-        half = np.clip(x + 0.5 * step, lo, hi)
-        value = solvers._rows([objective], half)[0, 0]
-        assert value < fx[0]
-        with pytest.raises(OverflowError):
-            solvers._rows([objective], np.clip(x + 0.25 * step, lo, hi))
-        # halvings start at 1/2: twice the step puts the half step second
-        [(got, got_value)] = solvers._backtrack(objective, x, fx, 2 * step,
-                                                lo, hi)
-        assert got.tolist() == half[0].tolist() and got_value == value
-        # an overflow before any step is accepted raises, as it does when
-        # the steps are tried one at a time
-        with pytest.raises(OverflowError):
-            solvers._backtrack(objective, x, fx, 4 * step, lo, hi)
+        def polish(fx):
+            return lambda v, lam, k: v[..., 0] < fx[k, 0] - 1e-15
+
+        self._check_step_search(solvers.POLISH_STEPS, polish)
         starts = [(6.7, -4.5), (1.0, 1.0)]
-        self._check_polish(objective, starts, box, SolverConfig())
+        self._check_polish(OVERFLOW, starts, OVERFLOW_BOX, SolverConfig())
+
+    def test_stationarity_search_tries_no_step_past_the_accepted_one(self):
+        def stationarity(fx):
+            norm = np.max(np.abs(fx), axis=1)
+            return lambda v, lam, k: np.max(np.abs(v), axis=-1) \
+                < norm[k] * (1.0 - 0.25 * lam) + 1e-15
+
+        self._check_step_search(solvers.STATIONARITY_STEPS, stationarity)
+
+    @staticmethod
+    def _check_step_search(fractions, rule):
+        # (u1*u2)^200 overflows (the scalar form raises) where |u1*u2| is
+        # above about 34.8.  From (6.7, -4.5) along (-9.2, -25.3) the full
+        # step is not accepted, half of it is, and a quarter of it
+        # overflows, which trying one fraction at a time never reaches.
+        lo, hi = solvers._float_box(OVERFLOW_BOX)
+        x = np.array([[6.7, -4.5]])
+        fx = solvers._rows([OVERFLOW], x)
+        accept = rule(fx)
+
+        def trial(lam, step):
+            return np.clip(x + lam * np.array([step]), lo, hi)
+
+        def accepted(lam, step):
+            values = solvers._rows([OVERFLOW], trial(lam, step))
+            return bool(accept(values, lam, np.arange(1))[0])
+
+        def search(step):
+            return solvers._damped([OVERFLOW], x, np.array([step]),
+                                   fractions, lo, hi, accept)
+
+        step = [-9.2, -25.3]
+        assert not accepted(1.0, step) and accepted(0.5, step)
+        with pytest.raises(OverflowError):
+            accepted(0.25, step)
+        moved, points, values = search(step)
+        assert moved.tolist() == [True]
+        assert points.tolist() == trial(0.5, step).tolist()
+        assert values.tolist() == solvers._rows([OVERFLOW], points).tolist()
+        # an overflow before any fraction is accepted raises, as it does
+        # when the fractions are tried one at a time: at the full step of
+        # twice that step, and, along (-4.3, 25.2), at half the step, where
+        # a quarter of it would be accepted
+        with pytest.raises(OverflowError):
+            search([-18.4, -50.6])
+        other = [-4.3, 25.2]
+        assert not accepted(1.0, other) and accepted(0.25, other)
+        with pytest.raises(OverflowError):
+            accepted(0.5, other)
+        with pytest.raises(OverflowError):
+            search(other)
 
 
 class TestCurvatureChecks:

@@ -16,11 +16,13 @@ import pytest
 
 from incentive_audit import audit
 from incentive_audit.cli import main
+from incentive_audit.expr import parse
 from incentive_audit.gamefile import load_game_file
 from incentive_audit.solve import solvers
 
-from conftest import (EXAMPLE1_PROPORTIONAL_GAME, GAMES_DIR, QUARTIC_GAME,
-                      THREE_EQUILIBRIA_GAME, THREE_EQUILIBRIA_VCG_GAME)
+from conftest import (BOX2, EXAMPLE1_PROPORTIONAL_GAME, GAMES_DIR, NAMES2,
+                      OUTSIDE_BOX_COSTS, QUARTIC_GAME, THREE_EQUILIBRIA_GAME,
+                      THREE_EQUILIBRIA_VCG_GAME)
 
 SOLVES = ("minimize_operator", "nash_equilibrium")
 
@@ -200,6 +202,36 @@ def test_piecewise_lines_share_eigenvalue_calls(tmp_path, monkeypatch,
     path.write_text(EXAMPLE1_PROPORTIONAL_GAME)
     _run(capsys, "audit", str(path), "--format", "structured")
     assert calls == {"eigvals": 142}
+
+
+#: F evaluations and iterations of one stationarity Newton call from the
+#: seeds of BOX2: F at the starts, then once per iteration for the full
+#: steps and once more where a start needs a shorter one.  Outside the box
+#: every start stalls at the corner (2, -2) and tries all 34 fractions of
+#: its step (69 evaluations when each fraction had its own); the cubic
+#: game's starts converge, most iterations needing only the full step.
+NEWTON_EVALUATIONS = [(OUTSIDE_BOX_COSTS, (5, 2)),
+                      (("u1^3/3 - u1 + u1*u2/4", "u2^4/4 + u2^2 - u1*u2/2"),
+                       (8, 6))]
+
+
+@pytest.mark.parametrize("costs, expected", NEWTON_EVALUATIONS,
+                         ids=["outside-box", "cubic"])
+def test_newton_step_search_evaluates_twice_per_iteration(costs, expected,
+                                                          monkeypatch, cfg):
+    F, Jac = solvers._newton_system([parse(c, NAMES2) for c in costs])
+    calls = Counter()
+    original = solvers.vector_fn
+
+    def counted(e):
+        calls[id(e)] += 1
+        return original(e)
+
+    monkeypatch.setattr(solvers, "vector_fn", counted)
+    solvers._newton_stationarity(F, Jac, solvers._seeds(BOX2), BOX2, cfg)
+    evaluations, iterations = calls[id(F[0])], calls[id(Jac[0])]
+    assert evaluations - 1 <= 2 * iterations
+    assert (evaluations, iterations) == expected
 
 
 #: candidates verified in one structured audit.  Candidates are verified
