@@ -24,9 +24,8 @@ from .expr import (
     const,
     evaluate,
     neg,
-    separable_decomposition,
 )
-from .expr.polynomial import as_polynomial, dependencies
+from .expr.polynomial import Polynomial, as_polynomial, dependencies
 from .game import ActionProfile, Game, Scenario, ANTICIPATORY
 from .incentive import (
     PROPORTIONAL,
@@ -259,21 +258,21 @@ def check_separability_conditions(
     Evaluated once; returns the two verdicts for each tolerance.
     """
     game = ctx.game
-    decomposition = separable_decomposition(game.operator_cost)
-    if decomposition is not None:
-        separable = PropertyVerdict(
-            "operator-cost-separable", HOLDS,
-            data={"components": len(decomposition)},
-            note="guarantees the excess equals the marginal-cost sum")
-    elif as_polynomial(game.operator_cost) is None:
+    p = as_polynomial(game.operator_cost)
+    coupling = None if p is None else _coupling(p, game.names)
+    if p is None:
         separable = PropertyVerdict(
             "operator-cost-separable", UNKNOWN,
             note="non-polynomial objective; separability not certified")
+    elif coupling is None:
+        separable = PropertyVerdict(
+            "operator-cost-separable", HOLDS,
+            data={"components": max(1, len(p.variables()))},
+            note="guarantees the excess equals the marginal-cost sum")
     else:
         separable = PropertyVerdict(
             "operator-cost-separable", FAILS,
-            (_wit(coupling_monomial=_coupling_monomial(
-                game.operator_cost, game.names)),),
+            (_wit(coupling_monomial=coupling),),
             note="a monomial couples two agents")
 
     if declared_base is None:
@@ -310,24 +309,24 @@ def check_single_deviation_dominance(ctx: ScenarioSolve,
                            HOLDS if ok else FAILS, tuple(witnesses), tol)
 
 
-def _coupling_monomial(e: Expression, names: Sequence[str]) -> str:
-    poly = as_polynomial(e)
-    for mono in sorted(poly.terms):
+def _coupling(p: Polynomial, names: Sequence[str]) -> Optional[str]:
+    """The first monomial of ``p``, in sorted order, that couples two
+    agents, named; None when ``p`` is separable."""
+    for mono in sorted(p.terms):
         if len(mono) > 1:
             return "*".join(names[i] if k == 1 else f"{names[i]}^{k}"
                             for i, k in mono)
-    return ""
+    return None
 
 
 def _check_declared_abs_form(game: Game, u_star: ActionProfile,
                              declared_base: Expression,
                              tols: Collection[float]
                              ) -> dict[float, PropertyVerdict]:
-    if separable_decomposition(declared_base) is None:
-        witnesses = ()
-        if as_polynomial(declared_base) is not None:
-            witnesses = (_wit(coupling_monomial=_coupling_monomial(
-                declared_base, game.names)),)
+    p = as_polynomial(declared_base)
+    coupling = None if p is None else _coupling(p, game.names)
+    if p is None or coupling is not None:
+        witnesses = () if p is None else (_wit(coupling_monomial=coupling),)
         return dict.fromkeys(tols, PropertyVerdict(
             "absolute-deviation-form", FAILS, witnesses,
             note="declared base function is not separable"))

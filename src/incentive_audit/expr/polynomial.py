@@ -1,10 +1,10 @@
-"""Canonical polynomial form: expansion, dependency and separability analysis.
+"""Canonical polynomial form: expansion and dependency analysis.
 
 A Polynomial maps monomials to exact rational coefficients.  Monomial keys
 are tuples of ``(variable index, exponent)`` pairs, sorted by variable,
 with zero exponents dropped; the empty tuple is the constant monomial.
 Expansion is the canonical form used for structural equality, dependency
-detection and separability checks.  Trees containing absolute-value or
+detection and the audit's separability check.  Trees containing absolute-value or
 guarded-division nodes have no polynomial form and yield ``None``, which
 keeps downstream structure checks conservative (:func:`dependencies`
 then recurses through ``children`` to the polynomial subtrees).
@@ -126,11 +126,8 @@ class Polynomial:
     __slots__ = ("terms", "_line_plans")
 
     def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        self.terms: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff != 0:
-                    self.terms[mono] = coeff
+        self.terms: dict[Monomial, Fraction] = {
+            mono: coeff for mono, coeff in (terms or {}).items() if coeff != 0}
 
     @staticmethod
     def constant(value: Number) -> "Polynomial":
@@ -143,9 +140,6 @@ class Polynomial:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self) -> str:
         return f"Polynomial({self.terms!r})"
 
@@ -157,9 +151,6 @@ class Polynomial:
 
     def __neg__(self) -> "Polynomial":
         return Polynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out: dict[Monomial, Fraction] = {}
@@ -188,8 +179,6 @@ class Polynomial:
         return frozenset(out)
 
     def degree(self) -> int:
-        if not self.terms:
-            return 0
         return max((sum(e for _, e in mono) for mono in self.terms), default=0)
 
     def is_constant(self) -> bool:
@@ -197,28 +186,6 @@ class Polynomial:
 
     def constant_value(self) -> Fraction:
         return self.terms.get((), Fraction(0))
-
-    def quadratic_form(self, n: int) -> Optional[tuple[list[list[Fraction]], list[Fraction]]]:
-        """Decompose a degree<=2 polynomial as (1/2) u'Qu + b'u + constant.
-
-        Q is symmetric with exact entries; returns None for degree > 2.
-        """
-        if self.degree() > 2:
-            return None
-        Q = [[Fraction(0)] * n for _ in range(n)]
-        b = [Fraction(0)] * n
-        for mono, coeff in self.terms.items():
-            if len(mono) == 1:
-                idx, exp = mono[0]
-                if exp == 1:
-                    b[idx] = coeff
-                else:
-                    Q[idx][idx] = 2 * coeff
-            elif mono:
-                (i, _), (j, _) = mono
-                Q[i][j] += coeff
-                Q[j][i] += coeff
-        return Q, b
 
     def to_expression(self) -> Expression:
         """Canonical expression: monomials in graded-lexicographic order."""
@@ -376,37 +343,6 @@ def dependencies(e: Expression) -> frozenset[int]:
     if p is not None:
         return p.variables()
     return frozenset().union(*map(dependencies, children(e)))
-
-
-def separable_decomposition(e: Expression) -> Optional[list[tuple[int, Expression]]]:
-    """Split ``e`` into per-variable components summing back to ``e``.
-
-    Succeeds iff no expanded monomial mixes two variables.  The constant
-    term rides on the lowest-index component (any split is equivalent:
-    the components are unique up to additive constants).  Returns None
-    both for genuinely non-separable polynomials and for non-polynomial
-    trees, where separability cannot be certified.
-    """
-    p = as_polynomial(e)
-    if p is None:
-        return None
-    groups: dict[int, dict[Monomial, Fraction]] = {}
-    constant = Fraction(0)
-    for mono, coeff in p.terms.items():
-        if mono == ():
-            constant += coeff
-            continue
-        if len(mono) > 1:
-            return None
-        idx = mono[0][0]
-        groups.setdefault(idx, {})[mono] = coeff
-    if not groups:
-        return [(0, const(constant))]
-    first = min(groups)
-    if constant != 0:
-        groups[first][()] = constant
-    return [(idx, Polynomial(groups[idx]).to_expression())
-            for idx in sorted(groups)]
 
 
 def hessian(e: Expression, n: int) -> list[list[Expression]]:

@@ -1,14 +1,10 @@
 """Optimization, equilibrium computation, and the brute-force grid oracle."""
 
 from .config import RNG_SEED, SolverConfig
-from .kernels import poly_grid_eval, pure_nash_mask
 from .linesearch import LineMin
 from .oracle import (
-    ORACLE_MAX_AGENTS,
     OracleDimensionError,
     check_grid_size,
-    eval_on_grid,
-    grid_axes,
     grid_minimum,
     grid_nash_oracle,
     grid_step,
@@ -30,7 +26,6 @@ __all__ = [
     "ConvexityReport",
     "EquilibriumResult",
     "LineMin",
-    "ORACLE_MAX_AGENTS",
     "OperatorSolution",
     "OracleDimensionError",
     "RNG_SEED",
@@ -39,15 +34,11 @@ __all__ = [
     "best_response",
     "check_grid_size",
     "diagonal_strict_convexity_check",
-    "eval_on_grid",
-    "grid_axes",
     "grid_minimum",
     "grid_nash_oracle",
     "grid_step",
     "hessian_pd_check",
     "minimize_operator",
     "nash_equilibrium",
-    "poly_grid_eval",
-    "pure_nash_mask",
     "verify_nash",
 ]

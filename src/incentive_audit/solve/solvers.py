@@ -401,10 +401,19 @@ def _stationarity_exact(costs: Sequence[Expression]
         p = as_polynomial(costs[i])
         if p is None or p.degree() > 2:
             return None
-        # dC_i/du_i = (Q u)_i + b_i
-        Q, b = p.quadratic_form(n)
-        rows.append(Q[i])
-        rhs.append(-b[i])
+        # dC_i/du_i = row . u + b: c u_i^2 puts 2c at i, c u_i u_j puts c
+        # at j, and b u_i gives b
+        row, b = [Fraction(0)] * n, Fraction(0)
+        for mono, c in p.terms.items():
+            if mono == ((i, 2),):
+                row[i] = 2 * c
+            elif mono == ((i, 1),):
+                b = c
+            elif len(mono) == 2 and (i, 1) in mono:
+                other = mono[1] if mono[0] == (i, 1) else mono[0]
+                row[other[0]] = c
+        rows.append(row)
+        rhs.append(-b)
     sol = solve_linear(rows, rhs)
     if sol is None:
         return None
@@ -642,8 +651,7 @@ def _sampled_pd(entries: list[list[Expression]], bounds: Bounds
             return ConvexityReport(status="unknown", sampled=True,
                                    witness=ActionProfile(point))
         eig = float(np.linalg.eigvalsh(M)[0])
-        if eig < worst:
-            worst = eig
+        worst = min(worst, eig)
         if eig <= 0:
             return ConvexityReport(
                 status="fails", sampled=True,
@@ -657,10 +665,8 @@ def _pd_report(entries: list[list[Expression]], bounds: Bounds) -> ConvexityRepo
     if constant is not None:
         mat = np.array([[float(v) for v in row] for row in constant])
         eig = float(np.linalg.eigvalsh(mat)[0])
-        if is_positive_definite(constant):
-            return ConvexityReport(status="holds", sampled=False,
-                                   min_eigenvalue=eig)
-        return ConvexityReport(status="fails", sampled=False,
+        status = "holds" if is_positive_definite(constant) else "fails"
+        return ConvexityReport(status=status, sampled=False,
                                min_eigenvalue=eig)
     return _sampled_pd(entries, bounds)
 

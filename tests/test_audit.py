@@ -249,6 +249,41 @@ class TestSeparabilityConditions:
         names = {v.name: v for v in out}
         assert names["absolute-deviation-form"].status == "fails"
 
+    # the verdict, its data and its witness, from one scan of the expansion
+    @pytest.mark.parametrize("objective, status, data, witness", [
+        ("(u1 - 1)^2 + u2^2 - 3", "holds", {"components": 2}, None),
+        ("u2^4 + u2", "holds", {"components": 1}, None),
+        ("3", "holds", {"components": 1}, None),
+        ("(u1 + u2)^2 - 2*u1*u2", "holds", {"components": 2}, None),
+        ("u2^3 + u1^2*u2 + u1*u2^2", "fails", {}, "u1*u2^2"),
+        ("u1^2 + u2*u1 + u1*u2^2", "fails", {}, "u1*u2"),
+        ("abs(u1) + u2^2", "unknown", {}, None),
+    ])
+    def test_operator_separability(self, cfg, objective, status, data,
+                                   witness):
+        costs = (parse("(u1 - 1)^2", NAMES2), parse("(u2 - 1)^2", NAMES2))
+        g = Game(n=2, agent_costs=costs, bounds=BOX2,
+                 operator_cost=parse(objective, NAMES2))
+        ctx = ScenarioSolve(Scenario(g), cfg)
+        verdict, _ = check_separability_conditions(ctx, None, (TOL,))[TOL]
+        assert (verdict.status, verdict.data) == (status, data)
+        assert verdict.witnesses == (
+            () if witness is None else ({"coupling_monomial": witness},))
+
+    @pytest.mark.parametrize("base, witnesses", [
+        ("u1 + u1*u2^2 + u2^2", ({"coupling_monomial": "u1*u2^2"},)),
+        ("abs(u1) + u2", ()),
+    ])
+    def test_declared_base_not_separable(self, example1, cfg, base,
+                                         witnesses):
+        ctx = ScenarioSolve(Scenario(example1), cfg)
+        out = check_separability_conditions(
+            ctx, parse(base, NAMES2), (TOL,))[TOL]
+        declared = out[1]
+        assert declared.status == "fails"
+        assert declared.witnesses == witnesses
+        assert declared.note == "declared base function is not separable"
+
 
 class TestVcgConditions:
     def test_benign_case_surplus_holds(self, example3_case1, cfg):

@@ -32,7 +32,6 @@ from incentive_audit.expr import (
     parse,
     power,
     safediv,
-    separable_decomposition,
     structural_variables,
     substitute,
     var,
@@ -210,35 +209,6 @@ class TestDependencies:
 
     def test_abs_conservative(self):
         assert dependencies(absval(parse("u1 + u2", NAMES))) == {0, 1}
-
-
-class TestSeparable:
-    def test_simple(self):
-        parts = separable_decomposition(parse("u1^2 + u2^2 + u1", NAMES))
-        assert [i for i, _ in parts] == [0, 1]
-        f = dict(parts)
-        assert as_polynomial(f[0]) == as_polynomial(
-            parse("u1^2 + u1", NAMES))
-        assert as_polynomial(f[1]) == as_polynomial(parse("u2^2", NAMES))
-
-    def test_cross_term_fails(self):
-        assert separable_decomposition(parse("u1*u2", NAMES)) is None
-
-    def test_operator_objective(self):
-        e = parse("(u1 - 3/4)^2 + (u2 - 2)^2", NAMES)
-        parts = separable_decomposition(e)
-        assert parts is not None
-        total = add(*(f for _, f in parts))
-        assert as_polynomial(total) == as_polynomial(e)
-        for i, f in parts:
-            assert dependencies(f) <= {i}
-
-    def test_abs_unknown(self):
-        assert separable_decomposition(absval(var(0))) is None
-
-    def test_constant_expression(self):
-        parts = separable_decomposition(const(3))
-        assert parts == [(0, const(3))]
 
 
 class TestExpand:

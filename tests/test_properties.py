@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from incentive_audit.expr import (
     add,
-    as_polynomial,
     const,
     dependencies,
     diff,
@@ -15,7 +14,6 @@ from incentive_audit.expr import (
     expand,
     mul,
     power,
-    separable_decomposition,
     var,
 )
 from incentive_audit.game import ActionProfile, Game
@@ -70,22 +68,6 @@ def test_expand_preserves_evaluation(monos, point):
     a = float(evaluate(e, point))
     b = float(evaluate(expanded, point))
     assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
-
-
-@given(polynomials, points)
-@settings(max_examples=100, deadline=None)
-def test_separable_decomposition_sums_back(monos, point):
-    e = build(monos)
-    parts = separable_decomposition(e)
-    if parts is None:
-        p = as_polynomial(e)
-        assert any(len(mono) > 1 for mono in p.terms)
-        return
-    total = sum(float(evaluate(f, point)) for _, f in parts)
-    assert total == pytest.approx(float(evaluate(e, point)), rel=1e-12,
-                                  abs=1e-12)
-    for i, f in parts:
-        assert dependencies(f) <= {i}
 
 
 @given(polynomials, points, st.integers(min_value=0, max_value=2),
