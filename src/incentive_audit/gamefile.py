@@ -1,6 +1,7 @@
 """Declarative game files: INI-style sections describing a scenario.
 
-Format (expressions may be double-quoted; `#` starts a comment):
+Format (expressions may be double-quoted; `#` starts a comment; a key is
+set with `=` or `:`; any other section or key is refused):
 
     [agents]
     names = u1, u2
@@ -52,6 +53,8 @@ from .solve import SolverConfig
 
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
 
+_SECTIONS = ("agents", "costs", "operator", "bounds", "incentive", "solver")
+
 
 class GameFileError(ValueError):
     """A problem with a game file; message carries file/section/key context."""
@@ -86,14 +89,17 @@ def _has_huge_constant(e: Expression) -> bool:
     return any(map(_has_huge_constant, children(e)))
 
 
-def _line_of(text: str, section: str, key: str) -> Optional[int]:
+def _line_of(text: str, section: str, key: Optional[str] = None
+             ) -> Optional[int]:
+    """The line of ``key = ...`` or ``key: ...`` in ``[section]``, or of the
+    section's header when ``key`` is None."""
     in_section = False
-    key_re = re.compile(rf"^\s*{re.escape(key)}\s*=")
+    key_re = re.compile(rf"^\s*{re.escape(key or '')}\s*[=:]")
     for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if stripped.startswith("["):
-            in_section = stripped == f"[{section}]"
-        elif in_section and key_re.match(line):
+        header = configparser.ConfigParser.SECTCRE.match(line.strip())
+        if header:
+            in_section = header.group("header") == section
+        if in_section and (header if key is None else key_re.match(line)):
             return lineno
     return None
 
@@ -179,6 +185,7 @@ class _Loader:
 
         scheme, declared_base = self._incentive(names)
         solver = self._solver()
+        self._refuse_unknown(names, scheme)
         return GameSpec(game=game, scheme=scheme, declared_base=declared_base,
                         solver=solver)
 
@@ -189,10 +196,7 @@ class _Loader:
         parts = raw[1:-1].split(",")
         if len(parts) != 2:
             raise self.fail(section, key, "expected two comma-separated bounds")
-        values = []
-        for part in parts:
-            values.append(self._number(section, key, part.strip()))
-        lo, hi = values
+        lo, hi = (self._number(section, key, part.strip()) for part in parts)
         if not lo < hi:
             raise self.fail(section, key, f"empty interval [{lo}, {hi}]")
         return lo, hi
@@ -249,6 +253,26 @@ class _Loader:
             declared_base = self.expression("incentive", "separable_base", names)
         scheme = IncentiveScheme(kind, mode, expressions)
         return scheme, declared_base
+
+    def _refuse_unknown(self, names: list[str],
+                        scheme: Optional[IncentiveScheme]) -> None:
+        """Refuse a section the format does not have, and a key that
+        [agents], [operator] or [incentive] does not read ([costs], [bounds]
+        and [solver] refuse theirs where they read them)."""
+        custom = scheme is not None and scheme.kind == CUSTOM
+        known = {"agents": ("names",), "operator": ("J",),
+                 "incentive": ("kind", "mode", "separable_base",
+                               *(f"t.{n}" for n in names if custom))}
+        for section in self.cp.sections():
+            if section not in _SECTIONS:
+                raise GameFileError(
+                    f"{self.path}: [{section}] (line "
+                    f"{_line_of(self.text, section)}): unknown section "
+                    f"(known sections: {', '.join(_SECTIONS)})")
+            for key in self.cp.options(section):
+                if key not in known.get(section, (key,)):
+                    raise self.fail(section, key, "unknown key (known keys: "
+                                    f"{', '.join(known[section])})")
 
     def _solver(self) -> SolverConfig:
         cfg = SolverConfig()

@@ -179,3 +179,72 @@ class TestLoader:
         text = GOOD.replace('J = "a^2 + b^2"', 'J = "a^2 + b^2"  # operator')
         spec = load_game_file(_write(tmp_path, text))
         assert spec.game.n == 2
+
+
+class TestUnknownEntries:
+    """A misspelt section or key is refused with its place, not ignored."""
+
+    def test_unknown_section(self, tmp_path):
+        # before, [bound] was skipped and the audit used the default box
+        text = GOOD + "\n[bound]\na = [-1, 1]\n"
+        with pytest.raises(GameFileError) as err:
+            load_game_file(_write(tmp_path, text))
+        assert str(err.value).endswith(
+            "game.game: [bound] (line 12): unknown section (known sections: "
+            "agents, costs, operator, bounds, incentive, solver)")
+
+    def test_unknown_section_with_a_comment(self, tmp_path):
+        text = GOOD + "\n[bound]   # typo\na = [-1, 1]\n"
+        with pytest.raises(GameFileError, match=r"\[bound\] \(line 12\)"):
+            load_game_file(_write(tmp_path, text))
+
+    @pytest.mark.parametrize("text, message", [
+        (GOOD.replace("names = a, b", "names = a, b\nnmes = a"),
+         "[agents] nmes (line 4): unknown key (known keys: names)"),
+        (GOOD + 'K = "a"\n',
+         "[operator] K (line 11): unknown key (known keys: J)"),
+        (GOOD + "\n[incentive]\nkind = proportional\n"
+         "mdoe = non-anticipatory\n",
+         "[incentive] mdoe (line 14): unknown key (known keys: kind, mode, "
+         "separable_base)"),
+        (GOOD + '\n[incentive]\nkind = custom\nt.a = "a"\nt.b = "b"\n'
+         't.c = "1"\n',
+         "[incentive] t.c (line 16): unknown key (known keys: kind, mode, "
+         "separable_base, t.a, t.b)"),
+    ], ids=["agents", "operator", "incentive", "custom-non-agent"])
+    def test_unknown_key(self, tmp_path, text, message):
+        with pytest.raises(GameFileError) as err:
+            load_game_file(_write(tmp_path, text))
+        assert str(err.value).endswith(message)
+
+    def test_other_errors_come_first(self, tmp_path):
+        # an unknown entry does not change the message of a file that
+        # fails for another reason
+        text = GOOD.replace('"a^2 + b^2"', '"a^2 + * b"') + "\n[bound]\n"
+        with pytest.raises(GameFileError, match=r"\[operator\] J \(line 10"):
+            load_game_file(_write(tmp_path, text))
+
+    def test_every_known_key_loads(self, tmp_path):
+        text = GOOD + ('\n[bounds]\na = [-1, 1]\n\n[incentive]\nkind = custom'
+                       '\nmode = non-anticipatory\nt.a = "a"\nt.b = "b"\n'
+                       'separable_base = "a + b"\n\n[solver]\ntol = 1e-7\n')
+        spec = load_game_file(_write(tmp_path, text))
+        assert spec.scheme.mode == NON_ANTICIPATORY
+        assert spec.declared_base is not None
+
+
+class TestErrorLocation:
+    """Parse errors carry the line and column of the expression."""
+
+    @pytest.mark.parametrize("cost, message", [
+        ('a: "a^2 - 2*a*b +"',
+         "[costs] a (line 6, column 14): unexpected end of expression"),
+        ('a = "a^2 $ b"',
+         "[costs] a (line 6, column 5): unexpected character '$'"),
+        ('a = "(a^2 + b"', "[costs] a (line 6, column 9): expected ')'"),
+    ], ids=["colon-delimiter", "unexpected-character", "missing-paren"])
+    def test_located(self, tmp_path, cost, message):
+        text = GOOD.replace('a = "(a - 1)^2"', cost)
+        with pytest.raises(GameFileError) as err:
+            load_game_file(_write(tmp_path, text))
+        assert str(err.value).endswith(message)
