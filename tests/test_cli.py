@@ -358,3 +358,78 @@ class TestMissingFile:
     def test_exits_2(self, capsys):
         code, _, err = run(capsys, "audit", "nowhere.game")
         assert code == 2
+
+
+# an operator minimum on the box edge: u2 = 20 lies outside [-10, 10]
+EDGE_OPTIMUM = """
+[agents]
+names = u1, u2
+
+[costs]
+u1 = "u1^2"
+u2 = "u2^2"
+
+[operator]
+J = "u1^4 + (u2 - 20)^2"
+"""
+
+# u2 wants to move away from u1 and u1 towards u2: no pure equilibrium
+CHASE = """
+[agents]
+names = u1, u2
+
+[costs]
+u1 = "(u1 - u2)^2"
+u2 = "-(u1 - u2)^2"
+
+[operator]
+J = "u1^2 + u2^2"
+
+[bounds]
+u1 = [-1, 1]
+u2 = [-1, 1]
+"""
+
+# the incentive cancels the chase: the realized game has its equilibrium
+CHASE_SETTLED = CHASE + """
+[incentive]
+kind = custom
+t.u1 = "-(u1 - u2)^2 + u1^2"
+t.u2 = "2*(u1 - u2)^2 + u2^2"
+"""
+
+
+class TestEmptyAndEdgeOutputs:
+    """Text the renderers write only for an optimum on the box edge or a
+    game with no pure equilibrium."""
+
+    def _path(self, tmp_path, text):
+        path = tmp_path / "game.game"
+        path.write_text(text)
+        return str(path)
+
+    def test_optimum_on_the_bounds(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "audit", self._path(tmp_path, EDGE_OPTIMUM))
+        assert code == 0
+        # the profile's u1 is not pinned: the polish stops at |grad J| <= tol
+        assert ("  value:   100\n"
+                "  note:    minimizer sits on the action bounds\n") in out
+
+    def test_audit_without_a_baseline_equilibrium(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "audit",
+                           self._path(tmp_path, CHASE_SETTLED))
+        assert code == 0
+        assert ("baseline equilibria (no incentive)\n  none verified\n"
+                "\noutcome 1\n  realized profile:  (0, 0)\n") in out
+        assert ("single-deviation-dominance  not-applicable  "
+                "[no baseline equilibrium available]") in out
+
+    def test_no_equilibrium(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "equilibrium", self._path(tmp_path, CHASE))
+        assert code == 0
+        assert out.endswith("agents:   u1, u2\n\nno equilibrium verified\n")
+
+    def test_no_grid_equilibrium(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "oracle", self._path(tmp_path, CHASE))
+        assert code == 0
+        assert "grid equilibria\n  none\ngrid operator minimum: (0, 0)" in out
