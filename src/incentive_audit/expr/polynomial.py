@@ -4,10 +4,11 @@ A Polynomial maps monomials to exact rational coefficients.  Monomial keys
 are tuples of ``(variable index, exponent)`` pairs, sorted by variable,
 with zero exponents dropped; the empty tuple is the constant monomial.
 Expansion is the canonical form used for structural equality, dependency
-detection and the audit's separability check.  Trees containing absolute-value or
-guarded-division nodes have no polynomial form and yield ``None``, which
-keeps downstream structure checks conservative (:func:`dependencies`
-then recurses through ``children`` to the polynomial subtrees).
+detection and the audit's separability check.  Trees containing
+absolute-value or guarded-division nodes have no polynomial form and yield
+``None``, which keeps downstream structure checks conservative
+(:func:`dependencies` then recurses through ``children`` to the
+polynomial subtrees).
 
 Each polynomial also keeps, per agent axis, a :class:`LinePlan`: its
 terms grouped by that agent's exponent, each coefficient as a Fraction
