@@ -96,7 +96,9 @@ def _line_of(text: str, section: str, key: Optional[str] = None
     in_section = False
     key_re = re.compile(rf"^\s*{re.escape(key or '')}\s*[=:]")
     for lineno, line in enumerate(text.splitlines(), 1):
-        header = configparser.ConfigParser.SECTCRE.match(line.strip())
+        # drop an inline comment first, as configparser does
+        header = configparser.ConfigParser.SECTCRE.match(
+            re.split(r"\s#", line)[0].strip())
         if header:
             in_section = header.group("header") == section
         if in_section and (header if key is None else key_re.match(line)):
@@ -196,7 +198,10 @@ class _Loader:
         parts = raw[1:-1].split(",")
         if len(parts) != 2:
             raise self.fail(section, key, "expected two comma-separated bounds")
-        lo, hi = (self._number(section, key, part.strip()) for part in parts)
+        values = []
+        for part in parts:
+            values.append(self._number(section, key, part.strip()))
+        lo, hi = values
         if not lo < hi:
             raise self.fail(section, key, f"empty interval [{lo}, {hi}]")
         return lo, hi
@@ -265,9 +270,10 @@ class _Loader:
                                *(f"t.{n}" for n in names if custom))}
         for section in self.cp.sections():
             if section not in _SECTIONS:
+                line = _line_of(self.text, section)
+                where = f" (line {line})" if line is not None else ""
                 raise GameFileError(
-                    f"{self.path}: [{section}] (line "
-                    f"{_line_of(self.text, section)}): unknown section "
+                    f"{self.path}: [{section}]{where}: unknown section "
                     f"(known sections: {', '.join(_SECTIONS)})")
             for key in self.cp.options(section):
                 if key not in known.get(section, (key,)):

@@ -193,8 +193,11 @@ class TestUnknownEntries:
             "game.game: [bound] (line 12): unknown section (known sections: "
             "agents, costs, operator, bounds, incentive, solver)")
 
-    def test_unknown_section_with_a_comment(self, tmp_path):
-        text = GOOD + "\n[bound]   # typo\na = [-1, 1]\n"
+    @pytest.mark.parametrize("header", ["[bound]   # typo",
+                                        "[bound]  # see [bounds]"],
+                             ids=["comment", "comment-with-brackets"])
+    def test_unknown_section_with_a_comment(self, tmp_path, header):
+        text = GOOD + f"\n{header}\na = [-1, 1]\n"
         with pytest.raises(GameFileError, match=r"\[bound\] \(line 12\)"):
             load_game_file(_write(tmp_path, text))
 
