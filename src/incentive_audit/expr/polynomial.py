@@ -127,8 +127,11 @@ class Polynomial:
     __slots__ = ("terms", "_line_plans")
 
     def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        self.terms: dict[Monomial, Fraction] = {
-            mono: coeff for mono, coeff in (terms or {}).items() if coeff != 0}
+        self.terms: dict[Monomial, Fraction] = {}
+        if terms:
+            for mono, coeff in terms.items():
+                if coeff != 0:
+                    self.terms[mono] = coeff
 
     @staticmethod
     def constant(value: Number) -> "Polynomial":

@@ -651,7 +651,8 @@ def _sampled_pd(entries: list[list[Expression]], bounds: Bounds
             return ConvexityReport(status="unknown", sampled=True,
                                    witness=ActionProfile(point))
         eig = float(np.linalg.eigvalsh(M)[0])
-        worst = min(worst, eig)
+        if eig < worst:
+            worst = eig
         if eig <= 0:
             return ConvexityReport(
                 status="fails", sampled=True,
@@ -665,8 +666,10 @@ def _pd_report(entries: list[list[Expression]], bounds: Bounds) -> ConvexityRepo
     if constant is not None:
         mat = np.array([[float(v) for v in row] for row in constant])
         eig = float(np.linalg.eigvalsh(mat)[0])
-        status = "holds" if is_positive_definite(constant) else "fails"
-        return ConvexityReport(status=status, sampled=False,
+        if is_positive_definite(constant):
+            return ConvexityReport(status="holds", sampled=False,
+                                   min_eigenvalue=eig)
+        return ConvexityReport(status="fails", sampled=False,
                                min_eigenvalue=eig)
     return _sampled_pd(entries, bounds)
 
