@@ -2,28 +2,26 @@
 compare what the program writes.
 
     python3 tools/compare_outputs.py PARENT CHANGE [--seeds 3 11]
-                                     [--seconds S]
 
 PARENT and CHANGE are two checkouts of this repository (a ``git clone`` or
 ``git archive`` of each commit).  For every seed, the requests of the four
 workloads are built by this repository's ``perfbench/workloads.py``, as a
-benchmark run of ``--seconds`` builds them (``run_seconds`` of
-``BENCHMARK.json`` by default), into a temporary directory that both
-checkouts read.  Each checkout runs in its own child process, which imports
-``incentive_audit`` from the checkout's ``src`` and calls ``cli.main`` once
-for every distinct request, in the order the workloads issue them.
+benchmark run of ``run_seconds`` (``BENCHMARK.json``) builds them, into a
+temporary directory that both checkouts read.  Each checkout runs in its
+own child process, which issues every distinct request once, in the order
+the workloads issue them, through the checkout's own ``perfbench/loop.py``
+(``import_program`` and ``run_requests``).
 
-A request's result is its exit code and the sha256 of its standard output
-and of its standard error.  Every key whose result differs is printed with
-what differs; the exit status is 1 if any does, else 0.
+A request's result is its exit code, its error (a traceback or the text of
+standard error) and the sha256 of its standard output.  Every key whose
+result differs is printed with what differs; the exit status is 1 if any
+does, else 0.  A traceback names its own checkout's files, so a request that
+crashes on both sides is listed as differing.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import hashlib
-import io
 import json
 import os
 import subprocess
@@ -33,14 +31,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: the benchmark's fixed run length, which sets how many requests are built
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+
 #: one process, no extra threads, a fixed hash seed: as the benchmark runs
 CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
              "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
 
 
-def build_requests(seeds: list[int], seconds: float, out: Path
-                   ) -> list[tuple[str, list[str]]]:
-    """(key, argv) of every distinct request of every workload and seed."""
+def build_requests(seeds: list[int], out: Path) -> list[dict]:
+    """Every distinct request ({key, argv}) of every workload and seed."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -48,40 +48,27 @@ def build_requests(seeds: list[int], seconds: float, out: Path
     for seed in seeds:
         for workload in workloads.WORKLOADS:
             manifest = workloads.build(
-                workload, seed, workloads.request_count(workload, seconds),
+                workload, seed, workloads.request_count(workload, RUN_SECONDS),
                 out / f"{workload}_{seed}")
             for req in manifest["requests"]:
                 key = f"seed {seed} {workload}: {req['key']}"
                 if key not in seen:
                     seen.add(key)
-                    requests.append((key, req["argv"]))
+                    requests.append({"key": key, "argv": req["argv"]})
     return requests
 
 
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def run_child(checkout: Path, requests_file: Path) -> None:
-    """Run every request on ``checkout``; print {key: [exit code, stdout
-    hash, stderr hash]} as JSON."""
-    src = checkout.resolve() / "src"
-    sys.path.insert(0, str(src))
-    from incentive_audit import cli
+    """Run every request on ``checkout``; print {key: [exit code, error,
+    stdout digest]} as JSON."""
+    sys.path.insert(0, str(checkout.resolve() / "perfbench"))
+    import loop
 
-    if src not in Path(cli.__file__).resolve().parents:
-        raise SystemExit(f"incentive_audit was imported from {cli.__file__}, "
-                         f"not from {src}")
-    results = {}
-    for key, argv in json.loads(requests_file.read_text()):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                rc = cli.main(argv)
-            except Exception as exc:  # a crash is a result to compare
-                rc = f"crash: {type(exc).__name__}: {exc}"
-        results[key] = [rc, _sha(out.getvalue()), _sha(err.getvalue())]
-    json.dump(results, sys.stdout)
+    requests = json.loads(requests_file.read_text())
+    _, _, rcs, errors, digests, _ = loop.run_requests(
+        loop.import_program(), requests, None)
+    json.dump({req["key"]: list(result) for req, result
+               in zip(requests, zip(rcs, errors, digests))}, sys.stdout)
 
 
 def run_checkout(checkout: Path, requests_file: Path) -> dict:
@@ -103,7 +90,7 @@ def compare(parent: dict, change: dict) -> list[str]:
         a, b = parent[key], change.get(key)
         if a != b:
             parts = [name for name, x, y in
-                     zip(("exit code", "stdout", "stderr"), a, b or [None] * 3)
+                     zip(("exit code", "error", "stdout"), a, b or [None] * 3)
                      if x != y]
             lines.append(f"{key}: {', '.join(parts)}")
     return lines
@@ -117,12 +104,10 @@ def main() -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 11])
-    parser.add_argument("--seconds", type=float, default=json.loads(
-        (ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
-        requests = build_requests(args.seeds, args.seconds, Path(tmp))
+        requests = build_requests(args.seeds, Path(tmp))
         requests_file = Path(tmp) / "requests.json"
         requests_file.write_text(json.dumps(requests))
         parent = run_checkout(args.parent, requests_file)
@@ -132,7 +117,7 @@ def main() -> int:
     for line in differ:
         print(line)
     per_seed = ", ".join(
-        f"{sum(key.startswith(f'seed {s} ') for key, _ in requests)} at "
+        f"{sum(req['key'].startswith(f'seed {s} ') for req in requests)} at "
         f"seed {s}" for s in args.seeds)
     codes = sorted({str(rc) for rc, _, _ in change.values()})
     print(f"{len(requests)} distinct requests ({per_seed}); exit codes of "
