@@ -34,8 +34,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
+from .._lazy import np
 from .nodes import (
     Abs,
     Const,
@@ -51,8 +50,8 @@ from .nodes import (
 )
 
 ScalarFn = Callable[[Sequence[float]], float]
-VectorFn = Callable[[Sequence[Union[np.ndarray, float]]],
-                    Union[np.ndarray, float]]
+VectorFn = Callable[[Sequence[Union["np.ndarray", float]]],
+                    Union["np.ndarray", float]]
 
 #: an emitted subtree: an exact constant, or the name of a float local
 _Result = Union[Fraction, str]

@@ -23,8 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
+from .._lazy import np
 from .nodes import (
     Abs,
     Const,

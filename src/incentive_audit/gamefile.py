@@ -1,7 +1,8 @@
 """Declarative game files: INI-style sections describing a scenario.
 
-Format (expressions may be double-quoted; `#` starts a comment; a key is
-set with `=` or `:`; any other section or key is refused):
+Format (UTF-8 text, a byte-order mark allowed; expressions may be
+double-quoted; `#` starts a comment; a key is set with `=` or `:`; any other
+section or key, `[DEFAULT]` included, is refused):
 
     [agents]
     names = u1, u2
@@ -110,11 +111,24 @@ class _Loader:
     def __init__(self, path: str | Path):
         self.path = str(path)
         try:
-            self.text = Path(path).read_text()
+            data = Path(path).read_bytes()
         except OSError as exc:
             raise GameFileError(f"{path}: {exc}") from exc
+        try:
+            text = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            # the bad byte is neither \r nor \n, so it ends the last line
+            line = len(exc.object[:exc.start + 1].splitlines())
+            raise GameFileError(
+                f"{self.path}: line {line}: byte "
+                f"{exc.object[exc.start]:#04x} is not UTF-8") from exc
+        # line ends as text mode reads them
+        self.text = text.replace("\r\n", "\n").replace("\r", "\n")
+        # no header can spell the empty default section, so [DEFAULT] is
+        # refused as an unknown section, not copied into every section
         self.cp = configparser.ConfigParser(
-            interpolation=None, inline_comment_prefixes=("#",))
+            interpolation=None, inline_comment_prefixes=("#",),
+            default_section="")
         self.cp.optionxform = str
         try:
             self.cp.read_string(self.text, source=self.path)

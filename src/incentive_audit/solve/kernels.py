@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import inf, prod
 from typing import NamedTuple, Sequence
 
-import numpy as np
+from .._lazy import np
 
 #: a grid cell is a best response when its cost is within this of the
 #: line minimum, absolutely plus relative to the minimum's size

@@ -34,8 +34,7 @@ from functools import reduce
 from itertools import zip_longest
 from typing import Sequence
 
-import numpy as np
-
+from .._lazy import np
 from ..expr import (Abs, Expression, Neg, Number, Power, Product, SafeDiv,
                     Sum, children, scalar_fn)
 from ..expr.polynomial import as_polynomial

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
+from .._lazy import np
 from ..expr import Expression, Number, vector_fn
 from ..expr.polynomial import as_polynomial
 from ..game import ActionProfile

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
+from .._lazy import np
 from ..expr import (Expression, Number, add, diff, evaluate, is_smooth,
                     scalar_fn, structural_variables, vector_fn)
 from ..expr.polynomial import as_polynomial, hessian

@@ -181,6 +181,34 @@ class TestLoader:
         assert spec.game.n == 2
 
 
+class TestEncoding:
+    """Game files are UTF-8, with or without a byte-order mark."""
+
+    def _write_bytes(self, tmp_path, data):
+        path = tmp_path / "game.game"
+        path.write_bytes(data)
+        return path
+
+    @pytest.mark.parametrize("prefix, newline", [
+        (b"\xef\xbb\xbf", b"\n"), (b"", b"\r\n"), (b"", b"\r")],
+        ids=["bom", "crlf", "cr"])
+    def test_loads_as_plain_text(self, tmp_path, prefix, newline):
+        data = prefix + GOOD.encode().replace(b"\n", newline)
+        spec = load_game_file(self._write_bytes(tmp_path, data))
+        assert spec == load_game_file(_write(tmp_path, GOOD))
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_byte_not_utf8_names_its_line(self, tmp_path, newline):
+        # before, a Latin-1 byte crashed with a UnicodeDecodeError traceback
+        data = (b"\xef\xbb\xbf# caf\xc3\xa9\n" + GOOD.encode() + b"# caf\xe9\n")
+        path = self._write_bytes(tmp_path, data.replace(b"\n", newline))
+        with pytest.raises(GameFileError) as err:
+            load_game_file(path)
+        assert str(err.value).endswith(
+            "game.game: line 12: byte 0xe9 is not UTF-8")
+
+
 class TestUnknownEntries:
     """A misspelt section or key is refused with its place, not ignored."""
 
@@ -219,6 +247,18 @@ class TestUnknownEntries:
         with pytest.raises(GameFileError) as err:
             load_game_file(_write(tmp_path, text))
         assert str(err.value).endswith(message)
+
+    @pytest.mark.parametrize("body", ["tol = 1e-3\n", ""],
+                             ids=["with-key", "empty"])
+    def test_default_section(self, tmp_path, body):
+        # before, configparser copied [DEFAULT]'s keys into every section:
+        # tol failed as "[costs] tol: not a declared agent", and an empty
+        # [DEFAULT] was accepted
+        with pytest.raises(GameFileError) as err:
+            load_game_file(_write(tmp_path, "[DEFAULT]\n" + body + GOOD))
+        assert str(err.value).endswith(
+            "game.game: [DEFAULT] (line 1): unknown section (known sections: "
+            "agents, costs, operator, bounds, incentive, solver)")
 
     def test_other_errors_come_first(self, tmp_path):
         # an unknown entry does not change the message of a file that
