@@ -7,10 +7,15 @@ PARENT and CHANGE are two checkouts of this repository (a ``git clone`` or
 ``games/`` and each of the commands ``audit --format structured``,
 ``equilibrium`` and ``oracle``, both checkouts run
 ``python -m incentive_audit.cli`` in a new process, with the environment
-of ``compare_outputs.py``'s children.  One untimed run per side and
-command comes first, so both sides are timed in the same bytecode-cache
-state; then ``PAIRS`` pairs of timed runs follow, alternating which side
-runs first.
+of ``compare_outputs.py``'s children and ``PYTHONDONTWRITEBYTECODE=1``: no
+``__pycache__`` is written into either checkout, so on fresh checkouts
+every run compiles the package from source (numpy and the standard
+library read their installed caches).  The figures in README.md and
+ROADMAP.md were taken this way.  One untimed run per side and command
+comes first, so both sides are timed with their files in the OS cache;
+then ``PAIRS`` pairs of timed runs follow, alternating which side runs
+first.  A child still running after ``CHILD_TIMEOUT_S`` is killed and
+stops the tool.
 
 Each command prints both sides' median wall time with its quartiles, and
 whether exit code and standard output are the same on both sides.  The
@@ -33,6 +38,11 @@ from compare_outputs import CHILD_ENV  # noqa: E402
 
 PAIRS = 10
 
+#: the children write no bytecode cache, so every run compiles the package
+ENV = {**CHILD_ENV, "PYTHONDONTWRITEBYTECODE": "1"}
+
+CHILD_TIMEOUT_S = 60
+
 COMMANDS = (("audit", "--format", "structured"), ("equilibrium",),
             ("oracle",))
 
@@ -40,11 +50,12 @@ COMMANDS = (("audit", "--format", "structured"), ("equilibrium",),
 def run(checkout: Path, argv: list[str]) -> tuple[float, tuple[int, str]]:
     """Wall time of one fresh CLI process, and its (exit code, stdout)."""
     env = dict(os.environ)
-    env.update(CHILD_ENV)
+    env.update(ENV)
     env["PYTHONPATH"] = str(checkout.resolve() / "src")
     t0 = perf_counter()
     proc = subprocess.run([sys.executable, "-m", "incentive_audit.cli", *argv],
-                          env=env, capture_output=True, text=True)
+                          env=env, capture_output=True, text=True,
+                          timeout=CHILD_TIMEOUT_S)
     return perf_counter() - t0, (proc.returncode, proc.stdout)
 
 
