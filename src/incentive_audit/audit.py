@@ -26,7 +26,7 @@ from .expr import (
     neg,
 )
 from .expr.polynomial import Polynomial, as_polynomial, dependencies
-from .game import ActionProfile, Game, Scenario, ANTICIPATORY
+from .game import ActionProfile, Game, Scenario
 from .incentive import (
     PROPORTIONAL,
     VCG,
@@ -360,7 +360,7 @@ def check_vcg_conditions(ctx: ScenarioSolve, tols: Collection[float]
         "operator-hessian-positive-definite",
         hessian_pd_check(game.operator_cost, game))
 
-    if ctx.opt_outs is None:
+    if not ctx.anticipatory:
         surplus = PropertyVerdict(
             "opt-out-surplus", NOT_APPLICABLE,
             note="agents do not anticipate the scheme, so they have no "
@@ -507,7 +507,7 @@ def _scenario_label(scenario: Scenario) -> str:
     if scenario.incentive is None:
         return "no incentive"
     label = f"{scenario.incentive.kind} incentive, {scenario.incentive.mode}"
-    out = sorted(scenario.participation.opted_out)
+    out = sorted(scenario.opted_out)
     if out:
         agents = ", ".join(scenario.game.names[i] for i in out)
         return f"{label}; opted out: {agents}"
@@ -534,8 +534,7 @@ def full_audit(scenario: Scenario, cfg: Optional[SolverConfig] = None,
     # each outcome is judged against every participant's opt-out game, so
     # one without an equilibrium leaves the scenario unauditable
     ctx.opt_outs
-    optimum_exact = ctx.optimum.exact and u_star.exact
-    tols = [verdict_tolerance(outcome.exact and optimum_exact)
+    tols = [verdict_tolerance(outcome.exact and u_star.exact)
             for outcome in outcomes]
 
     tiers = set(tols)
@@ -543,8 +542,7 @@ def full_audit(scenario: Scenario, cfg: Optional[SolverConfig] = None,
     rule_conditions = dict.fromkeys(tiers, ())
     if scheme is not None and scheme.kind == VCG:
         rule_conditions = check_vcg_conditions(ctx, tiers)
-    elif scheme is not None and scheme.kind == PROPORTIONAL \
-            and scheme.mode == ANTICIPATORY:
+    elif ctx.anticipatory and scheme.kind == PROPORTIONAL:
         rule_conditions = {tol: (v,) for tol, v in
                            check_alignment_sufficiency(ctx, tiers).items()}
 
@@ -554,7 +552,7 @@ def full_audit(scenario: Scenario, cfg: Optional[SolverConfig] = None,
         verdicts = [check_social_optimality(outcome, u_star, tol)]
         if scheme is not None:
             verdicts.append(check_budget_balance(outcome, decomposition, tol))
-            if scheme.mode == ANTICIPATORY:
+            if ctx.anticipatory:
                 verdicts.append(check_participation_anticipatory(
                     ctx, outcome, tol))
             else:
@@ -563,7 +561,8 @@ def full_audit(scenario: Scenario, cfg: Optional[SolverConfig] = None,
             verdicts.extend(check_equity_monotonicity(
                 decomposition, outcome.t_values, tol))
 
-        anchor = outcome.baseline.profile if outcome.baseline is not None \
+        # without anticipation the realized play is the baseline play
+        anchor = outcome.realized if not ctx.anticipatory \
             else (baseline[0].profile if baseline else None)
         conditions = (check_allocable_excess(decomposition, tol),
                       *separability[tol],
@@ -589,5 +588,5 @@ def full_audit(scenario: Scenario, cfg: Optional[SolverConfig] = None,
         sections=tuple(sections),
         game_conditions=(check_decoupled_impossibility(game),),
         scheme_pattern=pattern,
-        exact=optimum_exact and all(o.exact for o in outcomes),
+        exact=u_star.exact and all(o.exact for o in outcomes),
     )

@@ -125,7 +125,7 @@ def _resolve_scenario(spec: GameSpec, selector: Optional[str]) -> Scenario:
 def _scenario_label(spec: GameSpec, scenario: Scenario) -> str:
     if scenario.incentive is None:
         return "baseline (no incentive)"
-    out = sorted(scenario.participation.opted_out)
+    out = sorted(scenario.opted_out)
     if out:
         agents = ", ".join(spec.game.names[i] for i in out)
         return f"{scenario.incentive.kind} incentive, opted out: {agents}"
@@ -135,7 +135,7 @@ def _scenario_label(spec: GameSpec, scenario: Scenario) -> str:
 def _cmd_audit(spec: GameSpec, scenario: Scenario,
                cfg: SolverConfig) -> Report:
     report = full_audit(scenario, cfg, declared_base=spec.declared_base)
-    return audit_document(report, spec.game.operator_cost), render_audit_text
+    return audit_document(report), render_audit_text
 
 
 def _cmd_equilibrium(spec: GameSpec, scenario: Scenario,

@@ -2,17 +2,17 @@
 
 Actions are scalar and live in mandatory closed intervals; the defaults of
 [-10, 10] are wide enough for every bundled example while keeping grid
-methods on a compact box.  Game, Scenario and the profile/participation
-types are immutable, so everything here is safe to share across threads.
+methods on a compact box.  Game, Scenario and ActionProfile are
+immutable, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .expr import Expression, Number, add, structural_variables
+from .expr import Expression, Number, structural_variables
 
 DEFAULT_BOUND = (Fraction(-10), Fraction(10))
 
@@ -107,26 +107,9 @@ class Game:
 
 
 @dataclass(frozen=True)
-class Participation:
-    """The set of agents that unilaterally opt out of the incentive scheme."""
-
-    opted_out: frozenset[int] = frozenset()
-
-    def __init__(self, opted_out: Sequence[int] = ()):
-        object.__setattr__(self, "opted_out", frozenset(opted_out))
-
-    def participants(self, n: int) -> tuple[int, ...]:
-        return tuple(i for i in range(n) if i not in self.opted_out)
-
-    def validate(self, n: int) -> None:
-        bad = [i for i in self.opted_out if i < 0 or i >= n]
-        if bad:
-            raise ValueError(f"opt-out index {bad[0]} out of range")
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """A game plus (optionally) an incentive scheme and participation state.
+    """A game plus (optionally) an incentive scheme and the agents that
+    unilaterally opt out of it.
 
     ``incentive`` is any object with ``kind`` and ``mode`` attributes (see
     the incentive module); ``incentive=None`` models the plain
@@ -135,30 +118,11 @@ class Scenario:
 
     game: Game
     incentive: Optional[object] = None
-    participation: Participation = field(default_factory=Participation)
+    opted_out: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        self.participation.validate(self.game.n)
-        if self.incentive is None and self.participation.opted_out:
+        bad = [i for i in self.opted_out if i < 0 or i >= self.game.n]
+        if bad:
+            raise ValueError(f"opt-out index {bad[0]} out of range")
+        if self.incentive is None and self.opted_out:
             raise ValueError("opting out is meaningless without an incentive")
-
-
-def effective_cost(scenario: Scenario, i: int,
-                   t_exprs: Optional[Sequence[Optional[Expression]]]
-                   ) -> Expression:
-    """The cost function agent ``i`` actually optimizes.
-
-    Raw C_i when the agent opted out, there is no incentive, or agents do
-    not anticipate the scheme; C_i + t_i otherwise, where ``t_exprs`` are
-    the materialized incentive expressions.
-    """
-    game = scenario.game
-    c_i = game.agent_costs[i]
-    if scenario.incentive is None or i in scenario.participation.opted_out:
-        return c_i
-    if scenario.incentive.mode == NON_ANTICIPATORY:
-        return c_i
-    if t_exprs is None or t_exprs[i] is None:
-        raise ValueError(
-            f"no materialized incentive expression for agent {i}")
-    return add(c_i, t_exprs[i])

@@ -41,14 +41,7 @@ from typing import Optional
 
 from .expr import Const, Expression, ParseError, children, parse
 from .expr.polynomial import as_polynomial
-from .game import (
-    ANTICIPATORY,
-    DEFAULT_BOUND,
-    NON_ANTICIPATORY,
-    Game,
-    Participation,
-    Scenario,
-)
+from .game import ANTICIPATORY, DEFAULT_BOUND, NON_ANTICIPATORY, Game, Scenario
 from .incentive import CUSTOM, PROPORTIONAL, VCG, IncentiveScheme
 from .solve import SolverConfig
 
@@ -69,7 +62,7 @@ class GameSpec:
     solver: SolverConfig
 
     def scenario(self, opted_out: tuple[int, ...] = ()) -> Scenario:
-        return Scenario(self.game, self.scheme, Participation(opted_out))
+        return Scenario(self.game, self.scheme, frozenset(opted_out))
 
 
 def _unquote(value: str) -> str:

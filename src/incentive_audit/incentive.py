@@ -17,14 +17,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .expr import Expression, Number, add, const, evaluate, mul, neg, safediv, substitute
-from .game import (
-    ANTICIPATORY,
-    NON_ANTICIPATORY,
-    ActionProfile,
-    Game,
-    Scenario,
-    effective_cost,
-)
+from .game import ANTICIPATORY, NON_ANTICIPATORY, ActionProfile, Game, Scenario
 from .solve import (
     EquilibriumResult,
     OperatorSolution,
@@ -86,7 +79,6 @@ class IncentiveOutcome:
 
     equilibrium: EquilibriumResult
     t_values: tuple[Number, ...]
-    baseline: Optional[EquilibriumResult]
 
     @property
     def realized(self) -> ActionProfile:
@@ -176,18 +168,20 @@ def proportional_as_expression(game: Game, u_star: ActionProfile,
 class VcgTerms(NamedTuple):
     """The VCG-like rule's per-agent pieces, every agent participating."""
 
-    opt_out: tuple[EquilibriumResult, ...]
     offsets: tuple[Number, ...]
     t_exprs: tuple[Expression, ...]
 
 
 class ScenarioSolve:
-    """The solutions an audit of one scenario reads, each computed once,
-    on first use: the operator optimum, the equilibria of each distinct
-    tuple of cost expressions (compared structurally, so the baseline or
-    a VCG-like opt-out game that several questions share is solved once),
-    the materialized incentives, the participants' opt-out equilibria and
-    the VCG-like opt-out terms.
+    """The rules of one scenario and the solutions an audit of it reads.
+
+    It alone decides whether agents anticipate the scheme and which cost
+    each agent plays.  Each solution is computed once, on first use: the
+    operator optimum, the equilibria of each distinct tuple of cost
+    expressions (compared structurally, so the baseline or a VCG-like
+    opt-out game that several questions share is solved once), the
+    materialized incentives, the participants' opt-out equilibria and the
+    VCG-like opt-out terms.
     """
 
     def __init__(self, scenario: Scenario, cfg: SolverConfig):
@@ -224,43 +218,54 @@ class ScenarioSolve:
         """Equilibria of the raw costs, with no incentive."""
         return self.equilibria(self.game.agent_costs)
 
+    @property
+    def anticipatory(self) -> bool:
+        """Whether agents play the scheme's incentives: only under a
+        scheme they anticipate."""
+        scheme = self.scenario.incentive
+        return scheme is not None and scheme.mode == ANTICIPATORY
+
     @cached_property
     def incentives(self) -> Optional[tuple[Optional[Expression], ...]]:
         return materialize(self)
 
     @cached_property
     def effective_costs(self) -> tuple[Expression, ...]:
-        return tuple(effective_cost(self.scenario, i, self.incentives)
-                     for i in range(self.game.n))
+        """The cost each agent optimizes: the raw costs when agents do not
+        anticipate the scheme; C_i + t_i for each participant otherwise."""
+        costs = self.game.agent_costs
+        if not self.anticipatory:
+            return costs
+        return tuple(c if i in self.scenario.opted_out
+                     else add(c, self.incentives[i])
+                     for i, c in enumerate(costs))
 
     @cached_property
     def opt_outs(self) -> Optional[tuple[Optional[EquilibriumResult], ...]]:
         """Each participant's opt-out equilibrium (None for an agent
         already out) when agents anticipate the scheme; None otherwise."""
-        scheme = self.scenario.incentive
-        if scheme is None or scheme.mode != ANTICIPATORY:
+        if not self.anticipatory:
             return None
-        participants = self.scenario.participation.participants(self.game.n)
-        return tuple(opt_out_equilibrium(self, i) if i in participants
-                     else None for i in range(self.game.n))
+        return tuple(None if i in self.scenario.opted_out
+                     else opt_out_equilibrium(self, i)
+                     for i in range(self.game.n))
 
     @cached_property
     def vcg_terms(self) -> VcgTerms:
-        """For each agent: the opt-out equilibrium, the constant offset
-        (the operator-side remainder J - C_i evaluated there), and the
-        symbolic incentive (J - C_i) minus that offset."""
+        """For each agent: the constant offset (the operator-side
+        remainder J - C_i evaluated at the agent's opt-out equilibrium) and
+        the symbolic incentive (J - C_i) minus that offset."""
         game = self.game
-        opt_outs, offsets, t_exprs = [], [], []
+        offsets, t_exprs = [], []
         for i in range(game.n):
             costs = [game.agent_costs[j] if j == i else game.operator_cost
                      for j in range(game.n)]
             eq = self.equilibrium(costs, f"when agent {i + 1} opts out")
             remainder = add(game.operator_cost, neg(game.agent_costs[i]))
             offset = evaluate(remainder, eq.profile.values)
-            opt_outs.append(eq)
             offsets.append(offset)
             t_exprs.append(add(remainder, neg(const(offset))))
-        return VcgTerms(tuple(opt_outs), tuple(offsets), tuple(t_exprs))
+        return VcgTerms(tuple(offsets), tuple(t_exprs))
 
 
 def materialize(ctx: ScenarioSolve
@@ -295,15 +300,14 @@ def opt_out_equilibrium(ctx: ScenarioSolve, i: int) -> EquilibriumResult:
     objective only by a constant, so they minimize that objective
     directly and no fixed point over the scheme's own constants arises.
     """
-    scenario = ctx.scenario
-    scheme = scenario.incentive
+    scheme = ctx.scenario.incentive
     if scheme is None:
         raise ValueError("opt-out analysis requires an incentive scheme")
     game = ctx.game
+    aligned = scheme.kind == VCG and ctx.anticipatory
     costs = [game.agent_costs[j]
-             if (j == i or j in scenario.participation.opted_out
-                 or scheme.mode == NON_ANTICIPATORY)
-             else game.operator_cost if scheme.kind == VCG
+             if j == i or j in ctx.scenario.opted_out
+             else game.operator_cost if aligned
              else ctx.effective_costs[j]
              for j in range(game.n)]
     return ctx.equilibrium(costs, f"when agent {i + 1} opts out")
@@ -324,7 +328,6 @@ def vcg_incentive(ctx: ScenarioSolve) -> IncentiveOutcome:
         equilibrium=u_prime,
         t_values=tuple(evaluate(t, u_prime.profile.values)
                        for t in terms.t_exprs),
-        baseline=None,
     )
 
 
@@ -333,21 +336,21 @@ def realized_outcome(ctx: ScenarioSolve) -> list[IncentiveOutcome]:
 
     Anticipatory agents settle on equilibria of their incentive-adjusted
     costs; non-anticipatory agents keep playing the baseline equilibria
-    and incur the incentive ex post.  Agents outside the scheme pay
-    nothing.
+    and incur the incentive ex post, so each realized equilibrium is also
+    the baseline equilibrium that anchors it.  Agents outside the scheme
+    pay nothing.
     """
     game = ctx.game
     scheme = ctx.scenario.incentive
-    anticipatory = scheme is not None and scheme.mode == ANTICIPATORY
-    # without anticipation the effective costs are the raw ones
+    anticipatory = ctx.anticipatory
     equilibria = ctx.equilibria(ctx.effective_costs)
     if not equilibria:
         raise EquilibriumNotFound(
             "no equilibrium verified for the incentive-adjusted game"
             if anticipatory else "no baseline equilibrium verified")
 
-    participants = () if scheme is None \
-        else ctx.scenario.participation.participants(game.n)
+    participants = () if scheme is None else tuple(
+        i for i in range(game.n) if i not in ctx.scenario.opted_out)
 
     outcomes = []
     for eq in equilibria:
@@ -361,9 +364,5 @@ def realized_outcome(ctx: ScenarioSolve) -> list[IncentiveOutcome]:
             else due[i] if due is not None
             else evaluate(ctx.incentives[i], eq.profile.values)
             for i in range(game.n))
-        outcomes.append(IncentiveOutcome(
-            equilibrium=eq,
-            t_values=t_values,
-            baseline=None if anticipatory else eq,
-        ))
+        outcomes.append(IncentiveOutcome(equilibrium=eq, t_values=t_values))
     return outcomes

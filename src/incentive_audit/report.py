@@ -16,6 +16,7 @@ from typing import Any, Optional, Sequence
 from .audit import AuditReport, EquilibriumSection, PropertyVerdict
 from .expr import Number, evaluate
 from .game import ActionProfile
+from .incentive import ScenarioSolve
 from .solve import EquilibriumResult
 
 SCHEMA_AUDIT = "incentive-audit/report.v1"
@@ -52,22 +53,21 @@ def equilibrium_node(eq: EquilibriumResult,
         "residual": eq.residual,
         "method": eq.method,
         "converged": True,
-        "exact": eq.exact,
+        "exact": eq.profile.exact,
     }
     if operator_cost is not None:
         node["operator_cost"] = number_node(operator_cost)
     return node
 
 
-def _section_node(section: EquilibriumSection, operator_cost_expr,
-                  opt_outs) -> dict:
+def _section_node(section: EquilibriumSection, ctx: ScenarioSolve) -> dict:
     outcome = section.outcome
-    j_real = evaluate(operator_cost_expr, outcome.realized.values)
+    j_real = evaluate(ctx.game.operator_cost, outcome.realized.values)
     net = j_real - outcome.total_incentive
     return {
         "realized_profile": profile_node(outcome.realized),
-        "anchor_baseline": None if outcome.baseline is None
-        else profile_node(outcome.baseline.profile),
+        "anchor_baseline": None if ctx.anticipatory
+        else profile_node(outcome.realized),
         "incentives": [number_node(t) for t in outcome.t_values],
         "total_incentive": number_node(outcome.total_incentive),
         "marginal_costs": [number_node(th)
@@ -78,17 +78,17 @@ def _section_node(section: EquilibriumSection, operator_cost_expr,
         "tolerance": section.tolerance,
         "properties": [_verdict_node(v) for v in section.verdicts],
         "conditions": [_verdict_node(v) for v in section.conditions],
-        "opt_out_profiles": None if opt_outs is None
+        "opt_out_profiles": None if ctx.opt_outs is None
         else [None if eq is None else profile_node(eq.profile)
-              for eq in opt_outs],
+              for eq in ctx.opt_outs],
     }
 
 
-def audit_document(report: AuditReport, operator_cost_expr) -> dict:
+def audit_document(report: AuditReport) -> dict:
     ctx = report.ctx
     baseline = []
     for eq in ctx.baseline:
-        cost = evaluate(operator_cost_expr, eq.profile.values)
+        cost = evaluate(ctx.game.operator_cost, eq.profile.values)
         baseline.append(equilibrium_node(eq, cost))
     return {
         "schema": SCHEMA_AUDIT,
@@ -101,8 +101,7 @@ def audit_document(report: AuditReport, operator_cost_expr) -> dict:
             "on_boundary": ctx.optimum.on_boundary,
         },
         "baseline_equilibria": baseline,
-        "sections": [_section_node(s, operator_cost_expr, ctx.opt_outs)
-                     for s in report.sections],
+        "sections": [_section_node(s, ctx) for s in report.sections],
         "game_conditions": [_verdict_node(v) for v in report.game_conditions],
         "scheme_pattern": report.scheme_pattern,
     }

@@ -90,7 +90,6 @@ class EquilibriumResult:
     profile: ActionProfile
     residual: float
     method: str  # "newton" | "best-response"
-    exact: bool = False
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,6 @@ class OperatorSolution:
     profile: ActionProfile
     value: Number
     on_boundary: bool
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -185,7 +183,6 @@ def minimize_operator(game: Game, cfg: SolverConfig) -> OperatorSolution:
             profile=ActionProfile(sol),
             value=evaluate(objective, sol),
             on_boundary=False,
-            exact=True,
         )
     return _minimize_numeric(objective, game.bounds, cfg)
 
@@ -227,7 +224,6 @@ def _minimize_numeric(objective: Expression, bounds: Bounds,
         profile=ActionProfile(best),
         value=value,
         on_boundary=on_edge and steep,
-        exact=False,
     )
 
 
@@ -552,11 +548,9 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
     candidates: list[tuple[tuple[Number, ...], str, bool]] = []
 
     exact_path = _stationarity_exact(costs)
-    exact_sol = None
     if exact_path is not None:
         sol, unique = exact_path
         if _within(sol, bounds):
-            exact_sol = sol
             candidates.append((tuple(sol), "newton", True))
             if unique:
                 # diagonally strictly convex: no other equilibrium exists,
@@ -565,7 +559,7 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
                 if residual <= cfg.tol + POLY_SLACK:
                     return [EquilibriumResult(
                         profile=ActionProfile(sol), residual=residual,
-                        method="newton", exact=True)]
+                        method="newton")]
 
     seeds = _seeds(bounds)
     br_points = _best_response_iteration(lines, seeds, cfg)
@@ -573,8 +567,10 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
 
     # Newton on the stacked first-order system; guarded divisions are
     # smooth wherever the guard is off, so they go through here too (the
-    # best-response endpoints make good seeds near degenerate flats)
-    if all(is_smooth(c) for c in costs) and exact_sol is None:
+    # best-response endpoints make good seeds near degenerate flats).  A
+    # game with an exact solve skips it: its F is affine, and the one zero
+    # of F has been tried
+    if all(is_smooth(c) for c in costs) and exact_path is None:
         F, Jac = _newton_system(costs)
         box = _exact_floats(bounds)
         for found in _newton_stationarity(F, Jac, seeds + br_points, bounds,
@@ -587,7 +583,7 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
     # would be merged into it, so it is dropped without verification
     candidates.sort(key=lambda c: (not c[2], tuple(float(v) for v in c[0])))
     merged: list[EquilibriumResult] = []
-    for values, method, exact in candidates:
+    for values, method, _ in candidates:
         profile = ActionProfile(values)
         if not all(profile.max_distance(m.profile) > MERGE_TOL
                    for m in merged):
@@ -598,7 +594,6 @@ def nash_equilibrium(costs: Sequence[Expression], bounds: Bounds,
                 profile=profile,
                 residual=residual,
                 method=method,
-                exact=exact,
             ))
     merged.sort(key=lambda r: r.profile.as_floats())
     return merged

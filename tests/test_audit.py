@@ -1,9 +1,12 @@
 """Property checks and report assembly against the worked examples."""
 
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+
+from incentive_audit import incentive
 
 from incentive_audit.audit import (
     AuditReport,
@@ -23,12 +26,14 @@ from incentive_audit.audit import (
 )
 from incentive_audit.expr import absval, parse
 from incentive_audit.game import (
+    ANTICIPATORY,
     ActionProfile,
     Game,
     NON_ANTICIPATORY,
     Scenario,
 )
 from incentive_audit.incentive import (
+    CUSTOM,
     PROPORTIONAL,
     VCG,
     IncentiveScheme,
@@ -428,12 +433,70 @@ class TestFullAudit:
 
     def test_determinism_of_structured_output(self, example1, cfg):
         sc = Scenario(example1, example1_scheme())
-        a = to_json(audit_document(full_audit(sc, cfg),
-                                   example1.operator_cost))
-        b = to_json(audit_document(full_audit(sc, cfg),
-                                   example1.operator_cost))
+        a = to_json(audit_document(full_audit(sc, cfg)))
+        b = to_json(audit_document(full_audit(sc, cfg)))
         assert a == b
 
-    def test_document_roundtrip(self, example1_report, example1):
-        doc = audit_document(example1_report, example1.operator_cost)
+    def test_document_roundtrip(self, example1_report):
+        doc = audit_document(example1_report)
         assert json.loads(to_json(doc)) == doc
+
+
+#: example1's opt-out profiles, to 6 decimals, when agents anticipate the
+#: scheme, by kind and opted-out agents; the agent already out has none
+EXAMPLE1_OPT_OUTS = {
+    (PROPORTIONAL, ()): [(1.666667, 1.666667), (1, 1.25)],
+    (VCG, ()): [(2, 2), (0.75, 2)],
+    (CUSTOM, ()): [(1, 1), (1, 2)],
+    (PROPORTIONAL, (1,)): [(1, 1), None],
+    (VCG, (1,)): [(1, 1), None],
+    (CUSTOM, (1,)): [(1, 1), None],
+}
+
+#: no scheme, then every mode, kind and participation
+ANTICIPATION_TABLE = [(None, None, ())] + list(itertools.product(
+    (ANTICIPATORY, NON_ANTICIPATORY), (PROPORTIONAL, VCG, CUSTOM),
+    ((), (1,))))
+
+
+def _rounded(profile):
+    return None if profile is None else tuple(
+        round(v if isinstance(v, float) else v["decimal"], 6)
+        for v in profile)
+
+
+@pytest.mark.parametrize("mode, kind, out", ANTICIPATION_TABLE, ids=str)
+def test_anticipation_rule(mode, kind, out, example1, cfg, monkeypatch):
+    # agents play C_i + t_i only under a scheme they anticipate and only
+    # while they take part; without anticipation the realized play is the
+    # baseline that anchors the section, and there are no opt-out games
+    calls = []
+    original = incentive.materialize
+
+    def counted(ctx):
+        calls.append(ctx)
+        return original(ctx)
+
+    monkeypatch.setattr(incentive, "materialize", counted)
+    scheme = None if mode is None else IncentiveScheme(
+        kind, mode, example1_scheme().expressions if kind == CUSTOM else None)
+    report = full_audit(Scenario(example1, scheme, frozenset(out)), cfg)
+    ctx = report.ctx
+    anticipatory = mode == ANTICIPATORY
+    assert ctx.anticipatory is anticipatory
+    for i, (played, raw) in enumerate(zip(ctx.effective_costs,
+                                          example1.agent_costs)):
+        assert (played is raw) is (not anticipatory or i in out)
+
+    [section] = audit_document(report)["sections"]
+    if anticipatory:
+        assert section["anchor_baseline"] is None
+        assert [_rounded(p) for p in section["opt_out_profiles"]] \
+            == EXAMPLE1_OPT_OUTS[kind, out]
+    else:
+        assert _rounded(section["anchor_baseline"]) == (1, 1)
+        assert section["opt_out_profiles"] is None
+    # the ex-post proportional split is evaluated directly, so the rule is
+    # never materialized; no scheme has nothing to materialize
+    unread = mode is None or (mode == NON_ANTICIPATORY and kind == PROPORTIONAL)
+    assert len(calls) == (0 if unread else 1)

@@ -398,6 +398,28 @@ t.u1 = "-(u1 - u2)^2 + u1^2"
 t.u2 = "2*(u1 - u2)^2 + u2^2"
 """
 
+# agent 1 flees agent 2, who chases it: neither the baseline game nor
+# agent 1's VCG-like opt-out game (agent 2 playing J) has an equilibrium
+CHASE_VCG = """
+[agents]
+names = u1, u2
+
+[costs]
+u1 = "-(u1 - u2)^2"
+u2 = "(u2 - u1)^2"
+
+[operator]
+J = "(u2 - u1)^2 + u1^2"
+
+[bounds]
+u1 = [-1, 1]
+u2 = [-1, 1]
+
+[incentive]
+kind = vcg
+mode = non-anticipatory
+"""
+
 
 class TestEmptyAndEdgeOutputs:
     """Text the renderers write only for an optimum on the box edge or a
@@ -428,6 +450,16 @@ class TestEmptyAndEdgeOutputs:
         code, out, _ = run(capsys, "equilibrium", self._path(tmp_path, CHASE))
         assert code == 0
         assert out.endswith("agents:   u1, u2\n\nno equilibrium verified\n")
+
+    @pytest.mark.parametrize("command", ["audit", "equilibrium"])
+    def test_non_anticipatory_error_names_the_baseline(self, capsys,
+                                                       tmp_path, command):
+        # agents who do not anticipate the scheme play the baseline game,
+        # which is solved before the opt-out games that price the scheme
+        code, out, err = run(capsys, command,
+                             self._path(tmp_path, CHASE_VCG))
+        assert code == 3 and out == ""
+        assert err == "error: no baseline equilibrium verified\n"
 
     def test_no_grid_equilibrium(self, capsys, tmp_path):
         code, out, _ = run(capsys, "oracle", self._path(tmp_path, CHASE))

@@ -1,19 +1,12 @@
-"""Game model, profiles, participation, and effective-cost assembly."""
+"""Game model, profiles, scenarios, and effective-cost assembly."""
 
 from fractions import Fraction
 
 import pytest
 
 from incentive_audit.expr import as_polynomial, evaluate, parse, var
-from incentive_audit.game import (
-    ActionProfile,
-    Game,
-    NON_ANTICIPATORY,
-    Participation,
-    Scenario,
-    effective_cost,
-)
-from incentive_audit.incentive import CUSTOM, IncentiveScheme
+from incentive_audit.game import ActionProfile, Game, NON_ANTICIPATORY, Scenario
+from incentive_audit.incentive import CUSTOM, IncentiveScheme, ScenarioSolve
 
 from conftest import NAMES2, build_example1, example1_scheme
 
@@ -58,55 +51,53 @@ class TestScenario:
     def test_opt_out_without_incentive_rejected(self):
         g = build_example1()
         with pytest.raises(ValueError):
-            Scenario(g, None, Participation((0,)))
+            Scenario(g, None, frozenset({0}))
 
     def test_opt_out_index_range(self):
         g = build_example1()
         with pytest.raises(ValueError):
-            Scenario(g, example1_scheme(), Participation((5,)))
+            Scenario(g, example1_scheme(), frozenset({5}))
 
 
 class TestEffectiveCost:
-    def test_participant_gets_cost_plus_incentive(self):
+    def test_participant_gets_cost_plus_incentive(self, cfg):
         g = build_example1()
-        sc = Scenario(g, example1_scheme())
-        e = effective_cost(sc, 0, sc.incentive.expressions)
+        e = ScenarioSolve(Scenario(g, example1_scheme()),
+                          cfg).effective_costs[0]
         expected = parse("u1^2 - 2*u1*u2 + u1^2", NAMES2)
         assert as_polynomial(e) == as_polynomial(expected)
 
-    def test_opted_out_agent_keeps_raw_cost(self):
+    def test_opted_out_agent_keeps_raw_cost(self, cfg):
         g = build_example1()
-        sc = Scenario(g, example1_scheme(), Participation((0,)))
-        assert effective_cost(sc, 0, sc.incentive.expressions) \
-            is g.agent_costs[0]
+        sc = Scenario(g, example1_scheme(), frozenset({0}))
+        assert ScenarioSolve(sc, cfg).effective_costs[0] is g.agent_costs[0]
 
-    def test_non_anticipatory_ignores_incentive(self):
+    def test_non_anticipatory_ignores_incentive(self, cfg):
         g = build_example1()
         scheme = IncentiveScheme(CUSTOM, mode=NON_ANTICIPATORY,
                                  expressions=example1_scheme().expressions)
         sc = Scenario(g, scheme)
-        assert effective_cost(sc, 0, scheme.expressions) is g.agent_costs[0]
+        assert ScenarioSolve(sc, cfg).effective_costs[0] is g.agent_costs[0]
 
-    def test_no_incentive(self):
+    def test_no_incentive(self, cfg):
         g = build_example1()
         sc = Scenario(g)
-        assert effective_cost(sc, 1, None) is g.agent_costs[1]
+        assert ScenarioSolve(sc, cfg).effective_costs[1] is g.agent_costs[1]
 
-    def test_additivity(self):
+    def test_additivity(self, cfg):
         g = build_example1()
         sc = Scenario(g, example1_scheme())
+        costs = ScenarioSolve(sc, cfg).effective_costs
         pt = (Fraction(1, 3), Fraction(-2, 7))
         for i in range(2):
-            lhs = evaluate(effective_cost(sc, i, sc.incentive.expressions),
-                           pt)
+            lhs = evaluate(costs[i], pt)
             rhs = evaluate(g.agent_costs[i], pt) \
                 + evaluate(sc.incentive.expressions[i], pt)
             assert lhs == rhs
 
-    def test_other_agents_participation_is_irrelevant(self):
+    def test_other_agents_participation_is_irrelevant(self, cfg):
         g = build_example1()
         all_in = Scenario(g, example1_scheme())
-        two_out = Scenario(g, example1_scheme(), Participation((1,)))
-        exprs = example1_scheme().expressions
-        assert effective_cost(all_in, 0, exprs) \
-            == effective_cost(two_out, 0, exprs)
+        two_out = Scenario(g, example1_scheme(), frozenset({1}))
+        assert ScenarioSolve(all_in, cfg).effective_costs[0] \
+            == ScenarioSolve(two_out, cfg).effective_costs[0]

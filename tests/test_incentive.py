@@ -163,7 +163,10 @@ class TestVcgIncentive:
         out = vcg_incentive(ctx)
         terms = ctx.vcg_terms
         assert out.realized.values == (Fraction(1), Fraction(0))
-        assert terms.opt_out[0].profile.values == (Fraction(-1), Fraction(-1))
+        # agent 1's opt-out game, solved once for the offsets
+        opt_out = ctx.equilibria([example3_case2.agent_costs[0],
+                                  example3_case2.operator_cost])
+        assert opt_out[0].profile.values == (Fraction(-1), Fraction(-1))
         assert out.t_values == (Fraction(-3), Fraction(0))
         assert terms.offsets == (Fraction(1), Fraction(-1, 2))
 
@@ -181,8 +184,10 @@ class TestVcgIncentive:
         ctx = ScenarioSolve(Scenario(g), cfg)
         out = vcg_incentive(ctx)
         for i in range(2):
+            costs = [g.agent_costs[j] if j == i else g.operator_cost
+                     for j in range(2)]
             outside = evaluate(g.agent_costs[i],
-                               ctx.vcg_terms.opt_out[i].profile.values)
+                               ctx.equilibria(costs)[0].profile.values)
             inside = evaluate(g.agent_costs[i], out.realized.values) \
                 + out.t_values[i]
             assert outside >= inside
@@ -203,11 +208,12 @@ class TestRealizedOutcome:
     def test_proportional_non_anticipatory_keeps_baseline(self, cfg):
         g = _bowl_game()
         sc = Scenario(g, IncentiveScheme(PROPORTIONAL, NON_ANTICIPATORY))
-        outs = realized_outcome(ScenarioSolve(sc, cfg))
+        ctx = ScenarioSolve(sc, cfg)
+        outs = realized_outcome(ctx)
         assert len(outs) == 1
         out = outs[0]
         assert out.realized.values == (Fraction(1), Fraction(2))  # baseline
-        assert out.baseline is not None
+        assert out.realized == ctx.baseline[0].profile
         # separable objective: each pays its own marginal cost
         assert out.t_values == (1, 4)
 

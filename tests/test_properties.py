@@ -154,4 +154,4 @@ def test_random_quadratic_games_minimize_exactly(seed):
     rng = np.random.default_rng(seed)
     game = random_game(rng, n=int(rng.integers(2, 4)), separable=True)
     sol = minimize_operator(game, SolverConfig())
-    assert sol.exact
+    assert sol.profile.exact

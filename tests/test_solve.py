@@ -38,7 +38,7 @@ class TestMinimizeOperator:
         sol = minimize_operator(example1, cfg)
         assert sol.profile.values == (Fraction(3, 4), Fraction(2))
         assert sol.value == 0
-        assert sol.exact and not sol.on_boundary
+        assert sol.profile.exact and not sol.on_boundary
 
     def test_example2_optimum(self, example2, cfg):
         sol = minimize_operator(example2, cfg)
@@ -182,7 +182,7 @@ class TestNashEquilibrium:
         eqs = nash_equilibrium(example1.agent_costs, example1.bounds, cfg)
         assert len(eqs) == 1
         assert eqs[0].profile.values == (Fraction(1), Fraction(1))
-        assert eqs[0].exact
+        assert eqs[0].profile.exact
 
     def test_example1_with_incentive(self, example1, cfg):
         costs = [parse("u1^2 - 2*u1*u2 + u1^2", NAMES2),
@@ -503,7 +503,7 @@ def _verify_all_then_merge(costs, bounds, cfg):
                 residual = verify_nash(costs, sol, bounds, lines)
                 if residual <= cfg.tol + solvers.POLY_SLACK:
                     return [solvers.EquilibriumResult(
-                        ActionProfile(sol), residual, "newton", True)]
+                        ActionProfile(sol), residual, "newton")]
     seeds = solvers._seeds(bounds)
     br_points = [_best_response_alone(lines, s, cfg) for s in seeds]
     candidates += [(p, "best-response", False) for p in br_points]
@@ -514,12 +514,12 @@ def _verify_all_then_merge(costs, bounds, cfg):
             if found is not None and solvers._within(found, bounds):
                 candidates.append((found, "newton", False))
     verified = []
-    for values, method, exact in candidates:
+    for values, method, _ in candidates:
         residual = verify_nash(costs, values, bounds, lines)
         if residual <= cfg.tol + solvers.POLY_SLACK:
             verified.append(solvers.EquilibriumResult(
-                ActionProfile(values), residual, method, exact))
-    verified.sort(key=lambda r: (not r.exact, r.profile.as_floats()))
+                ActionProfile(values), residual, method))
+    verified.sort(key=lambda r: (not r.profile.exact, r.profile.as_floats()))
     merged = []
     for r in verified:
         if all(r.profile.max_distance(m.profile) > solvers.MERGE_TOL

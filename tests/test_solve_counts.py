@@ -10,6 +10,7 @@ is wrapped with a counter, so a call reached by any route counts.
 
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,6 +233,41 @@ def test_newton_step_search_evaluates_twice_per_iteration(costs, expected,
     evaluations, iterations = calls[id(F[0])], calls[id(Jac[0])]
     assert evaluations - 1 <= 2 * iterations
     assert (evaluations, iterations) == expected
+
+
+BOX10 = ((Fraction(-10), Fraction(10)),) * 2
+
+#: quadratic games whose exact stationary point lies outside the box: best
+#: response finds the boundary equilibrium, and the stationarity Newton,
+#: whose F is affine with that one zero, is not run.  The second point is
+#: about (10.32, -2.58); the third is 2e-12 past the bound u1 = 10, so F is
+#: within ``tol`` of zero at the box point that best response reports
+OUTSIDE_BOX_SOLVES = [
+    (OUTSIDE_BOX_COSTS, BOX2, (2.0, -2.0)),
+    (("u1^2 - (20 + 1/500000000000)*u1 + u1*u2/4", "u2^2 + u1*u2/2"),
+     BOX10, (10.0, -2.5)),
+    (("u1^2 - (155/8 + 31/8000000000000)*u1 + u1*u2/4", "u2^2 + u1*u2/2"),
+     BOX10, (9.999999999973067, -2.4999999999932667)),
+]
+
+
+@pytest.mark.parametrize("costs, box, expected", OUTSIDE_BOX_SOLVES,
+                         ids=["corner", "bound", "within-tol"])
+def test_quadratic_game_outside_box_runs_no_newton(costs, box, expected,
+                                                   monkeypatch, cfg):
+    calls = Counter()
+    original = solvers._newton_stationarity
+
+    def counted(*args, **kwargs):
+        calls["_newton_stationarity"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_newton_stationarity", counted)
+    found = solvers.nash_equilibrium([parse(c, NAMES2) for c in costs], box,
+                                     cfg)
+    assert calls["_newton_stationarity"] == 0
+    assert [(eq.profile.values, eq.method, eq.residual) for eq in found] \
+        == [(expected, "best-response", 0.0)]
 
 
 #: candidates verified in one structured audit.  Candidates are verified

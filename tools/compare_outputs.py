@@ -12,6 +12,9 @@ own child process, which issues every distinct request once, in the order
 the workloads issue them, through the checkout's own ``perfbench/loop.py``
 (``import_program`` and ``run_requests``).
 
+A child still running after ``CHILD_TIMEOUT_S`` is killed and stops the
+tool, so a checkout that hangs cannot stall the comparison.
+
 A request's result is its exit code, its error (a traceback or the text of
 standard error) and the sha256 of its standard output.  Every key whose
 result differs is printed with what differs; the exit status is 1 if any
@@ -37,6 +40,9 @@ RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 #: one process, no extra threads, a fixed hash seed: as the benchmark runs
 CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
              "MKL_NUM_THREADS": "1", "PYTHONHASHSEED": "0"}
+
+#: seconds one checkout's child may take for every request of every seed
+CHILD_TIMEOUT_S = 600
 
 
 def build_requests(seeds: list[int], out: Path) -> list[dict]:
@@ -75,9 +81,14 @@ def run_checkout(checkout: Path, requests_file: Path) -> dict:
     env = dict(os.environ)
     env.update(CHILD_ENV)
     env.pop("PYTHONPATH", None)
-    proc = subprocess.run(
-        [sys.executable, __file__, "--child", str(checkout),
-         str(requests_file)], env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(
+            [sys.executable, __file__, "--child", str(checkout),
+             str(requests_file)], env=env, capture_output=True, text=True,
+            timeout=CHILD_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise SystemExit(f"{checkout}: child still running after "
+                         f"{CHILD_TIMEOUT_S} s") from None
     if proc.returncode:
         raise SystemExit(f"{checkout}: child failed\n{proc.stderr}")
     return json.loads(proc.stdout)
