@@ -26,10 +26,8 @@ from .expr import (
     neg,
 )
 from .expr.polynomial import Polynomial, as_polynomial, dependencies
-from .game import ActionProfile, Game, Scenario
+from .game import PROPORTIONAL, VCG, ActionProfile, Game, Scenario
 from .incentive import (
-    PROPORTIONAL,
-    VCG,
     CostDecomposition,
     IncentiveOutcome,
     ScenarioSolve,
@@ -452,7 +450,7 @@ def _sample_points(game: Game) -> list[tuple[float, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# report assembly
+# audit assembly
 
 
 #: built-in scheme rows of the property-comparison table; "C" entries name
@@ -488,10 +486,8 @@ class AuditReport:
     baseline and opt-out equilibria) are read from ``ctx``."""
 
     ctx: ScenarioSolve
-    scenario_label: str
     sections: tuple[EquilibriumSection, ...]
     game_conditions: tuple[PropertyVerdict, ...]
-    scheme_pattern: Optional[dict]
     exact: bool
 
     def verdict(self, name: str, section: int = 0) -> PropertyVerdict:
@@ -501,17 +497,6 @@ class AuditReport:
             if v.name == name:
                 return v
         raise KeyError(name)
-
-
-def _scenario_label(scenario: Scenario) -> str:
-    if scenario.incentive is None:
-        return "no incentive"
-    label = f"{scenario.incentive.kind} incentive, {scenario.incentive.mode}"
-    out = sorted(scenario.opted_out)
-    if out:
-        agents = ", ".join(scenario.game.names[i] for i in out)
-        return f"{label}; opted out: {agents}"
-    return f"{label}; all participating"
 
 
 def full_audit(scenario: Scenario, cfg: Optional[SolverConfig] = None,
@@ -577,16 +562,9 @@ def full_audit(scenario: Scenario, cfg: Optional[SolverConfig] = None,
             tolerance=tol,
         ))
 
-    pattern = None
-    if scheme is not None and scheme.kind in SCHEME_PATTERNS:
-        pattern = {prop: {"claim": claim, "condition": cond}
-                   for prop, (claim, cond) in SCHEME_PATTERNS[scheme.kind].items()}
-
     return AuditReport(
         ctx=ctx,
-        scenario_label=_scenario_label(scenario),
         sections=tuple(sections),
         game_conditions=(check_decoupled_impossibility(game),),
-        scheme_pattern=pattern,
         exact=u_star.exact and all(o.exact for o in outcomes),
     )

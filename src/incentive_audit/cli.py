@@ -1,4 +1,5 @@
-"""Command-line front end: audit, equilibrium, and oracle reports.
+"""Command-line front end: arguments, scenario selection, each command's
+solves and grid calls, and exit codes; the report module makes the output.
 
 Exit codes: 0 success (regardless of verdicts), 2 game-file or usage
 errors, 3 solver failure (non-convergence or float overflow), 4 oracle
@@ -10,24 +11,17 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .audit import full_audit
-from .expr import evaluate
-from .game import ActionProfile, Scenario
+from .game import Scenario
 from .gamefile import GameFileError, GameSpec, load_game_file
-from .incentive import ScenarioSolve, realized_outcome
+from .incentive import ScenarioSolve
 from .report import (
-    SCHEMA_EQUILIBRIUM,
-    SCHEMA_ORACLE,
     audit_document,
-    equilibrium_node,
-    number_node,
-    profile_node,
-    render_audit_text,
-    render_equilibrium_text,
-    render_oracle_text,
+    equilibrium_document,
+    oracle_document,
+    render_text,
     to_json,
 )
 from .solve import (
@@ -44,10 +38,6 @@ EXIT_OK = 0
 EXIT_SPEC = 2
 EXIT_SOLVER = 3
 EXIT_DIMENSION = 4
-
-
-#: what a command returns: its document and the document's text renderer
-Report = tuple[dict, Callable[[dict], str]]
 
 
 class UsageError(ValueError):
@@ -122,97 +112,20 @@ def _resolve_scenario(spec: GameSpec, selector: Optional[str]) -> Scenario:
     raise UsageError(f"unknown scenario selector {selector!r}")
 
 
-def _scenario_label(spec: GameSpec, scenario: Scenario) -> str:
-    if scenario.incentive is None:
-        return "baseline (no incentive)"
-    out = sorted(scenario.opted_out)
-    if out:
-        agents = ", ".join(spec.game.names[i] for i in out)
-        return f"{scenario.incentive.kind} incentive, opted out: {agents}"
-    return f"{scenario.incentive.kind} incentive, all participating"
-
-
-def _cmd_audit(spec: GameSpec, scenario: Scenario,
-               cfg: SolverConfig) -> Report:
-    report = full_audit(scenario, cfg, declared_base=spec.declared_base)
-    return audit_document(report), render_audit_text
-
-
-def _cmd_equilibrium(spec: GameSpec, scenario: Scenario,
-                     cfg: SolverConfig) -> Report:
-    game = spec.game
+def _document(command: str, spec: GameSpec, scenario: Scenario,
+              cfg: SolverConfig) -> dict:
+    """Run the command's solves and grid calls; return its document."""
+    if command == "audit":
+        return audit_document(
+            full_audit(scenario, cfg, declared_base=spec.declared_base))
     ctx = ScenarioSolve(scenario, cfg)
-    if scenario.incentive is None:
-        # an empty baseline is a reportable row set, not an error
-        rows = [(eq, Fraction(0)) for eq in ctx.baseline]
-    else:
-        rows = [(outcome.equilibrium, outcome.total_incentive)
-                for outcome in realized_outcome(ctx)]
-    entries = []
-    for eq, paid in rows:
-        cost = evaluate(game.operator_cost, eq.profile.values)
-        node = equilibrium_node(eq, cost)
-        node["operator_net_cost"] = number_node(cost - paid)
-        entries.append(node)
-    doc = {
-        "schema": SCHEMA_EQUILIBRIUM,
-        "scenario": _scenario_label(spec, scenario),
-        "agents": list(game.names),
-        "equilibria": entries,
-    }
-    return doc, render_equilibrium_text
-
-
-def _distance_check(subject: str, point: ActionProfile,
-                    others: Sequence[ActionProfile], target: str,
-                    step: float) -> tuple[bool, str]:
-    """Whether ``point`` lies within one grid step of the nearest of
-    ``others``, and the diagnostic line that says so."""
-    dist = min((point.max_distance(q) for q in others), default=float("inf"))
-    ok = dist <= step + 1e-12
-    return ok, (f"{subject} is {dist:.6g} from {target} "
-                f"({'ok' if ok else 'DISAGREES'})")
-
-
-def _cmd_oracle(spec: GameSpec, scenario: Scenario,
-                cfg: SolverConfig) -> Report:
-    game = spec.game
-    ctx = ScenarioSolve(scenario, cfg)
-    costs = ctx.effective_costs
-    grid_eqs = grid_nash_oracle(costs, game.bounds, cfg)
-    gm_profile, gm_value = grid_minimum(game.operator_cost, game.bounds, cfg)
+    if command == "equilibrium":
+        return equilibrium_document(ctx)
+    game = scenario.game
+    grid_eqs = grid_nash_oracle(ctx.effective_costs, game.bounds, cfg)
+    grid_min = grid_minimum(game.operator_cost, game.bounds, cfg)
     step = grid_step(game.bounds, cfg.grid_points_per_axis)
-
-    analytic = ctx.equilibria(costs)
-    u_star = ctx.optimum
-
-    analytic_profiles = [eq.profile for eq in analytic]
-    checks = [_distance_check(f"analytic equilibrium {tuple(p.as_floats())}",
-                              p, grid_eqs, "the nearest grid equilibrium",
-                              step)
-              for p in analytic_profiles]
-    checks += [_distance_check(f"grid equilibrium {tuple(g.as_floats())}",
-                               g, analytic_profiles,
-                               "the nearest analytic equilibrium", step)
-               for g in grid_eqs]
-    checks.append(_distance_check("operator optimum", u_star.profile,
-                                  [gm_profile], "the grid minimum", step))
-
-    doc = {
-        "schema": SCHEMA_ORACLE,
-        "scenario": _scenario_label(spec, scenario),
-        "agents": list(game.names),
-        "grid_points_per_axis": cfg.grid_points_per_axis,
-        "grid_step": step,
-        "grid_equilibria": [profile_node(p) for p in grid_eqs],
-        "grid_minimum": {"profile": profile_node(gm_profile),
-                         "value": gm_value},
-        "analytic_equilibria": [profile_node(eq.profile) for eq in analytic],
-        "operator_optimum": profile_node(u_star.profile),
-        "agreement": all(ok for ok, _ in checks),
-        "diagnostics": [line for _, line in checks],
-    }
-    return doc, render_oracle_text
+    return oracle_document(ctx, grid_eqs, grid_min, step)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -224,13 +137,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "oracle":
             check_grid_size(spec.game.n, cfg.grid_points_per_axis)
         scenario = _resolve_scenario(spec, args.scenario)
-        command = {"audit": _cmd_audit, "equilibrium": _cmd_equilibrium,
-                   "oracle": _cmd_oracle}[args.command]
-        doc, render = command(spec, scenario, cfg)
+        doc = _document(args.command, spec, scenario, cfg)
         if args.format == "structured":
             print(to_json(doc))
         else:
-            print(render(doc), end="")
+            print(render_text(doc), end="")
         return EXIT_OK
     except (GameFileError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,17 +12,26 @@ Numbers are decimal literals or ``p/q`` rationals (the latter falls out of
 constant division).  ``/`` is only legal with a nonzero constant divisor
 and is folded into a product at parse time, so parsed trees never contain
 a division node.  Exponents are nonnegative integer literals.
+
+Parentheses, ``abs(`` and unary minus nest at most MAX_DEPTH levels, and a
+number literal has at most the interpreter's integer-string digit limit
+(4300 by default) before or after its point.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .nodes import (Const, Expression, absval, add, const, mul, neg, power,
                     var)
 from .polynomial import as_polynomial
+
+
+#: nesting levels (parentheses, ``abs(`` and unary minus) a parse accepts
+MAX_DEPTH = 64
 
 
 class ParseError(ValueError):
@@ -69,6 +78,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.names = {name: i for i, name in enumerate(names)}
 
     def peek(self) -> tuple[str, str, int]:
@@ -84,6 +94,16 @@ class _Parser:
         if kind != "op" or value != symbol:
             raise ParseError(f"expected {symbol!r}", at)
         self.advance()
+
+    def nested(self, at: int, parse: Callable[[], Expression]) -> Expression:
+        """``parse()`` one level deeper, opened by the token at ``at``."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(
+                f"expression nested more than {MAX_DEPTH} levels deep", at)
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
 
     def parse(self) -> Expression:
         e = self.expr()
@@ -129,10 +149,10 @@ class _Parser:
         return const(Fraction(1) / value)
 
     def unary(self) -> Expression:
-        kind, value, _ = self.peek()
+        kind, value, at = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return neg(self.unary())
+            return neg(self.nested(at, self.unary))
         return self.power()
 
     def power(self) -> Expression:
@@ -150,30 +170,40 @@ class _Parser:
         if kind != "number" or "." in value:
             raise ParseError("exponent must be a nonnegative integer", at)
         self.advance()
-        return int(value)
+        return int(_literal(value, at))
 
     def atom(self) -> Expression:
         kind, value, at = self.advance()
         if kind == "number":
-            # an integer literal skips Fraction's string parsing
-            return const(Fraction(value) if "." in value
-                         else Fraction(int(value)))
+            return const(_literal(value, at))
         if kind == "ident":
             if value == "abs":
                 self.expect_op("(")
-                inner = self.expr()
+                inner = self.nested(at, self.expr)
                 self.expect_op(")")
                 return absval(inner)
             if value not in self.names:
                 raise UnknownVariable(f"unknown variable {value!r}", at)
             return var(self.names[value])
         if kind == "op" and value == "(":
-            inner = self.expr()
+            inner = self.nested(at, self.expr)
             self.expect_op(")")
             return inner
         raise ParseError(
             "expected a number, variable, or parenthesized expression"
             if kind != "end" else "unexpected end of expression", at)
+
+
+def _literal(value: str, at: int) -> Fraction:
+    """The value of the number token ``value`` at ``at``."""
+    try:
+        # an integer literal skips Fraction's string parsing
+        return Fraction(value) if "." in value else Fraction(int(value))
+    except ValueError:  # past the interpreter's integer-string digit limit
+        raise ParseError(
+            "number literal is too long (at most "
+            f"{sys.get_int_max_str_digits()} digits before or after the "
+            "point)", at) from None
 
 
 def parse(text: str, names: Sequence[str]) -> Expression:

@@ -1,9 +1,9 @@
-"""Game model: agents, cost functions, operator objective, action bounds.
+"""Scenario model: games, incentive schemes, scenarios and action profiles.
 
 Actions are scalar and live in mandatory closed intervals; the defaults of
 [-10, 10] are wide enough for every bundled example while keeping grid
-methods on a compact box.  Game, Scenario and ActionProfile are
-immutable, so everything here is safe to share across threads.
+methods on a compact box.  Every class here is immutable, so each is safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ DEFAULT_BOUND = (Fraction(-10), Fraction(10))
 
 ANTICIPATORY = "anticipatory"
 NON_ANTICIPATORY = "non-anticipatory"
+
+PROPORTIONAL = "proportional"
+VCG = "vcg"
+CUSTOM = "custom"
 
 
 def _coerce(v: Number) -> Number:
@@ -107,17 +111,37 @@ class Game:
 
 
 @dataclass(frozen=True)
+class IncentiveScheme:
+    """One of the built-in rules or a custom per-agent expression list."""
+
+    kind: str
+    mode: str = ANTICIPATORY
+    expressions: Optional[tuple[Expression, ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in (PROPORTIONAL, VCG, CUSTOM):
+            raise ValueError(f"unknown incentive kind {self.kind!r}")
+        if self.mode not in (ANTICIPATORY, NON_ANTICIPATORY):
+            raise ValueError(f"unknown anticipation mode {self.mode!r}")
+        if self.kind == CUSTOM:
+            if not self.expressions:
+                raise ValueError("custom scheme needs one expression per agent")
+            object.__setattr__(self, "expressions", tuple(self.expressions))
+        elif self.expressions is not None:
+            raise ValueError(f"{self.kind} scheme does not take expressions")
+
+
+@dataclass(frozen=True)
 class Scenario:
     """A game plus (optionally) an incentive scheme and the agents that
     unilaterally opt out of it.
 
-    ``incentive`` is any object with ``kind`` and ``mode`` attributes (see
-    the incentive module); ``incentive=None`` models the plain
-    no-incentive game, which forces all-in participation.
+    ``incentive=None`` models the plain no-incentive game, which forces
+    all-in participation.
     """
 
     game: Game
-    incentive: Optional[object] = None
+    incentive: Optional[IncentiveScheme] = None
     opted_out: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:

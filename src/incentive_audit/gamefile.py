@@ -41,8 +41,8 @@ from typing import Optional
 
 from .expr import Const, Expression, ParseError, children, parse
 from .expr.polynomial import as_polynomial
-from .game import ANTICIPATORY, DEFAULT_BOUND, NON_ANTICIPATORY, Game, Scenario
-from .incentive import CUSTOM, PROPORTIONAL, VCG, IncentiveScheme
+from .game import (ANTICIPATORY, CUSTOM, DEFAULT_BOUND, NON_ANTICIPATORY,
+                   PROPORTIONAL, VCG, Game, IncentiveScheme, Scenario)
 from .solve import SolverConfig
 
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")

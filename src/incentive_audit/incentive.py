@@ -17,7 +17,8 @@ from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .expr import Expression, Number, add, const, evaluate, mul, neg, safediv, substitute
-from .game import ANTICIPATORY, NON_ANTICIPATORY, ActionProfile, Game, Scenario
+from .game import (ANTICIPATORY, CUSTOM, PROPORTIONAL, VCG, ActionProfile,
+                   Game, Scenario)
 from .solve import (
     EquilibriumResult,
     OperatorSolution,
@@ -28,36 +29,11 @@ from .solve import (
 )
 from .solve.solvers import EquilibriumNotFound
 
-PROPORTIONAL = "proportional"
-VCG = "vcg"
-CUSTOM = "custom"
-
 #: tolerance below which a (numerically) negative marginal cost clamps to 0
 THETA_TOL = 1e-9
 
 #: near-zero marginal-cost totals make the proportional rule pay nothing
 ALLOCATION_GUARD = Fraction(1, 10**12)
-
-
-@dataclass(frozen=True)
-class IncentiveScheme:
-    """One of the built-in rules or a custom per-agent expression list."""
-
-    kind: str
-    mode: str = ANTICIPATORY
-    expressions: Optional[tuple[Expression, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in (PROPORTIONAL, VCG, CUSTOM):
-            raise ValueError(f"unknown incentive kind {self.kind!r}")
-        if self.mode not in (ANTICIPATORY, NON_ANTICIPATORY):
-            raise ValueError(f"unknown anticipation mode {self.mode!r}")
-        if self.kind == CUSTOM:
-            if not self.expressions:
-                raise ValueError("custom scheme needs one expression per agent")
-            object.__setattr__(self, "expressions", tuple(self.expressions))
-        elif self.expressions is not None:
-            raise ValueError(f"{self.kind} scheme does not take expressions")
 
 
 @dataclass(frozen=True)
@@ -94,23 +70,6 @@ class IncentiveOutcome:
         return sum(self.t_values, Fraction(0))
 
 
-def marginal_cost(game: Game, u_star: ActionProfile, i: int,
-                  u_ri: Number) -> Number:
-    """Operator-cost increase when only agent ``i`` deviates from the
-    operator optimum; clamped to zero within THETA_TOL, escalated beyond."""
-    j_star = evaluate(game.operator_cost, u_star.values)
-    j_dev = evaluate(game.operator_cost, u_star.replace(i, u_ri).values)
-    return _clamp_nonnegative(j_dev - j_star, f"marginal cost of agent {i + 1}")
-
-
-def excess_cost(game: Game, u_star: ActionProfile,
-                u_r: ActionProfile) -> Number:
-    """Operator cost at the realized profile minus at the optimum."""
-    j_star = evaluate(game.operator_cost, u_star.values)
-    j_real = evaluate(game.operator_cost, u_r.values)
-    return _clamp_nonnegative(j_real - j_star, "excess cost")
-
-
 def _clamp_nonnegative(value: Number, label: str) -> Number:
     if value >= 0:
         return value
@@ -123,11 +82,18 @@ def _clamp_nonnegative(value: Number, label: str) -> Number:
 
 def cost_decomposition(game: Game, u_star: ActionProfile,
                        u_r: ActionProfile) -> CostDecomposition:
-    theta = tuple(marginal_cost(game, u_star, i, u_r[i])
-                  for i in range(game.n))
+    """Marginal costs (J with only agent i at its realized action) and the
+    excess cost (J at the realized profile), both net of J at the optimum;
+    each clamped to zero within THETA_TOL, escalated beyond."""
+    j = game.operator_cost
+    j_star = evaluate(j, u_star.values)
+    theta = tuple(_clamp_nonnegative(
+        evaluate(j, u_star.replace(i, u_r[i]).values) - j_star,
+        f"marginal cost of agent {i + 1}") for i in range(game.n))
     return CostDecomposition(
         theta=theta,
-        total_excess=excess_cost(game, u_star, u_r),
+        total_excess=_clamp_nonnegative(evaluate(j, u_r.values) - j_star,
+                                        "excess cost"),
     )
 
 

@@ -1,4 +1,5 @@
-"""Report documents: structured (JSON) and aligned-text rendering.
+"""Output documents: every report's structure, scenario label and rendering
+as JSON or as aligned text, whose layout the document's schema selects.
 
 The structured form is a plain dict tree of JSON types only, so it
 round-trips losslessly through ``json.dumps``/``json.loads`` and is
@@ -13,10 +14,11 @@ import json
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-from .audit import AuditReport, EquilibriumSection, PropertyVerdict
+from .audit import (SCHEME_PATTERNS, AuditReport, EquilibriumSection,
+                    PropertyVerdict)
 from .expr import Number, evaluate
-from .game import ActionProfile
-from .incentive import ScenarioSolve
+from .game import ActionProfile, IncentiveScheme, Scenario
+from .incentive import ScenarioSolve, realized_outcome
 from .solve import EquilibriumResult
 
 SCHEMA_AUDIT = "incentive-audit/report.v1"
@@ -46,18 +48,44 @@ def _verdict_node(v: PropertyVerdict) -> dict:
     }
 
 
-def equilibrium_node(eq: EquilibriumResult,
-                      operator_cost: Optional[Number] = None) -> dict:
-    node = {
+def _participation(scenario: Scenario) -> str:
+    out = sorted(scenario.opted_out)
+    if out:
+        return "opted out: " + ", ".join(scenario.game.names[i] for i in out)
+    return "all participating"
+
+
+def _audit_label(scenario: Scenario) -> str:
+    scheme = scenario.incentive
+    if scheme is None:
+        return "no incentive"
+    return f"{scheme.kind} incentive, {scheme.mode}; {_participation(scenario)}"
+
+
+def _row_label(scenario: Scenario) -> str:
+    """The scenario label of the equilibrium and oracle documents."""
+    if scenario.incentive is None:
+        return "baseline (no incentive)"
+    return f"{scenario.incentive.kind} incentive, {_participation(scenario)}"
+
+
+def _equilibrium_node(eq: EquilibriumResult, operator_cost: Number) -> dict:
+    return {
         "profile": profile_node(eq.profile),
         "residual": eq.residual,
         "method": eq.method,
         "converged": True,
         "exact": eq.profile.exact,
+        "operator_cost": number_node(operator_cost),
     }
-    if operator_cost is not None:
-        node["operator_cost"] = number_node(operator_cost)
-    return node
+
+
+def _pattern_node(scheme: Optional[IncentiveScheme]) -> Optional[dict]:
+    """The scheme's row of the property-comparison table, if it has one."""
+    if scheme is None or scheme.kind not in SCHEME_PATTERNS:
+        return None
+    return {prop: {"claim": claim, "condition": cond}
+            for prop, (claim, cond) in SCHEME_PATTERNS[scheme.kind].items()}
 
 
 def _section_node(section: EquilibriumSection, ctx: ScenarioSolve) -> dict:
@@ -89,10 +117,10 @@ def audit_document(report: AuditReport) -> dict:
     baseline = []
     for eq in ctx.baseline:
         cost = evaluate(ctx.game.operator_cost, eq.profile.values)
-        baseline.append(equilibrium_node(eq, cost))
+        baseline.append(_equilibrium_node(eq, cost))
     return {
         "schema": SCHEMA_AUDIT,
-        "scenario": report.scenario_label,
+        "scenario": _audit_label(ctx.scenario),
         "agents": list(ctx.game.names),
         "exact": report.exact,
         "operator_optimum": {
@@ -103,7 +131,76 @@ def audit_document(report: AuditReport) -> dict:
         "baseline_equilibria": baseline,
         "sections": [_section_node(s, ctx) for s in report.sections],
         "game_conditions": [_verdict_node(v) for v in report.game_conditions],
-        "scheme_pattern": report.scheme_pattern,
+        "scheme_pattern": _pattern_node(ctx.scenario.incentive),
+    }
+
+
+def equilibrium_document(ctx: ScenarioSolve) -> dict:
+    """The scenario's realized equilibria (its baseline equilibria when it
+    has no incentive) with the operator's gross and net cost at each."""
+    game = ctx.game
+    if ctx.scenario.incentive is None:
+        # an empty baseline is a reportable row set, not an error
+        rows = [(eq, Fraction(0)) for eq in ctx.baseline]
+    else:
+        rows = [(outcome.equilibrium, outcome.total_incentive)
+                for outcome in realized_outcome(ctx)]
+    entries = []
+    for eq, paid in rows:
+        cost = evaluate(game.operator_cost, eq.profile.values)
+        node = _equilibrium_node(eq, cost)
+        node["operator_net_cost"] = number_node(cost - paid)
+        entries.append(node)
+    return {
+        "schema": SCHEMA_EQUILIBRIUM,
+        "scenario": _row_label(ctx.scenario),
+        "agents": list(game.names),
+        "equilibria": entries,
+    }
+
+
+def _distance_check(subject: str, point: ActionProfile,
+                    others: Sequence[ActionProfile], target: str,
+                    step: float) -> tuple[bool, str]:
+    """Whether ``point`` lies within one grid step of the nearest of
+    ``others``, and the diagnostic line that says so."""
+    dist = min((point.max_distance(q) for q in others), default=float("inf"))
+    ok = dist <= step + 1e-12
+    return ok, (f"{subject} is {dist:.6g} from {target} "
+                f"({'ok' if ok else 'DISAGREES'})")
+
+
+def oracle_document(ctx: ScenarioSolve, grid_eqs: Sequence[ActionProfile],
+                    grid_min: tuple[ActionProfile, float],
+                    step: float) -> dict:
+    """The grid's equilibria and operator minimum, each matched within one
+    grid ``step`` against the analytic ones of ``ctx``."""
+    gm_profile, gm_value = grid_min
+    analytic = [eq.profile for eq in ctx.equilibria(ctx.effective_costs)]
+    u_star = ctx.optimum.profile
+    checks = [_distance_check(f"analytic equilibrium {tuple(p.as_floats())}",
+                              p, grid_eqs, "the nearest grid equilibrium",
+                              step)
+              for p in analytic]
+    checks += [_distance_check(f"grid equilibrium {tuple(g.as_floats())}",
+                               g, analytic,
+                               "the nearest analytic equilibrium", step)
+               for g in grid_eqs]
+    checks.append(_distance_check("operator optimum", u_star,
+                                  [gm_profile], "the grid minimum", step))
+    return {
+        "schema": SCHEMA_ORACLE,
+        "scenario": _row_label(ctx.scenario),
+        "agents": list(ctx.game.names),
+        "grid_points_per_axis": ctx.cfg.grid_points_per_axis,
+        "grid_step": step,
+        "grid_equilibria": [profile_node(p) for p in grid_eqs],
+        "grid_minimum": {"profile": profile_node(gm_profile),
+                         "value": gm_value},
+        "analytic_equilibria": [profile_node(p) for p in analytic],
+        "operator_optimum": profile_node(u_star),
+        "agreement": all(ok for ok, _ in checks),
+        "diagnostics": [line for _, line in checks],
     }
 
 
@@ -241,3 +338,12 @@ def render_oracle_text(doc: dict) -> str:
     for item in doc["diagnostics"]:
         lines.append(f"  {item}")
     return "\n".join(lines) + "\n"
+
+
+def render_text(doc: dict) -> str:
+    """The aligned-text form of any document, by its schema."""
+    # looked up per call, so the module's current renderers are the ones used
+    render = {SCHEMA_AUDIT: render_audit_text,
+              SCHEMA_EQUILIBRIUM: render_equilibrium_text,
+              SCHEMA_ORACLE: render_oracle_text}[doc["schema"]]
+    return render(doc)

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from incentive_audit.expr import parse
-from incentive_audit.game import Game
-from incentive_audit.incentive import CUSTOM, IncentiveScheme
+from incentive_audit.game import CUSTOM, Game, IncentiveScheme
 from incentive_audit.solve import SolverConfig
 
 GAMES_DIR = Path(__file__).resolve().parent.parent / "games"

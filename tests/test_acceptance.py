@@ -24,17 +24,17 @@ from incentive_audit.audit import (
 from incentive_audit.cli import main
 from incentive_audit.expr import add, const, evaluate, mul, power, var
 from incentive_audit.game import (
+    CUSTOM,
+    PROPORTIONAL,
+    VCG,
     ActionProfile,
     Game,
+    IncentiveScheme,
     NON_ANTICIPATORY,
     Scenario,
 )
 from incentive_audit.gamefile import load_game_file
 from incentive_audit.incentive import (
-    CUSTOM,
-    PROPORTIONAL,
-    VCG,
-    IncentiveScheme,
     ScenarioSolve,
     cost_decomposition,
     realized_outcome,

@@ -27,16 +27,16 @@ from incentive_audit.audit import (
 from incentive_audit.expr import absval, parse
 from incentive_audit.game import (
     ANTICIPATORY,
+    CUSTOM,
+    PROPORTIONAL,
+    VCG,
     ActionProfile,
     Game,
+    IncentiveScheme,
     NON_ANTICIPATORY,
     Scenario,
 )
 from incentive_audit.incentive import (
-    CUSTOM,
-    PROPORTIONAL,
-    VCG,
-    IncentiveScheme,
     ScenarioSolve,
     cost_decomposition,
     realized_outcome,
@@ -398,12 +398,12 @@ class TestFullAudit:
         assert rep.verdict("participation").holds
         assert rep.verdict("budget-balance").status == "fails"
         assert rep.verdict("equity").status == "fails"
-        assert rep.scheme_pattern["budget-balance"]["condition"] == \
-            "opt-out-surplus"
+        assert audit_document(rep)["scheme_pattern"]["budget-balance"][
+            "condition"] == "opt-out-surplus"
 
     def test_no_incentive_has_baseline_only(self, example1, cfg):
         rep = full_audit(Scenario(example1), cfg)
-        assert rep.scheme_pattern is None
+        assert audit_document(rep)["scheme_pattern"] is None
         names = [v.name for v in rep.sections[0].verdicts]
         assert names == ["social-optimality"]
 

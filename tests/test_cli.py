@@ -7,6 +7,8 @@ import pytest
 
 from incentive_audit import cli
 from incentive_audit.cli import main
+from incentive_audit.gamefile import load_game_file
+from incentive_audit.report import render_text
 from incentive_audit.solve import kernels
 
 from conftest import GAMES_DIR
@@ -348,6 +350,30 @@ names = {names}
 J = "{objective}"
 """)
     return str(path)
+
+
+def _report_requests():
+    """Every bundled game under audit, equilibrium with each scenario
+    selector, and oracle."""
+    for path in sorted(GAMES_DIR.glob("*.game")):
+        names = load_game_file(path).game.names
+        yield "audit", str(path)
+        for selector in ("baseline", "incentive",
+                         *(f"optout:{name}" for name in names)):
+            yield "equilibrium", str(path), "--scenario", selector
+        yield "oracle", str(path), "--grid", "41"
+
+
+@pytest.mark.parametrize(
+    "argv", list(_report_requests()),
+    ids=lambda argv: " ".join([argv[0], argv[1].rsplit("/", 1)[-1],
+                               *argv[2:]]))
+def test_text_renders_the_structured_document(capsys, argv):
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, structured, _ = run(capsys, *argv, "--format", "structured")
+    assert code == 0
+    assert text == render_text(json.loads(structured))
 
 
 def test_parser_is_built_once():

@@ -5,8 +5,15 @@ from fractions import Fraction
 import pytest
 
 from incentive_audit.expr import as_polynomial, evaluate, parse, var
-from incentive_audit.game import ActionProfile, Game, NON_ANTICIPATORY, Scenario
-from incentive_audit.incentive import CUSTOM, IncentiveScheme, ScenarioSolve
+from incentive_audit.game import (
+    CUSTOM,
+    ActionProfile,
+    Game,
+    IncentiveScheme,
+    NON_ANTICIPATORY,
+    Scenario,
+)
+from incentive_audit.incentive import ScenarioSolve
 
 from conftest import NAMES2, build_example1, example1_scheme
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from incentive_audit.audit import full_audit
+from incentive_audit.expr.parser import MAX_DEPTH
 from incentive_audit.game import ANTICIPATORY, NON_ANTICIPATORY
 from incentive_audit.gamefile import GameFileError, load_game_file
 
@@ -39,6 +41,12 @@ def _write(tmp_path, text):
     path.write_text(text)
     return path
 
+
+#: past the parser's nesting limit and the interpreter's digit limit
+DEEP = "expression nested more than 64 levels deep"
+LONG = "1" * 4301
+TOO_LONG = ("number literal is too long (at most 4300 digits before or after "
+            "the point)")
 
 GOOD = """
 [agents]
@@ -285,9 +293,53 @@ class TestErrorLocation:
         ('a = "a^2 $ b"',
          "[costs] a (line 6, column 5): unexpected character '$'"),
         ('a = "(a^2 + b"', "[costs] a (line 6, column 9): expected ')'"),
-    ], ids=["colon-delimiter", "unexpected-character", "missing-paren"])
+        ('a = "' + "(" * 200 + "a" + ")" * 200 + '^2 + a*b"',
+         "[costs] a (line 6, column 65): " + DEEP),
+        ('a = "' + "abs(" * 400 + "a" + ")" * 400 + ' + a*b"',
+         "[costs] a (line 6, column 257): " + DEEP),
+        ('a = "' + "-" * 1400 + 'a + a^2"',
+         "[costs] a (line 6, column 65): " + DEEP),
+        (f'a = "a^2 + {LONG}*a*b"', "[costs] a (line 6, column 7): " + TOO_LONG),
+        (f'a = "a^2 + 0.{LONG}*a*b"',
+         "[costs] a (line 6, column 7): " + TOO_LONG),
+        (f'a = "a^{LONG}"', "[costs] a (line 6, column 3): " + TOO_LONG),
+    ], ids=["colon-delimiter", "unexpected-character", "missing-paren",
+            "deep-parentheses", "deep-abs", "deep-minus", "long-integer",
+            "long-decimal", "long-exponent"])
     def test_located(self, tmp_path, cost, message):
         text = GOOD.replace('a = "(a - 1)^2"', cost)
         with pytest.raises(GameFileError) as err:
             load_game_file(_write(tmp_path, text))
         assert str(err.value).endswith(message)
+
+    def test_long_bound_located(self, tmp_path):
+        text = GOOD + f"\n[bounds]\na = [-2, {LONG}]\n"
+        with pytest.raises(GameFileError) as err:
+            load_game_file(_write(tmp_path, text))
+        assert str(err.value).endswith(
+            f"[bounds] a (line 13): bad number {LONG!r}: {TOO_LONG} "
+            "(at column 1)")
+
+
+def _nested_objective(depth):
+    """An operator objective of ``depth`` nested parentheses."""
+    e = "a"
+    for _ in range(depth):
+        e = f"({e}*b/2 + 1/4)"
+    return e
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("kind", ["proportional", "vcg"])
+    def test_objective_at_max_depth_audits(self, tmp_path, kind):
+        text = GOOD.replace('"a^2 + b^2"', f'"{_nested_objective(MAX_DEPTH)}"')
+        text += "\n[bounds]\na = [-2, 2]\nb = [-2, 2]\n"
+        text += f"\n[incentive]\nkind = {kind}\n"
+        spec = load_game_file(_write(tmp_path, text))
+        report = full_audit(spec.scenario(), spec.solver)
+        assert report.sections
+        deeper = text.replace(_nested_objective(MAX_DEPTH),
+                              _nested_objective(MAX_DEPTH + 1))
+        with pytest.raises(GameFileError, match=r"\[operator\] J \(line 10, "
+                           rf"column {MAX_DEPTH + 1}\): {DEEP}"):
+            load_game_file(_write(tmp_path, deeper))

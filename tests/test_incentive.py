@@ -6,20 +6,18 @@ import pytest
 
 from incentive_audit.expr import evaluate, parse
 from incentive_audit.game import (
+    CUSTOM,
+    PROPORTIONAL,
+    VCG,
     ActionProfile,
     Game,
+    IncentiveScheme,
     NON_ANTICIPATORY,
     Scenario,
 )
 from incentive_audit.incentive import (
-    CUSTOM,
-    PROPORTIONAL,
-    VCG,
-    IncentiveScheme,
     ScenarioSolve,
     cost_decomposition,
-    excess_cost,
-    marginal_cost,
     materialize,
     opt_out_equilibrium,
     proportional_allocation,
@@ -43,14 +41,23 @@ def _bowl_game():
 ORIGIN = ActionProfile([Fraction(0), Fraction(0)])
 
 
+def _marginal_cost(game, u_star, i, u_ri):
+    """Agent i's marginal cost when it alone deviates to ``u_ri``."""
+    return cost_decomposition(game, u_star, u_star.replace(i, u_ri)).theta[i]
+
+
+def _excess_cost(game, u_star, u_r):
+    return cost_decomposition(game, u_star, u_r).total_excess
+
+
 class TestMarginalCost:
     def test_direct_definition(self):
         g = _bowl_game()
-        assert marginal_cost(g, ORIGIN, 0, Fraction(1)) == 1
+        assert _marginal_cost(g, ORIGIN, 0, Fraction(1)) == 1
 
     def test_identity_deviation_is_zero(self):
         g = _bowl_game()
-        assert marginal_cost(g, ORIGIN, 1, Fraction(0)) == 0
+        assert _marginal_cost(g, ORIGIN, 1, Fraction(0)) == 0
 
     def test_nonseparable_formula(self, example2, cfg):
         # deviating alone from the optimum (-1, -1) in the coupled
@@ -59,17 +66,17 @@ class TestMarginalCost:
         assert u_star.values == (Fraction(-1), Fraction(-1))
         for i, u_ri in ((0, Fraction(0)), (0, Fraction(-2)), (1, Fraction(2))):
             expected = (u_ri + 1) ** 2
-            assert marginal_cost(example2, u_star, i, u_ri) == expected
+            assert _marginal_cost(example2, u_star, i, u_ri) == expected
 
     def test_negative_beyond_tolerance_escalates(self):
         g = _bowl_game()
         bad_star = ActionProfile([Fraction(1), Fraction(1)])
         with pytest.raises(SolverError):
-            marginal_cost(g, bad_star, 0, Fraction(0))
+            _marginal_cost(g, bad_star, 0, Fraction(0))
 
     def test_tiny_negative_clamps(self):
         g = _bowl_game()
-        val = marginal_cost(g, ORIGIN, 0, 1e-7)
+        val = _marginal_cost(g, ORIGIN, 0, 1e-7)
         assert val >= 0
 
 
@@ -77,15 +84,15 @@ class TestExcessCost:
     def test_example1_realized(self, example1, cfg):
         u_star = minimize_operator(example1, cfg).profile
         u_prime = ActionProfile([Fraction(1), Fraction(2)])
-        assert excess_cost(example1, u_star, u_prime) == Fraction(1, 16)
+        assert _excess_cost(example1, u_star, u_prime) == Fraction(1, 16)
 
     def test_at_optimum_zero(self, example1, cfg):
         u_star = minimize_operator(example1, cfg).profile
-        assert excess_cost(example1, u_star, u_star) == 0
+        assert _excess_cost(example1, u_star, u_star) == 0
 
     def test_bowl(self):
         g = _bowl_game()
-        assert excess_cost(g, ORIGIN, ActionProfile([1, 2])) == 5
+        assert _excess_cost(g, ORIGIN, ActionProfile([1, 2])) == 5
 
 
 class TestProportionalAllocation:

@@ -10,7 +10,10 @@ benchmark run of ``run_seconds`` (``BENCHMARK.json``) builds them, into a
 temporary directory that both checkouts read.  Each checkout runs in its
 own child process, which issues every distinct request once, in the order
 the workloads issue them, through the checkout's own ``perfbench/loop.py``
-(``import_program`` and ``run_requests``).
+(``import_program`` and ``run_requests``).  A fixed set of front-end
+requests on the bundled games follows, for the paths no workload takes:
+the text reports of ``equilibrium`` and ``oracle``, and requests that fail
+with a usage, game-file or size error.
 
 A child still running after ``CHILD_TIMEOUT_S`` is killed and stops the
 tool, so a checkout that hangs cannot stall the comparison.
@@ -61,7 +64,31 @@ def build_requests(seeds: list[int], out: Path) -> list[dict]:
                 if key not in seen:
                     seen.add(key)
                     requests.append({"key": key, "argv": req["argv"]})
-    return requests
+    return requests + front_end_requests(out)
+
+
+def front_end_requests(out: Path) -> list[dict]:
+    """Requests on the bundled games that take the text renderers of the
+    equilibrium and oracle reports, and the error paths."""
+    games = sorted((ROOT / "games").glob("*.game"))
+    argvs = [argv for game in games
+             for argv in (["equilibrium", str(game)],
+                          ["oracle", str(game), "--grid", "41"])]
+    example = ROOT / "games" / "example1.game"
+    text = example.read_text()
+    bare = out / "no_incentive.game"
+    bare.write_text(text[:text.index("[incentive]")])
+    argvs += [
+        ["equilibrium", str(example), "--scenario", "nowhere"],
+        ["equilibrium", str(example), "--scenario", "optout:u9"],
+        ["oracle", str(example), "--grid", "2"],
+        ["oracle", str(example), "--grid", "10001"],
+        ["equilibrium", str(bare), "--scenario", "incentive"],
+        ["audit", str(out / "missing.game")],
+    ]
+    return [{"key": "front end: " + " ".join(
+        Path(a).name if a.endswith(".game") else a for a in argv),
+        "argv": argv} for argv in argvs]
 
 
 def run_child(checkout: Path, requests_file: Path) -> None:
@@ -130,8 +157,10 @@ def main() -> int:
     per_seed = ", ".join(
         f"{sum(req['key'].startswith(f'seed {s} ') for req in requests)} at "
         f"seed {s}" for s in args.seeds)
+    front_end = sum(req["key"].startswith("front end: ") for req in requests)
     codes = sorted({str(rc) for rc, _, _ in change.values()})
-    print(f"{len(requests)} distinct requests ({per_seed}); exit codes of "
+    print(f"{len(requests)} distinct requests ({per_seed}, {front_end} "
+          f"front-end); exit codes of "
           f"CHANGE: {', '.join(codes)}; {len(differ)} differ")
     return 1 if differ else 0
 
