@@ -15,7 +15,8 @@ a division node.  Exponents are nonnegative integer literals.
 
 Parentheses, ``abs(`` and unary minus nest at most MAX_DEPTH levels, and a
 number literal has at most the interpreter's integer-string digit limit
-(4300 by default) before or after its point.
+(4300 by default) before or after its point.  An error message echoes at
+most EXCERPT_CHARS characters of a literal (:func:`excerpt`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,14 @@ from .polynomial import as_polynomial
 
 #: nesting levels (parentheses, ``abs(`` and unary minus) a parse accepts
 MAX_DEPTH = 64
+
+#: characters of a literal that an error message echoes
+EXCERPT_CHARS = 40
+
+
+def excerpt(text: str) -> str:
+    """``text`` as written, cut after EXCERPT_CHARS characters with ``…``."""
+    return text if len(text) <= EXCERPT_CHARS else text[:EXCERPT_CHARS] + "…"
 
 
 class ParseError(ValueError):
@@ -109,7 +118,8 @@ class _Parser:
         e = self.expr()
         kind, value, at = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected trailing input {value!r}", at)
+            raise ParseError(f"unexpected trailing input {excerpt(value)!r}",
+                             at)
         return e
 
     def expr(self) -> Expression:
@@ -183,7 +193,7 @@ class _Parser:
                 self.expect_op(")")
                 return absval(inner)
             if value not in self.names:
-                raise UnknownVariable(f"unknown variable {value!r}", at)
+                raise UnknownVariable(f"unknown variable {excerpt(value)!r}", at)
             return var(self.names[value])
         if kind == "op" and value == "(":
             inner = self.nested(at, self.expr)

@@ -10,12 +10,12 @@ absolute-value or guarded-division nodes have no polynomial form and yield
 (:func:`dependencies` then recurses through ``children`` to the
 polynomial subtrees).
 
-Each polynomial also keeps, per agent axis, a :class:`LinePlan`: its
-terms grouped by that agent's exponent, each coefficient as a Fraction
-and as a float.  Only the plan forms the polynomial's restriction to the
-axis: :meth:`LinePlan.coefficients` sums the line's coefficients at any
-profile, float, exact or mixed, with the types and values exact
-arithmetic gives them.
+A polynomial node also keeps, per agent axis, a :class:`LinePlan`
+(:func:`line_plan`): its terms grouped by that agent's exponent, each
+coefficient as a Fraction and as a float.  Only the plan forms the
+polynomial's restriction to the axis: :meth:`LinePlan.coefficients` sums
+the line's coefficients at any profile, float, exact or mixed, with the
+types and values exact arithmetic gives them.
 """
 
 from __future__ import annotations
@@ -122,8 +122,7 @@ class LinePlan(NamedTuple):
 class Polynomial:
     """Multivariate polynomial with Fraction coefficients."""
 
-    # _line_plans is set on the first line_plan call only
-    __slots__ = ("terms", "_line_plans")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: dict[Monomial, Fraction] | None = None):
         self.terms: dict[Monomial, Fraction] = {}
@@ -207,17 +206,6 @@ class Polynomial:
             parts.append(mul(*factors))
         return add(*parts)
 
-    def line_plan(self, i: int) -> LinePlan:
-        """The plan of this polynomial along axis ``i``, built once."""
-        try:
-            plans = self._line_plans
-        except AttributeError:
-            plans = self._line_plans = {}
-        plan = plans.get(i)
-        if plan is None:
-            plan = plans[i] = _line_plan(self.terms, i)
-        return plan
-
     def magnitude_bound(self, bounds: Sequence[tuple[Number, Number]]
                         ) -> float:
         """Sum over the terms of max(|c|, 1) * prod_k max(|lo_k|, |hi_k|,
@@ -264,16 +252,21 @@ class Polynomial:
         return coeffs, exps
 
 
-def _line_plan(terms: dict[Monomial, Fraction], i: int) -> LinePlan:
+def line_plan(e: Expression, i: int) -> LinePlan:
+    """The plan of the polynomial ``e`` along axis ``i``, kept on ``e``."""
+    return cached(e, ("line_plan", i), _line_plan, e, i)
+
+
+def _line_plan(e: Expression, i: int) -> LinePlan:
     by_power: dict[int, list[LineTerm]] = {}
-    for mono, coeff in terms.items():
+    for mono, coeff in as_polynomial(e).terms.items():
         power_i = 0
         others = []
-        for idx, e in mono:
+        for idx, exp in mono:
             if idx == i:
-                power_i = e
+                power_i = exp
             else:
-                others.append((idx, e))
+                others.append((idx, exp))
         by_power.setdefault(power_i, []).append(
             (coeff, float(coeff), tuple(others)))
     groups = []

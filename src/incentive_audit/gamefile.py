@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Optional
 
 from .expr import Const, Expression, ParseError, children, parse
+from .expr.parser import excerpt
 from .expr.polynomial import as_polynomial
 from .game import (ANTICIPATORY, CUSTOM, DEFAULT_BOUND, NON_ANTICIPATORY,
                    PROPORTIONAL, VCG, Game, IncentiveScheme, Scenario)
@@ -159,7 +160,8 @@ class _Loader:
             raise self.fail("agents", "names", "at least two agents required")
         for n in names:
             if not _IDENT_RE.match(n):
-                raise self.fail("agents", "names", f"invalid agent name {n!r}")
+                raise self.fail("agents", "names",
+                                f"invalid agent name {excerpt(n)!r}")
             if n == "abs":
                 raise self.fail("agents", "names", "'abs' is reserved for the "
                                 "absolute value, abs(...)")
@@ -205,25 +207,25 @@ class _Loader:
         parts = raw[1:-1].split(",")
         if len(parts) != 2:
             raise self.fail(section, key, "expected two comma-separated bounds")
-        values = []
-        for part in parts:
-            values.append(self._number(section, key, part.strip()))
-        lo, hi = values
+        texts = [part.strip() for part in parts]
+        lo, hi = [self._number(section, key, text) for text in texts]
         if not lo < hi:
-            raise self.fail(section, key, f"empty interval [{lo}, {hi}]")
+            raise self.fail(section, key, "empty interval [{}, {}]".format(
+                *map(excerpt, texts)))
         return lo, hi
 
     def _number(self, section: str, key: str, text: str) -> Fraction:
         try:
             e = parse(text, [])
         except ParseError as exc:
-            raise self.fail(section, key, f"bad number {text!r}: {exc}") from exc
+            raise self.fail(section, key,
+                            f"bad number {excerpt(text)!r}: {exc}") from exc
         p = as_polynomial(e)
         if p is None or not p.is_constant():
-            raise self.fail(section, key, f"bad number {text!r}")
+            raise self.fail(section, key, f"bad number {excerpt(text)!r}")
         if _has_huge_constant(e):
-            raise self.fail(section, key,
-                            f"bound {text!r} is beyond the float range")
+            raise self.fail(section, key, f"bound {excerpt(text)!r} is "
+                            "beyond the float range")
         return p.constant_value()
 
     def _incentive(self, names: list[str]
@@ -236,14 +238,14 @@ class _Loader:
         kind = _unquote(cp.get("incentive", "kind")).lower()
         if kind not in (PROPORTIONAL, VCG, CUSTOM):
             raise self.fail("incentive", "kind",
-                            f"unknown kind {kind!r} (expected proportional, "
-                            "vcg, or custom)")
+                            f"unknown kind {excerpt(kind)!r} (expected "
+                            "proportional, vcg, or custom)")
         mode = ANTICIPATORY
         if cp.has_option("incentive", "mode"):
             mode = _unquote(cp.get("incentive", "mode")).lower()
             if mode not in (ANTICIPATORY, NON_ANTICIPATORY):
                 raise self.fail("incentive", "mode",
-                                f"unknown mode {mode!r}")
+                                f"unknown mode {excerpt(mode)!r}")
         expressions = None
         if kind == CUSTOM:
             exprs = []
@@ -300,7 +302,8 @@ class _Loader:
             try:
                 overrides[key] = types[key](raw)
             except ValueError as exc:
-                raise self.fail("solver", key, f"bad value {raw!r}") from exc
+                raise self.fail("solver", key,
+                                f"bad value {excerpt(raw)!r}") from exc
         try:
             return cfg.replace(**overrides)
         except ValueError as exc:

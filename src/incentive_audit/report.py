@@ -11,6 +11,7 @@ stay plain numbers.  Field names are stable; see docs/report_schema.md.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
@@ -19,7 +20,7 @@ from .audit import (SCHEME_PATTERNS, AuditReport, EquilibriumSection,
 from .expr import Number, evaluate
 from .game import ActionProfile, IncentiveScheme, Scenario
 from .incentive import ScenarioSolve, realized_outcome
-from .solve import EquilibriumResult
+from .solve import EquilibriumResult, SolverError
 
 SCHEMA_AUDIT = "incentive-audit/report.v1"
 SCHEMA_EQUILIBRIUM = "incentive-audit/equilibrium.v1"
@@ -30,7 +31,12 @@ def number_node(x: Number) -> Any:
     if isinstance(x, float):
         return x
     frac = Fraction(x)
-    return {"decimal": float(frac), "rational": str(frac)}
+    try:
+        return {"decimal": float(frac), "rational": str(frac)}
+    except ValueError:  # past the interpreter's integer-string digit limit
+        raise SolverError(
+            "cannot print an exact value: its numerator or denominator has "
+            f"more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def profile_node(profile: ActionProfile | Sequence[Number]) -> list:

@@ -37,7 +37,7 @@ from typing import Sequence
 from .._lazy import np
 from ..expr import (Abs, Expression, Neg, Number, Power, Product, SafeDiv,
                     Sum, children, scalar_fn)
-from ..expr.polynomial import as_polynomial
+from ..expr.polynomial import as_polynomial, line_plan
 
 #: Newton steps polishing a companion-matrix root
 POLISH_ITERS = 8
@@ -88,10 +88,9 @@ def line_minima(e: Expression, i: int, profiles: Sequence[Sequence[Number]],
     one stacked eigenvalue call per companion-matrix size, and piecewise
     lines through one per size and stage of each lockstep round."""
     flo, fhi = float(lo), float(hi)
-    p = as_polynomial(e)
-    if p is None:
+    if as_polynomial(e) is None:
         return _piecewise_minima(e, i, profiles, flo, fhi)
-    plan = p.line_plan(i)
+    plan = line_plan(e, i)
     minima: list[LineMin | None] = []
     lines: list[tuple[int, list[float], list[float]]] = []
     for values in profiles:
@@ -308,9 +307,8 @@ def _restrict(e: Expression, i: int, base: list[float],
     ``base``, which no piece changes."""
     if id(e) in memo:
         return memo[id(e)]
-    p = as_polynomial(e)
-    if p is not None:
-        plan = p.line_plan(i)
+    if as_polynomial(e) is not None:
+        plan = line_plan(e, i)
         memo[id(e)] = plan.float_line(plan.coefficients(base))[0], [1.0]
         return memo[id(e)]
     parts = [_restrict(c, i, base, memo, a, b, switches)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .._lazy import np
 from ..expr import Expression, Number, vector_fn
-from ..expr.polynomial import as_polynomial
+from ..expr.polynomial import as_polynomial, line_plan
 from ..game import ActionProfile
 from .config import SolverConfig
 from . import kernels
@@ -126,7 +126,7 @@ def _cost_source(e: Expression, axes: Sequence[np.ndarray],
         return _finite(eval_on_grid(e, axes))
     n = len(axes)
     return kernels.Poly(*p.to_arrays(n), p.float_error(bounds),
-                        tuple(a for a in range(n) if p.line_plan(a).convex()))
+                        tuple(a for a in range(n) if line_plan(e, a).convex()))
 
 
 def grid_nash_oracle(costs: Sequence[Expression],

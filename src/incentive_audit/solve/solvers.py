@@ -273,7 +273,7 @@ def _damped(exprs: Sequence[Expression], x: np.ndarray, step: np.ndarray,
 
     The first fraction is tried on every start in one evaluation, the rest
     on the starts it does not advance in a second.  A value that is not
-    finite is evaluated again by the scalar form (which may raise) only
+    finite is evaluated again by ``evaluate`` (which may raise) only
     where trying one fraction at a time would evaluate it: in the second
     evaluation, at or before the start's accepted fraction, fraction by
     fraction, start by start."""
@@ -371,12 +371,9 @@ def verify_nash(costs: Sequence[Expression], profile: ActionProfile | Sequence[N
     if lines is None:
         lines = LineCache(costs, bounds)
     values = tuple(profile)
-    floats = all(type(v) is float for v in values)
     worst = 0.0
     for i in range(len(bounds)):
-        # the compiled form is float(evaluate(...)), bit for bit
-        here = scalar_fn(costs[i])(values) if floats \
-            else evaluate(costs[i], values)
+        here = evaluate(costs[i], values)
         lm = lines.minimum(i, values)
         worst = max(worst, float(here - lm.value))
     return max(worst, 0.0)
@@ -428,15 +425,15 @@ def _newton_system(costs: Sequence[Expression]
 def _rows(exprs: Sequence[Expression], x: np.ndarray) -> np.ndarray:
     """``exprs`` at each row of ``x``, one row of values per row of ``x``.
 
-    The compiled vector form gives the values the scalar form gives; a row
-    with a value that is not finite is evaluated again by the scalar form,
+    The compiled vector form gives the values ``evaluate`` gives; a row
+    with a value that is not finite is evaluated again by ``evaluate``,
     which raises where Python's float arithmetic raises (an overflowing
     power, say).
     """
     out = _vector_rows(exprs, x)
     for r in np.flatnonzero(~np.isfinite(out).all(axis=1)):
         point = x[r].tolist()
-        out[r] = [scalar_fn(e)(point) for e in exprs]
+        out[r] = [float(evaluate(e, point)) for e in exprs]
     return out
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, scenario selectors, exit codes."""
 
 import json
+import sys
 import warnings
 
 import pytest
@@ -299,6 +300,36 @@ class TestFloatRange:
         assert hess["status"] == "unknown"
         assert hess["witnesses"] == [
             {"min_eigenvalue": None, "profile": [-1000.0, -1000.0]}]
+
+
+class TestLongLiterals:
+    @pytest.mark.parametrize("command", ["audit", "equilibrium"])
+    def test_exact_value_past_digit_limit_exits_3(self, capsys, tmp_path,
+                                                  command):
+        # the exact equilibrium has a 3000-digit denominator: str() of its
+        # Fraction refuses past the interpreter's integer-string limit
+        path = tmp_path / "tiny.game"
+        tiny = "0." + "0" * 2999 + "1"
+        path.write_text((GAMES_DIR / "example1.game").read_text().replace(
+            '"u1*u2 - u2"', f'"u1*u2 - {tiny}*u2"'))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (3, "")
+        assert err == ("error: cannot print an exact value: its numerator or "
+                       f"denominator has more than "
+                       f"{sys.get_int_max_str_digits()} digits\n")
+
+    @pytest.mark.parametrize("command", ["audit", "equilibrium", "oracle"])
+    def test_empty_interval_past_digit_limit_exits_2(self, capsys, tmp_path,
+                                                     command):
+        path = tmp_path / "empty.game"
+        tiny = "0." + "0" * 4299 + "1"
+        path.write_text((GAMES_DIR / "example1.game").read_text().replace(
+            "u1 = [-2, 2]", f"u1 = [1, {tiny}]"))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(
+            f"[bounds] u1 (line 16): empty interval [1, {tiny[:40]}…]\n")
 
 
 class TestOracle:

@@ -35,7 +35,8 @@ from incentive_audit.expr import (Abs, Const, Neg, Power, Product, SafeDiv,
                                   Sum, Var, absval, add, children, mul, neg,
                                   parse, power, safediv, scalar_fn,
                                   vector_fn)
-from incentive_audit.expr.polynomial import Polynomial, as_polynomial
+from incentive_audit.expr.polynomial import (Polynomial, as_polynomial,
+                                             line_plan)
 from incentive_audit.gamefile import load_game_file
 from incentive_audit.incentive import ScenarioSolve
 from incentive_audit.solve import SolverConfig, SolverError, linesearch
@@ -168,7 +169,7 @@ def _same(a, b) -> bool:
 def _check(p, i, values, lo, hi) -> None:
     e = expression(p)
     assert list(as_polynomial(e).terms) == list(p.terms)
-    plan = as_polynomial(e).line_plan(i)
+    plan = line_plan(e, i)
     want_coeffs = naive_coefficients(p, i, values)
     got_coeffs = plan.coefficients(values)
     assert len(got_coeffs) == len(want_coeffs)
@@ -240,13 +241,13 @@ def test_line_matches_definition(line):
 
 
 def test_plan_is_built_once_per_axis():
-    p = Polynomial({X4: F(1), X1Y: F(2)})
-    assert not hasattr(p, "_line_plans")
-    assert p.line_plan(0) is p.line_plan(0)
-    assert p.line_plan(1) is not p.line_plan(0)
+    e = expression(Polynomial({X4: F(1), X1Y: F(2)}))
+    assert ("line_plan", 0) not in e.__dict__.get("_derived", {})
+    assert line_plan(e, 0) is line_plan(e, 0)
+    assert line_plan(e, 1) is not line_plan(e, 0)
     # along u1: u1*u2 is a coupled term of power 1, u1^4 an exact group
     # (c, float(c), float(4 * c)), and absent powers exact zeros
-    along_u1 = p.line_plan(0).groups
+    along_u1 = line_plan(e, 0).groups
     assert along_u1[1].terms == ((F(2), 2.0, ((1, 1),)),)
     assert along_u1[4] == ((), F(1), 1.0, 4.0)
     assert along_u1[0] == along_u1[2] == ((), F(0), 0.0, 0.0)
@@ -504,9 +505,8 @@ def reference_restrict(e, i, base, a, b, cuts):
     """``e`` on the piece (a, b) as float coefficients (N, D) of N/D; adds
     to ``cuts`` the points where one of its nodes changes piece, searching
     a guard's second level only when the first leaves it possible."""
-    p = as_polynomial(e)
-    if p is not None:
-        plan = p.line_plan(i)
+    if as_polynomial(e) is not None:
+        plan = line_plan(e, i)
         return plan.float_line(plan.coefficients(base))[0], [1.0]
     parts = [reference_restrict(c, i, base, a, b, cuts) for c in children(e)]
     if isinstance(e, Sum):

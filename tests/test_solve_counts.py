@@ -1,7 +1,8 @@
 """Each audit solves the operator optimum once and each distinct game once,
 computes each line minimum of a solve once (the piecewise lines of a
 batch sharing their eigenvalue calls), and evaluates the conditions on
-the scenario alone once.
+the scenario alone once.  Values read once (a candidate's costs, a
+non-finite Newton row) compile no scalar form.
 
 Every binding of ``minimize_operator``, ``nash_equilibrium``,
 ``verify_nash`` and the batched line kernel ``line_minima`` in the package
@@ -17,7 +18,7 @@ import pytest
 
 from incentive_audit import audit
 from incentive_audit.cli import main
-from incentive_audit.expr import parse
+from incentive_audit.expr import compiled, parse
 from incentive_audit.gamefile import load_game_file
 from incentive_audit.solve import solvers
 
@@ -233,6 +234,37 @@ def test_newton_step_search_evaluates_twice_per_iteration(costs, expected,
     evaluations, iterations = calls[id(F[0])], calls[id(Jac[0])]
     assert evaluations - 1 <= 2 * iterations
     assert (evaluations, iterations) == expected
+
+
+@pytest.fixture
+def scalar_compiles(monkeypatch):
+    """Counts the scalar forms compiled while the test runs."""
+    counts = Counter()
+    original = compiled._compile
+
+    def counted(e, vector):
+        counts["scalar"] += not vector
+        return original(e, vector)
+
+    monkeypatch.setattr(compiled, "_compile", counted)
+    return counts
+
+
+def test_verification_of_a_float_candidate_compiles_nothing(
+        scalar_compiles):
+    # a value read once per agent is read by evaluate, not a compiled form
+    costs = [parse("u1^4/4 - u1 + u1*u2/4", NAMES2),
+             parse("u2^4/4 - u2 + u1*u2/4", NAMES2)]
+    residual = solvers.verify_nash(costs, (0.5, 0.25), BOX2)
+    assert residual > 0
+    assert scalar_compiles["scalar"] == 0
+
+
+def test_overflowing_row_raises_without_a_scalar_form(scalar_compiles):
+    # the vector form gives inf; evaluate raises Python's OverflowError
+    with pytest.raises(OverflowError):
+        solvers._rows([parse("u1^400", NAMES2)], np.array([[1e10, 0.0]]))
+    assert scalar_compiles["scalar"] == 0
 
 
 BOX10 = ((Fraction(-10), Fraction(10)),) * 2

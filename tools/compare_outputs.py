@@ -11,9 +11,11 @@ temporary directory that both checkouts read.  Each checkout runs in its
 own child process, which issues every distinct request once, in the order
 the workloads issue them, through the checkout's own ``perfbench/loop.py``
 (``import_program`` and ``run_requests``).  A fixed set of front-end
-requests on the bundled games follows, for the paths no workload takes:
-the text reports of ``equilibrium`` and ``oracle``, and requests that fail
-with a usage, game-file or size error.
+requests follows, for the paths no workload takes: the text reports of
+``equilibrium`` and ``oracle`` on the bundled games, requests that fail
+with a usage, game-file or size error, a float overflow in each command,
+a sampled curvature check that overflows, and a subnormal line
+coefficient.
 
 A child still running after ``CHILD_TIMEOUT_S`` is killed and stops the
 tool, so a checkout that hangs cannot stall the comparison.
@@ -48,6 +50,43 @@ CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 CHILD_TIMEOUT_S = 600
 
 
+#: an operator objective whose second derivatives overflow a float off the
+#: axes of its box: the sampled curvature check stops at an unknown verdict
+STEEP_GAME = """\
+[agents]
+names = u1, u2
+
+[costs]
+u1 = "u1^2 - u1*u2"
+u2 = "u2^2 - u1*u2"
+
+[operator]
+J = "u1^2 + u2^2 + u1^100*u2^100"
+
+[bounds]
+u1 = [-1000, 1000]
+u2 = [-1000, 1000]
+
+[incentive]
+kind = vcg
+mode = anticipatory
+"""
+
+#: u1's quartic coefficient is subnormal as a float, so its line plans
+#: carry a top coefficient that the root finder passes over
+SUBNORMAL_GAME = """\
+[agents]
+names = u1, u2
+
+[costs]
+u1 = "u1^4/10^320 + u1^2 + u1*u2/4"
+u2 = "(u2 + 1)^2"
+
+[operator]
+J = "u1^2 + u2^2"
+"""
+
+
 def build_requests(seeds: list[int], out: Path) -> list[dict]:
     """Every distinct request ({key, argv}) of every workload and seed."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -69,7 +108,10 @@ def build_requests(seeds: list[int], out: Path) -> list[dict]:
 
 def front_end_requests(out: Path) -> list[dict]:
     """Requests on the bundled games that take the text renderers of the
-    equilibrium and oracle reports, and the error paths."""
+    equilibrium and oracle reports, and the error paths; and requests on
+    three small games for the paths between: a cost whose float power
+    overflows (Newton's re-check of a non-finite row), sampled curvature
+    that overflows, and a line with a subnormal top coefficient."""
     games = sorted((ROOT / "games").glob("*.game"))
     argvs = [argv for game in games
              for argv in (["equilibrium", str(game)],
@@ -78,6 +120,14 @@ def front_end_requests(out: Path) -> list[dict]:
     text = example.read_text()
     bare = out / "no_incentive.game"
     bare.write_text(text[:text.index("[incentive]")])
+    power = out / "power.game"
+    power.write_text(bare.read_text().replace(
+        '"u1^2 - 2*u1*u2"', '"u1^2 + u1^40"').replace(
+        "u1 = [-2, 2]", "u1 = [-10^10, 10^10]"))
+    steep = out / "steep.game"
+    steep.write_text(STEEP_GAME)
+    subnormal = out / "subnormal.game"
+    subnormal.write_text(SUBNORMAL_GAME)
     argvs += [
         ["equilibrium", str(example), "--scenario", "nowhere"],
         ["equilibrium", str(example), "--scenario", "optout:u9"],
@@ -85,6 +135,11 @@ def front_end_requests(out: Path) -> list[dict]:
         ["oracle", str(example), "--grid", "10001"],
         ["equilibrium", str(bare), "--scenario", "incentive"],
         ["audit", str(out / "missing.game")],
+        ["audit", str(power)],
+        ["equilibrium", str(power)],
+        ["oracle", str(power)],
+        ["audit", str(steep), "--format", "structured"],
+        ["equilibrium", str(subnormal)],
     ]
     return [{"key": "front end: " + " ".join(
         Path(a).name if a.endswith(".game") else a for a in argv),
