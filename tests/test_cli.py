@@ -315,12 +315,13 @@ class TestLongLiterals:
         code, out, err = run(capsys, command, str(path))
         assert (code, out) == (3, "")
         assert err == ("error: cannot print an exact value: its numerator or "
-                       f"denominator has more than "
+                       "denominator has more than "
                        f"{sys.get_int_max_str_digits()} digits\n")
 
     @pytest.mark.parametrize("command", ["audit", "equilibrium", "oracle"])
     def test_empty_interval_past_digit_limit_exits_2(self, capsys, tmp_path,
                                                      command):
+        # a legal literal whose Fraction str() refuses past the digit limit
         path = tmp_path / "empty.game"
         tiny = "0." + "0" * 4299 + "1"
         path.write_text((GAMES_DIR / "example1.game").read_text().replace(

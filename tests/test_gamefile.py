@@ -321,17 +321,12 @@ class TestErrorLocation:
             f"[bounds] a (line 13): bad number {LONG[:40] + '…'!r}: "
             f"{TOO_LONG} (at column 1)")
 
-    @pytest.mark.parametrize("bound, echo", [
-        ("[2, 0.5]", "[2, 0.5]"),
-        # a legal literal whose Fraction str() refuses past the digit limit
-        ("[1, 0." + "0" * 4299 + "1]", "[1, 0." + "0" * 38 + "…]"),
-    ], ids=["as-written", "past-digit-limit"])
-    def test_empty_interval_echoes_literals(self, tmp_path, bound, echo):
-        text = GOOD + f"\n[bounds]\na = {bound}\n"
+    def test_empty_interval_echoes_bounds_as_written(self, tmp_path):
+        text = GOOD + "\n[bounds]\na = [2, 0.5]\n"
         with pytest.raises(GameFileError) as err:
             load_game_file(_write(tmp_path, text))
         assert str(err.value).endswith(
-            f"[bounds] a (line 13): empty interval {echo}")
+            "[bounds] a (line 13): empty interval [2, 0.5]")
 
     def test_long_trailing_literal_is_cut(self, tmp_path):
         text = GOOD + f"\n[bounds]\na = [-2, 1 {LONG}]\n"
