@@ -145,33 +145,25 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({self.terms!r})"
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Polynomial(out)
-
     def __neg__(self) -> "Polynomial":
         return Polynomial({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _merge_monomials(m1, m2)
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return Polynomial(out)
+        return _owned(_times(self.terms, other.terms))
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        result = Polynomial.constant(1)
-        base = self
-        k = exponent
-        while k > 0:
+        """Binary powering that squares no further than the exponent's top
+        bit and never multiplies by 1; a new Polynomial, as ``*`` gives."""
+        result, base, k = None, self, exponent
+        while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        if result is None:
+            return Polynomial.constant(1)
+        return Polynomial(result.terms) if result is self else result
 
     def variables(self) -> frozenset[int]:
         out: set[int] = set()
@@ -281,10 +273,44 @@ def _line_plan(e: Expression, i: int) -> LinePlan:
 
 
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
+    if not a:
+        return b
+    if not b:
+        return a
     exps: dict[int, int] = dict(a)
     for idx, e in b:
         exps[idx] = exps.get(idx, 0) + e
-    return tuple(sorted((i, e) for i, e in exps.items() if e > 0))
+    return tuple(sorted(exps.items()))
+
+
+def _owned(terms: dict[Monomial, Fraction]) -> Polynomial:
+    """A Polynomial of ``terms``, which hold no zero and are not copied."""
+    p = Polynomial.__new__(Polynomial)
+    p.terms = terms
+    return p
+
+
+def _times(a: dict[Monomial, Fraction], b: dict[Monomial, Fraction]
+           ) -> dict[Monomial, Fraction]:
+    """The terms of the product, in the order of the pairwise loop over
+    ``a`` then ``b``; a monomial that cancels keeps no entry."""
+    if len(b) == 1:
+        (m2, c2), = b.items()
+        if not m2:
+            return {m1: c1 * c2 for m1, c1 in a.items()}
+        return {_merge_monomials(m1, m2): c1 * c2 for m1, c1 in a.items()}
+    if len(a) == 1:
+        (m1, c1), = a.items()
+        if not m1:
+            return {m2: c1 * c2 for m2, c2 in b.items()}
+        return {_merge_monomials(m1, m2): c1 * c2 for m2, c2 in b.items()}
+    out: dict[Monomial, Fraction] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = _merge_monomials(m1, m2)
+            c = out.get(mono)
+            out[mono] = c1 * c2 if c is None else c + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def as_polynomial(e: Expression) -> Optional[Polynomial]:
@@ -298,20 +324,38 @@ def as_polynomial(e: Expression) -> Optional[Polynomial]:
 
 
 def _expand(e: Expression) -> Optional[Polynomial]:
-    # every operator builds a new Polynomial: no cached child form changes
+    # each node builds its own terms dict; no cached child form changes
     if isinstance(e, Const):
         return Polynomial.constant(e.value)
     if isinstance(e, Var):
         return Polynomial.variable(e.index)
-    if isinstance(e, (Sum, Product)):
-        total = Polynomial() if isinstance(e, Sum) else Polynomial.constant(1)
-        for c in children(e):
+    if isinstance(e, Sum):
+        terms: dict[Monomial, Fraction] = {}
+        for c in e.terms:
             p = as_polynomial(c)
             if p is None:
                 return None
-            total = total + p if isinstance(e, Sum) else total * p
-        return total
+            for mono, coeff in p.terms.items():
+                total = terms.get(mono)
+                if total is not None:
+                    coeff = total + coeff
+                    if not coeff:
+                        # a later term of this monomial goes to the end
+                        del terms[mono]
+                        continue
+                terms[mono] = coeff
+        return _owned(terms)
+    if isinstance(e, Product):
+        terms = {(): Fraction(1)}
+        for i, c in enumerate(e.factors):
+            p = as_polynomial(c)
+            if p is None:
+                return None
+            terms = dict(p.terms) if i == 0 else _times(terms, p.terms)
+        return _owned(terms)
     if isinstance(e, Power):
+        if isinstance(e.base, Var) and e.exponent:
+            return _owned({((e.base.index, e.exponent),): Fraction(1)})
         p = as_polynomial(e.base)
         return None if p is None else p**e.exponent
     if isinstance(e, Neg):

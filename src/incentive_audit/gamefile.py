@@ -1,8 +1,7 @@
 """Declarative game files: INI-style sections describing a scenario.
 
 Format (UTF-8 text, a byte-order mark allowed; expressions may be
-double-quoted; `#` starts a comment; a key is set with `=` or `:`; any other
-section or key, `[DEFAULT]` included, is refused):
+double-quoted; any other section or key, `[DEFAULT]` included, is refused):
 
     [agents]
     names = u1, u2
@@ -28,11 +27,23 @@ section or key, `[DEFAULT]` included, is refused):
     [solver]            # optional, the two SolverConfig fields
     grid_points_per_axis = 201
     tol = 1e-9
+
+Lines (:func:`_read`, the INI subset of Python's standard reader with
+inline `#` comments, no interpolation and no default section):
+
+- a line whose first non-blank character is `#` or `;` is a comment, and
+  so is the rest of any line from a `#` at its start or after whitespace;
+- `[name]` opens a section (text after the last `]` is ignored);
+- `key = value` or `key: value` sets a key, split at the first `=` or
+  `:`, both sides stripped;
+- a line indented deeper than its key's line continues the value, joined
+  by a newline; a blank line inside a value is kept, trailing ones are not;
+- a section or a key given twice, a key before the first section, and any
+  other line are refused with their line.
 """
 
 from __future__ import annotations
 
-import configparser
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -84,21 +95,85 @@ def _has_huge_constant(e: Expression) -> bool:
     return any(map(_has_huge_constant, children(e)))
 
 
-def _line_of(text: str, section: str, key: Optional[str] = None
-             ) -> Optional[int]:
-    """The line of ``key = ...`` or ``key: ...`` in ``[section]``, or of the
-    section's header when ``key`` is None."""
-    in_section = False
-    key_re = re.compile(rf"^\s*{re.escape(key or '')}\s*[=:]")
-    for lineno, line in enumerate(text.splitlines(), 1):
-        # drop an inline comment first, as configparser does
-        header = configparser.ConfigParser.SECTCRE.match(
-            re.split(r"\s#", line)[0].strip())
-        if header:
-            in_section = header.group("header") == section
-        if in_section and (header if key is None else key_re.match(line)):
-            return lineno
-    return None
+#: a bound written as a short plain decimal is its Fraction: Fraction reads
+#: it as the parser does, and it is far inside the float range
+_PLAIN_DECIMAL = re.compile(r"-?[0-9]{1,16}(?:\.[0-9]{1,16})?")
+
+#: a key line is split at its first `=` or `:`
+_DELIMITER = re.compile("[=:]")
+
+def _decode(data: bytes, path: str) -> str:
+    """``data`` as UTF-8 text, a byte-order mark dropped, with line ends as
+    text mode reads them."""
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the bad byte is neither \r nor \n, so it ends the last line
+        line = len(exc.object[:exc.start + 1].splitlines())
+        raise GameFileError(
+            f"{path}: line {line}: byte {exc.object[exc.start]:#04x} is not "
+            "UTF-8") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _uncommented(line: str) -> str:
+    """``line`` up to its first `#` at the start or after whitespace."""
+    at = line.find("#")
+    while at > 0 and not line[at - 1].isspace():
+        at = line.find("#", at + 1)
+    return line if at < 0 else line[:at]
+
+
+def _read(text: str, path: str
+          ) -> tuple[dict[str, dict[str, str]], dict[tuple, int]]:
+    """The sections of ``text`` (section -> key -> value), and the line of
+    each header, under (section, None), and of each key, under (section,
+    key)."""
+    sections: dict[str, dict[str, list[str]]] = {}
+    lines: dict[tuple, int] = {}
+    values: Optional[dict[str, list[str]]] = None
+    section = key = None
+    indent = 0
+    for lineno, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped:
+            if key is not None:
+                values[key].append("")
+            continue
+        if stripped[0] in "#;":
+            continue
+        content = _uncommented(line).strip()
+        level = len(line) - len(line.lstrip())
+        if key is not None and level > indent:
+            values[key].append(content)
+            continue
+        indent = level
+        end = content.rfind("]")
+        if content[0] == "[" and end > 1:
+            section, key = content[1:end], None
+            if section in sections:
+                raise GameFileError(
+                    f"{path}: [{section}] (line {lineno}): duplicate section "
+                    f"(first at line {lines[section, None]})")
+            values = sections[section] = {}
+            lines[section, None] = lineno
+            continue
+        if values is None:
+            raise GameFileError(f"{path}: line {lineno}: "
+                                f"{excerpt(content)!r} is before any [section]")
+        delimiter = _DELIMITER.search(content)
+        key = content[:delimiter.start()].rstrip() if delimiter else ""
+        if not key:
+            raise GameFileError(f"{path}: line {lineno}: not a [section] or "
+                                f"key = value line: {excerpt(content)!r}")
+        if key in values:
+            raise GameFileError(
+                f"{path}: [{section}] {key} (line {lineno}): duplicate key "
+                f"(first at line {lines[section, key]})")
+        values[key] = [content[delimiter.end():].strip()]
+        lines[section, key] = lineno
+    return ({name: {k: "\n".join(v).rstrip() for k, v in keys.items()}
+             for name, keys in sections.items()}, lines)
 
 
 class _Loader:
@@ -108,40 +183,21 @@ class _Loader:
             data = Path(path).read_bytes()
         except OSError as exc:
             raise GameFileError(f"{path}: {exc}") from exc
-        try:
-            text = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            # the bad byte is neither \r nor \n, so it ends the last line
-            line = len(exc.object[:exc.start + 1].splitlines())
-            raise GameFileError(
-                f"{self.path}: line {line}: byte "
-                f"{exc.object[exc.start]:#04x} is not UTF-8") from exc
-        # line ends as text mode reads them
-        self.text = text.replace("\r\n", "\n").replace("\r", "\n")
-        # no header can spell the empty default section, so [DEFAULT] is
-        # refused as an unknown section, not copied into every section
-        self.cp = configparser.ConfigParser(
-            interpolation=None, inline_comment_prefixes=("#",),
-            default_section="")
-        self.cp.optionxform = str
-        try:
-            self.cp.read_string(self.text, source=self.path)
-        except configparser.Error as exc:
-            raise GameFileError(f"{self.path}: {exc}") from exc
+        self.sections, self.lines = _read(_decode(data, self.path), self.path)
 
     def fail(self, section: str, key: Optional[str], message: str,
              column: Optional[int] = None) -> GameFileError:
         where = f"{self.path}: [{section}]"
         if key is not None:
             where += f" {key}"
-            line = _line_of(self.text, section, key)
+            line = self.lines.get((section, key))
             if line is not None:
                 where += f" (line {line}"
                 where += f", column {column})" if column is not None else ")"
         return GameFileError(f"{where}: {message}")
 
     def expression(self, section: str, key: str, names: list[str]) -> Expression:
-        raw = _unquote(self.cp.get(section, key))
+        raw = _unquote(self.sections[section][key])
         try:
             e = parse(raw, names)
         except ParseError as exc:
@@ -152,10 +208,10 @@ class _Loader:
         return e
 
     def load(self) -> GameSpec:
-        cp = self.cp
-        if not cp.has_section("agents") or not cp.has_option("agents", "names"):
+        if "names" not in self.sections.get("agents", {}):
             raise self.fail("agents", None, "missing [agents] names = ...")
-        names = [n.strip() for n in cp.get("agents", "names").split(",")]
+        names = [n.strip()
+                 for n in self.sections["agents"]["names"].split(",")]
         if len(names) < 2:
             raise self.fail("agents", "names", "at least two agents required")
         for n in names:
@@ -168,27 +224,26 @@ class _Loader:
         if len(set(names)) != len(names):
             raise self.fail("agents", "names", "duplicate agent names")
 
-        if not cp.has_section("costs"):
+        if "costs" not in self.sections:
             raise self.fail("costs", None, "missing [costs] section")
         costs = []
         for n in names:
-            if not cp.has_option("costs", n):
+            if n not in self.sections["costs"]:
                 raise self.fail("costs", n, "missing cost expression")
             costs.append(self.expression("costs", n, names))
-        for key in cp.options("costs"):
+        for key in self.sections["costs"]:
             if key not in names:
                 raise self.fail("costs", key, "not a declared agent")
 
-        if not cp.has_section("operator") or not cp.has_option("operator", "J"):
+        if "J" not in self.sections.get("operator", {}):
             raise self.fail("operator", None, "missing [operator] J = ...")
         operator = self.expression("operator", "J", names)
 
         bounds = [None] * len(names)
-        if cp.has_section("bounds"):
-            for key in cp.options("bounds"):
-                if key not in names:
-                    raise self.fail("bounds", key, "not a declared agent")
-                bounds[names.index(key)] = self._interval("bounds", key)
+        for key in self.sections.get("bounds", {}):
+            if key not in names:
+                raise self.fail("bounds", key, "not a declared agent")
+            bounds[names.index(key)] = self._interval("bounds", key)
         bounds = tuple(b if b is not None else DEFAULT_BOUND for b in bounds)
 
         game = Game(n=len(names), agent_costs=tuple(costs),
@@ -201,7 +256,7 @@ class _Loader:
                         solver=solver)
 
     def _interval(self, section: str, key: str) -> tuple[Fraction, Fraction]:
-        raw = _unquote(self.cp.get(section, key)).strip()
+        raw = _unquote(self.sections[section][key]).strip()
         if not (raw.startswith("[") and raw.endswith("]")):
             raise self.fail(section, key, "expected an interval like [-2, 2]")
         parts = raw[1:-1].split(",")
@@ -215,6 +270,8 @@ class _Loader:
         return lo, hi
 
     def _number(self, section: str, key: str, text: str) -> Fraction:
+        if _PLAIN_DECIMAL.fullmatch(text):
+            return Fraction(text)
         try:
             e = parse(text, [])
         except ParseError as exc:
@@ -230,19 +287,19 @@ class _Loader:
 
     def _incentive(self, names: list[str]
                    ) -> tuple[Optional[IncentiveScheme], Optional[Expression]]:
-        cp = self.cp
-        if not cp.has_section("incentive"):
+        if "incentive" not in self.sections:
             return None, None
-        if not cp.has_option("incentive", "kind"):
+        entries = self.sections["incentive"]
+        if "kind" not in entries:
             raise self.fail("incentive", None, "missing kind = ...")
-        kind = _unquote(cp.get("incentive", "kind")).lower()
+        kind = _unquote(entries["kind"]).lower()
         if kind not in (PROPORTIONAL, VCG, CUSTOM):
             raise self.fail("incentive", "kind",
                             f"unknown kind {excerpt(kind)!r} (expected "
                             "proportional, vcg, or custom)")
         mode = ANTICIPATORY
-        if cp.has_option("incentive", "mode"):
-            mode = _unquote(cp.get("incentive", "mode")).lower()
+        if "mode" in entries:
+            mode = _unquote(entries["mode"]).lower()
             if mode not in (ANTICIPATORY, NON_ANTICIPATORY):
                 raise self.fail("incentive", "mode",
                                 f"unknown mode {excerpt(mode)!r}")
@@ -251,19 +308,19 @@ class _Loader:
             exprs = []
             for n in names:
                 key = f"t.{n}"
-                if not cp.has_option("incentive", key):
+                if key not in entries:
                     raise self.fail("incentive", key,
                                     "custom scheme needs one t.<agent> per agent")
                 exprs.append(self.expression("incentive", key, names))
             expressions = tuple(exprs)
         else:
-            for key in cp.options("incentive"):
+            for key in entries:
                 if key.startswith("t."):
                     raise self.fail("incentive", key,
                                     f"t.<agent> entries only apply to "
                                     f"kind = custom, not {kind}")
         declared_base = None
-        if cp.has_option("incentive", "separable_base"):
+        if "separable_base" in entries:
             declared_base = self.expression("incentive", "separable_base", names)
         scheme = IncentiveScheme(kind, mode, expressions)
         return scheme, declared_base
@@ -277,28 +334,27 @@ class _Loader:
         known = {"agents": ("names",), "operator": ("J",),
                  "incentive": ("kind", "mode", "separable_base",
                                *(f"t.{n}" for n in names if custom))}
-        for section in self.cp.sections():
+        for section, entries in self.sections.items():
             if section not in _SECTIONS:
-                line = _line_of(self.text, section)
-                where = f" (line {line})" if line is not None else ""
                 raise GameFileError(
-                    f"{self.path}: [{section}]{where}: unknown section "
+                    f"{self.path}: [{section}] (line "
+                    f"{self.lines[section, None]}): unknown section "
                     f"(known sections: {', '.join(_SECTIONS)})")
-            for key in self.cp.options(section):
+            for key in entries:
                 if key not in known.get(section, (key,)):
                     raise self.fail(section, key, "unknown key (known keys: "
                                     f"{', '.join(known[section])})")
 
     def _solver(self) -> SolverConfig:
         cfg = SolverConfig()
-        if not self.cp.has_section("solver"):
+        if "solver" not in self.sections:
             return cfg
         types = {f.name: type(f.default) for f in fields(SolverConfig)}
         overrides = {}
-        for key in self.cp.options("solver"):
+        for key, value in self.sections["solver"].items():
             if key not in types:
                 raise self.fail("solver", key, "unknown solver option")
-            raw = _unquote(self.cp.get("solver", key))
+            raw = _unquote(value)
             try:
                 overrides[key] = types[key](raw)
             except ValueError as exc:

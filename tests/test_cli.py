@@ -418,6 +418,17 @@ class TestMissingFile:
         assert code == 2
 
 
+def test_long_stray_line_is_one_short_error(capsys, tmp_path):
+    # before, the whole line was echoed on a second line (5 075 bytes)
+    path = tmp_path / "long.game"
+    path.write_text((GAMES_DIR / "example1.game").read_text() + "\n"
+                    + "x" * 5000 + "\n")
+    code, out, err = run(capsys, "audit", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: {path}: line 25: not a [section] or key = value "
+                   f"line: {'x' * 40 + '…'!r}\n")
+
+
 # an operator minimum on the box edge: u2 = 20 lies outside [-10, 10]
 EDGE_OPTIMUM = """
 [agents]

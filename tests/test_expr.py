@@ -1,8 +1,10 @@
 """Expression AST, parser, calculus, and structure analysis."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from incentive_audit.expr import (
     Abs,
@@ -13,6 +15,7 @@ from incentive_audit.expr import (
     Product,
     SafeDiv,
     Sum,
+    Var,
     NonDifferentiableError,
     ParseError,
     UnknownVariable,
@@ -37,6 +40,7 @@ from incentive_audit.expr import (
     var,
 )
 from incentive_audit.expr import polynomial
+from incentive_audit.expr.polynomial import Polynomial
 from incentive_audit.solve.oracle import FLOAT_SAFE_BOUND
 
 NAMES = ["u1", "u2"]
@@ -260,6 +264,130 @@ class TestExpand:
         # the shared subtree's cached form was not changed by its users
         assert as_polynomial(shared) == as_polynomial(
             parse("(u1 - u2)^3", NAMES))
+
+
+def _pairwise_merge(a, b):
+    exps = dict(a)
+    for idx, e in b:
+        exps[idx] = exps.get(idx, 0) + e
+    return tuple(sorted((i, e) for i, e in exps.items() if e > 0))
+
+
+def _pairwise_add(a, b):
+    out = dict(a)
+    for mono, coeff in b.items():
+        out[mono] = out.get(mono, Fraction(0)) + coeff
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _pairwise_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = _pairwise_merge(m1, m2)
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _pairwise_pow(p, k):
+    result, base = {(): Fraction(1)}, p
+    while k > 0:
+        if k & 1:
+            result = _pairwise_mul(result, base)
+        base = _pairwise_mul(base, base)
+        k >>= 1
+    return result
+
+
+def _pairwise(e):
+    """The terms of ``e`` as expansion built them before: a sum or product
+    folded child by child, one new dict per step, and powers from 1."""
+    if isinstance(e, Const):
+        return {(): e.value} if e.value else {}
+    if isinstance(e, Var):
+        return {((e.index, 1),): Fraction(1)}
+    if isinstance(e, (Sum, Product)):
+        total = {} if isinstance(e, Sum) else {(): Fraction(1)}
+        fold = _pairwise_add if isinstance(e, Sum) else _pairwise_mul
+        for c in children(e):
+            p = _pairwise(c)
+            if p is None:
+                return None
+            total = fold(total, p)
+        return total
+    if isinstance(e, Power):
+        p = _pairwise(e.base)
+        return None if p is None else _pairwise_pow(p, e.exponent)
+    if isinstance(e, Neg):
+        p = _pairwise(e.operand)
+        return None if p is None else {m: -c for m, c in p.items()}
+    return None
+
+
+#: trees built from the nodes directly: cancelling sums, zero constants,
+#: one-child sums and products, powers 0 and 1, powers of sums
+_leaves = st.one_of(
+    st.builds(Var, st.integers(0, 2)),
+    st.builds(Const, st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                                      Fraction(1, 2), Fraction(-3, 7)])))
+_trees = st.recursive(_leaves, lambda sub: st.one_of(
+    st.builds(lambda t: Sum(tuple(t)), st.lists(sub, min_size=1, max_size=4)),
+    st.builds(lambda t: Product(tuple(t)),
+              st.lists(sub, min_size=1, max_size=3)),
+    st.builds(Power, sub, st.integers(0, 3)),
+    st.builds(Neg, sub),
+    st.builds(lambda t, k: Power(Sum(tuple(t)), k),
+              st.lists(_leaves, min_size=2, max_size=3), st.integers(2, 6)),
+    st.builds(Abs, sub),
+), max_leaves=10)
+
+U1, U2 = Var(0), Var(1)
+
+
+class TestExpansionOrder:
+    """Expansion gives the terms the pairwise fold gave, in its order:
+    line plans and magnitude bounds fold floats in that order."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_trees)
+    @example(Sum((U1, Neg(U1), U1)))
+    @example(Sum((U1, U2, Neg(U1), Const(Fraction(0)), U1)))
+    @example(Product((Sum((U1, Const(Fraction(-1)))),
+                      Sum((U1, Const(Fraction(1)))))))
+    @example(Sum((Power(U1, 0), Power(Sum((U1, U2)), 1), Power(U2, 1))))
+    @example(Power(Sum((U1, Neg(U2), Const(Fraction(1)))), 5))
+    @example(Product((Const(Fraction(0)), U1)))
+    @example(Power(Abs(U1), 0))
+    def test_same_terms_in_the_same_order(self, e):
+        expected = _pairwise(e)
+        got = as_polynomial(e)
+        if expected is None:
+            assert got is None
+            return
+        assert list(got.terms.items()) == list(expected.items())
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+    def test_abs_anywhere_has_no_polynomial(self):
+        for e in (Sum((U1, Abs(U2))), Product((Abs(U1), U2)),
+                  Power(Abs(U1), 0), Neg(Abs(U1))):
+            assert as_polynomial(e) is None and _pairwise(e) is None
+
+    def test_power_squares_to_the_top_bit(self, monkeypatch):
+        # 40 = 0b101000: five squarings and one multiply (8 before: a
+        # multiply by 1 and a sixth squaring that nothing read)
+        squares = []
+        multiply = Polynomial.__mul__
+
+        def counted(a, b):
+            squares.append(a is b)
+            return multiply(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        p = as_polynomial(parse("(u1 + u2 + 1)^40", NAMES))
+        assert squares == [True] * 5 + [False]
+        assert len(p.terms) == 861
+        assert p.terms[((0, 20), (1, 20))] == Fraction(
+            math.factorial(40), math.factorial(20) ** 2)
 
 
 class TestMagnitudeBound:

@@ -1,9 +1,12 @@
 """Game-file parsing: the shipped examples and the failure modes."""
 
+import configparser
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from incentive_audit import gamefile
 from incentive_audit.audit import full_audit
 from incentive_audit.expr.parser import MAX_DEPTH
 from incentive_audit.game import ANTICIPATORY, NON_ANTICIPATORY
@@ -359,3 +362,136 @@ class TestNestingLimit:
         with pytest.raises(GameFileError, match=r"\[operator\] J \(line 10, "
                            rf"column {MAX_DEPTH + 1}\): {DEEP}"):
             load_game_file(_write(tmp_path, deeper))
+
+
+class TestLineErrors:
+    """A line the format refuses is named with its line, in one short
+    line of text."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("a = 1\n" + GOOD, "line 1: 'a = 1' is before any [section]"),
+        (GOOD + "\n[agents]\n", "[agents] (line 12): duplicate section "
+         "(first at line 2)"),
+        (GOOD + 'J: "b"\n', "[operator] J (line 11): duplicate key "
+         "(first at line 10)"),
+        (GOOD + "= 2\n", "line 11: not a [section] or key = value line: "
+         "'= 2'"),
+        (GOOD + "[]\n", "line 11: not a [section] or key = value line: "
+         "'[]'"),
+    ], ids=["missing-header", "duplicate-section", "duplicate-key",
+            "empty-key", "empty-header"])
+    def test_refused(self, tmp_path, text, message):
+        with pytest.raises(GameFileError) as err:
+            load_game_file(_write(tmp_path, text))
+        assert str(err.value).endswith("game.game: " + message)
+
+
+#: the standard reader as game files were read before, the reference
+def _configparser_sections(text):
+    cp = configparser.ConfigParser(interpolation=None,
+                                   inline_comment_prefixes=("#",),
+                                   default_section="")
+    cp.optionxform = str
+    cp.read_string(text)
+    return {name: dict(cp.items(name)) for name in cp.sections()}
+
+
+def _texts():
+    """Rows of a game-file-like text: sections of keys, continuation,
+    blank and comment lines, sometimes a stray line."""
+    space = st.sampled_from(["", " ", "  ", "\t", " \t "])
+    name = st.sampled_from(["a", "b", "costs", "a b", "a]", "[a", "x:y",
+                            "k=v", "#", ";", "é"])
+    text = st.sampled_from(["1", "u1^2 - u2", '"a # b"', "x#y", "a ; b",
+                            "p = q", "r: s", "[c]", "", " ", "é",
+                            "x\xa0#y", "x\x0c# y"])
+    comment = st.sampled_from(["", "", " # note", "\t#", " #[x]", "#glued",
+                               " ;not a comment"])
+    delimiter = st.sampled_from(["=", ":", " = ", ": ", " :", "=="])
+    header = st.builds(lambda s, n, tail, c: f"{s}[{n}]{tail}{c}", space,
+                       name, st.sampled_from(["", "", "]", " x", " ]"]),
+                       comment)
+    key = st.builds(lambda s, k, d, v, c: f"{s}{k}{d}{v}{c}", space,
+                    st.sampled_from(["a", "b", "t.a", "K", "a b", "é"]),
+                    delimiter, text, comment)
+    continuation = st.builds(lambda s, v, c: f"{s}{v}{c}",
+                             st.sampled_from([" ", "  ", "\t", "    "]),
+                             text, comment)
+    blank = st.sampled_from(["", " ", "\t", "\x0c"])
+    full_comment = st.builds(lambda s, p, v: f"{s}{p}{v}", space,
+                             st.sampled_from(["#", ";"]), text)
+    stray = st.sampled_from(["x", "[", "]", "[]", "= v", ": v", "x #",
+                            "key", " [a]"])
+    body = st.lists(st.one_of(key, key, continuation, blank, full_comment),
+                    max_size=5)
+    sections = st.lists(st.tuples(header, body), max_size=4)
+    preamble = st.lists(st.one_of(blank, full_comment), max_size=2)
+    insert = st.one_of(st.none(), st.none(),
+                       st.tuples(st.integers(0, 24), stray))
+
+    def rows(pre, secs, extra):
+        out = pre + [row for head, lines in secs for row in [head, *lines]]
+        if extra is not None:
+            out.insert(extra[0], extra[1])
+        return out
+
+    return st.builds(rows, preamble, sections, insert)
+
+
+def _read_both(data):
+    """The sections configparser reads from ``data`` as game files were
+    decoded before, or None if it refuses them; and the same from
+    ``gamefile._read``."""
+    text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        expected = _configparser_sections(text)
+    except configparser.Error:
+        expected = None
+    try:
+        got, lines = gamefile._read(gamefile._decode(data, "g"), "g")
+    except GameFileError:
+        return expected, None, None
+    return expected, got, lines
+
+
+def _check_lines(data, got, lines):
+    """Every header and key is found on the line recorded for it."""
+    rows = gamefile._decode(data, "g").split("\n")
+    for section, keys in got.items():
+        assert rows[lines[section, None] - 1].strip().startswith(
+            f"[{section}]")
+        for key in keys:
+            assert rows[lines[section, key] - 1].strip().startswith(key)
+
+
+class TestReader:
+    """The reader accepts exactly the texts configparser, configured as
+    game files were read before, accepts, with the same values."""
+
+    @pytest.mark.parametrize("path", sorted(GAMES_DIR.glob("*.game")),
+                             ids=lambda p: p.stem)
+    def test_bundled_games(self, path):
+        expected, got, lines = _read_both(path.read_bytes())
+        assert expected is not None and got == expected
+        _check_lines(path.read_bytes(), got, lines)
+
+    @settings(max_examples=600, deadline=None)
+    @given(_texts(),
+           st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+    @example(["[a]", "k = 1", "  more", "", "  after blank", "", ""], "\n",
+             False)
+    @example(["[a] # c", "k: v # c", "; c", "  # c", "j = x#y"], "\r\n",
+             True)
+    @example(["[a]", "k = 1", "[a]"], "\n", False)
+    @example(["[a]", "k = 1", "k = 2"], "\r", False)
+    @example(["k = 1"], "\n", True)
+    @example(["[a]", "k = 1", "x"], "\n", False)
+    def test_same_sections_as_configparser(self, rows, newline, bom):
+        data = (b"\xef\xbb\xbf" if bom else b"") + newline.join(rows).encode()
+        expected, got, lines = _read_both(data)
+        assert got == expected
+        if got is not None:
+            assert [list(keys.items()) for keys in got.values()] \
+                == [list(keys.items()) for keys in expected.values()]
+            assert list(got) == list(expected)
+            _check_lines(data, got, lines)

@@ -14,8 +14,8 @@ the workloads issue them, through the checkout's own ``perfbench/loop.py``
 requests follows, for the paths no workload takes: the text reports of
 ``equilibrium`` and ``oracle`` on the bundled games, requests that fail
 with a usage, game-file or size error, a float overflow in each command,
-a sampled curvature check that overflows, and a subnormal line
-coefficient.
+a sampled curvature check that overflows, a subnormal line
+coefficient, and example1 in the rarer forms of the game-file syntax.
 
 A child still running after ``CHILD_TIMEOUT_S`` is killed and stops the
 tool, so a checkout that hangs cannot stall the comparison.
@@ -86,6 +86,36 @@ u2 = "(u2 + 1)^2"
 J = "u1^2 + u2^2"
 """
 
+#: example1 in the rarer forms of the game-file syntax: `key: value`, a
+#: full-line `;` comment, comments after a header and after a value, an
+#: indented continuation line inside an expression and a blank line inside
+#: a value
+SYNTAX_GAME = """\
+; two coupled agents and a hand-tuned incentive pair
+[agents]  # who plays
+names: u1, u2
+
+[costs]
+u1 = "u1^2
+    - 2*u1*u2"
+u2: "u1*u2 - u2"   # linear in u2
+
+[operator]
+J = "(u1 - 3/4)^2
+
+     + (u2 - 2)^2"
+
+[bounds]
+u1 = [-2, 2]
+u2 = [-2, 2]
+
+[incentive]
+kind = custom   # t.u1 and t.u2 below
+mode: anticipatory
+t.u1 = "u1^2"
+t.u2 = "-1/2"
+"""
+
 
 def build_requests(seeds: list[int], out: Path) -> list[dict]:
     """Every distinct request ({key, argv}) of every workload and seed."""
@@ -111,7 +141,9 @@ def front_end_requests(out: Path) -> list[dict]:
     equilibrium and oracle reports, and the error paths; and requests on
     three small games for the paths between: a cost whose float power
     overflows (Newton's re-check of a non-finite row), sampled curvature
-    that overflows, and a line with a subnormal top coefficient."""
+    that overflows, and a line with a subnormal top coefficient; and
+    example1 written in the rarer forms of the game-file syntax, and with
+    CRLF line ends and a byte-order mark."""
     games = sorted((ROOT / "games").glob("*.game"))
     argvs = [argv for game in games
              for argv in (["equilibrium", str(game)],
@@ -128,6 +160,11 @@ def front_end_requests(out: Path) -> list[dict]:
     steep.write_text(STEEP_GAME)
     subnormal = out / "subnormal.game"
     subnormal.write_text(SUBNORMAL_GAME)
+    syntax = out / "syntax.game"
+    syntax.write_text(SYNTAX_GAME)
+    crlf_bom = out / "crlf_bom.game"
+    crlf_bom.write_bytes(b"\xef\xbb\xbf" + example.read_bytes().replace(
+        b"\n", b"\r\n"))
     argvs += [
         ["equilibrium", str(example), "--scenario", "nowhere"],
         ["equilibrium", str(example), "--scenario", "optout:u9"],
@@ -140,6 +177,10 @@ def front_end_requests(out: Path) -> list[dict]:
         ["oracle", str(power)],
         ["audit", str(steep), "--format", "structured"],
         ["equilibrium", str(subnormal)],
+        ["audit", str(syntax)],
+        ["audit", str(syntax), "--format", "structured"],
+        ["equilibrium", str(crlf_bom), "--scenario", "incentive"],
+        ["audit", str(crlf_bom), "--format", "structured"],
     ]
     return [{"key": "front end: " + " ".join(
         Path(a).name if a.endswith(".game") else a for a in argv),
