@@ -153,8 +153,8 @@ def _read(text: str, path: str
             section, key = content[1:end], None
             if section in sections:
                 raise GameFileError(
-                    f"{path}: [{section}] (line {lineno}): duplicate section "
-                    f"(first at line {lines[section, None]})")
+                    f"{path}: [{excerpt(section)}] (line {lineno}): duplicate "
+                    f"section (first at line {lines[section, None]})")
             values = sections[section] = {}
             lines[section, None] = lineno
             continue
@@ -168,8 +168,9 @@ def _read(text: str, path: str
                                 f"key = value line: {excerpt(content)!r}")
         if key in values:
             raise GameFileError(
-                f"{path}: [{section}] {key} (line {lineno}): duplicate key "
-                f"(first at line {lines[section, key]})")
+                f"{path}: [{excerpt(section)}] {excerpt(key)} (line "
+                f"{lineno}): duplicate key (first at line "
+                f"{lines[section, key]})")
         values[key] = [content[delimiter.end():].strip()]
         lines[section, key] = lineno
     return ({name: {k: "\n".join(v).rstrip() for k, v in keys.items()}
@@ -187,9 +188,9 @@ class _Loader:
 
     def fail(self, section: str, key: Optional[str], message: str,
              column: Optional[int] = None) -> GameFileError:
-        where = f"{self.path}: [{section}]"
+        where = f"{self.path}: [{excerpt(section)}]"
         if key is not None:
-            where += f" {key}"
+            where += f" {excerpt(key)}"
             line = self.lines.get((section, key))
             if line is not None:
                 where += f" (line {line}"
@@ -337,7 +338,7 @@ class _Loader:
         for section, entries in self.sections.items():
             if section not in _SECTIONS:
                 raise GameFileError(
-                    f"{self.path}: [{section}] (line "
+                    f"{self.path}: [{excerpt(section)}] (line "
                     f"{self.lines[section, None]}): unknown section "
                     f"(known sections: {', '.join(_SECTIONS)})")
             for key in entries:

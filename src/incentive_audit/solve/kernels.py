@@ -3,10 +3,13 @@
 ``poly_eval_at`` evaluates a polynomial at the cells that broadcasting
 index arrays pick from the grid; ``poly_grid_eval`` is its full-grid case.
 ``line_best`` reads a cost on lines along one axis: a ``Poly`` convex
-along it on a certified window of 2R+1 cells per line, anything else (and
-a line whose certificate fails) whole.  Each cell read is the same fold
-as in a full table, so results are the tables' bit for bit.  Other costs
-read on all lines are tabulated (``oracle.check_grid_size`` bounds them).
+along it on a certified window of ``WINDOW_CELLS`` cells per line when
+that costs less than whole lines, anything else (and a line whose
+certificate fails) whole.  A cost read on all lines, the first agent's
+in ``pure_nash_mask`` and the one in ``grid_argmin``, is tabulated unless
+windows cost less than its table (``_windowed`` counts both).  Each cell
+read is the same fold as in a full table, so results are the tables' bit
+for bit.  ``oracle.check_grid_size`` bounds the tables.
 """
 
 from __future__ import annotations
@@ -21,14 +24,17 @@ from .._lazy import np
 MASK_TOL_ABS = 1e-12
 MASK_TOL_REL = 1e-12
 
-#: a window is the 2R+1 cells of a line around its estimated minimizer
-WINDOW_RADIUS = 2
+#: a window is the cells f-1 .. f+2 of a line, f the grid point at or
+#: below its float vertex: both grid neighbours of the vertex and one more
+#: on each side, which certify it
+WINDOW_CELLS = 4
 
-#: shorter lines are read whole: a window cell costs several table cells.
-#: Measured (2-core VM, numpy 2.4.6): windows read 101-point lines about 3x
-#: faster than tables, but on 31-point 4-agent grids the first agent's
-#: filter went 5.55 -> 8.10 ms and the grid minimum 7.84 -> 12.56 ms
-WINDOW_MIN_POINTS = 8 * (2 * WINDOW_RADIUS + 1)
+#: one pass over a window's cells, in passes of a table's in-place add
+#: over as many cells.  Measured (2-core VM, numpy 2.4.6): a gather, a
+#: multiply and an add on the windows of all lines took 4.2 table adds
+#: together on a 31^4 grid (the gather about 2) and 3.5 on a 101^3 grid;
+#: the 31^4 ratio is taken, since only there is the choice close
+WINDOW_PASS_COST = 1.4
 
 
 class Poly(NamedTuple):
@@ -91,11 +97,32 @@ def _bar(line_min: np.ndarray) -> np.ndarray:
     return line_min + MASK_TOL_ABS + MASK_TOL_REL * np.abs(line_min)
 
 
-def _windowed(cost: np.ndarray | Poly, a: int,
-              axes: Sequence[np.ndarray]) -> bool:
-    """Whether ``line_best`` reads ``cost`` along axis ``a`` by windows."""
-    return (isinstance(cost, Poly) and a in cost.convex
-            and len(axes[a]) >= WINDOW_MIN_POINTS)
+def _full_terms(exps: np.ndarray) -> int:
+    """The terms that ``poly_eval_at`` folds into a full-size running sum:
+    those from the first after which the sum spans every axis, or the one
+    broadcast copy when it never does."""
+    spanned = np.logical_or.accumulate(exps > 0, axis=0).all(axis=1)
+    return max(1, int(spanned.sum()))
+
+
+def _windowed(cost: np.ndarray | Poly, a: int, axes: Sequence[np.ndarray],
+              table: bool) -> bool:
+    """Whether ``cost`` is read along axis ``a`` by windows rather than by
+    a full table (``table``) or by whole lines, whichever costs less.
+
+    Counted per line along ``a``, in cells times passes: a table folds
+    the line's points once per term it folds at full size, and a whole
+    line once per term.  A window folds its ``WINDOW_CELLS`` cells in
+    three passes per term in the action read (gather, multiply, add) and
+    in one per other term, whose factors are gathered per line and which
+    is only added; each pass weighs ``WINDOW_PASS_COST``."""
+    if not (isinstance(cost, Poly) and a in cost.convex):
+        return False
+    terms = len(cost.coeffs)
+    own = np.count_nonzero(cost.exps[:, a])
+    window = WINDOW_CELLS * WINDOW_PASS_COST * (terms + 2 * own)
+    other = _full_terms(cost.exps) if table else terms
+    return window < len(axes[a]) * other
 
 
 def _table(cost: np.ndarray | Poly, axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -120,28 +147,31 @@ def line_best(cost: np.ndarray | Poly, axes: Sequence[np.ndarray], a: int,
     index array per other axis), and their best-response cells (in no set
     order) as line numbers, indices along ``a`` and costs.
 
-    A window is 2R+1 cells around the grid point nearest the line's float
-    vertex -g1 / (2 g2), a guess; m is its minimum.  Each window end that
+    A window is the cells f-1 .. f+2, f the grid point at or below the
+    line's float vertex -g1 / (2 g2), a guess, moved inside the axis; m is
+    its minimum.  A vertex midway between two grid points has both in the
+    window, with a cell beyond each.  Each window end that
     is not an axis end must exceed ``_bar(m) + 2 * err``: the exact line is
     convex, so every cell beyond then exceeds ``_bar(m)`` in floats (half
     of ``err`` covers the fold, the rest the threshold's rounding), m is
     the line minimum and the window holds every best response.
     """
     points = len(axes[a])
-    if not _windowed(cost, a, axes):
+    if not _windowed(cost, a, axes, table=False):
         values = _read(cost, axes, a, lines, np.arange(points)[:, None])
         line_min = values.min(axis=0)
         pos, line = np.nonzero(values <= _bar(line_min))
         return line_min, line, pos, values[pos, line]
     coeffs, exps, err, _ = cost
-    own, r = exps[:, a], WINDOW_RADIUS
+    own = exps[:, a]
     slope = Poly(coeffs[own == 1], exps[own == 1] * (np.arange(len(axes)) != a))
     g1 = _read(slope, axes, a, lines, np.zeros((1, 1), dtype=np.intp))[0]
     lo, hi = axes[a][0], axes[a][-1]
     with np.errstate(all="ignore"):
         guess = (-g1 / (2.0 * coeffs[own == 2].sum()) - lo) / (hi - lo)
-    guess = np.clip(np.nan_to_num(guess * (points - 1)), r, points - 1 - r)
-    start, width = np.rint(guess).astype(np.intp) - r, 2 * r + 1
+    # clipped while a float, so that the cast sees only finite values
+    guess = np.clip(np.nan_to_num(guess * (points - 1)), 1, points - 3)
+    start, width = np.floor(guess).astype(np.intp) - 1, WINDOW_CELLS
     values = _read(cost, axes, a, lines, start + np.arange(width)[:, None])
     line_min = values.min(axis=0)
     bar = _bar(line_min)
@@ -168,7 +198,7 @@ def pure_nash_mask(costs: Sequence[np.ndarray | Poly],
     """
     shape = tuple(len(ax) for ax in axes)
     first, rest = costs[0], prod(shape[1:])
-    if _windowed(first, 0, axes):
+    if _windowed(first, 0, axes, table=True):
         lines = list(np.indices(shape[1:]).reshape(len(shape) - 1, rest))
         _, line, pos, _ = line_best(first, axes, 0, lines)
         flat = np.sort(pos * rest + line)
@@ -198,7 +228,8 @@ def grid_argmin(cost: np.ndarray | Poly, axes: Sequence[np.ndarray]
     """The first cell in C order that holds the grid minimum of ``cost``,
     and its value: ``np.argmin``'s choice on the full table."""
     shape = tuple(len(ax) for ax in axes)
-    a = next((a for a in range(len(axes)) if _windowed(cost, a, axes)), None)
+    a = next((a for a in range(len(axes))
+              if _windowed(cost, a, axes, table=True)), None)
     if a is None:
         table = _table(cost, axes)
         idx = np.unravel_index(int(np.argmin(table)), shape)

@@ -4,11 +4,13 @@ This is the independent cross-check for the analytic solvers: a profile
 of a dense cartesian grid counts as a grid equilibrium when no unilateral
 move along the grid strictly improves any agent.  A polynomial cost
 convex in the action read is read on a window of each line, certified to
-hold the line's minimum and best responses (else the line is read whole);
-other costs are tabulated, and a cost that is not a polynomial, or whose
-float evaluation might overflow on the box, is checked for non-finite
-cells.  Intended for small games (n <= 4); the per-axis resolution comes
-from SolverConfig.
+hold the line's minimum and best responses (else the line is read whole),
+where windows cost less than a table or whole lines; other costs are
+tabulated or read on whole lines, and a cost that is not a polynomial,
+or whose float evaluation might overflow on the box, is tabulated and
+checked for non-finite cells.
+Intended for small games (n <= 4); the per-axis resolution comes from
+SolverConfig.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ def check_grid_size(n: int, points: int) -> None:
     anything is allocated.
 
     The estimate is ``n * points**n`` float64 cells, one full table per
-    agent: an upper bound.  Own-convex games read windows of lines from
-    ``kernels.WINDOW_MIN_POINTS`` points per axis on, and build no table
-    there.  The message names the largest grid that fits the budget.
+    agent: an upper bound.  A cost convex in the action read builds no
+    table where windows of its lines cost less (``kernels._windowed``),
+    which on long lines is nearly always.  The message names the largest
+    grid that fits the budget.
     """
     if n > ORACLE_MAX_AGENTS:
         raise OracleDimensionError(

@@ -339,6 +339,33 @@ class TestErrorLocation:
             f"bad number {('1 ' + LONG)[:40] + '…'!r}: unexpected trailing "
             f"input {LONG[:40] + '…'!r} (at column 3)")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text + "\n[" + "y" * 5000 + "]\n",
+         f"[{'y' * 40}…] (line 25): unknown section (known sections: "
+         "agents, costs, operator, bounds, incentive, solver)"),
+        (lambda text: text.replace("[operator]\n",
+                                   "[operator]\n" + "y" * 5000 + " = 1\n"),
+         f"[operator] {'y' * 40}… (line 13): unknown key (known keys: J)"),
+        (lambda text: text.replace("[operator]\n",
+                                   "[operator]\n" + "y" * 40 + " = 1\n"),
+         f"[operator] {'y' * 40} (line 13): unknown key (known keys: J)"),
+        (lambda text: text + "\n[" + "y" * 5000 + "]\n[" + "y" * 5000 + "]\n",
+         f"[{'y' * 40}…] (line 26): duplicate section (first at line 25)"),
+        (lambda text: text + "y" * 5000 + " = 1\n" + "y" * 5000 + " = 2\n",
+         f"[incentive] {'y' * 40}… (line 25): duplicate key (first at line "
+         "24)"),
+    ], ids=["long-section", "long-key", "key-of-40", "long-duplicate-section",
+            "long-duplicate-key"])
+    def test_long_names_are_cut(self, capsys, tmp_path, edit, message):
+        # a section or key name is echoed up to its 40th character, on the
+        # one error line
+        from incentive_audit.cli import main
+
+        path = _write(tmp_path, edit((GAMES_DIR / "example1.game").read_text()))
+        assert main(["audit", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path}: {message}\n"
+
 
 def _nested_objective(depth):
     """An operator objective of ``depth`` nested parentheses."""

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from incentive_audit.expr import evaluate, parse
 from incentive_audit.expr.polynomial import Polynomial, as_polynomial
 from incentive_audit.solve import kernels
-from incentive_audit.solve.kernels import WINDOW_MIN_POINTS
 from incentive_audit.solve.oracle import _cost_source, eval_on_grid
 
 NAMES = ["u1", "u2"]
@@ -219,9 +218,9 @@ _COUPLING = [Fraction(-1), Fraction(1, 2), Fraction(1, 4), Fraction(-3),
 
 @st.composite
 def own_convex_games(draw):
-    """(bounds, axes, costs): 2-4 agents with 3-121 points per axis, each
-    cost a Polynomial of degree <= 2 in its own action with a nonnegative
-    exact square coefficient.
+    """(bounds, axes, costs): 2-4 agents with 3-121 points per axis (3-7
+    about half the time), each cost a Polynomial of degree <= 2 in its own
+    action with a nonnegative exact square coefficient.
 
     Some lines are flat or nearly flat, so their windows cannot be
     certified; some costs minimize midway between two grid points, so
@@ -240,8 +239,8 @@ def own_convex_games(draw):
         # leave at least 3 points for each axis still to come
         top = min(121, isqrt(left) if twin and k == n - 2
                   else left // 3 ** (n - 1 - k))
-        p = draw(st.integers(3, top) if top < 40 else st.one_of(
-            st.integers(WINDOW_MIN_POINTS, top), st.integers(3, top)))
+        # short axes are read whole or tabulated, long ones by windows
+        p = draw(st.one_of(st.integers(3, min(top, 7)), st.integers(3, top)))
         left //= p
         lo = draw(st.sampled_from(_BOX_LO))
         bounds.append((lo, lo + draw(st.sampled_from(_BOX_WIDTH))))
@@ -325,6 +324,64 @@ def test_windowed_lines_match_the_full_table(game):
         assert _bits(best) == _bits(table[want])
     np.testing.assert_array_equal(kernels.pure_nash_mask(sources, axes),
                                   kernels.pure_nash_mask(tables, axes))
+
+
+@st.composite
+def tie_games(draw):
+    """(bounds, axes, costs): 2-4 agents with 17-40 points per axis, each
+    cost (u_a - t_a)^2 with t_a midway between two grid points, plus terms
+    in the other actions only, so that every line along u_a has its
+    vertex at t_a and two cells that tie for its minimum."""
+    n = draw(st.integers(2, 4))
+    top = {2: 40, 3: 30, 4: 20}[n]
+    bounds, axes, costs = [], [], []
+    for _ in range(n):
+        p = draw(st.integers(17, top))
+        lo = draw(st.sampled_from(_BOX_LO))
+        bounds.append((lo, lo + draw(st.sampled_from(_BOX_WIDTH))))
+        axes.append(np.linspace(float(bounds[-1][0]), float(bounds[-1][1]),
+                                p))
+    for a in range(n):
+        lo, hi = bounds[a]
+        points = len(axes[a])
+        i = draw(st.integers(0, points - 2))
+        t = lo + (hi - lo) * Fraction(2 * i + 1, 2 * (points - 1))
+        terms = {((a, 2),): Fraction(1), ((a, 1),): -2 * t, (): t * t}
+        for _ in range(draw(st.integers(0, 3))):
+            k = draw(st.sampled_from([k for k in range(n) if k != a]))
+            key = ((k, draw(st.integers(1, 2))),)
+            terms[key] = terms.get(key, 0) + draw(st.sampled_from(_COUPLING))
+        costs.append(Polynomial(terms))
+    return bounds, axes, costs
+
+
+@given(tie_games())
+@settings(max_examples=60, deadline=None)
+def test_windows_hold_both_tied_cells(game):
+    # the window [f-1, f+2] around the vertex's floor f holds both grid
+    # neighbours of a vertex midway between them, so every line certifies
+    # and none is read again whole (the cells are checked against the
+    # table by test_windowed_lines_match_the_full_table)
+    bounds, axes, costs = game
+    n, shape = len(axes), tuple(len(ax) for ax in axes)
+    sources = [_cost_source(p.to_expression(), axes, bounds) for p in costs]
+    fallbacks = []
+    real = kernels.line_best
+
+    def counting(cost, *args):
+        fallbacks.append(cost.convex == ())
+        return real(cost, *args)
+
+    kernels.line_best = counting
+    try:
+        for a, source in enumerate(sources):
+            assert kernels._windowed(source, a, axes, table=False)
+            dims = shape[:a] + shape[a + 1:]
+            lines = list(np.unravel_index(np.arange(prod(dims)), dims))
+            kernels.line_best(source, axes, a, lines)
+    finally:
+        kernels.line_best = real
+    assert len(fallbacks) == n and not any(fallbacks)
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,12 @@ u3 = [-2, 2]
 u4 = [-2, 2]
 """
 
+#: an operator coupled like the benchmark's 4-agent ones: its running sum
+#: spans every axis from u2*u3 on, so a table folds 5 of its 11 terms at
+#: full size
+COUPLED_J = ("(u1 - 1/2)^2 + (u2 + 1/4)^2 + u3^2 + (u4 - 1)^2 + u1*u4/8"
+             " - u2*u3/8 + u1*u2/8")
+
 CONVEX_U1 = "u1^2 - u1*u2 + u3"
 CONVEX_J = "(u1 - 1/4)^2 + u2^2 + (u3 + 1/2)^2 + u1*u2/4"
 
@@ -179,15 +185,25 @@ class TestTablePaths:
         (OWN_CONVEX.replace("U1", "u1^3/8 + u1^2 - u1*u2 + u3")
          .replace("OPERATOR", "-u1^2 - u2^2 - u3^2 + u1*u2/4"),
          101, {"poly_grid_eval": 3}),
-        # 31-point lines are shorter than WINDOW_MIN_POINTS: the first
-        # agent's table and the grid minimum's, as before windows
+        # the first cost spans two axes, so its table is one broadcast
+        # copy, and the separable operator folds only its last term at full
+        # size: both tables cost less than windows
         (FOUR_AGENTS, 31, {"poly_grid_eval": 2}),
+        # the coupled operator folds 5 terms at full size: it is read by
+        # windows, and the first agent's 2 terms keep its table
+        (FOUR_AGENTS.replace('"u1^2 + u2^2 + u3^2 + u4^2 - u1"',
+                             f'"{COUPLED_J}"'), 31, {"poly_grid_eval": 1}),
+        # no line is longer than a window: the first agent's table and the
+        # grid minimum's, and whole lines for the other agents
+        (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J),
+         4, {"poly_grid_eval": 2}),
         # the anticipatory proportional rule's guarded divisions: each cost
         # is tabulated by its vector function, as before windows
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J)
          + "\n[incentive]\nkind = proportional\nmode = anticipatory\n",
          101, {"eval_array": 3}),
-    ], ids=["own-convex", "concave-operator", "four-agents-31", "guarded"])
+    ], ids=["own-convex", "concave-operator", "four-agents-31",
+            "four-agents-coupled-31", "own-convex-4", "guarded"])
     def test_tables_per_request(self, tmp_path, monkeypatch, capsys, text,
                                 grid, tables):
         from incentive_audit.cli import main

@@ -12,9 +12,10 @@ own child process, which issues every distinct request once, in the order
 the workloads issue them, through the checkout's own ``perfbench/loop.py``
 (``import_program`` and ``run_requests``).  A fixed set of front-end
 requests follows, for the paths no workload takes: the text reports of
-``equilibrium`` and ``oracle`` on the bundled games, requests that fail
-with a usage, game-file or size error, a float overflow in each command,
-a sampled curvature check that overflows, a subnormal line
+``equilibrium`` and ``oracle`` on the bundled games, the oracle on grids
+of 4 and 5 points and on a 3-agent game with half-step vertices, requests
+that fail with a usage, game-file or size error, a float overflow in each
+command, a sampled curvature check that overflows, a subnormal line
 coefficient, and example1 in the rarer forms of the game-file syntax.
 
 A child still running after ``CHILD_TIMEOUT_S`` is killed and stops the
@@ -117,6 +118,28 @@ t.u2 = "-1/2"
 """
 
 
+#: three agents whose lines have their vertex on a half step of the
+#: 9-point grid (step 1/2) for some values of the others, and on a grid
+#: point for the rest: grid minima that tie between two cells
+HALF_STEP_GAME = """\
+[agents]
+names = u1, u2, u3
+
+[costs]
+u1 = "(u1 - 1/4)^2 + u1*u2/2"
+u2 = "(u2 + 3/4)^2 - u2*u3/2 + u1*u3"
+u3 = "u3^2 - u3/2 + u1^2"
+
+[operator]
+J = "(u1 - 3/4)^2 + (u2 + 1/4)^2 + (u3 - 5/4)^2 + u1*u3/2"
+
+[bounds]
+u1 = [-2, 2]
+u2 = [-2, 2]
+u3 = [-2, 2]
+"""
+
+
 def build_requests(seeds: list[int], out: Path) -> list[dict]:
     """Every distinct request ({key, argv}) of every workload and seed."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -138,16 +161,20 @@ def build_requests(seeds: list[int], out: Path) -> list[dict]:
 
 def front_end_requests(out: Path) -> list[dict]:
     """Requests on the bundled games that take the text renderers of the
-    equilibrium and oracle reports, and the error paths; and requests on
-    three small games for the paths between: a cost whose float power
+    equilibrium and oracle reports, the oracle on grids where a table or a
+    whole line costs less than windows, and the error paths; and requests
+    on small games for the paths between: a cost whose float power
     overflows (Newton's re-check of a non-finite row), sampled curvature
-    that overflows, and a line with a subnormal top coefficient; and
-    example1 written in the rarer forms of the game-file syntax, and with
-    CRLF line ends and a byte-order mark."""
+    that overflows, a line with a subnormal top coefficient, and grid
+    minima that tie between two cells on either side of the window rule;
+    and example1 written in the rarer forms of the game-file syntax, and
+    with CRLF line ends and a byte-order mark."""
     games = sorted((ROOT / "games").glob("*.game"))
     argvs = [argv for game in games
              for argv in (["equilibrium", str(game)],
-                          ["oracle", str(game), "--grid", "41"])]
+                          ["oracle", str(game), "--grid", "41"],
+                          ["oracle", str(game), "--grid", "4"],
+                          ["oracle", str(game), "--grid", "5"])]
     example = ROOT / "games" / "example1.game"
     text = example.read_text()
     bare = out / "no_incentive.game"
@@ -162,6 +189,8 @@ def front_end_requests(out: Path) -> list[dict]:
     subnormal.write_text(SUBNORMAL_GAME)
     syntax = out / "syntax.game"
     syntax.write_text(SYNTAX_GAME)
+    half_step = out / "half_step.game"
+    half_step.write_text(HALF_STEP_GAME)
     crlf_bom = out / "crlf_bom.game"
     crlf_bom.write_bytes(b"\xef\xbb\xbf" + example.read_bytes().replace(
         b"\n", b"\r\n"))
@@ -179,6 +208,8 @@ def front_end_requests(out: Path) -> list[dict]:
         ["equilibrium", str(subnormal)],
         ["audit", str(syntax)],
         ["audit", str(syntax), "--format", "structured"],
+        ["oracle", str(half_step), "--grid", "9"],
+        ["oracle", str(half_step), "--grid", "17"],
         ["equilibrium", str(crlf_bom), "--scenario", "incentive"],
         ["audit", str(crlf_bom), "--format", "structured"],
     ]
