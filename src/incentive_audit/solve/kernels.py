@@ -3,13 +3,13 @@
 ``poly_eval_at`` evaluates a polynomial at the cells that broadcasting
 index arrays pick from the grid; ``poly_grid_eval`` is its full-grid case.
 ``line_best`` reads a cost on lines along one axis: a ``Poly`` convex
-along it on a certified window of ``WINDOW_CELLS`` cells per line when
-that costs less than whole lines, anything else (and a line whose
-certificate fails) whole.  A cost read on all lines, the first agent's
-in ``pure_nash_mask`` and the one in ``grid_argmin``, is tabulated unless
-windows cost less than its table (``_windowed`` counts both).  Each cell
-read is the same fold as in a full table, so results are the tables' bit
-for bit.  ``oracle.check_grid_size`` bounds the tables.
+along it on a certified window of 4 cells per line when that costs less
+than whole lines, anything else (and a line whose certificate fails)
+whole.  A cost read on all lines, the first agent's in ``pure_nash_mask``
+and the one in ``grid_argmin``, is tabulated unless windows cost less
+than its table (``_windowed`` counts both).  Each cell read is the same
+fold as in a full table, so results are the tables' bit for bit.
+``oracle.check_grid_size`` bounds the tables.
 """
 
 from __future__ import annotations
@@ -24,17 +24,22 @@ from .._lazy import np
 MASK_TOL_ABS = 1e-12
 MASK_TOL_REL = 1e-12
 
-#: a window is the cells f-1 .. f+2 of a line, f the grid point at or
-#: below its float vertex: both grid neighbours of the vertex and one more
-#: on each side, which certify it
-WINDOW_CELLS = 4
-
 #: one pass over a window's cells, in passes of a table's in-place add
 #: over as many cells.  Measured (2-core VM, numpy 2.4.6): a gather, a
 #: multiply and an add on the windows of all lines took 4.2 table adds
 #: together on a 31^4 grid (the gather about 2) and 3.5 on a 101^3 grid;
 #: the 31^4 ratio is taken, since only there is the choice close
 WINDOW_PASS_COST = 1.4
+
+#: what a windowed read costs beyond its passes, in the same cell passes:
+#: about two dozen more numpy calls than a table or whole lines, 0.1-0.2
+#: ms.  Fitted to in-process times of both reads of each cost of 95
+#: ``oracle`` workload games and the bundled games at 201 points (445
+#: reads, 572 ms at the faster read): from 40 000 to 70 000 the rule
+#: loses 2.2 ms on 8 reads (4 of them 4-agent first agents, whose tables
+#: are kept on purpose); with no fixed cost it loses 19 ms on 154, mostly
+#: later agents with a few dozen lines to read
+WINDOW_READ_COST = 60_000
 
 
 class Poly(NamedTuple):
@@ -106,23 +111,26 @@ def _full_terms(exps: np.ndarray) -> int:
 
 
 def _windowed(cost: np.ndarray | Poly, a: int, axes: Sequence[np.ndarray],
-              table: bool) -> bool:
-    """Whether ``cost`` is read along axis ``a`` by windows rather than by
-    a full table (``table``) or by whole lines, whichever costs less.
+              lines: int, table: bool) -> bool:
+    """Whether ``cost`` is read on ``lines`` lines along axis ``a`` by
+    windows rather than by a full table (``table``) or by whole lines,
+    whichever costs less.
 
-    Counted per line along ``a``, in cells times passes: a table folds
-    the line's points once per term it folds at full size, and a whole
-    line once per term.  A window folds its ``WINDOW_CELLS`` cells in
-    three passes per term in the action read (gather, multiply, add) and
-    in one per other term, whose factors are gathered per line and which
-    is only added; each pass weighs ``WINDOW_PASS_COST``."""
+    Counted in cells times passes: a table folds each line's points once
+    per term it folds at full size, and a whole line once per term.  A
+    window folds its 4 cells in three passes per term in the action read
+    (gather, multiply, add) and in one per other term, whose factors are
+    gathered per line and which is only added; each pass weighs
+    ``WINDOW_PASS_COST``, and the read adds ``WINDOW_READ_COST``.  On
+    thousands of 31-point lines whole lines took 1.9-2.1 times the
+    windows' time, where the count gives 1.85."""
     if not (isinstance(cost, Poly) and a in cost.convex):
         return False
     terms = len(cost.coeffs)
     own = np.count_nonzero(cost.exps[:, a])
-    window = WINDOW_CELLS * WINDOW_PASS_COST * (terms + 2 * own)
+    window = 4 * WINDOW_PASS_COST * (terms + 2 * own)
     other = _full_terms(cost.exps) if table else terms
-    return window < len(axes[a]) * other
+    return lines * window + WINDOW_READ_COST < lines * len(axes[a]) * other
 
 
 def _table(cost: np.ndarray | Poly, axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -157,7 +165,7 @@ def line_best(cost: np.ndarray | Poly, axes: Sequence[np.ndarray], a: int,
     the line minimum and the window holds every best response.
     """
     points = len(axes[a])
-    if not _windowed(cost, a, axes, table=False):
+    if not _windowed(cost, a, axes, len(lines[0]), table=False):
         values = _read(cost, axes, a, lines, np.arange(points)[:, None])
         line_min = values.min(axis=0)
         pos, line = np.nonzero(values <= _bar(line_min))
@@ -171,12 +179,12 @@ def line_best(cost: np.ndarray | Poly, axes: Sequence[np.ndarray], a: int,
         guess = (-g1 / (2.0 * coeffs[own == 2].sum()) - lo) / (hi - lo)
     # clipped while a float, so that the cast sees only finite values
     guess = np.clip(np.nan_to_num(guess * (points - 1)), 1, points - 3)
-    start, width = np.floor(guess).astype(np.intp) - 1, WINDOW_CELLS
-    values = _read(cost, axes, a, lines, start + np.arange(width)[:, None])
+    start = np.floor(guess).astype(np.intp) - 1
+    values = _read(cost, axes, a, lines, start + np.arange(4)[:, None])
     line_min = values.min(axis=0)
     bar = _bar(line_min)
     sure = (((start == 0) | (values[0] > bar + 2 * err))
-            & ((start == points - width) | (values[-1] > bar + 2 * err)))
+            & ((start == points - 4) | (values[-1] > bar + 2 * err)))
     pos, line = np.nonzero((values <= bar) & sure)
     pos, value = start[line] + pos, values[pos, line]
     if not sure.all():
@@ -198,7 +206,7 @@ def pure_nash_mask(costs: Sequence[np.ndarray | Poly],
     """
     shape = tuple(len(ax) for ax in axes)
     first, rest = costs[0], prod(shape[1:])
-    if _windowed(first, 0, axes, table=True):
+    if _windowed(first, 0, axes, rest, table=True):
         lines = list(np.indices(shape[1:]).reshape(len(shape) - 1, rest))
         _, line, pos, _ = line_best(first, axes, 0, lines)
         flat = np.sort(pos * rest + line)
@@ -229,7 +237,8 @@ def grid_argmin(cost: np.ndarray | Poly, axes: Sequence[np.ndarray]
     and its value: ``np.argmin``'s choice on the full table."""
     shape = tuple(len(ax) for ax in axes)
     a = next((a for a in range(len(axes))
-              if _windowed(cost, a, axes, table=True)), None)
+              if _windowed(cost, a, axes, prod(shape) // shape[a],
+                           table=True)), None)
     if a is None:
         table = _table(cost, axes)
         idx = np.unravel_index(int(np.argmin(table)), shape)

@@ -61,7 +61,7 @@ def check_grid_size(n: int, points: int) -> None:
     The estimate is ``n * points**n`` float64 cells, one full table per
     agent: an upper bound.  A cost convex in the action read builds no
     table where windows of its lines cost less (``kernels._windowed``),
-    which on long lines is nearly always.  The message names the largest
+    which on large grids is nearly always.  The message names the largest
     grid that fits the budget.
     """
     if n > ORACLE_MAX_AGENTS:

@@ -239,7 +239,7 @@ def own_convex_games(draw):
         # leave at least 3 points for each axis still to come
         top = min(121, isqrt(left) if twin and k == n - 2
                   else left // 3 ** (n - 1 - k))
-        # short axes are read whole or tabulated, long ones by windows
+        # short axes about half the time
         p = draw(st.one_of(st.integers(3, min(top, 7)), st.integers(3, top)))
         left //= p
         lo = draw(st.sampled_from(_BOX_LO))
@@ -299,6 +299,11 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+def _by_windows(cost, a, axes, lines, table):
+    """``kernels._windowed`` that reads every convex cost by windows."""
+    return isinstance(cost, kernels.Poly) and a in cost.convex
+
+
 @given(own_convex_games())
 @settings(max_examples=150, deadline=None)
 def test_windowed_lines_match_the_full_table(game):
@@ -306,24 +311,31 @@ def test_windowed_lines_match_the_full_table(game):
     n, shape = len(axes), tuple(len(ax) for ax in axes)
     sources = [_cost_source(p.to_expression(), axes, bounds) for p in costs]
     tables = [kernels.poly_grid_eval(s.coeffs, s.exps, axes) for s in sources]
-    for a, (source, table) in enumerate(zip(sources, tables)):
-        assert a in source.convex
-        dims = shape[:a] + shape[a + 1:]
-        lines = list(np.unravel_index(np.arange(prod(dims)), dims))
-        line_min, line, pos, value = kernels.line_best(source, axes, a, lines)
-        want_min, want_cells, want_values = _table_best(table, a)
-        order = np.lexsort((pos, line))
-        assert _bits(line_min) == _bits(want_min)
-        np.testing.assert_array_equal(
-            np.stack([line[order], pos[order]], axis=1), want_cells)
-        assert _bits(value[order]) == _bits(want_values)
-        # the grid minimum: np.argmin's cell and that cell's value bits
-        idx, best = kernels.grid_argmin(source, axes)
-        want = np.unravel_index(int(np.argmin(table)), shape)
-        assert tuple(map(int, idx)) == tuple(map(int, want))
-        assert _bits(best) == _bits(table[want])
-    np.testing.assert_array_equal(kernels.pure_nash_mask(sources, axes),
-                                  kernels.pure_nash_mask(tables, axes))
+    want_mask = kernels.pure_nash_mask(tables, axes)
+    # each read as the cost rule picks it, then every read by windows,
+    # which the rule keeps for reads of many lines
+    for windowed in (kernels._windowed, _by_windows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_windowed", windowed)
+            for a, (source, table) in enumerate(zip(sources, tables)):
+                assert a in source.convex
+                dims = shape[:a] + shape[a + 1:]
+                lines = list(np.unravel_index(np.arange(prod(dims)), dims))
+                line_min, line, pos, value = kernels.line_best(
+                    source, axes, a, lines)
+                want_min, want_cells, want_values = _table_best(table, a)
+                order = np.lexsort((pos, line))
+                assert _bits(line_min) == _bits(want_min)
+                np.testing.assert_array_equal(
+                    np.stack([line[order], pos[order]], axis=1), want_cells)
+                assert _bits(value[order]) == _bits(want_values)
+                # the grid minimum: np.argmin's cell and its value bits
+                idx, best = kernels.grid_argmin(source, axes)
+                want = np.unravel_index(int(np.argmin(table)), shape)
+                assert tuple(map(int, idx)) == tuple(map(int, want))
+                assert _bits(best) == _bits(table[want])
+            np.testing.assert_array_equal(
+                kernels.pure_nash_mask(sources, axes), want_mask)
 
 
 @st.composite
@@ -361,7 +373,8 @@ def test_windows_hold_both_tied_cells(game):
     # the window [f-1, f+2] around the vertex's floor f holds both grid
     # neighbours of a vertex midway between them, so every line certifies
     # and none is read again whole (the cells are checked against the
-    # table by test_windowed_lines_match_the_full_table)
+    # table by test_windowed_lines_match_the_full_table); the lines are
+    # read by windows even where the cost rule would read them whole
     bounds, axes, costs = game
     n, shape = len(axes), tuple(len(ax) for ax in axes)
     sources = [_cost_source(p.to_expression(), axes, bounds) for p in costs]
@@ -373,14 +386,14 @@ def test_windows_hold_both_tied_cells(game):
         return real(cost, *args)
 
     kernels.line_best = counting
+    windowed, kernels._windowed = kernels._windowed, _by_windows
     try:
         for a, source in enumerate(sources):
-            assert kernels._windowed(source, a, axes, table=False)
             dims = shape[:a] + shape[a + 1:]
             lines = list(np.unravel_index(np.arange(prod(dims)), dims))
             kernels.line_best(source, axes, a, lines)
     finally:
-        kernels.line_best = real
+        kernels.line_best, kernels._windowed = real, windowed
     assert len(fallbacks) == n and not any(fallbacks)
 
 

@@ -19,7 +19,7 @@ from incentive_audit.solve import (
 
 from incentive_audit.solve import oracle
 
-from conftest import BOX2, NAMES2
+from conftest import BOX2, GAMES_DIR, NAMES2
 
 
 class TestGridNashOracle:
@@ -176,7 +176,7 @@ class TestTablePaths:
     (polynomial tables) and ``eval_array`` calls (other costs)."""
 
     @pytest.mark.parametrize("text, grid, tables", [
-        # every line is read by windows
+        # no table: the first agent and the grid minimum are read by windows
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J),
          101, {}),
         # a cubic first cost and a concave operator keep the parent's three
@@ -197,13 +197,19 @@ class TestTablePaths:
         # grid minimum's, and whole lines for the other agents
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J),
          4, {"poly_grid_eval": 2}),
+        # 201 lines per agent: a windowed read's fixed cost outweighs the
+        # passes it saves, so the first agent and the grid minimum are
+        # tabulated and the second agent's one line is read whole
+        ((GAMES_DIR / "decoupled_demo.game").read_text(), 201,
+         {"poly_grid_eval": 2}),
         # the anticipatory proportional rule's guarded divisions: each cost
         # is tabulated by its vector function, as before windows
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J)
          + "\n[incentive]\nkind = proportional\nmode = anticipatory\n",
          101, {"eval_array": 3}),
     ], ids=["own-convex", "concave-operator", "four-agents-31",
-            "four-agents-coupled-31", "own-convex-4", "guarded"])
+            "four-agents-coupled-31", "own-convex-4", "decoupled-201",
+            "guarded"])
     def test_tables_per_request(self, tmp_path, monkeypatch, capsys, text,
                                 grid, tables):
         from incentive_audit.cli import main
