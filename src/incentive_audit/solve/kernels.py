@@ -2,13 +2,15 @@
 
 ``poly_eval_at`` evaluates a polynomial at the cells that broadcasting
 index arrays pick from the grid; ``poly_grid_eval`` is its full-grid case.
-``line_best`` reads a cost on lines along one axis: a ``Poly`` convex
-along it on a certified window of 4 cells per line when that costs less
-than whole lines, anything else (and a line whose certificate fails)
-whole.  A cost read on all lines, the first agent's in ``pure_nash_mask``
-and the one in ``grid_argmin``, is tabulated unless windows cost less
-than its table (``_windowed`` counts both).  Each cell read is the same
-fold as in a full table, so results are the tables' bit for bit.
+``line_best`` is the one read of a cost: its lines along one axis, a
+``Poly`` convex along it on a certified window of 4 cells per line when
+that costs less than reading the lines whole (``_windowed`` counts both),
+anything else (and a line whose certificate fails) whole.  The whole read
+of every line is the full table.  ``pure_nash_mask`` reads the first
+agent's cost on every line along its action and each later agent's on the
+lines through the cells still standing; ``grid_argmin`` reads a cost on
+every line along the first axis.  Each cell read is the same fold as in a
+full table, so results are the tables' bit for bit.
 ``oracle.check_grid_size`` bounds the tables.
 """
 
@@ -43,7 +45,8 @@ WINDOW_READ_COST = 60_000
 
 
 class Poly(NamedTuple):
-    """``Polynomial.to_arrays``, ``float_error`` and its convex axes."""
+    """``Polynomial.to_arrays``, ``float_error`` and the axes of its reads
+    along which it is convex."""
 
     coeffs: np.ndarray
     exps: np.ndarray
@@ -111,10 +114,10 @@ def _full_terms(exps: np.ndarray) -> int:
 
 
 def _windowed(cost: np.ndarray | Poly, a: int, axes: Sequence[np.ndarray],
-              lines: int, table: bool) -> bool:
-    """Whether ``cost`` is read on ``lines`` lines along axis ``a`` by
-    windows rather than by a full table (``table``) or by whole lines,
-    whichever costs less.
+              lines: Sequence[np.ndarray] | None) -> bool:
+    """Whether ``cost`` is read on ``lines`` along axis ``a`` (as in
+    ``line_best``) by windows rather than whole, whichever costs less: on
+    every line (``None``) the whole read is the full table.
 
     Counted in cells times passes: a table folds each line's points once
     per term it folds at full size, and a whole line once per term.  A
@@ -126,11 +129,15 @@ def _windowed(cost: np.ndarray | Poly, a: int, axes: Sequence[np.ndarray],
     windows' time, where the count gives 1.85."""
     if not (isinstance(cost, Poly) and a in cost.convex):
         return False
-    terms = len(cost.coeffs)
+    points, terms = len(axes[a]), len(cost.coeffs)
     own = np.count_nonzero(cost.exps[:, a])
     window = 4 * WINDOW_PASS_COST * (terms + 2 * own)
-    other = _full_terms(cost.exps) if table else terms
-    return lines * window + WINDOW_READ_COST < lines * len(axes[a]) * other
+    if lines is None:
+        count = prod(len(ax) for ax in axes) // points
+        folds = _full_terms(cost.exps)
+    else:
+        count, folds = len(lines[0]), terms
+    return count * window + WINDOW_READ_COST < count * points * folds
 
 
 def _table(cost: np.ndarray | Poly, axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -149,27 +156,40 @@ def _read(cost: np.ndarray | Poly, axes: Sequence[np.ndarray], a: int,
 
 
 def line_best(cost: np.ndarray | Poly, axes: Sequence[np.ndarray], a: int,
-              lines: Sequence[np.ndarray]
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+              lines: Sequence[np.ndarray] | None = None
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The minima of the lines along axis ``a`` through ``lines`` (one
-    index array per other axis), and their best-response cells (in no set
-    order) as line numbers, indices along ``a`` and costs.
+    index array per other axis; ``None``: every line, in C order of the
+    other axes), and their best-response cells (in no set order) as flat
+    indices, the index along ``a`` times the number of lines plus the line
+    number, and their costs.  On every line along the first axis, a cell's
+    flat index is its C-order index on the grid.
 
-    A window is the cells f-1 .. f+2, f the grid point at or below the
-    line's float vertex -g1 / (2 g2), a guess, moved inside the axis; m is
-    its minimum.  A vertex midway between two grid points has both in the
-    window, with a cell beyond each.  Each window end that
+    A read is whole or by windows, whichever ``_windowed`` counts as less.
+    The whole read of every line is the full table, viewed as (points,
+    lines).  A window is the cells f-1 .. f+2, f the grid point at or
+    below the line's float vertex -g1 / (2 g2), a guess, moved inside the
+    axis; m is its minimum.  A vertex midway between two grid points has
+    both in the window, with a cell beyond each.  Each window end that
     is not an axis end must exceed ``_bar(m) + 2 * err``: the exact line is
     convex, so every cell beyond then exceeds ``_bar(m)`` in floats (half
     of ``err`` covers the fold, the rest the threshold's rounding), m is
-    the line minimum and the window holds every best response.
+    the line minimum and the window holds every best response; a line
+    whose window fails is read whole.
     """
-    points = len(axes[a])
-    if not _windowed(cost, a, axes, len(lines[0]), table=False):
-        values = _read(cost, axes, a, lines, np.arange(points)[:, None])
+    dims = [len(ax) for ax in axes]
+    points = dims.pop(a)
+    count = prod(dims) if lines is None else len(lines[0])
+    if not _windowed(cost, a, axes, lines):
+        if lines is None:
+            values = np.moveaxis(_table(cost, axes), a, 0).reshape(points, -1)
+        else:
+            values = _read(cost, axes, a, lines, np.arange(points)[:, None])
         line_min = values.min(axis=0)
-        pos, line = np.nonzero(values <= _bar(line_min))
-        return line_min, line, pos, values[pos, line]
+        cell = np.flatnonzero(values <= _bar(line_min))
+        return line_min, cell, values.ravel()[cell]
+    if lines is None:
+        lines = list(np.indices(dims).reshape(len(dims), count))
     coeffs, exps, err, _ = cost
     own = exps[:, a]
     slope = Poly(coeffs[own == 1], exps[own == 1] * (np.arange(len(axes)) != a))
@@ -186,15 +206,15 @@ def line_best(cost: np.ndarray | Poly, axes: Sequence[np.ndarray], a: int,
     sure = (((start == 0) | (values[0] > bar + 2 * err))
             & ((start == points - 4) | (values[-1] > bar + 2 * err)))
     pos, line = np.nonzero((values <= bar) & sure)
-    pos, value = start[line] + pos, values[pos, line]
+    cell, value = (start[line] + pos) * count + line, values[pos, line]
     if not sure.all():
         redo = np.flatnonzero(~sure)
-        whole = line_best(cost._replace(convex=()), axes, a,
-                          [k[redo] for k in lines])
-        line_min[redo] = whole[0]
-        line, pos, value = (np.concatenate(pair) for pair in zip(
-            (line, pos, value), (redo[whole[1]], whole[2], whole[3])))
-    return line_min, line, pos, value
+        line_min[redo], again, redo_value = line_best(
+            cost._replace(convex=()), axes, a, [k[redo] for k in lines])
+        pos, line = np.divmod(again, len(redo))
+        cell = np.concatenate((cell, pos * count + redo[line]))
+        value = np.concatenate((value, redo_value))
+    return line_min, cell, value
 
 
 def pure_nash_mask(costs: Sequence[np.ndarray | Poly],
@@ -205,17 +225,9 @@ def pure_nash_mask(costs: Sequence[np.ndarray | Poly],
     agent ``a`` keeps those that are best responses on its own lines.
     """
     shape = tuple(len(ax) for ax in axes)
-    first, rest = costs[0], prod(shape[1:])
-    if _windowed(first, 0, axes, rest, table=True):
-        lines = list(np.indices(shape[1:]).reshape(len(shape) - 1, rest))
-        _, line, pos, _ = line_best(first, axes, 0, lines)
-        flat = np.sort(pos * rest + line)
-    else:
-        # flat indices ascend in C order
-        table = _table(first, axes)
-        flat = np.flatnonzero(table <= _bar(table.min(axis=0, keepdims=True)))
-    cells = np.unravel_index(flat, shape)
+    _, flat, _ = line_best(costs[0], axes, 0)
     for a in range(1, len(costs)):
+        cells = np.unravel_index(flat, shape)
         others = [k for k in range(len(shape)) if k != a]
         dims = tuple(shape[k] for k in others)
         keys = np.ravel_multi_index([cells[k] for k in others], dims)
@@ -223,31 +235,22 @@ def pure_nash_mask(costs: Sequence[np.ndarray | Poly],
         seen[keys] = True
         row = (np.cumsum(seen) - 1)[keys]
         lines = np.unravel_index(np.flatnonzero(seen), dims)
-        _, line, pos, _ = line_best(costs[a], axes, a, lines)
-        best = np.zeros((len(lines[0]), shape[a]), dtype=bool)
-        best[line, pos] = True
-        keep = best[row, cells[a]]
-        cells = [c[keep] for c in cells]
-    return np.stack(cells, axis=1)
+        count = len(lines[0])
+        best = np.zeros(shape[a] * count, dtype=bool)
+        best[line_best(costs[a], axes, a, lines)[1]] = True
+        flat = flat[best[cells[a] * count + row]]
+    # windows leave the first agent's cells out of order: sort the few
+    # that stand
+    return np.stack(np.unravel_index(np.sort(flat), shape), axis=1)
 
 
 def grid_argmin(cost: np.ndarray | Poly, axes: Sequence[np.ndarray]
                 ) -> tuple[tuple[int, ...], float]:
     """The first cell in C order that holds the grid minimum of ``cost``,
-    and its value: ``np.argmin``'s choice on the full table."""
-    shape = tuple(len(ax) for ax in axes)
-    a = next((a for a in range(len(axes))
-              if _windowed(cost, a, axes, prod(shape) // shape[a],
-                           table=True)), None)
-    if a is None:
-        table = _table(cost, axes)
-        idx = np.unravel_index(int(np.argmin(table)), shape)
-        return idx, float(table[idx])
-    dims = shape[:a] + shape[a + 1:]
-    lines = list(np.indices(dims).reshape(len(dims), prod(dims)))
-    line_min, line, pos, value = line_best(cost, axes, a, lines)
+    and its value: ``np.argmin``'s choice on the full table, read along
+    the first axis."""
+    line_min, flat, value = line_best(cost, axes, 0)
     hit = np.flatnonzero(value == line_min.min())
-    index = [k[line[hit]] for k in lines]
-    index.insert(a, pos[hit])
-    first = int(np.argmin(np.ravel_multi_index(index, shape)))
-    return tuple(k[first] for k in index), float(value[hit[first]])
+    first = hit[np.argmin(flat[hit])]
+    return (np.unravel_index(flat[first], tuple(len(ax) for ax in axes)),
+            float(value[first]))

@@ -2,13 +2,15 @@
 
 This is the independent cross-check for the analytic solvers: a profile
 of a dense cartesian grid counts as a grid equilibrium when no unilateral
-move along the grid strictly improves any agent.  A polynomial cost
-convex in the action read is read on a window of each line, certified to
+move along the grid strictly improves any agent.  Every cost is read as
+lines along one axis (``kernels.line_best``): an agent's along its own
+action, the operator objective's along the first.  A polynomial cost
+convex along that axis is read on a window of each line, certified to
 hold the line's minimum and best responses (else the line is read whole),
-where windows cost less than a table or whole lines; other costs are
-tabulated or read on whole lines, and a cost that is not a polynomial,
-or whose float evaluation might overflow on the box, is tabulated and
-checked for non-finite cells.
+where windows cost less than whole lines; the whole read of every line is
+the full table.  A cost that is not a polynomial, or whose float
+evaluation might overflow on the box, is tabulated and checked for
+non-finite cells.
 Intended for small games (n <= 4); the per-axis resolution comes from
 SolverConfig.
 """
@@ -59,10 +61,12 @@ def check_grid_size(n: int, points: int) -> None:
     anything is allocated.
 
     The estimate is ``n * points**n`` float64 cells, one full table per
-    agent: an upper bound.  A cost convex in the action read builds no
-    table where windows of its lines cost less (``kernels._windowed``),
-    which on large grids is nearly always.  The message names the largest
-    grid that fits the budget.
+    agent: an upper bound.  A cost is read as lines along one axis, and
+    one convex along it builds no table where windows of its lines cost
+    less than the whole read (``kernels._windowed``), which on large grids
+    is nearly always; a later agent is read only on the lines through the
+    cells still standing.  The message names the largest grid that fits
+    the budget.
     """
     if n > ORACLE_MAX_AGENTS:
         raise OracleDimensionError(
@@ -92,18 +96,12 @@ def eval_array(e: Expression, arrays: Sequence[np.ndarray]) -> np.ndarray | floa
 
 def eval_on_grid(e: Expression, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Tabulate ``e`` on the cartesian product of the axes."""
-    n = len(axes)
-    shape = tuple(len(ax) for ax in axes)
     p = as_polynomial(e)
     if p is not None:
-        coeffs, exps = p.to_arrays(n)
-        return kernels.poly_grid_eval(coeffs, exps, axes)
-    grids = []
-    for k, ax in enumerate(axes):
-        reshape = [1] * n
-        reshape[k] = shape[k]
-        grids.append(np.asarray(ax, dtype=np.float64).reshape(reshape))
+        return kernels.poly_grid_eval(*p.to_arrays(len(axes)), axes)
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
     out = eval_array(e, grids)
+    shape = tuple(len(ax) for ax in axes)
     return np.broadcast_to(np.asarray(out, dtype=np.float64), shape).copy()
 
 
@@ -116,20 +114,19 @@ def _finite(table: np.ndarray) -> np.ndarray:
 
 
 def _cost_source(e: Expression, axes: Sequence[np.ndarray],
-                 bounds: Sequence[tuple[Number, Number]]
+                 bounds: Sequence[tuple[Number, Number]], a: int
                  ) -> np.ndarray | kernels.Poly:
-    """``e`` as the kernels read it.
+    """``e`` as the kernels read it along axis ``a``.
 
     A polynomial whose ``magnitude_bound`` rules out an overflow on the
-    box gives a ``kernels.Poly``: its arrays, its ``float_error`` and the
-    axes along which its ``LinePlan`` is convex.  Any other cost gives its
-    table, refused by ``_finite`` when a cell is not finite."""
+    box gives a ``kernels.Poly``: its arrays, its ``float_error`` and
+    ``(a,)`` when its ``LinePlan`` along ``a`` is convex.  Any other cost
+    gives its table, refused by ``_finite`` when a cell is not finite."""
     p = as_polynomial(e)
     if p is None or p.magnitude_bound(bounds) >= FLOAT_SAFE_BOUND:
         return _finite(eval_on_grid(e, axes))
-    n = len(axes)
-    return kernels.Poly(*p.to_arrays(n), p.float_error(bounds),
-                        tuple(a for a in range(n) if line_plan(e, a).convex()))
+    return kernels.Poly(*p.to_arrays(len(axes)), p.float_error(bounds),
+                        (a,) if line_plan(e, a).convex() else ())
 
 
 def grid_nash_oracle(costs: Sequence[Expression],
@@ -141,7 +138,7 @@ def grid_nash_oracle(costs: Sequence[Expression],
     """
     check_grid_size(len(costs), cfg.grid_points_per_axis)
     axes = grid_axes(bounds, cfg.grid_points_per_axis)
-    sources = [_cost_source(c, axes, bounds) for c in costs]
+    sources = [_cost_source(c, axes, bounds, a) for a, c in enumerate(costs)]
     return [ActionProfile([axes[k][i] for k, i in enumerate(idx)])
             for idx in kernels.pure_nash_mask(sources, axes)]
 
@@ -151,7 +148,7 @@ def grid_minimum(e: Expression, bounds: Sequence[tuple[Number, Number]],
     """Best grid point of ``e``; first (lexicographically smallest) on ties."""
     check_grid_size(len(bounds), cfg.grid_points_per_axis)
     axes = grid_axes(bounds, cfg.grid_points_per_axis)
-    idx, value = kernels.grid_argmin(_cost_source(e, axes, bounds), axes)
+    idx, value = kernels.grid_argmin(_cost_source(e, axes, bounds, 0), axes)
     return ActionProfile([axes[k][i] for k, i in enumerate(idx)]), value
 
 

@@ -1,5 +1,6 @@
 """Grid kernels against scalar evaluation and plain Python loops."""
 
+import tracemalloc
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -194,6 +195,25 @@ def test_pure_nash_mask_special_costs(texts):
                                   expected)
 
 
+def test_table_costs_are_read_without_a_copy():
+    # the whole read of every line along the first axis is the table
+    # itself, viewed as (points, lines): gathering its lines would copy it
+    names = ["u1", "u2", "u3"]
+    axes = [np.linspace(-1.0, 1.0, 81) for _ in names]
+    tables = [eval_on_grid(parse(t, names), axes) for t in
+              ["(u1 - 1/3)^2 + u1*u2/8", "(u2 + 1/4)^2 - u2*u3/8",
+               "u3^2 + u1*u3/4"]]
+    for read in (lambda: kernels.pure_nash_mask(tables, axes),
+                 lambda: kernels.grid_argmin(tables[0], axes)):
+        tracemalloc.start()
+        try:
+            read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tables[0].nbytes / 2
+
+
 # ---------------------------------------------------------------------------
 # windowed lines against the full table
 
@@ -299,7 +319,7 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-def _by_windows(cost, a, axes, lines, table):
+def _by_windows(cost, a, axes, lines):
     """``kernels._windowed`` that reads every convex cost by windows."""
     return isinstance(cost, kernels.Poly) and a in cost.convex
 
@@ -309,7 +329,8 @@ def _by_windows(cost, a, axes, lines, table):
 def test_windowed_lines_match_the_full_table(game):
     bounds, axes, costs = game
     n, shape = len(axes), tuple(len(ax) for ax in axes)
-    sources = [_cost_source(p.to_expression(), axes, bounds) for p in costs]
+    exprs = [p.to_expression() for p in costs]
+    sources = [_cost_source(e, axes, bounds, a) for a, e in enumerate(exprs)]
     tables = [kernels.poly_grid_eval(s.coeffs, s.exps, axes) for s in sources]
     want_mask = kernels.pure_nash_mask(tables, axes)
     # each read as the cost rule picks it, then every read by windows,
@@ -320,17 +341,24 @@ def test_windowed_lines_match_the_full_table(game):
             for a, (source, table) in enumerate(zip(sources, tables)):
                 assert a in source.convex
                 dims = shape[:a] + shape[a + 1:]
-                lines = list(np.unravel_index(np.arange(prod(dims)), dims))
-                line_min, line, pos, value = kernels.line_best(
-                    source, axes, a, lines)
-                want_min, want_cells, want_values = _table_best(table, a)
-                order = np.lexsort((pos, line))
-                assert _bits(line_min) == _bits(want_min)
-                np.testing.assert_array_equal(
-                    np.stack([line[order], pos[order]], axis=1), want_cells)
-                assert _bits(value[order]) == _bits(want_values)
-                # the grid minimum: np.argmin's cell and its value bits
-                idx, best = kernels.grid_argmin(source, axes)
+                count = prod(dims)
+                # every line given as index arrays, and as None
+                for lines in (list(np.unravel_index(np.arange(count), dims)),
+                              None):
+                    line_min, cell, value = kernels.line_best(
+                        source, axes, a, lines)
+                    pos, line = np.divmod(cell, count)
+                    want_min, want_cells, want_values = _table_best(table, a)
+                    order = np.lexsort((pos, line))
+                    assert _bits(line_min) == _bits(want_min)
+                    np.testing.assert_array_equal(
+                        np.stack([line[order], pos[order]], axis=1),
+                        want_cells)
+                    assert _bits(value[order]) == _bits(want_values)
+                # the grid minimum, read along the first axis: np.argmin's
+                # cell and its value bits
+                idx, best = kernels.grid_argmin(
+                    _cost_source(exprs[a], axes, bounds, 0), axes)
                 want = np.unravel_index(int(np.argmin(table)), shape)
                 assert tuple(map(int, idx)) == tuple(map(int, want))
                 assert _bits(best) == _bits(table[want])
@@ -377,7 +405,8 @@ def test_windows_hold_both_tied_cells(game):
     # read by windows even where the cost rule would read them whole
     bounds, axes, costs = game
     n, shape = len(axes), tuple(len(ax) for ax in axes)
-    sources = [_cost_source(p.to_expression(), axes, bounds) for p in costs]
+    sources = [_cost_source(p.to_expression(), axes, bounds, a)
+               for a, p in enumerate(costs)]
     fallbacks = []
     real = kernels.line_best
 

@@ -171,60 +171,84 @@ CONVEX_U1 = "u1^2 - u1*u2 + u3"
 CONVEX_J = "(u1 - 1/4)^2 + u2^2 + (u3 + 1/2)^2 + u1*u2/4"
 
 
-class TestTablePaths:
-    """Full tables built per ``oracle`` request: ``poly_grid_eval`` calls
-    (polynomial tables) and ``eval_array`` calls (other costs)."""
+#: concave in u1, convex in u2: its grid minimum is read along u1, the
+#: first axis, so it is tabulated
+CONCAVE_U1_J = "-(u1 - 1/2)^2 + u2^2 + (u3 + 1/2)^2 + u1*u2/4"
 
-    @pytest.mark.parametrize("text, grid, tables", [
+
+class TestTablePaths:
+    """Every read per ``oracle`` request: full tables (``poly_grid_eval``
+    calls for polynomials, ``eval_array`` calls for other costs) and line
+    reads, by windows (4 cells per line) or of whole lines."""
+
+    @pytest.mark.parametrize("text, grid, reads", [
         # no table: the first agent and the grid minimum are read by windows
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J),
-         101, {}),
+         101, {"windows": 3, "lines": 1}),
         # a cubic first cost and a concave operator keep the parent's three
         # tables: the first agent's, the grid minimum's and the operator
         # solve's seed table
         (OWN_CONVEX.replace("U1", "u1^3/8 + u1^2 - u1*u2 + u3")
          .replace("OPERATOR", "-u1^2 - u2^2 - u3^2 + u1*u2/4"),
-         101, {"poly_grid_eval": 3}),
+         101, {"poly_grid_eval": 3, "windows": 1, "lines": 1}),
         # the first cost spans two axes, so its table is one broadcast
         # copy, and the separable operator folds only its last term at full
         # size: both tables cost less than windows
-        (FOUR_AGENTS, 31, {"poly_grid_eval": 2}),
+        (FOUR_AGENTS, 31, {"poly_grid_eval": 2, "windows": 1, "lines": 2}),
         # the coupled operator folds 5 terms at full size: it is read by
         # windows, and the first agent's 2 terms keep its table
         (FOUR_AGENTS.replace('"u1^2 + u2^2 + u3^2 + u4^2 - u1"',
-                             f'"{COUPLED_J}"'), 31, {"poly_grid_eval": 1}),
+                             f'"{COUPLED_J}"'), 31,
+         {"poly_grid_eval": 1, "windows": 2, "lines": 2}),
         # no line is longer than a window: the first agent's table and the
         # grid minimum's, and whole lines for the other agents
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J),
-         4, {"poly_grid_eval": 2}),
+         4, {"poly_grid_eval": 2, "lines": 2}),
         # 201 lines per agent: a windowed read's fixed cost outweighs the
         # passes it saves, so the first agent and the grid minimum are
         # tabulated and the second agent's one line is read whole
         ((GAMES_DIR / "decoupled_demo.game").read_text(), 201,
-         {"poly_grid_eval": 2}),
+         {"poly_grid_eval": 2, "lines": 1}),
         # the anticipatory proportional rule's guarded divisions: each cost
-        # is tabulated by its vector function, as before windows
+        # is tabulated by its vector function, as before windows, and the
+        # later agents' lines are read from the tables
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J)
          + "\n[incentive]\nkind = proportional\nmode = anticipatory\n",
-         101, {"eval_array": 3}),
+         101, {"eval_array": 3, "windows": 1, "lines": 2}),
+        # an operator convex in u2 but not along the first axis: its grid
+        # minimum is tabulated, beside the operator solve's seed table
+        (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONCAVE_U1_J),
+         101, {"poly_grid_eval": 2, "windows": 2, "lines": 1}),
     ], ids=["own-convex", "concave-operator", "four-agents-31",
             "four-agents-coupled-31", "own-convex-4", "decoupled-201",
-            "guarded"])
+            "guarded", "concave-u1-operator"])
     def test_tables_per_request(self, tmp_path, monkeypatch, capsys, text,
-                                grid, tables):
+                                grid, reads):
         from incentive_audit.cli import main
         from incentive_audit.solve import kernels
 
         calls: dict[str, int] = {}
+
+        def count(name):
+            calls[name] = calls.get(name, 0) + 1
+
         for module, name in [(kernels, "poly_grid_eval"),
                              (oracle, "eval_array")]:
             def counting(*args, _real=getattr(module, name), _name=name):
-                calls[_name] = calls.get(_name, 0) + 1
+                count(_name)
                 return _real(*args)
             monkeypatch.setattr(module, name, counting)
+
+        def reading(cost, axes, a, lines, pos, _real=kernels._read):
+            # a windowed read gathers its slopes first, one cell per line
+            if len(pos) != 1:
+                count("lines" if len(pos) == len(axes[a]) else "windows")
+            return _real(cost, axes, a, lines, pos)
+
+        monkeypatch.setattr(kernels, "_read", reading)
         path = tmp_path / "game.game"
         path.write_text(text)
         assert main(["oracle", str(path), "--grid", str(grid), "--format",
                      "structured"]) == 0
         assert json.loads(capsys.readouterr().out)["agreement"] is True
-        assert calls == tables
+        assert calls == reads

@@ -13,7 +13,9 @@ the workloads issue them, through the checkout's own ``perfbench/loop.py``
 (``import_program`` and ``run_requests``).  A fixed set of front-end
 requests follows, for the paths no workload takes: the text reports of
 ``equilibrium`` and ``oracle`` on the bundled games, the oracle on grids
-of 4 and 5 points and on a 3-agent game with half-step vertices, requests
+of 4 and 5 points, on a 3-agent game with half-step vertices, on
+example2's guarded-division costs (tabulated by their vector function)
+and on a 3-agent operator concave in u1 and convex in u2, requests
 that fail with a usage, game-file or size error, a float overflow in each
 command, a sampled curvature check that overflows, a subnormal line
 coefficient, and example1 in the rarer forms of the game-file syntax.
@@ -140,6 +142,27 @@ u3 = [-2, 2]
 """
 
 
+#: three agents whose operator objective is concave in u1 and convex in
+#: u2: its grid minimum is read along u1, so it is tabulated
+CONCAVE_U1_GAME = """\
+[agents]
+names = u1, u2, u3
+
+[costs]
+u1 = "u1^2 - u1*u2 + u3"
+u2 = "(u2 - 1/3)^2 + u2*u3/2"
+u3 = "u3^2/2 - u1*u3 + u2^2"
+
+[operator]
+J = "-(u1 - 1/2)^2 + u2^2 + (u3 + 1/2)^2 + u1*u2/4"
+
+[bounds]
+u1 = [-2, 2]
+u2 = [-1, 2]
+u3 = [-2, 1]
+"""
+
+
 def build_requests(seeds: list[int], out: Path) -> list[dict]:
     """Every distinct request ({key, argv}) of every workload and seed."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -166,9 +189,11 @@ def front_end_requests(out: Path) -> list[dict]:
     on small games for the paths between: a cost whose float power
     overflows (Newton's re-check of a non-finite row), sampled curvature
     that overflows, a line with a subnormal top coefficient, and grid
-    minima that tie between two cells on either side of the window rule;
-    and example1 written in the rarer forms of the game-file syntax, and
-    with CRLF line ends and a byte-order mark."""
+    minima that tie between two cells on either side of the window rule,
+    costs that are not polynomials, and a grid minimum tabulated because
+    its objective is not convex along the first axis; and example1
+    written in the rarer forms of the game-file syntax, and with CRLF line
+    ends and a byte-order mark."""
     games = sorted((ROOT / "games").glob("*.game"))
     argvs = [argv for game in games
              for argv in (["equilibrium", str(game)],
@@ -191,6 +216,12 @@ def front_end_requests(out: Path) -> list[dict]:
     syntax.write_text(SYNTAX_GAME)
     half_step = out / "half_step.game"
     half_step.write_text(HALF_STEP_GAME)
+    anticipatory = out / "example2_anticipatory.game"
+    anticipatory.write_text((ROOT / "games" / "example2.game").read_text()
+                            .replace("mode = non-anticipatory",
+                                     "mode = anticipatory"))
+    concave_u1 = out / "concave_u1.game"
+    concave_u1.write_text(CONCAVE_U1_GAME)
     crlf_bom = out / "crlf_bom.game"
     crlf_bom.write_bytes(b"\xef\xbb\xbf" + example.read_bytes().replace(
         b"\n", b"\r\n"))
@@ -210,6 +241,10 @@ def front_end_requests(out: Path) -> list[dict]:
         ["audit", str(syntax), "--format", "structured"],
         ["oracle", str(half_step), "--grid", "9"],
         ["oracle", str(half_step), "--grid", "17"],
+        ["oracle", str(anticipatory), "--grid", "41"],
+        ["oracle", str(anticipatory)],
+        ["oracle", str(concave_u1), "--grid", "101"],
+        ["oracle", str(concave_u1), "--grid", "31"],
         ["equilibrium", str(crlf_bom), "--scenario", "incentive"],
         ["audit", str(crlf_bom), "--format", "structured"],
     ]
