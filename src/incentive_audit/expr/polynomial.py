@@ -220,17 +220,19 @@ class Polynomial:
             return float("inf")
         return total
 
-    def float_error(self, bounds: Sequence[tuple[Number, Number]]) -> float:
+    def float_error(self, bounds: Sequence[tuple[Number, Number]],
+                    bound: float | None = None) -> float:
         """(T + 3n + 3) * 2^-52 * B for T terms, n agents and B the
-        ``magnitude_bound``: twice a bound on |float - exact| of
-        ``kernels.poly_eval_at`` on the box.  With u = 2^-53, a term rounds
-        its coefficient (u), n powers ``x ** e`` (numpy's, within one ulp:
-        2u) and n products: (3n + 1)u relative.  The fold's T - 1 additions
-        each add at most u times the terms' total, which B bounds: (T + 3n)uB
-        to first order.  The 6uB left cover higher orders, underflow (B >= 1)
-        and B's rounding."""
-        return ((len(self.terms) + 3 * len(bounds) + 3) * 2.0 ** -52
-                * self.magnitude_bound(bounds))
+        ``magnitude_bound`` (``bound``, when the caller has it): twice a
+        bound on |float - exact| of ``kernels.poly_eval_at`` on the box.
+        With u = 2^-53, a term rounds its coefficient (u), n powers
+        ``x ** e`` (numpy's, within one ulp: 2u) and n products: (3n + 1)u
+        relative.  The fold's T - 1 additions each add at most u times the
+        terms' total, which B bounds: (T + 3n)uB to first order.  The 6uB
+        left cover higher orders, underflow (B >= 1) and B's rounding."""
+        if bound is None:
+            bound = self.magnitude_bound(bounds)
+        return (len(self.terms) + 3 * len(bounds) + 3) * 2.0 ** -52 * bound
 
     def to_arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Float coefficient vector and (m, n) exponent matrix for kernels."""

@@ -262,10 +262,13 @@ def _piecewise_minima(e: Expression, i: int,
         switches: list[list[Switch]] = [[] for _ in pieces]
         ratios = [_restrict(e, i, bases[k], memos[k], a, b, found)
                   for (k, a, b), found in zip(pieces, switches)]
-        # a guard's second level too, though the rule below may skip it
+        # a guard's second level too, though the rule below may skip it;
+        # a guard's float root up to its farthest cut's ulps beyond the
+        # piece still cuts it
         roots = iter(_real_roots([
-            (level, a, b) for (_, a, b), found in zip(pieces, switches)
-            for levels, _, _ in found for level in levels]))
+            (level, a - ulps[-1] * math.ulp(a), b + ulps[-1] * math.ulp(b))
+            for (_, a, b), found in zip(pieces, switches)
+            for levels, ulps, _ in found for level in levels]))
         split, uncut = [], []
         for (k, a, b), found, (num, den) in zip(pieces, switches, ratios):
             cuts: list[float] = []

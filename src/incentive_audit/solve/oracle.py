@@ -2,15 +2,19 @@
 
 This is the independent cross-check for the analytic solvers: a profile
 of a dense cartesian grid counts as a grid equilibrium when no unilateral
-move along the grid strictly improves any agent.  Every cost is read as
-lines along one axis (``kernels.line_best``): an agent's along its own
-action, the operator objective's along the first.  A polynomial cost
-convex along that axis is read on a window of each line, certified to
-hold the line's minimum and best responses (else the line is read whole),
-where windows cost less than whole lines; the whole read of every line is
-the full table.  A cost that is not a polynomial, or whose float
-evaluation might overflow on the box, is tabulated and checked for
-non-finite cells.
+move along the grid strictly improves any agent.  A polynomial cost that
+is a parabola in its own action, curved enough for the float error
+margin, bounds where its best responses can lie: ``kernels.candidate_box``
+encloses their cells over a shrinking box before any cell is read, and
+only the lines through the box's cells are read when it is small.
+Otherwise every cost is read as lines along one axis
+(``kernels.line_best``): an agent's along its own action, the operator
+objective's along the first.  A polynomial cost convex along that axis
+is read on a window of each line, certified to hold the line's minimum
+and best responses (else the line is read whole), where windows cost less
+than whole lines; the whole read of every line is the full table.  A cost
+that is not a polynomial, or whose float evaluation might overflow on the
+box, is tabulated and checked for non-finite cells.
 Intended for small games (n <= 4); the per-axis resolution comes from
 SolverConfig.
 """
@@ -61,12 +65,13 @@ def check_grid_size(n: int, points: int) -> None:
     anything is allocated.
 
     The estimate is ``n * points**n`` float64 cells, one full table per
-    agent: an upper bound.  A cost is read as lines along one axis, and
-    one convex along it builds no table where windows of its lines cost
-    less than the whole read (``kernels._windowed``), which on large grids
-    is nearly always; a later agent is read only on the lines through the
-    cells still standing.  The message names the largest grid that fits
-    the budget.
+    agent: an upper bound, which stays because a run whose candidate box
+    (``kernels.candidate_box``) does not shrink can still tabulate.  A
+    small box builds no table at all.  Otherwise a cost is read as lines
+    along one axis, and one convex along it builds no table where windows
+    of its lines cost less than the whole read (``kernels._windowed``); a
+    later agent is read only on the lines through the cells still
+    standing.  The message names the largest grid that fits the budget.
     """
     if n > ORACLE_MAX_AGENTS:
         raise OracleDimensionError(
@@ -119,14 +124,15 @@ def _cost_source(e: Expression, axes: Sequence[np.ndarray],
     """``e`` as the kernels read it along axis ``a``.
 
     A polynomial whose ``magnitude_bound`` rules out an overflow on the
-    box gives a ``kernels.Poly``: its arrays, its ``float_error`` and
-    ``(a,)`` when its ``LinePlan`` along ``a`` is convex.  Any other cost
-    gives its table, refused by ``_finite`` when a cell is not finite."""
+    box gives a ``kernels.Poly``: its arrays, its ``float_error``, ``(a,)``
+    when its ``LinePlan`` along ``a`` is convex, and the bound, computed
+    once for both.  Any other cost gives its table, refused by ``_finite``
+    when a cell is not finite."""
     p = as_polynomial(e)
-    if p is None or p.magnitude_bound(bounds) >= FLOAT_SAFE_BOUND:
+    if p is None or (bound := p.magnitude_bound(bounds)) >= FLOAT_SAFE_BOUND:
         return _finite(eval_on_grid(e, axes))
-    return kernels.Poly(*p.to_arrays(len(axes)), p.float_error(bounds),
-                        (a,) if line_plan(e, a).convex() else ())
+    return kernels.Poly(*p.to_arrays(len(axes)), p.float_error(bounds, bound),
+                        (a,) if line_plan(e, a).convex() else (), bound)
 
 
 def grid_nash_oracle(costs: Sequence[Expression],

@@ -427,6 +427,152 @@ def test_windows_hold_both_tied_cells(game):
 
 
 # ---------------------------------------------------------------------------
+# the candidate box against full tables
+
+#: own-square coefficients: the first certify, the last are small enough
+#: that the margin refuses the certificate on every drawn grid
+_CERTIFIED_SQUARE = [Fraction(1), Fraction(1, 2), Fraction(3)]
+_REFUSED_SQUARE = [Fraction(1, 2 ** 40), Fraction(1, 2 ** 44)]
+#: cross coefficients against own squares of 1/2-3: weak ones contract,
+#: strong ones need not, so some games have no grid equilibrium
+_WEAK = [Fraction(1, 8), Fraction(-1, 8), Fraction(1, 16), Fraction(-1, 4)]
+_STRONG = [Fraction(-3), Fraction(2), Fraction(4), Fraction(-2)]
+
+
+@st.composite
+def box_games(draw):
+    """(bounds, axes, costs): 2-4 agents on 3-41-point grids of at most
+    ``GAME_CELLS`` cells, each cost a Polynomial whose own part is a
+    convex parabola (some with their vertex midway between two grid
+    points), a parabola too flat for the margin, linear, cubic, or carries
+    u_a^2 * u_k; plus cross terms u_k, u_k^2, u_a * u_k or u_a * u_k^2,
+    weak or strong.  With ``chase`` the first agent's cost is
+    (u1 - u2)^2 and the second's (u2 + u1)^2, both on the same symmetric
+    grid without a zero: the first matches the second, who moves to the
+    mirror image, so the grid has no equilibrium."""
+    n = draw(st.integers(2, 4))
+    chase = draw(st.integers(0, 3)) == 0
+    bounds, axes, left = [], [], GAME_CELLS
+    for k in range(n):
+        top = min(41, left // 3 ** (n - 1 - k))
+        if chase and k == 1:
+            bounds.append(bounds[0])
+            axes.append(axes[0])
+            left //= len(axes[0])
+            continue
+        if chase and k == 0:
+            # an even count with room for it twice, short about half the
+            # time so that the box is read
+            half = min(20, isqrt(left // 3 ** (n - 2)) // 2)
+            p = 2 * draw(st.one_of(st.integers(2, 3), st.integers(2, half)))
+            lo = Fraction(-1)
+            bounds.append((lo, Fraction(1)))
+        else:
+            p = draw(st.integers(3, top))
+            lo = draw(st.sampled_from(_BOX_LO))
+            bounds.append((lo, lo + draw(st.sampled_from(_BOX_WIDTH))))
+        left //= p
+        axes.append(np.linspace(float(lo), float(bounds[k][1]), p))
+    coupling = draw(st.sampled_from([_WEAK, _STRONG]))
+    costs = []
+    for a in range(n):
+        lo, hi = bounds[a]
+        others = [k for k in range(n) if k != a]
+        own = draw(st.sampled_from(["convex", "midpoint", "flat", "linear",
+                                    "cubic", "square-coupled"]))
+        terms: dict = {((a, 1),): draw(st.sampled_from(_OWN_LINEAR))}
+        if own == "midpoint":
+            i = draw(st.integers(0, len(axes[a]) - 2))
+            t = lo + (hi - lo) * Fraction(2 * i + 1, 2 * (len(axes[a]) - 1))
+            terms = {((a, 2),): Fraction(1), ((a, 1),): -2 * t, (): t * t}
+        elif own != "linear":
+            terms[((a, 2),)] = draw(st.sampled_from(
+                _REFUSED_SQUARE if own == "flat" else _CERTIFIED_SQUARE))
+        if own == "cubic":
+            terms[((a, 3),)] = draw(st.sampled_from([Fraction(1, 8),
+                                                     Fraction(-1, 4)]))
+        elif own == "square-coupled":
+            k = draw(st.sampled_from(others))
+            terms[tuple(sorted([(a, 2), (k, 1)]))] = draw(
+                st.sampled_from(_WEAK))
+        for _ in range(draw(st.integers(0, 3))):
+            mono = {draw(st.sampled_from(others)): draw(st.integers(1, 2))}
+            if draw(st.booleans()):
+                mono[a] = 1
+            key = tuple(sorted(mono.items()))
+            terms[key] = terms.get(key, 0) + draw(st.sampled_from(coupling))
+        costs.append(Polynomial(terms))
+    if chase:
+        costs[:2] = [Polynomial({((0, 2),): Fraction(1), ((1, 2),): Fraction(1),
+                                 ((0, 1), (1, 1)): sign * Fraction(2)})
+                     for sign in (-1, 1)]
+    return bounds, axes, costs
+
+
+def _best_everywhere(tables):
+    """Reference: the cells that are best responses of every table along
+    its own axis, from each line's minimum and ``_bar``."""
+    keep = np.ones(tables[0].shape, dtype=bool)
+    for a, table in enumerate(tables):
+        keep &= table <= kernels._bar(table.min(axis=a, keepdims=True))
+    return keep
+
+
+def _in_box(cells, box):
+    return all(np.isin(cells[:, k], list(r)).all() for k, r in enumerate(box))
+
+
+@given(box_games())
+@settings(max_examples=200, deadline=None)
+def test_candidate_box_reads_match_full_tables(game):
+    bounds, axes, costs = game
+    n, shape = len(axes), tuple(len(ax) for ax in axes)
+    exprs = [p.to_expression() for p in costs]
+    sources = [_cost_source(e, axes, bounds, a) for a, e in enumerate(exprs)]
+    tables = [kernels.poly_grid_eval(s.coeffs, s.exps, axes) for s in sources]
+    want = np.argwhere(_best_everywhere(tables))
+    # the box holds every grid equilibrium, whether or not it is read
+    assert _in_box(want, kernels.candidate_box(sources, axes))
+    np.testing.assert_array_equal(kernels.pure_nash_mask(sources, axes), want)
+    for e, table in zip(exprs, tables):
+        objective = _cost_source(e, axes, bounds, 0)
+        assert _in_box(np.argwhere(table == table.min()),
+                       kernels.candidate_box([objective] * n, axes))
+        idx, best = kernels.grid_argmin(objective, axes)
+        first = np.unravel_index(int(np.argmin(table)), shape)
+        assert tuple(map(int, idx)) == tuple(map(int, first))
+        assert _bits(best) == _bits(table[first])
+
+
+def test_candidate_box_certifies_parabolas_only():
+    names = ["u1", "u2", "u3"]
+    axes = [np.linspace(-2.0, 2.0, 101) for _ in names]
+    bounds = [(Fraction(-2), Fraction(2))] * 3
+
+    def box(texts):
+        return kernels.candidate_box(
+            [_cost_source(parse(t, names), axes, bounds, a)
+             for a, t in enumerate(texts)], axes)
+
+    weak = ["u1^2 - u1*u2/4", "(u2 - 1/3)^2 + u2*u3/8", "u3^2/2 - u1*u3/8"]
+    assert prod(len(r) for r in box(weak)) < 30
+    # a cubic own term, a square with another factor and a square too flat
+    # for the margin: those axes keep their full range
+    for a, text in enumerate(["u1^3/8 + u1^2 - u1*u2/4",
+                              "u2^2*u3/8 + u2^2 - u2",
+                              "u3^2/2^44 - u1*u3/8"]):
+        ranges = box(weak[:a] + [text] + weak[a + 1:])
+        assert len(ranges[a]) == 101
+    # cross terms above the own curvature: no sweep shrinks any range
+    strong = ["u1^2 - 4*u1*u2", "u2^2 + 4*u2*u3", "u3^2 - 4*u1*u3"]
+    assert box(strong) == [range(101)] * 3
+    # a quartic u2 keeps its whole axis, over which u2^2 spans [0, 4]: u1's
+    # vertex u2^2/4 spans [0, 1], so the equilibrium (0, 0, 0) stays in
+    ranges = box(["u1^2 - u1*u2^2/2", "u2^4", "u3^2"])
+    assert all(50 in r for r in ranges) and len(ranges[0]) < 40
+
+
+# ---------------------------------------------------------------------------
 # the error bound of the float fold
 
 #: coefficients with large magnitudes, non-dyadic parts and near-opposite

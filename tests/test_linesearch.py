@@ -462,6 +462,11 @@ def nonsmooth_lines(draw):
 # term's roots near 1e103 the eigenvalues lost the stationary point u1 = 1
 @example((add(safediv(parse("u1", N2), parse("-1 - u1^2", N2)),
               parse("u1*u2", N2)), [0.0, 8.388820545926033e-207], 0.0, F(2)))
+# the guard's float root of u1^3/8 + 1/1000 is 2 ulps below the box's
+# end -0.2: the cost jumps from u1 back to about 1000 only at the end, and
+# the piece's infimum near -0.2 is found from cuts beside that root
+@example((add(absval(safediv(parse("1", N2), parse("u1^3/8", N2), F(1, 1000))),
+              parse("u1", N2)), [0.0, 0.0], F(-1, 5), 0.0))
 def test_nonsmooth_line_is_no_worse_than_a_dense_scan(line):
     e, values, lo, hi = line
     got = line_minimum_at(e, 0, values, lo, hi)

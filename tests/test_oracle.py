@@ -1,6 +1,7 @@
 """Exhaustive grid oracle and its agreement with the analytic pipeline."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -179,46 +180,47 @@ CONCAVE_U1_J = "-(u1 - 1/2)^2 + u2^2 + (u3 + 1/2)^2 + u1*u2/4"
 class TestTablePaths:
     """Every read per ``oracle`` request: full tables (``poly_grid_eval``
     calls for polynomials, ``eval_array`` calls for other costs) and line
-    reads, by windows (4 cells per line) or of whole lines."""
+    reads, by windows (4 cells per line) or of whole lines.  A grid
+    minimum found on its candidate box (``kernels.candidate_box``) is
+    neither: the box is evaluated by ``poly_eval_at`` directly."""
 
     @pytest.mark.parametrize("text, grid, reads", [
-        # no table: the first agent and the grid minimum are read by windows
+        # every cost is a parabola in its own action with weak coupling:
+        # the candidate box is a few cells, so each agent reads only the
+        # lines through them, whole, and the grid minimum is the box's
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J),
-         101, {"windows": 3, "lines": 1}),
-        # a cubic first cost and a concave operator keep the parent's three
-        # tables: the first agent's, the grid minimum's and the operator
-        # solve's seed table
+         101, {"lines": 3}),
+        # a cubic first cost leaves the first axis whole, so the box holds
+        # more cells than the first axis has lines, and a concave operator
+        # is not certified on any axis: the parent's three tables (the first
+        # agent's, the grid minimum's and the operator solve's seed table)
         (OWN_CONVEX.replace("U1", "u1^3/8 + u1^2 - u1*u2 + u3")
          .replace("OPERATOR", "-u1^2 - u2^2 - u3^2 + u1*u2/4"),
          101, {"poly_grid_eval": 3, "windows": 1, "lines": 1}),
-        # the first cost spans two axes, so its table is one broadcast
-        # copy, and the separable operator folds only its last term at full
-        # size: both tables cost less than windows
-        (FOUR_AGENTS, 31, {"poly_grid_eval": 2, "windows": 1, "lines": 2}),
-        # the coupled operator folds 5 terms at full size: it is read by
-        # windows, and the first agent's 2 terms keep its table
+        # 4 agents at 31 points: no 31^4 table, for the agents or the
+        # grid minimum, whether the operator is separable or coupled
+        (FOUR_AGENTS, 31, {"lines": 4}),
         (FOUR_AGENTS.replace('"u1^2 + u2^2 + u3^2 + u4^2 - u1"',
-                             f'"{COUPLED_J}"'), 31,
-         {"poly_grid_eval": 1, "windows": 2, "lines": 2}),
-        # no line is longer than a window: the first agent's table and the
-        # grid minimum's, and whole lines for the other agents
+                             f'"{COUPLED_J}"'), 31, {"lines": 4}),
+        # no line is longer than a window, and the box is smaller still
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J),
-         4, {"poly_grid_eval": 2, "lines": 2}),
-        # 201 lines per agent: a windowed read's fixed cost outweighs the
-        # passes it saves, so the first agent and the grid minimum are
-        # tabulated and the second agent's one line is read whole
+         4, {"lines": 3}),
+        # decoupled costs and a separable operator at 201 points: each box
+        # is 3 x 3 cells
         ((GAMES_DIR / "decoupled_demo.game").read_text(), 201,
-         {"poly_grid_eval": 2, "lines": 1}),
+         {"lines": 2}),
         # the anticipatory proportional rule's guarded divisions: each cost
-        # is tabulated by its vector function, as before windows, and the
-        # later agents' lines are read from the tables
+        # is tabulated by its vector function and certifies no axis, so the
+        # later agents' lines are read from the tables; the polynomial
+        # operator's grid minimum is its box
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J)
          + "\n[incentive]\nkind = proportional\nmode = anticipatory\n",
-         101, {"eval_array": 3, "windows": 1, "lines": 2}),
-        # an operator convex in u2 but not along the first axis: its grid
-        # minimum is tabulated, beside the operator solve's seed table
+         101, {"eval_array": 3, "lines": 2}),
+        # an operator concave in u1: its box keeps the first axis whole and
+        # its grid minimum is evaluated on it; only the operator solve's
+        # seed table is left
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONCAVE_U1_J),
-         101, {"poly_grid_eval": 2, "windows": 2, "lines": 1}),
+         101, {"poly_grid_eval": 1, "lines": 3}),
     ], ids=["own-convex", "concave-operator", "four-agents-31",
             "four-agents-coupled-31", "own-convex-4", "decoupled-201",
             "guarded", "concave-u1-operator"])
@@ -252,3 +254,28 @@ class TestTablePaths:
                      "structured"]) == 0
         assert json.loads(capsys.readouterr().out)["agreement"] is True
         assert calls == reads
+
+    def test_four_agent_reads_stay_far_under_a_table(self, tmp_path):
+        # with the candidate box, the agents' filter and the grid minimum
+        # of a 4-agent game at 31 points allocate under a tenth of one
+        # 31^4 float64 table (7.4 MB) at their peak
+        from incentive_audit.gamefile import load_game_file
+        from incentive_audit.solve import kernels
+
+        path = tmp_path / "game.game"
+        path.write_text(FOUR_AGENTS.replace(
+            '"u1^2 + u2^2 + u3^2 + u4^2 - u1"', f'"{COUPLED_J}"'))
+        game = load_game_file(path).game
+        axes = oracle.grid_axes(game.bounds, 31)
+        sources = [oracle._cost_source(c, axes, game.bounds, a)
+                   for a, c in enumerate(game.agent_costs)]
+        objective = oracle._cost_source(game.operator_cost, axes,
+                                        game.bounds, 0)
+        tracemalloc.start()
+        try:
+            assert len(kernels.pure_nash_mask(sources, axes))
+            kernels.grid_argmin(objective, axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 31 ** 4 * 8 / 10

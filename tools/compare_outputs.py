@@ -14,8 +14,11 @@ the workloads issue them, through the checkout's own ``perfbench/loop.py``
 requests follows, for the paths no workload takes: the text reports of
 ``equilibrium`` and ``oracle`` on the bundled games, the oracle on grids
 of 4 and 5 points, on a 3-agent game with half-step vertices, on
-example2's guarded-division costs (tabulated by their vector function)
-and on a 3-agent operator concave in u1 and convex in u2, requests
+example2's guarded-division costs (tabulated by their vector function),
+on a 3-agent operator concave in u1 and convex in u2, and on the
+candidate box's edge cases (3-agent games whose coupling keeps the box
+the whole grid, whose vertices are clipped to an edge of the box, and
+whose own square in u1 is too flat for the certificate), requests
 that fail with a usage, game-file or size error, a float overflow in each
 command, a sampled curvature check that overflows, a subnormal line
 coefficient, and example1 in the rarer forms of the game-file syntax.
@@ -163,6 +166,70 @@ u3 = [-2, 1]
 """
 
 
+#: three agents whose cross coefficients exceed their own curvature: no
+#: sweep of the candidate box shrinks it, so the agents are read from the
+#: first agent's lines on the whole grid
+STRONG_COUPLING_GAME = """\
+[agents]
+names = u1, u2, u3
+
+[costs]
+u1 = "u1^2 - 4*u1*u2"
+u2 = "u2^2 + 4*u2*u3"
+u3 = "u3^2 - 4*u1*u3 + u2/2"
+
+[operator]
+J = "(u1 - 1/2)^2 + (u2 + 1/4)^2 + u3^2 - u1*u3/4"
+
+[bounds]
+u1 = [-2, 2]
+u2 = [-2, 2]
+u3 = [-2, 2]
+"""
+
+
+#: three agents and an operator whose vertices lie outside the action
+#: bounds along some axes, so that those candidate ranges sit at an edge
+CLIPPED_VERTEX_GAME = """\
+[agents]
+names = u1, u2, u3
+
+[costs]
+u1 = "(u1 - 3)^2 + u1*u2/4"
+u2 = "(u2 + 5/2)^2 - u2*u3/4"
+u3 = "u3^2 - u3*u1/2"
+
+[operator]
+J = "(u1 - 4)^2 + (u2 + 1/4)^2 + (u3 - 3)^2 + u1*u2/8"
+
+[bounds]
+u1 = [-2, 2]
+u2 = [-1, 2]
+u3 = [-2, 1]
+"""
+
+
+#: a first cost and an operator whose own square in u1 is too flat for the
+#: margin: the candidate box keeps the first axis whole
+FLAT_SQUARE_GAME = """\
+[agents]
+names = u1, u2, u3
+
+[costs]
+u1 = "u1^2/2^44 - u1*u2/8 + u1/3"
+u2 = "(u2 - 1/3)^2 + u2*u3/2"
+u3 = "u3^2/2 - u1*u3/4 + u2^2"
+
+[operator]
+J = "u1^2/2^44 + u1/5 + u2^2 + (u3 + 1/2)^2 + u1*u2/4"
+
+[bounds]
+u1 = [-2, 2]
+u2 = [-1, 2]
+u3 = [-2, 1]
+"""
+
+
 def build_requests(seeds: list[int], out: Path) -> list[dict]:
     """Every distinct request ({key, argv}) of every workload and seed."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -190,8 +257,10 @@ def front_end_requests(out: Path) -> list[dict]:
     overflows (Newton's re-check of a non-finite row), sampled curvature
     that overflows, a line with a subnormal top coefficient, and grid
     minima that tie between two cells on either side of the window rule,
-    costs that are not polynomials, and a grid minimum tabulated because
-    its objective is not convex along the first axis; and example1
+    costs that are not polynomials, a grid minimum tabulated because its
+    objective is not convex along the first axis, and candidate boxes that
+    stay whole, are clipped to an edge or are refused on an axis; and
+    example1
     written in the rarer forms of the game-file syntax, and with CRLF line
     ends and a byte-order mark."""
     games = sorted((ROOT / "games").glob("*.game"))
@@ -222,6 +291,12 @@ def front_end_requests(out: Path) -> list[dict]:
                                      "mode = anticipatory"))
     concave_u1 = out / "concave_u1.game"
     concave_u1.write_text(CONCAVE_U1_GAME)
+    box_games = []
+    for name, text in [("strong_coupling", STRONG_COUPLING_GAME),
+                       ("clipped_vertex", CLIPPED_VERTEX_GAME),
+                       ("flat_square", FLAT_SQUARE_GAME)]:
+        box_games.append(out / f"{name}.game")
+        box_games[-1].write_text(text)
     crlf_bom = out / "crlf_bom.game"
     crlf_bom.write_bytes(b"\xef\xbb\xbf" + example.read_bytes().replace(
         b"\n", b"\r\n"))
@@ -245,6 +320,8 @@ def front_end_requests(out: Path) -> list[dict]:
         ["oracle", str(anticipatory)],
         ["oracle", str(concave_u1), "--grid", "101"],
         ["oracle", str(concave_u1), "--grid", "31"],
+        *(["oracle", str(game), "--grid", grid]
+          for game in box_games for grid in ("101", "31")),
         ["equilibrium", str(crlf_bom), "--scenario", "incentive"],
         ["audit", str(crlf_bom), "--format", "structured"],
     ]
