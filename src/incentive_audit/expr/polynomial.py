@@ -113,11 +113,6 @@ class LinePlan(NamedTuple):
                  else groups[k].derivative for k in range(1, len(coeffs))]
         return line, slope
 
-    def convex(self) -> bool:
-        """Whether its lines are convex: degree <= 1, or 2 exact and > 0."""
-        g = self.groups
-        return len(g) < 3 or len(g) == 3 and not g[2].terms and g[2].coeff > 0
-
 
 class Polynomial:
     """Multivariate polynomial with Fraction coefficients."""

@@ -11,13 +11,10 @@ through them, and the grid minimum is the box's.  Otherwise
 ``pure_nash_mask`` reads the first agent's cost on every line along its
 action and each later agent's on the lines through the cells still
 standing, and ``grid_argmin`` reads a cost on every line along the first
-axis.  ``line_best`` is the one read of a cost on lines: a ``Poly`` convex
-along them on a certified window of 4 cells per line when that costs less
-than reading the lines whole (``_windowed`` counts both), anything else
-(and a line whose certificate fails) whole.  The whole read of every line
-is the full table.  Each cell read is the same fold as in a full table, so
-results are the tables' bit for bit.  ``oracle.check_grid_size`` bounds
-the tables.
+axis.  ``line_best`` is the one read of a cost on lines, always whole: on
+every line it is the full table, otherwise the lines through the cells
+given.  Each cell read is the same fold as in a full table, so results are
+the tables' bit for bit.  ``oracle.check_grid_size`` bounds the tables.
 """
 
 from __future__ import annotations
@@ -33,32 +30,13 @@ from .._lazy import np
 MASK_TOL_ABS = 1e-12
 MASK_TOL_REL = 1e-12
 
-#: one pass over a window's cells, in passes of a table's in-place add
-#: over as many cells.  Measured (2-core VM, numpy 2.4.6): a gather, a
-#: multiply and an add on the windows of all lines took 4.2 table adds
-#: together on a 31^4 grid (the gather about 2) and 3.5 on a 101^3 grid;
-#: the 31^4 ratio is taken, since only there is the choice close
-WINDOW_PASS_COST = 1.4
-
-#: what a windowed read costs beyond its passes, in the same cell passes:
-#: about two dozen more numpy calls than a table or whole lines, 0.1-0.2
-#: ms.  Fitted to in-process times of both reads of each cost of 95
-#: ``oracle`` workload games and the bundled games at 201 points (445
-#: reads, 572 ms at the faster read): from 40 000 to 70 000 the rule
-#: loses 2.2 ms on 8 reads (4 of them 4-agent first agents, whose tables
-#: are kept on purpose); with no fixed cost it loses 19 ms on 154, mostly
-#: later agents with a few dozen lines to read
-WINDOW_READ_COST = 60_000
-
 
 class Poly(NamedTuple):
-    """``Polynomial.to_arrays``, ``float_error``, the axes of its reads
-    along which it is convex, and its ``magnitude_bound``."""
+    """``Polynomial.to_arrays``, ``float_error`` and ``magnitude_bound``."""
 
     coeffs: np.ndarray
     exps: np.ndarray
     err: float = inf
-    convex: tuple[int, ...] = ()
     bound: float = inf
 
 
@@ -113,51 +91,17 @@ def _bar(line_min: np.ndarray) -> np.ndarray:
     return line_min + MASK_TOL_ABS + MASK_TOL_REL * np.abs(line_min)
 
 
-def _full_terms(exps: np.ndarray) -> int:
-    """The terms that ``poly_eval_at`` folds into a full-size running sum:
-    those from the first after which the sum spans every axis, or the one
-    broadcast copy when it never does."""
-    spanned = np.logical_or.accumulate(exps > 0, axis=0).all(axis=1)
-    return max(1, int(spanned.sum()))
-
-
-def _windowed(cost: np.ndarray | Poly, a: int, axes: Sequence[np.ndarray],
-              lines: Sequence[np.ndarray] | None) -> bool:
-    """Whether ``cost`` is read on ``lines`` along axis ``a`` (as in
-    ``line_best``) by windows rather than whole, whichever costs less: on
-    every line (``None``) the whole read is the full table.
-
-    Counted in cells times passes: a table folds each line's points once
-    per term it folds at full size, and a whole line once per term.  A
-    window folds its 4 cells in three passes per term in the action read
-    (gather, multiply, add) and in one per other term, whose factors are
-    gathered per line and which is only added; each pass weighs
-    ``WINDOW_PASS_COST``, and the read adds ``WINDOW_READ_COST``.  On
-    thousands of 31-point lines whole lines took 1.9-2.1 times the
-    windows' time, where the count gives 1.85."""
-    if not (isinstance(cost, Poly) and a in cost.convex):
-        return False
-    points, terms = len(axes[a]), len(cost.coeffs)
-    own = np.count_nonzero(cost.exps[:, a])
-    window = 4 * WINDOW_PASS_COST * (terms + 2 * own)
-    if lines is None:
-        count = prod(len(ax) for ax in axes) // points
-        folds = _full_terms(cost.exps)
-    else:
-        count, folds = len(lines[0]), terms
-    return count * window + WINDOW_READ_COST < count * points * folds
-
-
 def _table(cost: np.ndarray | Poly, axes: Sequence[np.ndarray]) -> np.ndarray:
     return cost if isinstance(cost, np.ndarray) else poly_grid_eval(
         cost.coeffs, cost.exps, axes)
 
 
 def _read(cost: np.ndarray | Poly, axes: Sequence[np.ndarray], a: int,
-          lines: Sequence[np.ndarray], pos: np.ndarray) -> np.ndarray:
-    """``cost`` at the indices ``pos`` along axis ``a`` of the ``lines``."""
+          lines: Sequence[np.ndarray]) -> np.ndarray:
+    """``cost`` on the whole ``lines`` along axis ``a``, as (points,
+    lines)."""
     index = list(lines)
-    index.insert(a, pos)
+    index.insert(a, np.arange(len(axes[a]))[:, None])
     if isinstance(cost, np.ndarray):
         return cost[tuple(index)]
     return poly_eval_at(cost.coeffs, cost.exps, axes, index)
@@ -168,61 +112,22 @@ def line_best(cost: np.ndarray | Poly, axes: Sequence[np.ndarray], a: int,
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The minima of the lines along axis ``a`` through ``lines`` (one
     index array per other axis; ``None``: every line, in C order of the
-    other axes), and their best-response cells (in no set order) as flat
+    other axes), and their best-response cells in ascending order as flat
     indices, the index along ``a`` times the number of lines plus the line
     number, and their costs.  On every line along the first axis, a cell's
     flat index is its C-order index on the grid.
 
-    A read is whole or by windows, whichever ``_windowed`` counts as less.
-    The whole read of every line is the full table, viewed as (points,
-    lines).  A window is the cells f-1 .. f+2, f the grid point at or
-    below the line's float vertex -g1 / (2 g2), a guess, moved inside the
-    axis; m is its minimum.  A vertex midway between two grid points has
-    both in the window, with a cell beyond each.  Each window end that
-    is not an axis end must exceed ``_bar(m) + 2 * err``: the exact line is
-    convex, so every cell beyond then exceeds ``_bar(m)`` in floats (half
-    of ``err`` covers the fold, the rest the threshold's rounding), m is
-    the line minimum and the window holds every best response; a line
-    whose window fails is read whole.
+    Lines are read whole: every line (``None``) as the full table viewed
+    as (points, lines), given lines through ``_read``.
     """
-    dims = [len(ax) for ax in axes]
-    points = dims.pop(a)
-    count = prod(dims) if lines is None else len(lines[0])
-    if not _windowed(cost, a, axes, lines):
-        if lines is None:
-            values = np.moveaxis(_table(cost, axes), a, 0).reshape(points, -1)
-        else:
-            values = _read(cost, axes, a, lines, np.arange(points)[:, None])
-        line_min = values.min(axis=0)
-        cell = np.flatnonzero(values <= _bar(line_min))
-        return line_min, cell, values.ravel()[cell]
     if lines is None:
-        lines = list(np.indices(dims).reshape(len(dims), count))
-    coeffs, exps, err = cost.coeffs, cost.exps, cost.err
-    own = exps[:, a]
-    slope = Poly(coeffs[own == 1], exps[own == 1] * (np.arange(len(axes)) != a))
-    g1 = _read(slope, axes, a, lines, np.zeros((1, 1), dtype=np.intp))[0]
-    lo, hi = axes[a][0], axes[a][-1]
-    with np.errstate(all="ignore"):
-        guess = (-g1 / (2.0 * coeffs[own == 2].sum()) - lo) / (hi - lo)
-    # clipped while a float, so that the cast sees only finite values
-    guess = np.clip(np.nan_to_num(guess * (points - 1)), 1, points - 3)
-    start = np.floor(guess).astype(np.intp) - 1
-    values = _read(cost, axes, a, lines, start + np.arange(4)[:, None])
+        values = np.moveaxis(_table(cost, axes), a, 0).reshape(
+            len(axes[a]), -1)
+    else:
+        values = _read(cost, axes, a, lines)
     line_min = values.min(axis=0)
-    bar = _bar(line_min)
-    sure = (((start == 0) | (values[0] > bar + 2 * err))
-            & ((start == points - 4) | (values[-1] > bar + 2 * err)))
-    pos, line = np.nonzero((values <= bar) & sure)
-    cell, value = (start[line] + pos) * count + line, values[pos, line]
-    if not sure.all():
-        redo = np.flatnonzero(~sure)
-        line_min[redo], again, redo_value = line_best(
-            cost._replace(convex=()), axes, a, [k[redo] for k in lines])
-        pos, line = np.divmod(again, len(redo))
-        cell = np.concatenate((cell, pos * count + redo[line]))
-        value = np.concatenate((value, redo_value))
-    return line_min, cell, value
+    cell = np.flatnonzero(values <= _bar(line_min))
+    return line_min, cell, values.ravel()[cell]
 
 
 def _parabola(cost: np.ndarray | Poly, axes: Sequence[np.ndarray], a: int
@@ -356,9 +261,7 @@ def pure_nash_mask(costs: Sequence[np.ndarray | Poly],
         best = np.zeros(shape[a] * count, dtype=bool)
         best[line_best(costs[a], axes, a, lines)[1]] = True
         flat = flat[best[cells[a] * count + row]]
-    # windows leave the first agent's cells out of order: sort the few
-    # that stand
-    return np.stack(np.unravel_index(np.sort(flat), shape), axis=1)
+    return np.stack(np.unravel_index(flat, shape), axis=1)
 
 
 def grid_argmin(cost: np.ndarray | Poly, axes: Sequence[np.ndarray]
@@ -377,7 +280,6 @@ def grid_argmin(cost: np.ndarray | Poly, axes: Sequence[np.ndarray]
         return (tuple(r[i] for r, i in zip(box, first)),
                 float(values[first]))
     line_min, flat, value = line_best(cost, axes, 0)
-    hit = np.flatnonzero(value == line_min.min())
-    first = hit[np.argmin(flat[hit])]
+    first = np.flatnonzero(value == line_min.min())[0]
     return (np.unravel_index(flat[first], tuple(len(ax) for ax in axes)),
             float(value[first]))

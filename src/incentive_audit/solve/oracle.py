@@ -9,12 +9,10 @@ encloses their cells over a shrinking box before any cell is read, and
 only the lines through the box's cells are read when it is small.
 Otherwise every cost is read as lines along one axis
 (``kernels.line_best``): an agent's along its own action, the operator
-objective's along the first.  A polynomial cost convex along that axis
-is read on a window of each line, certified to hold the line's minimum
-and best responses (else the line is read whole), where windows cost less
-than whole lines; the whole read of every line is the full table.  A cost
-that is not a polynomial, or whose float evaluation might overflow on the
-box, is tabulated and checked for non-finite cells.
+objective's along the first.  Lines are read whole, and the read of every
+line is the full table.  A cost that is not a polynomial, or whose
+float evaluation might overflow on the box, is tabulated and checked for
+non-finite cells.
 Intended for small games (n <= 4); the per-axis resolution comes from
 SolverConfig.
 """
@@ -25,7 +23,7 @@ from typing import Sequence
 
 from .._lazy import np
 from ..expr import Expression, Number, vector_fn
-from ..expr.polynomial import as_polynomial, line_plan
+from ..expr.polynomial import as_polynomial
 from ..game import ActionProfile
 from .config import SolverConfig
 from . import kernels
@@ -67,11 +65,10 @@ def check_grid_size(n: int, points: int) -> None:
     The estimate is ``n * points**n`` float64 cells, one full table per
     agent: an upper bound, which stays because a run whose candidate box
     (``kernels.candidate_box``) does not shrink can still tabulate.  A
-    small box builds no table at all.  Otherwise a cost is read as lines
-    along one axis, and one convex along it builds no table where windows
-    of its lines cost less than the whole read (``kernels._windowed``); a
-    later agent is read only on the lines through the cells still
-    standing.  The message names the largest grid that fits the budget.
+    small box builds no table at all.  Otherwise the first agent and the
+    grid minimum are read from full tables, and a later agent only on the
+    lines through the cells still standing.  The message names the
+    largest grid that fits the budget.
     """
     if n > ORACLE_MAX_AGENTS:
         raise OracleDimensionError(
@@ -119,20 +116,19 @@ def _finite(table: np.ndarray) -> np.ndarray:
 
 
 def _cost_source(e: Expression, axes: Sequence[np.ndarray],
-                 bounds: Sequence[tuple[Number, Number]], a: int
+                 bounds: Sequence[tuple[Number, Number]]
                  ) -> np.ndarray | kernels.Poly:
-    """``e`` as the kernels read it along axis ``a``.
+    """``e`` as the kernels read it.
 
     A polynomial whose ``magnitude_bound`` rules out an overflow on the
-    box gives a ``kernels.Poly``: its arrays, its ``float_error``, ``(a,)``
-    when its ``LinePlan`` along ``a`` is convex, and the bound, computed
-    once for both.  Any other cost gives its table, refused by ``_finite``
-    when a cell is not finite."""
+    box gives a ``kernels.Poly``: its arrays, its ``float_error`` and the
+    bound, computed once for both.  Any other cost gives its table,
+    refused by ``_finite`` when a cell is not finite."""
     p = as_polynomial(e)
     if p is None or (bound := p.magnitude_bound(bounds)) >= FLOAT_SAFE_BOUND:
         return _finite(eval_on_grid(e, axes))
     return kernels.Poly(*p.to_arrays(len(axes)), p.float_error(bounds, bound),
-                        (a,) if line_plan(e, a).convex() else (), bound)
+                        bound)
 
 
 def grid_nash_oracle(costs: Sequence[Expression],
@@ -144,7 +140,7 @@ def grid_nash_oracle(costs: Sequence[Expression],
     """
     check_grid_size(len(costs), cfg.grid_points_per_axis)
     axes = grid_axes(bounds, cfg.grid_points_per_axis)
-    sources = [_cost_source(c, axes, bounds, a) for a, c in enumerate(costs)]
+    sources = [_cost_source(c, axes, bounds) for c in costs]
     return [ActionProfile([axes[k][i] for k, i in enumerate(idx)])
             for idx in kernels.pure_nash_mask(sources, axes)]
 
@@ -154,7 +150,7 @@ def grid_minimum(e: Expression, bounds: Sequence[tuple[Number, Number]],
     """Best grid point of ``e``; first (lexicographically smallest) on ties."""
     check_grid_size(len(bounds), cfg.grid_points_per_axis)
     axes = grid_axes(bounds, cfg.grid_points_per_axis)
-    idx, value = kernels.grid_argmin(_cost_source(e, axes, bounds, 0), axes)
+    idx, value = kernels.grid_argmin(_cost_source(e, axes, bounds), axes)
     return ActionProfile([axes[k][i] for k, i in enumerate(idx)]), value
 
 

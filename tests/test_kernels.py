@@ -215,7 +215,7 @@ def test_table_costs_are_read_without_a_copy():
 
 
 # ---------------------------------------------------------------------------
-# windowed lines against the full table
+# line reads against the full table
 
 #: cells of one drawn game at most, so that tables stay small
 GAME_CELLS = 40_000
@@ -242,8 +242,8 @@ def own_convex_games(draw):
     about half the time), each cost a Polynomial of degree <= 2 in its own
     action with a nonnegative exact square coefficient.
 
-    Some lines are flat or nearly flat, so their windows cannot be
-    certified; some costs minimize midway between two grid points, so
+    Some lines are flat or nearly flat, so that many cells of a line are
+    best responses; some costs minimize midway between two grid points, so
     cells tie.  With ``twin`` the last two axes are equal and the first
     agent's cost has K*u1*u_b - K*u1*u_c with large K: on the lines where
     u_b = u_c the exact slope terms cancel, but the float fold rounds at
@@ -319,62 +319,48 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
-def _by_windows(cost, a, axes, lines):
-    """``kernels._windowed`` that reads every convex cost by windows."""
-    return isinstance(cost, kernels.Poly) and a in cost.convex
-
-
 @given(own_convex_games())
 @settings(max_examples=150, deadline=None)
-def test_windowed_lines_match_the_full_table(game):
+def test_line_best_matches_the_full_table(game):
     bounds, axes, costs = game
-    n, shape = len(axes), tuple(len(ax) for ax in axes)
+    shape = tuple(len(ax) for ax in axes)
     exprs = [p.to_expression() for p in costs]
-    sources = [_cost_source(e, axes, bounds, a) for a, e in enumerate(exprs)]
+    sources = [_cost_source(e, axes, bounds) for e in exprs]
     tables = [kernels.poly_grid_eval(s.coeffs, s.exps, axes) for s in sources]
-    want_mask = kernels.pure_nash_mask(tables, axes)
-    # each read as the cost rule picks it, then every read by windows,
-    # which the rule keeps for reads of many lines
-    for windowed in (kernels._windowed, _by_windows):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_windowed", windowed)
-            for a, (source, table) in enumerate(zip(sources, tables)):
-                assert a in source.convex
-                dims = shape[:a] + shape[a + 1:]
-                count = prod(dims)
-                # every line given as index arrays, and as None
-                for lines in (list(np.unravel_index(np.arange(count), dims)),
-                              None):
-                    line_min, cell, value = kernels.line_best(
-                        source, axes, a, lines)
-                    pos, line = np.divmod(cell, count)
-                    want_min, want_cells, want_values = _table_best(table, a)
-                    order = np.lexsort((pos, line))
-                    assert _bits(line_min) == _bits(want_min)
-                    np.testing.assert_array_equal(
-                        np.stack([line[order], pos[order]], axis=1),
-                        want_cells)
-                    assert _bits(value[order]) == _bits(want_values)
-                # the grid minimum, read along the first axis: np.argmin's
-                # cell and its value bits
-                idx, best = kernels.grid_argmin(
-                    _cost_source(exprs[a], axes, bounds, 0), axes)
-                want = np.unravel_index(int(np.argmin(table)), shape)
-                assert tuple(map(int, idx)) == tuple(map(int, want))
-                assert _bits(best) == _bits(table[want])
+    for a, (source, table) in enumerate(zip(sources, tables)):
+        dims = shape[:a] + shape[a + 1:]
+        count = prod(dims)
+        # every line given as index arrays, and as None
+        for lines in (list(np.unravel_index(np.arange(count), dims)), None):
+            line_min, cell, value = kernels.line_best(source, axes, a, lines)
+            assert (np.diff(cell) > 0).all()
+            pos, line = np.divmod(cell, count)
+            want_min, want_cells, want_values = _table_best(table, a)
+            order = np.lexsort((pos, line))
+            assert _bits(line_min) == _bits(want_min)
             np.testing.assert_array_equal(
-                kernels.pure_nash_mask(sources, axes), want_mask)
+                np.stack([line[order], pos[order]], axis=1), want_cells)
+            assert _bits(value[order]) == _bits(want_values)
+        # the grid minimum, read along the first axis: np.argmin's cell and
+        # its value bits
+        idx, best = kernels.grid_argmin(source, axes)
+        want = np.unravel_index(int(np.argmin(table)), shape)
+        assert tuple(map(int, idx)) == tuple(map(int, want))
+        assert _bits(best) == _bits(table[want])
+    np.testing.assert_array_equal(kernels.pure_nash_mask(sources, axes),
+                                  kernels.pure_nash_mask(tables, axes))
 
 
 @st.composite
 def tie_games(draw):
-    """(bounds, axes, costs): 2-4 agents with 17-40 points per axis, each
-    cost (u_a - t_a)^2 with t_a midway between two grid points, plus terms
-    in the other actions only, so that every line along u_a has its
-    vertex at t_a and two cells that tie for its minimum."""
+    """(bounds, axes, costs, ties): 2-4 agents with 17-40 points per axis,
+    each cost (u_a - t_a)^2 with t_a midway between the grid points
+    ``ties[a]`` and ``ties[a] + 1``, plus terms in the other actions only,
+    so that every line along u_a has its vertex at t_a and those two cells
+    tie for its minimum."""
     n = draw(st.integers(2, 4))
     top = {2: 40, 3: 30, 4: 20}[n]
-    bounds, axes, costs = [], [], []
+    bounds, axes, costs, ties = [], [], [], []
     for _ in range(n):
         p = draw(st.integers(17, top))
         lo = draw(st.sampled_from(_BOX_LO))
@@ -392,38 +378,28 @@ def tie_games(draw):
             key = ((k, draw(st.integers(1, 2))),)
             terms[key] = terms.get(key, 0) + draw(st.sampled_from(_COUPLING))
         costs.append(Polynomial(terms))
-    return bounds, axes, costs
+        ties.append(i)
+    return bounds, axes, costs, ties
 
 
 @given(tie_games())
 @settings(max_examples=60, deadline=None)
-def test_windows_hold_both_tied_cells(game):
-    # the window [f-1, f+2] around the vertex's floor f holds both grid
-    # neighbours of a vertex midway between them, so every line certifies
-    # and none is read again whole (the cells are checked against the
-    # table by test_windowed_lines_match_the_full_table); the lines are
-    # read by windows even where the cost rule would read them whole
-    bounds, axes, costs = game
-    n, shape = len(axes), tuple(len(ax) for ax in axes)
-    sources = [_cost_source(p.to_expression(), axes, bounds, a)
-               for a, p in enumerate(costs)]
-    fallbacks = []
-    real = kernels.line_best
-
-    def counting(cost, *args):
-        fallbacks.append(cost.convex == ())
-        return real(cost, *args)
-
-    kernels.line_best = counting
-    windowed, kernels._windowed = kernels._windowed, _by_windows
-    try:
-        for a, source in enumerate(sources):
-            dims = shape[:a] + shape[a + 1:]
-            lines = list(np.unravel_index(np.arange(prod(dims)), dims))
-            kernels.line_best(source, axes, a, lines)
-    finally:
-        kernels.line_best, kernels._windowed = real, windowed
-    assert len(fallbacks) == n and not any(fallbacks)
+def test_line_best_holds_both_tied_cells(game):
+    # the two cells a grid spacing h apart around the vertex differ in
+    # float rounding only, far under the best-response tolerance, and the
+    # next cells cost 2 h^2 more; so every line's best responses are
+    # exactly the tied pair, the lower index's cells first
+    bounds, axes, costs, ties = game
+    shape = tuple(len(ax) for ax in axes)
+    for a, (p, i) in enumerate(zip(costs, ties)):
+        source = _cost_source(p.to_expression(), axes, bounds)
+        dims = shape[:a] + shape[a + 1:]
+        count = prod(dims)
+        want = np.concatenate([i * count + np.arange(count),
+                               (i + 1) * count + np.arange(count)])
+        for lines in (list(np.unravel_index(np.arange(count), dims)), None):
+            _, cell, _ = kernels.line_best(source, axes, a, lines)
+            np.testing.assert_array_equal(cell, want)
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +504,14 @@ def test_candidate_box_reads_match_full_tables(game):
     bounds, axes, costs = game
     n, shape = len(axes), tuple(len(ax) for ax in axes)
     exprs = [p.to_expression() for p in costs]
-    sources = [_cost_source(e, axes, bounds, a) for a, e in enumerate(exprs)]
+    sources = [_cost_source(e, axes, bounds) for e in exprs]
     tables = [kernels.poly_grid_eval(s.coeffs, s.exps, axes) for s in sources]
     want = np.argwhere(_best_everywhere(tables))
     # the box holds every grid equilibrium, whether or not it is read
     assert _in_box(want, kernels.candidate_box(sources, axes))
     np.testing.assert_array_equal(kernels.pure_nash_mask(sources, axes), want)
     for e, table in zip(exprs, tables):
-        objective = _cost_source(e, axes, bounds, 0)
+        objective = _cost_source(e, axes, bounds)
         assert _in_box(np.argwhere(table == table.min()),
                        kernels.candidate_box([objective] * n, axes))
         idx, best = kernels.grid_argmin(objective, axes)
@@ -551,8 +527,8 @@ def test_candidate_box_certifies_parabolas_only():
 
     def box(texts):
         return kernels.candidate_box(
-            [_cost_source(parse(t, names), axes, bounds, a)
-             for a, t in enumerate(texts)], axes)
+            [_cost_source(parse(t, names), axes, bounds) for t in texts],
+            axes)
 
     weak = ["u1^2 - u1*u2/4", "(u2 - 1/3)^2 + u2*u3/8", "u3^2/2 - u1*u3/8"]
     assert prod(len(r) for r in box(weak)) < 30
@@ -610,8 +586,8 @@ def polynomials_at_cells(draw):
 @given(polynomials_at_cells())
 @settings(max_examples=300, deadline=None)
 def test_float_error_bounds_the_fold(case):
-    # float_error is twice the fold's error bound; the certificate of the
-    # windowed lines relies on the error staying under half of it
+    # float_error is twice the fold's error bound; the candidate box's
+    # margin (3 err) relies on the error staying under half of it
     poly, bounds, points = case
     n = len(bounds)
     half = Fraction(poly.float_error(bounds)) / 2

@@ -179,10 +179,10 @@ CONCAVE_U1_J = "-(u1 - 1/2)^2 + u2^2 + (u3 + 1/2)^2 + u1*u2/4"
 
 class TestTablePaths:
     """Every read per ``oracle`` request: full tables (``poly_grid_eval``
-    calls for polynomials, ``eval_array`` calls for other costs) and line
-    reads, by windows (4 cells per line) or of whole lines.  A grid
-    minimum found on its candidate box (``kernels.candidate_box``) is
-    neither: the box is evaluated by ``poly_eval_at`` directly."""
+    calls for polynomials, ``eval_array`` calls for other costs) and reads
+    of whole lines through the cells still standing.  A grid minimum found
+    on its candidate box (``kernels.candidate_box``) is neither: the box
+    is evaluated by ``poly_eval_at`` directly."""
 
     @pytest.mark.parametrize("text, grid, reads", [
         # every cost is a parabola in its own action with weak coupling:
@@ -196,13 +196,14 @@ class TestTablePaths:
         # agent's, the grid minimum's and the operator solve's seed table)
         (OWN_CONVEX.replace("U1", "u1^3/8 + u1^2 - u1*u2 + u3")
          .replace("OPERATOR", "-u1^2 - u2^2 - u3^2 + u1*u2/4"),
-         101, {"poly_grid_eval": 3, "windows": 1, "lines": 1}),
+         101, {"poly_grid_eval": 3, "lines": 2}),
         # 4 agents at 31 points: no 31^4 table, for the agents or the
         # grid minimum, whether the operator is separable or coupled
         (FOUR_AGENTS, 31, {"lines": 4}),
         (FOUR_AGENTS.replace('"u1^2 + u2^2 + u3^2 + u4^2 - u1"',
                              f'"{COUPLED_J}"'), 31, {"lines": 4}),
-        # no line is longer than a window, and the box is smaller still
+        # 4 points per axis: the box is smaller than the first axis's 16
+        # lines
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J),
          4, {"lines": 3}),
         # decoupled costs and a separable operator at 201 points: each box
@@ -241,11 +242,9 @@ class TestTablePaths:
                 return _real(*args)
             monkeypatch.setattr(module, name, counting)
 
-        def reading(cost, axes, a, lines, pos, _real=kernels._read):
-            # a windowed read gathers its slopes first, one cell per line
-            if len(pos) != 1:
-                count("lines" if len(pos) == len(axes[a]) else "windows")
-            return _real(cost, axes, a, lines, pos)
+        def reading(*args, _real=kernels._read):
+            count("lines")
+            return _real(*args)
 
         monkeypatch.setattr(kernels, "_read", reading)
         path = tmp_path / "game.game"
@@ -267,10 +266,9 @@ class TestTablePaths:
             '"u1^2 + u2^2 + u3^2 + u4^2 - u1"', f'"{COUPLED_J}"'))
         game = load_game_file(path).game
         axes = oracle.grid_axes(game.bounds, 31)
-        sources = [oracle._cost_source(c, axes, game.bounds, a)
-                   for a, c in enumerate(game.agent_costs)]
-        objective = oracle._cost_source(game.operator_cost, axes,
-                                        game.bounds, 0)
+        sources = [oracle._cost_source(c, axes, game.bounds)
+                   for c in game.agent_costs]
+        objective = oracle._cost_source(game.operator_cost, axes, game.bounds)
         tracemalloc.start()
         try:
             assert len(kernels.pure_nash_mask(sources, axes))

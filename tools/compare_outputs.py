@@ -251,18 +251,16 @@ def build_requests(seeds: list[int], out: Path) -> list[dict]:
 
 def front_end_requests(out: Path) -> list[dict]:
     """Requests on the bundled games that take the text renderers of the
-    equilibrium and oracle reports, the oracle on grids where a table or a
-    whole line costs less than windows, and the error paths; and requests
-    on small games for the paths between: a cost whose float power
-    overflows (Newton's re-check of a non-finite row), sampled curvature
-    that overflows, a line with a subnormal top coefficient, and grid
-    minima that tie between two cells on either side of the window rule,
-    costs that are not polynomials, a grid minimum tabulated because its
-    objective is not convex along the first axis, and candidate boxes that
-    stay whole, are clipped to an edge or are refused on an axis; and
-    example1
-    written in the rarer forms of the game-file syntax, and with CRLF line
-    ends and a byte-order mark."""
+    equilibrium and oracle reports, the oracle on small grids, and the
+    error paths; and requests on small games for the paths between: a
+    cost whose float power overflows (Newton's re-check of a non-finite
+    row), sampled curvature that overflows, a line with a subnormal top
+    coefficient, grid minima that tie between two cells, on small and
+    large grids, costs that are not polynomials, a grid minimum tabulated
+    because its objective is not convex along the first axis, and
+    candidate boxes that stay whole, are clipped to an edge or are refused
+    on an axis; and example1 written in the rarer forms of the game-file
+    syntax, and with CRLF line ends and a byte-order mark."""
     games = sorted((ROOT / "games").glob("*.game"))
     argvs = [argv for game in games
              for argv in (["equilibrium", str(game)],
