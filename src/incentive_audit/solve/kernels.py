@@ -4,23 +4,20 @@
 index arrays pick from the grid; ``poly_grid_eval`` is its full-grid case.
 ``candidate_box`` encloses, before any cell is read, the cells that can be
 a best response of a cost that is a parabola along its axis: every grid
-equilibrium, or every cell at a grid minimum.  ``pure_nash_mask`` and
-``grid_argmin`` read only the box when it holds fewer cells than the first
-axis has lines: every agent filters the box's cells on its own lines
-through them, and the grid minimum is the box's.  Otherwise
-``pure_nash_mask`` reads the first agent's cost on every line along its
-action and each later agent's on the lines through the cells still
-standing, and ``grid_argmin`` reads a cost on every line along the first
-axis.  ``line_best`` is the one read of a cost on lines, always whole: on
-every line it is the full table, otherwise the lines through the cells
-given.  Each cell read is the same fold as in a full table, so results are
-the tables' bit for bit.  ``oracle.check_grid_size`` bounds the tables.
+equilibrium, or every cell at a grid minimum.  The box is the one read:
+``pure_nash_mask`` reads each agent's cost on the whole lines along its
+own axis through the box, and ``grid_argmin`` reads a cost on its box.
+Where no axis is certified the box is the whole grid and the read is the
+full table.  A table is read as a slice, which is a view; a polynomial is
+evaluated on the box, each cell the same fold as in a full table, so
+results are the tables' bit for bit.  ``oracle.check_grid_size`` bounds
+the tables.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from math import inf, prod
+from math import inf
 from typing import NamedTuple, Sequence
 
 from .._lazy import np
@@ -91,43 +88,25 @@ def _bar(line_min: np.ndarray) -> np.ndarray:
     return line_min + MASK_TOL_ABS + MASK_TOL_REL * np.abs(line_min)
 
 
-def _table(cost: np.ndarray | Poly, axes: Sequence[np.ndarray]) -> np.ndarray:
-    return cost if isinstance(cost, np.ndarray) else poly_grid_eval(
-        cost.coeffs, cost.exps, axes)
-
-
-def _read(cost: np.ndarray | Poly, axes: Sequence[np.ndarray], a: int,
-          lines: Sequence[np.ndarray]) -> np.ndarray:
-    """``cost`` on the whole ``lines`` along axis ``a``, as (points,
-    lines)."""
-    index = list(lines)
-    index.insert(a, np.arange(len(axes[a]))[:, None])
+def _on_box(cost: np.ndarray | Poly, axes: Sequence[np.ndarray],
+           box: Sequence[range]) -> np.ndarray:
+    """``cost`` on the cells of ``box``: a table's slice, which is a view,
+    or the polynomial evaluated there."""
     if isinstance(cost, np.ndarray):
-        return cost[tuple(index)]
-    return poly_eval_at(cost.coeffs, cost.exps, axes, index)
+        return cost[tuple(slice(r.start, r.stop) for r in box)]
+    return poly_eval_at(cost.coeffs, cost.exps, axes, np.ix_(*box))
 
 
-def line_best(cost: np.ndarray | Poly, axes: Sequence[np.ndarray], a: int,
-              lines: Sequence[np.ndarray] | None = None
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The minima of the lines along axis ``a`` through ``lines`` (one
-    index array per other axis; ``None``: every line, in C order of the
-    other axes), and their best-response cells in ascending order as flat
-    indices, the index along ``a`` times the number of lines plus the line
-    number, and their costs.  On every line along the first axis, a cell's
-    flat index is its C-order index on the grid.
-
-    Lines are read whole: every line (``None``) as the full table viewed
-    as (points, lines), given lines through ``_read``.
-    """
-    if lines is None:
-        values = np.moveaxis(_table(cost, axes), a, 0).reshape(
-            len(axes[a]), -1)
-    else:
-        values = _read(cost, axes, a, lines)
-    line_min = values.min(axis=0)
-    cell = np.flatnonzero(values <= _bar(line_min))
-    return line_min, cell, values.ravel()[cell]
+def _best_on_box(cost: np.ndarray | Poly, axes: Sequence[np.ndarray],
+                 box: Sequence[range], a: int) -> np.ndarray:
+    """Which cells of ``box`` are best responses of ``cost`` on their
+    whole lines along axis ``a``."""
+    lines = list(box)
+    lines[a] = range(len(axes[a]))
+    values = _on_box(cost, axes, lines)
+    own = [slice(None)] * len(box)
+    own[a] = slice(box[a].start, box[a].stop)
+    return values[tuple(own)] <= _bar(values.min(axis=a, keepdims=True))
 
 
 def _parabola(cost: np.ndarray | Poly, axes: Sequence[np.ndarray], a: int
@@ -221,47 +200,23 @@ def candidate_box(costs: Sequence[np.ndarray | Poly],
     return box
 
 
-def _cells(box: Sequence[range]) -> int:
-    return prod(len(r) for r in box)
-
-
 def pure_nash_mask(costs: Sequence[np.ndarray | Poly],
                    axes: Sequence[np.ndarray]) -> np.ndarray:
     """Grid cells where no agent can strictly improve alone, as rows of
     axis indices in C order.  Each cost is a full table or a ``Poly``.
 
-    The candidates are the cells of ``candidate_box`` when it holds fewer
-    cells than the first axis has lines, and every agent keeps those that
-    are best responses on its own lines through them.  Otherwise they are
-    the first agent's best responses on all its lines, and each later
-    agent filters them the same way.
+    Every agent reads its cost on the whole lines along its own axis
+    through ``candidate_box``, and the box's cells that are best responses
+    of every agent stand.  On a box that is the whole grid, every agent
+    reads its full table.
     """
-    shape = tuple(len(ax) for ax in axes)
     box = candidate_box(costs, axes)
-    if _cells(box) < prod(shape[1:]):
-        flat = np.ravel_multi_index(np.ix_(*box), shape).ravel()
-        agents = range(len(costs))
-    else:
-        box = [range(p) for p in shape]
-        _, flat, _ = line_best(costs[0], axes, 0)
-        agents = range(1, len(costs))
-    for a in agents:
-        # the lines through the candidates, numbered within the box
-        cells = np.unravel_index(flat, shape)
-        others = [k for k in range(len(shape)) if k != a]
-        dims = tuple(len(box[k]) for k in others)
-        keys = np.ravel_multi_index(
-            [cells[k] - box[k].start for k in others], dims)
-        seen = np.zeros(prod(dims), dtype=bool)
-        seen[keys] = True
-        row = (np.cumsum(seen) - 1)[keys]
-        lines = [i + box[k].start for k, i in
-                 zip(others, np.unravel_index(np.flatnonzero(seen), dims))]
-        count = len(lines[0])
-        best = np.zeros(shape[a] * count, dtype=bool)
-        best[line_best(costs[a], axes, a, lines)[1]] = True
-        flat = flat[best[cells[a] * count + row]]
-    return np.stack(np.unravel_index(flat, shape), axis=1)
+    keep = np.ones(tuple(len(r) for r in box), dtype=bool)
+    for a, cost in enumerate(costs):
+        # one agent at a time, so that its values are freed before the
+        # next agent's are read
+        keep &= _best_on_box(cost, axes, box, a)
+    return np.argwhere(keep) + [r.start for r in box]
 
 
 def grid_argmin(cost: np.ndarray | Poly, axes: Sequence[np.ndarray]
@@ -269,17 +224,10 @@ def grid_argmin(cost: np.ndarray | Poly, axes: Sequence[np.ndarray]
     """The first cell in C order that holds the grid minimum of ``cost``,
     and its value: ``np.argmin``'s choice on the full table.
 
-    When ``candidate_box`` of ``[cost] * n`` holds fewer cells than the
-    first axis has lines, ``cost`` is evaluated on the box alone, which
-    holds every cell at the minimum; otherwise it is read along the first
-    axis."""
+    ``cost`` is read on ``candidate_box`` of ``[cost] * n``, which holds
+    every cell at the minimum; on a box that is the whole grid, that is
+    the full table."""
     box = candidate_box([cost] * len(axes), axes)
-    if _cells(box) < prod(len(ax) for ax in axes[1:]):
-        values = poly_eval_at(cost.coeffs, cost.exps, axes, np.ix_(*box))
-        first = np.unravel_index(np.argmin(values), values.shape)
-        return (tuple(r[i] for r, i in zip(box, first)),
-                float(values[first]))
-    line_min, flat, value = line_best(cost, axes, 0)
-    first = np.flatnonzero(value == line_min.min())[0]
-    return (np.unravel_index(flat[first], tuple(len(ax) for ax in axes)),
-            float(value[first]))
+    values = _on_box(cost, axes, box)
+    first = np.unravel_index(np.argmin(values), values.shape)
+    return (tuple(r[i] for r, i in zip(box, first)), float(values[first]))

@@ -5,14 +5,11 @@ of a dense cartesian grid counts as a grid equilibrium when no unilateral
 move along the grid strictly improves any agent.  A polynomial cost that
 is a parabola in its own action, curved enough for the float error
 margin, bounds where its best responses can lie: ``kernels.candidate_box``
-encloses their cells over a shrinking box before any cell is read, and
-only the lines through the box's cells are read when it is small.
-Otherwise every cost is read as lines along one axis
-(``kernels.line_best``): an agent's along its own action, the operator
-objective's along the first.  Lines are read whole, and the read of every
-line is the full table.  A cost that is not a polynomial, or whose
-float evaluation might overflow on the box, is tabulated and checked for
-non-finite cells.
+encloses their cells before any cell is read, and each cost is read on
+the box alone, an agent's along its own action in full.  Where no axis is
+certified the box is the whole grid, and the read is the full table.  A
+cost that is not a polynomial, or whose float evaluation might overflow
+on the box, is tabulated and checked for non-finite cells.
 Intended for small games (n <= 4); the per-axis resolution comes from
 SolverConfig.
 """
@@ -63,12 +60,12 @@ def check_grid_size(n: int, points: int) -> None:
     anything is allocated.
 
     The estimate is ``n * points**n`` float64 cells, one full table per
-    agent: an upper bound, which stays because a run whose candidate box
-    (``kernels.candidate_box``) does not shrink can still tabulate.  A
-    small box builds no table at all.  Otherwise the first agent and the
-    grid minimum are read from full tables, and a later agent only on the
-    lines through the cells still standing.  The message names the
-    largest grid that fits the budget.
+    agent: an upper bound.  A run reads each cost on its candidate box
+    (``kernels.candidate_box``), an agent's along its own axis in full: a
+    polynomial is evaluated on a full table only where the box keeps every
+    other axis whole (every axis, for a grid minimum), one agent at a
+    time, and a cost that is not one is tabulated once.  The message names
+    the largest grid that fits the budget.
     """
     if n > ORACLE_MAX_AGENTS:
         raise OracleDimensionError(

@@ -1,5 +1,6 @@
 """Grid kernels against scalar evaluation and plain Python loops."""
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 from math import isqrt, prod
@@ -196,8 +197,8 @@ def test_pure_nash_mask_special_costs(texts):
 
 
 def test_table_costs_are_read_without_a_copy():
-    # the whole read of every line along the first axis is the table
-    # itself, viewed as (points, lines): gathering its lines would copy it
+    # a table cost is read on its box as a slice of the table, which is a
+    # view: gathering its lines by index would copy it
     names = ["u1", "u2", "u3"]
     axes = [np.linspace(-1.0, 1.0, 81) for _ in names]
     tables = [eval_on_grid(parse(t, names), axes) for t in
@@ -214,8 +215,27 @@ def test_table_costs_are_read_without_a_copy():
         assert peak < tables[0].nbytes / 2
 
 
+def test_full_grid_reads_hold_one_table_at_a_time():
+    # cross coefficients above the own curvature: the candidate box stays
+    # the whole grid, so every agent reads its full table, and each table
+    # is freed before the next agent's is built
+    names = ["u1", "u2", "u3"]
+    axes = [np.linspace(-2.0, 2.0, 61) for _ in names]
+    bounds = [(Fraction(-2), Fraction(2))] * 3
+    sources = [_cost_source(parse(t, names), axes, bounds) for t in
+               ["u1^2 - 4*u1*u2", "u2^2 + 4*u2*u3", "u3^2 - 4*u1*u3 + u2/2"]]
+    assert kernels.candidate_box(sources, axes) == [range(61)] * 3
+    tracemalloc.start()
+    try:
+        kernels.pure_nash_mask(sources, axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * 61 ** 3 * 8
+
+
 # ---------------------------------------------------------------------------
-# line reads against the full table
+# box reads against the full table
 
 #: cells of one drawn game at most, so that tables stay small
 GAME_CELLS = 40_000
@@ -301,54 +321,33 @@ def own_convex_games(draw):
     return bounds, axes, costs
 
 
-def _table_best(table, a):
-    """Reference: each line's minimum along axis ``a`` and its
-    best-response cells as sorted (line, index along a) rows, from the
-    full table; lines in C order of the other axes."""
-    values = np.moveaxis(table, a, 0).reshape(table.shape[a], -1)
-    line_min = values.min(axis=0)
-    bar = line_min + kernels.MASK_TOL_ABS + kernels.MASK_TOL_REL * np.abs(
-        line_min)
-    pos, line = np.nonzero(values <= bar)
-    order = np.lexsort((pos, line))
-    return line_min, np.stack([line[order], pos[order]], axis=1), \
-        values[pos[order], line[order]]
-
-
 def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
 @given(own_convex_games())
 @settings(max_examples=150, deadline=None)
-def test_line_best_matches_the_full_table(game):
+def test_box_reads_match_the_full_table(game):
     bounds, axes, costs = game
     shape = tuple(len(ax) for ax in axes)
     exprs = [p.to_expression() for p in costs]
     sources = [_cost_source(e, axes, bounds) for e in exprs]
     tables = [kernels.poly_grid_eval(s.coeffs, s.exps, axes) for s in sources]
-    for a, (source, table) in enumerate(zip(sources, tables)):
-        dims = shape[:a] + shape[a + 1:]
-        count = prod(dims)
-        # every line given as index arrays, and as None
-        for lines in (list(np.unravel_index(np.arange(count), dims)), None):
-            line_min, cell, value = kernels.line_best(source, axes, a, lines)
-            assert (np.diff(cell) > 0).all()
-            pos, line = np.divmod(cell, count)
-            want_min, want_cells, want_values = _table_best(table, a)
-            order = np.lexsort((pos, line))
-            assert _bits(line_min) == _bits(want_min)
-            np.testing.assert_array_equal(
-                np.stack([line[order], pos[order]], axis=1), want_cells)
-            assert _bits(value[order]) == _bits(want_values)
-        # the grid minimum, read along the first axis: np.argmin's cell and
-        # its value bits
+    # reference: each agent's best responses on its lines in the full table
+    mask = np.ones(shape, dtype=bool)
+    for a, table in enumerate(tables):
+        line_min = table.min(axis=a, keepdims=True)
+        mask &= table <= (line_min + kernels.MASK_TOL_ABS
+                          + kernels.MASK_TOL_REL * np.abs(line_min))
+    for costs_read in (sources, tables):
+        np.testing.assert_array_equal(
+            kernels.pure_nash_mask(costs_read, axes), np.argwhere(mask))
+    for source, table in zip(sources, tables):
+        # the grid minimum: np.argmin's cell and its value bits
         idx, best = kernels.grid_argmin(source, axes)
         want = np.unravel_index(int(np.argmin(table)), shape)
         assert tuple(map(int, idx)) == tuple(map(int, want))
         assert _bits(best) == _bits(table[want])
-    np.testing.assert_array_equal(kernels.pure_nash_mask(sources, axes),
-                                  kernels.pure_nash_mask(tables, axes))
 
 
 @st.composite
@@ -384,22 +383,21 @@ def tie_games(draw):
 
 @given(tie_games())
 @settings(max_examples=60, deadline=None)
-def test_line_best_holds_both_tied_cells(game):
+def test_pure_nash_mask_holds_both_tied_cells(game):
     # the two cells a grid spacing h apart around the vertex differ in
     # float rounding only, far under the best-response tolerance, and the
     # next cells cost 2 h^2 more; so every line's best responses are
-    # exactly the tied pair, the lower index's cells first
+    # exactly the tied pair, and the grid equilibria are every choice of
+    # one cell of each agent's pair, in C order
     bounds, axes, costs, ties = game
-    shape = tuple(len(ax) for ax in axes)
-    for a, (p, i) in enumerate(zip(costs, ties)):
-        source = _cost_source(p.to_expression(), axes, bounds)
-        dims = shape[:a] + shape[a + 1:]
-        count = prod(dims)
-        want = np.concatenate([i * count + np.arange(count),
-                               (i + 1) * count + np.arange(count)])
-        for lines in (list(np.unravel_index(np.arange(count), dims)), None):
-            _, cell, _ = kernels.line_best(source, axes, a, lines)
-            np.testing.assert_array_equal(cell, want)
+    n = len(axes)
+    sources = [_cost_source(p.to_expression(), axes, bounds) for p in costs]
+    tables = [kernels.poly_grid_eval(*p.to_arrays(n), axes) for p in costs]
+    want = list(itertools.product(*((i, i + 1) for i in ties)))
+    # on the candidate box, and on every line of the full tables
+    for costs_read in (sources, tables):
+        np.testing.assert_array_equal(
+            kernels.pure_nash_mask(costs_read, axes), want)
 
 
 # ---------------------------------------------------------------------------

@@ -178,50 +178,51 @@ CONCAVE_U1_J = "-(u1 - 1/2)^2 + u2^2 + (u3 + 1/2)^2 + u1*u2/4"
 
 
 class TestTablePaths:
-    """Every read per ``oracle`` request: full tables (``poly_grid_eval``
-    calls for polynomials, ``eval_array`` calls for other costs) and reads
-    of whole lines through the cells still standing.  A grid minimum found
-    on its candidate box (``kernels.candidate_box``) is neither: the box
-    is evaluated by ``poly_eval_at`` directly."""
+    """Every read per ``oracle`` request: a cost read on its candidate box
+    (``kernels.candidate_box``), an agent's along its own axis in full,
+    counted as ``"table"`` when every range is whole and ``"box"``
+    otherwise; and the full tables built outside those reads
+    (``poly_grid_eval`` calls for polynomials, ``eval_array`` calls for
+    other costs)."""
 
     @pytest.mark.parametrize("text, grid, reads", [
         # every cost is a parabola in its own action with weak coupling:
         # the candidate box is a few cells, so each agent reads only the
         # lines through them, whole, and the grid minimum is the box's
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J),
-         101, {"lines": 3}),
-        # a cubic first cost leaves the first axis whole, so the box holds
-        # more cells than the first axis has lines, and a concave operator
-        # is not certified on any axis: the parent's three tables (the first
-        # agent's, the grid minimum's and the operator solve's seed table)
+         101, {"box": 4}),
+        # a cubic first cost leaves the first axis whole, and the third
+        # stays whole with it: the box narrows only the second axis, so the
+        # second agent, whose own axis that is, reads its full table; a
+        # concave operator is not certified on any axis, so its grid
+        # minimum is the full table too, and the operator solve builds its
+        # seed table
         (OWN_CONVEX.replace("U1", "u1^3/8 + u1^2 - u1*u2 + u3")
          .replace("OPERATOR", "-u1^2 - u2^2 - u3^2 + u1*u2/4"),
-         101, {"poly_grid_eval": 3, "lines": 2}),
+         101, {"box": 2, "table": 2, "poly_grid_eval": 1}),
         # 4 agents at 31 points: no 31^4 table, for the agents or the
         # grid minimum, whether the operator is separable or coupled
-        (FOUR_AGENTS, 31, {"lines": 4}),
+        (FOUR_AGENTS, 31, {"box": 5}),
         (FOUR_AGENTS.replace('"u1^2 + u2^2 + u3^2 + u4^2 - u1"',
-                             f'"{COUPLED_J}"'), 31, {"lines": 4}),
-        # 4 points per axis: the box is smaller than the first axis's 16
-        # lines
+                             f'"{COUPLED_J}"'), 31, {"box": 5}),
+        # 4 points per axis
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J),
-         4, {"lines": 3}),
+         4, {"box": 4}),
         # decoupled costs and a separable operator at 201 points: each box
         # is 3 x 3 cells
-        ((GAMES_DIR / "decoupled_demo.game").read_text(), 201,
-         {"lines": 2}),
+        ((GAMES_DIR / "decoupled_demo.game").read_text(), 201, {"box": 3}),
         # the anticipatory proportional rule's guarded divisions: each cost
-        # is tabulated by its vector function and certifies no axis, so the
-        # later agents' lines are read from the tables; the polynomial
+        # is tabulated by its vector function and certifies no axis, so
+        # every agent reads its table whole, as a view; the polynomial
         # operator's grid minimum is its box
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONVEX_J)
          + "\n[incentive]\nkind = proportional\nmode = anticipatory\n",
-         101, {"eval_array": 3, "lines": 2}),
+         101, {"eval_array": 3, "table": 3, "box": 1}),
         # an operator concave in u1: its box keeps the first axis whole and
         # its grid minimum is evaluated on it; only the operator solve's
         # seed table is left
         (OWN_CONVEX.replace("U1", CONVEX_U1).replace("OPERATOR", CONCAVE_U1_J),
-         101, {"poly_grid_eval": 1, "lines": 3}),
+         101, {"box": 4, "poly_grid_eval": 1}),
     ], ids=["own-convex", "concave-operator", "four-agents-31",
             "four-agents-coupled-31", "own-convex-4", "decoupled-201",
             "guarded", "concave-u1-operator"])
@@ -242,11 +243,12 @@ class TestTablePaths:
                 return _real(*args)
             monkeypatch.setattr(module, name, counting)
 
-        def reading(*args, _real=kernels._read):
-            count("lines")
-            return _real(*args)
+        def reading(cost, axes, box, _real=kernels._on_box):
+            whole = all(len(r) == len(ax) for r, ax in zip(box, axes))
+            count("table" if whole else "box")
+            return _real(cost, axes, box)
 
-        monkeypatch.setattr(kernels, "_read", reading)
+        monkeypatch.setattr(kernels, "_on_box", reading)
         path = tmp_path / "game.game"
         path.write_text(text)
         assert main(["oracle", str(path), "--grid", str(grid), "--format",

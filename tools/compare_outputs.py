@@ -18,7 +18,8 @@ example2's guarded-division costs (tabulated by their vector function),
 on a 3-agent operator concave in u1 and convex in u2, and on the
 candidate box's edge cases (3-agent games whose coupling keeps the box
 the whole grid, whose vertices are clipped to an edge of the box, and
-whose own square in u1 is too flat for the certificate), requests
+whose own square in u1 is too flat for the certificate; the first and the
+last also at the default grid), requests
 that fail with a usage, game-file or size error, a float overflow in each
 command, a sampled curvature check that overflows, a subnormal line
 coefficient, and example1 in the rarer forms of the game-file syntax.
@@ -146,7 +147,8 @@ u3 = [-2, 2]
 
 
 #: three agents whose operator objective is concave in u1 and convex in
-#: u2: its grid minimum is read along u1, so it is tabulated
+#: u2: its candidate box keeps the first axis whole and narrows the others,
+#: and its grid minimum is evaluated on that box
 CONCAVE_U1_GAME = """\
 [agents]
 names = u1, u2, u3
@@ -167,8 +169,8 @@ u3 = [-2, 1]
 
 
 #: three agents whose cross coefficients exceed their own curvature: no
-#: sweep of the candidate box shrinks it, so the agents are read from the
-#: first agent's lines on the whole grid
+#: sweep of the candidate box shrinks it, so every agent reads its full
+#: table
 STRONG_COUPLING_GAME = """\
 [agents]
 names = u1, u2, u3
@@ -210,7 +212,8 @@ u3 = [-2, 1]
 
 
 #: a first cost and an operator whose own square in u1 is too flat for the
-#: margin: the candidate box keeps the first axis whole
+#: margin: the candidate box keeps the first axis whole and narrows the
+#: others
 FLAT_SQUARE_GAME = """\
 [agents]
 names = u1, u2, u3
@@ -256,10 +259,11 @@ def front_end_requests(out: Path) -> list[dict]:
     cost whose float power overflows (Newton's re-check of a non-finite
     row), sampled curvature that overflows, a line with a subnormal top
     coefficient, grid minima that tie between two cells, on small and
-    large grids, costs that are not polynomials, a grid minimum tabulated
-    because its objective is not convex along the first axis, and
-    candidate boxes that stay whole, are clipped to an edge or are refused
-    on an axis; and example1 written in the rarer forms of the game-file
+    large grids, costs that are not polynomials, a grid minimum read on a
+    box that keeps the first axis whole because its objective is not
+    convex along it, and candidate boxes that stay whole (full tables),
+    are clipped to an edge or are refused on an axis, at the default grid
+    too; and example1 written in the rarer forms of the game-file
     syntax, and with CRLF line ends and a byte-order mark."""
     games = sorted((ROOT / "games").glob("*.game"))
     argvs = [argv for game in games
@@ -320,6 +324,8 @@ def front_end_requests(out: Path) -> list[dict]:
         ["oracle", str(concave_u1), "--grid", "31"],
         *(["oracle", str(game), "--grid", grid]
           for game in box_games for grid in ("101", "31")),
+        ["oracle", str(out / "strong_coupling.game")],
+        ["oracle", str(out / "flat_square.game")],
         ["equilibrium", str(crlf_bom), "--scenario", "incentive"],
         ["audit", str(crlf_bom), "--format", "structured"],
     ]
