@@ -4,7 +4,9 @@ Nodes are frozen dataclasses: every expression is immutable after
 construction, so all operations here are pure and thread-safe.  Constants
 are exact rationals (``fractions.Fraction``); evaluation stays exact as
 long as the supplied variable values are rational and only promotes to
-floating point when a float enters the computation.
+floating point when a float enters the computation.  At an all-exact
+profile it runs on integer numerators and denominators and forms one
+Fraction, the one Python's Fraction arithmetic gives.
 
 The node set is deliberately small: constants, variables (indexed by
 agent), sums, products, nonnegative integer powers, negation, absolute
@@ -16,8 +18,10 @@ Trees are built by the constructor functions below; nodes have no operator
 overloads and no printer.  One table gives, per node type, a node's
 children and its rebuild from new children: the structural queries recurse
 through :func:`children`, and :func:`substitute` rebuilds through the
-table.  Only rules that differ per node keep their own dispatch: evaluate,
-diff, ``polynomial._expand`` and the compiled emitter.
+table.  Only rules that differ per node keep their own dispatch: the two
+walks of evaluate (on integer pairs at an all-exact profile, in Python's
+arithmetic once a float enters), diff, ``polynomial._expand`` and the
+compiled emitter.
 
 Values derived from a node (its variables, derivatives, polynomial form,
 Hessian and compiled forms) are kept on the node by :func:`cached`, so a
@@ -28,9 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Mapping, Sequence, Union
+from math import gcd
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence, Union
 
 Number = Union[int, Fraction, float]
+
+#: the value types of an exact profile
+EXACT_TYPES = frozenset((int, Fraction))
 
 #: Denominator magnitudes at or below this threshold make a guarded
 #: division evaluate to zero instead of blowing up.
@@ -171,39 +179,42 @@ def var(index: int) -> Var:
 def add(*terms: Expression) -> Expression:
     """Sum constructor; flattens nested sums and folds constants."""
     flat: list[Expression] = []
-    acc = Fraction(0)
+    consts: list[Const] = []
     for t in terms:
         for u in (t.terms if isinstance(t, Sum) else (t,)):
-            if isinstance(u, Const):
-                acc += u.value
-            else:
-                flat.append(u)
-    if acc != 0 or not flat:
-        flat.append(Const(acc))
+            (consts if isinstance(u, Const) else flat).append(u)
+    if len(consts) > 1:
+        acc = consts[0].value
+        for c in consts[1:]:
+            acc += c.value
+        consts = [Const(acc)]
+    if consts and consts[0].value:
+        flat.append(consts[0])
     if len(flat) == 1:
         return flat[0]
-    return Sum(tuple(flat))
+    return Sum(tuple(flat)) if flat else ZERO
 
 
 def mul(*factors: Expression) -> Expression:
     """Product constructor; flattens, folds constants, short-circuits zero."""
     flat: list[Expression] = []
-    acc = Fraction(1)
+    consts: list[Const] = []
     for f in factors:
         for u in (f.factors if isinstance(f, Product) else (f,)):
-            if isinstance(u, Const):
-                acc *= u.value
-            else:
-                flat.append(u)
-    if acc == 0:
-        return ZERO
-    if acc != 1:
-        flat.insert(0, Const(acc))
-    if not flat:
-        return ONE
+            (consts if isinstance(u, Const) else flat).append(u)
+    if len(consts) > 1:
+        acc = consts[0].value
+        for c in consts[1:]:
+            acc *= c.value
+        consts = [Const(acc)]
+    if consts:
+        if not consts[0].value:
+            return ZERO
+        if consts[0].value != 1:
+            flat.insert(0, consts[0])
     if len(flat) == 1:
         return flat[0]
-    return Product(tuple(flat))
+    return Product(tuple(flat)) if flat else ONE
 
 
 def power(base: Expression, exponent: int) -> Expression:
@@ -243,7 +254,77 @@ def evaluate(e: Expression, values: Sequence[Number]) -> Number:
     Exact when every input is int/Fraction; a float anywhere promotes the
     result to float.  Raises UnboundVariableError when ``e`` references a
     variable index beyond ``len(values)``.
+
+    At an all-exact profile the tree is walked on integer pairs and the
+    result normalised once; a profile holding a float takes the walk in
+    Python's own arithmetic, whose Fraction-with-float promotion order
+    fixes the result's bits.
     """
+    if EXACT_TYPES.issuperset(map(type, values)):
+        return Fraction(*_exact(e, values))
+    return _walk(e, values)
+
+
+def _exact(e: Expression, values: Sequence[Number]) -> tuple[int, int]:
+    """``e`` at the all-exact ``values`` as integers (n, d), d > 0, for
+    the rational n/d: sums over the lcm of their denominators, products
+    unreduced, a guard tested by cross-multiplication."""
+    t = type(e)
+    if t is Var:
+        if e.index >= len(values):
+            raise UnboundVariableError(
+                f"variable u{e.index + 1} has no assigned value")
+        v = values[e.index]
+        return v.numerator, v.denominator
+    if t is Const:
+        return e.value.numerator, e.value.denominator
+    if t is Product:
+        n = d = 1
+        for f in e.factors:
+            fn, fd = _exact(f, values)
+            n *= fn
+            if not n:
+                return 0, 1
+            d *= fd
+        return n, d
+    if t is Sum:
+        return rational_sum(_exact(term, values) for term in e.terms)
+    if t is Power:
+        n, d = _exact(e.base, values)
+        return n ** e.exponent, d ** e.exponent
+    if t is Neg:
+        n, d = _exact(e.operand, values)
+        return -n, d
+    if t is Abs:
+        n, d = _exact(e.operand, values)
+        return abs(n), d
+    if t is SafeDiv:
+        dn, dd = _exact(e.denominator, values)
+        if abs(dn) * e.guard.denominator <= e.guard.numerator * dd:
+            return 0, 1
+        n, d = _exact(e.numerator, values)
+        return (n * dd, d * dn) if dn > 0 else (-n * dd, -d * dn)
+    raise TypeError(f"unknown expression node {type(e).__name__}")
+
+
+def rational_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the rationals n/d of ``pairs`` (d > 0) as such a pair,
+    over the lcm of their denominators: one gcd per addition, and no
+    denominator grows past that lcm."""
+    n, d = 0, 1
+    for tn, td in pairs:
+        if td == d:
+            n += tn
+        else:
+            g = gcd(d, td)
+            n = n * (td // g) + tn * (d // g)
+            d = d // g * td
+    return n, d
+
+
+def _walk(e: Expression, values: Sequence[Number]) -> Number:
+    """``e`` in Python's arithmetic: Fractions promote to float as Python
+    promotes them."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -257,26 +338,26 @@ def evaluate(e: Expression, values: Sequence[Number]) -> Number:
     if isinstance(e, Sum):
         total: Number = 0
         for t in e.terms:
-            total = total + evaluate(t, values)
+            total = total + _walk(t, values)
         return total
     if isinstance(e, Product):
         prod: Number = 1
         for f in e.factors:
-            prod = prod * evaluate(f, values)
+            prod = prod * _walk(f, values)
             if prod == 0 and not isinstance(prod, float):
                 return prod
         return prod
     if isinstance(e, Power):
-        return evaluate(e.base, values) ** e.exponent
+        return _walk(e.base, values) ** e.exponent
     if isinstance(e, Neg):
-        return -evaluate(e.operand, values)
+        return -_walk(e.operand, values)
     if isinstance(e, Abs):
-        return abs(evaluate(e.operand, values))
+        return abs(_walk(e.operand, values))
     if isinstance(e, SafeDiv):
-        den = evaluate(e.denominator, values)
+        den = _walk(e.denominator, values)
         if abs(den) <= e.guard:
             return 0.0 if isinstance(den, float) else Fraction(0)
-        return evaluate(e.numerator, values) / den
+        return _walk(e.numerator, values) / den
     raise TypeError(f"unknown expression node {type(e).__name__}")
 
 

@@ -25,6 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .._lazy import np
 from .nodes import (
+    EXACT_TYPES,
     Abs,
     Const,
     Expression,
@@ -42,6 +43,7 @@ from .nodes import (
     diff,
     mul,
     power,
+    rational_sum,
     var,
 )
 
@@ -70,9 +72,10 @@ class LineGroup(NamedTuple):
 
 class LinePlan(NamedTuple):
     """A polynomial along one agent's axis: one group per power of the
-    axis, lowest first."""
+    axis, lowest first, and the other agents its coupled groups read."""
 
     groups: tuple[LineGroup, ...]
+    reads: tuple[int, ...] = ()
 
     def coefficients(self, values: Sequence[Number]) -> list[Number]:
         """Ascending coefficients of the line with the other agents at
@@ -84,7 +87,13 @@ class LinePlan(NamedTuple):
         Fraction times or plus a float is its float times or plus that
         float, so a term whose first factor is a float starts from the
         float coefficient: the same value, without Fraction arithmetic.
+        When every action read is exact, each sum is taken in integers
+        and forms one Fraction: the same value.
         """
+        if all(type(values[j]) in EXACT_TYPES for j in self.reads):
+            return [Fraction(*rational_sum(
+                _exact_term(c, others, values) for c, _, others in g.terms))
+                if g.terms else g.coeff for g in self.groups]
         coeffs: list[Number] = []
         for group in self.groups:
             if not group.terms:
@@ -259,6 +268,7 @@ def _line_plan(e: Expression, i: int) -> LinePlan:
         by_power.setdefault(power_i, []).append(
             (coeff, float(coeff), tuple(others)))
     groups = []
+    reads: set[int] = set()
     for k in range(max(by_power, default=0) + 1):
         entries = by_power.get(k, [])
         if all(not others for _, _, others in entries):
@@ -266,7 +276,20 @@ def _line_plan(e: Expression, i: int) -> LinePlan:
             groups.append(LineGroup((), c, float(c), float(k * c)))
             continue
         groups.append(LineGroup(tuple(entries)))
-    return LinePlan(tuple(groups))
+        reads.update(idx for _, _, others in entries for idx, _ in others)
+    return LinePlan(tuple(groups), tuple(sorted(reads)))
+
+
+def _exact_term(c: Fraction, others: Monomial, values: Sequence[Number]
+                ) -> tuple[int, int]:
+    """The term ``c`` times the other agents' factors at the exact
+    ``values``, as integers (n, d) with d > 0."""
+    n, d = c.numerator, c.denominator
+    for idx, e in others:
+        v = values[idx]
+        n *= v.numerator ** e
+        d *= v.denominator ** e
+    return n, d
 
 
 def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:

@@ -5,9 +5,10 @@ line's coefficients are summed from the polynomial's cached
 :class:`~incentive_audit.expr.polynomial.LinePlan` for the axis, typed as
 exact arithmetic types them (Fractions at exact actions, floats once a
 float enters), then minimized from the stationary points: exactly, by
-the vertex formula, for degree <= 2; above that from the companion-matrix
-eigenvalues of the derivative, as ``np.roots`` computes them,
-Newton-polished and scored in floats.  ``line_minima`` takes one cost's
+the vertex formula, for degree <= 2 (in integers, with one Fraction per
+result, when the line and its box are exact); above that from the
+companion-matrix eigenvalues of the derivative, as ``np.roots`` computes
+them, Newton-polished and scored in floats.  ``line_minima`` takes one cost's
 lines along one axis at many profiles together: their companion matrices
 of one size share one stacked eigenvalue call, which gives each matrix
 the eigenvalues a call of its own gives, and ``line_minimum_at`` is its
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
 from typing import Sequence
@@ -37,6 +39,7 @@ from typing import Sequence
 from .._lazy import np
 from ..expr import (Abs, Expression, Neg, Number, Power, Product, SafeDiv,
                     Sum, children, scalar_fn)
+from ..expr.nodes import EXACT_TYPES, rational_sum
 from ..expr.polynomial import as_polynomial, line_plan
 
 #: Newton steps polishing a companion-matrix root
@@ -121,6 +124,8 @@ def _low_degree_minimum(coeffs: Sequence[Number], degree: int,
     arithmetic: exact at an exact profile."""
     if degree == 0:
         return LineMin(lo, coeffs[0])
+    if EXACT_TYPES.issuperset(map(type, (lo, hi, *coeffs))):
+        return _exact_low_degree_minimum(coeffs, degree, lo, hi)
     if degree == 1:
         arg = lo if coeffs[1] >= 0 else hi
         return LineMin(arg, _poly_value(coeffs, arg))
@@ -131,6 +136,30 @@ def _low_degree_minimum(coeffs: Sequence[Number], degree: int,
         if lo <= vertex <= hi:
             candidates = [vertex]
     return _pick_smallest(coeffs, candidates)
+
+
+def _exact_low_degree_minimum(coeffs: Sequence[Fraction], degree: int,
+                              lo: Number, hi: Number) -> LineMin:
+    """``_low_degree_minimum`` of exact coefficients on an exact box, in
+    integers: the same candidate, value and tie to ``lo``, with one
+    Fraction formed per result."""
+    lp, lq, hp, hq = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    ends = [(lo, lp, lq), (hi, hp, hq)]
+    if degree == 1:
+        ends = ends[:1] if coeffs[1].numerator >= 0 else ends[1:]
+    elif coeffs[2].numerator > 0:
+        a, b = coeffs[2], coeffs[1]
+        # the vertex -b / (2a), over a positive denominator
+        p, q = -b.numerator * a.denominator, 2 * a.numerator * b.denominator
+        if lp * q <= p * lq and p * hq <= hp * q:
+            ends = [(None, p, q)]
+    best = None
+    for x, p, q in ends:
+        n, d = rational_sum((c.numerator * p ** k, c.denominator * q ** k)
+                            for k, c in enumerate(coeffs[:degree + 1]))
+        if best is None or n * best[2] < best[1] * d:
+            best = (Fraction(p, q) if x is None else x, n, d)
+    return LineMin(best[0], Fraction(best[1], best[2]))
 
 
 def _real_roots(polys: Sequence[tuple[Sequence[float], float, float]]
@@ -240,10 +269,14 @@ def _newton_polish(d1: Sequence[float], d2: Sequence[float], x: float
 
 def _pick_smallest(coeffs: Sequence[Number], candidates: Sequence[Number]
                    ) -> LineMin:
-    # min keeps the first of equal values: ties go to the smallest action
-    arg = min(sorted(candidates, key=float),
-              key=lambda x: _poly_value(coeffs, x))
-    return LineMin(arg, _poly_value(coeffs, arg))
+    # each candidate scored once; as min does, only a strictly smaller
+    # value replaces the best: ties go to the smallest action
+    best = best_value = None
+    for x in sorted(candidates, key=float):
+        value = _poly_value(coeffs, x)
+        if best is None or value < best_value:
+            best, best_value = x, value
+    return LineMin(best, best_value)
 
 
 def _piecewise_minima(e: Expression, i: int,

@@ -47,7 +47,6 @@ from incentive_audit.solve.linesearch import (
     _derivative,
     _derivative_roots,
     _mul,
-    _pick_smallest,
     _plus,
     _poly_value,
     _real_roots,
@@ -76,10 +75,21 @@ def naive_coefficients(p, i, values):
     return [groups.get(k, Fraction(0)) for k in range(degree + 1)]
 
 
+def reference_pick_smallest(coeffs, candidates):
+    """The candidate of least value, by ``min`` over the candidates in
+    ascending order, which keeps the first of equal values: ties go to the
+    smallest action."""
+    arg = min(sorted(candidates, key=float),
+              key=lambda x: _poly_value(coeffs, x))
+    return LineMin(arg, _poly_value(coeffs, arg))
+
+
 def reference_minimum(coeffs, lo, hi):
     """The minimum of the line ``coeffs`` over [lo, hi]: exact vertex or
-    end at degree <= 2, else the best of the ends and the Newton-polished
-    real stationary points, with Fractions as their float values."""
+    end at degree <= 2, in the coefficients' own arithmetic (Fraction
+    arithmetic at exact ones), else the best of the ends and the
+    Newton-polished real stationary points, with Fractions as their float
+    values."""
     degree = len(coeffs) - 1
     while degree > 0 and coeffs[degree] == 0:
         degree -= 1
@@ -95,10 +105,10 @@ def reference_minimum(coeffs, lo, hi):
             vertex = -b / (2 * a)
             if lo <= vertex <= hi:
                 candidates = [vertex]
-        return _pick_smallest(coeffs, candidates)
+        return reference_pick_smallest(coeffs, candidates)
     flo, fhi = float(lo), float(hi)
     d1 = [float(k * coeffs[k]) for k in range(1, len(coeffs))]
-    return _pick_smallest([float(c) for c in coeffs],
+    return reference_pick_smallest([float(c) for c in coeffs],
                           [flo, fhi, *_real_roots([(d1, flo, fhi)])[0]])
 
 
@@ -141,12 +151,14 @@ def profiles(draw, n):
 
 
 @st.composite
-def lines(draw):
-    """A polynomial of own degree 0-5 in 2 or 3 variables with Fraction
-    coefficients, an axis, a profile and an interval."""
+def lines(draw, coeffs=coefficients, tops=st.integers(0, 5), actions=None,
+          box=bounds):
+    """A polynomial of own degree ``tops`` (0-5) in 2 or 3 variables with
+    Fraction coefficients, an axis, a profile (of ``actions``, or of any
+    kind) and an interval."""
     n = draw(st.integers(2, 3))
     i = draw(st.integers(0, n - 1))
-    top = draw(st.integers(0, 5))
+    top = draw(tops)
     terms = {}
     for t in range(draw(st.integers(1, 8))):
         powers = {i: top if t == 0 else draw(st.integers(0, top))}
@@ -154,9 +166,11 @@ def lines(draw):
             if k != i:
                 powers[k] = draw(st.integers(0, 2))
         mono = tuple(sorted((k, e) for k, e in powers.items() if e))
-        terms[mono] = draw(coefficients)
-    lo, hi = draw(bounds)
-    return Polynomial(terms), i, draw(profiles(n)), lo, hi
+        terms[mono] = draw(coeffs)
+    lo, hi = draw(box)
+    values = draw(profiles(n) if actions is None
+                  else st.lists(actions, min_size=n, max_size=n))
+    return Polynomial(terms), i, values, lo, hi
 
 
 def _same(a, b) -> bool:
@@ -238,6 +252,33 @@ I = (F(-1, 3), F(2, 3))
           [2.2250738585072014e-308, 0.0], 0.0, 1.0))
 def test_line_matches_definition(line):
     _check(*line)
+
+
+# large coprime denominators, and exact ends
+coprime = st.builds(F, st.integers(-10**6, 10**6),
+                    st.sampled_from([997, 991, 983, 1]))
+exact_bounds = st.tuples(st.one_of(exacts, coprime),
+                         st.one_of(exacts, coprime)).filter(
+    lambda b: b[0] < b[1])
+
+
+@given(lines(st.one_of(coefficients, coprime), st.integers(0, 2),
+             st.one_of(exacts, coprime), exact_bounds))
+@settings(max_examples=300, deadline=None)
+# the vertex exactly at an end, and a tie of the two ends (a concave
+# parabola symmetric on the box), which goes to lo
+@example((Polynomial({X2: F(1), X1: F(-2, 997)}), 0, [0, F(1, 991)],
+          F(1, 997), F(1)))
+@example((Polynomial({X2: F(-1, 983), X1Y: F(1, 991)}), 0, [0, 0],
+          F(-1, 2), F(1, 2)))
+def test_exact_low_degree_line_matches_fraction_arithmetic(line):
+    """At an exact profile on an exact box, the coefficients summed in
+    integers and the degree <= 2 minimum taken in integers give the
+    Fractions, and the candidate, that Fraction arithmetic gives."""
+    p, i, values, lo, hi = line
+    _check(p, i, values, lo, hi)
+    got = line_minimum_at(expression(p), i, values, lo, hi)
+    assert type(got.value) is Fraction
 
 
 def test_plan_is_built_once_per_axis():

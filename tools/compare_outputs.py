@@ -22,7 +22,11 @@ whose own square in u1 is too flat for the certificate; the first and the
 last also at the default grid), requests
 that fail with a usage, game-file or size error, a float overflow in each
 command, a sampled curvature check that overflows, a subnormal line
-coefficient, and example1 in the rarer forms of the game-file syntax.
+coefficient, example1 in the rarer forms of the game-file syntax, and
+structured audits of two exact quadratic games: ``tests/test_exact.py``'s
+8-agent ``vcg_game(8)``, whose exact elimination runs at 8 agents, and a
+3-agent game whose coefficients have the large coprime denominators 997,
+991 and 983.
 
 A child still running after ``CHILD_TIMEOUT_S`` is killed and stops the
 tool, so a checkout that hangs cannot stall the comparison.
@@ -37,6 +41,7 @@ crashes on both sides is listed as differing.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import subprocess
@@ -233,6 +238,44 @@ u3 = [-2, 1]
 """
 
 
+#: a 3-agent quadratic game with an exact interior equilibrium whose
+#: coefficients have large coprime denominators
+COPRIME_GAME = """\
+[agents]
+names = u1, u2, u3
+
+[costs]
+u1 = "u1^2 + u1*u2/997 - u1*u3/991 + u1/983"
+u2 = "u2^2 - u1*u2/983 + u2*u3/997 - u2/991"
+u3 = "u3^2 + u1*u3/991 - u2*u3/983 + u3/997"
+
+[operator]
+J = "(u1 - 1/997)^2 + (u2 + 1/991)^2 + (u3 - 1/983)^2 + u1*u3/983"
+
+[bounds]
+u1 = [-1, 1]
+u2 = [-1, 1]
+u3 = [-1, 1]
+
+[incentive]
+kind = vcg
+mode = anticipatory
+"""
+
+
+def vcg_game(n: int) -> str:
+    """``tests/test_exact.py``'s ``vcg_game(n)``, compiled from that file's
+    source alone, so the tool imports neither the tests' dependencies nor
+    the package."""
+    tree = ast.parse((ROOT / "tests" / "test_exact.py").read_text())
+    node = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "vcg_game")
+    namespace: dict = {}
+    exec(compile(ast.Module([node], []), "test_exact.py", "exec"), namespace)
+    return namespace["vcg_game"](n)
+
+
 def build_requests(seeds: list[int], out: Path) -> list[dict]:
     """Every distinct request ({key, argv}) of every workload and seed."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -263,8 +306,9 @@ def front_end_requests(out: Path) -> list[dict]:
     box that keeps the first axis whole because its objective is not
     convex along it, and candidate boxes that stay whole (full tables),
     are clipped to an edge or are refused on an axis, at the default grid
-    too; and example1 written in the rarer forms of the game-file
-    syntax, and with CRLF line ends and a byte-order mark."""
+    too; example1 written in the rarer forms of the game-file syntax,
+    and with CRLF line ends and a byte-order mark; and the exact
+    elimination at 8 agents and on large coprime denominators."""
     games = sorted((ROOT / "games").glob("*.game"))
     argvs = [argv for game in games
              for argv in (["equilibrium", str(game)],
@@ -299,6 +343,10 @@ def front_end_requests(out: Path) -> list[dict]:
                        ("flat_square", FLAT_SQUARE_GAME)]:
         box_games.append(out / f"{name}.game")
         box_games[-1].write_text(text)
+    vcg8 = out / "vcg8.game"
+    vcg8.write_text(vcg_game(8))
+    coprime = out / "coprime.game"
+    coprime.write_text(COPRIME_GAME)
     crlf_bom = out / "crlf_bom.game"
     crlf_bom.write_bytes(b"\xef\xbb\xbf" + example.read_bytes().replace(
         b"\n", b"\r\n"))
@@ -328,6 +376,8 @@ def front_end_requests(out: Path) -> list[dict]:
         ["oracle", str(out / "flat_square.game")],
         ["equilibrium", str(crlf_bom), "--scenario", "incentive"],
         ["audit", str(crlf_bom), "--format", "structured"],
+        ["audit", str(vcg8), "--format", "structured"],
+        ["audit", str(coprime), "--format", "structured"],
     ]
     return [{"key": "front end: " + " ".join(
         Path(a).name if a.endswith(".game") else a for a in argv),
