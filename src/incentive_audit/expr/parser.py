@@ -5,22 +5,27 @@ Grammar (highest precedence first):
     atom     := NUMBER | IDENT | '(' expr ')' | 'abs' '(' expr ')'
     power    := atom ('^' UINT)*
     unary    := '-' unary | power
-    term     := unary (('*' | '/') unary)*
-    expr     := term (('+' | '-') term)*
+    expr     := unary (('*' | '/' | '+' | '-') unary)*
 
-Numbers are decimal literals or ``p/q`` rationals (the latter falls out of
-constant division).  ``/`` is only legal with a nonzero constant divisor
-and is folded into a product at parse time, so parsed trees never contain
-a division node.  Exponents are nonnegative integer literals.
+Binary operators are read by precedence climbing, ``*`` and ``/`` at level
+2 and ``+`` and ``-`` at level 1, each folded to the left.  Numbers are
+decimal literals or ``p/q`` rationals (the latter falls out of constant
+division).  ``/`` is only legal with a nonzero constant divisor and is
+folded into a product at parse time, so parsed trees never contain a
+division node.  Exponents are nonnegative integer literals.  Constant
+operands are folded, so a text with no names parses to a :class:`Const`.
 
-Parentheses, ``abs(`` and unary minus nest at most MAX_DEPTH levels, and a
-number literal has at most the interpreter's integer-string digit limit
-(4300 by default) before or after its point.  An error message echoes at
-most EXCERPT_CHARS characters of a literal (:func:`excerpt`).
+Parentheses, ``abs(``, unary minus and each ``^`` that builds a power node
+nest at most MAX_DEPTH levels.  A number literal has at most the
+interpreter's integer-string digit limit (4300 by default) before or after
+its point, and a power of a constant at most that many in its numerator
+and denominator.  An error message echoes at most EXCERPT_CHARS characters
+of a literal (:func:`excerpt`).
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -31,7 +36,7 @@ from .nodes import (Const, Expression, absval, add, const, mul, neg, power,
 from .polynomial import as_polynomial
 
 
-#: nesting levels (parentheses, ``abs(`` and unary minus) a parse accepts
+#: nesting levels a parse accepts
 MAX_DEPTH = 64
 
 #: characters of a literal that an error message echoes
@@ -44,10 +49,12 @@ def excerpt(text: str) -> str:
 
 
 class ParseError(ValueError):
-    """Syntax or name error, with the 0-based offset into the source text."""
+    """Syntax or name error: its ``message``, and its ``position``, the
+    0-based offset into the source text."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at column {position + 1})")
+        self.message = message
         self.position = position
 
 
@@ -55,36 +62,26 @@ class UnknownVariable(ParseError):
     pass
 
 
+#: one token, or one character that starts none (``bad``); whitespace
+#: between tokens matches nothing and is skipped
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:\.\d+)?|\.\d+)|(?P<ident>[A-Za-z_]\w*)|(?P<op>[-+*/^()]))"
-)
+    r"(?P<number>\d+(?:\.\d+)?|\.\d+)|(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(
-                f"unexpected character {stripped[0]!r}",
-                pos + (len(text[pos:]) - len(stripped)))
-        if m.lastgroup is None:
-            break
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group(kind)
-        tokens.append((kind, value, m.start(kind)))
-        pos = m.end()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, names: Sequence[str]):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
@@ -106,46 +103,41 @@ class _Parser:
 
     def nested(self, at: int, parse: Callable[[], Expression]) -> Expression:
         """``parse()`` one level deeper, opened by the token at ``at``."""
-        if self.depth == MAX_DEPTH:
-            raise ParseError(
-                f"expression nested more than {MAX_DEPTH} levels deep", at)
-        self.depth += 1
+        self.deeper(at)
         e = parse()
         self.depth -= 1
         return e
 
+    def deeper(self, at: int) -> None:
+        """One nesting level more, opened by the token at ``at``."""
+        if self.depth == MAX_DEPTH:
+            raise ParseError(
+                f"expression nested more than {MAX_DEPTH} levels deep", at)
+        self.depth += 1
+
     def parse(self) -> Expression:
-        e = self.expr()
+        e = self.binary()
         kind, value, at = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing input {excerpt(value)!r}",
                              at)
         return e
 
-    def expr(self) -> Expression:
-        e = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                e = add(e, rhs) if value == "+" else add(e, neg(rhs))
-            else:
-                return e
-
-    def term(self) -> Expression:
+    def binary(self, level: int = 1) -> Expression:
+        """Binary operators of ``level`` or tighter, folded to the left."""
+        ops = "+-*/" if level == 1 else "*/"
         e = self.unary()
         while True:
             kind, value, at = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.unary()
-                if value == "*":
-                    e = mul(e, rhs)
-                else:
-                    e = mul(e, self._reciprocal(rhs, at))
-            else:
+            if kind != "op" or value not in ops:
                 return e
+            self.advance()
+            if value in "*/":
+                rhs = self.unary()
+                e = mul(e, rhs if value == "*" else self._reciprocal(rhs, at))
+            else:
+                rhs = self.binary(2)
+                e = add(e, rhs if value == "+" else neg(rhs))
 
     def _reciprocal(self, divisor: Expression, at: int) -> Expression:
         if isinstance(divisor, Const) and divisor.value:
@@ -166,42 +158,45 @@ class _Parser:
         return self.power()
 
     def power(self) -> Expression:
-        e = self.atom()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "^":
-                self.advance()
-                e = power(e, self._exponent())
-            else:
-                return e
-
-    def _exponent(self) -> int:
-        kind, value, at = self.peek()
-        if kind != "number" or "." in value:
-            raise ParseError("exponent must be a nonnegative integer", at)
-        self.advance()
-        return int(_literal(value, at))
+        e, depth = self.atom(), self.depth
+        while self.peek()[1] == "^":  # only an op token has value "^"
+            at = self.advance()[2]
+            kind, value, where = self.advance()
+            if kind != "number" or "." in value:
+                raise ParseError("exponent must be a nonnegative integer",
+                                 where)
+            exponent = int(_literal(value, where))
+            if exponent > 1 and isinstance(e, Const):
+                # refused before it is computed: size ** exponent has
+                # floor(exponent * log10(size)) + 1 digits
+                limit = sys.get_int_max_str_digits()
+                size = max(abs(e.value.numerator), e.value.denominator)
+                if limit and exponent * math.log10(size) >= limit:
+                    raise ParseError("constant power would have more than "
+                                     f"{limit} digits", at)
+            elif exponent > 1:  # a power node: one level deeper
+                self.deeper(at)
+            e = power(e, exponent)
+        self.depth = depth
+        return e
 
     def atom(self) -> Expression:
         kind, value, at = self.advance()
         if kind == "number":
             return const(_literal(value, at))
-        if kind == "ident":
-            if value == "abs":
-                self.expect_op("(")
-                inner = self.nested(at, self.expr)
-                self.expect_op(")")
-                return absval(inner)
+        if kind == "ident" and value != "abs":
             if value not in self.names:
                 raise UnknownVariable(f"unknown variable {excerpt(value)!r}", at)
             return var(self.names[value])
-        if kind == "op" and value == "(":
-            inner = self.nested(at, self.expr)
-            self.expect_op(")")
-            return inner
-        raise ParseError(
-            "expected a number, variable, or parenthesized expression"
-            if kind != "end" else "unexpected end of expression", at)
+        if value == "abs":
+            self.expect_op("(")
+        elif value != "(":
+            raise ParseError(
+                "expected a number, variable, or parenthesized expression"
+                if kind != "end" else "unexpected end of expression", at)
+        inner = self.nested(at, self.binary)
+        self.expect_op(")")
+        return absval(inner) if value == "abs" else inner
 
 
 def _literal(value: str, at: int) -> Fraction:

@@ -52,7 +52,6 @@ from typing import Optional
 
 from .expr import Const, Expression, ParseError, children, parse
 from .expr.parser import excerpt
-from .expr.polynomial import as_polynomial
 from .game import (ANTICIPATORY, CUSTOM, DEFAULT_BOUND, NON_ANTICIPATORY,
                    PROPORTIONAL, VCG, Game, IncentiveScheme, Scenario)
 from .solve import SolverConfig
@@ -202,8 +201,8 @@ class _Loader:
         try:
             e = parse(raw, names)
         except ParseError as exc:
-            message = re.sub(r" \(at column \d+\)$", "", str(exc))
-            raise self.fail(section, key, message, exc.position + 1) from exc
+            raise self.fail(section, key, exc.message,
+                            exc.position + 1) from exc
         if _has_huge_constant(e):
             raise self.fail(section, key, "a constant is beyond the float range")
         return e
@@ -240,15 +239,15 @@ class _Loader:
             raise self.fail("operator", None, "missing [operator] J = ...")
         operator = self.expression("operator", "J", names)
 
-        bounds = [None] * len(names)
+        bounds = [DEFAULT_BOUND] * len(names)
         for key in self.sections.get("bounds", {}):
             if key not in names:
                 raise self.fail("bounds", key, "not a declared agent")
             bounds[names.index(key)] = self._interval("bounds", key)
-        bounds = tuple(b if b is not None else DEFAULT_BOUND for b in bounds)
 
         game = Game(n=len(names), agent_costs=tuple(costs),
-                    operator_cost=operator, bounds=bounds, names=tuple(names))
+                    operator_cost=operator, bounds=tuple(bounds),
+                    names=tuple(names))
 
         scheme, declared_base = self._incentive(names)
         solver = self._solver()
@@ -265,7 +264,7 @@ class _Loader:
             raise self.fail(section, key, "expected two comma-separated bounds")
         texts = [part.strip() for part in parts]
         lo, hi = [self._number(section, key, text) for text in texts]
-        if not lo < hi:
+        if not float(lo) < float(hi):  # Game's rule: ends distinct as floats
             raise self.fail(section, key, "empty interval [{}, {}]".format(
                 *map(excerpt, texts)))
         return lo, hi
@@ -274,17 +273,15 @@ class _Loader:
         if _PLAIN_DECIMAL.fullmatch(text):
             return Fraction(text)
         try:
-            e = parse(text, [])
+            value = parse(text, []).value  # with no names, a Const
+            float(value)
         except ParseError as exc:
             raise self.fail(section, key,
                             f"bad number {excerpt(text)!r}: {exc}") from exc
-        p = as_polynomial(e)
-        if p is None or not p.is_constant():
-            raise self.fail(section, key, f"bad number {excerpt(text)!r}")
-        if _has_huge_constant(e):
+        except OverflowError:
             raise self.fail(section, key, f"bound {excerpt(text)!r} is "
-                            "beyond the float range")
-        return p.constant_value()
+                            "beyond the float range") from None
+        return value
 
     def _incentive(self, names: list[str]
                    ) -> tuple[Optional[IncentiveScheme], Optional[Expression]]:

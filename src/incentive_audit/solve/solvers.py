@@ -388,15 +388,22 @@ def _stationarity_exact(costs: Sequence[Expression]
     convexity) condition the equilibrium over the box is unique.
     """
     n = len(costs)
-    rows, rhs = [], []
-    for i in range(n):
-        p = as_polynomial(costs[i])
+    polys = []
+    for cost in costs:
+        p = as_polynomial(cost)
         if p is None or p.degree() > 2:
             return None
+        polys.append(p)
+    # the rows are integers, every coefficient times one positive scale:
+    # that keeps the solution and the sign of every leading minor of sym
+    scale = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    rows, rhs = [], []
+    for i, p in enumerate(polys):
         # dC_i/du_i = row . u + b: c u_i^2 puts 2c at i, c u_i u_j puts c
         # at j, and b u_i gives b
-        row, b = [Fraction(0)] * n, Fraction(0)
+        row, b = [0] * n, 0
         for mono, c in p.terms.items():
+            c = c.numerator * (scale // c.denominator)
             if mono == ((i, 2),):
                 row[i] = 2 * c
             elif mono == ((i, 1),):

@@ -238,6 +238,32 @@ class TestFloatRange:
         assert err.startswith("error: ") and where in err
         assert "beyond the float range" in err
 
+    @pytest.mark.parametrize("bound", ["[1, 1.00000000000000000001]",
+                                       "[0, 1/10^400]"])
+    def test_interval_of_float_equal_ends_exits_2(self, capsys, tmp_path,
+                                                  bound):
+        # distinct as rationals, one float: Game's rule, refused with its
+        # line rather than as a traceback from Game
+        path = tmp_path / "equal.game"
+        path.write_text(OVERFLOW_GAME.replace("COST", "u1^2")
+                        .replace("BOUND", bound))
+        code, out, err = run(capsys, "audit", str(path))
+        assert (code, out) == (2, "")
+        assert err.endswith(f"[bounds] u1 (line 13): empty interval {bound}\n")
+
+    def test_huge_constant_power_exits_2(self, capsys, tmp_path):
+        # refused at its second ^ before it is computed: the fold of
+        # 10^310^310^310^3 did not finish in 30 s
+        path = tmp_path / "tower.game"
+        path.write_text(OVERFLOW_GAME.replace("COST", "u1^2")
+                        .replace("BOUND", "[-2, 10^310^310^310^3]"))
+        code, out, err = run(capsys, "audit", str(path))
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "[bounds] u1 (line 13): bad number '10^310^310^310^3': constant "
+            f"power would have more than {sys.get_int_max_str_digits()} "
+            "digits (at column 7)\n")
+
     @pytest.mark.parametrize("command", ["audit", "equilibrium", "oracle"])
     def test_overflowing_power_exits_3(self, capsys, tmp_path, command):
         # (10^10)^40 overflows a float as 10^400 does; u1^400 on [-10, 10]

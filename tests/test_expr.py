@@ -1,6 +1,7 @@
 """Expression AST, parser, calculus, and structure analysis."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,7 @@ from incentive_audit.expr import (
     var,
 )
 from incentive_audit.expr import polynomial
+from incentive_audit.expr.parser import MAX_DEPTH
 from incentive_audit.expr.polynomial import Polynomial
 from incentive_audit.solve.oracle import FLOAT_SAFE_BOUND
 
@@ -123,6 +125,47 @@ class TestParse:
         e = parse("abs(u1 + u2 - 2)", NAMES)
         assert evaluate(e, [Fraction(0), Fraction(0)]) == 2
         assert evaluate(e, [Fraction(1), Fraction(1)]) == 0
+
+    @pytest.mark.parametrize("text, position", [
+        ("u1 $ u2", 3), ("  \t$", 3), ("u1 + 2 é", 7), ("1.", 1)])
+    def test_unexpected_character_position(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse(text, NAMES)
+        assert err.value.message == f"unexpected character {text[position]!r}"
+        assert err.value.position == position
+
+    def test_surrounding_whitespace(self):
+        assert parse(" \t u1*u2 \n ", NAMES) == parse("u1*u2", NAMES)
+
+    def test_power_chain_nests(self):
+        # a ^ that builds a power node is one nesting level; ^1 and powers
+        # of constants build none
+        within = "(u1 - u1)" + "^2" * MAX_DEPTH
+        assert isinstance(parse(within, NAMES), Power)
+        assert parse("-" * (MAX_DEPTH - 1) + "u1^2", NAMES) == neg(
+            power(var(0), 2))
+        for deeper in (within + "^2", "-" * MAX_DEPTH + "u1^2"):
+            with pytest.raises(ParseError, match="nested more than") as err:
+                parse(deeper, NAMES)
+            assert err.value.position == len(deeper) - 2
+        assert parse("u1" + "^1" * 1000, NAMES) == var(0)
+        assert parse("2" + "^1" * 1000, NAMES) == const(2)
+        assert parse("1" + "^2" * 1000, NAMES) == const(1)
+
+    def test_constant_power_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse(f"10^{limit - 1}", []) == const(10 ** (limit - 1))
+        assert parse(f"(1/10)^{limit - 1}", []) == const(
+            Fraction(1, 10 ** (limit - 1)))
+        # refused at the ^ that would pass the limit, before computing it
+        for text in (f"10^{limit}", f"(1/10)^{limit}", f"(-17)^{limit}",
+                     "2^100^100^100"):
+            with pytest.raises(ParseError) as err:
+                parse(text, [])
+            assert err.value.message == (
+                f"constant power would have more than {limit} digits")
+            assert err.value.position == text.rindex("^")
+        assert parse(f"1^{10 ** 20} + 0^{10 ** 20}", []) == const(1)
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):

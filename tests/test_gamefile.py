@@ -315,6 +315,38 @@ class TestErrorLocation:
             load_game_file(_write(tmp_path, text))
         assert str(err.value).endswith(message)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.replace("names = a, b", "names = a"),
+         "[agents] names (line 3): at least two agents required"),
+        (lambda t: t.replace("names = a, b", "names = a, 1b"),
+         "[agents] names (line 3): invalid agent name '1b'"),
+        (lambda t: t[:t.index("[costs]")] + t[t.index("[operator]"):],
+         "[costs]: missing [costs] section"),
+        (lambda t: t.replace("[costs]\n", '[costs]\nc = "a"\n'),
+         "[costs] c (line 6): not a declared agent"),
+        (lambda t: t + "\n[bounds]\nc = [-1, 1]\n",
+         "[bounds] c (line 13): not a declared agent"),
+        (lambda t: t.replace('J = "a^2 + b^2"\n', ""),
+         "[operator]: missing [operator] J = ..."),
+        (lambda t: t + "\n[bounds]\na = -2, 2\n",
+         "[bounds] a (line 13): expected an interval like [-2, 2]"),
+        (lambda t: t + "\n[bounds]\na = [-2, 0, 2]\n",
+         "[bounds] a (line 13): expected two comma-separated bounds"),
+        (lambda t: t + "\n[incentive]\nmode = anticipatory\n",
+         "[incentive]: missing kind = ..."),
+        (lambda t: t + "\n[incentive]\nkind = vcg\nmode = sometimes\n",
+         "[incentive] mode (line 14): unknown mode 'sometimes'"),
+        (lambda t: t + "\n[solver]\ntol = small\n",
+         "[solver] tol (line 13): bad value 'small'"),
+    ], ids=["one-agent", "invalid-agent-name", "no-costs", "cost-not-agent",
+            "bound-not-agent", "no-operator", "bound-without-brackets",
+            "bound-of-three-parts", "no-kind", "unknown-mode",
+            "bad-solver-value"])
+    def test_loader_error_located(self, tmp_path, edit, message):
+        with pytest.raises(GameFileError) as err:
+            load_game_file(_write(tmp_path, edit(GOOD)))
+        assert str(err.value).endswith("game.game: " + message)
+
     def test_long_bound_located(self, tmp_path):
         # the refused literal is echoed up to its 40th character
         text = GOOD + f"\n[bounds]\na = [-2, {LONG}]\n"
@@ -388,6 +420,25 @@ class TestNestingLimit:
                               _nested_objective(MAX_DEPTH + 1))
         with pytest.raises(GameFileError, match=r"\[operator\] J \(line 10, "
                            rf"column {MAX_DEPTH + 1}\): {DEEP}"):
+            load_game_file(_write(tmp_path, deeper))
+
+    def test_power_chain_counts_its_links(self, tmp_path):
+        # each ^ that builds a power node is one level: 1200 links used to
+        # overflow the interpreter's stack in the loader's constant check
+        text = GOOD.replace('"(a - 1)^2"', '"a' + "^2" * 1200 + '"')
+        with pytest.raises(GameFileError) as err:
+            load_game_file(_write(tmp_path, text))
+        column = len("a" + "^2" * MAX_DEPTH) + 1  # the next ^
+        assert str(err.value).endswith(
+            f"[costs] a (line 6, column {column}): {DEEP}")
+        # ^1 and ^0 build no node, and a sum that cancels takes a full tower
+        ones = GOOD.replace('"(a - 1)^2"', '"(a - 1)^2' + "^1" * 1200 + '"')
+        assert load_game_file(_write(tmp_path, ones)).game.n == 2
+        tower = GOOD.replace('"(a - 1)^2"',
+                             '"(a - a)' + "^2" * MAX_DEPTH + ' + a^2"')
+        assert load_game_file(_write(tmp_path, tower)).game.n == 2
+        deeper = tower.replace(" + a^2", "^2 + a^2")
+        with pytest.raises(GameFileError, match=DEEP):
             load_game_file(_write(tmp_path, deeper))
 
 

@@ -26,7 +26,10 @@ coefficient, example1 in the rarer forms of the game-file syntax, and
 structured audits of two exact quadratic games: ``tests/test_exact.py``'s
 8-agent ``vcg_game(8)``, whose exact elimination runs at 8 agents, and a
 3-agent game whose coefficients have the large coprime denominators 997,
-991 and 983.
+991 and 983.  Last come the expression parser's paths that no workload
+takes: trailing whitespace, ``2*-u1`` and ``-u1^2``, ``u1/2/3`` and
+``u2^2^3``, a divisor that is constant only once expanded,
+``(u1 + 1 - u1)``, all in one game's audit, and an unexpected character.
 
 A child still running after ``CHILD_TIMEOUT_S`` is killed and stops the
 tool, so a checkout that hangs cannot stall the comparison.
@@ -126,6 +129,29 @@ kind = custom   # t.u1 and t.u2 below
 mode: anticipatory
 t.u1 = "u1^2"
 t.u2 = "-1/2"
+"""
+
+
+#: a two-agent game on example1's box whose expressions take the parser's
+#: rarer paths: trailing whitespace, a unary minus after `*` and before a
+#: power, chained `/` and `^`, and a divisor constant only once expanded
+PARSER_GAME = """\
+[agents]
+names = u1, u2
+
+[costs]
+u1 = "u1^2 - 2*u1*u2 + 2*-u1 + u1/2/3 \t "
+u2 = "u1*u2 - u2 + u2^2^3/(u1 + 1 - u1)/100"
+
+[operator]
+J = "-u1^2 + 2*(u1 - 3/4)^2 + (u2 - 2)^2   "
+
+[bounds]
+u1 = [-2, 2]
+u2 = [-2, 2]
+
+[incentive]
+kind = vcg
 """
 
 
@@ -307,8 +333,9 @@ def front_end_requests(out: Path) -> list[dict]:
     convex along it, and candidate boxes that stay whole (full tables),
     are clipped to an edge or are refused on an axis, at the default grid
     too; example1 written in the rarer forms of the game-file syntax,
-    and with CRLF line ends and a byte-order mark; and the exact
-    elimination at 8 agents and on large coprime denominators."""
+    and with CRLF line ends and a byte-order mark; the exact
+    elimination at 8 agents and on large coprime denominators; and the
+    parser's rarer paths and its unexpected-character error."""
     games = sorted((ROOT / "games").glob("*.game"))
     argvs = [argv for game in games
              for argv in (["equilibrium", str(game)],
@@ -347,6 +374,11 @@ def front_end_requests(out: Path) -> list[dict]:
     vcg8.write_text(vcg_game(8))
     coprime = out / "coprime.game"
     coprime.write_text(COPRIME_GAME)
+    parser_game = out / "parser.game"
+    parser_game.write_text(PARSER_GAME)
+    bad_character = out / "bad_character.game"
+    bad_character.write_text(text.replace('"u1^2 - 2*u1*u2"',
+                                          '"u1^2 - 2*u1*u2 ~ u2"'))
     crlf_bom = out / "crlf_bom.game"
     crlf_bom.write_bytes(b"\xef\xbb\xbf" + example.read_bytes().replace(
         b"\n", b"\r\n"))
@@ -378,6 +410,9 @@ def front_end_requests(out: Path) -> list[dict]:
         ["audit", str(crlf_bom), "--format", "structured"],
         ["audit", str(vcg8), "--format", "structured"],
         ["audit", str(coprime), "--format", "structured"],
+        ["audit", str(parser_game)],
+        ["audit", str(parser_game), "--format", "structured"],
+        ["audit", str(bad_character)],
     ]
     return [{"key": "front end: " + " ".join(
         Path(a).name if a.endswith(".game") else a for a in argv),
