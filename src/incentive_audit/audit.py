@@ -84,6 +84,15 @@ def verdict_tolerance(exact: bool) -> float:
     return TOL_EXACT if exact else TOL_FLOAT
 
 
+def _per_agent(name: str, witnesses: Sequence[dict], tol: float,
+               note: str = "") -> PropertyVerdict:
+    """A verdict judged agent by agent: holds when every witness row
+    passed."""
+    return PropertyVerdict(
+        name, HOLDS if all(w["passed"] for w in witnesses) else FAILS,
+        tuple(witnesses), tol, note=note)
+
+
 # ---------------------------------------------------------------------------
 # property checks
 
@@ -141,36 +150,28 @@ def check_participation_anticipatory(ctx: ScenarioSolve,
     """
     game = ctx.game
     witnesses = []
-    ok = True
-    for i in range(game.n):
-        eq = ctx.opt_outs[i]
+    for i, eq in enumerate(ctx.opt_outs):
         if eq is None:
             continue
         outside = evaluate(game.agent_costs[i], eq.profile.values)
         inside = evaluate(game.agent_costs[i], outcome.realized.values) \
             + outcome.t_values[i]
-        passed = float(outside) >= float(inside) - tol
-        ok = ok and passed
         witnesses.append(_wit(
             agent=i + 1, opt_out_cost=outside, participating_cost=inside,
-            opt_out_profile=eq.profile, passed=passed))
-    return PropertyVerdict("participation", HOLDS if ok else FAILS,
-                           tuple(witnesses), tol)
+            opt_out_profile=eq.profile,
+            passed=float(outside) >= float(inside) - tol))
+    return _per_agent("participation", witnesses, tol)
 
 
 def check_participation_weak(decomposition: CostDecomposition,
                              t_values: Sequence[Number],
                              tol: float) -> PropertyVerdict:
     """Ex-post rule: paying the incentive beats paying one's marginal cost."""
-    witnesses = []
-    ok = True
-    for i, (t, theta) in enumerate(zip(t_values, decomposition.theta)):
-        passed = float(t) <= float(theta) + tol
-        ok = ok and passed
-        witnesses.append(_wit(agent=i + 1, incentive=t, marginal_cost=theta,
-                              passed=passed))
-    return PropertyVerdict("participation-weak", HOLDS if ok else FAILS,
-                           tuple(witnesses), tol)
+    return _per_agent("participation-weak", [
+        _wit(agent=i + 1, incentive=t, marginal_cost=theta,
+             passed=float(t) <= float(theta) + tol)
+        for i, (t, theta) in enumerate(zip(t_values, decomposition.theta))],
+        tol)
 
 
 def check_equity_monotonicity(decomposition: CostDecomposition,
@@ -294,17 +295,14 @@ def check_single_deviation_dominance(ctx: ScenarioSolve,
     game = ctx.game
     u_star = ctx.optimum.profile
     witnesses = []
-    ok = True
     j_bar = evaluate(game.operator_cost, baseline.values)
     for i in range(game.n):
         j_dev = evaluate(game.operator_cost,
                          u_star.replace(i, baseline[i]).values)
-        passed = float(j_dev) >= float(j_bar) - tol
-        ok = ok and passed
         witnesses.append(_wit(agent=i + 1, deviation_cost=j_dev,
-                              baseline_cost=j_bar, passed=passed))
-    return PropertyVerdict("single-deviation-dominance",
-                           HOLDS if ok else FAILS, tuple(witnesses), tol)
+                              baseline_cost=j_bar,
+                              passed=float(j_dev) >= float(j_bar) - tol))
+    return _per_agent("single-deviation-dominance", witnesses, tol)
 
 
 def _coupling(p: Polynomial, names: Sequence[str]) -> Optional[str]:
@@ -366,33 +364,27 @@ def check_vcg_conditions(ctx: ScenarioSolve, tols: Collection[float]
         return {tol: (hess, surplus) for tol in tols}
 
     u_star = ctx.optimum.profile
+    terms = ctx.vcg_terms
     rows = []
-    for i, offset in enumerate(ctx.vcg_terms.offsets):
-        remainder = add(game.operator_cost, neg(game.agent_costs[i]))
+    for remainder, offset in zip(terms.remainders, terms.offsets):
         at_star = evaluate(remainder, u_star.values)
-        rows.append((i, at_star, offset, float(at_star) - float(offset)))
-    out = {}
-    for tol in tols:
-        passed = [surplus >= -tol for *_, surplus in rows]
-        witnesses = tuple(
-            _wit(agent=i + 1, remainder_at_optimum=at_star,
-                 remainder_at_opt_out=offset, surplus=surplus, passed=ok)
-            for (i, at_star, offset, surplus), ok in zip(rows, passed))
-        out[tol] = (hess, PropertyVerdict(
-            "opt-out-surplus", HOLDS if all(passed) else FAILS, witnesses,
-            tol, note="implies weak budget balance when it holds for every "
-            "agent"))
-    return out
+        rows.append((at_star, offset, float(at_star) - float(offset)))
+    return {tol: (hess, _per_agent("opt-out-surplus", [
+        _wit(agent=i + 1, remainder_at_optimum=at_star,
+             remainder_at_opt_out=offset, surplus=surplus,
+             passed=surplus >= -tol)
+        for i, (at_star, offset, surplus) in enumerate(rows)], tol,
+        note="implies weak budget balance when it holds for every agent"))
+        for tol in tols}
 
 
 def _convexity_verdict(name: str, report: ConvexityReport) -> PropertyVerdict:
-    status = {"holds": HOLDS, "fails": FAILS, "unknown": UNKNOWN}[report.status]
     witnesses = ()
     if report.witness is not None:
         witnesses = (_wit(profile=report.witness,
                           min_eigenvalue=report.min_eigenvalue),)
     note = "sampled over the bound box" if report.sampled else "exact"
-    return PropertyVerdict(name, status, witnesses, 0.0, note=note,
+    return PropertyVerdict(name, report.status, witnesses, 0.0, note=note,
                            data={"min_eigenvalue": report.min_eigenvalue})
 
 

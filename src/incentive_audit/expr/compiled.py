@@ -55,9 +55,9 @@ from .nodes import (
     Product,
     SafeDiv,
     Sum,
-    UnboundVariableError,
     Var,
     cached,
+    unbound,
 )
 
 ScalarFn = Callable[[Sequence[float]], float]
@@ -119,7 +119,7 @@ class _Emitter:
             ret = result if self.vector else f"float({result})"
         source = "\n".join(["def f(values):", *head, *body,
                             f"    return {ret}"])
-        scope = {"_unbound": _unbound, "_pow": np.float_power,
+        scope = {"_unbound": unbound, "_pow": np.float_power,
                  "_where": np.where}
         exec(compile(source, "<compiled expression>", "exec"), scope)
         return scope["f"]
@@ -222,7 +222,3 @@ class _Emitter:
         self.memo = outer
         self.indent -= 1
         return out
-
-
-def _unbound(index: int) -> UnboundVariableError:
-    return UnboundVariableError(f"variable u{index + 1} has no assigned value")

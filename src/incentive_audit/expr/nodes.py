@@ -57,6 +57,11 @@ class UnboundVariableError(ExpressionError):
     """Raised when evaluation hits a variable without an assigned value."""
 
 
+def unbound(index: int) -> UnboundVariableError:
+    """The error for variable ``index``, which has no assigned value."""
+    return UnboundVariableError(f"variable u{index + 1} has no assigned value")
+
+
 def _as_fraction(x: Number) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -272,8 +277,7 @@ def _exact(e: Expression, values: Sequence[Number]) -> tuple[int, int]:
     t = type(e)
     if t is Var:
         if e.index >= len(values):
-            raise UnboundVariableError(
-                f"variable u{e.index + 1} has no assigned value")
+            raise unbound(e.index)
         v = values[e.index]
         return v.numerator, v.denominator
     if t is Const:
@@ -329,8 +333,7 @@ def _walk(e: Expression, values: Sequence[Number]) -> Number:
         return e.value
     if isinstance(e, Var):
         if e.index >= len(values):
-            raise UnboundVariableError(
-                f"variable u{e.index + 1} has no assigned value")
+            raise unbound(e.index)
         v = values[e.index]
         if isinstance(v, float):
             return v

@@ -16,7 +16,8 @@ division node.  Exponents are nonnegative integer literals.  Constant
 operands are folded, so a text with no names parses to a :class:`Const`.
 
 Parentheses, ``abs(``, unary minus and each ``^`` that builds a power node
-nest at most MAX_DEPTH levels.  A number literal has at most the
+nest at most MAX_DEPTH levels; a ``^`` chain counts on from the power
+nodes its base already holds.  A number literal has at most the
 interpreter's integer-string digit limit (4300 by default) before or after
 its point, and a power of a constant at most that many in its numerator
 and denominator.  An error message echoes at most EXCERPT_CHARS characters
@@ -31,8 +32,8 @@ import sys
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .nodes import (Const, Expression, absval, add, const, mul, neg, power,
-                    var)
+from .nodes import (Const, Expression, Power, Var, absval, add, cached,
+                    children, const, mul, neg, power, var)
 from .polynomial import as_polynomial
 
 
@@ -110,7 +111,7 @@ class _Parser:
 
     def deeper(self, at: int) -> None:
         """One nesting level more, opened by the token at ``at``."""
-        if self.depth == MAX_DEPTH:
+        if self.depth >= MAX_DEPTH:
             raise ParseError(
                 f"expression nested more than {MAX_DEPTH} levels deep", at)
         self.depth += 1
@@ -175,6 +176,8 @@ class _Parser:
                     raise ParseError("constant power would have more than "
                                      f"{limit} digits", at)
             elif exponent > 1:  # a power node: one level deeper
+                if self.depth == depth:  # the first counts on from the base
+                    self.depth += _powers(e)
                 self.deeper(at)
             e = power(e, exponent)
         self.depth = depth
@@ -197,6 +200,14 @@ class _Parser:
         inner = self.nested(at, self.binary)
         self.expect_op(")")
         return absval(inner) if value == "abs" else inner
+
+
+def _powers(e: Expression) -> int:
+    """The most power nodes on one path down ``e``, kept on the node."""
+    if isinstance(e, (Var, Const)):
+        return 0
+    return cached(e, "powers", lambda: (type(e) is Power)
+                  + max(map(_powers, children(e))))
 
 
 def _literal(value: str, at: int) -> Fraction:

@@ -24,6 +24,11 @@ VCG = "vcg"
 CUSTOM = "custom"
 
 
+def empty_interval(lo: Number, hi: Number) -> bool:
+    """True when [lo, hi]'s ends are not increasing as floats."""
+    return not float(lo) < float(hi)
+
+
 def _coerce(v: Number) -> Number:
     if isinstance(v, bool):
         raise TypeError("profile values must be numbers")
@@ -95,7 +100,7 @@ class Game:
         if len(bounds) != self.n:
             raise ValueError("one bound interval per agent required")
         for lo, hi in bounds:
-            if not float(lo) < float(hi):
+            if empty_interval(lo, hi):
                 raise ValueError(f"empty bound interval [{lo}, {hi}]")
         object.__setattr__(self, "bounds", bounds)
         names = tuple(self.names) if self.names else tuple(

@@ -53,7 +53,8 @@ from typing import Optional
 from .expr import Const, Expression, ParseError, children, parse
 from .expr.parser import excerpt
 from .game import (ANTICIPATORY, CUSTOM, DEFAULT_BOUND, NON_ANTICIPATORY,
-                   PROPORTIONAL, VCG, Game, IncentiveScheme, Scenario)
+                   PROPORTIONAL, VCG, Game, IncentiveScheme, Scenario,
+                   empty_interval)
 from .solve import SolverConfig
 
 _IDENT_RE = re.compile(r"^[A-Za-z_]\w*$")
@@ -264,7 +265,7 @@ class _Loader:
             raise self.fail(section, key, "expected two comma-separated bounds")
         texts = [part.strip() for part in parts]
         lo, hi = [self._number(section, key, text) for text in texts]
-        if not float(lo) < float(hi):  # Game's rule: ends distinct as floats
+        if empty_interval(lo, hi):
             raise self.fail(section, key, "empty interval [{}, {}]".format(
                 *map(excerpt, texts)))
         return lo, hi

@@ -112,9 +112,10 @@ def proportional_allocation(game: Game, u_star: ActionProfile,
     return tuple(th * dec.total_excess / total for th in dec.theta)
 
 
-def proportional_as_expression(game: Game, u_star: ActionProfile,
-                               i: int) -> Expression:
-    """The proportional rule as a symbolic function of the realized profile.
+def proportional_expressions(game: Game, u_star: ActionProfile
+                             ) -> tuple[Expression, ...]:
+    """The proportional rule as symbolic functions of the realized profile,
+    one per agent, all sharing one set of marginal-cost trees.
 
     Used to build anticipatory effective costs; the division is guarded so
     that a vanishing marginal-cost total yields zero, matching
@@ -126,14 +127,16 @@ def proportional_as_expression(game: Game, u_star: ActionProfile,
     for k in range(game.n):
         pinned = {m: const(u_star[m]) for m in range(game.n) if m != k}
         thetas.append(add(substitute(j, pinned), neg(j_star)))
+    total = add(*thetas)
     total_excess = add(j, neg(j_star))
-    return safediv(mul(thetas[i], total_excess), add(*thetas),
-                   guard=ALLOCATION_GUARD)
+    return tuple(safediv(mul(theta, total_excess), total,
+                         guard=ALLOCATION_GUARD) for theta in thetas)
 
 
 class VcgTerms(NamedTuple):
     """The VCG-like rule's per-agent pieces, every agent participating."""
 
+    remainders: tuple[Expression, ...]  # the operator-side J - C_i
     offsets: tuple[Number, ...]
     t_exprs: tuple[Expression, ...]
 
@@ -218,20 +221,21 @@ class ScenarioSolve:
 
     @cached_property
     def vcg_terms(self) -> VcgTerms:
-        """For each agent: the constant offset (the operator-side
-        remainder J - C_i evaluated at the agent's opt-out equilibrium) and
-        the symbolic incentive (J - C_i) minus that offset."""
+        """For each agent: the operator-side remainder J - C_i, the constant
+        offset (the remainder at the agent's opt-out equilibrium) and the
+        symbolic incentive, the remainder minus that offset."""
         game = self.game
-        offsets, t_exprs = [], []
-        for i in range(game.n):
+        remainders = tuple(add(game.operator_cost, neg(game.agent_costs[i]))
+                           for i in range(game.n))
+        offsets = []
+        for i, remainder in enumerate(remainders):
             costs = [game.agent_costs[j] if j == i else game.operator_cost
                      for j in range(game.n)]
             eq = self.equilibrium(costs, f"when agent {i + 1} opts out")
-            remainder = add(game.operator_cost, neg(game.agent_costs[i]))
-            offset = evaluate(remainder, eq.profile.values)
-            offsets.append(offset)
-            t_exprs.append(add(remainder, neg(const(offset))))
-        return VcgTerms(tuple(offsets), tuple(t_exprs))
+            offsets.append(evaluate(remainder, eq.profile.values))
+        return VcgTerms(remainders, tuple(offsets),
+                        tuple(add(r, neg(const(offset)))
+                              for r, offset in zip(remainders, offsets)))
 
 
 def materialize(ctx: ScenarioSolve
@@ -252,8 +256,7 @@ def materialize(ctx: ScenarioSolve
             raise ValueError("custom scheme needs one expression per agent")
         return scheme.expressions
     if scheme.kind == PROPORTIONAL:
-        return tuple(proportional_as_expression(game, ctx.optimum.profile, i)
-                     for i in range(game.n))
+        return proportional_expressions(game, ctx.optimum.profile)
     return ctx.vcg_terms.t_exprs
 
 

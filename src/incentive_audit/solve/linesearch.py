@@ -32,9 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import zip_longest
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .._lazy import np
 from ..expr import (Abs, Expression, Neg, Number, Power, Product, SafeDiv,
@@ -114,7 +114,8 @@ def line_minima(e: Expression, i: int, profiles: Sequence[Sequence[Number]],
         minima.append(None)
     roots = _real_roots([(d1, flo, fhi) for _, _, d1 in lines])
     for (k, floats, _), stationary in zip(lines, roots):
-        minima[k] = _pick_smallest(floats, [flo, fhi, *stationary])
+        minima[k] = _pick_smallest(partial(_poly_value, floats),
+                                   [flo, fhi, *stationary])
     return minima
 
 
@@ -135,7 +136,7 @@ def _low_degree_minimum(coeffs: Sequence[Number], degree: int,
         vertex = -b / (2 * a)
         if lo <= vertex <= hi:
             candidates = [vertex]
-    return _pick_smallest(coeffs, candidates)
+    return _pick_smallest(partial(_poly_value, coeffs), candidates)
 
 
 def _exact_low_degree_minimum(coeffs: Sequence[Fraction], degree: int,
@@ -267,13 +268,13 @@ def _newton_polish(d1: Sequence[float], d2: Sequence[float], x: float
     return x
 
 
-def _pick_smallest(coeffs: Sequence[Number], candidates: Sequence[Number]
-                   ) -> LineMin:
+def _pick_smallest(score: Callable[[Number], Number],
+                   candidates: Iterable[Number]) -> LineMin:
     # each candidate scored once; as min does, only a strictly smaller
     # value replaces the best: ties go to the smallest action
     best = best_value = None
     for x in sorted(candidates, key=float):
-        value = _poly_value(coeffs, x)
+        value = score(x)
         if best is None or value < best_value:
             best, best_value = x, value
     return LineMin(best, best_value)
@@ -325,12 +326,9 @@ def _piecewise_minima(e: Expression, i: int,
             candidates[k].update(xs)
         pieces = split
     scalar = scalar_fn(e)
-    minima = []
-    for base, found in zip(bases, candidates):
-        scores = {x: scalar(base[:i] + [x] + base[i + 1:]) for x in found}
-        arg = min(sorted(scores), key=scores.get)
-        minima.append(LineMin(arg, scores[arg]))
-    return minima
+    return [_pick_smallest(lambda x: scalar(base[:i] + [x] + base[i + 1:]),
+                           found)
+            for base, found in zip(bases, candidates)]
 
 
 def _restrict(e: Expression, i: int, base: list[float],

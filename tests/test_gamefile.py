@@ -12,6 +12,7 @@ from incentive_audit.expr.parser import MAX_DEPTH
 from incentive_audit.game import ANTICIPATORY, NON_ANTICIPATORY
 from incentive_audit.gamefile import GameFileError, load_game_file
 
+import reference_parser
 from conftest import GAMES_DIR
 
 
@@ -440,6 +441,36 @@ class TestNestingLimit:
         deeper = tower.replace(" + a^2", "^2 + a^2")
         with pytest.raises(GameFileError, match=DEEP):
             load_game_file(_write(tmp_path, deeper))
+
+    def test_tower_counts_the_powers_of_its_base(self, capsys, tmp_path):
+        # 64 nested groups, the one at depth d closed by 64 - d links: 2080
+        # links, whose count restarted at each `)`, overflowed the stack in
+        # the loader's constant check.  The group at depth 62 holds one
+        # power level, so its chain's second link is the 65th level.
+        from incentive_audit.cli import main
+
+        tower = "u1"
+        for depth in reversed(range(MAX_DEPTH)):
+            tower = f"({tower})" + "^2" * (MAX_DEPTH - depth)
+        path = _write(tmp_path, (GAMES_DIR / "example1.game").read_text()
+                      .replace('"u1^2 - 2*u1*u2"', f'"{tower}"'))
+        assert main(["audit", str(path)]) == 2
+        out, err = capsys.readouterr()
+        column = len("(" * MAX_DEPTH + "u1)^2)^2") + 1
+        assert out == "" and err == (
+            f"error: {path}: [costs] u1 (line 9, column {column}): {DEEP}\n")
+
+    def test_tower_within_the_limit_parses_as_before(self, tmp_path):
+        # three nested groups closed by chains of 20, 20 and 24 links: the
+        # outer chain counts on from the 40 levels its base holds, to 64
+        tower = "a"
+        for links in (20, 20, 24):
+            tower = f"({tower} + b)" + "^2" * links
+        text = GOOD.replace('"(a - 1)^2"', f'"{tower}"')
+        cost = load_game_file(_write(tmp_path, text)).game.agent_costs[0]
+        assert cost == reference_parser.parse(tower, ["a", "b"])
+        with pytest.raises(GameFileError, match=DEEP):
+            load_game_file(_write(tmp_path, text.replace(tower, tower + "^2")))
 
 
 class TestLineErrors:

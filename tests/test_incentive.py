@@ -21,7 +21,7 @@ from incentive_audit.incentive import (
     materialize,
     opt_out_equilibrium,
     proportional_allocation,
-    proportional_as_expression,
+    proportional_expressions,
     realized_outcome,
     vcg_incentive,
 )
@@ -120,20 +120,20 @@ class TestProportionalAllocation:
 class TestProportionalExpression:
     def test_matches_pointwise_rule(self):
         g = _bowl_game()
-        t0 = proportional_as_expression(g, ORIGIN, 0)
+        t0 = proportional_expressions(g, ORIGIN)[0]
         u_r = ActionProfile([Fraction(1), Fraction(2)])
         assert evaluate(t0, u_r.values) == 1
 
     def test_zero_at_optimum(self):
         g = _bowl_game()
-        t0 = proportional_as_expression(g, ORIGIN, 0)
+        t0 = proportional_expressions(g, ORIGIN)[0]
         assert evaluate(t0, ORIGIN.values) == 0
 
     def test_separable_identity(self):
         # separable objective: the rule collapses to each agent's own
         # component measured from the optimum
         g = _bowl_game()
-        t1 = proportional_as_expression(g, ORIGIN, 1)
+        t1 = proportional_expressions(g, ORIGIN)[1]
         for pt in ([Fraction(1, 3), Fraction(-5, 7)],
                    [Fraction(2), Fraction(2)],
                    [Fraction(-1, 2), Fraction(1, 9)]):

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from incentive_audit import audit
+from incentive_audit import audit, incentive
 from incentive_audit.cli import main
 from incentive_audit.expr import compiled, parse
 from incentive_audit.gamefile import load_game_file
@@ -356,3 +356,28 @@ def test_scenario_conditions_run_once_per_audit(tmp_path, monkeypatch,
     path.write_text(THREE_EQUILIBRIA_VCG_GAME)
     _run(capsys, "audit", str(path), "--format", "structured")
     assert counts == dict.fromkeys(SCENARIO_CHECKS, 1)
+
+
+def test_proportional_rule_pins_the_optimum_once_per_agent(tmp_path,
+                                                           monkeypatch):
+    # every agent's incentive shares the n marginal-cost trees, J with the
+    # optimum pinned on every axis but one (9 substitutions at 3 agents
+    # when each agent's incentive built its own)
+    calls = Counter()
+    original = incentive.substitute
+
+    def counted(e, assignment):
+        calls["substitute"] += 1
+        return original(e, assignment)
+
+    monkeypatch.setattr(incentive, "substitute", counted)
+    path = tmp_path / "quartic_proportional.game"
+    path.write_text(QUARTIC_GAME.split("[incentive]")[0] + """\
+[incentive]
+kind = proportional
+mode = anticipatory
+""")
+    spec = load_game_file(str(path))
+    incentive.materialize(incentive.ScenarioSolve(spec.scenario(),
+                                                  spec.solver))
+    assert calls == {"substitute": 3}

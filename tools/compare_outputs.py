@@ -29,7 +29,10 @@ structured audits of two exact quadratic games: ``tests/test_exact.py``'s
 991 and 983.  Last come the expression parser's paths that no workload
 takes: trailing whitespace, ``2*-u1`` and ``-u1^2``, ``u1/2/3`` and
 ``u2^2^3``, a divisor that is constant only once expanded,
-``(u1 + 1 - u1)``, all in one game's audit, and an unexpected character.
+``(u1 + 1 - u1)``, all in one game's audit, an unexpected character, and
+a ``^`` chain whose base is a group holding its own chain,
+``((u1 - 1/2)^2^2 + u2)^2``, as example1's first cost in a structured
+audit.
 
 A child still running after ``CHILD_TIMEOUT_S`` is killed and stops the
 tool, so a checkout that hangs cannot stall the comparison.
@@ -335,7 +338,8 @@ def front_end_requests(out: Path) -> list[dict]:
     too; example1 written in the rarer forms of the game-file syntax,
     and with CRLF line ends and a byte-order mark; the exact
     elimination at 8 agents and on large coprime denominators; and the
-    parser's rarer paths and its unexpected-character error."""
+    parser's rarer paths, its unexpected-character error and a chain
+    whose base holds a chain."""
     games = sorted((ROOT / "games").glob("*.game"))
     argvs = [argv for game in games
              for argv in (["equilibrium", str(game)],
@@ -365,11 +369,11 @@ def front_end_requests(out: Path) -> list[dict]:
     concave_u1 = out / "concave_u1.game"
     concave_u1.write_text(CONCAVE_U1_GAME)
     box_games = []
-    for name, text in [("strong_coupling", STRONG_COUPLING_GAME),
-                       ("clipped_vertex", CLIPPED_VERTEX_GAME),
-                       ("flat_square", FLAT_SQUARE_GAME)]:
+    for name, source in [("strong_coupling", STRONG_COUPLING_GAME),
+                         ("clipped_vertex", CLIPPED_VERTEX_GAME),
+                         ("flat_square", FLAT_SQUARE_GAME)]:
         box_games.append(out / f"{name}.game")
-        box_games[-1].write_text(text)
+        box_games[-1].write_text(source)
     vcg8 = out / "vcg8.game"
     vcg8.write_text(vcg_game(8))
     coprime = out / "coprime.game"
@@ -379,6 +383,9 @@ def front_end_requests(out: Path) -> list[dict]:
     bad_character = out / "bad_character.game"
     bad_character.write_text(text.replace('"u1^2 - 2*u1*u2"',
                                           '"u1^2 - 2*u1*u2 ~ u2"'))
+    nested_chain = out / "nested_chain.game"
+    nested_chain.write_text(text.replace('"u1^2 - 2*u1*u2"',
+                                         '"((u1 - 1/2)^2^2 + u2)^2"'))
     crlf_bom = out / "crlf_bom.game"
     crlf_bom.write_bytes(b"\xef\xbb\xbf" + example.read_bytes().replace(
         b"\n", b"\r\n"))
@@ -413,6 +420,7 @@ def front_end_requests(out: Path) -> list[dict]:
         ["audit", str(parser_game)],
         ["audit", str(parser_game), "--format", "structured"],
         ["audit", str(bad_character)],
+        ["audit", str(nested_chain), "--format", "structured"],
     ]
     return [{"key": "front end: " + " ".join(
         Path(a).name if a.endswith(".game") else a for a in argv),
