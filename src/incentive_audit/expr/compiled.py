@@ -29,14 +29,17 @@ lives exactly as long as its tree.
 Which evaluator does which job follows measured traffic.  A compile
 costs far more than one tree walk, so a value read once or twice goes
 through ``evaluate``, exact and float inputs alike: the verification of
-an equilibrium candidate and the re-check of a non-finite Newton row.
-A compiled form is built only by a loop that calls it many times: the
-vector form by the Newton plumbing and the grid tables, the scalar form
-by the candidate scoring of piecewise line minima (44 compiles for about
-2 300 calls in a seed-3 ``nonsmooth`` benchmark pass) and by the sampled
-curvature checks (20 compiles for 1 620 calls in a ``smooth`` pass).
-Verification with a scalar form per cost would make 165 compiles for 317
-calls in that ``smooth`` pass.
+an equilibrium candidate, the re-check of a non-finite Newton row and
+the candidates of a piecewise line minimized alone.  A compiled form is
+built only by a loop that calls it many times: the vector form by the
+Newton plumbing and the grid tables, the scalar form by the candidate
+scoring of a batch of piecewise lines (4 compiles for 2 120 calls in a
+seed-3 ``nonsmooth`` benchmark pass, whose 46 lines minimized alone walk
+161 candidates; compiling for those too made 44 compiles, 40 of them in
+the ``abs`` audits at about 3.6 calls each) and by the sampled curvature
+checks (20 compiles for 1 620 calls in a ``smooth`` pass).  Verification
+with a scalar form per cost would make 165 compiles for 317 calls in
+that ``smooth`` pass.
 """
 
 from __future__ import annotations

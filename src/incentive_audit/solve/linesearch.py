@@ -20,11 +20,14 @@ a guarded denominator crosses its guard, and cut again until no node
 cuts a piece, so nested nodes are cut inner first.  On a piece the cost
 is one float ratio N/D, built from the line plans of its polynomial
 subtrees (once per profile), and its minimum lies at a piece end or at
-a real root of N'D - ND' (first-order stationarity); the compiled
-evaluator scores those candidates.  The profiles of a batch advance in
-lockstep rounds: each round finds the roots that cut all their open
-pieces in one ``_real_roots`` call, and the stationary points of the
-uncut pieces in a second.  Ties always resolve to the smallest action.
+a real root of N'D - ND' (first-order stationarity).  A batch of
+several lines scores those candidates with the compiled scalar form; a
+line alone scores its few with ``evaluate``, since one compile costs more
+than those few tree walks, and both give the same floats.  The profiles
+of a batch advance in lockstep rounds: each round finds the roots that
+cut all their open pieces in one ``_real_roots`` call, and the
+stationary points of the uncut pieces in a second.  Ties always resolve
+to the smallest action.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Callable, Iterable, Sequence
 
 from .._lazy import np
 from ..expr import (Abs, Expression, Neg, Number, Power, Product, SafeDiv,
-                    Sum, children, scalar_fn)
+                    Sum, children, evaluate, scalar_fn)
 from ..expr.nodes import EXACT_TYPES, rational_sum
 from ..expr.polynomial import as_polynomial, line_plan
 
@@ -185,7 +188,7 @@ def _real_roots(polys: Sequence[tuple[Sequence[float], float, float]]
     eigenvalues = _derivative_roots([p[:top + 1] for _, p, top in others])
     for (k, p, _), found in zip(others, eigenvalues):
         dp = [j * p[j] for j in range(1, len(p))]
-        roots[k] = [_newton_polish(p, dp, float(r.real))
+        roots[k] = [_newton_polish(p, dp, r.real)
                     for r in found if abs(r.imag) < 1e-9]
     return [[x for x in found if lo <= x <= hi]
             for found, (_, lo, hi) in zip(roots, polys)]
@@ -250,7 +253,7 @@ def _derivative_roots(derivs: Sequence[Sequence[float]]) -> list[list]:
         companions[:, 0] = [rows[k] for k in ks]
         companions[:, range(1, size), range(size - 1)] = 1.0
         for k, eigenvalues in zip(ks, np.linalg.eigvals(companions)):
-            found[k] = list(eigenvalues)
+            found[k] = eigenvalues.tolist()
     return [f + [0.0] * low for f, low in zip(found, lows)]
 
 
@@ -325,7 +328,8 @@ def _piecewise_minima(e: Expression, i: int,
         for (k, _), xs in zip(uncut, _real_roots([p for _, p in uncut])):
             candidates[k].update(xs)
         pieces = split
-    scalar = scalar_fn(e)
+    scalar = scalar_fn(e) if len(bases) > 1 else \
+        (lambda point: float(evaluate(e, point)))
     return [_pick_smallest(lambda x: scalar(base[:i] + [x] + base[i + 1:]),
                            found)
             for base, found in zip(bases, candidates)]

@@ -252,10 +252,9 @@ def _newton_min(objective: Expression, grad: Sequence[Expression],
         live, g = live[~done], g[~done]
         if not live.size:
             break
-        steps = _newton_steps(_rows(entries, x[live]).reshape(len(live), n, n),
-                              g)
-        step = np.array([s if s is not None and np.all(np.isfinite(s))
-                         else -gk for s, gk in zip(steps, g)])
+        step, finite = _finite_steps(_newton_steps(
+            _rows(entries, x[live]).reshape(len(live), n, n), g), n)
+        step = np.where(finite[:, None], step, -g)
         bar = fx[live] - 1e-15
         moved, xn, fn = _damped([objective], x[live], step, POLISH_STEPS,
                                 lo, hi, lambda v, lam, k: v[..., 0] < bar[k])
@@ -454,12 +453,13 @@ def _vector_rows(exprs: Sequence[Expression], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _newton_steps(J: np.ndarray, fx: np.ndarray) -> list[Optional[np.ndarray]]:
-    """``np.linalg.solve(J[k], -fx[k])`` for every k, ``None`` where the
-    matrix is singular: one stacked call, or one call per matrix when the
-    stack holds a singular one."""
+def _newton_steps(J: np.ndarray, fx: np.ndarray
+                  ) -> np.ndarray | list[Optional[np.ndarray]]:
+    """``np.linalg.solve(J[k], -fx[k])`` for every k: their stack from one
+    stacked call, or, when the stack holds a singular matrix, the list of
+    one call per matrix with ``None`` where the matrix is singular."""
     try:
-        return list(np.linalg.solve(J, -fx[..., None])[..., 0])
+        return np.linalg.solve(J, -fx[..., None])[..., 0]
     except np.linalg.LinAlgError:
         steps: list[Optional[np.ndarray]] = []
         for Jk, fk in zip(J, fx):
@@ -468,6 +468,16 @@ def _newton_steps(J: np.ndarray, fx: np.ndarray) -> list[Optional[np.ndarray]]:
             except np.linalg.LinAlgError:
                 steps.append(None)
         return steps
+
+
+def _finite_steps(steps: np.ndarray | list[Optional[np.ndarray]], n: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_newton_steps`` as one (k, n) array, a singular matrix's row
+    all NaN, and whether each row is finite."""
+    if isinstance(steps, list):
+        steps = np.array([np.full(n, np.nan) if s is None else s
+                          for s in steps])
+    return steps, np.isfinite(steps).all(axis=1)
 
 
 def _newton_stationarity(F: Sequence[Expression], Jac: Sequence[Expression],
@@ -492,11 +502,10 @@ def _newton_stationarity(F: Sequence[Expression], Jac: Sequence[Expression],
         live, x, fx, norm = live[~done], x[~done], fx[~done], norm[~done]
         if not live.size:
             break
-        steps = _newton_steps(_rows(Jac, x).reshape(len(x), n, n), fx)
-        going = [r for r, step in enumerate(steps)
-                 if step is not None and np.all(np.isfinite(step))]
+        steps, going = _finite_steps(
+            _newton_steps(_rows(Jac, x).reshape(len(x), n, n), fx), n)
         live, x, fx, norm = live[going], x[going], fx[going], norm[going]
-        step = np.array([steps[r] for r in going]).reshape(len(going), n)
+        step = steps[going]
         moved, x, fx = _damped(
             F, x, step, STATIONARITY_STEPS, lo, hi,
             lambda v, lam, k: np.max(np.abs(v), axis=-1)

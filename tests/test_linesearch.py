@@ -641,6 +641,52 @@ def test_piecewise_batch_matches_the_reference(batch):
             == (repr(want.arg), repr(want.value)), (values, lm, want)
 
 
+#: polynomial texts in three agents, of degree at most 3 in u1
+polynomial_texts = st.lists(
+    st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=9),
+              st.sampled_from(["1", "u1", "u1^2", "u1^3", "u2", "u1*u2",
+                               "u1^2*u3", "u3"])),
+    min_size=1, max_size=4).map(
+    lambda terms: " + ".join(f"({c})*{m}" for c, m in terms))
+
+#: piecewise trees of four polynomials and a guard
+PIECEWISE_TREES = {
+    "abs": lambda p, q, r, s, g: add(absval(p), r),
+    "nested abs": lambda p, q, r, s, g: add(absval(add(p, absval(q))), r),
+    "proportional": lambda p, q, r, s, g: add(
+        r, safediv(mul(p, q), add(p, s), g)),
+    "abs of a guarded ratio": lambda p, q, r, s, g: add(
+        absval(safediv(p, q, g)), r),
+}
+
+
+@st.composite
+def alone_and_batched(draw):
+    """A piecewise tree's ingredients (its shape, four polynomial texts
+    and a guard), two profiles and an interval."""
+    shape = draw(st.sampled_from(sorted(PIECEWISE_TREES)))
+    texts = [draw(polynomial_texts) for _ in range(4)]
+    guard = draw(guards)
+    p, q = (draw(st.lists(piece_actions, min_size=3, max_size=3))
+            for _ in range(2))
+    lo, hi = draw(bounds)
+    return shape, texts, guard, p, q, lo, hi
+
+
+@given(alone_and_batched())
+@settings(max_examples=200, deadline=None)
+def test_a_line_alone_gets_its_minimum_in_a_batch(case):
+    # a line alone is scored by evaluate, a batch by the compiled scalar
+    # form; the second tree is parsed afresh, so it shares no compiled form
+    shape, texts, guard, p, q, lo, hi = case
+    e, e2 = (PIECEWISE_TREES[shape](*(parse(t, N3) for t in texts), guard)
+             for _ in range(2))
+    alone = line_minima(e, 0, [p], lo, hi)[0]
+    batched = line_minima(e2, 0, [p, q], lo, hi)[0]
+    assert (repr(alone.arg), repr(alone.value)) \
+        == (repr(batched.arg), repr(batched.value)), (alone, batched)
+
+
 def test_piecewise_batch_advances_in_lockstep(monkeypatch, tmp_path):
     # agent 1's anticipatory proportional cost in example1: the batch takes
     # as many root-finding stages as its slowest profile alone, each with

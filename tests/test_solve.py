@@ -609,6 +609,22 @@ class TestLockstep:
         assert alone == [None] * len(starts)
         assert repr(together) == repr(alone)
 
+    def test_newton_steps_match_each_matrix_alone(self):
+        # without a singular matrix the steps come as one stacked array;
+        # with one, as the list of per-matrix solves, None at that matrix
+        rng = np.random.default_rng(7)
+        J, fx = rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3))
+        alone = [np.linalg.solve(Jk, -fk).tolist() for Jk, fk in zip(J, fx)]
+        steps = solvers._newton_steps(J, fx)
+        assert isinstance(steps, np.ndarray) and steps.shape == (5, 3)
+        assert repr(steps.tolist()) == repr(alone)
+        J[2] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]
+        alone[2] = None
+        steps = solvers._newton_steps(J, fx)
+        assert isinstance(steps, list)
+        assert repr([None if s is None else s.tolist() for s in steps]) \
+            == repr(alone)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_operator_polish_matches_each_start_alone(self, seed, cfg):
         rng = np.random.default_rng([seed, 14])

@@ -2,7 +2,8 @@
 computes each line minimum of a solve once (the piecewise lines of a
 batch sharing their eigenvalue calls), and evaluates the conditions on
 the scenario alone once.  Values read once (a candidate's costs, a
-non-finite Newton row) compile no scalar form.
+non-finite Newton row) compile no scalar form, nor does a piecewise
+line minimized alone.
 
 Every binding of ``minimize_operator``, ``nash_equilibrium``,
 ``verify_nash`` and the batched line kernel ``line_minima`` in the package
@@ -258,6 +259,52 @@ def test_verification_of_a_float_candidate_compiles_nothing(
     residual = solvers.verify_nash(costs, (0.5, 0.25), BOX2)
     assert residual > 0
     assert scalar_compiles["scalar"] == 0
+
+
+#: scalar forms compiled in one structured audit.  A piecewise line
+#: minimized alone scores its few candidates with evaluate (one compile
+#: costs more), and a batch of lines shares one compiled form: the one-way
+#: game minimizes each abs line alone (2 compiles when every piecewise
+#: line compiled its scorer), example1's anticipatory proportional audit
+#: minimizes its lines in batches
+AUDIT_SCALAR_COMPILES = [(ONE_WAY_ABS_GAME, 0),
+                         (EXAMPLE1_PROPORTIONAL_GAME, 2)]
+
+
+@pytest.mark.parametrize("game, expected", AUDIT_SCALAR_COMPILES,
+                         ids=["one-way-abs", "example1-proportional"])
+def test_only_line_batches_compile_a_scalar_form(game, expected, tmp_path,
+                                                 scalar_compiles, capsys):
+    path = tmp_path / "piecewise.game"
+    path.write_text(game)
+    _run(capsys, "audit", str(path), "--format", "structured")
+    assert scalar_compiles["scalar"] == expected
+
+
+#: the one-way game with agent 1's cost coupled to u2, so its abs line
+#: differs from seed to seed
+TWO_WAY_ABS_GAME = ONE_WAY_ABS_GAME.replace(
+    'abs(u1 + 5/8)"', 'abs(u1 + 5/8) + (1/8)*u1*u2"')
+
+
+def test_coupled_abs_line_is_scored_both_ways(tmp_path, monkeypatch,
+                                              scalar_compiles, capsys):
+    # agent 1's line at the 11 seeds in one batch, by its compiled form;
+    # agent 2's and then agent 1's at the point the first sweep reached,
+    # each alone, by evaluate
+    batches = []
+    original = solvers.line_minima
+
+    def counted(e, i, profiles, lo, hi):
+        batches.append((i, len(profiles)))
+        return original(e, i, profiles, lo, hi)
+
+    _replace_solver(monkeypatch, "line_minima", counted)
+    path = tmp_path / "two_way_abs.game"
+    path.write_text(TWO_WAY_ABS_GAME)
+    _run(capsys, "audit", str(path), "--format", "structured")
+    assert batches == [(0, 11), (1, 1), (0, 1)]
+    assert scalar_compiles["scalar"] == 1
 
 
 def test_overflowing_row_raises_without_a_scalar_form(scalar_compiles):

@@ -26,13 +26,15 @@ coefficient, example1 in the rarer forms of the game-file syntax, and
 structured audits of two exact quadratic games: ``tests/test_exact.py``'s
 8-agent ``vcg_game(8)``, whose exact elimination runs at 8 agents, and a
 3-agent game whose coefficients have the large coprime denominators 997,
-991 and 983.  Last come the expression parser's paths that no workload
-takes: trailing whitespace, ``2*-u1`` and ``-u1^2``, ``u1/2/3`` and
-``u2^2^3``, a divisor that is constant only once expanded,
-``(u1 + 1 - u1)``, all in one game's audit, an unexpected character, and
-a ``^`` chain whose base is a group holding its own chain,
-``((u1 - 1/2)^2^2 + u2)^2``, as example1's first cost in a structured
-audit.
+991 and 983; then a structured audit of a two-way-coupled ``abs`` game,
+whose ``abs`` line is scored both by its compiled form (in a batch of
+lines) and by ``evaluate`` (alone).  Last come the expression parser's
+paths that no workload takes: trailing whitespace, ``2*-u1`` and
+``-u1^2``, ``u1/2/3`` and ``u2^2^3``, a divisor that is constant only
+once expanded, ``(u1 + 1 - u1)``, all in one game's audit, an unexpected
+character, and a ``^`` chain whose base is a group holding its own
+chain, ``((u1 - 1/2)^2^2 + u2)^2``, as example1's first cost in a
+structured audit.
 
 A child still running after ``CHILD_TIMEOUT_S`` is killed and stops the
 tool, so a checkout that hangs cannot stall the comparison.
@@ -292,6 +294,28 @@ mode = anticipatory
 """
 
 
+#: ``tests/test_solve_counts.py``'s one-way ``abs`` game with agent 1's
+#: cost coupled to u2: its ``abs`` line is minimized at the 11 seeds in
+#: one batch (a compiled scorer), then at the second sweep's u2 alone (a
+#: tree walk).  The workloads' ``abs`` games are one-way, so each of their
+#: ``abs`` lines is minimized alone
+TWO_WAY_ABS_GAME = """\
+[agents]
+names = u1, u2
+
+[costs]
+u1 = "(9/8)*u1^2 + u1 + (5/4)*abs(u1 + 5/8) + (1/8)*u1*u2"
+u2 = "(1/8)*u1*u2 + (1/2)*u2^2 + (1/2)*abs(u2 + 1)"
+
+[operator]
+J = "2*u1^2 + (1/8)*u1*u2 + u1 + (7/8)*u2^2 + (77/32)*u2 + 911/512"
+
+[bounds]
+u1 = [-2, 2]
+u2 = [-2, 2]
+"""
+
+
 def vcg_game(n: int) -> str:
     """``tests/test_exact.py``'s ``vcg_game(n)``, compiled from that file's
     source alone, so the tool imports neither the tests' dependencies nor
@@ -337,9 +361,10 @@ def front_end_requests(out: Path) -> list[dict]:
     are clipped to an edge or are refused on an axis, at the default grid
     too; example1 written in the rarer forms of the game-file syntax,
     and with CRLF line ends and a byte-order mark; the exact
-    elimination at 8 agents and on large coprime denominators; and the
-    parser's rarer paths, its unexpected-character error and a chain
-    whose base holds a chain."""
+    elimination at 8 agents and on large coprime denominators; an ``abs``
+    line minimized both in a batch and alone; and the parser's rarer
+    paths, its unexpected-character error and a chain whose base holds a
+    chain."""
     games = sorted((ROOT / "games").glob("*.game"))
     argvs = [argv for game in games
              for argv in (["equilibrium", str(game)],
@@ -378,6 +403,8 @@ def front_end_requests(out: Path) -> list[dict]:
     vcg8.write_text(vcg_game(8))
     coprime = out / "coprime.game"
     coprime.write_text(COPRIME_GAME)
+    two_way_abs = out / "two_way_abs.game"
+    two_way_abs.write_text(TWO_WAY_ABS_GAME)
     parser_game = out / "parser.game"
     parser_game.write_text(PARSER_GAME)
     bad_character = out / "bad_character.game"
@@ -417,6 +444,7 @@ def front_end_requests(out: Path) -> list[dict]:
         ["audit", str(crlf_bom), "--format", "structured"],
         ["audit", str(vcg8), "--format", "structured"],
         ["audit", str(coprime), "--format", "structured"],
+        ["audit", str(two_way_abs), "--format", "structured"],
         ["audit", str(parser_game)],
         ["audit", str(parser_game), "--format", "structured"],
         ["audit", str(bad_character)],
