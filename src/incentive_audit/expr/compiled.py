@@ -1,14 +1,11 @@
 """Float evaluation of expression trees, compiled once per expression.
 
-``scalar_fn(e)`` and ``vector_fn(e)`` turn a tree into Python functions
-generated as straight-line statements (one operation per statement, so
-long sums and deep derivative trees stay within the compiler's nesting
-limits; only a guarded division inside a numerator indents, one level):
-
-- the scalar function takes a sequence of floats and returns exactly
-  ``float(evaluate(e, values))``, sign of zero included;
-- the vector function takes numpy arrays (or floats) that broadcast
-  against each other and returns, element by element, the same values.
+``vector_fn(e)`` turns a tree into a Python function generated as
+straight-line statements (one operation per statement, so long sums and
+deep derivative trees stay within the compiler's nesting limits).  It
+takes numpy arrays (or floats) that broadcast against each other and
+returns, element by element, ``float(evaluate(e, values))``, sign of zero
+included.  ``rows`` reads it at every row of an array of points.
 
 Bit identity with ``evaluate`` rests on replaying its arithmetic:
 
@@ -20,8 +17,8 @@ Bit identity with ``evaluate`` rests on replaying its arithmetic:
   ``0 + (-0.0)`` is ``0.0``;
 - a guard compares against the largest double not above it, which is
   the exact test ``abs(den) <= guard``;
-- the vector form raises to integer powers with ``np.float_power``,
-  which rounds like Python's ``float ** k``; ``arr ** k`` does not.
+- integer powers use ``np.float_power``, which rounds like Python's
+  ``float ** k``; ``arr ** k`` does not.
 
 Each function is built on first use and kept on the node itself, so it
 lives exactly as long as its tree.
@@ -29,17 +26,15 @@ lives exactly as long as its tree.
 Which evaluator does which job follows measured traffic.  A compile
 costs far more than one tree walk, so a value read once or twice goes
 through ``evaluate``, exact and float inputs alike: the verification of
-an equilibrium candidate, the re-check of a non-finite Newton row and
-the candidates of a piecewise line minimized alone.  A compiled form is
-built only by a loop that calls it many times: the vector form by the
-Newton plumbing and the grid tables, the scalar form by the candidate
-scoring of a batch of piecewise lines (4 compiles for 2 120 calls in a
-seed-3 ``nonsmooth`` benchmark pass, whose 46 lines minimized alone walk
-161 candidates; compiling for those too made 44 compiles, 40 of them in
-the ``abs`` audits at about 3.6 calls each) and by the sampled curvature
-checks (20 compiles for 1 620 calls in a ``smooth`` pass).  Verification
-with a scalar form per cost would make 165 compiles for 317 calls in
-that ``smooth`` pass.
+an equilibrium candidate, the re-check of a non-finite row and the
+candidates of a piecewise line minimized alone.  The vector form serves
+the expressions read at many points: the Newton plumbing, the grid
+tables, the candidate scoring of a batch of piecewise lines (in a seed-3
+``nonsmooth`` benchmark pass, 4 compiles and 90 calls, one per batch,
+for 2 120 candidates; compiling for the 46 lines minimized alone too
+made 44 compiles, 40 of them in the ``abs`` audits at about 3.6 calls
+each) and the sampled curvature checks (one call per Hessian entry over
+all sample points).
 """
 
 from __future__ import annotations
@@ -60,10 +55,10 @@ from .nodes import (
     Sum,
     Var,
     cached,
+    evaluate,
     unbound,
 )
 
-ScalarFn = Callable[[Sequence[float]], float]
 VectorFn = Callable[[Sequence[Union["np.ndarray", float]]],
                     Union["np.ndarray", float]]
 
@@ -71,18 +66,35 @@ VectorFn = Callable[[Sequence[Union["np.ndarray", float]]],
 _Result = Union[Fraction, str]
 
 
-def scalar_fn(e: Expression) -> ScalarFn:
-    """The compiled scalar evaluator of ``e`` (built once per node)."""
-    return cached(e, "scalar_fn", _compile, e, False)
-
-
 def vector_fn(e: Expression) -> VectorFn:
     """The compiled numpy evaluator of ``e`` (built once per node)."""
-    return cached(e, "vector_fn", _compile, e, True)
+    return cached(e, "vector_fn", _compile, e)
 
 
-def _compile(e: Expression, vector: bool) -> Callable:
-    return _Emitter(vector).function(e)
+def _compile(e: Expression) -> VectorFn:
+    return _Emitter().function(e)
+
+
+def rows(exprs: Sequence[Expression], x: np.ndarray) -> np.ndarray:
+    """``exprs`` at each row of ``x``, one row of values per row of ``x``:
+    the vector form's, with each row holding a value that is not finite
+    evaluated again by ``evaluate``, in row order, which raises where
+    Python's float arithmetic raises (an overflowing power, say)."""
+    out = vector_rows(exprs, x)
+    for r in np.flatnonzero(~np.isfinite(out).all(axis=1)):
+        point = x[r].tolist()
+        out[r] = [float(evaluate(e, point)) for e in exprs]
+    return out
+
+
+def vector_rows(exprs: Sequence[Expression], x: np.ndarray) -> np.ndarray:
+    """``exprs`` at each row of ``x`` by the compiled vector form alone."""
+    columns = list(x.T)
+    out = np.empty((len(x), len(exprs)))
+    with np.errstate(all="ignore"):
+        for j, e in enumerate(exprs):
+            out[:, j] = vector_fn(e)(columns)
+    return out
 
 
 def _literal(value: Fraction) -> str:
@@ -99,41 +111,31 @@ def _guard_bound(guard: Fraction) -> float:
 
 
 class _Emitter:
-    def __init__(self, vector: bool) -> None:
-        self.vector = vector
+    def __init__(self) -> None:
         self.lines: list[str] = []
-        self.indent = 1
         self.count = 0
         self.variables: set[int] = set()
         # id(node) -> result; the tree outlives the emitter, so ids are stable
         self.memo: dict[int, _Result] = {}
 
-    def function(self, e: Expression) -> Callable:
+    def function(self, e: Expression) -> VectorFn:
         result = self.emit(e)
-        body = self.lines
         head = []
         if self.variables:
             top = max(self.variables)
             head.append(f"    if len(values) <= {top}: raise _unbound({top})")
             head += [f"    x{k} = values[{k}]" for k in sorted(self.variables)]
-        if isinstance(result, Fraction):
-            ret = _literal(result)
-        else:
-            ret = result if self.vector else f"float({result})"
-        source = "\n".join(["def f(values):", *head, *body,
-                            f"    return {ret}"])
+        source = "\n".join(["def f(values):", *head, *self.lines,
+                            f"    return {self.code(result)}"])
         scope = {"_unbound": unbound, "_pow": np.float_power,
                  "_where": np.where}
         exec(compile(source, "<compiled expression>", "exec"), scope)
         return scope["f"]
 
-    def line(self, text: str) -> None:
-        self.lines.append("    " * self.indent + text)
-
     def assign(self, expr: str) -> str:
         name = f"t{self.count}"
         self.count += 1
-        self.line(f"{name} = {expr}")
+        self.lines.append(f"    {name} = {expr}")
         return name
 
     def code(self, r: _Result) -> str:
@@ -183,9 +185,7 @@ class _Emitter:
             r = self.emit(e.base)
             if isinstance(r, Fraction):
                 return r ** e.exponent
-            if self.vector:
-                return self.assign(f"_pow({r}, {e.exponent})")
-            return self.assign(f"{r} ** {e.exponent}")
+            return self.assign(f"_pow({r}, {e.exponent})")
         if isinstance(e, Neg):
             r = self.emit(e.operand)
             return -r if isinstance(r, Fraction) else self.assign(f"-{r}")
@@ -206,22 +206,7 @@ class _Emitter:
                 return num / den
             return self.assign(f"{num} / {_literal(den)}")
         bound = _guard_bound(e.guard)
-        if self.vector:
-            num = self.code(self.emit(e.numerator))
-            tiny = self.assign(f"abs({den}) <= {bound!r}")
-            return self.assign(
-                f"_where({tiny}, 0.0, {num} / _where({tiny}, 1.0, {den}))")
-        # the numerator runs only when the guard is off, as in evaluate;
-        # names bound inside the branch are not visible after it
-        out = f"t{self.count}"
-        self.count += 1
-        self.line(f"if abs({den}) <= {bound!r}:")
-        self.line(f"    {out} = 0.0")
-        self.line("else:")
-        self.indent += 1
-        outer = dict(self.memo)
         num = self.code(self.emit(e.numerator))
-        self.line(f"{out} = {num} / {den}")
-        self.memo = outer
-        self.indent -= 1
-        return out
+        tiny = self.assign(f"abs({den}) <= {bound!r}")
+        return self.assign(
+            f"_where({tiny}, 0.0, {num} / _where({tiny}, 1.0, {den}))")

@@ -21,9 +21,10 @@ cuts a piece, so nested nodes are cut inner first.  On a piece the cost
 is one float ratio N/D, built from the line plans of its polynomial
 subtrees (once per profile), and its minimum lies at a piece end or at
 a real root of N'D - ND' (first-order stationarity).  A batch of
-several lines scores those candidates with the compiled scalar form; a
-line alone scores its few with ``evaluate``, since one compile costs more
-than those few tree walks, and both give the same floats.  The profiles
+several lines scores all its candidates in one call of the compiled
+vector form (``compiled.rows``), sorted once per profile; a line alone
+scores its few with ``evaluate``, since one compile costs more than those
+few tree walks, and both give the same floats.  The profiles
 of a batch advance in lockstep rounds: each round finds the roots that
 cut all their open pieces in one ``_real_roots`` call, and the
 stationary points of the uncut pieces in a second.  Ties always resolve
@@ -36,12 +37,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import zip_longest
+from itertools import chain, islice, zip_longest
 from typing import Callable, Iterable, Sequence
 
 from .._lazy import np
 from ..expr import (Abs, Expression, Neg, Number, Power, Product, SafeDiv,
-                    Sum, children, evaluate, scalar_fn)
+                    Sum, children, evaluate)
+from ..expr.compiled import rows
 from ..expr.nodes import EXACT_TYPES, rational_sum
 from ..expr.polynomial import as_polynomial, line_plan
 
@@ -273,14 +275,15 @@ def _newton_polish(d1: Sequence[float], d2: Sequence[float], x: float
 
 def _pick_smallest(score: Callable[[Number], Number],
                    candidates: Iterable[Number]) -> LineMin:
-    # each candidate scored once; as min does, only a strictly smaller
-    # value replaces the best: ties go to the smallest action
-    best = best_value = None
-    for x in sorted(candidates, key=float):
-        value = score(x)
-        if best is None or value < best_value:
-            best, best_value = x, value
-    return LineMin(best, best_value)
+    xs = sorted(candidates, key=float)
+    return _first_minimum(xs, list(map(score, xs)))
+
+
+def _first_minimum(xs: Sequence[Number], values: Sequence[Number]
+                   ) -> LineMin:
+    # min keeps the first of equal values: ties go to the smallest action
+    k = min(range(len(xs)), key=values.__getitem__)
+    return LineMin(xs[k], values[k])
 
 
 def _piecewise_minima(e: Expression, i: int,
@@ -328,11 +331,20 @@ def _piecewise_minima(e: Expression, i: int,
         for (k, _), xs in zip(uncut, _real_roots([p for _, p in uncut])):
             candidates[k].update(xs)
         pieces = split
-    scalar = scalar_fn(e) if len(bases) > 1 else \
-        (lambda point: float(evaluate(e, point)))
-    return [_pick_smallest(lambda x: scalar(base[:i] + [x] + base[i + 1:]),
-                           found)
-            for base, found in zip(bases, candidates)]
+    if len(bases) == 1:
+        base = bases[0]
+        return [_pick_smallest(
+            lambda x: float(evaluate(e, base[:i] + [x] + base[i + 1:])),
+            candidates[0])]
+    # one call scores a batch; its re-check of the scores that are not
+    # finite goes by profile, then by ascending candidate, so the first
+    # overflow raises where it raises one candidate at a time
+    ordered = [sorted(found) for found in candidates]
+    points = np.repeat(np.array(bases), list(map(len, ordered)), axis=0)
+    points[:, i] = list(chain.from_iterable(ordered))
+    scores = iter(rows([e], points)[:, 0].tolist())
+    return [_first_minimum(xs, list(islice(scores, len(xs))))
+            for xs in ordered]
 
 
 def _restrict(e: Expression, i: int, base: list[float],

@@ -38,8 +38,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .._lazy import np
-from ..expr import (Expression, Number, add, diff, evaluate, is_smooth,
-                    scalar_fn, structural_variables, vector_fn)
+from ..expr import (Expression, Number, add, compiled, diff, evaluate,
+                    is_smooth, structural_variables)
 from ..expr.polynomial import as_polynomial, hessian
 from ..game import ActionProfile, Game
 from .config import RNG_SEED, SolverConfig
@@ -209,14 +209,14 @@ def _minimize_numeric(objective: Expression, bounds: Bounds,
         candidates = _best_response_iteration(
             LineCache([objective] * n, bounds), starts, cfg)
 
-    values = _rows([objective], np.array(candidates))[:, 0].tolist()
+    values = compiled.rows([objective], np.array(candidates))[:, 0].tolist()
     best_val = min(values)
     best, value = min(
         (c, v) for c, v in zip(candidates, values)
         if v <= best_val + 1e-12 * max(1.0, abs(best_val)))
     # on the box edge, a smooth optimum is a boundary one unless stationary
     steep = not smooth or max(
-        map(abs, _rows(grad, np.array([best]))[0].tolist())) > cfg.tol
+        map(abs, compiled.rows(grad, np.array([best]))[0].tolist())) > cfg.tol
     on_edge = any(
         abs(v - float(lo)) < 1e-12 or abs(v - float(hi)) < 1e-12
         for v, (lo, hi) in zip(best, bounds))
@@ -243,17 +243,17 @@ def _newton_min(objective: Expression, grad: Sequence[Expression],
     lo, hi = _float_box(bounds)
     n = len(bounds)
     x = np.array(starts, dtype=float).reshape(len(starts), n)
-    fx = _rows([objective], x)[:, 0]
+    fx = compiled.rows([objective], x)[:, 0]
     entries = [h for row in hess for h in row]
     live = np.arange(len(x))
     for _ in range(NEWTON_MIN_ITERS):
-        g = _rows(grad, x[live])
+        g = compiled.rows(grad, x[live])
         done = np.max(np.abs(g), axis=1) <= cfg.tol
         live, g = live[~done], g[~done]
         if not live.size:
             break
         step, finite = _finite_steps(_newton_steps(
-            _rows(entries, x[live]).reshape(len(live), n, n), g), n)
+            compiled.rows(entries, x[live]).reshape(len(live), n, n), g), n)
         step = np.where(finite[:, None], step, -g)
         bar = fx[live] - 1e-15
         moved, xn, fn = _damped([objective], x[live], step, POLISH_STEPS,
@@ -277,7 +277,7 @@ def _damped(exprs: Sequence[Expression], x: np.ndarray, step: np.ndarray,
     evaluation, at or before the start's accepted fraction, fraction by
     fraction, start by start."""
     points = np.clip(x + fractions[0] * step, lo, hi)
-    values = _rows(exprs, points)
+    values = compiled.rows(exprs, points)
     moved = accept(values, fractions[0], np.arange(len(x)))
     back = np.flatnonzero(~moved)
     if not back.size:
@@ -285,14 +285,14 @@ def _damped(exprs: Sequence[Expression], x: np.ndarray, step: np.ndarray,
     lams = np.array(fractions[1:])[:, None]
     trials = np.clip(x[back] + lams[..., None] * step[back], lo, hi)
     levels, starts, n = trials.shape
-    tried = _vector_rows(exprs, trials.reshape(-1, n)).reshape(
+    tried = compiled.vector_rows(exprs, trials.reshape(-1, n)).reshape(
         levels, starts, len(exprs))
     finite = np.isfinite(tried).all(axis=2)
     ok = accept(tried, lams, back) & finite
     reach = np.where(ok.any(axis=0), ok.argmax(axis=0), levels - 1)
     for level, j in zip(*np.nonzero(~finite)):
         if level <= reach[j]:
-            tried[level, j] = _rows(exprs, trials[level, [j]])[0]
+            tried[level, j] = compiled.rows(exprs, trials[level, [j]])[0]
             if accept(tried[level, j], lams[level, 0], back[j]):
                 ok[level, j], reach[j] = True, level
     cols = np.flatnonzero(ok[reach, np.arange(starts)])
@@ -428,31 +428,6 @@ def _newton_system(costs: Sequence[Expression]
     return F, [diff(F[i], j) for i in range(n) for j in range(n)]
 
 
-def _rows(exprs: Sequence[Expression], x: np.ndarray) -> np.ndarray:
-    """``exprs`` at each row of ``x``, one row of values per row of ``x``.
-
-    The compiled vector form gives the values ``evaluate`` gives; a row
-    with a value that is not finite is evaluated again by ``evaluate``,
-    which raises where Python's float arithmetic raises (an overflowing
-    power, say).
-    """
-    out = _vector_rows(exprs, x)
-    for r in np.flatnonzero(~np.isfinite(out).all(axis=1)):
-        point = x[r].tolist()
-        out[r] = [float(evaluate(e, point)) for e in exprs]
-    return out
-
-
-def _vector_rows(exprs: Sequence[Expression], x: np.ndarray) -> np.ndarray:
-    """``exprs`` at each row of ``x`` by the compiled vector form alone."""
-    columns = list(x.T)
-    out = np.empty((len(x), len(exprs)))
-    with np.errstate(all="ignore"):
-        for j, e in enumerate(exprs):
-            out[:, j] = vector_fn(e)(columns)
-    return out
-
-
 def _newton_steps(J: np.ndarray, fx: np.ndarray
                   ) -> np.ndarray | list[Optional[np.ndarray]]:
     """``np.linalg.solve(J[k], -fx[k])`` for every k: their stack from one
@@ -493,7 +468,7 @@ def _newton_stationarity(F: Sequence[Expression], Jac: Sequence[Expression],
     found: list[Optional[tuple[float, ...]]] = [None] * len(starts)
     live = np.arange(len(starts))
     x = np.array(starts, dtype=float).reshape(len(starts), n)
-    fx = _rows(F, x)
+    fx = compiled.rows(F, x)
     for _ in range(STATIONARITY_MAX_ITERS):
         norm = np.max(np.abs(fx), axis=1)
         done = norm <= cfg.tol
@@ -503,7 +478,7 @@ def _newton_stationarity(F: Sequence[Expression], Jac: Sequence[Expression],
         if not live.size:
             break
         steps, going = _finite_steps(
-            _newton_steps(_rows(Jac, x).reshape(len(x), n, n), fx), n)
+            _newton_steps(compiled.rows(Jac, x).reshape(len(x), n, n), fx), n)
         live, x, fx, norm = live[going], x[going], fx[going], norm[going]
         step = steps[going]
         moved, x, fx = _damped(
@@ -649,23 +624,29 @@ def sample_grid(bounds: Bounds, per_axis: int) -> Iterator[tuple[float, ...]]:
 def _sampled_pd(entries: list[list[Expression]], bounds: Bounds
                 ) -> ConvexityReport:
     """The matrix at sample points, in sample order, up to the first that
-    is not finite (verdict unknown) or not positive definite (fails)."""
-    fns = [[scalar_fn(e) for e in row] for row in entries]
-    worst = np.inf
-    for point in sample_grid(bounds, 9 if len(entries) <= 3 else 5):
-        M = np.array([[fn(point) for fn in row] for row in fns])
-        if not np.isfinite(M).all():
-            return ConvexityReport(status="unknown", sampled=True,
-                                   witness=ActionProfile(point))
-        eig = float(np.linalg.eigvalsh(M)[0])
-        if eig < worst:
-            worst = eig
-        if eig <= 0:
-            return ConvexityReport(
-                status="fails", sampled=True,
-                witness=ActionProfile(point), min_eigenvalue=eig)
+    is not finite (verdict unknown) or not positive definite (fails): the
+    points before the first non-finite one share one stacked ``eigvalsh``
+    call, and only that one is evaluated again, by ``evaluate``."""
+    n = len(entries)
+    points = list(sample_grid(bounds, 9 if n <= 3 else 5))
+    flat = [e for row in entries for e in row]
+    x = np.array(points)
+    matrices = compiled.vector_rows(flat, x).reshape(len(x), n, n)
+    finite = np.isfinite(matrices).all(axis=(1, 2))
+    first = len(x) if finite.all() else int(finite.argmin())
+    eigs = np.linalg.eigvalsh(matrices[:first])[:, 0]
+    bad = np.flatnonzero(eigs <= 0)
+    if bad.size:
+        k = int(bad[0])
+        return ConvexityReport(status="fails", sampled=True,
+                               witness=ActionProfile(points[k]),
+                               min_eigenvalue=float(eigs[k]))
+    if first < len(x):
+        compiled.rows(flat, x[first:first + 1])  # raises where evaluate does
+        return ConvexityReport(status="unknown", sampled=True,
+                               witness=ActionProfile(points[first]))
     return ConvexityReport(status="holds", sampled=True,
-                           min_eigenvalue=worst)
+                           min_eigenvalue=float(eigs.min()))
 
 
 def _pd_report(entries: list[list[Expression]], bounds: Bounds) -> ConvexityReport:

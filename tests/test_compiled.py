@@ -1,7 +1,9 @@
-"""Compiled float evaluators against the exact tree walk ``evaluate``.
+"""The compiled float evaluator against the exact tree walk ``evaluate``.
 
-Both compiled forms must reproduce ``float(evaluate(e, floats))`` bit for
-bit: equal values, equal sign of zero, NaN where it is NaN.
+The vector form, and ``rows`` built on it, must reproduce
+``float(evaluate(e, floats))`` bit for bit: equal values, equal sign of
+zero, NaN where it is NaN; ``rows`` must also raise where ``evaluate``
+raises.
 """
 
 import math
@@ -22,10 +24,10 @@ from incentive_audit.expr import (
     Sum,
     UnboundVariableError,
     Var,
+    compiled,
     diff,
     evaluate,
     parse,
-    scalar_fn,
     vector_fn,
 )
 
@@ -94,14 +96,6 @@ def _expected(e, values):
 
 def _check(e, pts) -> None:
     expected = [_expected(e, p) for p in pts]
-    for p, want in zip(pts, expected):
-        if want is None:
-            with pytest.raises(OverflowError):
-                scalar_fn(e)(list(p))
-            continue
-        got = scalar_fn(e)(list(p))
-        assert type(got) is float
-        assert _same(got, want), (e, p, got, want)
     if any(w is None for w in expected):
         return  # float ** k raises where numpy returns inf
     arrays = [np.array([p[k] for p in pts]) for k in range(N_VARS)]
@@ -131,6 +125,31 @@ def test_compiled_matches_evaluate(e, pts):
     _check(e, pts)
 
 
+#: u1^1296 as four nested powers: Python's float ** k overflows, and
+#: raises, from about |u1| = 1.73 on
+DEEP = Power(Power(Power(Power(X, 6), 6), 6), 6)
+
+
+@given(trees, points)
+@settings(max_examples=400, deadline=None)
+# the second of three rows overflows in a power and the others do not
+@example(Sum((DEEP, Y)), [(1.0, 2.0, 0.0), (3.0, 0.0, 0.0), (0.5, 1.0, 0.0)])
+# two nested powers stay finite at 3 (3^36); -(-0.0) is 0.0
+@example(Sum((Power(Power(X, 6), 6), Neg(Y))),
+         [(3.0, -0.0, 0.0), (-2.5, 0.0, 0.0)])
+def test_rows_match_evaluate(e, pts):
+    x = np.array(pts)
+    expected = [_expected(e, p) for p in pts]
+    if any(w is None for w in expected):
+        with pytest.raises(OverflowError):
+            compiled.rows([e], x)
+        return
+    got = compiled.rows([e], x)
+    assert got.shape == (len(pts), 1)
+    for value, want in zip(got[:, 0].tolist(), expected):
+        assert _same(value, want), (e, value, want)
+
+
 @given(st.lists(trees, min_size=1, max_size=12), st.integers(251, 300),
        points)
 @settings(max_examples=25, deadline=None)
@@ -144,7 +163,8 @@ def test_vector_mixes_arrays_and_scalars():
     e = parse("abs(u1 - u2)^3 + u1*u2^2", ["u1", "u2"])
     xs = np.linspace(-2.0, 2.0, 41)
     out = vector_fn(e)([xs, 0.7])
-    assert out.tolist() == [scalar_fn(e)([x, 0.7]) for x in xs.tolist()]
+    assert out.tolist() == [float(evaluate(e, [x, 0.7]))
+                            for x in xs.tolist()]
 
 
 def test_quotient_rule_derivative_compiles():
@@ -156,16 +176,15 @@ def test_quotient_rule_derivative_compiles():
                                   Sum((x, y, Const(Fraction(1)))))))
     h = diff(diff(e, 0), 0)
     for p in ([0.3, 0.9], [-0.5, 0.5], [1e-13, -1e-13]):
-        assert _same(scalar_fn(h)(p), float(evaluate(h, p)))
+        assert _same(float(vector_fn(h)(p)), float(evaluate(h, p)))
 
 
 def test_functions_are_built_once_per_node():
     e = parse("u1^2 + u2", ["u1", "u2"])
-    assert scalar_fn(e) is scalar_fn(e)
     assert vector_fn(e) is vector_fn(e)
 
 
 def test_unbound_variable():
     e = parse("u1 + u3", ["u1", "u2", "u3"])
     with pytest.raises(UnboundVariableError):
-        scalar_fn(e)([1.0, 2.0])
+        vector_fn(e)([1.0, 2.0])

@@ -32,9 +32,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from incentive_audit.expr import (Abs, Const, Neg, Power, Product, SafeDiv,
-                                  Sum, Var, absval, add, children, mul, neg,
-                                  parse, power, safediv, scalar_fn,
-                                  vector_fn)
+                                  Sum, Var, absval, add, children, evaluate,
+                                  mul, neg, parse, power, safediv, vector_fn)
 from incentive_audit.expr.polynomial import (Polynomial, as_polynomial,
                                              line_plan)
 from incentive_audit.gamefile import load_game_file
@@ -414,7 +413,7 @@ N2 = ["u1", "u2"]
 def _scalar_at(e, values, i, x):
     point = [float(v) for v in values]
     point[i] = x
-    return scalar_fn(e)(point)
+    return float(evaluate(e, point))
 
 
 def test_narrow_well_between_scan_points():
@@ -541,8 +540,8 @@ def reference_piecewise_minimum(e, i, base, lo, hi):
             stationary = _plus(_times(_derivative(num), den),
                                _times(num, _derivative(den)), -1.0)
             candidates.update(_real_roots([(stationary, a, b)])[0])
-    scalar = scalar_fn(e)
-    scores = {x: scalar(base[:i] + [x] + base[i + 1:]) for x in candidates}
+    scores = {x: float(evaluate(e, base[:i] + [x] + base[i + 1:]))
+              for x in candidates}
     arg = min(sorted(scores), key=scores.get)
     return LineMin(arg, scores[arg])
 
@@ -676,7 +675,7 @@ def alone_and_batched(draw):
 @given(alone_and_batched())
 @settings(max_examples=200, deadline=None)
 def test_a_line_alone_gets_its_minimum_in_a_batch(case):
-    # a line alone is scored by evaluate, a batch by the compiled scalar
+    # a line alone is scored by evaluate, a batch by the compiled vector
     # form; the second tree is parsed afresh, so it shares no compiled form
     shape, texts, guard, p, q, lo, hi = case
     e, e2 = (PIECEWISE_TREES[shape](*(parse(t, N3) for t in texts), guard)

@@ -31,18 +31,18 @@ def quartic_game(n: int, term: str = "{u}^4 + {u}^2") -> Game:
 
 def sample_counts(game: Game, monkeypatch) -> tuple[int, int]:
     """The audit's sampled profiles, and the points the curvature check
-    of the operator samples (one ``eigvalsh`` each)."""
-    eigvalsh, calls = np.linalg.eigvalsh, []
+    of the operator samples (one matrix each in its ``eigvalsh`` calls)."""
+    eigvalsh, matrices = np.linalg.eigvalsh, []
 
     def counted(m):
-        calls.append(None)
-        assert len(calls) <= BUDGET, "sampled past the budget"
+        matrices.append(len(m) if np.ndim(m) == 3 else 1)
+        assert sum(matrices) <= BUDGET, "sampled past the budget"
         return eigvalsh(m)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     report = hessian_pd_check(game.operator_cost, game)
     assert report.status == "holds" and report.sampled
-    return len(audit._sample_points(game)), len(calls)
+    return len(audit._sample_points(game)), sum(matrices)
 
 
 @pytest.mark.parametrize("n, counts", [(2, (113, 81)), (3, (407, 729)),

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from incentive_audit import incentive
 from incentive_audit.audit import full_audit
-from incentive_audit.expr import (absval, add, const, diff, hessian,
-                                  is_smooth, mul, neg, parse, power,
-                                  safediv, scalar_fn, var)
+from incentive_audit.expr import (absval, add, compiled, const, diff,
+                                  evaluate, hessian, is_smooth, mul, neg,
+                                  parse, power, safediv, var)
 from incentive_audit.game import ActionProfile, Game
 from incentive_audit.gamefile import load_game_file
 from incentive_audit.solve import LineMin, solvers
@@ -419,11 +419,17 @@ def _best_response_alone(lines, start, cfg):
     return tuple(point)
 
 
+def _at_a_point(e):
+    """``e`` as a function of one point: the float ``evaluate`` gives."""
+    return lambda point: float(evaluate(e, point))
+
+
 def _newton_alone(F, Jac, start, bounds, cfg):
-    """Damped Newton from one start on the compiled scalar forms."""
-    F = [scalar_fn(f) for f in F]
+    """Damped Newton from one start, one point at a time."""
+    F = [_at_a_point(f) for f in F]
     n = len(F)
-    Jac = [[scalar_fn(Jac[i * n + j]) for j in range(n)] for i in range(n)]
+    Jac = [[_at_a_point(Jac[i * n + j]) for j in range(n)]
+           for i in range(n)]
     lo, hi = solvers._float_box(bounds)
     x = np.array(start, dtype=float)
     fx = np.array([f(x.tolist()) for f in F])
@@ -453,12 +459,12 @@ def _newton_alone(F, Jac, start, bounds, cfg):
 
 
 def _newton_min_alone(objective, start, bounds, cfg):
-    """The operator's damped Newton descent from one start on the compiled
-    scalar forms, with one linear solve per step."""
+    """The operator's damped Newton descent from one start, one point at a
+    time, with one linear solve per step."""
     n = len(bounds)
-    value = scalar_fn(objective)
-    grad = [scalar_fn(diff(objective, i)) for i in range(n)]
-    hess = [[scalar_fn(h) for h in row] for row in hessian(objective, n)]
+    value = _at_a_point(objective)
+    grad = [_at_a_point(diff(objective, i)) for i in range(n)]
+    hess = [[_at_a_point(h) for h in row] for row in hessian(objective, n)]
     lo, hi = solvers._float_box(bounds)
     x = np.array(start, dtype=float)
     fx = value(x.tolist())
@@ -641,7 +647,7 @@ class TestLockstep:
         # do the same
         objective = parse("u1^4 + (u2 - 1/2)^2", NAMES2)
         starts = [(0.0, 1.5), (1.0, -1.0), (0.0, -2.0), (-1.5, 0.25)]
-        H = np.array([[scalar_fn(h)([0.0, 1.5]) for h in row]
+        H = np.array([[float(evaluate(h, [0.0, 1.5])) for h in row]
                       for row in hessian(objective, 2)])
         assert np.linalg.matrix_rank(H) == 1
         self._check_polish(objective, starts, BOX2, cfg)
@@ -657,14 +663,14 @@ class TestLockstep:
                  for s in starts]
         assert repr(together) == repr(alone)
 
-    def test_overflow_is_raised_by_the_scalar_form(self):
-        # the vector form gives inf; the start's scalar values raise, as a
+    def test_overflow_is_raised_by_evaluate(self):
+        # the vector form gives inf; evaluate raises at that start, as a
         # solve one start at a time does
-        rows = solvers._rows([parse("u1^400", ["u1"])],
+        rows = compiled.rows([parse("u1^400", ["u1"])],
                              np.array([[1.0], [2.0]]))
         assert rows.tolist() == [[1.0], [2.0 ** 400]]
         with pytest.raises(OverflowError):
-            solvers._rows([parse("u1^400", ["u1"])], np.array([[1.0], [10.0]]))
+            compiled.rows([parse("u1^400", ["u1"])], np.array([[1.0], [10.0]]))
 
     def test_backtracking_tries_no_step_past_the_accepted_one(self):
         def polish(fx):
@@ -684,20 +690,20 @@ class TestLockstep:
 
     @staticmethod
     def _check_step_search(fractions, rule):
-        # (u1*u2)^200 overflows (the scalar form raises) where |u1*u2| is
+        # (u1*u2)^200 overflows (evaluate raises) where |u1*u2| is
         # above about 34.8.  From (6.7, -4.5) along (-9.2, -25.3) the full
         # step is not accepted, half of it is, and a quarter of it
         # overflows, which trying one fraction at a time never reaches.
         lo, hi = solvers._float_box(OVERFLOW_BOX)
         x = np.array([[6.7, -4.5]])
-        fx = solvers._rows([OVERFLOW], x)
+        fx = compiled.rows([OVERFLOW], x)
         accept = rule(fx)
 
         def trial(lam, step):
             return np.clip(x + lam * np.array([step]), lo, hi)
 
         def accepted(lam, step):
-            values = solvers._rows([OVERFLOW], trial(lam, step))
+            values = compiled.rows([OVERFLOW], trial(lam, step))
             return bool(accept(values, lam, np.arange(1))[0])
 
         def search(step):
@@ -711,7 +717,7 @@ class TestLockstep:
         moved, points, values = search(step)
         assert moved.tolist() == [True]
         assert points.tolist() == trial(0.5, step).tolist()
-        assert values.tolist() == solvers._rows([OVERFLOW], points).tolist()
+        assert values.tolist() == compiled.rows([OVERFLOW], points).tolist()
         # an overflow before any fraction is accepted raises, as it does
         # when the fractions are tried one at a time: at the full step of
         # twice that step, and, along (-4.3, 25.2), at half the step, where
@@ -780,6 +786,38 @@ class TestCurvatureChecks:
         assert rep == ConvexityReport(
             status="unknown", sampled=True,
             witness=ActionProfile((-1000.0, -1000.0)), min_eigenvalue=None)
+
+    def test_indefinite_sample_before_a_non_finite_one_fails(self):
+        # the Hessian diag(u1^398 - 4, 2) is indefinite at the first
+        # sample point, u1 = -1; from u1 = 7.1875 on, u1^398 overflows a
+        # float (evaluate raises there), but the check stops before it
+        cost = parse("u1^400/159600 - 2*u1^2 + u2^2", NAMES2)
+        box = ((Fraction(-1), Fraction(10)), (Fraction(-1), Fraction(1)))
+        g = Game(n=2, agent_costs=(cost, cost), operator_cost=cost,
+                 bounds=box)
+        assert hessian_pd_check(cost, g) == ConvexityReport(
+            status="fails", sampled=True,
+            witness=ActionProfile((-1.0, -1.0)), min_eigenvalue=-3.0)
+
+    def test_overflowing_first_sample_raises(self):
+        # 399*400*u1^398 at the first sample point, u1 = -10, overflows
+        # Python's float ** k, which raises
+        cost = parse("u1^400 + u2^2", NAMES2)
+        box = ((Fraction(-10), Fraction(10)),) * 2
+        g = Game(n=2, agent_costs=(cost, cost), operator_cost=cost,
+                 bounds=box)
+        with pytest.raises(OverflowError):
+            hessian_pd_check(cost, g)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_stacked_eigvalsh_matches_one_call_per_matrix(self, n):
+        # the sampled check takes its eigenvalues from one stacked call
+        rng = np.random.default_rng([n, 39])
+        a = rng.standard_normal((3000, n, n))
+        matrices = a + a.transpose(0, 2, 1)
+        stacked = np.linalg.eigvalsh(matrices)
+        alone = np.array([np.linalg.eigvalsh(m) for m in matrices])
+        assert stacked.tobytes() == alone.tobytes()
 
     def test_dsc_decoupled_convex_holds(self):
         g = Game(n=2, agent_costs=(power(var(0), 2), power(var(1), 2)),

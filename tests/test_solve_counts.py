@@ -2,8 +2,9 @@
 computes each line minimum of a solve once (the piecewise lines of a
 batch sharing their eigenvalue calls), and evaluates the conditions on
 the scenario alone once.  Values read once (a candidate's costs, a
-non-finite Newton row) compile no scalar form, nor does a piecewise
-line minimized alone.
+non-finite Newton row) compile nothing for scoring lines, nor does a
+piecewise line minimized alone: only a batch of piecewise lines compiles
+its cost, once, to score every candidate in one call.
 
 Every binding of ``minimize_operator``, ``nash_equilibrium``,
 ``verify_nash`` and the batched line kernel ``line_minima`` in the package
@@ -21,7 +22,7 @@ from incentive_audit import audit, incentive
 from incentive_audit.cli import main
 from incentive_audit.expr import compiled, parse
 from incentive_audit.gamefile import load_game_file
-from incentive_audit.solve import solvers
+from incentive_audit.solve import linesearch, solvers
 
 from conftest import (BOX2, EXAMPLE1_PROPORTIONAL_GAME, GAMES_DIR, NAMES2,
                       OUTSIDE_BOX_COSTS, QUARTIC_GAME, THREE_EQUILIBRIA_GAME,
@@ -224,13 +225,13 @@ def test_newton_step_search_evaluates_twice_per_iteration(costs, expected,
                                                           monkeypatch, cfg):
     F, Jac = solvers._newton_system([parse(c, NAMES2) for c in costs])
     calls = Counter()
-    original = solvers.vector_fn
+    original = compiled.vector_fn
 
     def counted(e):
         calls[id(e)] += 1
         return original(e)
 
-    monkeypatch.setattr(solvers, "vector_fn", counted)
+    monkeypatch.setattr(compiled, "vector_fn", counted)
     solvers._newton_stationarity(F, Jac, solvers._seeds(BOX2), BOX2, cfg)
     evaluations, iterations = calls[id(F[0])], calls[id(Jac[0])]
     assert evaluations - 1 <= 2 * iterations
@@ -238,47 +239,58 @@ def test_newton_step_search_evaluates_twice_per_iteration(costs, expected,
 
 
 @pytest.fixture
-def scalar_compiles(monkeypatch):
-    """Counts the scalar forms compiled while the test runs."""
+def batch_compiles(monkeypatch):
+    """Counts every form compiled, and those compiled to score batches of
+    piecewise lines."""
     counts = Counter()
-    original = compiled._compile
+    scoring = []
+    original_rows, original_compile = linesearch.rows, compiled._compile
 
-    def counted(e, vector):
-        counts["scalar"] += not vector
-        return original(e, vector)
+    def scored(exprs, x):
+        scoring.append(None)
+        try:
+            return original_rows(exprs, x)
+        finally:
+            scoring.pop()
 
+    def counted(e):
+        counts["all"] += 1
+        counts["batch"] += bool(scoring)
+        return original_compile(e)
+
+    monkeypatch.setattr(linesearch, "rows", scored)
     monkeypatch.setattr(compiled, "_compile", counted)
     return counts
 
 
 def test_verification_of_a_float_candidate_compiles_nothing(
-        scalar_compiles):
+        batch_compiles):
     # a value read once per agent is read by evaluate, not a compiled form
     costs = [parse("u1^4/4 - u1 + u1*u2/4", NAMES2),
              parse("u2^4/4 - u2 + u1*u2/4", NAMES2)]
     residual = solvers.verify_nash(costs, (0.5, 0.25), BOX2)
     assert residual > 0
-    assert scalar_compiles["scalar"] == 0
+    assert batch_compiles["batch"] == batch_compiles["all"] == 0
 
 
-#: scalar forms compiled in one structured audit.  A piecewise line
-#: minimized alone scores its few candidates with evaluate (one compile
-#: costs more), and a batch of lines shares one compiled form: the one-way
-#: game minimizes each abs line alone (2 compiles when every piecewise
-#: line compiled its scorer), example1's anticipatory proportional audit
-#: minimizes its lines in batches
-AUDIT_SCALAR_COMPILES = [(ONE_WAY_ABS_GAME, 0),
-                         (EXAMPLE1_PROPORTIONAL_GAME, 2)]
+#: forms compiled for line batches in one structured audit.  A piecewise
+#: line minimized alone scores its few candidates with evaluate (one
+#: compile costs more), and a batch of lines shares one compiled form: the
+#: one-way game minimizes each abs line alone (2 compiles when every
+#: piecewise line compiled its scorer), example1's anticipatory
+#: proportional audit minimizes its lines in batches
+AUDIT_BATCH_COMPILES = [(ONE_WAY_ABS_GAME, 0),
+                        (EXAMPLE1_PROPORTIONAL_GAME, 2)]
 
 
-@pytest.mark.parametrize("game, expected", AUDIT_SCALAR_COMPILES,
+@pytest.mark.parametrize("game, expected", AUDIT_BATCH_COMPILES,
                          ids=["one-way-abs", "example1-proportional"])
-def test_only_line_batches_compile_a_scalar_form(game, expected, tmp_path,
-                                                 scalar_compiles, capsys):
+def test_only_line_batches_compile_a_scorer(game, expected, tmp_path,
+                                            batch_compiles, capsys):
     path = tmp_path / "piecewise.game"
     path.write_text(game)
     _run(capsys, "audit", str(path), "--format", "structured")
-    assert scalar_compiles["scalar"] == expected
+    assert batch_compiles["batch"] == expected
 
 
 #: the one-way game with agent 1's cost coupled to u2, so its abs line
@@ -288,7 +300,7 @@ TWO_WAY_ABS_GAME = ONE_WAY_ABS_GAME.replace(
 
 
 def test_coupled_abs_line_is_scored_both_ways(tmp_path, monkeypatch,
-                                              scalar_compiles, capsys):
+                                              batch_compiles, capsys):
     # agent 1's line at the 11 seeds in one batch, by its compiled form;
     # agent 2's and then agent 1's at the point the first sweep reached,
     # each alone, by evaluate
@@ -304,14 +316,14 @@ def test_coupled_abs_line_is_scored_both_ways(tmp_path, monkeypatch,
     path.write_text(TWO_WAY_ABS_GAME)
     _run(capsys, "audit", str(path), "--format", "structured")
     assert batches == [(0, 11), (1, 1), (0, 1)]
-    assert scalar_compiles["scalar"] == 1
+    assert batch_compiles["batch"] == 1
 
 
-def test_overflowing_row_raises_without_a_scalar_form(scalar_compiles):
+def test_overflowing_row_raises_by_evaluate(batch_compiles):
     # the vector form gives inf; evaluate raises Python's OverflowError
     with pytest.raises(OverflowError):
-        solvers._rows([parse("u1^400", NAMES2)], np.array([[1e10, 0.0]]))
-    assert scalar_compiles["scalar"] == 0
+        compiled.rows([parse("u1^400", NAMES2)], np.array([[1e10, 0.0]]))
+    assert batch_compiles["batch"] == 0
 
 
 BOX10 = ((Fraction(-10), Fraction(10)),) * 2

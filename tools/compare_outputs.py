@@ -26,7 +26,10 @@ coefficient, example1 in the rarer forms of the game-file syntax, and
 structured audits of two exact quadratic games: ``tests/test_exact.py``'s
 8-agent ``vcg_game(8)``, whose exact elimination runs at 8 agents, and a
 3-agent game whose coefficients have the large coprime denominators 997,
-991 and 983; then a structured audit of a two-way-coupled ``abs`` game,
+991 and 983; a structured audit of ``vcg_game(8)`` with ``u1^4/4`` added
+to its operator objective, the one request whose sampled curvature check
+stacks 8x8 matrices (on the capped 5^5 lattice; every workload's is
+2x2); then a structured audit of a two-way-coupled ``abs`` game,
 whose ``abs`` line is scored both by its compiled form (in a batch of
 lines) and by ``evaluate`` (alone).  Last come the expression parser's
 paths that no workload takes: trailing whitespace, ``2*-u1`` and
@@ -361,7 +364,8 @@ def front_end_requests(out: Path) -> list[dict]:
     are clipped to an edge or are refused on an axis, at the default grid
     too; example1 written in the rarer forms of the game-file syntax,
     and with CRLF line ends and a byte-order mark; the exact
-    elimination at 8 agents and on large coprime denominators; an ``abs``
+    elimination at 8 agents and on large coprime denominators; a sampled
+    curvature check of 8x8 matrices; an ``abs``
     line minimized both in a batch and alone; and the parser's rarer
     paths, its unexpected-character error and a chain whose base holds a
     chain."""
@@ -401,6 +405,9 @@ def front_end_requests(out: Path) -> list[dict]:
         box_games[-1].write_text(source)
     vcg8 = out / "vcg8.game"
     vcg8.write_text(vcg_game(8))
+    vcg8_quartic = out / "vcg8_quartic.game"
+    vcg8_quartic.write_text(vcg8.read_text().replace(
+        ' + u1*u2/8"', ' + u1*u2/8 + u1^4/4"'))
     coprime = out / "coprime.game"
     coprime.write_text(COPRIME_GAME)
     two_way_abs = out / "two_way_abs.game"
@@ -443,6 +450,7 @@ def front_end_requests(out: Path) -> list[dict]:
         ["equilibrium", str(crlf_bom), "--scenario", "incentive"],
         ["audit", str(crlf_bom), "--format", "structured"],
         ["audit", str(vcg8), "--format", "structured"],
+        ["audit", str(vcg8_quartic), "--format", "structured"],
         ["audit", str(coprime), "--format", "structured"],
         ["audit", str(two_way_abs), "--format", "structured"],
         ["audit", str(parser_game)],
