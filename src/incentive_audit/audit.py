@@ -445,24 +445,6 @@ def _sample_points(game: Game) -> list[tuple[float, ...]]:
 # audit assembly
 
 
-#: built-in scheme rows of the property-comparison table; "C" entries name
-#: the governing condition instantiated by the audit
-SCHEME_PATTERNS = {
-    VCG: {
-        "social-optimality": ("Y", "operator-hessian-positive-definite"),
-        "budget-balance": ("C", "opt-out-surplus"),
-        "participation": ("Y", None),
-        "equity-monotonicity": ("C", None),
-    },
-    PROPORTIONAL: {
-        "social-optimality": ("C", "pointwise-alignment"),
-        "budget-balance": ("Y", None),
-        "participation": ("C", "excess-within-marginal-sum"),
-        "equity-monotonicity": ("Y", None),
-    },
-}
-
-
 @dataclass(frozen=True)
 class EquilibriumSection:
     outcome: IncentiveOutcome

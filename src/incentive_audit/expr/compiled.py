@@ -5,7 +5,10 @@ straight-line statements (one operation per statement, so long sums and
 deep derivative trees stay within the compiler's nesting limits).  It
 takes numpy arrays (or floats) that broadcast against each other and
 returns, element by element, ``float(evaluate(e, values))``, sign of zero
-included.  ``rows`` reads it at every row of an array of points.
+included, except that a guarded division by, or a zeroth power of, a value
+that is not finite is NaN (where a power overflowed, ``evaluate`` raises
+and numpy would say 0 or 1).  ``rows`` reads it at every row of an array
+of points and evaluates each value that is not finite again.
 
 Bit identity with ``evaluate`` rests on replaying its arithmetic:
 
@@ -128,7 +131,7 @@ class _Emitter:
         source = "\n".join(["def f(values):", *head, *self.lines,
                             f"    return {self.code(result)}"])
         scope = {"_unbound": unbound, "_pow": np.float_power,
-                 "_where": np.where}
+                 "_where": np.where, "_finite": np.isfinite, "_nan": math.nan}
         exec(compile(source, "<compiled expression>", "exec"), scope)
         return scope["f"]
 
@@ -185,6 +188,8 @@ class _Emitter:
             r = self.emit(e.base)
             if isinstance(r, Fraction):
                 return r ** e.exponent
+            if e.exponent == 0:  # 1 only where the base is finite
+                return self.assign(f"_where(_finite({r}), 1.0, _nan)")
             return self.assign(f"_pow({r}, {e.exponent})")
         if isinstance(e, Neg):
             r = self.emit(e.operand)
@@ -208,5 +213,6 @@ class _Emitter:
         bound = _guard_bound(e.guard)
         num = self.code(self.emit(e.numerator))
         tiny = self.assign(f"abs({den}) <= {bound!r}")
-        return self.assign(
-            f"_where({tiny}, 0.0, {num} / _where({tiny}, 1.0, {den}))")
+        divisor = self.assign(
+            f"_where({tiny}, 1.0, _where(_finite({den}), {den}, _nan))")
+        return self.assign(f"_where({tiny}, 0.0, {num} / {divisor})")

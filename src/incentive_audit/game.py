@@ -22,6 +22,8 @@ NON_ANTICIPATORY = "non-anticipatory"
 PROPORTIONAL = "proportional"
 VCG = "vcg"
 CUSTOM = "custom"
+#: every incentive kind, in the order ``incentive.RULES`` lists their rules
+KINDS = (PROPORTIONAL, VCG, CUSTOM)
 
 
 def empty_interval(lo: Number, hi: Number) -> bool:
@@ -124,7 +126,7 @@ class IncentiveScheme:
     expressions: Optional[tuple[Expression, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (PROPORTIONAL, VCG, CUSTOM):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown incentive kind {self.kind!r}")
         if self.mode not in (ANTICIPATORY, NON_ANTICIPATORY):
             raise ValueError(f"unknown anticipation mode {self.mode!r}")
@@ -153,5 +155,8 @@ class Scenario:
         bad = [i for i in self.opted_out if i < 0 or i >= self.game.n]
         if bad:
             raise ValueError(f"opt-out index {bad[0]} out of range")
+        custom = self.incentive and self.incentive.expressions
+        if custom and len(custom) != self.game.n:
+            raise ValueError("custom scheme needs one expression per agent")
         if self.incentive is None and self.opted_out:
             raise ValueError("opting out is meaningless without an incentive")

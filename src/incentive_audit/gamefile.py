@@ -52,8 +52,8 @@ from typing import Optional
 
 from .expr import Const, Expression, ParseError, children, parse
 from .expr.parser import excerpt
-from .game import (ANTICIPATORY, CUSTOM, DEFAULT_BOUND, NON_ANTICIPATORY,
-                   PROPORTIONAL, VCG, Game, IncentiveScheme, Scenario,
+from .game import (ANTICIPATORY, CUSTOM, DEFAULT_BOUND, KINDS,
+                   NON_ANTICIPATORY, Game, IncentiveScheme, Scenario,
                    empty_interval)
 from .solve import SolverConfig
 
@@ -292,10 +292,10 @@ class _Loader:
         if "kind" not in entries:
             raise self.fail("incentive", None, "missing kind = ...")
         kind = _unquote(entries["kind"]).lower()
-        if kind not in (PROPORTIONAL, VCG, CUSTOM):
+        if kind not in KINDS:
             raise self.fail("incentive", "kind",
                             f"unknown kind {excerpt(kind)!r} (expected "
-                            "proportional, vcg, or custom)")
+                            f"{', '.join(KINDS[:-1])}, or {KINDS[-1]})")
         mode = ANTICIPATORY
         if "mode" in entries:
             mode = _unquote(entries["mode"]).lower()
@@ -329,7 +329,7 @@ class _Loader:
         """Refuse a section the format does not have, and a key that
         [agents], [operator] or [incentive] does not read ([costs], [bounds]
         and [solver] refuse theirs where they read them)."""
-        custom = scheme is not None and scheme.kind == CUSTOM
+        custom = scheme is not None and scheme.expressions is not None
         known = {"agents": ("names",), "operator": ("J",),
                  "incentive": ("kind", "mode", "separable_base",
                                *(f"t.{n}" for n in names if custom))}

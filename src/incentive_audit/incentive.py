@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .expr import Expression, Number, add, const, evaluate, mul, neg, safediv, substitute
 from .game import (ANTICIPATORY, CUSTOM, PROPORTIONAL, VCG, ActionProfile,
@@ -188,6 +188,12 @@ class ScenarioSolve:
         return self.equilibria(self.game.agent_costs)
 
     @property
+    def rule(self) -> Optional[Rule]:
+        """The entry of :data:`RULES` for the scenario's scheme, if any."""
+        scheme = self.scenario.incentive
+        return None if scheme is None else RULES[scheme.kind]
+
+    @property
     def anticipatory(self) -> bool:
         """Whether agents play the scheme's incentives: only under a
         scheme they anticipate."""
@@ -238,42 +244,61 @@ class ScenarioSolve:
                               for r, offset in zip(remainders, offsets)))
 
 
+class Rule(NamedTuple):
+    """All that depends on a scheme's kind: its per-agent incentive trees,
+    the exact split non-anticipating agents pay (None: the trees' values),
+    whether anticipating participants of an opt-out game minimize J, and
+    its row of the paper's property table (a claim of "Y", unconditional,
+    or "C", conditional, per property, and the condition the audit
+    instantiates)."""
+
+    expressions: Callable[[ScenarioSolve], tuple[Expression, ...]]
+    ex_post: Optional[Callable[..., tuple[Number, ...]]]
+    aligned: bool
+    pattern: Optional[dict[str, tuple[str, Optional[str]]]]
+
+
+RULES = {
+    PROPORTIONAL: Rule(
+        lambda ctx: proportional_expressions(ctx.game, ctx.optimum.profile),
+        proportional_allocation, False, {
+            "social-optimality": ("C", "pointwise-alignment"),
+            "budget-balance": ("Y", None),
+            "participation": ("C", "excess-within-marginal-sum"),
+            "equity-monotonicity": ("Y", None),
+        }),
+    VCG: Rule(lambda ctx: ctx.vcg_terms.t_exprs, None, True, {
+        "social-optimality": ("Y", "operator-hessian-positive-definite"),
+        "budget-balance": ("C", "opt-out-surplus"),
+        "participation": ("Y", None),
+        "equity-monotonicity": ("C", None),
+    }),
+    CUSTOM: Rule(lambda ctx: ctx.scenario.incentive.expressions,
+                 None, False, None),
+}
+
+
 def materialize(ctx: ScenarioSolve
                 ) -> Optional[tuple[Optional[Expression], ...]]:
-    """Per-agent incentive expressions for the scenario's scheme.
-
-    Custom schemes carry their own; the proportional rule needs the
-    operator optimum; the VCG-like rule needs opt-out equilibria (see
-    :attr:`ScenarioSolve.vcg_terms`).  Returns None when there is no
-    incentive.
-    """
-    scheme = ctx.scenario.incentive
-    if scheme is None:
-        return None
-    game = ctx.game
-    if scheme.kind == CUSTOM:
-        if len(scheme.expressions) != game.n:
-            raise ValueError("custom scheme needs one expression per agent")
-        return scheme.expressions
-    if scheme.kind == PROPORTIONAL:
-        return proportional_expressions(game, ctx.optimum.profile)
-    return ctx.vcg_terms.t_exprs
+    """Per-agent incentive expressions of the scenario's rule (see
+    :data:`RULES`); None when there is no incentive."""
+    return None if ctx.rule is None else ctx.rule.expressions(ctx)
 
 
 def opt_out_equilibrium(ctx: ScenarioSolve, i: int) -> EquilibriumResult:
     """Equilibrium when agent ``i`` unilaterally leaves the scheme.
 
     Agent ``i`` (and anyone already opted out) plays its raw cost; each
-    remaining participant keeps its incentive-adjusted cost.  For the
-    VCG-like rule the participants' adjustment differs from the operator
-    objective only by a constant, so they minimize that objective
-    directly and no fixed point over the scheme's own constants arises.
+    remaining participant keeps its incentive-adjusted cost.  Under an
+    aligned rule (the VCG-like one) the participants' adjustment differs
+    from the operator objective only by a constant, so they minimize that
+    objective directly and no fixed point over the scheme's own constants
+    arises.
     """
-    scheme = ctx.scenario.incentive
-    if scheme is None:
+    if ctx.rule is None:
         raise ValueError("opt-out analysis requires an incentive scheme")
     game = ctx.game
-    aligned = scheme.kind == VCG and ctx.anticipatory
+    aligned = ctx.rule.aligned and ctx.anticipatory
     costs = [game.agent_costs[j]
              if j == i or j in ctx.scenario.opted_out
              else game.operator_cost if aligned
@@ -310,7 +335,7 @@ def realized_outcome(ctx: ScenarioSolve) -> list[IncentiveOutcome]:
     pay nothing.
     """
     game = ctx.game
-    scheme = ctx.scenario.incentive
+    rule = ctx.rule
     anticipatory = ctx.anticipatory
     equilibria = ctx.equilibria(ctx.effective_costs)
     if not equilibria:
@@ -318,16 +343,14 @@ def realized_outcome(ctx: ScenarioSolve) -> list[IncentiveOutcome]:
             "no equilibrium verified for the incentive-adjusted game"
             if anticipatory else "no baseline equilibrium verified")
 
-    participants = () if scheme is None else tuple(
+    participants = () if rule is None else tuple(
         i for i in range(game.n) if i not in ctx.scenario.opted_out)
+    ex_post = rule.ex_post if participants and not anticipatory else None
 
     outcomes = []
     for eq in equilibria:
-        due = None
-        if participants and scheme.kind == PROPORTIONAL and not anticipatory:
-            # evaluate the rule directly for an exact ex-post split
-            due = proportional_allocation(game, ctx.optimum.profile,
-                                          eq.profile)
+        # a rule's exact ex-post split is evaluated directly
+        due = ex_post and ex_post(game, ctx.optimum.profile, eq.profile)
         t_values = tuple(
             Fraction(0) if i not in participants
             else due[i] if due is not None

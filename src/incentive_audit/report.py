@@ -15,11 +15,10 @@ import sys
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-from .audit import (SCHEME_PATTERNS, AuditReport, EquilibriumSection,
-                    PropertyVerdict)
+from .audit import AuditReport, EquilibriumSection, PropertyVerdict
 from .expr import Number, evaluate
-from .game import ActionProfile, IncentiveScheme, Scenario
-from .incentive import ScenarioSolve, realized_outcome
+from .game import ActionProfile, Scenario
+from .incentive import Rule, ScenarioSolve, realized_outcome
 from .solve import EquilibriumResult, SolverError
 
 SCHEMA_AUDIT = "incentive-audit/report.v1"
@@ -86,12 +85,12 @@ def _equilibrium_node(eq: EquilibriumResult, operator_cost: Number) -> dict:
     }
 
 
-def _pattern_node(scheme: Optional[IncentiveScheme]) -> Optional[dict]:
-    """The scheme's row of the property-comparison table, if it has one."""
-    if scheme is None or scheme.kind not in SCHEME_PATTERNS:
+def _pattern_node(rule: Optional[Rule]) -> Optional[dict]:
+    """The rule's row of the property-comparison table, if it has one."""
+    if rule is None or rule.pattern is None:
         return None
     return {prop: {"claim": claim, "condition": cond}
-            for prop, (claim, cond) in SCHEME_PATTERNS[scheme.kind].items()}
+            for prop, (claim, cond) in rule.pattern.items()}
 
 
 def _section_node(section: EquilibriumSection, ctx: ScenarioSolve) -> dict:
@@ -137,7 +136,7 @@ def audit_document(report: AuditReport) -> dict:
         "baseline_equilibria": baseline,
         "sections": [_section_node(s, ctx) for s in report.sections],
         "game_conditions": [_verdict_node(v) for v in report.game_conditions],
-        "scheme_pattern": _pattern_node(ctx.scenario.incentive),
+        "scheme_pattern": _pattern_node(ctx.rule),
     }
 
 

@@ -33,6 +33,7 @@ from incentive_audit.game import (
     ActionProfile,
     Game,
     IncentiveScheme,
+    KINDS,
     NON_ANTICIPATORY,
     Scenario,
 )
@@ -500,3 +501,18 @@ def test_anticipation_rule(mode, kind, out, example1, cfg, monkeypatch):
     # never materialized; no scheme has nothing to materialize
     unread = mode is None or (mode == NON_ANTICIPATORY and kind == PROPORTIONAL)
     assert len(calls) == (0 if unread else 1)
+
+
+def test_rules_table(example1, cfg):
+    # one rule per kind, in the order of the kinds; a structured audit of
+    # each reports its rule's row of the property table, null for custom
+    assert tuple(incentive.RULES) == KINDS
+    assert incentive.RULES[CUSTOM].pattern is None
+    for kind, rule in incentive.RULES.items():
+        scheme = IncentiveScheme(kind, NON_ANTICIPATORY, example1_scheme()
+                                 .expressions if kind == CUSTOM else None)
+        doc = json.loads(to_json(audit_document(
+            full_audit(Scenario(example1, scheme), cfg))))
+        assert doc["scheme_pattern"] == (None if rule.pattern is None else {
+            prop: {"claim": claim, "condition": condition}
+            for prop, (claim, condition) in rule.pattern.items()})

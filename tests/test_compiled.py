@@ -66,6 +66,12 @@ def _nodes(children):
         st.lists(children, min_size=1, max_size=4).map(
             lambda f: Product(tuple(f))),
         st.builds(Power, children, st.integers(0, 6)),
+        # powers near the float range, of a base that is never constant:
+        # 3^216 is about 10^103, and |x|^1296 overflows from |x| = 1.73 on,
+        # where Python's float ** k raises
+        st.builds(lambda k, t, p: Power(Sum((Var(k), t)), p),
+                  st.integers(0, N_VARS - 1), children,
+                  st.sampled_from([216, 1296])),
         st.builds(Neg, children),
         st.builds(Abs, children),
         st.builds(SafeDiv, children, children, st.sampled_from(GUARDS)),
@@ -94,10 +100,50 @@ def _expected(e, values):
         return None
 
 
+def _vector_value(e, values):
+    """``evaluate``'s float walk, except that a guarded division whose
+    denominator is not finite, and a zeroth power of a base that is not
+    finite, are NaN, as the vector form returns them."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return values[e.index]
+    if isinstance(e, Sum):
+        total = 0
+        for t in e.terms:
+            total = total + _vector_value(t, values)
+        return total
+    if isinstance(e, Product):
+        prod = 1
+        for f in e.factors:
+            prod = prod * _vector_value(f, values)
+            if prod == 0 and not isinstance(prod, float):
+                return prod
+        return prod
+    if isinstance(e, Power):
+        base = _vector_value(e.base, values)
+        if e.exponent == 0 and _not_finite(base):
+            return math.nan
+        return base ** e.exponent
+    if isinstance(e, (Neg, Abs)):
+        x = _vector_value(e.operand, values)
+        return -x if isinstance(e, Neg) else abs(x)
+    den = _vector_value(e.denominator, values)
+    if abs(den) <= e.guard:
+        return 0.0 if isinstance(den, float) else Fraction(0)
+    num = _vector_value(e.numerator, values)
+    return math.nan if _not_finite(den) else num / den
+
+
+def _not_finite(x) -> bool:
+    # an exact value is finite, however far beyond the float range
+    return isinstance(x, float) and not math.isfinite(x)
+
+
 def _check(e, pts) -> None:
-    expected = [_expected(e, p) for p in pts]
-    if any(w is None for w in expected):
+    if any(_expected(e, p) is None for p in pts):
         return  # float ** k raises where numpy returns inf
+    expected = [float(_vector_value(e, p)) for p in pts]
     arrays = [np.array([p[k] for p in pts]) for k in range(N_VARS)]
     with np.errstate(all="ignore"):
         out = vector_fn(e)(arrays)
@@ -137,6 +183,10 @@ DEEP = Power(Power(Power(Power(X, 6), 6), 6), 6)
 # two nested powers stay finite at 3 (3^36); -(-0.0) is 0.0
 @example(Sum((Power(Power(X, 6), 6), Neg(Y))),
          [(3.0, -0.0, 0.0), (-2.5, 0.0, 0.0)])
+# a guarded denominator that overflows is not a zero quotient: it raises
+@example(SafeDiv(Const(Fraction(1)), DEEP, Fraction(1, 2)), [(3.0, 0.0, 0.0)])
+# nor is the zeroth power of a base that overflows 1
+@example(Power(DEEP, 0), [(3.0, 0.0, 0.0)])
 def test_rows_match_evaluate(e, pts):
     x = np.array(pts)
     expected = [_expected(e, p) for p in pts]

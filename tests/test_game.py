@@ -65,6 +65,13 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(g, example1_scheme(), frozenset({5}))
 
+    def test_custom_expression_count(self):
+        # a scheme does not know its game, so the scenario counts its trees
+        g = build_example1()
+        scheme = IncentiveScheme(CUSTOM, expressions=(parse("u1^2", NAMES2),))
+        with pytest.raises(ValueError, match="one expression per agent"):
+            Scenario(g, scheme)
+
 
 class TestEffectiveCost:
     def test_participant_gets_cost_plus_incentive(self, cfg):

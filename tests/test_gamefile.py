@@ -1,6 +1,7 @@
 """Game-file parsing: the shipped examples and the failure modes."""
 
 import configparser
+import re
 from fractions import Fraction
 
 import pytest
@@ -110,7 +111,9 @@ class TestLoader:
 
     def test_unknown_incentive_kind(self, tmp_path):
         text = GOOD + "\n[incentive]\nkind = shapley\n"
-        with pytest.raises(GameFileError, match="unknown kind"):
+        with pytest.raises(GameFileError, match=re.escape(
+                "unknown kind 'shapley' (expected proportional, vcg, or "
+                "custom)")):
             load_game_file(_write(tmp_path, text))
 
     def test_custom_requires_all_expressions(self, tmp_path):

@@ -37,7 +37,10 @@ paths that no workload takes: trailing whitespace, ``2*-u1`` and
 once expanded, ``(u1 + 1 - u1)``, all in one game's audit, an unexpected
 character, and a ``^`` chain whose base is a group holding its own
 chain, ``((u1 - 1/2)^2^2 + u2)^2``, as example1's first cost in a
-structured audit.
+structured audit.  Then example1's costs under each incentive kind in
+each anticipation mode, in structured audits of the scheme and of agent
+1 opting out of it: no workload audits the VCG-like or a custom scheme
+without anticipation.
 
 A child still running after ``CHILD_TIMEOUT_S`` is killed and stops the
 tool, so a checkout that hangs cannot stall the comparison.
@@ -368,7 +371,7 @@ def front_end_requests(out: Path) -> list[dict]:
     curvature check of 8x8 matrices; an ``abs``
     line minimized both in a batch and alone; and the parser's rarer
     paths, its unexpected-character error and a chain whose base holds a
-    chain."""
+    chain; and example1's costs under every incentive kind and mode."""
     games = sorted((ROOT / "games").glob("*.game"))
     argvs = [argv for game in games
              for argv in (["equilibrium", str(game)],
@@ -420,6 +423,14 @@ def front_end_requests(out: Path) -> list[dict]:
     nested_chain = out / "nested_chain.game"
     nested_chain.write_text(text.replace('"u1^2 - 2*u1*u2"',
                                          '"((u1 - 1/2)^2^2 + u2)^2"'))
+    rule_games = []
+    for kind in ("proportional", "vcg", "custom"):
+        for mode in ("anticipatory", "non-anticipatory"):
+            rule_games.append(out / f"example1_{kind}_{mode}.game")
+            rule_games[-1].write_text(
+                f"{bare.read_text()}[incentive]\nkind = {kind}\n"
+                f"mode = {mode}\n" + (text[text.index("t.u1"):]
+                                       if kind == "custom" else ""))
     crlf_bom = out / "crlf_bom.game"
     crlf_bom.write_bytes(b"\xef\xbb\xbf" + example.read_bytes().replace(
         b"\n", b"\r\n"))
@@ -457,6 +468,8 @@ def front_end_requests(out: Path) -> list[dict]:
         ["audit", str(parser_game), "--format", "structured"],
         ["audit", str(bad_character)],
         ["audit", str(nested_chain), "--format", "structured"],
+        *(["audit", str(game), "--format", "structured", "--scenario", row]
+          for game in rule_games for row in ("incentive", "optout:1")),
     ]
     return [{"key": "front end: " + " ".join(
         Path(a).name if a.endswith(".game") else a for a in argv),
